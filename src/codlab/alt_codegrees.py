@@ -21,15 +21,7 @@ from .partitions import (
     conjugate,
     enumerate_partitions,
     hook_product,
-    is_self_conjugate,
 )
-
-# Self-conjugate shapes are exactly the 2-cores (staircases) union
-# nothing else *with odd hook product*; for every non-self-conjugate
-# shape the hook product is even, so codegree H/2 is an integer.  The
-# constructor asserts this for moderate n rather than trusting it.
-_EVENNESS_ASSERT_LIMIT = 20
-
 
 @dataclass(frozen=True)
 class AltIrrEntry:
@@ -65,44 +57,50 @@ class CodegreeSet:
                 raise ValueError(f"codegree {v} does not divide order {self.order}")
 
 
+def _degree(n: int, n_factorial: int, hp: int) -> int:
+    """n!/H(lam), refusing a hook product that does not divide n!."""
+    dim, rest = divmod(n_factorial, hp)
+    if rest:
+        raise ArithmeticError(f"hook product {hp} does not divide {n}!")
+    return dim
+
+
 def sym_degree(parts: Partition) -> int:
     """Dimension of the S_n irreducible for this shape (hook formula)."""
     n = sum(parts)
-    hp = hook_product(parts)
-    nf = factorial(n)
-    if nf % hp != 0:
-        raise ArithmeticError(f"hook product {hp} does not divide {n}!")
-    return nf // hp
+    return _degree(n, factorial(n), hook_product(parts))
 
 
 def alt_irr_entries(n: int) -> Iterator[AltIrrEntry]:
     """One entry per unordered conjugate pair of partitions of n, n >= 5.
 
-    The trivial shape (n) (paired with the sign shape (1,...,1)) is the
-    trivial A_n-character and gets codegree 1 directly.
+    Reverse-lex enumeration meets the larger member of each pair first,
+    so the smaller one is skipped when it comes round.  The trivial
+    shape (n) (paired with the sign shape (1,...,1)) is the trivial
+    A_n-character and gets codegree 1 directly.  A non-self-conjugate
+    shape's codegree H(lam)/2 must be an integer, so an odd hook
+    product is refused like any other failed exact check.
     """
     if n < 5:
         raise ValueError(f"n must be >= 5, got {n}")
-    seen: set[Partition] = set()
+    n_factorial = factorial(n)
     for lam in enumerate_partitions(n):
-        if lam in seen:
-            continue
         conj = conjugate(lam)
-        seen.add(conj)
-        canonical = min(lam, conj)
+        if conj > lam:
+            continue
         if lam == (n,):
-            yield AltIrrEntry(canonical, False, 1, 1)
+            yield AltIrrEntry(conj, False, 1, 1)
             continue
         hp = hook_product(lam)
+        dim = _degree(n, n_factorial, hp)
         if lam == conj:
-            dim = sym_degree(lam)
             if dim % 2 != 0:
                 raise ArithmeticError(f"self-conjugate {lam} has odd dimension {dim}")
-            yield AltIrrEntry(canonical, True, dim // 2, hp)
+            yield AltIrrEntry(lam, True, dim // 2, hp)
         else:
-            if n <= _EVENNESS_ASSERT_LIMIT and hp % 2 != 0:
+            if hp % 2 != 0:
                 raise ArithmeticError(f"non-self-conjugate {lam} has odd hook product")
-            yield AltIrrEntry(canonical, False, sym_degree(lam), hp // 2)
+            yield AltIrrEntry(conj, False, dim, hp // 2)
 
 
 def alt_degree_multiset(n: int) -> list[int]:

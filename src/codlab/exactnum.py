@@ -85,9 +85,7 @@ def valuation(n: int, p: int) -> int:
 def factorial_valuation(n: int, p: int) -> int:
     """v_p(n!) by the digit-sum free form of Legendre's identity.
 
-    Sums floor(n / p**i) without materialising n! itself, so it stays
-    cheap for the n in the tens of thousands that the sweep cutoff
-    certificates touch.
+    Sums floor(n / p**i) without materialising n! itself.
     """
     if n < 0:
         raise ValueError("n must be >= 0")

@@ -135,6 +135,27 @@ def n_min(g: GroupId) -> int:
     return e * g.q.k * (g.q.p - 1)  # type: ignore[union-attr]
 
 
+def _class_number_limit(g: GroupId, order: int) -> int:
+    """ceil(|H| * k-bound): n!/2 < |H| * k-bound iff n!/2 < this limit."""
+    bound = class_number_bound(g).value
+    return -(-order * bound.numerator // bound.denominator)
+
+
+def _half_factorial_below(n: int, limit: int) -> int | None:
+    """n!/2 if it is below limit, else None.
+
+    Builds n!/2 = 3 * 4 * ... * n one factor at a time and stops once
+    the running product reaches limit, so the work is bounded by the
+    bit length of limit rather than by n.
+    """
+    half = 1
+    for i in range(3, n + 1):
+        half *= i
+        if half >= limit:
+            return None
+    return half
+
+
 def candidate_n_range(g: GroupId, hard_cap: int = HARD_N_CAP) -> list[int]:
     """All n with |H| | n!/2 and n!/2 < |H|*k-bound, n >= max(5, n_min).
 
@@ -143,14 +164,11 @@ def candidate_n_range(g: GroupId, hard_cap: int = HARD_N_CAP) -> list[int]:
     hard cap, rather than silently truncating.
     """
     order = group_order(g)
-    bound = class_number_bound(g).value
-    start = max(5, n_min(g))
-    rhs_num = order * bound.numerator
-    den = bound.denominator
+    limit = _class_number_limit(g, order)
+    n = max(5, n_min(g))
+    half = _half_factorial_below(n, limit)
     out: list[int] = []
-    half = factorial(start) // 2
-    n = start
-    while half * den < rhs_num:
+    while half is not None and half < limit:
         if half % order == 0:
             out.append(n)
         n += 1
@@ -158,16 +176,14 @@ def candidate_n_range(g: GroupId, hard_cap: int = HARD_N_CAP) -> list[int]:
             raise RuntimeError(
                 f"candidate range for {group_label(g)} exceeded hard cap {hard_cap}"
             )
-        half = half * n
+        half *= n
     return out
 
 
 def _feasible(g: GroupId) -> bool:
     """Exact inequality |A_max(5, n_min)| < |H| * k-bound."""
-    start = max(5, n_min(g))
-    half = factorial(start) // 2
-    bound = class_number_bound(g).value
-    return half * bound.denominator < group_order(g) * bound.numerator
+    limit = _class_number_limit(g, group_order(g))
+    return _half_factorial_below(max(5, n_min(g)), limit) is not None
 
 
 def _primes() -> Iterator[int]:

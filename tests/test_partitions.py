@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from codlab.alt_codegrees import sym_degree
 from codlab.partitions import (
+    check_partition,
     conjugate,
     corners,
     enumerate_partitions,
@@ -53,18 +54,38 @@ def test_enumeration_counts_match_pentagonal():
 
 
 def test_enumeration_is_reverse_lex_and_complete():
-    parts = list(enumerate_partitions(7))
-    assert parts[0] == (7,)
-    assert parts[-1] == (1,) * 7
-    assert parts == sorted(parts, reverse=True)
-    assert len(set(parts)) == len(parts)
-    assert all(partition_size(lam) == 7 for lam in parts)
+    assert list(enumerate_partitions(0)) == [()]
+    counts = pentagonal_partition_counts(30)
+    for n in range(1, 31):
+        parts = list(enumerate_partitions(n))
+        assert parts[0] == (n,)
+        assert parts[-1] == (1,) * n
+        assert parts == sorted(parts, reverse=True)
+        assert len(set(parts)) == len(parts) == counts[n]
+        assert all(check_partition(lam) == lam for lam in parts)
+        assert all(partition_size(lam) == n for lam in parts)
 
 
-@given(st.integers(min_value=1, max_value=14), st.data())
+def column_counts(lam):
+    """Conjugate by definition: column j holds one cell per row of length >= j."""
+    width = lam[0] if lam else 0
+    return tuple(sum(1 for part in lam if part >= j) for j in range(1, width + 1))
+
+
+def cell_hook_product(lam):
+    """Hook product by definition: hook_length over every cell."""
+    return math.prod(
+        hook_length(lam, (i, j))
+        for i, part in enumerate(lam, start=1)
+        for j in range(1, part + 1)
+    )
+
+
+@given(st.integers(min_value=0, max_value=30), st.data())
 def test_conjugate_involution(n, data):
     lam = data.draw(st.sampled_from(list(enumerate_partitions(n))))
     mu = conjugate(lam)
+    assert mu == column_counts(lam)
     assert partition_size(mu) == n
     assert conjugate(mu) == lam
     assert is_self_conjugate(lam) == (lam == mu)
@@ -117,6 +138,7 @@ def branching_degree(lam):
 @pytest.mark.parametrize("n", range(2, 13))
 def test_hook_formula_matches_branching_rule(n):
     for lam in enumerate_partitions(n):
+        assert hook_product(lam) == cell_hook_product(lam)
         assert sym_degree(lam) == branching_degree(lam)
 
 
@@ -126,7 +148,8 @@ def test_sum_of_squares_is_factorial(n):
 
 
 @settings(max_examples=40)
-@given(st.integers(min_value=1, max_value=12), st.data())
+@given(st.integers(min_value=0, max_value=25), st.data())
 def test_hook_product_conjugation_invariant(n, data):
     lam = data.draw(st.sampled_from(list(enumerate_partitions(n))))
+    assert hook_product(lam) == cell_hook_product(lam)
     assert hook_product(lam) == hook_product(conjugate(lam))

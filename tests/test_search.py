@@ -13,13 +13,20 @@ from hypothesis import given, settings, strategies as st
 
 from codlab.alt_codegrees import alt_codegree_set
 from codlab.catalog import (
+    CLASSICAL_FAMILIES,
+    EXCEPTIONAL_FAMILIES,
     GroupId,
+    class_number_bound,
     group_order,
     parse_group_label,
     simple_codegree_set,
     sporadic,
+    sporadic_entries,
 )
 from codlab.search import (
+    HARD_N_CAP,
+    _feasible,
+    _sweep_points,
     candidate_n_range,
     check_subset,
     compare_with_golden,
@@ -109,6 +116,56 @@ def test_candidate_range_cutoff_is_tight():
         bound = class_number_bound(g).value
         lhs = math.factorial(last + 1) // 2
         assert lhs * bound.denominator >= group_order(g) * bound.numerator
+
+
+def test_candidate_range_hard_cap_is_loud():
+    g = parse_group_label("PSL(3,4)")
+    assert candidate_n_range(g, hard_cap=10) == [8, 9]
+    # n = 9 still meets the class-number bound, so a cap of 9 cuts the range
+    with pytest.raises(RuntimeError, match=r"PSL\(3,4\) exceeded hard cap 9"):
+        candidate_n_range(g, hard_cap=9)
+
+
+def oracle_feasible(g):
+    """The sieve inequality with n!/2 computed in full."""
+    bound = class_number_bound(g).value
+    half = math.factorial(max(5, n_min(g))) // 2
+    return half * bound.denominator < group_order(g) * bound.numerator
+
+
+def oracle_candidate_n_range(g):
+    """candidate_n_range by walking n! up from max(5, n_min) in full."""
+    order = group_order(g)
+    bound = class_number_bound(g).value
+    n = max(5, n_min(g))
+    out = []
+    while (half := math.factorial(n) // 2) * bound.denominator < order * bound.numerator:
+        if half % order == 0:
+            out.append(n)
+        n += 1
+        assert n <= HARD_N_CAP
+    return out
+
+
+def test_sieve_matches_full_factorial_oracle():
+    # every enumerated sweep point plus the sporadic and Tits groups
+    points = [sporadic(entry.label) for entry in sporadic_entries()]
+    assert len(points) == 27
+    for family in CLASSICAL_FAMILIES + EXCEPTIONAL_FAMILIES:
+        rep = sweep_family(family)
+        if rep.box is None:
+            continue
+        box_points = list(_sweep_points(family, rep.box))
+        assert len(box_points) == rep.points_examined
+        points.extend(box_points)
+    assert len(points) == 27 + 3508
+    assert max(n_min(g) for g in points) == 21168  # PSL(7,17^63)
+    feasible = 0
+    for g in points:
+        assert _feasible(g) == oracle_feasible(g), g
+        assert candidate_n_range(g) == oracle_candidate_n_range(g), g
+        feasible += _feasible(g)
+    assert feasible == 126
 
 
 def test_candidate_range_infeasible_exceptional():
