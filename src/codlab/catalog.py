@@ -39,7 +39,22 @@ LIE_FAMILIES = CLASSICAL_FAMILIES + EXCEPTIONAL_FAMILIES
 FAMILIES = ("Alternating", "Sporadic", "G2Prime2") + LIE_FAMILIES
 
 # Twisted families defined only over odd powers of a fixed prime.
-_TWISTED_ODD_POWER = {"Suzuki": 2, "Ree": 3, "TwistedF4": 2}
+TWISTED_ODD_POWER = {"Suzuki": 2, "Ree": 3, "TwistedF4": 2}
+
+# Label of a classical family: head and dimension d = a*m + b in head(d,q).
+_CLASSICAL_LABEL = {
+    "PSL": ("PSL", 1, 1), "PSU": ("PSU", 1, 1), "PSp": ("PSp", 2, 0),
+    "OmegaOdd": ("Omega", 2, 1), "OPlus": ("O+", 2, 0), "OMinus": ("O-", 2, 0),
+}
+_CLASSICAL_BY_HEAD = {head: (fam, a, b) for fam, (head, a, b) in _CLASSICAL_LABEL.items()}
+
+# Label prefix of an exceptional family: prefix(q).
+EXCEPTIONAL_PREFIX = {
+    "G2": "G2", "F4": "F4", "E6": "E6", "E7": "E7", "E8": "E8",
+    "TwistedE6": "2E6", "TriD4": "3D4", "Suzuki": "2B2",
+    "Ree": "2G2", "TwistedF4": "2F4",
+}
+_EXCEPTIONAL_BY_PREFIX = {prefix: fam for fam, prefix in EXCEPTIONAL_PREFIX.items()}
 
 SPORADIC_LABELS = (
     "M11", "M12", "J1", "M22", "J2", "M23", "HS", "J3", "M24", "McL",
@@ -116,7 +131,7 @@ def _check_lie_point(family: str, m: int | None, q: PrimePower) -> None:
     else:
         if m is not None:
             raise ValueError(f"{family} takes no rank parameter")
-        fixed = _TWISTED_ODD_POWER.get(family)
+        fixed = TWISTED_ODD_POWER.get(family)
         if fixed is not None:
             if q.p != fixed or q.k < 3 or q.k % 2 == 0:
                 raise ValueError(
@@ -155,25 +170,10 @@ def group_label(g: GroupId) -> str:
     if g.family == "G2Prime2":
         return "G2(2)'"
     qv = g.q.q  # type: ignore[union-attr]
-    m = g.m
-    if g.family == "PSL":
-        return f"PSL({m + 1},{qv})"
-    if g.family == "PSU":
-        return f"PSU({m + 1},{qv})"
-    if g.family == "PSp":
-        return f"PSp({2 * m},{qv})"
-    if g.family == "OmegaOdd":
-        return f"Omega({2 * m + 1},{qv})"
-    if g.family == "OPlus":
-        return f"O+({2 * m},{qv})"
-    if g.family == "OMinus":
-        return f"O-({2 * m},{qv})"
-    prefix = {
-        "G2": "G2", "F4": "F4", "E6": "E6", "E7": "E7", "E8": "E8",
-        "TwistedE6": "2E6", "TriD4": "3D4", "Suzuki": "2B2",
-        "Ree": "2G2", "TwistedF4": "2F4",
-    }[g.family]
-    return f"{prefix}({qv})"
+    if g.family in _CLASSICAL_LABEL:
+        head, a, b = _CLASSICAL_LABEL[g.family]
+        return f"{head}({a * g.m + b},{qv})"  # type: ignore[operator]
+    return f"{EXCEPTIONAL_PREFIX[g.family]}({qv})"
 
 
 def parse_group_label(label: str) -> GroupId:
@@ -192,33 +192,18 @@ def parse_group_label(label: str) -> GroupId:
             nums = [int(a) for a in pieces]
         except ValueError as exc:
             raise ValueError(f"cannot parse group label {label!r}") from exc
-        exc_prefix = {
-            "G2": "G2", "F4": "F4", "E6": "E6", "E7": "E7", "E8": "E8",
-            "2E6": "TwistedE6", "3D4": "TriD4", "2B2": "Suzuki",
-            "2G2": "Ree", "2F4": "TwistedF4",
-        }
-        if head in exc_prefix and len(nums) == 1:
-            return lie(exc_prefix[head], prime_power(nums[0]))
+        if head in _EXCEPTIONAL_BY_PREFIX and len(nums) == 1:
+            return lie(_EXCEPTIONAL_BY_PREFIX[head], prime_power(nums[0]))
         if len(nums) == 2:
             d, qv = nums
             q = prime_power(qv)
-            if head == "PSL":
-                return lie("PSL", q, m=d - 1)
-            if head == "PSU":
-                return lie("PSU", q, m=d - 1)
-            if head == "PSp":
-                if d % 2:
-                    raise ValueError(f"PSp dimension must be even in {label!r}")
-                return lie("PSp", q, m=d // 2)
-            if head == "Omega":
-                if d % 2 == 0:
-                    raise ValueError(f"Omega dimension must be odd in {label!r}")
-                return lie("OmegaOdd", q, m=(d - 1) // 2)
-            if head in ("O+", "O-"):
-                if d % 2:
-                    raise ValueError(f"{head} dimension must be even in {label!r}")
-                fam = "OPlus" if head == "O+" else "OMinus"
-                return lie(fam, q, m=d // 2)
+            if head in _CLASSICAL_BY_HEAD:
+                family, a, b = _CLASSICAL_BY_HEAD[head]
+                m, rest = divmod(d - b, a)
+                if rest:
+                    parity = "odd" if b else "even"
+                    raise ValueError(f"{head} dimension must be {parity} in {label!r}")
+                return lie(family, q, m=m)
     raise ValueError(f"cannot parse group label {label!r}")
 
 

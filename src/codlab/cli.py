@@ -7,29 +7,31 @@ mathematical verification failure.
 All arithmetic is exact, so json and csv output carry group orders,
 codegrees, ratios and witnesses as decimal strings; small structural
 integers (n, m, p, k, set sizes) stay plain.  Table output additionally
-shows a factored form for large values.  Output bytes are independent
-of --threads.
+shows a factored form for large values.  Sweeps run serially; --threads
+is accepted and validated (N >= 1) for compatibility, and output bytes
+are identical for any N.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
-import os
 import sys
+from dataclasses import asdict
 
-from .alt_codegrees import alt_codegree_set, min_nontrivial_codegree
-from .catalog import group_label, parse_group_label
+from .alt_codegrees import alt_codegree_set, verify_min_codegree_monotone
+from .catalog import EXCEPTIONAL_PREFIX, LIE_FAMILIES, group_label, parse_group_label
 from .exactnum import format_factored
 from .search import (
+    ROW_HEADER,
     ExceptionRow,
     FamilySweepReport,
     SubsetCheck,
     check_subset,
     discharge_rows,
+    render_csv,
     render_rows_csv,
+    row_cells,
     run_full_verification,
     schur_a9_size_check,
     schur_degree_equation_solutions,
@@ -39,13 +41,8 @@ from .search import (
 
 DEFAULT_MAX_N = 40
 
-_TARGETS = {
-    "psl": "PSL", "psu": "PSU", "psp": "PSp", "omegaodd": "OmegaOdd",
-    "oplus": "OPlus", "ominus": "OMinus", "g2": "G2", "f4": "F4",
-    "e6": "E6", "e7": "E7", "e8": "E8", "twistede6": "TwistedE6",
-    "2e6": "TwistedE6", "trid4": "TriD4", "3d4": "TriD4",
-    "suzuki": "Suzuki", "2b2": "Suzuki", "ree": "Ree", "2g2": "Ree",
-    "twistedf4": "TwistedF4", "2f4": "TwistedF4",
+_TARGETS = {f.lower(): f for f in LIE_FAMILIES} | {
+    prefix.lower(): f for f, prefix in EXCEPTIONAL_PREFIX.items()
 }
 
 
@@ -59,14 +56,6 @@ def _big(v: int) -> str:
     if v < 2:
         return str(v)
     return f"{v} = {format_factored(v)}"
-
-
-def _csv_lines(header: list[str], rows: list[list[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
 
 
 def _emit_json(payload: dict) -> None:
@@ -92,7 +81,7 @@ def cmd_cod(args: argparse.Namespace) -> int:
         })
     elif args.format == "csv":
         rows = [[str(n), str(cs.order), str(v)] for v in cs.values]
-        print(_csv_lines(["n", "group_order", "codegree"], rows), end="")
+        print(render_csv(["n", "group_order", "codegree"], rows), end="")
     else:
         print(f"cod({cs.group_label})    |{cs.group_label}| = {_big(cs.order)}")
         width = len(str(cs.values[-1]))
@@ -113,8 +102,7 @@ def cmd_min_cod(args: argparse.Namespace) -> int:
     lo, hi = args.n_lo, args.n_hi
     if not (5 <= lo < hi <= args.max_n):
         return _fail_usage(f"need 5 <= n_lo < n_hi <= {args.max_n}, got {lo} {hi}")
-    rows = [(n, min_nontrivial_codegree(n)) for n in range(lo, hi + 1)]
-    monotone = all(a < b for (_, a), (_, b) in zip(rows, rows[1:]))
+    monotone, rows = verify_min_codegree_monotone(lo, hi)
     verdict = "PASS" if monotone else "FAIL"
     if args.format == "json":
         _emit_json({
@@ -127,7 +115,7 @@ def cmd_min_cod(args: argparse.Namespace) -> int:
         })
     elif args.format == "csv":
         body = [[str(n), str(a)] for n, a in rows]
-        print(_csv_lines(["n", "min_codegree"], body), end="")
+        print(render_csv(["n", "min_codegree"], body), end="")
         print(verdict)
     else:
         width = len(str(rows[-1][1]))
@@ -145,16 +133,7 @@ def cmd_min_cod(args: argparse.Namespace) -> int:
 
 
 def _row_json(r: ExceptionRow) -> dict:
-    return {
-        "family": r.family,
-        "label": r.label,
-        "m": r.m,
-        "p": r.p,
-        "k": r.k,
-        "q": None if r.q is None else str(r.q),
-        "n": r.n,
-        "ratio": str(r.ratio),
-    }
+    return asdict(r) | {"q": None if r.q is None else str(r.q), "ratio": str(r.ratio)}
 
 
 def _check_json(c: SubsetCheck) -> dict:
@@ -172,13 +151,8 @@ def _check_json(c: SubsetCheck) -> dict:
 def _rows_table(rows: tuple[ExceptionRow, ...]) -> list[str]:
     if not rows:
         return ["(no surviving rows)"]
-    header = ("family", "label", "m", "p", "k", "q", "n", "ratio")
-    cells = [header] + [
-        tuple("" if v is None else str(v)
-              for v in (r.family, r.label, r.m, r.p, r.k, r.q, r.n, r.ratio))
-        for r in rows
-    ]
-    widths = [max(len(row[i]) for row in cells) for i in range(len(header))]
+    cells = [ROW_HEADER] + [row_cells(r) for r in rows]
+    widths = [max(len(row[i]) for row in cells) for i in range(len(ROW_HEADER))]
     return ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip()
             for row in cells]
 
@@ -199,6 +173,16 @@ def _alarm_exit(checks: tuple[SubsetCheck, ...]) -> int:
     return 3 if any(c.verdict == "subset_holds" for c in checks) else 0
 
 
+def _sweep_json(rep: FamilySweepReport) -> dict:
+    b = rep.bounds
+    return {
+        "bounds": {"m_max": b.m_max, "p_max": b.p_max, "k_max": b.k_max},
+        "box": None if rep.box is None else list(rep.box),
+        "points_examined": rep.points_examined,
+        "notes": list(rep.notes),
+    }
+
+
 def _family_table(rep: FamilySweepReport, checks: tuple[SubsetCheck, ...]) -> list[str]:
     b = rep.bounds
     lines = [f"target: {rep.family}"]
@@ -216,12 +200,11 @@ def _family_table(rep: FamilySweepReport, checks: tuple[SubsetCheck, ...]) -> li
 
 def cmd_search(args: argparse.Namespace) -> int:
     raw = args.target.lower().replace("-", "").replace("_", "")
-    threads = args.threads
     if raw == "all":
-        return _search_all(args, threads)
+        return _search_all(args)
     if raw == "sporadic":
-        rows = sweep_sporadic(threads)
-        checks = discharge_rows(rows, threads)
+        rows = sweep_sporadic()
+        checks = discharge_rows(rows)
         if args.format == "json":
             _emit_json({
                 "command": "search",
@@ -240,17 +223,13 @@ def cmd_search(args: argparse.Namespace) -> int:
     family = _TARGETS.get(raw)
     if family is None:
         return _fail_usage(f"unknown search target {args.target!r}")
-    rep = sweep_family(family, threads)
-    checks = discharge_rows(rep.rows, threads)
+    rep = sweep_family(family)
+    checks = discharge_rows(rep.rows)
     if args.format == "json":
-        b = rep.bounds
         _emit_json({
             "command": "search",
             "target": family,
-            "bounds": {"m_max": b.m_max, "p_max": b.p_max, "k_max": b.k_max},
-            "box": None if rep.box is None else list(rep.box),
-            "points_examined": rep.points_examined,
-            "notes": list(rep.notes),
+            **_sweep_json(rep),
             "rows": [_row_json(r) for r in rep.rows],
             "checks": [_check_json(c) for c in checks],
         })
@@ -261,8 +240,8 @@ def cmd_search(args: argparse.Namespace) -> int:
     return _alarm_exit(checks)
 
 
-def _search_all(args: argparse.Namespace, threads: int) -> int:
-    rep = run_full_verification(threads=threads)
+def _search_all(args: argparse.Namespace) -> int:
+    rep = run_full_verification()
     verdict = "PASS" if rep.ok else "FAIL"
     if args.format == "json":
         _emit_json({
@@ -272,15 +251,7 @@ def _search_all(args: argparse.Namespace, threads: int) -> int:
             "monotone": {"range": list(rep.monotone_range), "ok": rep.monotone_ok},
             "golden": {"ok": rep.golden_ok, "diffs": list(rep.golden_diffs)},
             "families": [
-                {
-                    "family": f.family,
-                    "bounds": {"m_max": f.bounds.m_max, "p_max": f.bounds.p_max,
-                               "k_max": f.bounds.k_max},
-                    "box": None if f.box is None else list(f.box),
-                    "points_examined": f.points_examined,
-                    "notes": list(f.notes),
-                    "row_count": len(f.rows),
-                }
+                {"family": f.family, **_sweep_json(f), "row_count": len(f.rows)}
                 for f in rep.family_reports
             ],
             "rows": [_row_json(r) for r in rep.rows],
@@ -329,7 +300,7 @@ def _search_all(args: argparse.Namespace, threads: int) -> int:
 def cmd_schur(args: argparse.Namespace) -> int:
     scan = schur_degree_equation_solutions()
     report = schur_a9_size_check()
-    ok = scan.solutions == (9,) and scan.exhausted and report.ok
+    ok = scan.ok and report.ok
     verdict = "PASS" if ok else "FAIL"
     if args.format == "json":
         _emit_json({
@@ -347,7 +318,7 @@ def cmd_schur(args: argparse.Namespace) -> int:
         })
     elif args.format == "csv":
         body = [[str(n)] for n in scan.solutions]
-        print(_csv_lines(["solution_n"], body), end="")
+        print(render_csv(["solution_n"], body), end="")
         print(f"sizes,{report.a9_size},{report.twisted_size}")
         print(verdict)
     else:
@@ -384,7 +355,7 @@ def cmd_check_subset(args: argparse.Namespace) -> int:
     elif args.format == "csv":
         body = [[result.label, str(result.n), result.verdict,
                  "" if result.witness is None else str(result.witness)]]
-        print(_csv_lines(["label", "n", "verdict", "witness"], body), end="")
+        print(render_csv(["label", "n", "verdict", "witness"], body), end="")
     else:
         print("\n".join(_check_lines((result,))))
         print(f"|{result.label}| = {_big(result.h_order)}")
@@ -407,8 +378,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("table", "json", "csv"),
                        default="table")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                       help="worker threads; output bytes are identical for any value")
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility; sweeps run serially, so "
+                            "output bytes are identical for any value >= 1")
         p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N,
                        help=f"largest accepted n (default {DEFAULT_MAX_N})")
 

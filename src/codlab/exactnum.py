@@ -3,9 +3,8 @@
 Every quantity in this package is an exact integer or an exact fraction;
 no floating point is used in any comparison of group orders, hook
 products, or class-number bounds.  Python ints are arbitrary precision,
-so the only work here is the number theory: primality, p-adic
-valuations, and the factorial valuation identity used to bound how large
-an alternating group a given prime power can sit inside.
+so the only work here is the number theory: primality, prime powers
+and factorisation.
 """
 
 from __future__ import annotations
@@ -59,44 +58,6 @@ def factorial(n: int) -> int:
     if n < 0:
         raise ValueError("factorial of a negative number")
     return _factorial(n)
-
-
-def divides(a: int, b: int) -> bool:
-    """True iff a divides b.  a must be positive."""
-    if a <= 0:
-        raise ValueError(f"divisor must be positive, got {a}")
-    return b % a == 0
-
-
-def valuation(n: int, p: int) -> int:
-    """Largest e with p**e dividing n.  n must be nonzero."""
-    if n == 0:
-        raise ValueError("valuation of zero is undefined")
-    if p < 2:
-        raise ValueError(f"p must be >= 2, got {p}")
-    n = abs(n)
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return e
-
-
-def factorial_valuation(n: int, p: int) -> int:
-    """v_p(n!) by the digit-sum free form of Legendre's identity.
-
-    Sums floor(n / p**i) without materialising n! itself.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if not is_prime(p):
-        raise ValueError(f"p = {p} must be prime")
-    total = 0
-    power = p
-    while power <= n:
-        total += n // power
-        power *= p
-    return total
 
 
 def factor(n: int) -> list[tuple[int, int]]:

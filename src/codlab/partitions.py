@@ -1,13 +1,12 @@
 """Integer partitions, Young diagrams and hook lengths.
 
 A partition is a tuple of weakly decreasing positive ints (no trailing
-zeros); the empty tuple is the partition of 0.  Cells are 1-based
-(row, column) pairs.  The irreducible character of the symmetric group
-indexed by a partition of n has dimension n! divided by the product of
-all hook lengths, which is why the hook product is the object this
-package keeps returning to: for the alternating group the codegree of a
-constituent is the hook product itself (self-conjugate shape) or half of
-it (everything else).
+zeros); the empty tuple is the partition of 0.  The irreducible
+character of the symmetric group indexed by a partition of n has
+dimension n! divided by the product of all hook lengths, which is why
+the hook product is the object this package keeps returning to: for
+the alternating group the codegree of a constituent is the hook product
+itself (self-conjugate shape) or half of it (everything else).
 """
 
 from __future__ import annotations
@@ -16,39 +15,6 @@ from math import factorial as _factorial
 from typing import Iterator
 
 Partition = tuple[int, ...]
-Cell = tuple[int, int]
-
-
-def check_partition(parts: Partition) -> Partition:
-    """Validate weakly decreasing positive parts; returns its argument."""
-    for i, part in enumerate(parts):
-        if part < 1:
-            raise ValueError(f"parts must be positive, got {parts}")
-        if i > 0 and parts[i - 1] < part:
-            raise ValueError(f"parts must be weakly decreasing, got {parts}")
-    return parts
-
-
-def partition_size(parts: Partition) -> int:
-    return sum(parts)
-
-
-def parse_partition(text: str) -> Partition:
-    """Parse the command-line form "[3,2]" or "3,2" into a partition."""
-    body = text.strip()
-    if body.startswith("[") and body.endswith("]"):
-        body = body[1:-1]
-    if not body.strip():
-        return ()
-    try:
-        parts = tuple(int(piece.strip()) for piece in body.split(","))
-    except ValueError as exc:
-        raise ValueError(f"cannot parse partition from {text!r}") from exc
-    return check_partition(parts)
-
-
-def format_partition(parts: Partition) -> str:
-    return "[" + ",".join(str(p) for p in parts) + "]"
 
 
 def enumerate_partitions(n: int) -> Iterator[Partition]:
@@ -113,21 +79,6 @@ def is_self_conjugate(parts: Partition) -> bool:
     return parts == conjugate(parts)
 
 
-def contains_cell(parts: Partition, cell: Cell) -> bool:
-    i, j = cell
-    return 1 <= i <= len(parts) and 1 <= j <= parts[i - 1]
-
-
-def hook_length(parts: Partition, cell: Cell) -> int:
-    """Arm + leg + 1 for a cell of the diagram."""
-    if not contains_cell(parts, cell):
-        raise ValueError(f"cell {cell} not in partition {parts}")
-    i, j = cell
-    arm = parts[i - 1] - j
-    leg = sum(1 for r in range(i, len(parts)) if parts[r] >= j)
-    return arm + leg + 1
-
-
 def hook_lengths(parts: Partition) -> list[list[int]]:
     """Hook lengths of every cell, row by row."""
     cols = conjugate(parts)
@@ -154,25 +105,3 @@ def hook_product(parts: Partition) -> int:
             gaps *= h - g
         total *= _factorial(h) // gaps
     return total
-
-
-def corners(parts: Partition) -> list[Cell]:
-    """Removable cells: (i, parts[i-1]) where the next row is shorter."""
-    out = []
-    for i, part in enumerate(parts, start=1):
-        below = parts[i] if i < len(parts) else 0
-        if part > below:
-            out.append((i, part))
-    return out
-
-
-def remove_corner(parts: Partition, cell: Cell) -> Partition:
-    """Partition of n-1 obtained by deleting a corner cell."""
-    if cell not in corners(parts):
-        raise ValueError(f"{cell} is not a corner of {parts}")
-    i = cell[0]
-    shrunk = list(parts)
-    shrunk[i - 1] -= 1
-    if shrunk[i - 1] == 0:
-        shrunk.pop(i - 1)
-    return tuple(shrunk)

@@ -22,14 +22,14 @@ from __future__ import annotations
 
 import csv
 import io
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from dataclasses import astuple, dataclass, fields
+from typing import Callable, Iterable, Iterator
 
 from .alt_codegrees import alt_codegree_set, verify_min_codegree_monotone
 from .catalog import (
     CLASSICAL_FAMILIES,
     EXCEPTIONAL_FAMILIES,
+    TWISTED_ODD_POWER,
     GroupId,
     PrimePower,
     class_number_bound,
@@ -86,6 +86,14 @@ class ExceptionRow:
         return (
             self.family, self.m or 0, self.p or 0, self.k or 0, self.label, self.n,
         )
+
+
+ROW_HEADER = tuple(f.name for f in fields(ExceptionRow))
+
+
+def row_cells(r: ExceptionRow) -> tuple[str, ...]:
+    """One row as text cells in ROW_HEADER order, "" for an absent value."""
+    return tuple("" if v is None else str(v) for v in astuple(r))
 
 
 @dataclass(frozen=True)
@@ -196,7 +204,7 @@ def _primes() -> Iterator[int]:
 
 def _min_legal_k(family: str, m: int | None, p: int) -> int | None:
     """Smallest k making (family, m, p^k) a simple group, if any."""
-    if family in ("Suzuki", "Ree", "TwistedF4"):
+    if family in TWISTED_ODD_POWER:
         return 3  # q = p^3 is the smallest odd power with a >= 1
     for k in range(1, 5):
         try:
@@ -244,8 +252,8 @@ def derive_family_bounds(family: str) -> FamilyBounds:
     """Per-family box edges by single-parameter first-failure scans."""
     notes: list[str] = []
 
-    if family in ("Suzuki", "Ree", "TwistedF4"):
-        p = {"Suzuki": 2, "Ree": 3, "TwistedF4": 2}[family]
+    p = TWISTED_ODD_POWER.get(family)
+    if p is not None:
 
         def feas_a(a: int) -> bool:
             return _feasible(lie(family, PrimePower(p, 2 * a + 1)))
@@ -285,14 +293,11 @@ def derive_family_bounds(family: str) -> FamilyBounds:
         return _feasible(lie(family, PrimePower(p, k), m=m))
 
     p_max, _ = _scan_last_feasible(_primes(), feas_p, f"{family} p-scan")
-    if p_max is None:
-        first = 3 if family == "OmegaOdd" else 2
-        k0 = _min_legal_k(family, m, first)
-        notes.append(f"inequality already fails at (p,k)=({first},{k0})")
-        return FamilyBounds(family, m_max, None, None, tuple(notes))
-
     p_lo = 3 if family == "OmegaOdd" else 2
     k_lo = _min_legal_k(family, m, p_lo)
+    if p_max is None:
+        notes.append(f"inequality already fails at (p,k)=({p_lo},{k_lo})")
+        return FamilyBounds(family, m_max, None, None, tuple(notes))
     assert k_lo is not None
 
     def feas_k(k: int) -> bool:
@@ -308,8 +313,8 @@ def derive_family_bounds(family: str) -> FamilyBounds:
 def _sweep_points(family: str, box: tuple[int, int, int]) -> Iterator[GroupId]:
     """All legal catalog points in the box; G2(2) swept as G2(2)'."""
     m_hi, p_hi, k_hi = box
-    if family in ("Suzuki", "Ree", "TwistedF4"):
-        p = {"Suzuki": 2, "Ree": 3, "TwistedF4": 2}[family]
+    p = TWISTED_ODD_POWER.get(family)
+    if p is not None:
         for a in range(1, m_hi + 1):
             yield lie(family, PrimePower(p, 2 * a + 1))
         return
@@ -354,14 +359,13 @@ def _rows_for_point(g: GroupId) -> list[ExceptionRow]:
     return rows
 
 
-def _map_points(fn: Callable, points: list, threads: int) -> list:
-    if threads <= 1:
-        return [fn(pt) for pt in points]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, points))
+def _sieve(points: list[GroupId]) -> tuple[ExceptionRow, ...]:
+    """Rows of every point, in canonical order."""
+    rows = [r for pt in points for r in _rows_for_point(pt)]
+    return tuple(sorted(rows, key=ExceptionRow.sort_key))
 
 
-def sweep_family(family: str, threads: int = 1) -> FamilySweepReport:
+def sweep_family(family: str) -> FamilySweepReport:
     """Enumerate one Lie family's box and sieve every point exactly."""
     bounds = derive_family_bounds(family)
     notes = list(bounds.notes)
@@ -377,34 +381,31 @@ def sweep_family(family: str, threads: int = 1) -> FamilySweepReport:
     points = list(_sweep_points(family, box))  # type: ignore[arg-type]
     if any(pt.family == "G2Prime2" for pt in points):
         notes.append("point (p,k)=(2,1) swept as the simple group G2(2)' of order 6048")
-    per_point = _map_points(_rows_for_point, points, threads)
-    rows = sorted((r for rs in per_point for r in rs), key=ExceptionRow.sort_key)
     return FamilySweepReport(
-        family, bounds, box, len(points), tuple(rows), tuple(notes)  # type: ignore[arg-type]
+        family, bounds, box, len(points), _sieve(points), tuple(notes)  # type: ignore[arg-type]
     )
 
 
-def sweep_sporadic(threads: int = 1) -> tuple[ExceptionRow, ...]:
+def sweep_sporadic() -> tuple[ExceptionRow, ...]:
     """Sieve all 26 sporadic groups and the Tits group."""
-    points = [sporadic(entry.label) for entry in sporadic_entries()]
-    per_point = _map_points(_rows_for_point, points, threads)
-    return tuple(sorted((r for rs in per_point for r in rs), key=ExceptionRow.sort_key))
+    return _sieve([sporadic(entry.label) for entry in sporadic_entries()])
 
 
 def check_subset(g: GroupId, n: int) -> SubsetCheck:
     """Decide cod(H) subset-of cod(A_n) for a survivor pair.
 
-    Equal order and equal codegree set on a known coincidence pair gives
-    "isomorphic"; otherwise the smallest missing codegree is the
-    refutation witness.  A subset relation on a non-isomorphic pair is
-    "subset_holds" and treated as a failure upstream.
+    Equal order and equal codegree set on a known coincidence pair, or
+    on A_n itself, gives "isomorphic"; otherwise the smallest missing
+    codegree is the refutation witness.  A subset relation on a
+    non-isomorphic pair is "subset_holds" and treated as a failure
+    upstream.
     """
     ch = simple_codegree_set(g)
     ca = alt_codegree_set(n)
     label = ch.group_label
     missing = sorted(set(ch.values) - set(ca.values))
     if not missing:
-        if (label, n) in KNOWN_ISOMORPHIC:
+        if (label, n) in KNOWN_ISOMORPHIC or label == f"A{n}":
             if ch.order != ca.order or ch.values != ca.values:
                 raise ArithmeticError(
                     f"known coincidence {label} = A{n} fails data check"
@@ -429,9 +430,8 @@ def _group_for_row(row: ExceptionRow) -> GroupId:
     return lie(row.family, PrimePower(row.p, row.k), m=row.m)  # type: ignore[arg-type]
 
 
-def discharge_rows(rows: tuple[ExceptionRow, ...], threads: int = 1) -> tuple[SubsetCheck, ...]:
-    checks = _map_points(lambda r: check_subset(_group_for_row(r), r.n), list(rows), threads)
-    return tuple(checks)
+def discharge_rows(rows: tuple[ExceptionRow, ...]) -> tuple[SubsetCheck, ...]:
+    return tuple(check_subset(_group_for_row(r), r.n) for r in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +446,11 @@ class SchurScan:
     n_hi: int
     solutions: tuple[int, ...]
     exhausted: bool  # both right-hand sides exceed n-1 at the range end
+
+    @property
+    def ok(self) -> bool:
+        """n = 9 is the only solution and none lies beyond the range."""
+        return self.solutions == (9,) and self.exhausted
 
 
 def schur_degree_equation_solutions(n_lo: int = 8, n_hi: int = 64) -> SchurScan:
@@ -507,18 +512,12 @@ class VerificationReport:
     monotone_range: tuple[int, int]
     sporadic_rows: tuple[ExceptionRow, ...]
     family_reports: tuple[FamilySweepReport, ...]
+    rows: tuple[ExceptionRow, ...]  # sporadic and family rows, canonical order
     checks: tuple[SubsetCheck, ...]
     schur_scan: SchurScan
     schur_2a9: Schur2A9Report
     golden_ok: bool
     golden_diffs: tuple[str, ...]
-
-    @property
-    def rows(self) -> tuple[ExceptionRow, ...]:
-        out = list(self.sporadic_rows)
-        for rep in self.family_reports:
-            out.extend(rep.rows)
-        return tuple(sorted(out, key=ExceptionRow.sort_key))
 
     @property
     def unresolved(self) -> tuple[SubsetCheck, ...]:
@@ -529,24 +528,24 @@ class VerificationReport:
         return (
             self.monotone_ok
             and not self.unresolved
-            and self.schur_scan.solutions == (9,)
-            and self.schur_scan.exhausted
+            and self.schur_scan.ok
             and self.schur_2a9.ok
             and self.golden_ok
         )
 
 
-def render_rows_csv(rows: tuple[ExceptionRow, ...]) -> str:
-    """Canonical row serialisation, also the golden-file format."""
+def render_csv(header: Iterable[str], rows: Iterable[Iterable[str]]) -> str:
+    """CSV text of a header and rows, each line ending in a bare newline."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["family", "label", "m", "p", "k", "q", "n", "ratio"])
-    for r in rows:
-        writer.writerow(
-            ["" if v is None else str(v)
-             for v in (r.family, r.label, r.m, r.p, r.k, r.q, r.n, r.ratio)]
-        )
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def render_rows_csv(rows: tuple[ExceptionRow, ...]) -> str:
+    """Canonical row serialisation, also the golden-file format."""
+    return render_csv(ROW_HEADER, map(row_cells, rows))
 
 
 _GOLDEN_FILES = {
@@ -585,27 +584,25 @@ def compare_with_golden(
     return (not diffs, tuple(diffs))
 
 
-def run_full_verification(threads: int = 1, monotone_hi: int = 30) -> VerificationReport:
+def run_full_verification(monotone_hi: int = 30) -> VerificationReport:
     """Reproduce every table and discharge every survivor."""
     monotone_ok, _ = verify_min_codegree_monotone(5, monotone_hi)
-    sporadic_rows = sweep_sporadic(threads)
+    sporadic_rows = sweep_sporadic()
     family_reports = tuple(
-        sweep_family(fam, threads) for fam in CLASSICAL_FAMILIES + EXCEPTIONAL_FAMILIES
+        sweep_family(fam) for fam in CLASSICAL_FAMILIES + EXCEPTIONAL_FAMILIES
     )
-    all_rows = tuple(
-        sorted(
-            list(sporadic_rows) + [r for rep in family_reports for r in rep.rows],
-            key=ExceptionRow.sort_key,
-        )
-    )
-    checks = discharge_rows(all_rows, threads)
+    rows = tuple(sorted(
+        sporadic_rows + tuple(r for rep in family_reports for r in rep.rows),
+        key=ExceptionRow.sort_key,
+    ))
     golden_ok, golden_diffs = compare_with_golden(sporadic_rows, family_reports)
     return VerificationReport(
         monotone_ok=monotone_ok,
         monotone_range=(5, monotone_hi),
         sporadic_rows=sporadic_rows,
         family_reports=family_reports,
-        checks=checks,
+        rows=rows,
+        checks=discharge_rows(rows),
         schur_scan=schur_degree_equation_solutions(),
         schur_2a9=schur_a9_size_check(),
         golden_ok=golden_ok,

@@ -28,7 +28,8 @@ from codlab.catalog import (
     sporadic_entries,
     twisted_codegree_set_2a9,
 )
-from codlab.exactnum import PrimePower, factor, valuation
+from codlab.exactnum import PrimePower, factor
+from oracles import valuation
 
 KNOWN_ORDERS = {
     "PSL(2,4)": 60,

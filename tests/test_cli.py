@@ -5,10 +5,11 @@ import io
 import json
 import subprocess
 import sys
+import threading
 
 import pytest
 
-from codlab.cli import main
+from codlab.cli import _TARGETS, main
 from codlab.catalog import data_path
 
 
@@ -132,6 +133,18 @@ def test_search_all_threads_deterministic(capsys, fmt):
     assert one == eight
 
 
+def test_search_runs_serially(capsys, monkeypatch):
+    _, one, _ = run_cli(capsys, "search", "psu", "--threads", "1")
+
+    def refuse(self):
+        raise AssertionError("the sweep started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    code, four, _ = run_cli(capsys, "search", "psu", "--threads", "4")
+    assert code == 0
+    assert four == one
+
+
 def test_schur(capsys):
     code, out, _ = run_cli(capsys, "schur")
     assert code == 0
@@ -156,9 +169,10 @@ def test_check_subset_refuted(capsys):
 
 
 def test_check_subset_isomorphic(capsys):
-    code, out, _ = run_cli(capsys, "check-subset", "PSL(4,2)", "8")
-    assert code == 0
-    assert "isomorphic" in out
+    for label, n in (("PSL(4,2)", "8"), ("A7", "7")):
+        code, out, _ = run_cli(capsys, "check-subset", label, n)
+        assert code == 0, label
+        assert f"{label} vs A{n}: isomorphic" in out
 
 
 def test_check_subset_json(capsys):
@@ -178,6 +192,21 @@ def test_check_subset_errors(capsys):
     assert code == 2 and "no degree data" in err
     code, _, err = run_cli(capsys, "check-subset", "J2", "3")
     assert code == 2
+    for label in ("PSp(5,2)", "Omega(4,3)", "O+(7,2)", "O-(9,3)", "G2(3,3)", "PSL(3)"):
+        code, _, err = run_cli(capsys, "check-subset", label, "9")
+        assert code == 2, label
+        assert label in err
+
+
+def test_search_targets():
+    assert _TARGETS == {
+        "psl": "PSL", "psu": "PSU", "psp": "PSp", "omegaodd": "OmegaOdd",
+        "oplus": "OPlus", "ominus": "OMinus", "g2": "G2", "f4": "F4",
+        "e6": "E6", "e7": "E7", "e8": "E8", "twistede6": "TwistedE6",
+        "2e6": "TwistedE6", "trid4": "TriD4", "3d4": "TriD4",
+        "suzuki": "Suzuki", "2b2": "Suzuki", "ree": "Ree", "2g2": "Ree",
+        "twistedf4": "TwistedF4", "2f4": "TwistedF4",
+    }
 
 
 def test_bad_thread_count(capsys):

@@ -3,16 +3,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from codlab.exactnum import (
-    PrimePower,
-    divides,
-    factor,
-    factorial,
-    factorial_valuation,
-    format_factored,
-    is_prime,
-    valuation,
-)
+from codlab.exactnum import PrimePower, factor, factorial, format_factored, is_prime
+from oracles import divides, factorial_valuation, valuation
 
 
 @given(st.integers(min_value=-5, max_value=20000))

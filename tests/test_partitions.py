@@ -14,15 +14,17 @@ from hypothesis import given, settings, strategies as st
 
 from codlab.alt_codegrees import sym_degree
 from codlab.partitions import (
-    check_partition,
     conjugate,
-    corners,
     enumerate_partitions,
-    format_partition,
-    hook_length,
     hook_lengths,
     hook_product,
     is_self_conjugate,
+)
+from oracles import (
+    check_partition,
+    corners,
+    format_partition,
+    hook_length,
     parse_partition,
     partition_size,
     remove_corner,
