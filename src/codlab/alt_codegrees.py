@@ -8,20 +8,33 @@ codegree H(lam)/2, while a self-conjugate lam splits into two halves of
 dimension (n!/H(lam))/2 and codegree H(lam).  The minimal non-trivial
 codegree is strictly increasing in n, which is the monotonicity fact the
 search engine leans on.
+
+Shapes are met in Frobenius coordinates lam = (a | b): with Durfee size
+d, a_i = lam_i - i and b_i = lam'_i - i for i <= d are strictly
+decreasing non-negative runs and |a| + |b| = n - d.  Conjugation swaps
+a and b, so each conjugate pair is one unordered pair of runs, met once
+for each Durfee size d = 1, ..., isqrt(n) in turn, and
+
+    H(a | b) = H(a) * H(b) * prod_{i,j} (a_i + b_j + 1),
+
+where H(x) = prod x_i! / prod_{i<j} (x_i - x_j) is the hook product of
+the shape outside the Durfee square on that side (x is its beta set).
+lam_i = a_i + i for i <= d, so lam compares with lam' as a compares
+with b, and the lex-smaller member of a pair with a >= b is (b | a).
+No conjugate is formed and no shape's hooks are walked one by one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 from typing import Iterator
 
 from .exactnum import factorial
-from .partitions import (
-    Partition,
-    conjugate,
-    enumerate_partitions,
-    hook_product,
-)
+from .partitions import Partition, hook_product
+
+Run = tuple[int, ...]
+
 
 @dataclass(frozen=True)
 class AltIrrEntry:
@@ -71,36 +84,103 @@ def sym_degree(parts: Partition) -> int:
     return _degree(n, factorial(n), hook_product(parts))
 
 
-def alt_irr_entries(n: int) -> Iterator[AltIrrEntry]:
-    """One entry per unordered conjugate pair of partitions of n, n >= 5.
+def _runs(d: int, total: int, fact: list[int]) -> Iterator[tuple[Run, int]]:
+    """Runs x_1 > ... > x_d >= 0 summing to total, lex-decreasing, each
+    with H(x) built one element at a time (every prefix is a beta set,
+    so each step's division is exact)."""
 
-    Reverse-lex enumeration meets the larger member of each pair first,
-    so the smaller one is skipped when it comes round.  The trivial
-    shape (n) (paired with the sign shape (1,...,1)) is the trivial
-    A_n-character and gets codegree 1 directly.  A non-self-conjugate
-    shape's codegree H(lam)/2 must be an integer, so an odd hook
-    product is refused like any other failed exact check.
+    def extend(prefix: Run, hp: int, k: int, rest: int) -> Iterator[tuple[Run, int]]:
+        # the next element x is the largest of the k still to place
+        hi = rest - (k - 1) * (k - 2) // 2
+        if prefix and hi >= prefix[-1]:
+            hi = prefix[-1] - 1
+        lo = -(-(rest + k * (k - 1) // 2) // k)
+        for x in range(hi, lo - 1, -1):
+            gaps = 1
+            for y in prefix:
+                gaps *= y - x
+            if k == 1:
+                yield prefix + (x,), hp * fact[x] // gaps
+            else:
+                yield from extend(prefix + (x,), hp * fact[x] // gaps, k - 1, rest - x)
+
+    return extend((), 1, d, total)
+
+
+def _frobenius_pairs(n: int) -> Iterator[tuple[Run, Run, bool, int, int]]:
+    """(arms, legs, split, dim, codegree) once per unordered conjugate pair.
+
+    (arms | legs) is the lex-larger member, so arms >= legs and equality
+    means self-conjugate.  The trivial pair (n) = (n-1 | 0) comes first
+    with codegree 1; the rest follow by Durfee size d.  Per d and light
+    sum t <= (n - d)/2 the runs of sum t are held in a list, each with
+    its table g(x) = prod_j (x + b_j + 1), and the runs of the heavy sum
+    n - d - t are streamed past them, so a pair costs d multiplications.
+    Every shape passes the exact checks: H | n!, an even dimension when
+    self-conjugate, an even H otherwise.
     """
     if n < 5:
         raise ValueError(f"n must be >= 5, got {n}")
     n_factorial = factorial(n)
-    for lam in enumerate_partitions(n):
-        conj = conjugate(lam)
-        if conj > lam:
-            continue
-        if lam == (n,):
-            yield AltIrrEntry(conj, False, 1, 1)
-            continue
-        hp = hook_product(lam)
-        dim = _degree(n, n_factorial, hp)
-        if lam == conj:
-            if dim % 2 != 0:
-                raise ArithmeticError(f"self-conjugate {lam} has odd dimension {dim}")
-            yield AltIrrEntry(lam, True, dim // 2, hp)
-        else:
-            if hp % 2 != 0:
-                raise ArithmeticError(f"non-self-conjugate {lam} has odd hook product")
-            yield AltIrrEntry(conj, False, dim, hp // 2)
+    fact = [1] * n
+    for i in range(2, n):
+        fact[i] = fact[i - 1] * i
+    yield (n - 1,), (0,), False, 1, 1
+    for d in range(1, isqrt(n) + 1):
+        free = n - d
+        least = d * (d - 1) // 2  # smallest sum of a run of length d
+        # at d = 1 the light sum t = 0 is the trivial pair, already met
+        for t in range(least if d > 1 else 1, free // 2 + 1):
+            top = free - t - (d - 1) * (d - 2) // 2  # largest first element of a heavy run
+            light = []
+            for b, hb in _runs(d, t, fact):
+                # g[x] = prod_j (x + b_j + 1) for every x a heavy run can hold
+                g = list(range(b[0] + 1, b[0] + top + 2))
+                for y in b[1:]:
+                    g = [v * (x + y + 1) for x, v in enumerate(g)]
+                light.append((b, hb, g))
+            middle = 2 * t == free
+            heavy = [(b, hb) for b, hb, _ in light] if middle else _runs(d, free - t, fact)
+            for i, (a, ha) in enumerate(heavy):
+                for b, hb, g in light[i:] if middle else light:
+                    hp = ha * hb
+                    for x in a:
+                        hp *= g[x]
+                    dim = _degree(n, n_factorial, hp)
+                    if a == b:
+                        if dim & 1:
+                            raise ArithmeticError(
+                                f"self-conjugate ({a} | {a}) has odd dimension {dim}"
+                            )
+                        yield a, a, True, dim >> 1, hp
+                    elif hp & 1:
+                        raise ArithmeticError(
+                            f"non-self-conjugate ({a} | {b}) has odd hook product"
+                        )
+                    elif a > b:
+                        yield a, b, False, dim, hp >> 1
+                    else:
+                        yield b, a, False, dim, hp >> 1
+
+
+def _shape(arms: Run, legs: Run) -> Partition:
+    """The partition (arms | legs) in Frobenius coordinates."""
+    rows = [x + i for i, x in enumerate(arms, 1)]
+    cols = [y + j for j, y in enumerate(legs, 1)]
+    for r in range(len(arms) + 1, cols[0] + 1):
+        rows.append(sum(1 for c in cols if c >= r))
+    return tuple(rows)
+
+
+def alt_irr_entries(n: int) -> Iterator[AltIrrEntry]:
+    """One entry per unordered conjugate pair of partitions of n, n >= 5.
+
+    Entries come in Durfee-size order; the order is not part of the
+    contract.  The trivial shape (n) (paired with the sign shape
+    (1,...,1)) is the trivial A_n-character and gets codegree 1.
+    """
+    for arms, legs, split, dim, codegree in _frobenius_pairs(n):
+        yield AltIrrEntry(_shape(legs, arms), split, dim, codegree)
 
 
 def alt_degree_multiset(n: int) -> list[int]:
@@ -116,14 +196,12 @@ def alt_codegree_set(n: int) -> CodegreeSet:
     half = factorial(n) // 2
     values = {1}
     total = 0
-    for entry in alt_irr_entries(n):
-        total += 2 * entry.dim * entry.dim if entry.split else entry.dim * entry.dim
-        if entry.codegree != 1:
-            if half % entry.dim != 0:
-                raise ArithmeticError(f"dim {entry.dim} does not divide |A_{n}|")
-            if entry.codegree != half // entry.dim:
-                raise ArithmeticError(f"codegree mismatch for {entry.partition}")
-            values.add(entry.codegree)
+    for arms, legs, split, dim, codegree in _frobenius_pairs(n):
+        total += 2 * dim * dim if split else dim * dim
+        if codegree != 1:
+            if codegree * dim != half:
+                raise ArithmeticError(f"codegree mismatch for ({arms} | {legs})")
+            values.add(codegree)
     if total != half:
         raise ArithmeticError(f"sum of squared dimensions {total} != |A_{n}| = {half}")
     return CodegreeSet(f"A{n}", half, tuple(sorted(values)))
@@ -131,14 +209,7 @@ def alt_codegree_set(n: int) -> CodegreeSet:
 
 def min_nontrivial_codegree(n: int) -> int:
     """Smallest codegree above 1, i.e. (n!/2) / (largest non-trivial degree)."""
-    best = None
-    for entry in alt_irr_entries(n):
-        if entry.codegree == 1:
-            continue
-        if best is None or entry.codegree < best:
-            best = entry.codegree
-    assert best is not None
-    return best
+    return min(c for _, _, _, _, c in _frobenius_pairs(n) if c != 1)
 
 
 def verify_min_codegree_monotone(n_lo: int, n_hi: int) -> tuple[bool, list[tuple[int, int]]]:

@@ -344,6 +344,8 @@ def cmd_check_subset(args: argparse.Namespace) -> int:
         g = parse_group_label(args.group)
     except ValueError as exc:
         return _fail_usage(str(exc))
+    if g.family == "Alternating" and g.n > args.max_n:
+        return _fail_usage(f"{group_label(g)} exceeds --max-n {args.max_n}")
     if not 5 <= args.n <= args.max_n:
         return _fail_usage(f"n must be in [5, {args.max_n}], got {args.n}")
     try:

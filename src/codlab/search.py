@@ -152,16 +152,19 @@ def _class_number_limit(g: GroupId, order: int) -> int:
 def _half_factorial_below(n: int, limit: int) -> int | None:
     """n!/2 if it is below limit, else None.
 
-    Builds n!/2 = 3 * 4 * ... * n one factor at a time and stops once
-    the running product reaches limit, so the work is bounded by the
-    bit length of limit rather than by n.
+    Gallops m = 8, 16, 32, ... below n and gives up as soon as m!/2
+    reaches limit; otherwise n <= 2m for the last m tried, so n!/2 is
+    computed once and compared.  Either way no factorial of more than
+    about twice the bit length of limit is built, so the work is bounded
+    by the bit length of limit rather than by n.
     """
-    half = 1
-    for i in range(3, n + 1):
-        half *= i
-        if half >= limit:
+    m = 8
+    while m < n:
+        if factorial(m) // 2 >= limit:
             return None
-    return half
+        m *= 2
+    half = factorial(n) // 2
+    return half if half < limit else None
 
 
 def candidate_n_range(g: GroupId, hard_cap: int = HARD_N_CAP) -> list[int]:

@@ -2,15 +2,19 @@
 
 Small, direct implementations of definitions the library never needs
 on its own: divisibility, p-adic valuations, Legendre's formula, single
-hook lengths, corner removal and the text form of a partition.  The
-tests check the library's fast paths against them.  Cells are 1-based
-(row, column) pairs.
+hook lengths, corner removal, the text form of a partition, partition
+counts, Frobenius coordinates, and the direct routes to the A_n entries
+and to the n!/2 sieve.  The tests check the library's fast paths
+against them.  Cells are 1-based (row, column) pairs.
 """
 
 from __future__ import annotations
 
+import math
+from typing import Iterator
+
 from codlab.exactnum import is_prime
-from codlab.partitions import Partition
+from codlab.partitions import Partition, conjugate, enumerate_partitions, hook_product
 
 Cell = tuple[int, int]
 
@@ -120,3 +124,83 @@ def remove_corner(parts: Partition, cell: Cell) -> Partition:
     if shrunk[i - 1] == 0:
         shrunk.pop(i - 1)
     return tuple(shrunk)
+
+
+def pentagonal_partition_counts(limit: int) -> list[int]:
+    """p(0..limit) via Euler's recurrence, independent of enumeration."""
+    p = [1] + [0] * limit
+    for n in range(1, limit + 1):
+        k = 1
+        while True:
+            g1 = k * (3 * k - 1) // 2
+            g2 = k * (3 * k + 1) // 2
+            if g1 > n:
+                break
+            sign = -1 if k % 2 == 0 else 1
+            p[n] += sign * p[n - g1]
+            if g2 <= n:
+                p[n] += sign * p[n - g2]
+            k += 1
+    return p
+
+
+def distinct_odd_partition_counts(limit: int) -> list[int]:
+    """Partitions of 0..limit into distinct odd parts.
+
+    Reading a self-conjugate shape hook by hook along its diagonal gives
+    such a partition, so these are also the self-conjugate counts.
+    """
+    counts = [1] + [0] * limit
+    for part in range(1, limit + 1, 2):
+        for m in range(limit, part - 1, -1):
+            counts[m] += counts[m - part]
+    return counts
+
+
+def frobenius(parts: Partition) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Frobenius coordinates (a | b): a_i = lam_i - i, b_i = lam'_i - i, i <= d."""
+    cols = conjugate(parts)
+    d = sum(1 for i, part in enumerate(parts, start=1) if part >= i)
+    return (
+        tuple(parts[i] - i - 1 for i in range(d)),
+        tuple(cols[i] - i - 1 for i in range(d)),
+    )
+
+
+def beta_shape(beta: tuple[int, ...]) -> Partition:
+    """The partition whose first-column hooks, over len(beta) rows with
+    zero parts allowed, are the decreasing run beta."""
+    d = len(beta)
+    return tuple(p for p in (x - (d - 1 - i) for i, x in enumerate(beta)) if p > 0)
+
+
+def alt_irr_entries_direct(n: int) -> Iterator[tuple[Partition, bool, int, int]]:
+    """(partition, split, dim, codegree) per conjugate pair, the direct way.
+
+    Walks every shape, takes its conjugate, keeps the lex-smaller member
+    of each pair and divides n! by its hook product.
+    """
+    n_factorial = math.factorial(n)
+    for lam in enumerate_partitions(n):
+        conj = conjugate(lam)
+        if conj > lam:
+            continue
+        if lam == (n,):
+            yield conj, False, 1, 1
+            continue
+        hp = hook_product(lam)
+        dim = n_factorial // hp
+        if lam == conj:
+            yield lam, True, dim // 2, hp
+        else:
+            yield conj, False, dim, hp // 2
+
+
+def half_factorial_below_stepwise(n: int, limit: int) -> int | None:
+    """n!/2 if it is below limit, else None, one factor at a time."""
+    half = 1
+    for i in range(3, n + 1):
+        half *= i
+        if half >= limit:
+            return None
+    return half

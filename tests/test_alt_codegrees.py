@@ -7,6 +7,8 @@ lengths alone.
 """
 
 import math
+import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +22,15 @@ from codlab.alt_codegrees import (
     min_nontrivial_codegree,
     verify_min_codegree_monotone,
 )
-from codlab.partitions import hook_product, is_self_conjugate
+from codlab.catalog import degree_record
+from codlab.partitions import enumerate_partitions, hook_product, is_self_conjugate
+from oracles import (
+    alt_irr_entries_direct,
+    beta_shape,
+    distinct_odd_partition_counts,
+    frobenius,
+    pentagonal_partition_counts,
+)
 
 EXPECTED_COD = {
     5: (1, 12, 15, 20),
@@ -118,3 +128,42 @@ def test_codegree_set_validation():
         CodegreeSet("X", 60, (12, 15))  # missing 1
     with pytest.raises(ValueError):
         CodegreeSet("X", 60, (1, 7))  # 7 does not divide 60
+
+
+@pytest.mark.parametrize("n", range(5, 31))
+def test_entries_match_direct_enumeration(n):
+    entries = [(e.partition, e.split, e.dim, e.codegree) for e in alt_irr_entries(n)]
+    assert Counter(entries) == Counter(alt_irr_entries_direct(n))
+    # one entry per conjugate pair: (p(n) + sc(n)) / 2
+    p = pentagonal_partition_counts(n)[n]
+    sc = distinct_odd_partition_counts(n)[n]
+    assert len(entries) * 2 == p + sc
+    assert sum(e[1] for e in entries) == sc
+
+
+def test_frobenius_hook_identity():
+    # H(a | b) = H(a) H(b) prod (a_i + b_j + 1), H(x) of the shape with beta set x
+    for n in range(1, 26):
+        for lam in enumerate_partitions(n):
+            a, b = frobenius(lam)
+            assert len(a) + sum(a) + sum(b) == n
+            cross = math.prod(x + y + 1 for x in a for y in b)
+            assert hook_product(lam) == (
+                hook_product(beta_shape(a)) * hook_product(beta_shape(b)) * cross
+            ), lam
+
+
+def test_a8_degrees_match_shipped_psl42_record():
+    # the data file builder writes PSL(4,2) = A8 from alt_degree_multiset(8)
+    assert sorted(alt_degree_multiset(8)) == list(degree_record("PSL(4,2)").degrees)
+
+
+def test_min_codegree_memory_stays_streaming():
+    # heavy runs are streamed, not stored; the peak here is about 0.04 MB
+    tracemalloc.start()
+    try:
+        min_nontrivial_codegree(40)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000

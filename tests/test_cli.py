@@ -196,6 +196,10 @@ def test_check_subset_errors(capsys):
         code, _, err = run_cli(capsys, "check-subset", label, "9")
         assert code == 2, label
         assert label in err
+    for label in ("A70", "A41"):
+        code, _, err = run_cli(capsys, "check-subset", label, "9")
+        assert code == 2, label
+        assert label in err and "--max-n 40" in err
 
 
 def test_search_targets():

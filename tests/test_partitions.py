@@ -27,26 +27,9 @@ from oracles import (
     hook_length,
     parse_partition,
     partition_size,
+    pentagonal_partition_counts,
     remove_corner,
 )
-
-
-def pentagonal_partition_counts(limit):
-    """p(0..limit) via Euler's recurrence, independent of enumeration."""
-    p = [1] + [0] * limit
-    for n in range(1, limit + 1):
-        k = 1
-        while True:
-            g1 = k * (3 * k - 1) // 2
-            g2 = k * (3 * k + 1) // 2
-            if g1 > n:
-                break
-            sign = -1 if k % 2 == 0 else 1
-            p[n] += sign * p[n - g1]
-            if g2 <= n:
-                p[n] += sign * p[n - g2]
-            k += 1
-    return p
 
 
 def test_enumeration_counts_match_pentagonal():

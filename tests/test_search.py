@@ -26,6 +26,7 @@ from codlab.catalog import (
 from codlab.search import (
     HARD_N_CAP,
     _feasible,
+    _half_factorial_below,
     _sweep_points,
     candidate_n_range,
     check_subset,
@@ -40,6 +41,7 @@ from codlab.search import (
     sweep_family,
     sweep_sporadic,
 )
+from oracles import half_factorial_below_stepwise
 
 # (m, q, n, ratio) per family, the frozen sweep outcome
 EXPECTED_PSL_ROWS = [
@@ -166,6 +168,27 @@ def test_sieve_matches_full_factorial_oracle():
         assert candidate_n_range(g) == oracle_candidate_n_range(g), g
         feasible += _feasible(g)
     assert feasible == 126
+
+
+def test_half_factorial_below_at_the_boundary():
+    for n in range(5, 301):
+        half = math.factorial(n) // 2
+        for limit in (half - 1, half, half + 1):
+            got = _half_factorial_below(n, limit)
+            assert got == half_factorial_below_stepwise(n, limit), (n, limit)
+        assert _half_factorial_below(n, half + 1) == half
+        assert _half_factorial_below(n, half) is None
+
+
+@given(
+    st.integers(min_value=5, max_value=300),
+    st.integers(min_value=1, max_value=2200).flatmap(
+        lambda bits: st.integers(min_value=1 << (bits - 1), max_value=1 << bits)
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_half_factorial_below_matches_stepwise(n, limit):
+    assert _half_factorial_below(n, limit) == half_factorial_below_stepwise(n, limit)
 
 
 def test_candidate_range_infeasible_exceptional():
