@@ -397,57 +397,102 @@ class CatalogData:
     degrees: dict[str, DegreeRecord]
 
 
+@lru_cache(maxsize=1)
+def _packaged_data_path() -> Path:
+    return Path(str(resources.files("codlab").joinpath("data/groups_v1.jsonl")))
+
+
 def data_path() -> Path:
+    """The degree data file: $CODLAB_DATA if set, else the packaged file.
+
+    The environment is read on every call; only the packaged path is cached.
+    """
     override = os.environ.get(DATA_ENV_VAR)
     if override:
         return Path(override)
-    return Path(str(resources.files("codlab").joinpath("data/groups_v1.jsonl")))
+    return _packaged_data_path()
+
+
+class DataFileError(ValueError):
+    """A degree data file that cannot be read or parsed.
+
+    The message is "<path>:<line>: <problem>", or "<path>: <problem>"
+    when the problem belongs to no one line.
+    """
 
 
 def _load_catalog(path: Path) -> CatalogData:
     sporadic_entries: dict[str, SporadicEntry] = {}
     degree_records: dict[str, DegreeRecord] = {}
-    with open(path, encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        if header.get("format") != _DATA_FORMAT or header.get("version") != _DATA_VERSION:
-            raise ValueError(f"unsupported data file header {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            if rec["record"] == "sporadic":
-                entry = SporadicEntry(
-                    rec["label"], int(rec["order"]), int(rec["class_count"]),
-                    rec["provenance"],
-                )
-                sporadic_entries[entry.label] = entry
-            elif rec["record"] == "degrees":
-                degrees = tuple(int(d) for d in rec["degrees"])
-                record = DegreeRecord(
-                    rec["label"], int(rec["order"]), degrees,
-                    bool(rec.get("faithful_only", False)), rec["provenance"],
-                    tuple(rec.get("aliases", ())),
-                )
-                if list(degrees) != sorted(degrees):
-                    raise ValueError(f"degrees for {record.label} not sorted")
-                if not record.faithful_only:
-                    total = sum(d * d for d in degrees)
-                    if total != record.order:
-                        raise ValueError(
-                            f"degree record {record.label}: sum of squares "
-                            f"{total} != order {record.order}"
-                        )
-                for key in (record.label, *record.aliases):
-                    if key in degree_records:
-                        raise ValueError(f"duplicate degree record {key}")
-                    degree_records[key] = record
-            else:
-                raise ValueError(f"unknown record type {rec['record']!r}")
+    lineno = 1
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = json.loads(fh.readline())
+            if (not isinstance(header, dict) or header.get("format") != _DATA_FORMAT
+                    or header.get("version") != _DATA_VERSION):
+                raise ValueError(f"unsupported data file header {header!r}")
+            for lineno, line in enumerate(fh, 2):
+                line = line.strip()
+                if line:
+                    _add_record(json.loads(line), sporadic_entries, degree_records)
+    except OSError as exc:
+        raise DataFileError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataFileError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    except json.JSONDecodeError as exc:
+        raise DataFileError(f"{path}:{lineno}: not JSON: {exc.msg}") from None
+    except KeyError as exc:
+        raise DataFileError(f"{path}:{lineno}: record has no {exc} field") from None
+    except (TypeError, ValueError) as exc:
+        raise DataFileError(f"{path}:{lineno}: {exc}") from None
     missing = set(SPORADIC_LABELS) - set(sporadic_entries)
     if missing:
-        raise ValueError(f"sporadic table incomplete, missing {sorted(missing)}")
+        raise DataFileError(
+            f"{path}: sporadic table incomplete, missing {sorted(missing)}"
+        )
     return CatalogData(sporadic_entries, degree_records)
+
+
+def _add_record(
+    rec: object,
+    sporadic_entries: dict[str, SporadicEntry],
+    degree_records: dict[str, DegreeRecord],
+) -> None:
+    """Check one parsed record and file it.
+
+    Raises KeyError, TypeError or ValueError, which the loader reports
+    with the path and line.
+    """
+    if not isinstance(rec, dict):
+        raise ValueError("record is not a JSON object")
+    if rec["record"] == "sporadic":
+        entry = SporadicEntry(
+            rec["label"], int(rec["order"]), int(rec["class_count"]),
+            rec["provenance"],
+        )
+        sporadic_entries[entry.label] = entry
+    elif rec["record"] == "degrees":
+        degrees = tuple(int(d) for d in rec["degrees"])
+        record = DegreeRecord(
+            rec["label"], int(rec["order"]), degrees,
+            bool(rec.get("faithful_only", False)), rec["provenance"],
+            tuple(rec.get("aliases", ())),
+        )
+        if list(degrees) != sorted(degrees):
+            raise ValueError(f"degrees for {record.label} not sorted")
+        if not record.faithful_only:
+            total = sum(d * d for d in degrees)
+            if total != record.order:
+                raise ValueError(
+                    f"degree record {record.label}: sum of squares "
+                    f"{total} != order {record.order}"
+                )
+        for key in (record.label, *record.aliases):
+            if key in degree_records:
+                raise ValueError(f"duplicate degree record {key}")
+            degree_records[key] = record
+    else:
+        raise ValueError(f"unknown record type {rec['record']!r}")
 
 
 @lru_cache(maxsize=4)

@@ -1,8 +1,8 @@
 """codlab command line.
 
 Subcommands: cod, min-cod, search, schur, check-subset.  Exit codes are
-a stable contract: 0 success / verification PASS, 2 usage error, 3
-mathematical verification failure.
+a stable contract: 0 success / verification PASS, 2 usage error or
+unreadable data file, 3 mathematical verification failure.
 
 All arithmetic is exact, so json and csv output carry group orders,
 codegrees, ratios and witnesses as decimal strings; small structural
@@ -20,7 +20,13 @@ import sys
 from dataclasses import asdict
 
 from .alt_codegrees import alt_codegree_set, verify_min_codegree_monotone
-from .catalog import EXCEPTIONAL_PREFIX, LIE_FAMILIES, group_label, parse_group_label
+from .catalog import (
+    EXCEPTIONAL_PREFIX,
+    LIE_FAMILIES,
+    DataFileError,
+    group_label,
+    parse_group_label,
+)
 from .exactnum import format_factored
 from .search import (
     ROW_HEADER,
@@ -423,7 +429,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.threads < 1:
         return _fail_usage(f"--threads must be >= 1, got {args.threads}")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except DataFileError as exc:
+        return _fail_usage(str(exc))
 
 
 if __name__ == "__main__":

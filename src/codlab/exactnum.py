@@ -65,7 +65,11 @@ def factor(n: int) -> list[tuple[int, int]]:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     out: list[tuple[int, int]] = []
-    d = 2
+    e = (n & -n).bit_length() - 1  # the power of two, in one step
+    if e:
+        n >>= e
+        out.append((2, e))
+    d = 3
     while d * d <= n:
         if n % d == 0:
             e = 0
@@ -73,7 +77,7 @@ def factor(n: int) -> list[tuple[int, int]]:
                 n //= d
                 e += 1
             out.append((d, e))
-        d += 1 if d == 2 else 2
+        d += 2
     if n > 1:
         out.append((n, 1))
     return out

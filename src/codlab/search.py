@@ -149,20 +149,28 @@ def _class_number_limit(g: GroupId, order: int) -> int:
     return -(-order * bound.numerator // bound.denominator)
 
 
+# m!/2 for the galloping rungs m = 8, 16, ..., 2048 of _half_factorial_below.
+# 2048 is the largest rung the built-in boxes reach.  A fixed tuple, not a
+# cache, so repeated sweeps in one process do the same work.
+_HALF_RUNGS = tuple(factorial(8 << i) // 2 for i in range(9))
+
+
 def _half_factorial_below(n: int, limit: int) -> int | None:
     """n!/2 if it is below limit, else None.
 
     Gallops m = 8, 16, 32, ... below n and gives up as soon as m!/2
     reaches limit; otherwise n <= 2m for the last m tried, so n!/2 is
-    computed once and compared.  Either way no factorial of more than
-    about twice the bit length of limit is built, so the work is bounded
-    by the bit length of limit rather than by n.
+    computed once and compared.  Rungs up to m = 2048 are read from
+    _HALF_RUNGS; beyond it m!/2 is computed.  Either way no factorial of
+    more than about twice the bit length of limit is built, so the work
+    is bounded by the bit length of limit rather than by n.
     """
-    m = 8
+    m, i = 8, 0
     while m < n:
-        if factorial(m) // 2 >= limit:
+        half = _HALF_RUNGS[i] if i < len(_HALF_RUNGS) else factorial(m) // 2
+        if half >= limit:
             return None
-        m *= 2
+        m, i = 2 * m, i + 1
     half = factorial(n) // 2
     return half if half < limit else None
 

@@ -5,12 +5,16 @@ Groups); sporadic orders are additionally checked against their full
 prime factorizations, which is how those values are usually quoted.
 """
 
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from codlab.catalog import (
+    DataFileError,
     GroupId,
     SPORADIC_LABELS,
     alternating,
@@ -26,6 +30,7 @@ from codlab.catalog import (
     simple_codegree_set,
     sporadic,
     sporadic_entries,
+    _load_catalog,
     twisted_codegree_set_2a9,
 )
 from codlab.exactnum import PrimePower, factor
@@ -253,6 +258,52 @@ def test_data_path_override(tmp_path, monkeypatch):
     monkeypatch.setenv("CODLAB_DATA", str(copy))
     assert data_path() == copy
     assert degree_record("J2").order == 604800
+
+
+_DATA_LINES = data_path().read_text(encoding="utf-8").splitlines()
+
+
+def _without_key(line, i):
+    rec = json.loads(line)
+    keys = sorted(rec)
+    del rec[keys[i % len(keys)]]
+    return json.dumps(rec)
+
+
+_MANGLED_LINE = st.one_of(
+    st.sampled_from(_DATA_LINES),
+    st.tuples(st.sampled_from(_DATA_LINES), st.integers(0, 200)).map(
+        lambda t: t[0][: t[1]]
+    ),
+    st.tuples(st.sampled_from(_DATA_LINES[1:]), st.integers(0, 9)).map(
+        lambda t: _without_key(*t)
+    ),
+    st.recursive(
+        st.none() | st.booleans() | st.integers() | st.text(max_size=8),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(
+            st.sampled_from(["record", "label", "order", "degrees"]), inner
+        ),
+        max_leaves=6,
+    ).map(json.dumps),
+    st.text(max_size=30).filter(lambda t: "\n" not in t and "\r" not in t),
+)
+
+
+@given(st.lists(_MANGLED_LINE, max_size=60), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_loader_returns_or_raises_data_file_error(lines, keep_header):
+    if keep_header:
+        lines = [_DATA_LINES[0], *lines]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        try:
+            cat = _load_catalog(path)
+        except DataFileError as exc:
+            assert str(exc).startswith(f"{path}:"), exc
+        else:
+            assert set(cat.sporadic) == set(SPORADIC_LABELS)
 
 
 def test_corrupted_data_detected(tmp_path, monkeypatch):

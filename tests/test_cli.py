@@ -232,6 +232,36 @@ def test_data_override_respected(tmp_path, monkeypatch, capsys):
     assert code == 0 and "189" in out
 
 
+def _drop_label(line):
+    rec = json.loads(line)
+    del rec["label"]
+    return json.dumps(rec)
+
+
+@pytest.mark.parametrize(
+    "edit,problem",
+    [
+        (None, ": No such file or directory"),
+        (lambda line: "{not json", ":6: not JSON: "),
+        (_drop_label, ":6: record has no 'label' field"),
+    ],
+    ids=["missing-file", "non-json-line", "record-without-label"],
+)
+def test_bad_data_file_exits_2(tmp_path, monkeypatch, capsys, edit, problem):
+    # line 6 is the sporadic J2 record
+    target = tmp_path / "data.jsonl"
+    if edit is not None:
+        lines = data_path().read_text("utf-8").splitlines()
+        assert '"label": "J2"' in lines[5]
+        lines[5] = edit(lines[5])
+        target.write_text("\n".join(lines) + "\n", "utf-8")
+    monkeypatch.setenv("CODLAB_DATA", str(target))
+    code, out, err = run_cli(capsys, "check-subset", "J2", "10")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {target}{problem}")
+    assert err.count("\n") == 1
+
+
 def test_console_script_installed():
     proc = subprocess.run(
         [sys.executable, "-m", "codlab.cli", "cod", "5", "--format", "csv"],

@@ -25,6 +25,7 @@ from codlab.catalog import (
 )
 from codlab.search import (
     HARD_N_CAP,
+    _HALF_RUNGS,
     _feasible,
     _half_factorial_below,
     _sweep_points,
@@ -178,6 +179,40 @@ def test_half_factorial_below_at_the_boundary():
             assert got == half_factorial_below_stepwise(n, limit), (n, limit)
         assert _half_factorial_below(n, half + 1) == half
         assert _half_factorial_below(n, half) is None
+
+
+def test_half_rungs_table():
+    assert len(_HALF_RUNGS) == 9
+    for i, half in enumerate(_HALF_RUNGS):
+        assert half == math.factorial(8 << i) // 2, 8 << i
+
+
+def test_half_factorial_below_builds_no_rung_from_the_table(monkeypatch):
+    # a limit that a rung m <= 2048 below n already reaches is refused
+    # without any factorial; the rung m = 4096 is computed once
+    calls = []
+    monkeypatch.setattr(
+        "codlab.search.factorial", lambda k: calls.append(k) or math.factorial(k)
+    )
+    for i, half in enumerate(_HALF_RUNGS):
+        assert _half_factorial_below((8 << i) + 1, half) is None
+        assert _half_factorial_below(4097, half) is None
+    assert calls == []
+    assert _half_factorial_below(4097, math.factorial(4096) // 2) is None
+    assert calls == [4096]
+
+
+@pytest.mark.parametrize("n", [2047, 2048, 2049, 4096, 4097])
+def test_half_factorial_below_past_the_table(n):
+    # limits at n!/2 and at every rung m!/2, m = 8 .. 4096, on both
+    # sides: rungs up to 2048 come from the table, 4096 is computed
+    half = math.factorial(n) // 2
+    edges = [half] + [math.factorial(8 << i) // 2 for i in range(10)]
+    for edge in edges:
+        for limit in (edge - 1, edge, edge + 1):
+            got = _half_factorial_below(n, limit)
+            assert got == half_factorial_below_stepwise(n, limit), (n, limit)
+            assert got == (half if half < limit else None), (n, limit)
 
 
 @given(
