@@ -15,7 +15,6 @@ from .alt_codegrees import (
     verify_min_codegree_monotone,
 )
 from .catalog import (
-    ClassNumberBound,
     GroupId,
     alternating,
     class_number_bound,
@@ -58,7 +57,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AltIrrEntry",
-    "ClassNumberBound",
     "CodegreeSet",
     "ExceptionRow",
     "FamilyBounds",

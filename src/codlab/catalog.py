@@ -28,9 +28,12 @@ from math import gcd
 from pathlib import Path
 
 from .alt_codegrees import CodegreeSet, alt_codegree_set
-from .exactnum import PrimePower, factor, factorial, is_prime
+from .exactnum import PrimePower, factor, factorial
 
-CLASSICAL_FAMILIES = ("PSL", "PSU", "PSp", "OmegaOdd", "OPlus", "OMinus")
+# Smallest rank m of each classical family: PSL(m+1,q), PSU(m+1,q),
+# PSp(2m,q), Omega(2m+1,q), O+-(2m,q).  Lower ranks are refused.
+RANK_FLOOR = {"PSL": 1, "PSU": 2, "PSp": 3, "OmegaOdd": 2, "OPlus": 4, "OMinus": 4}
+CLASSICAL_FAMILIES = tuple(RANK_FLOOR)
 EXCEPTIONAL_FAMILIES = (
     "G2", "F4", "E6", "E7", "E8", "TwistedE6", "TriD4",
     "Suzuki", "Ree", "TwistedF4",
@@ -93,13 +96,6 @@ class GroupId:
                 raise ValueError(f"{self.family} needs a field size q")
             _check_lie_point(self.family, self.m, self.q)
 
-    @property
-    def label(self) -> str:
-        return group_label(self)
-
-    def __str__(self) -> str:
-        return self.label
-
 
 def _check_lie_point(family: str, m: int | None, q: PrimePower) -> None:
     """Reject parameters that do not name a finite simple group."""
@@ -107,27 +103,14 @@ def _check_lie_point(family: str, m: int | None, q: PrimePower) -> None:
     if family in CLASSICAL_FAMILIES:
         if m is None:
             raise ValueError(f"{family} needs a rank parameter m")
-        if family == "PSL":
-            if m < 1:
-                raise ValueError("PSL needs m >= 1")
-            if m == 1 and qv < 4:
-                raise ValueError(f"PSL(2,{qv}) is not simple")
-        elif family == "PSU":
-            if m < 2:
-                raise ValueError("PSU needs m >= 2")
-            if m == 2 and qv == 2:
-                raise ValueError("PSU(3,2) is not simple")
-        elif family == "PSp":
-            if m < 3:
-                raise ValueError("PSp needs m >= 3")
-        elif family == "OmegaOdd":
-            if m < 2:
-                raise ValueError("OmegaOdd needs m >= 2")
-            if q.p == 2:
-                raise ValueError("Omega(2m+1, q) requires odd q")
-        else:  # OPlus / OMinus
-            if m < 4:
-                raise ValueError(f"{family} needs m >= 4")
+        if m < RANK_FLOOR[family]:
+            raise ValueError(f"{family} needs m >= {RANK_FLOOR[family]}")
+        if family == "PSL" and m == 1 and qv < 4:
+            raise ValueError(f"PSL(2,{qv}) is not simple")
+        if family == "PSU" and m == 2 and qv == 2:
+            raise ValueError("PSU(3,2) is not simple")
+        if family == "OmegaOdd" and q.p == 2:
+            raise ValueError("Omega(2m+1, q) requires odd q")
     else:
         if m is not None:
             raise ValueError(f"{family} takes no rank parameter")
@@ -220,59 +203,54 @@ def group_order(g: GroupId) -> int:
         return 6048  # index 2 in G2(2) of order 12096
     q = g.q.q  # type: ignore[union-attr]
     m = g.m
+    num = q ** q_part_exponent(g)
     if g.family == "PSL":
-        num = q ** (m * (m + 1) // 2)
         for i in range(2, m + 2):
             num *= q ** i - 1
         return num // gcd(m + 1, q - 1)
     if g.family == "PSU":
-        num = q ** (m * (m + 1) // 2)
         for i in range(2, m + 2):
             num *= q ** i - (-1) ** i
         return num // gcd(m + 1, q + 1)
     if g.family in ("PSp", "OmegaOdd"):
-        num = q ** (m * m)
         for i in range(1, m + 1):
             num *= q ** (2 * i) - 1
         return num // gcd(2, q - 1)
     if g.family in ("OPlus", "OMinus"):
         sign = 1 if g.family == "OPlus" else -1
         half = q ** m - sign
-        num = q ** (m * (m - 1)) * half
+        num *= half
         for i in range(1, m):
             num *= q ** (2 * i) - 1
         return num // gcd(4, half)
     if g.family == "G2":
-        return q ** 6 * (q ** 6 - 1) * (q ** 2 - 1)
+        return num * (q ** 6 - 1) * (q ** 2 - 1)
     if g.family == "F4":
-        return q ** 24 * (q ** 12 - 1) * (q ** 8 - 1) * (q ** 6 - 1) * (q ** 2 - 1)
+        return num * (q ** 12 - 1) * (q ** 8 - 1) * (q ** 6 - 1) * (q ** 2 - 1)
     if g.family == "E6":
-        num = q ** 36
         for i in (12, 9, 8, 6, 5, 2):
             num *= q ** i - 1
         return num // gcd(3, q - 1)
     if g.family == "E7":
-        num = q ** 63
         for i in (18, 14, 12, 10, 8, 6, 2):
             num *= q ** i - 1
         return num // gcd(2, q - 1)
     if g.family == "E8":
-        num = q ** 120
         for i in (30, 24, 20, 18, 14, 12, 8, 2):
             num *= q ** i - 1
         return num
     if g.family == "TwistedE6":
-        num = q ** 36 * (q ** 12 - 1) * (q ** 9 + 1) * (q ** 8 - 1)
+        num *= (q ** 12 - 1) * (q ** 9 + 1) * (q ** 8 - 1)
         num *= (q ** 6 - 1) * (q ** 5 + 1) * (q ** 2 - 1)
         return num // gcd(3, q + 1)
     if g.family == "TriD4":
-        return q ** 12 * (q ** 8 + q ** 4 + 1) * (q ** 6 - 1) * (q ** 2 - 1)
+        return num * (q ** 8 + q ** 4 + 1) * (q ** 6 - 1) * (q ** 2 - 1)
     if g.family == "Suzuki":
-        return q ** 2 * (q ** 2 + 1) * (q - 1)
+        return num * (q ** 2 + 1) * (q - 1)
     if g.family == "Ree":
-        return q ** 3 * (q ** 3 + 1) * (q - 1)
+        return num * (q ** 3 + 1) * (q - 1)
     if g.family == "TwistedF4":
-        return q ** 12 * (q ** 6 + 1) * (q ** 4 - 1) * (q ** 3 + 1) * (q - 1)
+        return num * (q ** 6 + 1) * (q ** 4 - 1) * (q ** 3 + 1) * (q - 1)
     raise AssertionError(f"unhandled family {g.family}")
 
 
@@ -289,7 +267,7 @@ def q_part_exponent(g: GroupId) -> int:
     order divides one of them, so the p-part of the order is exactly the
     q-power prefix of the product formula.
     """
-    if g.family in ("Alternating", "Sporadic", "G2Prime2"):
+    if g.q is None:
         raise ValueError(f"{g.family} has no q-part exponent")
     m = g.m
     if g.family in ("PSL", "PSU"):
@@ -328,34 +306,21 @@ _EXCEPTIONAL_BOUND_POLY = {
 }
 
 
-@dataclass(frozen=True)
-class ClassNumberBound:
-    """An exact upper bound for the number of conjugacy classes."""
-
-    value: Fraction
-    formula: str
-    exact: bool  # True when the value is the known class count itself
-
-
-def class_number_bound(g: GroupId) -> ClassNumberBound:
+def class_number_bound(g: GroupId) -> Fraction:
     if g.family == "Alternating":
         raise ValueError("alternating groups are not bounded here")
     if g.family == "Sporadic":
-        count = _catalog().sporadic[g.name].class_count  # type: ignore[index]
-        return ClassNumberBound(Fraction(count), "exact class count", True)
+        return Fraction(_catalog().sporadic[g.name].class_count)  # type: ignore[index]
     if g.family == "G2Prime2":
-        # swept with the G2 bound evaluated at q = 2
-        return ClassNumberBound(Fraction(17), "q^2+2q+9 at q=2", False)
-    q = g.q.q  # type: ignore[union-attr]
-    if g.family in _CLASSICAL_BOUND_CONSTANT:
-        c = _CLASSICAL_BOUND_CONSTANT[g.family]
-        return ClassNumberBound(c * q ** g.m, f"{c}*q^m", False)
-    coeffs = _EXCEPTIONAL_BOUND_POLY[g.family]
+        family, q = "G2", 2  # swept with the G2 bound evaluated at q = 2
+    else:
+        family, q = g.family, g.q.q  # type: ignore[union-attr]
+    if family in _CLASSICAL_BOUND_CONSTANT:
+        return _CLASSICAL_BOUND_CONSTANT[family] * q ** g.m
     value = 0
-    for c in coeffs:
+    for c in _EXCEPTIONAL_BOUND_POLY[family]:
         value = value * q + c
-    degree = len(coeffs) - 1
-    return ClassNumberBound(Fraction(value), f"degree-{degree} polynomial in q", False)
+    return Fraction(value)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +379,8 @@ def data_path() -> Path:
 
 
 class DataFileError(ValueError):
-    """A degree data file that cannot be read or parsed.
+    """A degree data file that cannot be read or parsed, or that lacks a
+    record a run needs.
 
     The message is "<path>:<line>: <problem>", or "<path>: <problem>"
     when the problem belongs to no one line.
@@ -510,13 +476,11 @@ def sporadic_entries() -> list[SporadicEntry]:
 
 
 def degree_record(label: str) -> DegreeRecord:
-    cat = _catalog()
+    path = data_path()
     try:
-        return cat.degrees[label]
+        return _catalog_cached(str(path)).degrees[label]
     except KeyError:
-        raise KeyError(
-            f"no degree record for {label!r}; available: {sorted(cat.degrees)}"
-        ) from None
+        raise DataFileError(f"{path}: no degree data for {label}") from None
 
 
 def simple_codegree_set(g: GroupId) -> CodegreeSet:

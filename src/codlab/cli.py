@@ -1,8 +1,10 @@
 """codlab command line.
 
 Subcommands: cod, min-cod, search, schur, check-subset.  Exit codes are
-a stable contract: 0 success / verification PASS, 2 usage error or
-unreadable data file, 3 mathematical verification failure.
+a stable contract: 0 success / verification PASS, 2 usage error or a
+data file that is unreadable or lacks a record the run needs, 3
+mathematical verification failure.  Exit 1 means stdout was closed
+before all output was written (for example by `| head`).
 
 All arithmetic is exact, so json and csv output carry group orders,
 codegrees, ratios and witnesses as decimal strings; small structural
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 
@@ -143,14 +146,9 @@ def _row_json(r: ExceptionRow) -> dict:
 
 
 def _check_json(c: SubsetCheck) -> dict:
-    return {
-        "label": c.label,
-        "n": c.n,
-        "verdict": c.verdict,
+    return asdict(c) | {
         "witness": None if c.witness is None else str(c.witness),
         "h_order": str(c.h_order),
-        "h_cod_size": c.h_cod_size,
-        "a_cod_size": c.a_cod_size,
     }
 
 
@@ -354,10 +352,7 @@ def cmd_check_subset(args: argparse.Namespace) -> int:
         return _fail_usage(f"{group_label(g)} exceeds --max-n {args.max_n}")
     if not 5 <= args.n <= args.max_n:
         return _fail_usage(f"n must be in [5, {args.max_n}], got {args.n}")
-    try:
-        result = check_subset(g, args.n)
-    except KeyError as exc:
-        return _fail_usage(f"no degree data for {group_label(g)}: {exc}")
+    result = check_subset(g, args.n)
     if args.format == "json":
         _emit_json({"command": "check-subset", **_check_json(result)})
     elif args.format == "csv":
@@ -368,7 +363,7 @@ def cmd_check_subset(args: argparse.Namespace) -> int:
         print("\n".join(_check_lines((result,))))
         print(f"|{result.label}| = {_big(result.h_order)}")
         print(f"codegree set sizes: {result.h_cod_size} vs {result.a_cod_size}")
-    return 3 if result.verdict == "subset_holds" else 0
+    return _alarm_exit((result,))
 
 
 # ---------------------------------------------------------------------------
@@ -430,9 +425,16 @@ def main(argv: list[str] | None = None) -> int:
     if args.threads < 1:
         return _fail_usage(f"--threads must be >= 1, got {args.threads}")
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except DataFileError as exc:
         return _fail_usage(str(exc))
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point stdout at devnull so the
+        # interpreter's final flush of what is still buffered stays silent.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

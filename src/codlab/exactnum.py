@@ -50,9 +50,6 @@ class PrimePower:
     def q(self) -> int:
         return self.p ** self.k
 
-    def __str__(self) -> str:
-        return str(self.q)
-
 
 def factorial(n: int) -> int:
     if n < 0:

@@ -29,6 +29,7 @@ from .alt_codegrees import alt_codegree_set, verify_min_codegree_monotone
 from .catalog import (
     CLASSICAL_FAMILIES,
     EXCEPTIONAL_FAMILIES,
+    RANK_FLOOR,
     TWISTED_ODD_POWER,
     GroupId,
     PrimePower,
@@ -36,6 +37,7 @@ from .catalog import (
     group_label,
     group_order,
     lie,
+    parse_group_label,
     q_part_exponent,
     simple_codegree_set,
     sporadic,
@@ -46,8 +48,7 @@ from .exactnum import factorial, is_prime
 
 HARD_N_CAP = 200
 _SCAN_AHEAD = 12
-
-_FAMILY_M_MIN = {"PSL": 1, "PSU": 2, "PSp": 3, "OmegaOdd": 2, "OPlus": 4, "OMinus": 4}
+_MONOTONE_RANGE = (5, 30)
 
 # Fixed per-family floors for the enumeration box (m, p, k).  The sweep
 # never examines less than this box even if the derived edges are
@@ -137,7 +138,7 @@ class SubsetCheck:
 
 def n_min(g: GroupId) -> int:
     """Legendre lower bound for |H| dividing n!/2; 5 for non-Lie tags."""
-    if g.family in ("Alternating", "Sporadic", "G2Prime2"):
+    if g.q is None:
         return 5
     e = q_part_exponent(g)
     return e * g.q.k * (g.q.p - 1)  # type: ignore[union-attr]
@@ -145,7 +146,7 @@ def n_min(g: GroupId) -> int:
 
 def _class_number_limit(g: GroupId, order: int) -> int:
     """ceil(|H| * k-bound): n!/2 < |H| * k-bound iff n!/2 < this limit."""
-    bound = class_number_bound(g).value
+    bound = class_number_bound(g)
     return -(-order * bound.numerator // bound.denominator)
 
 
@@ -215,8 +216,6 @@ def _primes() -> Iterator[int]:
 
 def _min_legal_k(family: str, m: int | None, p: int) -> int | None:
     """Smallest k making (family, m, p^k) a simple group, if any."""
-    if family in TWISTED_ODD_POWER:
-        return 3  # q = p^3 is the smallest odd power with a >= 1
     for k in range(1, 5):
         try:
             lie(family, PrimePower(p, k), m=m)
@@ -280,7 +279,7 @@ def derive_family_bounds(family: str) -> FamilyBounds:
         m = None
         m_max: int | None = None
     else:
-        m_lo = _FAMILY_M_MIN[family]
+        m_lo = RANK_FLOOR[family]
 
         def feas_m(mm: int) -> bool | None:
             for p in (2, 3, 5):
@@ -304,12 +303,12 @@ def derive_family_bounds(family: str) -> FamilyBounds:
         return _feasible(lie(family, PrimePower(p, k), m=m))
 
     p_max, _ = _scan_last_feasible(_primes(), feas_p, f"{family} p-scan")
-    p_lo = 3 if family == "OmegaOdd" else 2
-    k_lo = _min_legal_k(family, m, p_lo)
+    p_lo, k_lo = next(
+        (p, k) for p in _primes() if (k := _min_legal_k(family, m, p)) is not None
+    )
     if p_max is None:
         notes.append(f"inequality already fails at (p,k)=({p_lo},{k_lo})")
         return FamilyBounds(family, m_max, None, None, tuple(notes))
-    assert k_lo is not None
 
     def feas_k(k: int) -> bool:
         return _feasible(lie(family, PrimePower(p_lo, k), m=m))
@@ -324,16 +323,11 @@ def derive_family_bounds(family: str) -> FamilyBounds:
 def _sweep_points(family: str, box: tuple[int, int, int]) -> Iterator[GroupId]:
     """All legal catalog points in the box; G2(2) swept as G2(2)'."""
     m_hi, p_hi, k_hi = box
-    p = TWISTED_ODD_POWER.get(family)
-    if p is not None:
-        for a in range(1, m_hi + 1):
-            yield lie(family, PrimePower(p, 2 * a + 1))
-        return
     m_values: list[int | None]
     if family in EXCEPTIONAL_FAMILIES:
         m_values = [None]
     else:
-        m_values = list(range(_FAMILY_M_MIN[family], m_hi + 1))
+        m_values = list(range(RANK_FLOOR[family], m_hi + 1))
     for m in m_values:
         for p in range(2, p_hi + 1):
             if not is_prime(p):
@@ -433,16 +427,8 @@ def check_subset(g: GroupId, n: int) -> SubsetCheck:
     )
 
 
-def _group_for_row(row: ExceptionRow) -> GroupId:
-    if row.family == "Sporadic":
-        return sporadic(row.label)
-    if row.family == "G2Prime2":
-        return GroupId("G2Prime2")
-    return lie(row.family, PrimePower(row.p, row.k), m=row.m)  # type: ignore[arg-type]
-
-
 def discharge_rows(rows: tuple[ExceptionRow, ...]) -> tuple[SubsetCheck, ...]:
-    return tuple(check_subset(_group_for_row(r), r.n) for r in rows)
+    return tuple(check_subset(parse_group_label(r.label), r.n) for r in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -595,9 +581,9 @@ def compare_with_golden(
     return (not diffs, tuple(diffs))
 
 
-def run_full_verification(monotone_hi: int = 30) -> VerificationReport:
+def run_full_verification() -> VerificationReport:
     """Reproduce every table and discharge every survivor."""
-    monotone_ok, _ = verify_min_codegree_monotone(5, monotone_hi)
+    monotone_ok, _ = verify_min_codegree_monotone(*_MONOTONE_RANGE)
     sporadic_rows = sweep_sporadic()
     family_reports = tuple(
         sweep_family(fam) for fam in CLASSICAL_FAMILIES + EXCEPTIONAL_FAMILIES
@@ -609,7 +595,7 @@ def run_full_verification(monotone_hi: int = 30) -> VerificationReport:
     golden_ok, golden_diffs = compare_with_golden(sporadic_rows, family_reports)
     return VerificationReport(
         monotone_ok=monotone_ok,
-        monotone_range=(5, monotone_hi),
+        monotone_range=_MONOTONE_RANGE,
         sporadic_rows=sporadic_rows,
         family_reports=family_reports,
         rows=rows,

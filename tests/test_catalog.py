@@ -7,6 +7,8 @@ prime factorizations, which is how those values are usually quoted.
 
 import json
 import math
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -16,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from codlab.catalog import (
     DataFileError,
     GroupId,
+    RANK_FLOOR,
     SPORADIC_LABELS,
     alternating,
     class_number_bound,
@@ -182,17 +185,31 @@ def test_rejects_non_simple_parameters(ctor):
         ctor()
 
 
+@pytest.mark.parametrize(
+    "family,q",
+    [("PSL", 4), ("PSU", 3), ("PSp", 2), ("OmegaOdd", 3), ("OPlus", 2), ("OMinus", 2)],
+)
+def test_rank_floor(family, q):
+    # one rank below the floor is refused; at the floor q is the smallest legal field
+    floor = RANK_FLOOR[family]
+    with pytest.raises(ValueError, match=f"{family} needs m >= {floor}"):
+        lie(family, prime_power(q), m=floor - 1)
+    assert lie(family, prime_power(q), m=floor).m == floor
+    for smaller in range(2, q):
+        with pytest.raises(ValueError):
+            lie(family, prime_power(smaller), m=floor)
+
+
 def test_class_number_bounds():
     # sporadic: exact class counts
-    assert class_number_bound(sporadic("J2")).value == 21
-    assert class_number_bound(sporadic("M")).value == 194
-    assert class_number_bound(sporadic("J2")).exact
+    assert class_number_bound(sporadic("J2")) == 21
+    assert class_number_bound(sporadic("M")) == 194
     # G2(2)' has 17 classes, polynomial value at q=2
-    assert class_number_bound(GroupId("G2Prime2")).value == 17
+    assert class_number_bound(GroupId("G2Prime2")) == 17
     # classical bounds are the published constants times q^m
-    assert class_number_bound(parse_group_label("PSL(2,4)")).value == 10
-    assert class_number_bound(parse_group_label("PSU(3,3)")).value * 50 == 413 * 9
-    assert class_number_bound(parse_group_label("Omega(5,3)")).value * 10 == 73 * 9
+    assert class_number_bound(parse_group_label("PSL(2,4)")) == 10
+    assert class_number_bound(parse_group_label("PSU(3,3)")) * 50 == 413 * 9
+    assert class_number_bound(parse_group_label("Omega(5,3)")) * 10 == 73 * 9
 
 
 def test_bounds_dominate_actual_class_counts():
@@ -202,7 +219,7 @@ def test_bounds_dominate_actual_class_counts():
                   "PSL(2,9)", "PSL(3,4)", "PSL(4,2)", "PSU(3,3)",
                   "Omega(5,3)"):
         rec = degree_record(label)
-        bound = class_number_bound(parse_group_label(label)).value
+        bound = class_number_bound(parse_group_label(label))
         assert len(rec.degrees) <= bound
 
 
@@ -215,7 +232,7 @@ def test_degree_records_sum_of_squares():
 def test_degree_record_aliases():
     assert degree_record("PSU(4,2)") is degree_record("Omega(5,3)")
     assert degree_record("G2(2)'") is degree_record("PSU(3,3)")
-    with pytest.raises(KeyError):
+    with pytest.raises(DataFileError, match="no degree data for M11"):
         degree_record("M11")  # sporadic order table only, no degrees
 
 
@@ -258,6 +275,17 @@ def test_data_path_override(tmp_path, monkeypatch):
     monkeypatch.setenv("CODLAB_DATA", str(copy))
     assert data_path() == copy
     assert degree_record("J2").order == 604800
+
+
+def test_build_tool_rebuilds_shipped_data_file(tmp_path):
+    # the tool checks every order against group_order before it writes
+    root = Path(__file__).resolve().parent.parent
+    out = tmp_path / "groups_v1.jsonl"
+    subprocess.run(
+        [sys.executable, str(root / "tools" / "build_data_file.py"), str(out)],
+        check=True, capture_output=True,
+    )
+    assert out.read_bytes() == (root / "src" / "codlab" / "data" / "groups_v1.jsonl").read_bytes()
 
 
 _DATA_LINES = data_path().read_text(encoding="utf-8").splitlines()

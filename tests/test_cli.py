@@ -238,28 +238,64 @@ def _drop_label(line):
     return json.dumps(rec)
 
 
+def _on_j2(edit):
+    """Apply edit to line 6, the sporadic J2 record."""
+    def apply(lines):
+        assert '"label": "J2"' in lines[5]
+        return lines[:5] + [edit(lines[5])] + lines[6:]
+    return apply
+
+
+def _without_degrees(label):
+    """Drop the degree record of label."""
+    def apply(lines):
+        kept = [ln for ln in lines
+                if f'"record": "degrees", "label": "{label}"' not in ln]
+        assert len(kept) == len(lines) - 1
+        return kept
+    return apply
+
+
 @pytest.mark.parametrize(
-    "edit,problem",
+    "edit,argv,problem",
     [
-        (None, ": No such file or directory"),
-        (lambda line: "{not json", ":6: not JSON: "),
-        (_drop_label, ":6: record has no 'label' field"),
+        (None, ("check-subset", "J2", "10"), ": No such file or directory"),
+        (_on_j2(lambda line: "{not json"), ("check-subset", "J2", "10"), ":6: not JSON: "),
+        (_on_j2(_drop_label), ("check-subset", "J2", "10"),
+         ":6: record has no 'label' field"),
+        (_without_degrees("2.A9"), ("search", "all"), ": no degree data for 2.A9"),
+        (_without_degrees("2.A9"), ("schur",), ": no degree data for 2.A9"),
+        (_without_degrees("J2"), ("search", "all"), ": no degree data for J2"),
+        (_without_degrees("J2"), ("search", "sporadic"), ": no degree data for J2"),
+        (_without_degrees("J2"), ("check-subset", "J2", "10"), ": no degree data for J2"),
     ],
-    ids=["missing-file", "non-json-line", "record-without-label"],
+    ids=["missing-file", "non-json-line", "record-without-label",
+         "no-2a9-search-all", "no-2a9-schur", "no-j2-search-all",
+         "no-j2-search-sporadic", "no-j2-check-subset"],
 )
-def test_bad_data_file_exits_2(tmp_path, monkeypatch, capsys, edit, problem):
-    # line 6 is the sporadic J2 record
+def test_bad_data_file_exits_2(tmp_path, monkeypatch, capsys, edit, argv, problem):
     target = tmp_path / "data.jsonl"
     if edit is not None:
-        lines = data_path().read_text("utf-8").splitlines()
-        assert '"label": "J2"' in lines[5]
-        lines[5] = edit(lines[5])
+        lines = edit(data_path().read_text("utf-8").splitlines())
         target.write_text("\n".join(lines) + "\n", "utf-8")
     monkeypatch.setenv("CODLAB_DATA", str(target))
-    code, out, err = run_cli(capsys, "check-subset", "J2", "10")
+    code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith(f"error: {target}{problem}")
     assert err.count("\n") == 1
+
+
+def test_closed_stdout_is_silent():
+    # the reader stops after one line; the writer must not print a traceback
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "codlab.cli", "cod", "40"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline().startswith(b"cod(A40)")
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 1
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def test_console_script_installed():

@@ -15,6 +15,7 @@ from codlab.alt_codegrees import alt_codegree_set
 from codlab.catalog import (
     CLASSICAL_FAMILIES,
     EXCEPTIONAL_FAMILIES,
+    DataFileError,
     GroupId,
     class_number_bound,
     group_order,
@@ -116,7 +117,7 @@ def test_candidate_range_cutoff_is_tight():
                   "Omega(5,3)", "J2"):
         g = parse_group_label(label)
         last = candidate_n_range(g)[-1]
-        bound = class_number_bound(g).value
+        bound = class_number_bound(g)
         lhs = math.factorial(last + 1) // 2
         assert lhs * bound.denominator >= group_order(g) * bound.numerator
 
@@ -131,7 +132,7 @@ def test_candidate_range_hard_cap_is_loud():
 
 def oracle_feasible(g):
     """The sieve inequality with n!/2 computed in full."""
-    bound = class_number_bound(g).value
+    bound = class_number_bound(g)
     half = math.factorial(max(5, n_min(g))) // 2
     return half * bound.denominator < group_order(g) * bound.numerator
 
@@ -139,7 +140,7 @@ def oracle_feasible(g):
 def oracle_candidate_n_range(g):
     """candidate_n_range by walking n! up from max(5, n_min) in full."""
     order = group_order(g)
-    bound = class_number_bound(g).value
+    bound = class_number_bound(g)
     n = max(5, n_min(g))
     out = []
     while (half := math.factorial(n) // 2) * bound.denominator < order * bound.numerator:
@@ -154,13 +155,19 @@ def test_sieve_matches_full_factorial_oracle():
     # every enumerated sweep point plus the sporadic and Tits groups
     points = [sporadic(entry.label) for entry in sporadic_entries()]
     assert len(points) == 27
+    examined = {}
     for family in CLASSICAL_FAMILIES + EXCEPTIONAL_FAMILIES:
         rep = sweep_family(family)
+        examined[family] = rep.points_examined
         if rep.box is None:
             continue
         box_points = list(_sweep_points(family, rep.box))
         assert len(box_points) == rep.points_examined
         points.extend(box_points)
+    assert {f: c for f, c in examined.items() if c} == {
+        "PSL": 2644, "PSU": 839, "PSp": 4, "OmegaOdd": 1, "OPlus": 1,
+        "OMinus": 12, "G2": 2, "TriD4": 1, "Suzuki": 4,
+    }
     assert len(points) == 27 + 3508
     assert max(n_min(g) for g in points) == 21168  # PSL(7,17^63)
     feasible = 0
@@ -401,7 +408,7 @@ def test_row_arithmetic_exact(family):
         order = group_order(g)
         half = math.factorial(row.n) // 2
         assert order * row.ratio == half
-        bound = class_number_bound(g).value
+        bound = class_number_bound(g)
         assert half * bound.denominator < order * bound.numerator
 
 
@@ -416,5 +423,5 @@ def test_missing_degree_record_is_loud(tmp_path, monkeypatch):
     target = tmp_path / "no2a9.jsonl"
     target.write_text("\n".join(pruned) + "\n", "utf-8")
     monkeypatch.setenv("CODLAB_DATA", str(target))
-    with pytest.raises(KeyError, match="2.A9"):
+    with pytest.raises(DataFileError, match="2.A9"):
         twisted_codegree_set_2a9()

@@ -1,5 +1,9 @@
 """Assemble src/codlab/data/groups_v1.jsonl.
 
+Usage: python tools/build_data_file.py [OUTPUT]
+
+OUTPUT defaults to the packaged file.
+
 Every record is validated before it is written: degree lists must pass
 the sum-of-squares identity against the group order (or against
 |2.A9| - |A9| for the faithful-only record), and orders are
@@ -152,7 +156,7 @@ def degree_row(label: str, degrees: list[int], provenance: str,
     return row
 
 
-def main() -> None:
+def main(out: Path = OUT) -> None:
     rows: list[dict] = [{"format": "codlab-groups", "version": 1}]
     for label, (order, classes) in SPORADIC.items():
         rows.append({
@@ -188,11 +192,11 @@ def main() -> None:
         faithful_only=True, order=2 * math.factorial(9) // 2,
     ))
 
-    with open(OUT, "w", encoding="utf-8") as fh:
+    with open(out, "w", encoding="utf-8") as fh:
         for row in rows:
             fh.write(json.dumps(row, separators=(", ", ": ")) + "\n")
-    print(f"wrote {OUT} ({len(rows)} lines)")
+    print(f"wrote {out} ({len(rows)} lines)")
 
 
 if __name__ == "__main__":
-    main()
+    main(Path(sys.argv[1]) if len(sys.argv) > 1 else OUT)
