@@ -22,6 +22,14 @@ the shape outside the Durfee square on that side (x is its beta set).
 lam_i = a_i + i for i <= d, so lam compares with lam' as a compares
 with b, and the lex-smaller member of a pair with a >= b is (b | a).
 No conjugate is formed and no shape's hooks are walked one by one.
+
+A pair splits into a light run b of sum t <= (n - d)/2 and a heavy run
+a of sum n - d - t.  Neither the runs of a given (d, sum) nor the factor
+table g(x) = prod_j (x + b_j + 1) of a light run depends on n, so one
+walk covers a whole range n_lo..n_hi in the order d, t, n: each light
+table is built once per (d, t) at its widest, for n_hi, and each heavy
+run list once per (d, sum), dropped once no later t needs it.  A single
+n is the range (n, n).  Nothing is cached beyond one walk.
 """
 
 from __future__ import annotations
@@ -107,60 +115,77 @@ def _runs(d: int, total: int, fact: list[int]) -> Iterator[tuple[Run, int]]:
     return extend((), 1, d, total)
 
 
-def _frobenius_pairs(n: int) -> Iterator[tuple[Run, Run, bool, int, int]]:
-    """(arms, legs, split, dim, codegree) once per unordered conjugate pair.
+def _frobenius_pairs(n_lo: int, n_hi: int) -> Iterator[tuple[int, Run, Run, bool, int, int]]:
+    """(n, arms, legs, split, dim, codegree) once per unordered conjugate
+    pair of partitions of n, for every n in n_lo..n_hi.
 
     (arms | legs) is the lex-larger member, so arms >= legs and equality
-    means self-conjugate.  The trivial pair (n) = (n-1 | 0) comes first
-    with codegree 1; the rest follow by Durfee size d.  Per d and light
-    sum t <= (n - d)/2 the runs of sum t are held in a list, each with
-    its table g(x) = prod_j (x + b_j + 1), and the runs of the heavy sum
-    n - d - t are streamed past them, so a pair costs d multiplications.
+    means self-conjugate.  The trivial pairs (n) = (n-1 | 0) come first
+    with codegree 1; the rest follow in the order Durfee size d, light
+    sum t, n.  Per (d, t) the runs of sum t are held in a list, each with
+    its table g(x) = prod_j (x + b_j + 1) wide enough for n_hi, and for
+    each n with t <= (n - d)/2 the runs of the heavy sum n - d - t are
+    met against them, so a pair costs d multiplications.  A heavy run
+    list is built when some n first needs it and dropped after the last
+    t that does, so each list and each table is built once per call.
     Every shape passes the exact checks: H | n!, an even dimension when
     self-conjugate, an even H otherwise.
     """
-    if n < 5:
-        raise ValueError(f"n must be >= 5, got {n}")
-    n_factorial = factorial(n)
-    fact = [1] * n
-    for i in range(2, n):
+    if n_lo < 5:
+        raise ValueError(f"n must be >= 5, got {n_lo}")
+    if n_lo > n_hi:
+        raise ValueError(f"need n_lo <= n_hi, got ({n_lo}, {n_hi})")
+    fact = [1] * (n_hi + 1)
+    for i in range(2, n_hi + 1):
         fact[i] = fact[i - 1] * i
-    yield (n - 1,), (0,), False, 1, 1
-    for d in range(1, isqrt(n) + 1):
-        free = n - d
+    for n in range(n_lo, n_hi + 1):
+        yield n, (n - 1,), (0,), False, 1, 1
+    for d in range(1, isqrt(n_hi) + 1):
         least = d * (d - 1) // 2  # smallest sum of a run of length d
+        heavy: dict[int, list[tuple[Run, int]]] = {}
         # at d = 1 the light sum t = 0 is the trivial pair, already met
-        for t in range(least if d > 1 else 1, free // 2 + 1):
-            top = free - t - (d - 1) * (d - 2) // 2  # largest first element of a heavy run
+        for t in range(least if d > 1 else 1, (n_hi - d) // 2 + 1):
+            top = n_hi - d - t - (d - 1) * (d - 2) // 2  # largest first element of a heavy run
             light = []
-            for b, hb in _runs(d, t, fact):
+            # the runs of sum t, last needed as heavy runs at t - 1
+            for b, hb in heavy.pop(t, None) or _runs(d, t, fact):
                 # g[x] = prod_j (x + b_j + 1) for every x a heavy run can hold
                 g = list(range(b[0] + 1, b[0] + top + 2))
                 for y in b[1:]:
                     g = [v * (x + y + 1) for x, v in enumerate(g)]
                 light.append((b, hb, g))
-            middle = 2 * t == free
-            heavy = [(b, hb) for b, hb, _ in light] if middle else _runs(d, free - t, fact)
-            for i, (a, ha) in enumerate(heavy):
-                for b, hb, g in light[i:] if middle else light:
-                    hp = ha * hb
-                    for x in a:
-                        hp *= g[x]
-                    dim = _degree(n, n_factorial, hp)
-                    if a == b:
-                        if dim & 1:
+            for n in range(max(n_lo, d + 2 * t), n_hi + 1):
+                n_factorial = fact[n]
+                s = n - d - t
+                middle = s == t
+                if middle:
+                    runs = [(b, hb) for b, hb, _ in light]
+                else:
+                    runs = heavy.get(s)
+                    if runs is None:
+                        runs = heavy[s] = list(_runs(d, s, fact))
+                for i, (a, ha) in enumerate(runs):
+                    for b, hb, g in light[i:] if middle else light:
+                        hp = ha * hb
+                        for x in a:
+                            hp *= g[x]
+                        dim = _degree(n, n_factorial, hp)
+                        if a == b:
+                            if dim & 1:
+                                raise ArithmeticError(
+                                    f"self-conjugate ({a} | {a}) has odd dimension {dim}"
+                                )
+                            yield n, a, a, True, dim >> 1, hp
+                        elif hp & 1:
                             raise ArithmeticError(
-                                f"self-conjugate ({a} | {a}) has odd dimension {dim}"
+                                f"non-self-conjugate ({a} | {b}) has odd hook product"
                             )
-                        yield a, a, True, dim >> 1, hp
-                    elif hp & 1:
-                        raise ArithmeticError(
-                            f"non-self-conjugate ({a} | {b}) has odd hook product"
-                        )
-                    elif a > b:
-                        yield a, b, False, dim, hp >> 1
-                    else:
-                        yield b, a, False, dim, hp >> 1
+                        elif a > b:
+                            yield n, a, b, False, dim, hp >> 1
+                        else:
+                            yield n, b, a, False, dim, hp >> 1
+            # no later t needs the heavy sum n_hi - d - t
+            heavy.pop(n_hi - d - t, None)
 
 
 def _shape(arms: Run, legs: Run) -> Partition:
@@ -179,7 +204,7 @@ def alt_irr_entries(n: int) -> Iterator[AltIrrEntry]:
     contract.  The trivial shape (n) (paired with the sign shape
     (1,...,1)) is the trivial A_n-character and gets codegree 1.
     """
-    for arms, legs, split, dim, codegree in _frobenius_pairs(n):
+    for _, arms, legs, split, dim, codegree in _frobenius_pairs(n, n):
         yield AltIrrEntry(_shape(legs, arms), split, dim, codegree)
 
 
@@ -196,7 +221,7 @@ def alt_codegree_set(n: int) -> CodegreeSet:
     half = factorial(n) // 2
     values = {1}
     total = 0
-    for arms, legs, split, dim, codegree in _frobenius_pairs(n):
+    for _, arms, legs, split, dim, codegree in _frobenius_pairs(n, n):
         total += 2 * dim * dim if split else dim * dim
         if codegree != 1:
             if codegree * dim != half:
@@ -209,17 +234,23 @@ def alt_codegree_set(n: int) -> CodegreeSet:
 
 def min_nontrivial_codegree(n: int) -> int:
     """Smallest codegree above 1, i.e. (n!/2) / (largest non-trivial degree)."""
-    return min(c for _, _, _, _, c in _frobenius_pairs(n) if c != 1)
+    return min(c for _, _, _, _, _, c in _frobenius_pairs(n, n) if c != 1)
 
 
 def verify_min_codegree_monotone(n_lo: int, n_hi: int) -> tuple[bool, list[tuple[int, int]]]:
     """Check a_{n-1} < a_n for every n in (n_lo, n_hi]; returns witnesses.
 
     The witness list holds (n, a_n) for n_lo..n_hi so a failure can be
-    localised without rerunning.
+    localised without rerunning.  One walk over n_lo..n_hi keeps a
+    running minimum per n.
     """
     if not (5 <= n_lo <= n_hi):
         raise ValueError(f"need 5 <= n_lo <= n_hi, got ({n_lo}, {n_hi})")
-    witness = [(n, min_nontrivial_codegree(n)) for n in range(n_lo, n_hi + 1)]
+    least = [0] * (n_hi - n_lo + 1)  # 0 until a non-trivial codegree is met
+    for n, _, _, _, _, c in _frobenius_pairs(n_lo, n_hi):
+        i = n - n_lo
+        if c != 1 and (not least[i] or c < least[i]):
+            least[i] = c
+    witness = list(zip(range(n_lo, n_hi + 1), least))
     ok = all(prev[1] < cur[1] for prev, cur in zip(witness, witness[1:]))
     return ok, witness

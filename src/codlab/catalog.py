@@ -28,7 +28,7 @@ from math import gcd
 from pathlib import Path
 
 from .alt_codegrees import CodegreeSet, alt_codegree_set
-from .exactnum import PrimePower, factor, factorial
+from .exactnum import PrimePower, exact_root, factorial, is_prime
 
 # Smallest rank m of each classical family: PSL(m+1,q), PSU(m+1,q),
 # PSp(2m,q), Omega(2m+1,q), O+-(2m,q).  Lower ranks are refused.
@@ -137,12 +137,27 @@ def lie(family: str, q: PrimePower, m: int | None = None) -> GroupId:
 
 
 def prime_power(q: int) -> PrimePower:
-    """Factor an integer into a PrimePower or reject it."""
-    fac = factor(q)
-    if len(fac) != 1:
+    """Write q as p**k with p prime, or reject it (ValueError).
+
+    Powers of two are read off the bit length.  An odd q is reduced by
+    exact prime roots while it has one, and what remains must be prime,
+    so no factorisation is needed.  A q whose base is past the proven
+    primality range is refused in bounded time.
+    """
+    if q >= 2 and q & (q - 1) == 0:
+        return PrimePower(2, q.bit_length() - 1)
+    if q < 3 or q % 2 == 0:
         raise ValueError(f"{q} is not a prime power")
-    p, k = fac[0]
-    return PrimePower(p, k)
+    base, k, e = q, 2, 1
+    while k < base.bit_length():  # an odd k-th root is >= 3, so k < log2(base)
+        root = exact_root(base, k) if is_prime(k) else None
+        if root is None:
+            k += 1
+        else:
+            base, e = root, e * k
+    if not is_prime(base):
+        raise ValueError(f"{q} is not a prime power")
+    return PrimePower(base, e)
 
 
 def group_label(g: GroupId) -> str:

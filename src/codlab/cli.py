@@ -49,6 +49,10 @@ from .search import (
 )
 
 DEFAULT_MAX_N = 40
+# Largest --max-n accepted.  cod(A_n) costs about twice as much for each
+# 5 added to n; at 60, `cod 60` takes about 7 s and `min-cod 5 60` about
+# 5 s on a 2-core VM, and far beyond it a request would run for hours.
+MAX_N_CEILING = 60
 
 _TARGETS = {f.lower(): f for f in LIE_FAMILIES} | {
     prefix.lower(): f for f, prefix in EXCEPTIONAL_PREFIX.items()
@@ -94,11 +98,13 @@ def cmd_cod(args: argparse.Namespace) -> int:
     else:
         print(f"cod({cs.group_label})    |{cs.group_label}| = {_big(cs.order)}")
         width = len(str(cs.values[-1]))
-        for v in cs.values:
-            if v == 1:
-                print(f"  {v:>{width}}")
-            else:
-                print(f"  {v:>{width}} = {format_factored(v)}")
+        # Not one joined string: a write longer than the pipe holds reports
+        # a short count once the reader is gone, and the rest would be lost
+        # with exit 0, while these buffer-sized writes raise BrokenPipeError.
+        sys.stdout.writelines(
+            f"  {v:>{width}}\n" if v == 1 else f"  {v:>{width}} = {format_factored(v)}\n"
+            for v in cs.values
+        )
         print(f"{len(cs.values)} values")
     return 0
 
@@ -385,7 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="accepted for compatibility; sweeps run serially, so "
                             "output bytes are identical for any value >= 1")
         p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N,
-                       help=f"largest accepted n (default {DEFAULT_MAX_N})")
+                       help=f"largest accepted n (default {DEFAULT_MAX_N}, "
+                            f"at most {MAX_N_CEILING})")
 
     p_cod = sub.add_parser("cod", help="codegree set of A_n")
     p_cod.add_argument("n", type=int)
@@ -424,6 +431,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.threads < 1:
         return _fail_usage(f"--threads must be >= 1, got {args.threads}")
+    if args.max_n > MAX_N_CEILING:
+        return _fail_usage(f"--max-n must be <= {MAX_N_CEILING}, got {args.max_n}")
     try:
         code = args.func(args)
         sys.stdout.flush()

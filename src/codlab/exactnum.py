@@ -13,24 +13,73 @@ from dataclasses import dataclass
 from math import factorial as _factorial, isqrt
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test.
+# Below this bound trial division needs at most 128 odd divisors, and
+# every characteristic the search meets lies below it.
+_TRIAL_DIVISION_BELOW = 1 << 16
 
-    The primes handled here are characteristics of finite fields and
-    never exceed a few thousand, so trial division is the honest tool.
+# Miller-Rabin to the first 13 prime bases is deterministic below this
+# bound (Sorenson and Webster, Math. Comp. 86 (2017), psi_13).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_PROVEN_BELOW = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic primality test for n < MR_PROVEN_BELOW.
+
+    Trial division below _TRIAL_DIVISION_BELOW, Miller-Rabin to the
+    bases proven for the whole range above it.  Larger n raise
+    ValueError: no answer is given that is not proven.
     """
-    if n < 2:
-        return False
-    if n < 4:
+    if n < _TRIAL_DIVISION_BELOW:
+        if n < 2:
+            return False
+        if n < 4:
+            return True
+        if n % 2 == 0:
+            return False
+        root = isqrt(n)
+        d = 3
+        while d <= root:
+            if n % d == 0:
+                return False
+            d += 2
         return True
+    if n >= MR_PROVEN_BELOW:
+        raise ValueError(
+            f"{n} is beyond the proven primality range (< {MR_PROVEN_BELOW})"
+        )
     if n % 2 == 0:
         return False
-    d = 3
-    while d <= isqrt(n):
-        if n % d == 0:
+    m = n - 1
+    s = (m & -m).bit_length() - 1  # n - 1 = odd * 2^s
+    odd = m >> s
+    for a in _MR_BASES:
+        x = pow(a, odd, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
+
+
+def exact_root(n: int, k: int) -> int | None:
+    """The r with r**k == n, or None; n >= 1 odd, k = 2 or k odd.
+
+    For odd k the map x -> x**k permutes the odd residues modulo 2^m,
+    so an odd root below 2^m is pow(n, k^-1 mod 2^(m-1), 2^m): one
+    modular power finds the only candidate and one exact power checks
+    it.  No floating point is used.
+    """
+    if k == 2:
+        r = isqrt(n)
+    else:
+        m = n.bit_length() // k + 1
+        r = pow(n, pow(k, -1, 1 << (m - 1)), 1 << m)
+    return r if r ** k == n else None
 
 
 @dataclass(frozen=True)
@@ -69,8 +118,14 @@ def factor(n: int) -> list[tuple[int, int]]:
     d = 3
     while d * d <= n:
         if n % d == 0:
-            e = 0
-            while n % d == 0:
+            # strip d two at a time, then the odd one left over, if any
+            n //= d
+            e = 1
+            dd = d * d
+            while n % dd == 0:
+                n //= dd
+                e += 2
+            if n % d == 0:
                 n //= d
                 e += 1
             out.append((d, e))

@@ -3,8 +3,8 @@
 Small, direct implementations of definitions the library never needs
 on its own: divisibility, p-adic valuations, Legendre's formula, single
 hook lengths, corner removal, the text form of a partition, partition
-counts, Frobenius coordinates, and the direct routes to the A_n entries
-and to the n!/2 sieve.  The tests check the library's fast paths
+counts, Frobenius coordinates, the direct routes to the A_n entries
+and to the n!/2 sieve, and factorisation one division at a time.  The tests check the library's fast paths
 against them.  Cells are 1-based (row, column) pairs.
 """
 
@@ -204,3 +204,24 @@ def half_factorial_below_stepwise(n: int, limit: int) -> int | None:
         if half >= limit:
             return None
     return half
+
+
+def factor_stepwise(n: int) -> list[tuple[int, int]]:
+    """Prime factorisation of n >= 1, dividing by each odd d once per step."""
+    out: list[tuple[int, int]] = []
+    e = (n & -n).bit_length() - 1
+    if e:
+        n >>= e
+        out.append((2, e))
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            out.append((d, e))
+        d += 2
+    if n > 1:
+        out.append((n, 1))
+    return out

@@ -13,9 +13,11 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import codlab.alt_codegrees as alt_codegrees
 from codlab.alt_codegrees import (
     AltIrrEntry,
     CodegreeSet,
+    _frobenius_pairs,
     alt_codegree_set,
     alt_degree_multiset,
     alt_irr_entries,
@@ -159,10 +161,68 @@ def test_a8_degrees_match_shipped_psl42_record():
 
 
 def test_min_codegree_memory_stays_streaming():
-    # heavy runs are streamed, not stored; the peak here is about 0.04 MB
+    # a heavy run list is held only while some light sum still needs it;
+    # the peak here is about 0.06 MB
     tracemalloc.start()
     try:
         min_nontrivial_codegree(40)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
+
+
+@pytest.mark.parametrize("lo,hi", [(5, 40), (5, 6), (17, 23), (5, 5), (12, 12), (40, 40)])
+def test_monotone_scan_matches_per_n_minima(lo, hi):
+    ok, witnesses = verify_min_codegree_monotone(lo, hi)
+    assert witnesses == [(n, min_nontrivial_codegree(n)) for n in range(lo, hi + 1)]
+    assert ok
+
+
+def test_range_walk_is_the_union_of_single_n_walks():
+    walked = sorted(_frobenius_pairs(5, 40))
+    single = sorted(p for n in range(5, 41) for p in _frobenius_pairs(n, n))
+    assert walked == single
+    # and, below n = 21, the direct enumeration of every shape
+    for n in range(5, 21):
+        entries = [
+            (alt_codegrees._shape(legs, arms), split, dim, codegree)
+            for m, arms, legs, split, dim, codegree in walked if m == n
+        ]
+        assert Counter(entries) == Counter(alt_irr_entries_direct(n))
+
+
+def test_range_walk_builds_each_run_list_once(monkeypatch):
+    # each (Durfee size, sum) run list is built at most once per walk:
+    # a heavy list dropped too early would be built again
+    built = Counter()
+    runs = alt_codegrees._runs
+
+    def counting_runs(d, total, fact):
+        built[d, total] += 1
+        return runs(d, total, fact)
+
+    monkeypatch.setattr(alt_codegrees, "_runs", counting_runs)
+    for lo, hi in ((5, 40), (17, 23), (30, 30)):
+        built.clear()
+        assert sum(1 for _ in _frobenius_pairs(lo, hi)) > 0
+        assert max(built.values()) == 1, [k for k, c in built.items() if c > 1]
+
+
+def test_range_walk_validation():
+    with pytest.raises(ValueError):
+        list(_frobenius_pairs(4, 10))
+    with pytest.raises(ValueError):
+        list(_frobenius_pairs(12, 11))
+    with pytest.raises(ValueError):
+        verify_min_codegree_monotone(6, 5)
+
+
+def test_monotone_scan_memory_stays_small():
+    # light tables per (d, t) and heavy lists only while needed; about 0.28 MB
+    tracemalloc.start()
+    try:
+        verify_min_codegree_monotone(5, 40)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -185,6 +185,50 @@ def test_rejects_non_simple_parameters(ctor):
         ctor()
 
 
+@given(st.integers(min_value=-3, max_value=10**6))
+def test_prime_power_matches_factorisation(q):
+    pairs = factor(q) if q >= 1 else []
+    if len(pairs) == 1:
+        got = prime_power(q)
+        assert (got.p, got.k) == pairs[0]
+    else:
+        with pytest.raises(ValueError, match="is not a prime power"):
+            prime_power(q)
+
+
+@pytest.mark.parametrize(
+    "q,pk",
+    [
+        (2**14000, (2, 14000)),
+        (3**9000, (3, 9000)),
+        ((2**61 - 1) ** 6, (2**61 - 1, 6)),
+        (65537**35, (65537, 35)),
+        ((10**24 + 7) ** 5, (10**24 + 7, 5)),
+        (2**61 - 1, (2**61 - 1, 1)),
+    ],
+    ids=["2^14000", "3^9000", "M61^6", "65537^35", "(10^24+7)^5", "M61"],
+)
+def test_prime_power_large(q, pk):
+    got = prime_power(q)
+    assert (got.p, got.k) == pk
+
+
+@pytest.mark.parametrize(
+    "q",
+    [6**40, 3**40 * 7, (2**31 - 1) ** 2 * (2**61 - 1) ** 2, 10**4000, 10**4000 + 1],
+    ids=["6^40", "3^40*7", "M31^2*M61^2", "10^4000", "10^4000+1"],
+)
+def test_prime_power_rejects_large_non_prime_powers(q):
+    with pytest.raises(ValueError):
+        prime_power(q)
+
+
+def test_prime_power_refuses_bases_beyond_proven_range():
+    for q in (2**127 - 1, (2**89 - 1) ** 3):
+        with pytest.raises(ValueError, match="beyond the proven primality range"):
+            prime_power(q)
+
+
 @pytest.mark.parametrize(
     "family,q",
     [("PSL", 4), ("PSU", 3), ("PSp", 2), ("OmegaOdd", 3), ("OPlus", 2), ("OMinus", 2)],

@@ -6,10 +6,11 @@ import json
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
-from codlab.cli import _TARGETS, main
+from codlab.cli import _TARGETS, MAX_N_CEILING, main
 from codlab.catalog import data_path
 
 
@@ -200,6 +201,31 @@ def test_check_subset_errors(capsys):
         code, _, err = run_cli(capsys, "check-subset", label, "9")
         assert code == 2, label
         assert label in err and "--max-n 40" in err
+
+
+@pytest.mark.parametrize("q", [2**61 - 1, 2**127 - 1], ids=["2^61-1", "2^127-1"])
+def test_check_subset_huge_q_exits_2_in_bounded_time(q):
+    # a prime q with no degree data, and a q past the proven primality range
+    proc = subprocess.run(
+        [sys.executable, "-m", "codlab.cli", "check-subset", f"PSL(2,{q})", "9"],
+        capture_output=True, text=True, timeout=5,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+
+
+def test_max_n_ceiling(capsys):
+    code, out, err = run_cli(capsys, "cod", "5", "--max-n", str(MAX_N_CEILING))
+    assert code == 0 and "4 values" in out
+    for argv in (("cod", "80", "--max-n", "100"), ("min-cod", "5", "200", "--max-n", "1000"),
+                 ("check-subset", "A70", "9", "--max-n", "70"),
+                 ("search", "all", "--max-n", str(MAX_N_CEILING + 1))):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert code == 2 and out == "", argv
+        assert f"--max-n must be <= {MAX_N_CEILING}" in err, argv
 
 
 def test_search_targets():

@@ -3,14 +3,76 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from codlab.exactnum import PrimePower, factor, factorial, format_factored, is_prime
-from oracles import divides, factorial_valuation, valuation
+from codlab.alt_codegrees import alt_codegree_set
+from codlab.exactnum import (
+    MR_PROVEN_BELOW,
+    PrimePower,
+    exact_root,
+    factor,
+    factorial,
+    format_factored,
+    is_prime,
+)
+from oracles import divides, factor_stepwise, factorial_valuation, valuation
 
 
 @given(st.integers(min_value=-5, max_value=20000))
 def test_is_prime_matches_naive(n):
     naive = n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
     assert is_prime(n) == naive
+
+
+def _sieve(limit):
+    flags = bytearray([1]) * limit
+    flags[:2] = b"\x00\x00"
+    for d in range(2, math.isqrt(limit - 1) + 1):
+        if flags[d]:
+            flags[d * d::d] = bytearray(len(flags[d * d::d]))
+    return flags
+
+
+def test_is_prime_across_the_trial_division_bound():
+    # trial division below 2^16, Miller-Rabin above: both agree with a sieve
+    flags = _sieve(1 << 18)
+    for n in range((1 << 16) - 2000, 1 << 18):
+        assert is_prime(n) == bool(flags[n]), n
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        # strong pseudoprimes to the first 4, 5, 6, 7, 9 and 12 prime bases
+        3215031751, 2152302898747, 3474749660383, 341550071728321,
+        3825123056546413051, 318665857834031151167461,
+        561 * 1105, 2**61 + 1, (2**31 - 1) * (10**12 + 39), (2**40 + 15) ** 2,
+    ],
+)
+def test_is_prime_rejects_composites(n):
+    assert not is_prime(n)
+
+
+@pytest.mark.parametrize(
+    "n", [65537, 2**31 - 1, 2**61 - 1, 10**12 + 39, 10**18 + 3, 2**64 - 59, 10**24 + 7],
+)
+def test_is_prime_accepts_primes(n):
+    assert is_prime(n)
+
+
+def test_is_prime_refuses_beyond_proven_range():
+    # the 13-base strong pseudoprime psi_13 is itself the first refused n
+    assert not is_prime(MR_PROVEN_BELOW - 1)
+    for n in (MR_PROVEN_BELOW, 2**89 - 1, 2**127 - 1):
+        with pytest.raises(ValueError, match="beyond the proven primality range"):
+            is_prime(n)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 7, 13, 31, 97])
+def test_exact_root(k):
+    for r in (1, 3, 5, 7, 99, 2**61 - 1, 3**50 + 2):
+        assert exact_root(r**k, k) == r
+        assert exact_root(r**k + 2, k) is None
+        if r > 1:
+            assert exact_root(r**k - 2, k) is None
 
 
 def test_prime_power_validation():
@@ -20,6 +82,15 @@ def test_prime_power_validation():
         PrimePower(6, 1)
     with pytest.raises(ValueError):
         PrimePower(2, 0)
+
+
+def test_factor_matches_stepwise_oracle():
+    # every codegree of A5..A30, plus values with long runs of one odd prime
+    values = {3**40 * 7, 2**200, 3**17 * 5**9 * 7**5}
+    for n in range(5, 31):
+        values.update(alt_codegree_set(n).values)
+    for v in values:
+        assert factor(v) == factor_stepwise(v), v
 
 
 @given(st.integers(min_value=2, max_value=10**6))
