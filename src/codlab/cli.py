@@ -71,8 +71,19 @@ def _big(v: int) -> str:
     return f"{v} = {format_factored(v)}"
 
 
+def _emit(text: str) -> None:
+    """Write a CSV or JSON body to stdout line by line.
+
+    Not as one string: a write longer than the pipe holds reports a short
+    count once the reader is gone, and the rest would be lost with exit 0.
+    Line by line, the buffered writes stay small and the first one after
+    the reader has gone raises BrokenPipeError.
+    """
+    sys.stdout.writelines(text.splitlines(keepends=True))
+
+
 def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+    _emit(json.dumps(payload, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -94,13 +105,10 @@ def cmd_cod(args: argparse.Namespace) -> int:
         })
     elif args.format == "csv":
         rows = [[str(n), str(cs.order), str(v)] for v in cs.values]
-        print(render_csv(["n", "group_order", "codegree"], rows), end="")
+        _emit(render_csv(["n", "group_order", "codegree"], rows))
     else:
         print(f"cod({cs.group_label})    |{cs.group_label}| = {_big(cs.order)}")
         width = len(str(cs.values[-1]))
-        # Not one joined string: a write longer than the pipe holds reports
-        # a short count once the reader is gone, and the rest would be lost
-        # with exit 0, while these buffer-sized writes raise BrokenPipeError.
         sys.stdout.writelines(
             f"  {v:>{width}}\n" if v == 1 else f"  {v:>{width}} = {format_factored(v)}\n"
             for v in cs.values
@@ -130,7 +138,7 @@ def cmd_min_cod(args: argparse.Namespace) -> int:
         })
     elif args.format == "csv":
         body = [[str(n), str(a)] for n, a in rows]
-        print(render_csv(["n", "min_codegree"], body), end="")
+        _emit(render_csv(["n", "min_codegree"], body))
         print(verdict)
     else:
         width = len(str(rows[-1][1]))
@@ -223,7 +231,7 @@ def cmd_search(args: argparse.Namespace) -> int:
                 "checks": [_check_json(c) for c in checks],
             })
         elif args.format == "csv":
-            print(render_rows_csv(rows), end="")
+            _emit(render_rows_csv(rows))
         else:
             print("target: sporadic (26 sporadic groups and the Tits group)")
             print("\n".join(_rows_table(rows)))
@@ -244,7 +252,7 @@ def cmd_search(args: argparse.Namespace) -> int:
             "checks": [_check_json(c) for c in checks],
         })
     elif args.format == "csv":
-        print(render_rows_csv(rep.rows), end="")
+        _emit(render_rows_csv(rep.rows))
     else:
         print("\n".join(_family_table(rep, checks)))
     return _alarm_exit(checks)
@@ -275,7 +283,7 @@ def _search_all(args: argparse.Namespace) -> int:
             },
         })
     elif args.format == "csv":
-        print(render_rows_csv(rep.rows), end="")
+        _emit(render_rows_csv(rep.rows))
         print(verdict)
     else:
         lo, hi = rep.monotone_range
@@ -328,7 +336,7 @@ def cmd_schur(args: argparse.Namespace) -> int:
         })
     elif args.format == "csv":
         body = [[str(n)] for n in scan.solutions]
-        print(render_csv(["solution_n"], body), end="")
+        _emit(render_csv(["solution_n"], body))
         print(f"sizes,{report.a9_size},{report.twisted_size}")
         print(verdict)
     else:
@@ -364,7 +372,7 @@ def cmd_check_subset(args: argparse.Namespace) -> int:
     elif args.format == "csv":
         body = [[result.label, str(result.n), result.verdict,
                  "" if result.witness is None else str(result.witness)]]
-        print(render_csv(["label", "n", "verdict", "witness"], body), end="")
+        _emit(render_csv(["label", "n", "verdict", "witness"], body))
     else:
         print("\n".join(_check_lines((result,))))
         print(f"|{result.label}| = {_big(result.h_order)}")

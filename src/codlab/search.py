@@ -23,7 +23,8 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import astuple, dataclass, fields
-from typing import Callable, Iterable, Iterator
+from itertools import count
+from typing import Iterable, Iterator
 
 from .alt_codegrees import alt_codegree_set, verify_min_codegree_monotone
 from .catalog import (
@@ -99,7 +100,11 @@ def row_cells(r: ExceptionRow) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class FamilyBounds:
-    """Derived box edges for one Lie family (None = no feasible value)."""
+    """Derived box edges for one Lie family (None = no feasible value).
+
+    For the odd-power families (Suzuki, Ree, TwistedF4) m_max holds a,
+    where q = p^(2a+1).
+    """
 
     family: str
     m_max: int | None
@@ -150,54 +155,29 @@ def _class_number_limit(g: GroupId, order: int) -> int:
     return -(-order * bound.numerator // bound.denominator)
 
 
-# m!/2 for the galloping rungs m = 8, 16, ..., 2048 of _half_factorial_below.
-# 2048 is the largest rung the built-in boxes reach.  A fixed tuple, not a
-# cache, so repeated sweeps in one process do the same work.
-_HALF_RUNGS = tuple(factorial(8 << i) // 2 for i in range(9))
+def _log2_factorial_floor(n: int) -> int:
+    """S(n) = sum of floor(log2 i) over 1 <= i <= n, so 2^S(n) <= n!.
+
+    With L = floor(log2 n), the values floor(log2 i) = j < L each occur
+    2^j times and L occurs n - 2^L + 1 times, which sums to the closed
+    form below.
+    """
+    top = n.bit_length() - 1
+    return top * (n + 1) - (2 << top) + 2
 
 
 def _half_factorial_below(n: int, limit: int) -> int | None:
     """n!/2 if it is below limit, else None.
 
-    Gallops m = 8, 16, 32, ... below n and gives up as soon as m!/2
-    reaches limit; otherwise n <= 2m for the last m tried, so n!/2 is
-    computed once and compared.  Rungs up to m = 2048 are read from
-    _HALF_RUNGS; beyond it m!/2 is computed.  Either way no factorial of
-    more than about twice the bit length of limit is built, so the work
-    is bounded by the bit length of limit rather than by n.
+    n!/2 >= 2^(S(n) - 1), so once S(n) - 1 reaches the bit length of limit
+    the answer is None without any factorial.  Otherwise n! is built once;
+    each of the n factors i adds less than one bit beyond floor(log2 i), so
+    n! then has at most n bits more than limit, whatever n is.
     """
-    m, i = 8, 0
-    while m < n:
-        half = _HALF_RUNGS[i] if i < len(_HALF_RUNGS) else factorial(m) // 2
-        if half >= limit:
-            return None
-        m, i = 2 * m, i + 1
+    if _log2_factorial_floor(n) - 1 >= limit.bit_length():
+        return None
     half = factorial(n) // 2
     return half if half < limit else None
-
-
-def candidate_n_range(g: GroupId, hard_cap: int = HARD_N_CAP) -> list[int]:
-    """All n with |H| | n!/2 and n!/2 < |H|*k-bound, n >= max(5, n_min).
-
-    n!/2 is strictly increasing, so the first n where the bound fails is
-    a natural cutoff.  Raises if the cutoff is not reached before the
-    hard cap, rather than silently truncating.
-    """
-    order = group_order(g)
-    limit = _class_number_limit(g, order)
-    n = max(5, n_min(g))
-    half = _half_factorial_below(n, limit)
-    out: list[int] = []
-    while half is not None and half < limit:
-        if half % order == 0:
-            out.append(n)
-        n += 1
-        if n > hard_cap:
-            raise RuntimeError(
-                f"candidate range for {group_label(g)} exceeded hard cap {hard_cap}"
-            )
-        half *= n
-    return out
 
 
 def _feasible(g: GroupId) -> bool:
@@ -206,44 +186,65 @@ def _feasible(g: GroupId) -> bool:
     return _half_factorial_below(max(5, n_min(g)), limit) is not None
 
 
-def _primes() -> Iterator[int]:
-    n = 2
-    while True:
-        if is_prime(n):
-            yield n
+def _candidates(g: GroupId) -> Iterator[tuple[int, int]]:
+    """(n, (n!/2) / |H|) for each n of candidate_n_range(g)."""
+    order = group_order(g)
+    limit = _class_number_limit(g, order)
+    n = max(5, n_min(g))
+    half = _half_factorial_below(n, limit)
+    if half is None:
+        return
+    while half < limit:
+        ratio, rest = divmod(half, order)
+        if not rest:
+            yield n, ratio
         n += 1
+        if n > HARD_N_CAP:
+            raise RuntimeError(
+                f"candidate range for {group_label(g)} exceeded hard cap {HARD_N_CAP}"
+            )
+        half *= n
 
 
-def _min_legal_k(family: str, m: int | None, p: int) -> int | None:
-    """Smallest k making (family, m, p^k) a simple group, if any."""
-    for k in range(1, 5):
-        try:
-            lie(family, PrimePower(p, k), m=m)
-        except ValueError:
-            continue
-        return k
+def candidate_n_range(g: GroupId) -> list[int]:
+    """All n with |H| | n!/2 and n!/2 < |H|*k-bound, n >= max(5, n_min).
+
+    n!/2 is strictly increasing, so the first n where the bound fails is
+    a natural cutoff.  Raises if the cutoff is not reached before
+    HARD_N_CAP, rather than silently truncating.
+    """
+    return [n for n, _ in _candidates(g)]
+
+
+def _lowest_point(family: str, m: int | None, primes: Iterable[int]) -> GroupId | None:
+    """The simple group (family, m, p^k) of smallest p in primes, then k <= 4."""
+    for p in primes:
+        for k in range(1, 5):
+            try:
+                return lie(family, PrimePower(p, k), m=m)
+            except ValueError:
+                continue
     return None
 
 
 def _scan_last_feasible(
-    values: Iterator[int], feasible_at: Callable[[int], bool | None], what: str
+    points: Iterable[tuple[int, GroupId | None]], what: str
 ) -> tuple[int | None, int | None]:
     """First-failure scan with a persistence window.
 
-    feasible_at returns None for values with no legal group (skipped),
-    True/False for the exact inequality.  Returns (last feasible value,
-    first infeasible value).  Raises if feasibility reappears inside the
+    points maps each scanned value to its group, or to None when no legal
+    group has that value (skipped).  Returns (last feasible value, first
+    infeasible value).  Raises if feasibility reappears inside the
     scan-ahead window after the first failure: that would invalidate the
     single-crossing assumption the cutoff rests on.
     """
     last_ok: int | None = None
     first_bad: int | None = None
     misses = 0
-    for v in values:
-        verdict = feasible_at(v)
-        if verdict is None:
+    for v, g in points:
+        if g is None:
             continue
-        if verdict:
+        if _feasible(g):
             if first_bad is not None:
                 raise ArithmeticError(
                     f"{what}: feasibility reappeared at {v} after failing at {first_bad}"
@@ -264,57 +265,40 @@ def derive_family_bounds(family: str) -> FamilyBounds:
 
     p = TWISTED_ODD_POWER.get(family)
     if p is not None:
-
-        def feas_a(a: int) -> bool:
-            return _feasible(lie(family, PrimePower(p, 2 * a + 1)))
-
-        a_max, a_bad = _scan_last_feasible(iter(range(1, 64)), feas_a, f"{family} a-scan")
+        a_max, a_bad = _scan_last_feasible(
+            ((a, lie(family, PrimePower(p, 2 * a + 1))) for a in range(1, 64)),
+            f"{family} a-scan",
+        )
         if a_max is None:
             notes.append(f"inequality already fails at a=1 (q={p ** 3})")
             return FamilyBounds(family, None, None, None, tuple(notes))
         notes.append(f"odd-power parameter a <= {a_max} (first failure at a={a_bad})")
         return FamilyBounds(family, a_max, p, 2 * a_max + 1, tuple(notes))
 
-    if family in EXCEPTIONAL_FAMILIES:
-        m = None
-        m_max: int | None = None
-    else:
-        m_lo = RANK_FLOOR[family]
-
-        def feas_m(mm: int) -> bool | None:
-            for p in (2, 3, 5):
-                k = _min_legal_k(family, mm, p)
-                if k is not None:
-                    return _feasible(lie(family, PrimePower(p, k), m=mm))
-            return None
-
+    m = m_max = None
+    if family not in EXCEPTIONAL_FAMILIES:
+        m = RANK_FLOOR[family]
         m_max, _ = _scan_last_feasible(
-            iter(range(m_lo, m_lo + 64)), feas_m, f"{family} m-scan"
+            ((mm, _lowest_point(family, mm, (2, 3, 5))) for mm in range(m, m + 64)),
+            f"{family} m-scan",
         )
         if m_max is None:
-            notes.append(f"inequality already fails at m={m_lo}")
+            notes.append(f"inequality already fails at m={m}")
             return FamilyBounds(family, None, None, None, tuple(notes))
-        m = m_lo
 
-    def feas_p(p: int) -> bool | None:
-        k = _min_legal_k(family, m, p)
-        if k is None:
-            return None
-        return _feasible(lie(family, PrimePower(p, k), m=m))
-
-    p_max, _ = _scan_last_feasible(_primes(), feas_p, f"{family} p-scan")
-    p_lo, k_lo = next(
-        (p, k) for p in _primes() if (k := _min_legal_k(family, m, p)) is not None
+    p_max, _ = _scan_last_feasible(
+        ((p, _lowest_point(family, m, (p,))) for p in filter(is_prime, count(2))),
+        f"{family} p-scan",
     )
+    lowest = _lowest_point(family, m, filter(is_prime, count(2)))
+    p_lo, k_lo = lowest.q.p, lowest.q.k  # type: ignore[union-attr]
     if p_max is None:
         notes.append(f"inequality already fails at (p,k)=({p_lo},{k_lo})")
         return FamilyBounds(family, m_max, None, None, tuple(notes))
 
-    def feas_k(k: int) -> bool:
-        return _feasible(lie(family, PrimePower(p_lo, k), m=m))
-
     k_max, _ = _scan_last_feasible(
-        iter(range(k_lo, k_lo + 256)), feas_k, f"{family} k-scan"
+        ((k, lie(family, PrimePower(p_lo, k), m=m)) for k in range(k_lo, k_lo + 256)),
+        f"{family} k-scan",
     )
     assert k_max is not None  # k_lo is feasible whenever p_lo survived the p-scan
     return FamilyBounds(family, m_max, p_max, k_max, tuple(notes))
@@ -323,15 +307,9 @@ def derive_family_bounds(family: str) -> FamilyBounds:
 def _sweep_points(family: str, box: tuple[int, int, int]) -> Iterator[GroupId]:
     """All legal catalog points in the box; G2(2) swept as G2(2)'."""
     m_hi, p_hi, k_hi = box
-    m_values: list[int | None]
-    if family in EXCEPTIONAL_FAMILIES:
-        m_values = [None]
-    else:
-        m_values = list(range(RANK_FLOOR[family], m_hi + 1))
-    for m in m_values:
-        for p in range(2, p_hi + 1):
-            if not is_prime(p):
-                continue
+    exceptional = family in EXCEPTIONAL_FAMILIES
+    for m in [None] if exceptional else range(RANK_FLOOR[family], m_hi + 1):
+        for p in filter(is_prime, range(2, p_hi + 1)):
             for k in range(1, k_hi + 1):
                 if family == "G2" and (p, k) == (2, 1):
                     yield GroupId("G2Prime2")
@@ -342,26 +320,10 @@ def _sweep_points(family: str, box: tuple[int, int, int]) -> Iterator[GroupId]:
                     continue
 
 
-def _rows_for_point(g: GroupId) -> list[ExceptionRow]:
-    if not _feasible(g):
-        return []
-    rows = []
-    order = group_order(g)
-    for n in candidate_n_range(g):
-        half = factorial(n) // 2
-        rows.append(
-            ExceptionRow(
-                family=g.family,
-                label=group_label(g),
-                m=g.m,
-                p=g.q.p if g.q else None,
-                k=g.q.k if g.q else None,
-                q=g.q.q if g.q else None,
-                n=n,
-                ratio=half // order,
-            )
-        )
-    return rows
+def _rows_for_point(g: GroupId) -> Iterator[ExceptionRow]:
+    p, k, q = (g.q.p, g.q.k, g.q.q) if g.q else (None, None, None)
+    for n, ratio in _candidates(g):
+        yield ExceptionRow(g.family, group_label(g), g.m, p, k, q, n, ratio)
 
 
 def _sieve(points: list[GroupId]) -> tuple[ExceptionRow, ...]:

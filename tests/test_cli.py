@@ -311,13 +311,19 @@ def test_bad_data_file_exits_2(tmp_path, monkeypatch, capsys, edit, argv, proble
     assert err.count("\n") == 1
 
 
-def test_closed_stdout_is_silent():
-    # the reader stops after one line; the writer must not print a traceback
+@pytest.mark.parametrize(
+    "fmt,first",
+    [("table", b"cod(A40)"), ("csv", b"n,group_order,codegree"), ("json", b"{")],
+    ids=["table", "csv", "json"],
+)
+def test_closed_stdout_is_silent(fmt, first):
+    # the reader stops after one line; the writer must exit 1 without a
+    # traceback, not 0 with its output cut short
     proc = subprocess.Popen(
-        [sys.executable, "-m", "codlab.cli", "cod", "40"],
+        [sys.executable, "-m", "codlab.cli", "cod", "40", "--format", fmt],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
-    assert proc.stdout.readline().startswith(b"cod(A40)")
+    assert proc.stdout.readline().startswith(first)
     proc.stdout.close()
     assert proc.wait(timeout=60) == 1
     assert proc.stderr.read() == b""

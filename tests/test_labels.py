@@ -1,0 +1,89 @@
+"""Fuzzing of the group label parser.
+
+Every string either names a group or is refused with ValueError, in
+bounded time, and every label the sweep can emit parses back to its
+group.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from codlab.catalog import (
+    CLASSICAL_FAMILIES,
+    EXCEPTIONAL_FAMILIES,
+    GroupId,
+    group_label,
+    parse_group_label,
+    sporadic,
+    sporadic_entries,
+)
+from codlab.search import _sweep_points, sweep_family
+
+HEADS = (
+    "PSL", "PSU", "PSp", "Omega", "O+", "O-", "G2", "F4", "E6", "E7", "E8",
+    "2E6", "3D4", "2B2", "2G2", "2F4", "A",
+)
+BIG = 10**30
+small = st.integers(min_value=-3, max_value=40)
+huge = st.integers(min_value=-BIG, max_value=BIG)
+field_sizes = st.sampled_from([4, 8, 9, 25, 27, 32, 3**40, 2**61 - 1, 2**127 - 1])
+numbers = small | field_sizes | huge
+args = st.lists(numbers.map(str) | st.sampled_from(["", " ", "x", "2^3", "1e3"]), max_size=3)
+
+
+def parse_or_refuse(text: str) -> None:
+    """The parser's contract on one input: a GroupId that round-trips, or ValueError."""
+    try:
+        g = parse_group_label(text)
+    except ValueError:
+        return
+    assert isinstance(g, GroupId)
+    assert parse_group_label(group_label(g)) == g
+
+
+@given(st.text(max_size=40))
+@settings(max_examples=500, deadline=1000)
+def test_arbitrary_text_parses_or_is_refused(text):
+    parse_or_refuse(text)
+
+
+@given(
+    st.sampled_from(HEADS) | st.text(max_size=4),
+    args,
+    st.sampled_from([",", ", ", " ,"]),
+    st.sampled_from(["", "'", " "]),
+)
+@settings(max_examples=1000, deadline=1000)
+def test_head_with_huge_integers_parses_or_is_refused(head, values, sep, tail):
+    parse_or_refuse(f"{head}({sep.join(values)}){tail}")
+
+
+@given(st.sampled_from(HEADS[:-1]), small | huge, numbers)
+@settings(max_examples=1000, deadline=1000)
+def test_integer_labels_parse_or_are_refused(head, d, q):
+    parse_or_refuse(f"{head}({d},{q})")
+    parse_or_refuse(f"{head}({q})")
+
+
+@pytest.mark.parametrize(
+    "text", ["A" + "9" * 5000, "PSL(2," + "9" * 5000 + ")", "E8(" + "1" * 5000 + ")"]
+)
+def test_overlong_digit_strings_are_refused(text):
+    with pytest.raises(ValueError):
+        parse_group_label(text)
+
+
+def all_sweep_points() -> list[GroupId]:
+    points = [sporadic(entry.label) for entry in sporadic_entries()]
+    for family in CLASSICAL_FAMILIES + EXCEPTIONAL_FAMILIES:
+        box = sweep_family(family).box
+        if box is not None:
+            points.extend(_sweep_points(family, box))
+    return points
+
+
+def test_every_sweep_label_round_trips():
+    points = all_sweep_points()
+    assert len(points) == 27 + 3508
+    for g in points:
+        assert parse_group_label(group_label(g)) == g, g

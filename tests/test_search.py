@@ -17,8 +17,10 @@ from codlab.catalog import (
     EXCEPTIONAL_FAMILIES,
     DataFileError,
     GroupId,
+    PrimePower,
     class_number_bound,
     group_order,
+    lie,
     parse_group_label,
     simple_codegree_set,
     sporadic,
@@ -26,9 +28,10 @@ from codlab.catalog import (
 )
 from codlab.search import (
     HARD_N_CAP,
-    _HALF_RUNGS,
+    _class_number_limit,
     _feasible,
     _half_factorial_below,
+    _log2_factorial_floor,
     _sweep_points,
     candidate_n_range,
     check_subset,
@@ -122,12 +125,14 @@ def test_candidate_range_cutoff_is_tight():
         assert lhs * bound.denominator >= group_order(g) * bound.numerator
 
 
-def test_candidate_range_hard_cap_is_loud():
+def test_candidate_range_hard_cap_is_loud(monkeypatch):
     g = parse_group_label("PSL(3,4)")
-    assert candidate_n_range(g, hard_cap=10) == [8, 9]
+    monkeypatch.setattr("codlab.search.HARD_N_CAP", 10)
+    assert candidate_n_range(g) == [8, 9]
     # n = 9 still meets the class-number bound, so a cap of 9 cuts the range
+    monkeypatch.setattr("codlab.search.HARD_N_CAP", 9)
     with pytest.raises(RuntimeError, match=r"PSL\(3,4\) exceeded hard cap 9"):
-        candidate_n_range(g, hard_cap=9)
+        candidate_n_range(g)
 
 
 def oracle_feasible(g):
@@ -188,31 +193,49 @@ def test_half_factorial_below_at_the_boundary():
         assert _half_factorial_below(n, half) is None
 
 
-def test_half_rungs_table():
-    assert len(_HALF_RUNGS) == 9
-    for i, half in enumerate(_HALF_RUNGS):
-        assert half == math.factorial(8 << i) // 2, 8 << i
+def test_log2_factorial_floor_closed_form():
+    # S(n) = sum of floor(log2 i) for i <= n, and 2^S(n) <= n!
+    total, fact = 0, 1
+    for n in range(1, 3001):
+        total += n.bit_length() - 1
+        fact *= n
+        assert _log2_factorial_floor(n) == total, n
+        assert 1 << total <= fact, n
 
 
-def test_half_factorial_below_builds_no_rung_from_the_table(monkeypatch):
-    # a limit that a rung m <= 2048 below n already reaches is refused
-    # without any factorial; the rung m = 4096 is computed once
-    calls = []
+@pytest.mark.parametrize("n", [21168, 10**6])  # 21168: n_min of PSL(7,17^63)
+def test_half_factorial_below_work_is_bounded_by_the_limit(n, monkeypatch):
+    # whatever n is, n! is built only once the limit has S(n) bits, and no
+    # factorial k! is built with more than bit_length(limit) + k bits
+    built = []
     monkeypatch.setattr(
-        "codlab.search.factorial", lambda k: calls.append(k) or math.factorial(k)
+        "codlab.search.factorial", lambda k: built.append(k) or math.factorial(k)
     )
-    for i, half in enumerate(_HALF_RUNGS):
-        assert _half_factorial_below((8 << i) + 1, half) is None
-        assert _half_factorial_below(4097, half) is None
-    assert calls == []
-    assert _half_factorial_below(4097, math.factorial(4096) // 2) is None
-    assert calls == [4096]
+    psl = lie("PSL", PrimePower(17, 63), m=6)
+    assert n_min(psl) == 21168
+    floor = _log2_factorial_floor(n)
+    limits = [1, 2, 10**6, 1 << 999, 1 << 99_999, 1 << (floor - 2),
+              _class_number_limit(psl, group_order(psl))]
+    if n < 10**5:
+        limits += [1 << (floor - 1), (1 << floor) + 1, 1 << (floor + n), math.factorial(n)]
+    for limit in limits:
+        before = len(built)
+        got = _half_factorial_below(n, limit)
+        assert (len(built) > before) == (limit.bit_length() >= floor), limit.bit_length()
+        for k in built[before:]:
+            assert math.factorial(k).bit_length() <= limit.bit_length() + k, (k, limit)
+        if len(built) == before:
+            assert got is None
+        else:
+            half = math.factorial(n) // 2
+            assert got == (half if half < limit else None)
+    assert set(built) <= {n}
 
 
 @pytest.mark.parametrize("n", [2047, 2048, 2049, 4096, 4097])
 def test_half_factorial_below_past_the_table(n):
-    # limits at n!/2 and at every rung m!/2, m = 8 .. 4096, on both
-    # sides: rungs up to 2048 come from the table, 4096 is computed
+    # limits at n!/2 and at every m!/2, m = 8, 16, ..., 4096, on both
+    # sides, for n around 2^11 and 2^12
     half = math.factorial(n) // 2
     edges = [half] + [math.factorial(8 << i) // 2 for i in range(10)]
     for edge in edges:
@@ -307,6 +330,27 @@ def test_suzuki_odd_power_bound():
     rep = sweep_family("Suzuki")
     assert rep.bounds.m_max == 4  # a <= 4, i.e. q = 2^3 .. 2^9
     assert any("a=5" in note for note in rep.notes)
+
+
+def test_psp4_over_even_q_passes_no_sieve():
+    # PSp(4, 2^k) is in no swept family: PSp starts at rank 3, and its
+    # twin Omega(5, q) is swept for odd q only.  Exact ints only: no n
+    # gives both |H| | n!/2 and 5 * n!/2 < 76 * q^2 * |H| (bound 76/5 q^m).
+    for k in range(2, 13):
+        q = 2**k
+        order = q**4 * (q**2 - 1) * (q**4 - 1)
+        limit = 76 * q**2 * order
+        n_lo = 4 * k  # e*k*(p-1) with e = m^2 = 4 and p = 2
+        assert q**12 < 2 * q**2 * order < 2 * q**12
+        assert (5 * (math.factorial(n_lo) // 2) < limit) == (k <= 5), k
+        n = 5
+        while 5 * (math.factorial(n) // 2) < limit:
+            assert (math.factorial(n) // 2) % order, (k, n)
+            n += 1
+    # k >= 13 stays infeasible: q^2 * |H| lies in (q^12 / 2, q^12), so each
+    # step in k multiplies it by less than 2^13, while (4k)! gains
+    # (4k+1)(4k+2)(4k+3)(4k+4) >= 25*26*27*28 for k >= 6
+    assert 25 * 26 * 27 * 28 > 2**13
 
 
 def test_sporadic_sweep():
