@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
-from math import gcd
+from math import ceil, gcd
 from pathlib import Path
 
 from .alt_codegrees import CodegreeSet, alt_codegree_set
@@ -174,22 +174,32 @@ def group_label(g: GroupId) -> str:
     return f"{EXCEPTIONAL_PREFIX[g.family]}({qv})"
 
 
+def _label_number(text: str, label: str) -> int:
+    """A number of a label: ASCII digits only, as group_label writes them."""
+    if text.isascii() and text.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # past int's limit on digits
+            pass
+    raise ValueError(f"cannot parse group label {label!r}")
+
+
 def parse_group_label(label: str) -> GroupId:
-    """Inverse of group_label for the CLI; raises ValueError on nonsense."""
+    """Inverse of group_label for the CLI; raises ValueError on nonsense.
+
+    Numbers are ASCII digit strings; signs, underscores and other Unicode
+    digits are refused rather than read the way int() would read them.
+    """
     text = label.strip()
     if text == "G2(2)'":
         return GroupId("G2Prime2")
     if text in SPORADIC_LABELS:
         return sporadic(text)
-    if text.startswith("A") and text[1:].isdigit():
-        return alternating(int(text[1:]))
+    if text.startswith("A") and "(" not in text:
+        return alternating(_label_number(text[1:], label))
     if "(" in text and text.endswith(")"):
         head, args = text[:-1].split("(", 1)
-        pieces = [a.strip() for a in args.split(",")]
-        try:
-            nums = [int(a) for a in pieces]
-        except ValueError as exc:
-            raise ValueError(f"cannot parse group label {label!r}") from exc
+        nums = [_label_number(a.strip(), label) for a in args.split(",")]
         if head in _EXCEPTIONAL_BY_PREFIX and len(nums) == 1:
             return lie(_EXCEPTIONAL_BY_PREFIX[head], prime_power(nums[0]))
         if len(nums) == 2:
@@ -294,6 +304,31 @@ def q_part_exponent(g: GroupId) -> int:
     return _Q_PART_EXPONENT_FIXED[g.family]
 
 
+_ORDER_Q_DEGREE_FIXED = {
+    "G2": 14, "F4": 52, "E6": 78, "E7": 133, "E8": 248,
+    "TwistedE6": 78, "TriD4": 28, "TwistedF4": 26, "Suzuki": 5, "Ree": 7,
+}
+
+
+def order_q_degree(g: GroupId) -> int:
+    """D, the degree in q of the order formula of G of Lie type.
+
+    D is the sum of the exponents of q in group_order's product (the
+    q-part exponent plus the degree of each factor q^i +- 1, and 8 for
+    q^8 + q^4 + 1), so |G| <= q^D.
+    """
+    if g.q is None:
+        raise ValueError(f"{g.family} has no order polynomial in q")
+    m = g.m
+    if g.family in ("PSL", "PSU"):
+        return m * (m + 2)
+    if g.family in ("PSp", "OmegaOdd"):
+        return m * (2 * m + 1)
+    if g.family in ("OPlus", "OMinus"):
+        return m * (2 * m - 1)
+    return _ORDER_Q_DEGREE_FIXED[g.family]
+
+
 # ---------------------------------------------------------------------------
 # Class-number bounds: k(G) <= bound, everything an exact Fraction.
 
@@ -336,6 +371,30 @@ def class_number_bound(g: GroupId) -> Fraction:
     for c in _EXCEPTIONAL_BOUND_POLY[family]:
         value = value * q + c
     return Fraction(value)
+
+
+def order_class_bits(g: GroupId) -> int | None:
+    """B with ceil(|G| * class_number_bound(G)) < 2^B, from q's bit length.
+
+    With b = q.bit_length(), q < 2^b, so the q-part q^e is below 2^(be),
+    each factor q^i +- 1 of the order formula is at most 2^(bi),
+    q^8 + q^4 + 1 is at most 2^(8b), and the gcd divisor is at least 1:
+    |G| < 2^(bD) with D = order_q_degree(G).  The class bound is C*q^m with
+    C <= K = ceil(C), or a polynomial of degree d with nonnegative
+    coefficients summing to K, so it is at most K*2^(bd) (d = m for the
+    classical families).  The product is then below the integer
+    K*2^(b(D + d)), so its ceiling is at most that, and K < 2^K.bit_length().
+    None for the groups without a q (alternating, sporadic, G2(2)').
+    """
+    if g.q is None:
+        return None
+    if g.family in _CLASSICAL_BOUND_CONSTANT:
+        k_degree, k_const = g.m, ceil(_CLASSICAL_BOUND_CONSTANT[g.family])
+    else:
+        poly = _EXCEPTIONAL_BOUND_POLY[g.family]
+        k_degree, k_const = len(poly) - 1, sum(poly)
+    b = g.q.q.bit_length()
+    return b * (order_q_degree(g) + k_degree) + k_const.bit_length()
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,15 @@ failure persists instead of assuming it.  The enumeration box is the
 elementwise max of the derived edges and a fixed floor per family, so a
 smaller derived box can never silently shrink coverage; every point in
 the box is re-tested exactly, so a larger box never adds false rows.
+
+Most points fail the size sieve by hundreds of bits, so each one is
+first tested by bit length alone.  catalog.order_class_bits gives B with
+ceil(|H| * k-bound) < 2^B from the bit length of q, the q-degree of the
+order formula and the shape of the class bound, and 2^(S(n) - 1) <= n!/2
+with S(n) the sum of floor(log2 i) over i <= n.  S(n) - 1 >= B at
+n = max(5, n_min) therefore proves n!/2 >= |H| * k-bound there, which is
+the refusal the exact test would reach; only the points it leaves open
+build |H| and the limit.
 """
 
 from __future__ import annotations
@@ -38,6 +47,7 @@ from .catalog import (
     group_label,
     group_order,
     lie,
+    order_class_bits,
     parse_group_label,
     q_part_exponent,
     simple_codegree_set,
@@ -180,14 +190,30 @@ def _half_factorial_below(n: int, limit: int) -> int | None:
     return half if half < limit else None
 
 
+def _refuted_by_bits(g: GroupId) -> bool:
+    """True if n!/2 >= |H| * k-bound at n = max(5, n_min), by bit length alone.
+
+    The limit is below 2^B for B = order_class_bits(g), so it has at most
+    B bits, and S(n) - 1 >= B is the refusal _half_factorial_below would
+    make, reached without building |H| or the limit.  False means only
+    that the exact test must decide.
+    """
+    bits = order_class_bits(g)
+    return bits is not None and _log2_factorial_floor(max(5, n_min(g))) - 1 >= bits
+
+
 def _feasible(g: GroupId) -> bool:
     """Exact inequality |A_max(5, n_min)| < |H| * k-bound."""
+    if _refuted_by_bits(g):
+        return False
     limit = _class_number_limit(g, group_order(g))
     return _half_factorial_below(max(5, n_min(g)), limit) is not None
 
 
 def _candidates(g: GroupId) -> Iterator[tuple[int, int]]:
     """(n, (n!/2) / |H|) for each n of candidate_n_range(g)."""
+    if _refuted_by_bits(g):
+        return
     order = group_order(g)
     limit = _class_number_limit(g, order)
     n = max(5, n_min(g))

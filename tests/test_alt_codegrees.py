@@ -9,6 +9,7 @@ lengths alone.
 import math
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -81,6 +82,23 @@ def test_monotonicity_small():
     values = [a for _, a in witnesses]
     assert values == sorted(values)
     assert len(set(values)) == len(values)
+
+
+def test_min_codegree_ratio_bound():
+    # a_N = |A_N|/D_N with M_N/2 <= D_N <= M_N (largest degrees of A_N, S_N),
+    # and by the branching rule M_N <= r(N)*M_{N-1}, where a partition of N
+    # has at most r(N) removable corners; so a_N/a_{N-1} >= N/(2r(N)) > 1
+    ok, witnesses = verify_min_codegree_monotone(5, 40)
+    assert ok
+    a = dict(witnesses)
+    margins = []
+    for n in range(7, 41):
+        r = (math.isqrt(8 * n + 1) - 1) // 2  # largest r with r(r+1)/2 <= n
+        assert r * (r + 1) // 2 <= n < (r + 1) * (r + 2) // 2
+        ratio, bound = Fraction(a[n], a[n - 1]), Fraction(n, 2 * r)
+        assert ratio >= bound > 1, n
+        margins.append(ratio / bound)
+    assert min(margins) == Fraction(12, 7)  # at N = 7: ratio 2, bound 7/6
 
 
 @pytest.mark.parametrize("n", range(5, 21))

@@ -13,13 +13,15 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from codlab.catalog import (
     DataFileError,
     GroupId,
+    LIE_FAMILIES,
     RANK_FLOOR,
     SPORADIC_LABELS,
+    TWISTED_ODD_POWER,
     alternating,
     class_number_bound,
     data_path,
@@ -27,6 +29,8 @@ from codlab.catalog import (
     group_label,
     group_order,
     lie,
+    order_class_bits,
+    order_q_degree,
     parse_group_label,
     prime_power,
     q_part_exponent,
@@ -265,6 +269,65 @@ def test_bounds_dominate_actual_class_counts():
         rec = degree_record(label)
         bound = class_number_bound(parse_group_label(label))
         assert len(rec.degrees) <= bound
+
+
+EXPECTED_Q_DEGREES = {
+    ("PSL", 1): 3, ("PSL", 3): 15, ("PSU", 2): 8, ("PSp", 3): 21,
+    ("OmegaOdd", 2): 10, ("OPlus", 4): 28, ("OMinus", 4): 28, ("G2", None): 14,
+    ("F4", None): 52, ("E6", None): 78, ("TwistedE6", None): 78,
+    ("E7", None): 133, ("E8", None): 248, ("TriD4", None): 28,
+    ("Suzuki", None): 5, ("Ree", None): 7, ("TwistedF4", None): 26,
+}
+
+
+@pytest.mark.parametrize("key,d", sorted(EXPECTED_Q_DEGREES.items(), key=str))
+def test_order_q_degrees(key, d):
+    # over a large q the order has all but a few of the bits of q^D
+    family, m = key
+    q = PrimePower(3, 41) if family in ("OmegaOdd", "Ree") else PrimePower(2, 41)
+    g = lie(family, q, m=m)
+    assert order_q_degree(g) == d
+    assert group_order(g).bit_length() in range(d * (g.q.q.bit_length() - 1) - 3,
+                                                d * g.q.q.bit_length() + 1)
+
+
+def test_order_q_degree_and_bits_need_a_q():
+    for g in (alternating(7), sporadic("M"), GroupId("G2Prime2")):
+        assert order_class_bits(g) is None
+        with pytest.raises(ValueError):
+            order_q_degree(g)
+
+
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 31, 127, 8191, 65537, 2**31 - 1, 2**61 - 1)
+
+
+@st.composite
+def lie_points(draw):
+    """A legal (family, m, q) with q <= 2^200."""
+    family = draw(st.sampled_from(LIE_FAMILIES))
+    m = None
+    if family in RANK_FLOOR:
+        m = draw(st.integers(RANK_FLOOR[family], RANK_FLOOR[family] + 6))
+    p = TWISTED_ODD_POWER.get(family) or draw(st.sampled_from(_SMALL_PRIMES))
+    k_max = 200 // (p - 1).bit_length()  # p^k <= 2^200
+    if family in TWISTED_ODD_POWER:
+        k = 2 * draw(st.integers(1, (k_max - 1) // 2)) + 1
+    else:
+        k = draw(st.integers(1, k_max))
+    try:
+        return lie(family, PrimePower(p, k), m=m)
+    except ValueError:  # PSL(2,2), PSL(2,3), PSU(3,2), G2(2), Omega(2m+1, 2^k)
+        reject()
+
+
+@given(lie_points())
+@settings(max_examples=300, deadline=None)
+def test_order_class_bits_bound_the_limit(g):
+    order = group_order(g)
+    bound = class_number_bound(g)
+    limit = -(-order * bound.numerator // bound.denominator)
+    assert limit.bit_length() <= order_class_bits(g)
+    assert order <= g.q.q ** order_q_degree(g)
 
 
 def test_degree_records_sum_of_squares():

@@ -7,8 +7,10 @@ import subprocess
 import sys
 import threading
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from codlab.cli import _TARGETS, MAX_N_CEILING, main
 from codlab.catalog import data_path
@@ -337,3 +339,48 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[-1] == "5,60,20"
+
+
+# Argv fuzzing.  Every integer is at most 25 or past MAX_N_CEILING, and the
+# free text has no decimal digits, so a case either does bounded work
+# (n <= 25) or is refused before any.
+CLI_COMMANDS = ("cod", "min-cod", "search", "schur", "check-subset")
+CLI_WORDS = (
+    "all", "sporadic", "psl", "2b2", "e8", "nonsense", "J2", "M11", "A7", "G2(2)'",
+    "PSL(2,7)", "PSU(3,3)", "PSL(2,1_3)", f"PSL(2,{2**61 - 1})", f"PSL(2,{2**127 - 1})",
+    "table", "json", "csv", "--format", "--threads", "--max-n", "--", "-",
+)
+cli_numbers = (st.integers(min_value=5, max_value=25) | st.integers(max_value=25)
+               | st.integers(min_value=MAX_N_CEILING + 1)).map(str)
+cli_text = st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=12)
+cli_tokens = cli_numbers | st.sampled_from(CLI_WORDS) | cli_text
+cli_options = st.lists(
+    st.tuples(st.just("--format"), st.sampled_from(("table", "json", "csv")) | cli_tokens)
+    | st.tuples(st.sampled_from(("--threads", "--max-n")), cli_numbers | cli_tokens),
+    max_size=3,
+).map(lambda pairs: [token for pair in pairs for token in pair])
+# each subcommand with its own positional shape, then options
+cli_shaped = st.one_of(
+    st.tuples(st.just("cod"), cli_numbers),
+    st.tuples(st.just("min-cod"), cli_numbers, cli_numbers),
+    st.tuples(st.just("search"), cli_tokens),
+    st.tuples(st.just("schur")),
+    st.tuples(st.just("check-subset"), cli_tokens, cli_numbers),
+).flatmap(lambda head: cli_options.map(lambda opts: [*head, *opts]))
+cli_free = st.tuples(st.sampled_from(CLI_COMMANDS) | cli_text, st.lists(cli_tokens, max_size=6))
+cli_argv = cli_shaped | cli_free.map(lambda pair: [pair[0], *pair[1]])
+
+
+@given(cli_argv)
+@settings(max_examples=300, deadline=5000)
+def test_cli_argv_answers_or_refuses(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: usage error, or --help
+            assert exc.code == 2 or (exc.code == 0 and out.getvalue().startswith("usage:"))
+            return
+    assert code in (0, 2, 3)
+    if code == 2:
+        assert err.getvalue().startswith("error: ")

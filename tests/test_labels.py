@@ -17,6 +17,7 @@ from codlab.catalog import (
     sporadic,
     sporadic_entries,
 )
+from codlab.cli import main
 from codlab.search import _sweep_points, sweep_family
 
 HEADS = (
@@ -39,6 +40,7 @@ def parse_or_refuse(text: str) -> None:
         return
     assert isinstance(g, GroupId)
     assert parse_group_label(group_label(g)) == g
+    assert all(c.isascii() for c in text if c.isdigit()), text
 
 
 @given(st.text(max_size=40))
@@ -71,6 +73,22 @@ def test_integer_labels_parse_or_are_refused(head, d, q):
 def test_overlong_digit_strings_are_refused(text):
     with pytest.raises(ValueError):
         parse_group_label(text)
+
+
+@pytest.mark.parametrize(
+    "text", ["PSL(2,1_3)", "PSL(2,+4)", "PSL(\u0662,\u0664)", "PSL(2,\uff14)", "A\u0665"]
+)
+def test_numbers_are_ascii_digits(text, capsys):
+    # int() would read these as 13, 4, (2, 4), 4 and 5
+    with pytest.raises(ValueError, match="cannot parse group label"):
+        parse_group_label(text)
+    assert main(["check-subset", text, "9"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_outer_spaces_and_spaces_after_commas_are_kept():
+    assert parse_group_label(" PSL(2, 13) ") == parse_group_label("PSL(2,13)")
+    assert parse_group_label("A5 ") == parse_group_label("A5")
 
 
 def all_sweep_points() -> list[GroupId]:

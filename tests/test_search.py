@@ -7,6 +7,7 @@ cod(A_n)) is re-verified from scratch here rather than trusted.
 """
 
 import math
+from itertools import count, islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,17 +22,21 @@ from codlab.catalog import (
     class_number_bound,
     group_order,
     lie,
+    order_class_bits,
+    order_q_degree,
     parse_group_label,
     simple_codegree_set,
     sporadic,
     sporadic_entries,
 )
+from codlab.exactnum import is_prime
 from codlab.search import (
     HARD_N_CAP,
     _class_number_limit,
     _feasible,
     _half_factorial_below,
     _log2_factorial_floor,
+    _refuted_by_bits,
     _sweep_points,
     candidate_n_range,
     check_subset,
@@ -181,6 +186,72 @@ def test_sieve_matches_full_factorial_oracle():
         assert candidate_n_range(g) == oracle_candidate_n_range(g), g
         feasible += _feasible(g)
     assert feasible == 126
+
+
+def lie_sweep_points():
+    """Every swept point that has a q (all but G2(2)')."""
+    points = []
+    for family in CLASSICAL_FAMILIES + EXCEPTIONAL_FAMILIES:
+        box = sweep_family(family).box
+        if box is not None:
+            points.extend(g for g in _sweep_points(family, box) if g.q is not None)
+    return points
+
+
+def lie_frame_points():
+    """Points just past each box: rank + 2, the next 3 primes, k + 5.
+
+    A family without a box gets the frame of the empty box (0, 0, 0).
+    """
+    points = []
+    for family in CLASSICAL_FAMILIES + EXCEPTIONAL_FAMILIES:
+        box = sweep_family(family).box
+        inner = set(_sweep_points(family, box)) if box else set()
+        m_hi, p_hi, k_hi = box or (0, 0, 0)
+        p_next = list(islice(filter(is_prime, count(p_hi + 1)), 3))[-1]
+        frame = _sweep_points(family, (m_hi + 2, p_next, k_hi + 5))
+        points.extend(g for g in frame if g not in inner and g.q is not None)
+    return points
+
+
+def check_bit_bound(g):
+    """order_class_bits is sound and its q-degree D is tight at g."""
+    order = group_order(g)
+    limit = _class_number_limit(g, order)
+    bits = order_class_bits(g)
+    assert limit.bit_length() <= bits, g
+    assert (g.q.q.bit_length() - 1) * order_q_degree(g) - 5 < order.bit_length(), g
+    if _refuted_by_bits(g):
+        assert _half_factorial_below(max(5, n_min(g)), limit) is None, g
+    return limit.bit_length() == bits
+
+
+def test_bit_bound_on_sweep_points():
+    points = lie_sweep_points()
+    assert len(points) == 3507
+    reached = sum(check_bit_bound(g) for g in points)
+    assert reached > 0  # the bound is attained, not just loose
+    refuted = [g for g in points if _refuted_by_bits(g)]
+    assert len(refuted) == 3338
+    assert not any(_feasible(g) for g in refuted)
+
+
+def test_bit_bound_past_the_boxes():
+    points = lie_frame_points()
+    assert len(points) == 4785
+    for g in points:
+        check_bit_bound(g)
+
+
+def test_bit_bound_skips_orders_and_limits(monkeypatch):
+    # a refused point builds no |H|, no class bound and no factorial
+    monkeypatch.setattr("codlab.search.group_order", None)
+    monkeypatch.setattr("codlab.search.class_number_bound", None)
+    monkeypatch.setattr("codlab.search.factorial", None)
+    g = lie("PSL", PrimePower(17, 63), m=6)
+    assert _refuted_by_bits(g)
+    assert not _feasible(g)
+    assert candidate_n_range(g) == []
 
 
 def test_half_factorial_below_at_the_boundary():
