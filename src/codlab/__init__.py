@@ -2,102 +2,44 @@
 that identifies which finite simple groups share codegrees with an A_n.
 
 Everything is integer or Fraction arithmetic; no floats anywhere.
+
+Each public name is read from its home module when it is accessed, and
+a home module is imported on first use: `import codlab` loads no
+submodule, and `codlab.alt_codegree_set` loads the A_n layer without
+the simple-group catalog or the search.
 """
 
-from .alt_codegrees import (
-    AltIrrEntry,
-    CodegreeSet,
-    alt_codegree_set,
-    alt_degree_multiset,
-    alt_irr_entries,
-    min_nontrivial_codegree,
-    sym_degree,
-    verify_min_codegree_monotone,
-)
-from .catalog import (
-    GroupId,
-    alternating,
-    class_number_bound,
-    group_label,
-    group_order,
-    lie,
-    parse_group_label,
-    prime_power,
-    simple_codegree_set,
-    sporadic,
-    sporadic_entries,
-    twisted_codegree_set_2a9,
-)
-from .exactnum import PrimePower, factor, factorial, format_factored, is_prime
-from .partitions import (
-    conjugate,
-    enumerate_partitions,
-    hook_lengths,
-    hook_product,
-    is_self_conjugate,
-)
-from .search import (
-    ExceptionRow,
-    FamilyBounds,
-    FamilySweepReport,
-    SchurScan,
-    SubsetCheck,
-    VerificationReport,
-    candidate_n_range,
-    check_subset,
-    derive_family_bounds,
-    run_full_verification,
-    schur_a9_size_check,
-    schur_degree_equation_solutions,
-    sweep_family,
-    sweep_sporadic,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AltIrrEntry",
-    "CodegreeSet",
-    "ExceptionRow",
-    "FamilyBounds",
-    "FamilySweepReport",
-    "GroupId",
-    "PrimePower",
-    "SchurScan",
-    "SubsetCheck",
-    "VerificationReport",
-    "alt_codegree_set",
-    "alt_degree_multiset",
-    "alt_irr_entries",
-    "alternating",
-    "candidate_n_range",
-    "check_subset",
-    "class_number_bound",
-    "conjugate",
-    "derive_family_bounds",
-    "enumerate_partitions",
-    "factor",
-    "factorial",
-    "format_factored",
-    "group_label",
-    "group_order",
-    "hook_lengths",
-    "hook_product",
-    "is_prime",
-    "is_self_conjugate",
-    "lie",
-    "min_nontrivial_codegree",
-    "parse_group_label",
-    "prime_power",
-    "run_full_verification",
-    "schur_a9_size_check",
-    "schur_degree_equation_solutions",
-    "simple_codegree_set",
-    "sporadic",
-    "sporadic_entries",
-    "sweep_family",
-    "sweep_sporadic",
-    "sym_degree",
-    "twisted_codegree_set_2a9",
-    "verify_min_codegree_monotone",
-]
+_EXPORTS = {
+    "alt_codegrees": """AltIrrEntry CodegreeSet alt_codegree_set alt_degree_multiset
+        alt_irr_entries min_nontrivial_codegree sym_degree verify_min_codegree_monotone""",
+    "catalog": """GroupId alternating class_number_bound group_label group_order lie
+        parse_group_label prime_power simple_codegree_set sporadic sporadic_entries
+        twisted_codegree_set_2a9""",
+    "exactnum": "PrimePower factor factorial format_factored is_prime",
+    "partitions": "conjugate enumerate_partitions hook_lengths hook_product is_self_conjugate",
+    "search": """ExceptionRow FamilyBounds FamilySweepReport SchurScan SubsetCheck
+        VerificationReport candidate_n_range check_subset derive_family_bounds
+        run_full_verification schur_a9_size_check schur_degree_equation_solutions
+        sweep_family sweep_sporadic""",
+}
+# public name -> the submodule that defines it
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    # Resolved on every access and never stored here, so a name always
+    # reads the home module's current binding.
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _HOME.keys())

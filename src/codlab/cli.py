@@ -12,41 +12,29 @@ integers (n, m, p, k, set sizes) stay plain.  Table output additionally
 shows a factored form for large values.  Sweeps run serially; --threads
 is accepted and validated (N >= 1) for compatibility, and output bytes
 are identical for any N.
+
+Each handler imports what it runs, and json and csv are imported only
+for those formats.  cod and min-cod load only the A_n layer (partitions,
+alt_codegrees, exactnum), never catalog or search, so a table of A_n
+pays neither for the simple-group catalog nor for the sweeps.  search,
+schur and check-subset load both; only they read the data file, so only
+they map its DataFileError to exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import asdict
+from functools import wraps
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .alt_codegrees import alt_codegree_set, verify_min_codegree_monotone
-from .catalog import (
-    EXCEPTIONAL_PREFIX,
-    LIE_FAMILIES,
-    DataFileError,
-    group_label,
-    parse_group_label,
-)
-from .exactnum import format_factored
-from .search import (
-    ROW_HEADER,
-    ExceptionRow,
-    FamilySweepReport,
-    SubsetCheck,
-    check_subset,
-    discharge_rows,
-    render_csv,
-    render_rows_csv,
-    row_cells,
-    run_full_verification,
-    schur_a9_size_check,
-    schur_degree_equation_solutions,
-    sweep_family,
-    sweep_sporadic,
-)
+from .exactnum import format_divisors, format_factored
+
+if TYPE_CHECKING:
+    from .search import ExceptionRow, FamilySweepReport, SubsetCheck
 
 DEFAULT_MAX_N = 40
 # Largest --max-n accepted.  cod(A_n) costs about twice as much for each
@@ -54,14 +42,27 @@ DEFAULT_MAX_N = 40
 # 5 s on a 2-core VM, and far beyond it a request would run for hours.
 MAX_N_CEILING = 60
 
-_TARGETS = {f.lower(): f for f in LIE_FAMILIES} | {
-    prefix.lower(): f for f, prefix in EXCEPTIONAL_PREFIX.items()
-}
+Handler = Callable[[argparse.Namespace], int]
 
 
 def _fail_usage(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
+
+
+def _reads_data(handler: Handler) -> Handler:
+    """A handler that loads catalog: a bad data file exits 2 with its message."""
+
+    @wraps(handler)
+    def run(args: argparse.Namespace) -> int:
+        from .catalog import DataFileError
+
+        try:
+            return handler(args)
+        except DataFileError as exc:
+            return _fail_usage(str(exc))
+
+    return run
 
 
 def _big(v: int) -> str:
@@ -83,7 +84,18 @@ def _emit(text: str) -> None:
 
 
 def _emit_json(payload: dict) -> None:
+    import json
+
     _emit(json.dumps(payload, indent=2) + "\n")
+
+
+def _emit_csv(header: Iterable[str], rows: Iterable[Iterable[str]]) -> None:
+    """Write a CSV table to stdout, one write per line (see _emit)."""
+    import csv
+
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -104,14 +116,14 @@ def cmd_cod(args: argparse.Namespace) -> int:
             "codegrees": [str(v) for v in cs.values],
         })
     elif args.format == "csv":
-        rows = [[str(n), str(cs.order), str(v)] for v in cs.values]
-        _emit(render_csv(["n", "group_order", "codegree"], rows))
+        order = str(cs.order)
+        _emit_csv(["n", "group_order", "codegree"], ([str(n), order, str(v)] for v in cs.values))
     else:
         print(f"cod({cs.group_label})    |{cs.group_label}| = {_big(cs.order)}")
         width = len(str(cs.values[-1]))
         sys.stdout.writelines(
-            f"  {v:>{width}}\n" if v == 1 else f"  {v:>{width}} = {format_factored(v)}\n"
-            for v in cs.values
+            f"  {v:>{width}}\n" if v == 1 else f"  {v:>{width}} = {text}\n"
+            for v, text in zip(cs.values, format_divisors(cs.values, cs.order))
         )
         print(f"{len(cs.values)} values")
     return 0
@@ -137,8 +149,7 @@ def cmd_min_cod(args: argparse.Namespace) -> int:
             "verdict": verdict,
         })
     elif args.format == "csv":
-        body = [[str(n), str(a)] for n, a in rows]
-        _emit(render_csv(["n", "min_codegree"], body))
+        _emit_csv(["n", "min_codegree"], ([str(n), str(a)] for n, a in rows))
         print(verdict)
     else:
         width = len(str(rows[-1][1]))
@@ -167,6 +178,8 @@ def _check_json(c: SubsetCheck) -> dict:
 
 
 def _rows_table(rows: tuple[ExceptionRow, ...]) -> list[str]:
+    from .search import ROW_HEADER, row_cells
+
     if not rows:
         return ["(no surviving rows)"]
     cells = [ROW_HEADER] + [row_cells(r) for r in rows]
@@ -216,7 +229,16 @@ def _family_table(rep: FamilySweepReport, checks: tuple[SubsetCheck, ...]) -> li
     return lines
 
 
+@_reads_data
 def cmd_search(args: argparse.Namespace) -> int:
+    from .search import (
+        SEARCH_TARGETS,
+        discharge_rows,
+        render_rows_csv,
+        sweep_family,
+        sweep_sporadic,
+    )
+
     raw = args.target.lower().replace("-", "").replace("_", "")
     if raw == "all":
         return _search_all(args)
@@ -238,7 +260,7 @@ def cmd_search(args: argparse.Namespace) -> int:
             print("checks:")
             print("\n".join(_check_lines(checks)))
         return _alarm_exit(checks)
-    family = _TARGETS.get(raw)
+    family = SEARCH_TARGETS.get(raw)
     if family is None:
         return _fail_usage(f"unknown search target {args.target!r}")
     rep = sweep_family(family)
@@ -259,6 +281,8 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def _search_all(args: argparse.Namespace) -> int:
+    from .search import render_rows_csv, run_full_verification
+
     rep = run_full_verification()
     verdict = "PASS" if rep.ok else "FAIL"
     if args.format == "json":
@@ -315,7 +339,10 @@ def _search_all(args: argparse.Namespace) -> int:
 # schur
 
 
+@_reads_data
 def cmd_schur(args: argparse.Namespace) -> int:
+    from .search import schur_a9_size_check, schur_degree_equation_solutions
+
     scan = schur_degree_equation_solutions()
     report = schur_a9_size_check()
     ok = scan.ok and report.ok
@@ -335,8 +362,7 @@ def cmd_schur(args: argparse.Namespace) -> int:
             "verdict": verdict,
         })
     elif args.format == "csv":
-        body = [[str(n)] for n in scan.solutions]
-        _emit(render_csv(["solution_n"], body))
+        _emit_csv(["solution_n"], ([str(n)] for n in scan.solutions))
         print(f"sizes,{report.a9_size},{report.twisted_size}")
         print(verdict)
     else:
@@ -357,7 +383,11 @@ def cmd_schur(args: argparse.Namespace) -> int:
 # check-subset
 
 
+@_reads_data
 def cmd_check_subset(args: argparse.Namespace) -> int:
+    from .catalog import group_label, parse_group_label
+    from .search import check_subset
+
     try:
         g = parse_group_label(args.group)
     except ValueError as exc:
@@ -370,9 +400,9 @@ def cmd_check_subset(args: argparse.Namespace) -> int:
     if args.format == "json":
         _emit_json({"command": "check-subset", **_check_json(result)})
     elif args.format == "csv":
-        body = [[result.label, str(result.n), result.verdict,
-                 "" if result.witness is None else str(result.witness)]]
-        _emit(render_csv(["label", "n", "verdict", "witness"], body))
+        _emit_csv(["label", "n", "verdict", "witness"],
+                  [[result.label, str(result.n), result.verdict,
+                    "" if result.witness is None else str(result.witness)]])
     else:
         print("\n".join(_check_lines((result,))))
         print(f"|{result.label}| = {_big(result.h_order)}")
@@ -439,14 +469,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.threads < 1:
         return _fail_usage(f"--threads must be >= 1, got {args.threads}")
+    if args.max_n < 5:
+        return _fail_usage(f"--max-n must be >= 5, got {args.max_n}")
     if args.max_n > MAX_N_CEILING:
         return _fail_usage(f"--max-n must be <= {MAX_N_CEILING}, got {args.max_n}")
     try:
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except DataFileError as exc:
-        return _fail_usage(str(exc))
     except BrokenPipeError:
         # The reader closed stdout early.  Point stdout at devnull so the
         # interpreter's final flush of what is still buffered stays silent.

@@ -3,14 +3,18 @@
 Every quantity in this package is an exact integer or an exact fraction;
 no floating point is used in any comparison of group orders, hook
 products, or class-number bounds.  Python ints are arbitrary precision,
-so the only work here is the number theory: primality, prime powers
-and factorisation.
+so the only work here is the number theory: primality, prime powers,
+factorisation and the factored text form of a number.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial as _factorial, isqrt
+from functools import lru_cache
+from itertools import repeat
+from math import factorial as _factorial, gcd, isqrt
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 
 # Below this bound trial division needs at most 128 odd divisors, and
@@ -135,11 +139,35 @@ def factor(n: int) -> list[tuple[int, int]]:
     return out
 
 
+@lru_cache(maxsize=256)
+def _power_texts(p: int, e: int) -> Mapping[int, str]:
+    """p^k -> its text ("p" or "p^k") for k <= e, and 1 -> ""."""
+    text = {p ** k: str(p) if k == 1 else f"{p}^{k}" for k in range(1, e + 1)}
+    text[1] = ""
+    return MappingProxyType(text)  # shared by every caller, so read only
+
+
+def format_divisors(values: Iterable[int], multiple: int) -> list[str]:
+    """The factored text of each value, e.g. 2^6·3^2·5; each must divide multiple.
+
+    multiple >= 1 is factored once.  Each value then costs one gcd with
+    each prime power p^E of multiple, and gcd(v, p^E) = p^k is looked up
+    in a table of texts.  A value that does not divide multiple raises
+    ArithmeticError, so every text is exact.
+    """
+    values = tuple(values)
+    for v in values:
+        if v < 1 or multiple % v:
+            raise ArithmeticError(f"{v} does not divide {multiple}")
+    columns = [
+        map(_power_texts(p, e).__getitem__, map(gcd, values, repeat(p ** e)))
+        for p, e in factor(multiple)
+    ]
+    if not columns:  # multiple == 1
+        return ["1"] * len(values)
+    return ["·".join(filter(None, parts)) or "1" for parts in zip(*columns)]
+
+
 def format_factored(n: int) -> str:
     """Render n >= 1 as a compact prime-power product, e.g. 2^6·3^2·5."""
-    if n == 1:
-        return "1"
-    parts = []
-    for p, e in factor(n):
-        parts.append(str(p) if e == 1 else f"{p}^{e}")
-    return "·".join(parts)
+    return format_divisors((n,), n)[0]

@@ -37,8 +37,9 @@ from typing import Iterable, Iterator
 
 from .alt_codegrees import alt_codegree_set, verify_min_codegree_monotone
 from .catalog import (
-    CLASSICAL_FAMILIES,
     EXCEPTIONAL_FAMILIES,
+    EXCEPTIONAL_PREFIX,
+    LIE_FAMILIES,
     RANK_FLOOR,
     TWISTED_ODD_POWER,
     GroupId,
@@ -60,6 +61,11 @@ from .exactnum import factorial, is_prime
 HARD_N_CAP = 200
 _SCAN_AHEAD = 12
 _MONOTONE_RANGE = (5, 30)
+# `codlab search` target, lower case without '-' or '_' -> family: each
+# Lie family's name, and each exceptional family's label prefix.
+SEARCH_TARGETS = {f.lower(): f for f in LIE_FAMILIES} | {
+    prefix.lower(): f for f, prefix in EXCEPTIONAL_PREFIX.items()
+}
 
 # Fixed per-family floors for the enumeration box (m, p, k).  The sweep
 # never examines less than this box even if the derived edges are
@@ -519,18 +525,14 @@ class VerificationReport:
         )
 
 
-def render_csv(header: Iterable[str], rows: Iterable[Iterable[str]]) -> str:
-    """CSV text of a header and rows, each line ending in a bare newline."""
+def render_rows_csv(rows: tuple[ExceptionRow, ...]) -> str:
+    """Canonical row serialisation, also the golden-file format: CSV with
+    a header line, each line ending in a bare newline."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerow(ROW_HEADER)
+    writer.writerows(map(row_cells, rows))
     return buf.getvalue()
-
-
-def render_rows_csv(rows: tuple[ExceptionRow, ...]) -> str:
-    """Canonical row serialisation, also the golden-file format."""
-    return render_csv(ROW_HEADER, map(row_cells, rows))
 
 
 _GOLDEN_FILES = {
@@ -574,7 +576,7 @@ def run_full_verification() -> VerificationReport:
     monotone_ok, _ = verify_min_codegree_monotone(*_MONOTONE_RANGE)
     sporadic_rows = sweep_sporadic()
     family_reports = tuple(
-        sweep_family(fam) for fam in CLASSICAL_FAMILIES + EXCEPTIONAL_FAMILIES
+        sweep_family(fam) for fam in LIE_FAMILIES
     )
     rows = tuple(sorted(
         sporadic_rows + tuple(r for rep in family_reports for r in rep.rows),

@@ -12,8 +12,9 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from codlab.cli import _TARGETS, MAX_N_CEILING, main
+from codlab.cli import MAX_N_CEILING, main
 from codlab.catalog import data_path
+from codlab.search import SEARCH_TARGETS
 
 
 def run_cli(capsys, *argv):
@@ -230,8 +231,21 @@ def test_max_n_ceiling(capsys):
         assert f"--max-n must be <= {MAX_N_CEILING}" in err, argv
 
 
+def test_max_n_floor(capsys):
+    # below 5 no n is accepted, so the option itself is refused, on every
+    # subcommand
+    code, out, _ = run_cli(capsys, "cod", "5", "--max-n", "5")
+    assert code == 0 and "4 values" in out
+    for argv in (("cod", "5", "--max-n", "4"), ("min-cod", "5", "6", "--max-n", "0"),
+                 ("check-subset", "J2", "10", "--max-n", "-1"),
+                 ("search", "psl", "--max-n", "4"), ("schur", "--max-n", "3")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err == f"error: --max-n must be >= 5, got {argv[-1]}\n", argv
+
+
 def test_search_targets():
-    assert _TARGETS == {
+    assert SEARCH_TARGETS == {
         "psl": "PSL", "psu": "PSU", "psp": "PSp", "omegaodd": "OmegaOdd",
         "oplus": "OPlus", "ominus": "OMinus", "g2": "G2", "f4": "F4",
         "e6": "E6", "e7": "E7", "e8": "E8", "twistede6": "TwistedE6",

@@ -10,6 +10,7 @@ from codlab.exactnum import (
     exact_root,
     factor,
     factorial,
+    format_divisors,
     format_factored,
     is_prime,
 )
@@ -151,3 +152,22 @@ def test_format_factored_roundtrip(n):
         base, _, exp = term.partition("^")
         total *= int(base) ** (int(exp) if exp else 1)
     assert total == n
+
+
+def test_format_divisors_matches_format_factored_on_cod_an():
+    # the bulk renderer of the cod table, on every value of cod(A_n)
+    for n in range(5, 41):
+        cs = alt_codegree_set(n)
+        assert format_divisors(cs.values, cs.order) == [format_factored(v) for v in cs.values], n
+
+
+def test_format_divisors_small_cases():
+    assert format_divisors([1, 2, 12, 60, 5], 60) == ["1", "2", "2^2·3", "2^2·3·5", "5"]
+    assert format_divisors(iter([1, 1]), 1) == ["1", "1"]
+    assert format_divisors((), 2**40 * 37) == []
+
+
+@pytest.mark.parametrize("value,multiple", [(7, 60), (8, 60), (0, 60), (-3, 60), (2, 1), (3**4, 3**3)])
+def test_format_divisors_refuses_a_non_divisor(value, multiple):
+    with pytest.raises(ArithmeticError, match="does not divide"):
+        format_divisors([1, value], multiple)
