@@ -26,16 +26,19 @@ No conjugate is formed and no shape's hooks are walked one by one.
 A pair splits into a light run b of sum t <= (n - d)/2 and a heavy run
 a of sum n - d - t.  Neither the runs of a given (d, sum) nor the factor
 table g(x) = prod_j (x + b_j + 1) of a light run depends on n, so one
-walk covers a whole range n_lo..n_hi in the order d, t, n: each light
-table is built once per (d, t) at its widest, for n_hi, and each heavy
-run list once per (d, sum), dropped once no later t needs it.  A single
-n is the range (n, n).  Nothing is cached beyond one walk.
+walk covers a whole range n_lo..n_hi in the order d, t, n.  Per d it
+builds the run list of every sum once, as a plain list, from the lists
+of length d - 1 (a run (x,) + r has H = H(r) * x! / prod_{y in r} (x - y)),
+and then drops those; each light table is built once per (d, t) at its
+widest, for n_hi.  A single n is the range (n, n).  Nothing is cached
+beyond one walk, and a walk makes no reference cycle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
+from operator import mul
 from typing import Iterator
 
 from .exactnum import factorial
@@ -78,41 +81,40 @@ class CodegreeSet:
                 raise ValueError(f"codegree {v} does not divide order {self.order}")
 
 
-def _degree(n: int, n_factorial: int, hp: int) -> int:
-    """n!/H(lam), refusing a hook product that does not divide n!."""
-    dim, rest = divmod(n_factorial, hp)
+def sym_degree(parts: Partition) -> int:
+    """Dimension of the S_n irreducible for this shape (hook formula)."""
+    n = sum(parts)
+    hp = hook_product(parts)
+    dim, rest = divmod(factorial(n), hp)
     if rest:
         raise ArithmeticError(f"hook product {hp} does not divide {n}!")
     return dim
 
 
-def sym_degree(parts: Partition) -> int:
-    """Dimension of the S_n irreducible for this shape (hook formula)."""
-    n = sum(parts)
-    return _degree(n, factorial(n), hook_product(parts))
-
-
-def _runs(d: int, total: int, fact: list[int]) -> Iterator[tuple[Run, int]]:
+def _run_list(
+    d: int, total: int, shorter: dict[int, list[tuple[Run, int]]], fact: list[int]
+) -> list[tuple[Run, int]]:
     """Runs x_1 > ... > x_d >= 0 summing to total, lex-decreasing, each
-    with H(x) built one element at a time (every prefix is a beta set,
-    so each step's division is exact)."""
+    with its H(x).
 
-    def extend(prefix: Run, hp: int, k: int, rest: int) -> Iterator[tuple[Run, int]]:
-        # the next element x is the largest of the k still to place
-        hi = rest - (k - 1) * (k - 2) // 2
-        if prefix and hi >= prefix[-1]:
-            hi = prefix[-1] - 1
-        lo = -(-(rest + k * (k - 1) // 2) // k)
-        for x in range(hi, lo - 1, -1):
-            gaps = 1
-            for y in prefix:
-                gaps *= y - x
-            if k == 1:
-                yield prefix + (x,), hp * fact[x] // gaps
-            else:
-                yield from extend(prefix + (x,), hp * fact[x] // gaps, k - 1, rest - x)
-
-    return extend((), 1, d, total)
+    shorter maps each sum to the lex-decreasing runs of length d - 1 with
+    their H.  A run (x,) + r has H(r) * x! / prod_{y in r} (x - y), and
+    the division is exact because {x} u r is a beta set.
+    """
+    if d == 1:
+        return [((total,), fact[total])]
+    out = []
+    # x is the largest element: the rest sum to at least (d-1)(d-2)/2,
+    # and d distinct elements below x + 1 sum to at most dx - d(d-1)/2
+    for x in range(total - (d - 1) * (d - 2) // 2, -(-(total + d * (d - 1) // 2) // d) - 1, -1):
+        fx = fact[x]
+        for r, hr in shorter[total - x]:
+            if r[0] < x:
+                gaps = 1
+                for y in r:
+                    gaps *= x - y
+                out.append(((x,) + r, hr * fx // gaps))
+    return out
 
 
 def _frobenius_pairs(n_lo: int, n_hi: int) -> Iterator[tuple[int, Run, Run, bool, int, int]]:
@@ -122,14 +124,13 @@ def _frobenius_pairs(n_lo: int, n_hi: int) -> Iterator[tuple[int, Run, Run, bool
     (arms | legs) is the lex-larger member, so arms >= legs and equality
     means self-conjugate.  The trivial pairs (n) = (n-1 | 0) come first
     with codegree 1; the rest follow in the order Durfee size d, light
-    sum t, n.  Per (d, t) the runs of sum t are held in a list, each with
-    its table g(x) = prod_j (x + b_j + 1) wide enough for n_hi, and for
-    each n with t <= (n - d)/2 the runs of the heavy sum n - d - t are
-    met against them, so a pair costs d multiplications.  A heavy run
-    list is built when some n first needs it and dropped after the last
-    t that does, so each list and each table is built once per call.
-    Every shape passes the exact checks: H | n!, an even dimension when
-    self-conjugate, an even H otherwise.
+    sum t, n.  Per d the run lists of every sum the walk meets are built
+    once, from those of length d - 1, which are then dropped.  Per (d, t)
+    each light run of sum t gets its table g(x) = prod_j (x + b_j + 1)
+    wide enough for n_hi, and for each n with t <= (n - d)/2 the runs of
+    the heavy sum n - d - t are met against them, so a pair costs d
+    multiplications.  Every shape passes the exact checks: H | n!, an
+    even dimension when self-conjugate, an even H otherwise.
     """
     if n_lo < 5:
         raise ValueError(f"n must be >= 5, got {n_lo}")
@@ -140,36 +141,35 @@ def _frobenius_pairs(n_lo: int, n_hi: int) -> Iterator[tuple[int, Run, Run, bool
         fact[i] = fact[i - 1] * i
     for n in range(n_lo, n_hi + 1):
         yield n, (n - 1,), (0,), False, 1, 1
+    level: dict[int, list[tuple[Run, int]]] = {}
     for d in range(1, isqrt(n_hi) + 1):
         least = d * (d - 1) // 2  # smallest sum of a run of length d
-        heavy: dict[int, list[tuple[Run, int]]] = {}
+        shorter, level = level, {}
+        for s in range(least, n_hi - d - least + 1):
+            level[s] = _run_list(d, s, shorter, fact)
+        del shorter
         # at d = 1 the light sum t = 0 is the trivial pair, already met
         for t in range(least if d > 1 else 1, (n_hi - d) // 2 + 1):
             top = n_hi - d - t - (d - 1) * (d - 2) // 2  # largest first element of a heavy run
             light = []
-            # the runs of sum t, last needed as heavy runs at t - 1
-            for b, hb in heavy.pop(t, None) or _runs(d, t, fact):
+            for b, hb in level[t]:
                 # g[x] = prod_j (x + b_j + 1) for every x a heavy run can hold
                 g = list(range(b[0] + 1, b[0] + top + 2))
                 for y in b[1:]:
-                    g = [v * (x + y + 1) for x, v in enumerate(g)]
+                    g = list(map(mul, g, range(y + 1, y + top + 2)))
                 light.append((b, hb, g))
             for n in range(max(n_lo, d + 2 * t), n_hi + 1):
                 n_factorial = fact[n]
                 s = n - d - t
                 middle = s == t
-                if middle:
-                    runs = [(b, hb) for b, hb, _ in light]
-                else:
-                    runs = heavy.get(s)
-                    if runs is None:
-                        runs = heavy[s] = list(_runs(d, s, fact))
-                for i, (a, ha) in enumerate(runs):
+                for i, (a, ha) in enumerate(level[s]):
                     for b, hb, g in light[i:] if middle else light:
                         hp = ha * hb
                         for x in a:
                             hp *= g[x]
-                        dim = _degree(n, n_factorial, hp)
+                        dim, rest = divmod(n_factorial, hp)
+                        if rest:
+                            raise ArithmeticError(f"hook product {hp} does not divide {n}!")
                         if a == b:
                             if dim & 1:
                                 raise ArithmeticError(
@@ -184,8 +184,6 @@ def _frobenius_pairs(n_lo: int, n_hi: int) -> Iterator[tuple[int, Run, Run, bool
                             yield n, a, b, False, dim, hp >> 1
                         else:
                             yield n, b, a, False, dim, hp >> 1
-            # no later t needs the heavy sum n_hi - d - t
-            heavy.pop(n_hi - d - t, None)
 
 
 def _shape(arms: Run, legs: Run) -> Partition:

@@ -6,6 +6,8 @@ n!/2) and are frozen here; the library must reproduce them from hook
 lengths alone.
 """
 
+import gc
+import itertools
 import math
 import tracemalloc
 from collections import Counter
@@ -179,8 +181,8 @@ def test_a8_degrees_match_shipped_psl42_record():
 
 
 def test_min_codegree_memory_stays_streaming():
-    # a heavy run list is held only while some light sum still needs it;
-    # the peak here is about 0.06 MB
+    # the run lists of two Durfee sizes at most; the peak here is about
+    # 0.16 MB
     tracemalloc.start()
     try:
         min_nontrivial_codegree(40)
@@ -211,20 +213,51 @@ def test_range_walk_is_the_union_of_single_n_walks():
 
 
 def test_range_walk_builds_each_run_list_once(monkeypatch):
-    # each (Durfee size, sum) run list is built at most once per walk:
-    # a heavy list dropped too early would be built again
+    # each (Durfee size, sum) run list is built at most once per walk
     built = Counter()
-    runs = alt_codegrees._runs
+    run_list = alt_codegrees._run_list
 
-    def counting_runs(d, total, fact):
+    def counting_run_list(d, total, shorter, fact):
         built[d, total] += 1
-        return runs(d, total, fact)
+        return run_list(d, total, shorter, fact)
 
-    monkeypatch.setattr(alt_codegrees, "_runs", counting_runs)
+    monkeypatch.setattr(alt_codegrees, "_run_list", counting_run_list)
     for lo, hi in ((5, 40), (17, 23), (30, 30)):
         built.clear()
         assert sum(1 for _ in _frobenius_pairs(lo, hi)) > 0
         assert max(built.values()) == 1, [k for k, c in built.items() if c > 1]
+
+
+def test_run_lists_match_brute_force():
+    # every strictly decreasing d-tuple summing to s, lex-decreasing, with
+    # H(x) = prod x_i! / prod_{i<j} (x_i - x_j) computed directly
+    fact = [math.factorial(i) for i in range(21)]
+    level = {}
+    for d in range(1, 6):
+        shorter, level = level, {}
+        for s in range(d * (d - 1) // 2, 21):
+            level[s] = alt_codegrees._run_list(d, s, shorter, fact)
+            expected = [
+                x for x in itertools.combinations(range(s, -1, -1), d) if sum(x) == s
+            ]
+            assert [r for r, _ in level[s]] == expected, (d, s)
+            for r, h in level[s]:
+                gaps = math.prod(x - y for x, y in itertools.combinations(r, 2))
+                assert h * gaps == math.prod(map(math.factorial, r)), r
+
+
+def test_walks_leave_no_reference_cycles():
+    # every table a walk builds is freed by reference counting alone
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in _frobenius_pairs(5, 30):
+            pass
+        alt_codegree_set(20)
+        verify_min_codegree_monotone(5, 12)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_range_walk_validation():
@@ -237,7 +270,8 @@ def test_range_walk_validation():
 
 
 def test_monotone_scan_memory_stays_small():
-    # light tables per (d, t) and heavy lists only while needed; about 0.28 MB
+    # light tables per (d, t) and the run lists of two Durfee sizes at
+    # most; about 0.16 MB
     tracemalloc.start()
     try:
         verify_min_codegree_monotone(5, 40)

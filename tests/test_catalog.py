@@ -265,10 +265,36 @@ def test_bounds_dominate_actual_class_counts():
     # length is the true class number and must respect the bound
     for label in ("PSL(2,4)", "PSL(2,5)", "PSL(2,7)", "PSL(2,8)",
                   "PSL(2,9)", "PSL(3,4)", "PSL(4,2)", "PSU(3,3)",
-                  "Omega(5,3)"):
+                  "Omega(5,3)", "G2(2)'"):
         rec = degree_record(label)
         bound = class_number_bound(parse_group_label(label))
         assert len(rec.degrees) <= bound
+    # G2(2)' = PSU(3,3): 14 classes against the G2 polynomial at q = 2
+    assert len(degree_record("G2(2)'").degrees) == 14
+    assert class_number_bound(parse_group_label("G2(2)'")) == 17
+
+
+def _psl2_class_number(q):
+    # k(PSL(2,q)): q + 1 classes for even q, (q + 5)/2 for odd q
+    return q + 1 if q % 2 == 0 else (q + 5) // 2
+
+
+def test_psl2_class_numbers_within_bound():
+    # the closed form agrees with the embedded full character tables ...
+    for label in ("PSL(2,4)", "PSL(2,5)", "PSL(2,7)", "PSL(2,8)", "PSL(2,9)"):
+        q = parse_group_label(label).q.q
+        assert len(degree_record(label).degrees) == _psl2_class_number(q)
+    # ... and stays under the bound on every q = p^k of the PSL sweep box
+    # at m = 1 (PSL(2,2) and PSL(2,3) are not simple)
+    checked = 0
+    for p in (2, 3, 5, 7, 11, 13, 17):
+        for k in range(1, 64):
+            q = PrimePower(p, k)
+            if q.q < 4:
+                continue
+            assert _psl2_class_number(q.q) <= class_number_bound(lie("PSL", q, m=1)), q.q
+            checked += 1
+    assert checked == 7 * 63 - 2
 
 
 EXPECTED_Q_DEGREES = {
