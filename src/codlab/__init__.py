@@ -2,6 +2,9 @@
 that identifies which finite simple groups share codegrees with an A_n.
 
 Everything is integer or Fraction arithmetic; no floats anywhere.
+cod(A_n) has one path, the Frobenius walk in alt_codegrees; enumerating
+partitions, conjugating them or listing per-shape entries is left to the
+tests' own oracles.
 
 Each public name is read from its home module when it is accessed, and
 a home module is imported on first use: `import codlab` loads no
@@ -14,15 +17,15 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "alt_codegrees": """AltIrrEntry CodegreeSet alt_codegree_set alt_degree_multiset
-        alt_irr_entries min_nontrivial_codegree sym_degree verify_min_codegree_monotone""",
+    "alt_codegrees": """CodegreeSet alt_codegree_set min_nontrivial_codegree sym_degree
+        verify_min_codegree_monotone""",
     "catalog": """GroupId alternating class_number_bound group_label group_order lie
         parse_group_label prime_power simple_codegree_set sporadic sporadic_entries
         twisted_codegree_set_2a9""",
     "exactnum": "PrimePower factor factorial format_factored is_prime",
-    "partitions": "conjugate enumerate_partitions hook_lengths hook_product is_self_conjugate",
+    "partitions": "hook_product",
     "search": """ExceptionRow FamilyBounds FamilySweepReport SchurScan SubsetCheck
-        VerificationReport candidate_n_range check_subset derive_family_bounds
+        VerificationReport check_subset derive_family_bounds
         run_full_verification schur_a9_size_check schur_degree_equation_solutions
         sweep_family sweep_sporadic""",
 }

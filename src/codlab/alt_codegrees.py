@@ -29,9 +29,11 @@ table g(x) = prod_j (x + b_j + 1) of a light run depends on n, so one
 walk covers a whole range n_lo..n_hi in the order d, t, n.  Per d it
 builds the run list of every sum once, as a plain list, from the lists
 of length d - 1 (a run (x,) + r has H = H(r) * x! / prod_{y in r} (x - y)),
-and then drops those; each light table is built once per (d, t) at its
-widest, for n_hi.  A single n is the range (n, n).  Nothing is cached
-beyond one walk, and a walk makes no reference cycle.
+and then drops those; a heavy sum's list goes as soon as neither a later
+light sum nor the next Durfee size reads it.  Each light table is built
+once per (d, t) at its widest, for n_hi.  A single n is the range
+(n, n).  Nothing is cached beyond one walk, and a walk makes no
+reference cycle.
 """
 
 from __future__ import annotations
@@ -45,22 +47,6 @@ from .exactnum import factorial
 from .partitions import Partition, hook_product
 
 Run = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class AltIrrEntry:
-    """One A_n-irreducible (or split pair) canonicalised by conjugation.
-
-    partition: lexicographically smaller of {lam, conjugate(lam)}
-    split: True iff the shape is self-conjugate
-    dim: dimension of one A_n-constituent
-    codegree: |A_n| / dim for non-trivial entries, 1 for the trivial one
-    """
-
-    partition: Partition
-    split: bool
-    dim: int
-    codegree: int
 
 
 @dataclass(frozen=True)
@@ -125,7 +111,9 @@ def _frobenius_pairs(n_lo: int, n_hi: int) -> Iterator[tuple[int, Run, Run, bool
     means self-conjugate.  The trivial pairs (n) = (n-1 | 0) come first
     with codegree 1; the rest follow in the order Durfee size d, light
     sum t, n.  Per d the run lists of every sum the walk meets are built
-    once, from those of length d - 1, which are then dropped.  Per (d, t)
+    once, from those of length d - 1, which are then dropped; the list of
+    the heavy sum n_hi - d - t is dropped after light sum t unless the
+    runs of length d + 1 still read it.  Per (d, t)
     each light run of sum t gets its table g(x) = prod_j (x + b_j + 1)
     wide enough for n_hi, and for each n with t <= (n - d)/2 the runs of
     the heavy sum n - d - t are met against them, so a pair costs d
@@ -148,6 +136,8 @@ def _frobenius_pairs(n_lo: int, n_hi: int) -> Iterator[tuple[int, Run, Run, bool
         for s in range(least, n_hi - d - least + 1):
             level[s] = _run_list(d, s, shorter, fact)
         del shorter
+        # the largest sum that the runs of length d + 1 read from this level
+        kept = n_hi - d - 1 - d * (d + 1) // 2 - -(-(n_hi - d - 1) // (d + 1))
         # at d = 1 the light sum t = 0 is the trivial pair, already met
         for t in range(least if d > 1 else 1, (n_hi - d) // 2 + 1):
             top = n_hi - d - t - (d - 1) * (d - 2) // 2  # largest first element of a heavy run
@@ -184,34 +174,9 @@ def _frobenius_pairs(n_lo: int, n_hi: int) -> Iterator[tuple[int, Run, Run, bool
                             yield n, a, b, False, dim, hp >> 1
                         else:
                             yield n, b, a, False, dim, hp >> 1
-
-
-def _shape(arms: Run, legs: Run) -> Partition:
-    """The partition (arms | legs) in Frobenius coordinates."""
-    rows = [x + i for i, x in enumerate(arms, 1)]
-    cols = [y + j for j, y in enumerate(legs, 1)]
-    for r in range(len(arms) + 1, cols[0] + 1):
-        rows.append(sum(1 for c in cols if c >= r))
-    return tuple(rows)
-
-
-def alt_irr_entries(n: int) -> Iterator[AltIrrEntry]:
-    """One entry per unordered conjugate pair of partitions of n, n >= 5.
-
-    Entries come in Durfee-size order; the order is not part of the
-    contract.  The trivial shape (n) (paired with the sign shape
-    (1,...,1)) is the trivial A_n-character and gets codegree 1.
-    """
-    for _, arms, legs, split, dim, codegree in _frobenius_pairs(n, n):
-        yield AltIrrEntry(_shape(legs, arms), split, dim, codegree)
-
-
-def alt_degree_multiset(n: int) -> list[int]:
-    """Degrees of Irr(A_n) with multiplicity (split entries count twice)."""
-    out: list[int] = []
-    for entry in alt_irr_entries(n):
-        out.extend([entry.dim, entry.dim] if entry.split else [entry.dim])
-    return sorted(out)
+            # later light sums meet only smaller heavy sums
+            if n_hi - d - t > kept:
+                del level[n_hi - d - t]
 
 
 def alt_codegree_set(n: int) -> CodegreeSet:

@@ -217,7 +217,13 @@ def _feasible(g: GroupId) -> bool:
 
 
 def _candidates(g: GroupId) -> Iterator[tuple[int, int]]:
-    """(n, (n!/2) / |H|) for each n of candidate_n_range(g)."""
+    """(n, (n!/2) / |H|) for all n with |H| | n!/2 and n!/2 < |H|*k-bound,
+    n >= max(5, n_min).
+
+    n!/2 is strictly increasing, so the first n where the bound fails is
+    a natural cutoff.  Raises if the cutoff is not reached before
+    HARD_N_CAP, rather than silently truncating.
+    """
     if _refuted_by_bits(g):
         return
     order = group_order(g)
@@ -236,16 +242,6 @@ def _candidates(g: GroupId) -> Iterator[tuple[int, int]]:
                 f"candidate range for {group_label(g)} exceeded hard cap {HARD_N_CAP}"
             )
         half *= n
-
-
-def candidate_n_range(g: GroupId) -> list[int]:
-    """All n with |H| | n!/2 and n!/2 < |H|*k-bound, n >= max(5, n_min).
-
-    n!/2 is strictly increasing, so the first n where the bound fails is
-    a natural cutoff.  Raises if the cutoff is not reached before
-    HARD_N_CAP, rather than silently truncating.
-    """
-    return [n for n, _ in _candidates(g)]
 
 
 def _lowest_point(family: str, m: int | None, primes: Iterable[int]) -> GroupId | None:

@@ -1,11 +1,15 @@
 """Independent reference helpers used only by the tests.
 
 Small, direct implementations of definitions the library never needs
-on its own: divisibility, p-adic valuations, Legendre's formula, single
-hook lengths, corner removal, the text form of a partition, partition
-counts, Frobenius coordinates, the direct routes to the A_n entries
-and to the n!/2 sieve, and factorisation one division at a time.  The tests check the library's fast paths
-against them.  Cells are 1-based (row, column) pairs.
+on its own: divisibility, p-adic valuations, Legendre's formula, the
+partitions of n, conjugates by column counts, single hook lengths and
+the hook product cell by cell, corner removal, the text form of a
+partition, partition counts, Frobenius coordinates, the direct routes
+to the A_n entries and to the n!/2 sieve, and factorisation one
+division at a time.  The tests check the library's fast paths against
+them; none of these share code with the partition and hook machinery
+they check.  A partition is a tuple of weakly decreasing positive ints;
+cells are 1-based (row, column) pairs.
 """
 
 from __future__ import annotations
@@ -14,8 +18,8 @@ import math
 from typing import Iterator
 
 from codlab.exactnum import is_prime
-from codlab.partitions import Partition, conjugate, enumerate_partitions, hook_product
 
+Partition = tuple[int, ...]
 Cell = tuple[int, int]
 
 
@@ -71,6 +75,22 @@ def partition_size(parts: Partition) -> int:
     return sum(parts)
 
 
+def partitions(n: int, cap: int | None = None) -> Iterator[Partition]:
+    """Every partition of n with no part above cap (default n)."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, cap or n), 0, -1):
+        for rest in partitions(n - first, first):
+            yield (first,) + rest
+
+
+def conjugate(parts: Partition) -> Partition:
+    """Conjugate by definition: column j holds one cell per row of length >= j."""
+    width = parts[0] if parts else 0
+    return tuple(sum(1 for part in parts if part >= j) for j in range(1, width + 1))
+
+
 def parse_partition(text: str) -> Partition:
     """Parse the text form "[3,2]" or "3,2" into a partition."""
     body = text.strip()
@@ -102,6 +122,15 @@ def hook_length(parts: Partition, cell: Cell) -> int:
     arm = parts[i - 1] - j
     leg = sum(1 for r in range(i, len(parts)) if parts[r] >= j)
     return arm + leg + 1
+
+
+def cell_hook_product(parts: Partition) -> int:
+    """Hook product by definition: hook_length over every cell."""
+    return math.prod(
+        hook_length(parts, (i, j))
+        for i, part in enumerate(parts, start=1)
+        for j in range(1, part + 1)
+    )
 
 
 def corners(parts: Partition) -> list[Cell]:
@@ -181,14 +210,14 @@ def alt_irr_entries_direct(n: int) -> Iterator[tuple[Partition, bool, int, int]]
     of each pair and divides n! by its hook product.
     """
     n_factorial = math.factorial(n)
-    for lam in enumerate_partitions(n):
+    for lam in partitions(n):
         conj = conjugate(lam)
         if conj > lam:
             continue
         if lam == (n,):
             yield conj, False, 1, 1
             continue
-        hp = hook_product(lam)
+        hp = cell_hook_product(lam)
         dim = n_factorial // hp
         if lam == conj:
             yield lam, True, dim // 2, hp

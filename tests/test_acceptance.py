@@ -12,15 +12,9 @@ import time
 from functools import lru_cache
 from pathlib import Path
 
-from codlab.alt_codegrees import (
-    alt_degree_multiset,
-    min_nontrivial_codegree,
-    sym_degree,
-    verify_min_codegree_monotone,
-)
+from codlab.alt_codegrees import _frobenius_pairs, sym_degree, verify_min_codegree_monotone
 from codlab.catalog import parse_group_label, sporadic_entries
 from codlab.cli import main
-from codlab.partitions import enumerate_partitions
 from codlab.search import (
     check_subset,
     discharge_rows,
@@ -31,7 +25,7 @@ from codlab.search import (
     sweep_sporadic,
 )
 from codlab.exactnum import format_factored
-from oracles import corners, remove_corner
+from oracles import corners, partitions, remove_corner
 
 
 def _passed(k: int, name: str, started: float, budget: float) -> None:
@@ -78,12 +72,14 @@ def _branching(lam):
 def test_03_hook_formula_soundness():
     t0 = time.perf_counter()
     for n in range(5, 16):
-        sym_total = sum(sym_degree(lam) ** 2 for lam in enumerate_partitions(n))
+        sym_total = sum(sym_degree(lam) ** 2 for lam in partitions(n))
         assert sym_total == math.factorial(n)
-        alt_total = sum(d * d for d in alt_degree_multiset(n))
+        # a split pair is two A_n-irreducibles of one degree
+        alt_total = sum((1 + split) * dim * dim
+                        for _, _, _, split, dim, _ in _frobenius_pairs(n, n))
         assert alt_total == math.factorial(n) // 2
     for n in range(2, 13):
-        for lam in enumerate_partitions(n):
+        for lam in partitions(n):
             assert sym_degree(lam) == _branching(lam)
     _passed(3, "hook formula soundness", t0, 30.0)
 

@@ -18,22 +18,21 @@ from hypothesis import given, settings, strategies as st
 
 import codlab.alt_codegrees as alt_codegrees
 from codlab.alt_codegrees import (
-    AltIrrEntry,
     CodegreeSet,
     _frobenius_pairs,
     alt_codegree_set,
-    alt_degree_multiset,
-    alt_irr_entries,
     min_nontrivial_codegree,
     verify_min_codegree_monotone,
 )
 from codlab.catalog import degree_record
-from codlab.partitions import enumerate_partitions, hook_product, is_self_conjugate
+from codlab.partitions import hook_product
 from oracles import (
     alt_irr_entries_direct,
     beta_shape,
+    conjugate,
     distinct_odd_partition_counts,
     frobenius,
+    partitions,
     pentagonal_partition_counts,
 )
 
@@ -58,6 +57,20 @@ EXPECTED_DEGREES = {
 EXPECTED_MIN = {5: 12, 6: 36, 7: 72, 8: 288, 9: 840}
 
 
+def degrees(n):
+    """Degrees of Irr(A_n) with multiplicity (a split pair counts twice)."""
+    return sorted(dim for _, _, _, split, dim, _ in _frobenius_pairs(n, n)
+                  for _ in range(1 + split))
+
+
+def direct_pairs(n):
+    """The oracle's entries in the walker's form (n, arms, legs, split, dim,
+    codegree): the oracle keeps the lex-smaller member (legs | arms)."""
+    for lam, split, dim, codegree in alt_irr_entries_direct(n):
+        legs, arms = frobenius(lam)
+        yield n, arms, legs, split, dim, codegree
+
+
 @pytest.mark.parametrize("n", sorted(EXPECTED_COD))
 def test_codegree_sets_frozen(n):
     cs = alt_codegree_set(n)
@@ -68,7 +81,7 @@ def test_codegree_sets_frozen(n):
 
 @pytest.mark.parametrize("n", sorted(EXPECTED_DEGREES))
 def test_degree_multisets_frozen(n):
-    assert sorted(alt_degree_multiset(n)) == EXPECTED_DEGREES[n]
+    assert degrees(n) == EXPECTED_DEGREES[n]
 
 
 @pytest.mark.parametrize("n", sorted(EXPECTED_MIN))
@@ -123,26 +136,28 @@ def test_codegree_set_structure(n):
 @pytest.mark.parametrize("n", range(5, 15))
 def test_entries_consistent(n):
     half = math.factorial(n) // 2
+    shape = {frobenius(lam): lam for lam in partitions(n)}
     total = 0
-    for entry in alt_irr_entries(n):
-        h = hook_product(entry.partition)
-        if entry.split:
-            assert is_self_conjugate(entry.partition)
-            assert entry.codegree == h
-            total += 2 * entry.dim**2
+    for _, arms, legs, split, dim, codegree in _frobenius_pairs(n, n):
+        lam = shape[arms, legs]
+        h = hook_product(lam)
+        if split:
+            assert conjugate(lam) == lam
+            assert codegree == h
+            total += 2 * dim**2
         else:
             # hook product of a non-self-conjugate partition is even
             assert h % 2 == 0
-            assert entry.codegree * 2 == h or entry.codegree == 1
-            total += entry.dim**2
+            assert codegree * 2 == h or codegree == 1
+            total += dim**2
     assert total == half
 
 
 def test_trivial_entry():
-    # the trivial pair {(6), (1^6)} is carried by its lex-min member
-    entries = {e.partition: e for e in alt_irr_entries(6)}
-    triv = entries[(1,) * 6]
-    assert triv.dim == 1 and triv.codegree == 1 and not triv.split
+    # the trivial pair {(6), (1^6)} is met once, as (6) = (5 | 0)
+    pairs = {(arms, legs): rest for _, arms, legs, *rest in _frobenius_pairs(6, 6)}
+    assert frobenius((6,)) == ((5,), (0,))
+    assert pairs[(5,), (0,)] == [False, 1, 1]  # not split, dim 1, codegree 1
 
 
 def test_codegree_set_validation():
@@ -154,19 +169,19 @@ def test_codegree_set_validation():
 
 @pytest.mark.parametrize("n", range(5, 31))
 def test_entries_match_direct_enumeration(n):
-    entries = [(e.partition, e.split, e.dim, e.codegree) for e in alt_irr_entries(n)]
-    assert Counter(entries) == Counter(alt_irr_entries_direct(n))
+    entries = list(_frobenius_pairs(n, n))
+    assert Counter(entries) == Counter(direct_pairs(n))
     # one entry per conjugate pair: (p(n) + sc(n)) / 2
     p = pentagonal_partition_counts(n)[n]
     sc = distinct_odd_partition_counts(n)[n]
     assert len(entries) * 2 == p + sc
-    assert sum(e[1] for e in entries) == sc
+    assert sum(e[3] for e in entries) == sc
 
 
 def test_frobenius_hook_identity():
     # H(a | b) = H(a) H(b) prod (a_i + b_j + 1), H(x) of the shape with beta set x
     for n in range(1, 26):
-        for lam in enumerate_partitions(n):
+        for lam in partitions(n):
             a, b = frobenius(lam)
             assert len(a) + sum(a) + sum(b) == n
             cross = math.prod(x + y + 1 for x in a for y in b)
@@ -176,20 +191,26 @@ def test_frobenius_hook_identity():
 
 
 def test_a8_degrees_match_shipped_psl42_record():
-    # the data file builder writes PSL(4,2) = A8 from alt_degree_multiset(8)
-    assert sorted(alt_degree_multiset(8)) == list(degree_record("PSL(4,2)").degrees)
+    # the data file builder writes PSL(4,2) = A8 from the walk of n = 8
+    assert degrees(8) == list(degree_record("PSL(4,2)").degrees)
+
+
+def traced_peak(call):
+    """Peak bytes that tracemalloc sees while call() runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_min_codegree_memory_stays_streaming():
-    # the run lists of two Durfee sizes at most; the peak here is about
-    # 0.16 MB
-    tracemalloc.start()
-    try:
-        min_nontrivial_codegree(40)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 500_000
+    # the run lists of two Durfee sizes at most, each heavy list dropped
+    # once no later step reads it; the peaks here are about 0.34 and
+    # 0.60 MB (0.43 and 0.80 MB if the heavy lists stay to the end of d)
+    assert traced_peak(lambda: min_nontrivial_codegree(40)) < 500_000
+    assert traced_peak(lambda: min_nontrivial_codegree(45)) < 700_000
 
 
 @pytest.mark.parametrize("lo,hi", [(5, 40), (5, 6), (17, 23), (5, 5), (12, 12), (40, 40)])
@@ -205,11 +226,7 @@ def test_range_walk_is_the_union_of_single_n_walks():
     assert walked == single
     # and, below n = 21, the direct enumeration of every shape
     for n in range(5, 21):
-        entries = [
-            (alt_codegrees._shape(legs, arms), split, dim, codegree)
-            for m, arms, legs, split, dim, codegree in walked if m == n
-        ]
-        assert Counter(entries) == Counter(alt_irr_entries_direct(n))
+        assert Counter(p for p in walked if p[0] == n) == Counter(direct_pairs(n))
 
 
 def test_range_walk_builds_each_run_list_once(monkeypatch):
@@ -271,11 +288,5 @@ def test_range_walk_validation():
 
 def test_monotone_scan_memory_stays_small():
     # light tables per (d, t) and the run lists of two Durfee sizes at
-    # most; about 0.16 MB
-    tracemalloc.start()
-    try:
-        verify_min_codegree_monotone(5, 40)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 500_000
+    # most; about 0.34 MB
+    assert traced_peak(lambda: verify_min_codegree_monotone(5, 40)) < 500_000

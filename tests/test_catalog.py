@@ -6,7 +6,6 @@ prime factorizations, which is how those values are usually quoted.
 """
 
 import json
-import math
 import subprocess
 import sys
 import tempfile

@@ -12,8 +12,7 @@ import codlab
 # the public names of the package, each with the module that defines it
 PUBLIC = {
     "alt_codegrees": (
-        "AltIrrEntry", "CodegreeSet", "alt_codegree_set", "alt_degree_multiset",
-        "alt_irr_entries", "min_nontrivial_codegree", "sym_degree",
+        "CodegreeSet", "alt_codegree_set", "min_nontrivial_codegree", "sym_degree",
         "verify_min_codegree_monotone",
     ),
     "catalog": (
@@ -22,13 +21,10 @@ PUBLIC = {
         "sporadic_entries", "twisted_codegree_set_2a9",
     ),
     "exactnum": ("PrimePower", "factor", "factorial", "format_factored", "is_prime"),
-    "partitions": (
-        "conjugate", "enumerate_partitions", "hook_lengths", "hook_product",
-        "is_self_conjugate",
-    ),
+    "partitions": ("hook_product",),
     "search": (
         "ExceptionRow", "FamilyBounds", "FamilySweepReport", "SchurScan", "SubsetCheck",
-        "VerificationReport", "candidate_n_range", "check_subset", "derive_family_bounds",
+        "VerificationReport", "check_subset", "derive_family_bounds",
         "run_full_verification", "schur_a9_size_check", "schur_degree_equation_solutions",
         "sweep_family", "sweep_sporadic",
     ),
@@ -64,7 +60,7 @@ def test_search_loads_catalog_and_search():
 
 def test_all_names_are_the_home_objects():
     assert sorted(codlab.__all__) == sorted(n for names in PUBLIC.values() for n in names)
-    assert len(codlab.__all__) == 44
+    assert len(codlab.__all__) == 36
     listed = dir(codlab)
     for module, names in PUBLIC.items():
         home = importlib.import_module(f"codlab.{module}")

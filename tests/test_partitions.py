@@ -1,9 +1,11 @@
-"""Partition and hook-length machinery.
+"""Hook products and the partition oracles the other suites lean on.
 
 The independent checks here are the classics: Euler's pentagonal-number
 recurrence for partition counts, conjugation as an involution, and the
 branching rule d(lambda) = sum of d(mu) over corner-removals, which
-pins the hook-length dimensions without using hooks at all.
+pins the hook-length dimensions without using hooks at all.  Partitions
+come from the oracle's recursive enumerator, which the recurrence
+checks first.
 """
 
 import math
@@ -13,67 +15,49 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from codlab.alt_codegrees import sym_degree
-from codlab.partitions import (
-    conjugate,
-    enumerate_partitions,
-    hook_lengths,
-    hook_product,
-    is_self_conjugate,
-)
+from codlab.partitions import hook_product
 from oracles import (
+    cell_hook_product,
     check_partition,
+    conjugate,
     corners,
     format_partition,
     hook_length,
     parse_partition,
     partition_size,
+    partitions,
     pentagonal_partition_counts,
     remove_corner,
 )
 
 
+def hook_rows(lam):
+    """Hook lengths of every cell, row by row."""
+    return [[hook_length(lam, (i, j)) for j in range(1, part + 1)]
+            for i, part in enumerate(lam, start=1)]
+
+
 def test_enumeration_counts_match_pentagonal():
+    assert list(partitions(0)) == [()]
     counts = pentagonal_partition_counts(28)
     for n in range(1, 29):
-        assert sum(1 for _ in enumerate_partitions(n)) == counts[n]
-
-
-def test_enumeration_is_reverse_lex_and_complete():
-    assert list(enumerate_partitions(0)) == [()]
-    counts = pentagonal_partition_counts(30)
-    for n in range(1, 31):
-        parts = list(enumerate_partitions(n))
-        assert parts[0] == (n,)
-        assert parts[-1] == (1,) * n
-        assert parts == sorted(parts, reverse=True)
+        parts = list(partitions(n))
         assert len(set(parts)) == len(parts) == counts[n]
         assert all(check_partition(lam) == lam for lam in parts)
         assert all(partition_size(lam) == n for lam in parts)
 
 
-def column_counts(lam):
-    """Conjugate by definition: column j holds one cell per row of length >= j."""
-    width = lam[0] if lam else 0
-    return tuple(sum(1 for part in lam if part >= j) for j in range(1, width + 1))
-
-
-def cell_hook_product(lam):
-    """Hook product by definition: hook_length over every cell."""
-    return math.prod(
-        hook_length(lam, (i, j))
-        for i, part in enumerate(lam, start=1)
-        for j in range(1, part + 1)
-    )
-
-
 @given(st.integers(min_value=0, max_value=30), st.data())
 def test_conjugate_involution(n, data):
-    lam = data.draw(st.sampled_from(list(enumerate_partitions(n))))
+    lam = data.draw(st.sampled_from(list(partitions(n))))
     mu = conjugate(lam)
-    assert mu == column_counts(lam)
+    assert check_partition(mu) == mu
     assert partition_size(mu) == n
     assert conjugate(mu) == lam
-    assert is_self_conjugate(lam) == (lam == mu)
+    # a hook is the cell, its arm along the row and its leg down the column
+    for i, part in enumerate(lam, start=1):
+        for j in range(1, part + 1):
+            assert hook_length(lam, (i, j)) == (part - j) + (mu[j - 1] - i) + 1
 
 
 def test_parse_format_roundtrip():
@@ -89,7 +73,7 @@ def test_parse_format_roundtrip():
 
 def test_hook_lengths_explicit():
     # (3,2): first row hooks 4,3,1; second row 2,1; product 24, dim 5
-    assert hook_lengths((3, 2)) == [[4, 3, 1], [2, 1]]
+    assert hook_rows((3, 2)) == [[4, 3, 1], [2, 1]]
     assert hook_product((3, 2)) == 24
     assert sym_degree((3, 2)) == 5
     assert hook_length((3, 2), (1, 1)) == 4
@@ -97,14 +81,14 @@ def test_hook_lengths_explicit():
 
 def test_hook_lengths_staircase():
     # (3,2,1) is self-conjugate with hook products known by hand
-    assert is_self_conjugate((3, 2, 1))
-    assert hook_lengths((3, 2, 1)) == [[5, 3, 1], [3, 1], [1]]
+    assert conjugate((3, 2, 1)) == (3, 2, 1)
+    assert hook_rows((3, 2, 1)) == [[5, 3, 1], [3, 1], [1]]
     assert hook_product((3, 2, 1)) == 45
 
 
 @given(st.integers(min_value=2, max_value=12), st.data())
 def test_corner_removal(n, data):
-    lam = data.draw(st.sampled_from(list(enumerate_partitions(n))))
+    lam = data.draw(st.sampled_from(list(partitions(n))))
     cs = corners(lam)
     assert cs, "every non-empty partition has a corner"
     for cell in cs:
@@ -122,19 +106,19 @@ def branching_degree(lam):
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_hook_formula_matches_branching_rule(n):
-    for lam in enumerate_partitions(n):
+    for lam in partitions(n):
         assert hook_product(lam) == cell_hook_product(lam)
         assert sym_degree(lam) == branching_degree(lam)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_sum_of_squares_is_factorial(n):
-    assert sum(sym_degree(lam) ** 2 for lam in enumerate_partitions(n)) == math.factorial(n)
+    assert sum(sym_degree(lam) ** 2 for lam in partitions(n)) == math.factorial(n)
 
 
 @settings(max_examples=40)
 @given(st.integers(min_value=0, max_value=25), st.data())
 def test_hook_product_conjugation_invariant(n, data):
-    lam = data.draw(st.sampled_from(list(enumerate_partitions(n))))
+    lam = data.draw(st.sampled_from(list(partitions(n))))
     assert hook_product(lam) == cell_hook_product(lam)
     assert hook_product(lam) == hook_product(conjugate(lam))

@@ -37,8 +37,8 @@ from codlab.search import (
     _half_factorial_below,
     _log2_factorial_floor,
     _refuted_by_bits,
+    _candidates,
     _sweep_points,
-    candidate_n_range,
     check_subset,
     compare_with_golden,
     derive_family_bounds,
@@ -89,6 +89,11 @@ def test_n_min():
     assert n_min(parse_group_label("2B2(8)")) == 6
     assert n_min(sporadic("M11")) == 5
     assert n_min(GroupId("G2Prime2")) == 5
+
+
+def candidate_n_range(g):
+    """The n that the sweep meets for g, in increasing order."""
+    return [n for n, _ in _candidates(g)]
 
 
 @pytest.mark.parametrize(

@@ -28,7 +28,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
-from codlab.alt_codegrees import alt_degree_multiset  # noqa: E402
+from codlab.alt_codegrees import _frobenius_pairs  # noqa: E402
 from codlab.catalog import group_order, parse_group_label  # noqa: E402
 
 OUT = SRC / "codlab" / "data" / "groups_v1.jsonl"
@@ -77,6 +77,14 @@ def psl2_degrees(q: int) -> list[int]:
     else:
         degs = [1, q, (q - 1) // 2, (q - 1) // 2]
         degs += [q + 1] * ((q - 3) // 4) + [q - 1] * ((q - 3) // 4)
+    return sorted(degs)
+
+
+def alt_degrees(n: int) -> list[int]:
+    """Degree multiset of A_n from hook lengths; a split pair counts twice."""
+    degs: list[int] = []
+    for _, _, _, split, dim, _ in _frobenius_pairs(n, n):
+        degs.extend([dim, dim] if split else [dim])
     return sorted(degs)
 
 
@@ -172,7 +180,7 @@ def main(out: Path = OUT) -> None:
         rows.append(degree_row(f"PSL(2,{q})", psl2_degrees(q), series))
 
     rows.append(degree_row(
-        "PSL(4,2)", sorted(alt_degree_multiset(8)),
+        "PSL(4,2)", alt_degrees(8),
         "equal to A8; degrees from hook lengths",
     ))
 

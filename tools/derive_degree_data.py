@@ -14,7 +14,6 @@ here is exact modular arithmetic; no floating point.
 
 from __future__ import annotations
 
-import itertools
 from math import isqrt
 
 # ---------------------------------------------------------------------------
