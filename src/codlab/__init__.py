@@ -17,8 +17,7 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "alt_codegrees": """CodegreeSet alt_codegree_set min_nontrivial_codegree sym_degree
-        verify_min_codegree_monotone""",
+    "alt_codegrees": "CodegreeSet alt_codegree_set sym_degree verify_min_codegree_monotone",
     "catalog": """GroupId alternating class_number_bound group_label group_order lie
         parse_group_label prime_power simple_codegree_set sporadic sporadic_entries
         twisted_codegree_set_2a9""",

@@ -195,11 +195,6 @@ def alt_codegree_set(n: int) -> CodegreeSet:
     return CodegreeSet(f"A{n}", half, tuple(sorted(values)))
 
 
-def min_nontrivial_codegree(n: int) -> int:
-    """Smallest codegree above 1, i.e. (n!/2) / (largest non-trivial degree)."""
-    return min(c for _, _, _, _, _, c in _frobenius_pairs(n, n) if c != 1)
-
-
 def verify_min_codegree_monotone(n_lo: int, n_hi: int) -> tuple[bool, list[tuple[int, int]]]:
     """Check a_{n-1} < a_n for every n in (n_lo, n_hi]; returns witnesses.
 

@@ -1,11 +1,11 @@
 """Catalog of finite simple groups touched by the exception search.
 
 Identities, exact orders, q-part exponents, class-number bounds, and
-embedded character-degree tables.  Everything is exact: orders come from
-the standard product formulas over Z, bound constants are Fractions, and
-degree data is read from a versioned structured-text file shipped with
-the package (override the path with the CODLAB_DATA environment
-variable).
+embedded character-degree tables.  Everything is exact: each Lie family
+has one order formula over Z, from which its orders, q-part exponents
+and q-degrees are all read; bound constants are Fractions, and degree
+data is read from a versioned structured-text file shipped with the
+package (override the path with the CODLAB_DATA environment variable).
 
 A note on naming: the classical families are parametrised by the rank m
 used in the search, so the PSL tag with (m, q) is the group PSL(m+1, q),
@@ -219,6 +219,41 @@ def parse_group_label(label: str) -> GroupId:
 # Orders.
 
 
+# Order formula of each Lie family (Carter, Simple Groups of Lie Type):
+# |G| = q^e * prod(q^i + s for (i, s) in factors) / gcd(c, q^j + t), with
+# s = +-1 except in 3D4's factor (8, 0), which is q^8 + q^4 + 1.
+_EXCEPTIONAL_ORDER = {  # family: (e, factors, (c, j, t))
+    "G2": (6, ((6, -1), (2, -1)), (1, 1, -1)),
+    "F4": (24, ((12, -1), (8, -1), (6, -1), (2, -1)), (1, 1, -1)),
+    "E6": (36, tuple((i, -1) for i in (12, 9, 8, 6, 5, 2)), (3, 1, -1)),
+    "E7": (63, tuple((i, -1) for i in (18, 14, 12, 10, 8, 6, 2)), (2, 1, -1)),
+    "E8": (120, tuple((i, -1) for i in (30, 24, 20, 18, 14, 12, 8, 2)), (1, 1, -1)),
+    "TwistedE6": (36, ((12, -1), (9, 1), (8, -1), (6, -1), (5, 1), (2, -1)), (3, 1, 1)),
+    "TriD4": (12, ((8, 0), (6, -1), (2, -1)), (1, 1, -1)),
+    "Suzuki": (2, ((2, 1), (1, -1)), (1, 1, -1)),
+    "Ree": (3, ((3, 1), (1, -1)), (1, 1, -1)),
+    "TwistedF4": (12, ((6, 1), (4, -1), (3, 1), (1, -1)), (1, 1, -1)),
+}
+
+
+@lru_cache(maxsize=256)
+def _order_formula(family: str, m: int | None) -> tuple:
+    """(e, D, factors, (c, j, t)) of a Lie family at rank m, where D, e plus
+    the degree i of each factor, is the formula's degree in q."""
+    if family in ("PSL", "PSU"):  # factors q^i - (-t)^i
+        t = 1 if family == "PSU" else -1
+        e, centre = m * (m + 1) // 2, (m + 1, 1, t)
+        factors = [(i, -(-t) ** i) for i in range(2, m + 2)]
+    elif family in ("PSp", "OmegaOdd"):
+        e, factors, centre = m * m, [(2 * i, -1) for i in range(1, m + 1)], (2, 1, -1)
+    elif family in ("OPlus", "OMinus"):
+        t = -1 if family == "OPlus" else 1
+        e, factors, centre = m * (m - 1), [(m, t)] + [(2 * i, -1) for i in range(1, m)], (4, m, t)
+    else:
+        e, factors, centre = _EXCEPTIONAL_ORDER[family]
+    return e, e + sum(i for i, _ in factors), tuple(factors), centre
+
+
 def group_order(g: GroupId) -> int:
     if g.family == "Alternating":
         return factorial(g.n) // 2  # type: ignore[arg-type]
@@ -227,106 +262,30 @@ def group_order(g: GroupId) -> int:
     if g.family == "G2Prime2":
         return 6048  # index 2 in G2(2) of order 12096
     q = g.q.q  # type: ignore[union-attr]
-    m = g.m
-    num = q ** q_part_exponent(g)
-    if g.family == "PSL":
-        for i in range(2, m + 2):
-            num *= q ** i - 1
-        return num // gcd(m + 1, q - 1)
-    if g.family == "PSU":
-        for i in range(2, m + 2):
-            num *= q ** i - (-1) ** i
-        return num // gcd(m + 1, q + 1)
-    if g.family in ("PSp", "OmegaOdd"):
-        for i in range(1, m + 1):
-            num *= q ** (2 * i) - 1
-        return num // gcd(2, q - 1)
-    if g.family in ("OPlus", "OMinus"):
-        sign = 1 if g.family == "OPlus" else -1
-        half = q ** m - sign
-        num *= half
-        for i in range(1, m):
-            num *= q ** (2 * i) - 1
-        return num // gcd(4, half)
-    if g.family == "G2":
-        return num * (q ** 6 - 1) * (q ** 2 - 1)
-    if g.family == "F4":
-        return num * (q ** 12 - 1) * (q ** 8 - 1) * (q ** 6 - 1) * (q ** 2 - 1)
-    if g.family == "E6":
-        for i in (12, 9, 8, 6, 5, 2):
-            num *= q ** i - 1
-        return num // gcd(3, q - 1)
-    if g.family == "E7":
-        for i in (18, 14, 12, 10, 8, 6, 2):
-            num *= q ** i - 1
-        return num // gcd(2, q - 1)
-    if g.family == "E8":
-        for i in (30, 24, 20, 18, 14, 12, 8, 2):
-            num *= q ** i - 1
-        return num
-    if g.family == "TwistedE6":
-        num *= (q ** 12 - 1) * (q ** 9 + 1) * (q ** 8 - 1)
-        num *= (q ** 6 - 1) * (q ** 5 + 1) * (q ** 2 - 1)
-        return num // gcd(3, q + 1)
-    if g.family == "TriD4":
-        return num * (q ** 8 + q ** 4 + 1) * (q ** 6 - 1) * (q ** 2 - 1)
-    if g.family == "Suzuki":
-        return num * (q ** 2 + 1) * (q - 1)
-    if g.family == "Ree":
-        return num * (q ** 3 + 1) * (q - 1)
-    if g.family == "TwistedF4":
-        return num * (q ** 6 + 1) * (q ** 4 - 1) * (q ** 3 + 1) * (q - 1)
-    raise AssertionError(f"unhandled family {g.family}")
-
-
-_Q_PART_EXPONENT_FIXED = {
-    "G2": 6, "F4": 24, "E6": 36, "E7": 63, "E8": 120,
-    "TwistedE6": 36, "TriD4": 12, "TwistedF4": 12, "Suzuki": 2, "Ree": 3,
-}
+    e, _, factors, (c, j, t) = _order_formula(g.family, g.m)
+    order = q ** e
+    for i, s in factors:
+        order *= q ** i + s if s else q ** 8 + q ** 4 + 1
+    return order // gcd(c, q ** j + t)
 
 
 def q_part_exponent(g: GroupId) -> int:
     """e with |G|_p = q^e for G of Lie type over q = p^k.
 
-    The cyclotomic factors q^i +- 1 are coprime to p and the centre
+    The factors of the order formula are coprime to p and the centre
     order divides one of them, so the p-part of the order is exactly the
     q-power prefix of the product formula.
     """
     if g.q is None:
         raise ValueError(f"{g.family} has no q-part exponent")
-    m = g.m
-    if g.family in ("PSL", "PSU"):
-        return m * (m + 1) // 2
-    if g.family in ("PSp", "OmegaOdd"):
-        return m * m
-    if g.family in ("OPlus", "OMinus"):
-        return m * (m - 1)
-    return _Q_PART_EXPONENT_FIXED[g.family]
-
-
-_ORDER_Q_DEGREE_FIXED = {
-    "G2": 14, "F4": 52, "E6": 78, "E7": 133, "E8": 248,
-    "TwistedE6": 78, "TriD4": 28, "TwistedF4": 26, "Suzuki": 5, "Ree": 7,
-}
+    return _order_formula(g.family, g.m)[0]
 
 
 def order_q_degree(g: GroupId) -> int:
-    """D, the degree in q of the order formula of G of Lie type.
-
-    D is the sum of the exponents of q in group_order's product (the
-    q-part exponent plus the degree of each factor q^i +- 1, and 8 for
-    q^8 + q^4 + 1), so |G| <= q^D.
-    """
+    """D, the degree in q of the order formula of G of Lie type, so |G| <= q^D."""
     if g.q is None:
         raise ValueError(f"{g.family} has no order polynomial in q")
-    m = g.m
-    if g.family in ("PSL", "PSU"):
-        return m * (m + 2)
-    if g.family in ("PSp", "OmegaOdd"):
-        return m * (2 * m + 1)
-    if g.family in ("OPlus", "OMinus"):
-        return m * (2 * m - 1)
-    return _ORDER_Q_DEGREE_FIXED[g.family]
+    return _order_formula(g.family, g.m)[1]
 
 
 # ---------------------------------------------------------------------------

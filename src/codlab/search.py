@@ -208,12 +208,21 @@ def _refuted_by_bits(g: GroupId) -> bool:
     return bits is not None and _log2_factorial_floor(max(5, n_min(g))) - 1 >= bits
 
 
+def _sieve_start(g: GroupId) -> tuple[int, int, int, int] | None:
+    """(|H|, limit, n, n!/2) at n = max(5, n_min) if n!/2 < limit there,
+    else None; limit is ceil(|H| * k-bound)."""
+    if _refuted_by_bits(g):
+        return None
+    order = group_order(g)
+    limit = _class_number_limit(g, order)
+    n = max(5, n_min(g))
+    half = _half_factorial_below(n, limit)
+    return None if half is None else (order, limit, n, half)
+
+
 def _feasible(g: GroupId) -> bool:
     """Exact inequality |A_max(5, n_min)| < |H| * k-bound."""
-    if _refuted_by_bits(g):
-        return False
-    limit = _class_number_limit(g, group_order(g))
-    return _half_factorial_below(max(5, n_min(g)), limit) is not None
+    return _sieve_start(g) is not None
 
 
 def _candidates(g: GroupId) -> Iterator[tuple[int, int]]:
@@ -224,14 +233,10 @@ def _candidates(g: GroupId) -> Iterator[tuple[int, int]]:
     a natural cutoff.  Raises if the cutoff is not reached before
     HARD_N_CAP, rather than silently truncating.
     """
-    if _refuted_by_bits(g):
+    start = _sieve_start(g)
+    if start is None:
         return
-    order = group_order(g)
-    limit = _class_number_limit(g, order)
-    n = max(5, n_min(g))
-    half = _half_factorial_below(n, limit)
-    if half is None:
-        return
+    order, limit, n, half = start
     while half < limit:
         ratio, rest = divmod(half, order)
         if not rest:

@@ -21,7 +21,6 @@ from codlab.alt_codegrees import (
     CodegreeSet,
     _frobenius_pairs,
     alt_codegree_set,
-    min_nontrivial_codegree,
     verify_min_codegree_monotone,
 )
 from codlab.catalog import degree_record
@@ -86,7 +85,7 @@ def test_degree_multisets_frozen(n):
 
 @pytest.mark.parametrize("n", sorted(EXPECTED_MIN))
 def test_min_codegrees(n):
-    assert min_nontrivial_codegree(n) == EXPECTED_MIN[n]
+    assert verify_min_codegree_monotone(n, n) == (True, [(n, EXPECTED_MIN[n])])
 
 
 def test_monotonicity_small():
@@ -119,7 +118,7 @@ def test_min_codegree_ratio_bound():
 @pytest.mark.parametrize("n", range(5, 21))
 def test_min_codegree_square_beats_order(n):
     # a_n^2 > n!/2, the quantitative heart of the monotonicity argument
-    a = min_nontrivial_codegree(n)
+    (_, a), = verify_min_codegree_monotone(n, n)[1]
     assert a * a > math.factorial(n) // 2
 
 
@@ -209,14 +208,15 @@ def test_min_codegree_memory_stays_streaming():
     # the run lists of two Durfee sizes at most, each heavy list dropped
     # once no later step reads it; the peaks here are about 0.34 and
     # 0.60 MB (0.43 and 0.80 MB if the heavy lists stay to the end of d)
-    assert traced_peak(lambda: min_nontrivial_codegree(40)) < 500_000
-    assert traced_peak(lambda: min_nontrivial_codegree(45)) < 700_000
+    assert traced_peak(lambda: verify_min_codegree_monotone(40, 40)) < 500_000
+    assert traced_peak(lambda: verify_min_codegree_monotone(45, 45)) < 700_000
 
 
 @pytest.mark.parametrize("lo,hi", [(5, 40), (5, 6), (17, 23), (5, 5), (12, 12), (40, 40)])
 def test_monotone_scan_matches_per_n_minima(lo, hi):
     ok, witnesses = verify_min_codegree_monotone(lo, hi)
-    assert witnesses == [(n, min_nontrivial_codegree(n)) for n in range(lo, hi + 1)]
+    per_n = [w for n in range(lo, hi + 1) for w in verify_min_codegree_monotone(n, n)[1]]
+    assert witnesses == per_n
     assert ok
 
 
@@ -286,7 +286,25 @@ def test_range_walk_validation():
         verify_min_codegree_monotone(6, 5)
 
 
-def test_monotone_scan_memory_stays_small():
-    # light tables per (d, t) and the run lists of two Durfee sizes at
-    # most; about 0.34 MB
-    assert traced_peak(lambda: verify_min_codegree_monotone(5, 40)) < 500_000
+def test_monotone_scan_memory_stays_small(monkeypatch):
+    # the run lists of two Durfee sizes at most, each heavy list dropped
+    # once no later step reads it: a peak of 1566 live runs for (5, 40),
+    # 2429 if the heavy lists stay to the end of each Durfee size
+    live = peak = 0
+    run_list = alt_codegrees._run_list
+
+    class Runs(list):
+        def __del__(self):
+            nonlocal live
+            live -= len(self)
+
+    def counting_run_list(d, total, shorter, fact):
+        nonlocal live, peak
+        runs = Runs(run_list(d, total, shorter, fact))
+        live += len(runs)
+        peak = max(peak, live)
+        return runs
+
+    monkeypatch.setattr(alt_codegrees, "_run_list", counting_run_list)
+    assert verify_min_codegree_monotone(5, 40)[0]
+    assert live == 0 and peak < 1800

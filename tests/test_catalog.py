@@ -316,6 +316,28 @@ def test_order_q_degrees(key, d):
                                                 d * g.q.q.bit_length() + 1)
 
 
+# the q-part exponent e(m) and the q-degree D(m) of each classical family
+CLASSICAL_DEGREES = {
+    "PSL": lambda m: (m * (m + 1) // 2, m * (m + 2)),
+    "PSU": lambda m: (m * (m + 1) // 2, m * (m + 2)),
+    "PSp": lambda m: (m * m, m * (2 * m + 1)),
+    "OmegaOdd": lambda m: (m * m, m * (2 * m + 1)),
+    "OPlus": lambda m: (m * (m - 1), m * (2 * m - 1)),
+    "OMinus": lambda m: (m * (m - 1), m * (2 * m - 1)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(CLASSICAL_DEGREES))
+def test_classical_order_degrees_over_ranks(family):
+    q = PrimePower(3, 41) if family == "OmegaOdd" else PrimePower(2, 41)
+    b = q.q.bit_length()
+    for m in range(RANK_FLOOR[family], RANK_FLOOR[family] + 7):
+        g = lie(family, q, m=m)
+        e, d = CLASSICAL_DEGREES[family](m)
+        assert (q_part_exponent(g), order_q_degree(g)) == (e, d), m
+        assert group_order(g).bit_length() in range(d * (b - 1) - 3, d * b + 1), m
+
+
 def test_order_q_degree_and_bits_need_a_q():
     for g in (alternating(7), sporadic("M"), GroupId("G2Prime2")):
         assert order_class_bits(g) is None
@@ -327,14 +349,15 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 31, 127, 8191, 65537, 2**31 - 1, 2**61 
 
 
 @st.composite
-def lie_points(draw):
-    """A legal (family, m, q) with q <= 2^200."""
+def lie_points(draw, max_bits=200):
+    """A legal (family, m, q) with q <= 2^max_bits."""
     family = draw(st.sampled_from(LIE_FAMILIES))
     m = None
     if family in RANK_FLOOR:
         m = draw(st.integers(RANK_FLOOR[family], RANK_FLOOR[family] + 6))
-    p = TWISTED_ODD_POWER.get(family) or draw(st.sampled_from(_SMALL_PRIMES))
-    k_max = 200 // (p - 1).bit_length()  # p^k <= 2^200
+    primes = [p for p in _SMALL_PRIMES if (p - 1).bit_length() <= max_bits]
+    p = TWISTED_ODD_POWER.get(family) or draw(st.sampled_from(primes))
+    k_max = max_bits // (p - 1).bit_length()  # p^k <= 2^max_bits
     if family in TWISTED_ODD_POWER:
         k = 2 * draw(st.integers(1, (k_max - 1) // 2)) + 1
     else:
@@ -353,6 +376,13 @@ def test_order_class_bits_bound_the_limit(g):
     limit = -(-order * bound.numerator // bound.denominator)
     assert limit.bit_length() <= order_class_bits(g)
     assert order <= g.q.q ** order_q_degree(g)
+
+
+@given(lie_points(max_bits=32))
+@settings(max_examples=150, deadline=None)
+def test_q_part_valuation_on_lie_points(g):
+    # as test_q_part_valuation, with q <= 2^32 to keep the valuation short
+    assert valuation(group_order(g), g.q.p) == q_part_exponent(g) * g.q.k
 
 
 def test_degree_records_sum_of_squares():
