@@ -24,9 +24,8 @@ _EXPORTS = {
     "exactnum": "PrimePower factor factorial format_factored is_prime",
     "partitions": "hook_product",
     "search": """ExceptionRow FamilyBounds FamilySweepReport SchurScan SubsetCheck
-        VerificationReport check_subset derive_family_bounds
-        run_full_verification schur_a9_size_check schur_degree_equation_solutions
-        sweep_family sweep_sporadic""",
+        VerificationReport check_subset run_full_verification schur_a9_size_check
+        schur_degree_equation_solutions sweep_family sweep_sporadic""",
 }
 # public name -> the submodule that defines it
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -332,6 +332,21 @@ def class_number_bound(g: GroupId) -> Fraction:
     return Fraction(value)
 
 
+@lru_cache(maxsize=256)
+def order_class_shape(family: str, m: int | None) -> tuple[int, int, int]:
+    """(e, D + d, c) of a Lie family at rank m, the numbers order_class_bits
+    reads: e the q-part exponent, D the q-degree of the order formula, d the
+    degree in q of the class bound (m for the classical families), and c the
+    bit length of K, the bound's ceiled constant or its coefficient sum."""
+    e, degree = _order_formula(family, m)[:2]
+    if family in _CLASSICAL_BOUND_CONSTANT:
+        k_degree, k_const = m, ceil(_CLASSICAL_BOUND_CONSTANT[family])
+    else:
+        poly = _EXCEPTIONAL_BOUND_POLY[family]
+        k_degree, k_const = len(poly) - 1, sum(poly)
+    return e, degree + k_degree, k_const.bit_length()
+
+
 def order_class_bits(g: GroupId) -> int | None:
     """B with ceil(|G| * class_number_bound(G)) < 2^B, from q's bit length.
 
@@ -342,18 +357,13 @@ def order_class_bits(g: GroupId) -> int | None:
     C <= K = ceil(C), or a polynomial of degree d with nonnegative
     coefficients summing to K, so it is at most K*2^(bd) (d = m for the
     classical families).  The product is then below the integer
-    K*2^(b(D + d)), so its ceiling is at most that, and K < 2^K.bit_length().
+    K*2^(b(D + d)), so its ceiling is at most that, and K < 2^c, c = K.bit_length().
     None for the groups without a q (alternating, sporadic, G2(2)').
     """
     if g.q is None:
         return None
-    if g.family in _CLASSICAL_BOUND_CONSTANT:
-        k_degree, k_const = g.m, ceil(_CLASSICAL_BOUND_CONSTANT[g.family])
-    else:
-        poly = _EXCEPTIONAL_BOUND_POLY[g.family]
-        k_degree, k_const = len(poly) - 1, sum(poly)
-    b = g.q.q.bit_length()
-    return b * (order_q_degree(g) + k_degree) + k_const.bit_length()
+    _, degree, c = order_class_shape(g.family, g.m)
+    return g.q.q.bit_length() * degree + c
 
 
 # ---------------------------------------------------------------------------

@@ -208,7 +208,6 @@ def _sweep_json(rep: FamilySweepReport) -> dict:
     b = rep.bounds
     return {
         "bounds": {"m_max": b.m_max, "p_max": b.p_max, "k_max": b.k_max},
-        "box": None if rep.box is None else list(rep.box),
         "points_examined": rep.points_examined,
         "notes": list(rep.notes),
     }
@@ -218,8 +217,7 @@ def _family_table(rep: FamilySweepReport, checks: tuple[SubsetCheck, ...]) -> li
     b = rep.bounds
     lines = [f"target: {rep.family}"]
     lines.append(f"derived bounds: m_max={b.m_max} p_max={b.p_max} k_max={b.k_max}")
-    if rep.box is not None:
-        lines.append(f"enumerated box: {rep.box}, points examined: {rep.points_examined}")
+    lines.append(f"points examined: {rep.points_examined}")
     for note in rep.notes:
         lines.append(f"note: {note}")
     lines.extend(_rows_table(rep.rows))

@@ -8,23 +8,43 @@ characters).  For H of Lie type over q = p^k there is also a lower bound
 n >= e*k*(p-1) where q^e is the p-part of |H|, since the p-part of n!
 is at most p^(n/(p-1)).
 
-The sweep enumerates each family over a finite parameter box.  Box edges
-are derived by increasing one parameter at a time, with the others at
-their smallest legal values, until the exact inequality fails; factorial
-growth beats q-polynomial growth, and a scan-ahead window asserts the
-failure persists instead of assuming it.  The enumeration box is the
-elementwise max of the derived edges and a fixed floor per family, so a
-smaller derived box can never silently shrink coverage; every point in
-the box is re-tested exactly, so a larger box never adds false rows.
-
 Most points fail the size sieve by hundreds of bits, so each one is
-first tested by bit length alone.  catalog.order_class_bits gives B with
-ceil(|H| * k-bound) < 2^B from the bit length of q, the q-degree of the
-order formula and the shape of the class bound, and 2^(S(n) - 1) <= n!/2
-with S(n) the sum of floor(log2 i) over i <= n.  S(n) - 1 >= B at
-n = max(5, n_min) therefore proves n!/2 >= |H| * k-bound there, which is
-the refusal the exact test would reach; only the points it leaves open
-build |H| and the limit.
+first tested by bit length alone.  catalog.order_class_shape(family, m)
+gives (e, D + d, c) with ceil(|H| * k-bound) < 2^B for
+B = bitlen(q)(D + d) + c, and 2^(S(n) - 1) <= n!/2 with S(n) the sum of
+floor(log2 i) over i <= n.  A point is refuted by bits when
+S(max(5, n)) - 1 >= B at n = n_min = e*k*(p-1): that proves
+n!/2 >= |H| * k-bound there, the refusal the exact test would reach, so
+the point has no candidate n.  Only the points it leaves open build |H|
+and the limit.
+
+Each Lie family is walked in the order m, p, k, and each loop ends where
+an integer step inequality proves every later point refuted by bits.
+With L(n) = floor(log2(n + 1)), S(n') - S(n) >= (n' - n) L(n) for
+n' >= n, and the three step lemmas are:
+
+- k: if (m, p, k) is refuted, n >= 5 and
+  e(p - 1) L(n) >= bitlen(p - 1)(D + d), then (m, p, k + 1) is refuted
+  and the inequality holds there again.  The step adds e(p - 1) factors
+  of at least L(n) bits to S, and at most ceil(log2 p) = bitlen(p - 1)
+  bits to bitlen(p^k).  The twisted families step k by 2, which doubles
+  both sides.
+- p (all but the twisted families, which have one prime): if (m, p, 1),
+  evaluated arithmetically whether or not it is a legal group, meets
+  the k lemma and e L(n) >= D + d, then (m, p', 1) meets both for the
+  next prime p'.  By Bertrand p' < 2p, so bitlen(p'^k) grows by at most
+  k and bitlen(p' - 1) by at most 1, while n grows by at least e*k.
+- m (classical families): if (m, 2, 1) meets the p lemma and
+  Δe L(e) >= 2Δ(D + d), Δ the step from m to m + 1, then (m + 1, 2, 1)
+  meets both.  Three facts carry this along the rank: Δe/Δ(D + d) does
+  not decrease in m ((m+1)/(2m+4) for PSL and PSU, (2m+1)/(4m+4) for
+  PSp and Omega(2m+1), 2m/(4m+2) for O+-), c does not depend on m, and
+  every gain grows along the tail, since L does not decrease.
+
+A loop stops at the first point whose lemma holds, so that point and
+every later one are refuted, and the walk yields the legal points
+before the stops, each of which is sieved exactly.  Parameter
+values are not capped anywhere; the tests check each lemma on a grid.
 """
 
 from __future__ import annotations
@@ -33,11 +53,10 @@ import csv
 import io
 from dataclasses import astuple, dataclass, fields
 from itertools import count
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .alt_codegrees import alt_codegree_set, verify_min_codegree_monotone
 from .catalog import (
-    EXCEPTIONAL_FAMILIES,
     EXCEPTIONAL_PREFIX,
     LIE_FAMILIES,
     RANK_FLOOR,
@@ -48,7 +67,7 @@ from .catalog import (
     group_label,
     group_order,
     lie,
-    order_class_bits,
+    order_class_shape,
     parse_group_label,
     q_part_exponent,
     simple_codegree_set,
@@ -59,24 +78,11 @@ from .catalog import (
 from .exactnum import factorial, is_prime
 
 HARD_N_CAP = 200
-_SCAN_AHEAD = 12
 _MONOTONE_RANGE = (5, 30)
 # `codlab search` target, lower case without '-' or '_' -> family: each
 # Lie family's name, and each exceptional family's label prefix.
 SEARCH_TARGETS = {f.lower(): f for f in LIE_FAMILIES} | {
     prefix.lower(): f for f, prefix in EXCEPTIONAL_PREFIX.items()
-}
-
-# Fixed per-family floors for the enumeration box (m, p, k).  The sweep
-# never examines less than this box even if the derived edges are
-# tighter; deltas between the two are recorded in the report notes.
-_BOX_FLOOR: dict[str, tuple[int, int, int]] = {
-    "PSL": (6, 17, 63),
-    "PSU": (6, 7, 42),
-    "PSp": (4, 2, 2),
-    "OmegaOdd": (2, 3, 1),
-    "OPlus": (4, 2, 1),
-    "OMinus": (5, 3, 3),
 }
 
 # Known coincidences between catalog groups and alternating groups,
@@ -116,7 +122,8 @@ def row_cells(r: ExceptionRow) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class FamilyBounds:
-    """Derived box edges for one Lie family (None = no feasible value).
+    """The largest m, p and k of a walked point of one Lie family that
+    passes the size sieve (None = no such point).
 
     For the odd-power families (Suzuki, Ree, TwistedF4) m_max holds a,
     where q = p^(2a+1).
@@ -126,15 +133,13 @@ class FamilyBounds:
     m_max: int | None
     p_max: int | None
     k_max: int | None
-    notes: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
 class FamilySweepReport:
     family: str
     bounds: FamilyBounds
-    box: tuple[int, int, int] | None  # enumerated (m_hi, p_hi, k_hi)
-    points_examined: int
+    points_examined: int  # legal points walked
     rows: tuple[ExceptionRow, ...]
     notes: tuple[str, ...]
 
@@ -196,44 +201,46 @@ def _half_factorial_below(n: int, limit: int) -> int | None:
     return half if half < limit else None
 
 
-def _refuted_by_bits(g: GroupId) -> bool:
-    """True if n!/2 >= |H| * k-bound at n = max(5, n_min), by bit length alone.
+def _refuted_by_bits(shape: tuple[int, int, int], q: int, n: int) -> bool:
+    """True if n!/2 >= |H| * k-bound at max(5, n), by bit length alone, for
+    H of order_class_shape shape over a field of q elements, n = n_min(H).
 
-    The limit is below 2^B for B = order_class_bits(g), so it has at most
-    B bits, and S(n) - 1 >= B is the refusal _half_factorial_below would
-    make, reached without building |H| or the limit.  False means only
-    that the exact test must decide.
+    The limit is below 2^B for B = bitlen(q)(D + d) + c (as in
+    catalog.order_class_bits), so it has at most B bits, and S - 1 >= B is
+    the refusal _half_factorial_below would make, reached without building
+    |H| or the limit.  False means only that the exact test must decide.
     """
-    bits = order_class_bits(g)
-    return bits is not None and _log2_factorial_floor(max(5, n_min(g))) - 1 >= bits
+    _, degree, c = shape
+    return _log2_factorial_floor(max(5, n)) - 1 >= q.bit_length() * degree + c
 
 
-def _sieve_start(g: GroupId) -> tuple[int, int, int, int] | None:
+# (|H|, limit, n, n!/2): where the size sieve of one point starts
+_Start = tuple[int, int, int, int]
+
+
+def _sieve_start(g: GroupId) -> _Start | None:
     """(|H|, limit, n, n!/2) at n = max(5, n_min) if n!/2 < limit there,
     else None; limit is ceil(|H| * k-bound)."""
-    if _refuted_by_bits(g):
+    n = n_min(g)
+    if g.q is not None and _refuted_by_bits(
+        order_class_shape(g.family, g.m), g.q.q, n
+    ):
         return None
     order = group_order(g)
     limit = _class_number_limit(g, order)
-    n = max(5, n_min(g))
+    n = max(5, n)
     half = _half_factorial_below(n, limit)
     return None if half is None else (order, limit, n, half)
 
 
-def _feasible(g: GroupId) -> bool:
-    """Exact inequality |A_max(5, n_min)| < |H| * k-bound."""
-    return _sieve_start(g) is not None
-
-
-def _candidates(g: GroupId) -> Iterator[tuple[int, int]]:
+def _candidates(g: GroupId, start: _Start | None) -> Iterator[tuple[int, int]]:
     """(n, (n!/2) / |H|) for all n with |H| | n!/2 and n!/2 < |H|*k-bound,
-    n >= max(5, n_min).
+    n >= max(5, n_min), walked up from start = _sieve_start(g).
 
     n!/2 is strictly increasing, so the first n where the bound fails is
     a natural cutoff.  Raises if the cutoff is not reached before
     HARD_N_CAP, rather than silently truncating.
     """
-    start = _sieve_start(g)
     if start is None:
         return
     order, limit, n, half = start
@@ -249,146 +256,96 @@ def _candidates(g: GroupId) -> Iterator[tuple[int, int]]:
         half *= n
 
 
-def _lowest_point(family: str, m: int | None, primes: Iterable[int]) -> GroupId | None:
-    """The simple group (family, m, p^k) of smallest p in primes, then k <= 4."""
-    for p in primes:
-        for k in range(1, 5):
-            try:
-                return lie(family, PrimePower(p, k), m=m)
-            except ValueError:
-                continue
-    return None
+def _k_tail(shape: tuple[int, int, int], p: int, n: int) -> bool:
+    """The k lemma's inequality at n = n_min: n >= 5 and
+    e(p - 1) L(n) >= bitlen(p - 1)(D + d)."""
+    e, degree, _ = shape
+    gain = e * (p - 1) * ((n + 1).bit_length() - 1)
+    return n >= 5 and gain >= (p - 1).bit_length() * degree
 
 
-def _scan_last_feasible(
-    points: Iterable[tuple[int, GroupId | None]], what: str
-) -> tuple[int | None, int | None]:
-    """First-failure scan with a persistence window.
+def _p_tail(shape: tuple[int, int, int], n: int) -> bool:
+    """The p lemma's inequality at n = n_min of k = 1: e L(n) >= D + d."""
+    e, degree, _ = shape
+    return e * ((n + 1).bit_length() - 1) >= degree
 
-    points maps each scanned value to its group, or to None when no legal
-    group has that value (skipped).  Returns (last feasible value, first
-    infeasible value).  Raises if feasibility reappears inside the
-    scan-ahead window after the first failure: that would invalidate the
-    single-crossing assumption the cutoff rests on.
-    """
-    last_ok: int | None = None
-    first_bad: int | None = None
-    misses = 0
-    for v, g in points:
-        if g is None:
-            continue
-        if _feasible(g):
-            if first_bad is not None:
-                raise ArithmeticError(
-                    f"{what}: feasibility reappeared at {v} after failing at {first_bad}"
-                )
-            last_ok = v
-        else:
-            if first_bad is None:
-                first_bad = v
-            misses += 1
-            if misses > _SCAN_AHEAD:
+
+def _m_tail(family: str, m: int) -> bool:
+    """The m lemma's inequality: Δe L(e) >= 2Δ(D + d) from m to m + 1."""
+    e, degree, _ = order_class_shape(family, m)
+    e_next, degree_next, _ = order_class_shape(family, m + 1)
+    return (e_next - e) * ((e + 1).bit_length() - 1) >= 2 * (degree_next - degree)
+
+
+def _k_stop(shape: tuple[int, int, int], p: int, k: int) -> bool:
+    """(m, p, k) and, by the k lemma, every later k are refuted by bits."""
+    n = shape[0] * k * (p - 1)
+    return _refuted_by_bits(shape, p**k, n) and _k_tail(shape, p, n)
+
+
+def _p_stop(shape: tuple[int, int, int], p: int) -> bool:
+    """Every (m, p', k) with p' >= p is refuted by bits (the k and p lemmas)."""
+    return _k_stop(shape, p, 1) and _p_tail(shape, shape[0] * (p - 1))
+
+
+def _walk(family: str) -> Iterator[GroupId]:
+    """The legal points of a Lie family in the order m, p, k, each loop
+    ended where a step lemma proves that point and every later one refuted
+    by bits.  G2(2) is not simple; its derived group G2(2)' comes first."""
+    if family == "G2":
+        yield GroupId("G2Prime2")
+    fixed = TWISTED_ODD_POWER.get(family)
+    for m in count(RANK_FLOOR[family]) if family in RANK_FLOOR else [None]:
+        shape = order_class_shape(family, m)
+        if m is not None and _p_stop(shape, 2) and _m_tail(family, m):
+            return
+        for p in [fixed] if fixed else filter(is_prime, count(2)):
+            if not fixed and _p_stop(shape, p):
                 break
-    return last_ok, first_bad
-
-
-def derive_family_bounds(family: str) -> FamilyBounds:
-    """Per-family box edges by single-parameter first-failure scans."""
-    notes: list[str] = []
-
-    p = TWISTED_ODD_POWER.get(family)
-    if p is not None:
-        a_max, a_bad = _scan_last_feasible(
-            ((a, lie(family, PrimePower(p, 2 * a + 1))) for a in range(1, 64)),
-            f"{family} a-scan",
-        )
-        if a_max is None:
-            notes.append(f"inequality already fails at a=1 (q={p ** 3})")
-            return FamilyBounds(family, None, None, None, tuple(notes))
-        notes.append(f"odd-power parameter a <= {a_max} (first failure at a={a_bad})")
-        return FamilyBounds(family, a_max, p, 2 * a_max + 1, tuple(notes))
-
-    m = m_max = None
-    if family not in EXCEPTIONAL_FAMILIES:
-        m = RANK_FLOOR[family]
-        m_max, _ = _scan_last_feasible(
-            ((mm, _lowest_point(family, mm, (2, 3, 5))) for mm in range(m, m + 64)),
-            f"{family} m-scan",
-        )
-        if m_max is None:
-            notes.append(f"inequality already fails at m={m}")
-            return FamilyBounds(family, None, None, None, tuple(notes))
-
-    p_max, _ = _scan_last_feasible(
-        ((p, _lowest_point(family, m, (p,))) for p in filter(is_prime, count(2))),
-        f"{family} p-scan",
-    )
-    lowest = _lowest_point(family, m, filter(is_prime, count(2)))
-    p_lo, k_lo = lowest.q.p, lowest.q.k  # type: ignore[union-attr]
-    if p_max is None:
-        notes.append(f"inequality already fails at (p,k)=({p_lo},{k_lo})")
-        return FamilyBounds(family, m_max, None, None, tuple(notes))
-
-    k_max, _ = _scan_last_feasible(
-        ((k, lie(family, PrimePower(p_lo, k), m=m)) for k in range(k_lo, k_lo + 256)),
-        f"{family} k-scan",
-    )
-    assert k_max is not None  # k_lo is feasible whenever p_lo survived the p-scan
-    return FamilyBounds(family, m_max, p_max, k_max, tuple(notes))
-
-
-def _sweep_points(family: str, box: tuple[int, int, int]) -> Iterator[GroupId]:
-    """All legal catalog points in the box; G2(2) swept as G2(2)'."""
-    m_hi, p_hi, k_hi = box
-    exceptional = family in EXCEPTIONAL_FAMILIES
-    for m in [None] if exceptional else range(RANK_FLOOR[family], m_hi + 1):
-        for p in filter(is_prime, range(2, p_hi + 1)):
-            for k in range(1, k_hi + 1):
-                if family == "G2" and (p, k) == (2, 1):
-                    yield GroupId("G2Prime2")
-                    continue
+            for k in count(3, 2) if fixed else count(1):
+                if _k_stop(shape, p, k):
+                    break
                 try:
                     yield lie(family, PrimePower(p, k), m=m)
-                except ValueError:
-                    continue
+                except ValueError:  # (m, p, k) names no simple group
+                    pass
 
 
-def _rows_for_point(g: GroupId) -> Iterator[ExceptionRow]:
+def _rows_for_point(g: GroupId, start: _Start | None) -> Iterator[ExceptionRow]:
     p, k, q = (g.q.p, g.q.k, g.q.q) if g.q else (None, None, None)
-    for n, ratio in _candidates(g):
+    for n, ratio in _candidates(g, start):
         yield ExceptionRow(g.family, group_label(g), g.m, p, k, q, n, ratio)
 
 
-def _sieve(points: list[GroupId]) -> tuple[ExceptionRow, ...]:
-    """Rows of every point, in canonical order."""
-    rows = [r for pt in points for r in _rows_for_point(pt)]
-    return tuple(sorted(rows, key=ExceptionRow.sort_key))
-
-
 def sweep_family(family: str) -> FamilySweepReport:
-    """Enumerate one Lie family's box and sieve every point exactly."""
-    bounds = derive_family_bounds(family)
-    notes = list(bounds.notes)
-    floor = _BOX_FLOOR.get(family)
-    if bounds.p_max is None and floor is None:
-        return FamilySweepReport(family, bounds, None, 0, (), tuple(notes))
-    box = (bounds.m_max or 0, bounds.p_max or 0, bounds.k_max or 0)
-    if floor is not None:
-        widened = tuple(max(a, b) for a, b in zip(box, floor))
-        if widened != box:
-            notes.append(f"derived box {box} widened to enumeration floor {widened}")
-        box = widened  # type: ignore[assignment]
-    points = list(_sweep_points(family, box))  # type: ignore[arg-type]
-    if any(pt.family == "G2Prime2" for pt in points):
-        notes.append("point (p,k)=(2,1) swept as the simple group G2(2)' of order 6048")
-    return FamilySweepReport(
-        family, bounds, box, len(points), _sieve(points), tuple(notes)  # type: ignore[arg-type]
+    """Walk one Lie family to its proven frontier and sieve every point
+    exactly, each from one _sieve_start."""
+    walked, rows, notes = 0, [], []
+    ms, ps, ks = [], [], []
+    for g in _walk(family):
+        walked += 1
+        if g.family == "G2Prime2":
+            notes.append("point (p,k)=(2,1) swept as the simple group G2(2)' of order 6048")
+        start = _sieve_start(g)
+        rows.extend(_rows_for_point(g, start))
+        if start is not None and g.q is not None:
+            m = g.q.k // 2 if family in TWISTED_ODD_POWER else g.m
+            if m is not None:
+                ms.append(m)
+            ps.append(g.q.p)
+            ks.append(g.q.k)
+    bounds = FamilyBounds(
+        family, max(ms, default=None), max(ps, default=None), max(ks, default=None)
     )
+    rows.sort(key=ExceptionRow.sort_key)
+    return FamilySweepReport(family, bounds, walked, tuple(rows), tuple(notes))
 
 
 def sweep_sporadic() -> tuple[ExceptionRow, ...]:
     """Sieve all 26 sporadic groups and the Tits group."""
-    return _sieve([sporadic(entry.label) for entry in sporadic_entries()])
+    points = [sporadic(entry.label) for entry in sporadic_entries()]
+    rows = [r for g in points for r in _rows_for_point(g, _sieve_start(g))]
+    return tuple(sorted(rows, key=ExceptionRow.sort_key))
 
 
 def check_subset(g: GroupId, n: int) -> SubsetCheck:

@@ -5,8 +5,8 @@ on its own: divisibility, p-adic valuations, Legendre's formula, the
 partitions of n, conjugates by column counts, single hook lengths and
 the hook product cell by cell, corner removal, the text form of a
 partition, partition counts, Frobenius coordinates, the direct routes
-to the A_n entries and to the n!/2 sieve, and factorisation one
-division at a time.  The tests check the library's fast paths against
+to the A_n entries and to the n!/2 sieve, factorisation one division at
+a time, and the parameter boxes the family sweeps once enumerated.  The tests check the library's fast paths against
 them; none of these share code with the partition and hook machinery
 they check.  A partition is a tuple of weakly decreasing positive ints;
 cells are 1-based (row, column) pairs.
@@ -17,7 +17,8 @@ from __future__ import annotations
 import math
 from typing import Iterator
 
-from codlab.exactnum import is_prime
+from codlab.catalog import RANK_FLOOR, GroupId, lie
+from codlab.exactnum import PrimePower, is_prime
 
 Partition = tuple[int, ...]
 Cell = tuple[int, int]
@@ -254,3 +255,31 @@ def factor_stepwise(n: int) -> list[tuple[int, int]]:
     if n > 1:
         out.append((n, 1))
     return out
+
+
+# The (m_hi, p_hi, k_hi) box of legal points each Lie family's sweep
+# enumerated before it walked to proven frontiers: edges found by scanning
+# one parameter at a time, widened to a hand-set floor for PSL, PSU and
+# O-.  The other families enumerated no box.  The tests keep these points
+# as a fixed, wide sample of the parameter space.
+SWEEP_BOXES = {
+    "PSL": (6, 17, 63), "PSU": (6, 7, 42), "PSp": (4, 2, 2),
+    "OmegaOdd": (2, 3, 1), "OPlus": (4, 2, 1), "OMinus": (5, 3, 3),
+    "G2": (0, 2, 2), "TriD4": (0, 2, 1), "Suzuki": (4, 2, 9),
+}
+
+
+def box_points(family: str, box: tuple[int, int, int]) -> Iterator[GroupId]:
+    """Every legal point of family in the box, G2(2) as G2(2)'; the box's m
+    edge is ignored for the exceptional families."""
+    m_hi, p_hi, k_hi = box
+    for m in range(RANK_FLOOR[family], m_hi + 1) if family in RANK_FLOOR else [None]:
+        for p in filter(is_prime, range(2, p_hi + 1)):
+            for k in range(1, k_hi + 1):
+                if family == "G2" and (p, k) == (2, 1):
+                    yield GroupId("G2Prime2")
+                    continue
+                try:
+                    yield lie(family, PrimePower(p, k), m=m)
+                except ValueError:
+                    continue

@@ -13,11 +13,14 @@ from functools import lru_cache
 from pathlib import Path
 
 from codlab.alt_codegrees import _frobenius_pairs, sym_degree, verify_min_codegree_monotone
-from codlab.catalog import parse_group_label, sporadic_entries
+from codlab.catalog import order_class_shape, parse_group_label, sporadic_entries
 from codlab.cli import main
 from codlab.search import (
+    _refuted_by_bits,
+    _walk,
     check_subset,
     discharge_rows,
+    n_min,
     run_full_verification,
     schur_a9_size_check,
     schur_degree_equation_solutions,
@@ -25,7 +28,7 @@ from codlab.search import (
     sweep_sporadic,
 )
 from codlab.exactnum import format_factored
-from oracles import corners, partitions, remove_corner
+from oracles import SWEEP_BOXES, box_points, corners, partitions, remove_corner
 
 
 def _passed(k: int, name: str, started: float, budget: float) -> None:
@@ -112,11 +115,14 @@ def test_05_classical_sweeps():
     assert [(r.m, r.q, r.n) for r in psu.rows] == [(2, 3, 9), (3, 2, 9)]
     for family in ("PSp", "OPlus", "OMinus"):
         assert sweep_family(family).rows == ()
-    # derived boxes are reported; enumeration covers at least the
-    # reference floors so differing derivations cannot drop rows
-    for rep, floor in ((psl, (6, 17, 63)), (psu, (6, 7, 42))):
+    # the walk covers the old reference boxes: each of their points is
+    # walked, or refuted by bit length alone
+    for rep in (psl, psu):
         assert rep.bounds.m_max is not None
-        assert tuple(rep.box) >= floor
+        walked = set(_walk(rep.family))
+        for g in box_points(rep.family, SWEEP_BOXES[rep.family]):
+            shape = order_class_shape(g.family, g.m)
+            assert g in walked or _refuted_by_bits(shape, g.q.q, n_min(g)), g
     _passed(5, "classical sweeps", t0, 120.0)
 
 
@@ -131,7 +137,6 @@ def test_06_exceptional_sweeps():
         assert rep.rows == (), fam
     e6 = reports["E6"].bounds
     assert e6.p_max is None
-    assert any("(2,1)" in note for note in e6.notes)
     g2 = reports["G2"]
     assert any("G2(2)'" in note and "6048" in note for note in g2.notes)
     assert reports["Suzuki"].bounds.m_max == 4  # odd-power parameter a < 5

@@ -29,6 +29,7 @@ from codlab.catalog import (
     group_order,
     lie,
     order_class_bits,
+    order_class_shape,
     order_q_degree,
     parse_group_label,
     prime_power,
@@ -338,6 +339,18 @@ def test_classical_order_degrees_over_ranks(family):
         assert group_order(g).bit_length() in range(d * (b - 1) - 3, d * b + 1), m
 
 
+# c, the bit length of the ceiled constant of each classical class bound
+CLASS_BITS = {"PSL": 2, "PSU": 4, "PSp": 5, "OmegaOdd": 4, "OPlus": 4, "OMinus": 4}
+
+
+@pytest.mark.parametrize("family", sorted(CLASSICAL_DEGREES))
+def test_order_class_shape_over_ranks(family):
+    # (e, D + d, c) with the class bound's degree d = m and c fixed
+    for m in range(RANK_FLOOR[family], RANK_FLOOR[family] + 7):
+        e, d = CLASSICAL_DEGREES[family](m)
+        assert order_class_shape(family, m) == (e, d + m, CLASS_BITS[family]), m
+
+
 def test_order_q_degree_and_bits_need_a_q():
     for g in (alternating(7), sporadic("M"), GroupId("G2Prime2")):
         assert order_class_bits(g) is None
@@ -376,6 +389,7 @@ def test_order_class_bits_bound_the_limit(g):
     limit = -(-order * bound.numerator // bound.denominator)
     assert limit.bit_length() <= order_class_bits(g)
     assert order <= g.q.q ** order_q_degree(g)
+    assert order_class_shape(g.family, g.m)[0] == q_part_exponent(g)
 
 
 @given(lie_points(max_bits=32))

@@ -105,9 +105,22 @@ def test_search_family_json(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["bounds"] == {"m_max": 5, "p_max": 3, "k_max": 8}
+    assert (doc["points_examined"], doc["notes"]) == (41, [])
+    assert "box" not in doc
     assert [r["label"] for r in doc["rows"]] == ["PSU(3,3)", "PSU(4,2)"]
     assert doc["rows"][0]["ratio"] == "30"
     assert [c["verdict"] for c in doc["checks"]] == ["subset_refuted"] * 2
+
+
+def test_search_family_table(capsys):
+    code, out, _ = run_cli(capsys, "search", "g2")
+    assert code == 0
+    assert out.splitlines()[:4] == [
+        "target: G2",
+        "derived bounds: m_max=None p_max=2 k_max=2",
+        "points examined: 6",
+        "note: point (p,k)=(2,1) swept as the simple group G2(2)' of order 6048",
+    ]
 
 
 def test_search_all_passes(capsys):

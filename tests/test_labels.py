@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from codlab.catalog import (
-    CLASSICAL_FAMILIES,
-    EXCEPTIONAL_FAMILIES,
+    LIE_FAMILIES,
     GroupId,
     group_label,
     parse_group_label,
@@ -18,7 +17,8 @@ from codlab.catalog import (
     sporadic_entries,
 )
 from codlab.cli import main
-from codlab.search import _sweep_points, sweep_family
+from codlab.search import _walk
+from oracles import SWEEP_BOXES, box_points
 
 HEADS = (
     "PSL", "PSU", "PSp", "Omega", "O+", "O-", "G2", "F4", "E6", "E7", "E8",
@@ -92,16 +92,17 @@ def test_outer_spaces_and_spaces_after_commas_are_kept():
 
 
 def all_sweep_points() -> list[GroupId]:
+    """The sporadic groups and every point of the old sweep boxes."""
     points = [sporadic(entry.label) for entry in sporadic_entries()]
-    for family in CLASSICAL_FAMILIES + EXCEPTIONAL_FAMILIES:
-        box = sweep_family(family).box
-        if box is not None:
-            points.extend(_sweep_points(family, box))
+    for family, box in SWEEP_BOXES.items():
+        points.extend(box_points(family, box))
     return points
 
 
 def test_every_sweep_label_round_trips():
     points = all_sweep_points()
     assert len(points) == 27 + 3508
-    for g in points:
+    walked = [g for family in LIE_FAMILIES for g in _walk(family)]
+    assert len(walked) == 217
+    for g in points + walked:
         assert parse_group_label(group_label(g)) == g, g

@@ -23,9 +23,9 @@ PUBLIC = {
     "partitions": ("hook_product",),
     "search": (
         "ExceptionRow", "FamilyBounds", "FamilySweepReport", "SchurScan", "SubsetCheck",
-        "VerificationReport", "check_subset", "derive_family_bounds",
-        "run_full_verification", "schur_a9_size_check", "schur_degree_equation_solutions",
-        "sweep_family", "sweep_sporadic",
+        "VerificationReport", "check_subset", "run_full_verification",
+        "schur_a9_size_check", "schur_degree_equation_solutions", "sweep_family",
+        "sweep_sporadic",
     ),
 }
 
@@ -59,7 +59,7 @@ def test_search_loads_catalog_and_search():
 
 def test_all_names_are_the_home_objects():
     assert sorted(codlab.__all__) == sorted(n for names in PUBLIC.values() for n in names)
-    assert len(codlab.__all__) == 35
+    assert len(codlab.__all__) == 34
     listed = dir(codlab)
     for module, names in PUBLIC.items():
         home = importlib.import_module(f"codlab.{module}")

@@ -1,4 +1,4 @@
-"""Exception search: sieves, derived boxes, frozen tables, discharge.
+"""Exception search: sieves, the walk's step lemmas, frozen tables, discharge.
 
 Expected rows and witnesses were worked out by hand from the frozen
 codegree sets before this module existed; the sweep must reproduce
@@ -15,7 +15,9 @@ from hypothesis import given, settings, strategies as st
 from codlab.alt_codegrees import alt_codegree_set
 from codlab.catalog import (
     CLASSICAL_FAMILIES,
-    EXCEPTIONAL_FAMILIES,
+    LIE_FAMILIES,
+    RANK_FLOOR,
+    TWISTED_ODD_POWER,
     DataFileError,
     GroupId,
     PrimePower,
@@ -23,6 +25,7 @@ from codlab.catalog import (
     group_order,
     lie,
     order_class_bits,
+    order_class_shape,
     order_q_degree,
     parse_group_label,
     simple_codegree_set,
@@ -33,15 +36,18 @@ from codlab.exactnum import is_prime
 from codlab.search import (
     HARD_N_CAP,
     _class_number_limit,
-    _feasible,
     _half_factorial_below,
+    _k_tail,
     _log2_factorial_floor,
+    _m_tail,
+    _p_stop,
+    _p_tail,
     _refuted_by_bits,
     _candidates,
-    _sweep_points,
+    _sieve_start,
+    _walk,
     check_subset,
     compare_with_golden,
-    derive_family_bounds,
     discharge_rows,
     n_min,
     render_rows_csv,
@@ -51,7 +57,7 @@ from codlab.search import (
     sweep_family,
     sweep_sporadic,
 )
-from oracles import half_factorial_below_stepwise
+from oracles import SWEEP_BOXES, box_points, half_factorial_below_stepwise
 
 # (m, q, n, ratio) per family, the frozen sweep outcome
 EXPECTED_PSL_ROWS = [
@@ -93,7 +99,17 @@ def test_n_min():
 
 def candidate_n_range(g):
     """The n that the sweep meets for g, in increasing order."""
-    return [n for n, _ in _candidates(g)]
+    return [n for n, _ in _candidates(g, _sieve_start(g))]
+
+
+def feasible(g):
+    """The sieve's exact inequality |A_max(5, n_min)| < |H| * k-bound."""
+    return _sieve_start(g) is not None
+
+
+def refuted(g):
+    """The sieve's bit test at g, which has a q."""
+    return _refuted_by_bits(order_class_shape(g.family, g.m), g.q.q, n_min(g))
 
 
 @pytest.mark.parametrize(
@@ -167,54 +183,48 @@ def oracle_candidate_n_range(g):
 
 
 def test_sieve_matches_full_factorial_oracle():
-    # every enumerated sweep point plus the sporadic and Tits groups
+    # every point of the old sweep boxes plus the sporadic and Tits groups
     points = [sporadic(entry.label) for entry in sporadic_entries()]
     assert len(points) == 27
     examined = {}
-    for family in CLASSICAL_FAMILIES + EXCEPTIONAL_FAMILIES:
-        rep = sweep_family(family)
-        examined[family] = rep.points_examined
-        if rep.box is None:
-            continue
-        box_points = list(_sweep_points(family, rep.box))
-        assert len(box_points) == rep.points_examined
-        points.extend(box_points)
-    assert {f: c for f, c in examined.items() if c} == {
+    for family, box in SWEEP_BOXES.items():
+        in_box = list(box_points(family, box))
+        examined[family] = len(in_box)
+        points.extend(in_box)
+    assert examined == {
         "PSL": 2644, "PSU": 839, "PSp": 4, "OmegaOdd": 1, "OPlus": 1,
         "OMinus": 12, "G2": 2, "TriD4": 1, "Suzuki": 4,
     }
     assert len(points) == 27 + 3508
     assert max(n_min(g) for g in points) == 21168  # PSL(7,17^63)
-    feasible = 0
+    passed = 0
     for g in points:
-        assert _feasible(g) == oracle_feasible(g), g
+        assert feasible(g) == oracle_feasible(g), g
         assert candidate_n_range(g) == oracle_candidate_n_range(g), g
-        feasible += _feasible(g)
-    assert feasible == 126
+        passed += feasible(g)
+    assert passed == 126
 
 
 def lie_sweep_points():
-    """Every swept point that has a q (all but G2(2)')."""
-    points = []
-    for family in CLASSICAL_FAMILIES + EXCEPTIONAL_FAMILIES:
-        box = sweep_family(family).box
-        if box is not None:
-            points.extend(g for g in _sweep_points(family, box) if g.q is not None)
-    return points
+    """Every point of the old sweep boxes that has a q (all but G2(2)')."""
+    return [
+        g for family, box in SWEEP_BOXES.items()
+        for g in box_points(family, box) if g.q is not None
+    ]
 
 
 def lie_frame_points():
-    """Points just past each box: rank + 2, the next 3 primes, k + 5.
+    """Points just past each old box: rank + 2, the next 3 primes, k + 5.
 
     A family without a box gets the frame of the empty box (0, 0, 0).
     """
     points = []
-    for family in CLASSICAL_FAMILIES + EXCEPTIONAL_FAMILIES:
-        box = sweep_family(family).box
-        inner = set(_sweep_points(family, box)) if box else set()
+    for family in LIE_FAMILIES:
+        box = SWEEP_BOXES.get(family)
+        inner = set(box_points(family, box)) if box else set()
         m_hi, p_hi, k_hi = box or (0, 0, 0)
         p_next = list(islice(filter(is_prime, count(p_hi + 1)), 3))[-1]
-        frame = _sweep_points(family, (m_hi + 2, p_next, k_hi + 5))
+        frame = box_points(family, (m_hi + 2, p_next, k_hi + 5))
         points.extend(g for g in frame if g not in inner and g.q is not None)
     return points
 
@@ -226,7 +236,7 @@ def check_bit_bound(g):
     bits = order_class_bits(g)
     assert limit.bit_length() <= bits, g
     assert (g.q.q.bit_length() - 1) * order_q_degree(g) - 5 < order.bit_length(), g
-    if _refuted_by_bits(g):
+    if refuted(g):
         assert _half_factorial_below(max(5, n_min(g)), limit) is None, g
     return limit.bit_length() == bits
 
@@ -236,9 +246,9 @@ def test_bit_bound_on_sweep_points():
     assert len(points) == 3507
     reached = sum(check_bit_bound(g) for g in points)
     assert reached > 0  # the bound is attained, not just loose
-    refuted = [g for g in points if _refuted_by_bits(g)]
-    assert len(refuted) == 3338
-    assert not any(_feasible(g) for g in refuted)
+    by_bits = [g for g in points if refuted(g)]
+    assert len(by_bits) == 3338
+    assert not any(feasible(g) for g in by_bits)
 
 
 def test_bit_bound_past_the_boxes():
@@ -254,9 +264,129 @@ def test_bit_bound_skips_orders_and_limits(monkeypatch):
     monkeypatch.setattr("codlab.search.class_number_bound", None)
     monkeypatch.setattr("codlab.search.factorial", None)
     g = lie("PSL", PrimePower(17, 63), m=6)
-    assert _refuted_by_bits(g)
-    assert not _feasible(g)
+    assert refuted(g)
+    assert not feasible(g)
     assert candidate_n_range(g) == []
+
+
+WALKED = {
+    "PSL": 123, "PSU": 41, "PSp": 11, "OmegaOdd": 4, "OPlus": 9, "OMinus": 9,
+    "G2": 6, "F4": 1, "E6": 1, "E7": 1, "E8": 0, "TwistedE6": 1, "TriD4": 3,
+    "Suzuki": 7, "Ree": 0, "TwistedF4": 0,
+}
+
+
+def test_walk_counts():
+    walked = {f: sweep_family(f).points_examined for f in LIE_FAMILIES}
+    assert walked == WALKED
+    assert sum(walked.values()) == 217
+    for family in LIE_FAMILIES:
+        points = list(_walk(family))
+        assert len(points) == len(set(points)) == WALKED[family]
+
+
+def test_walk_covers_the_old_boxes():
+    # every point of the old boxes and of the frame past them is walked,
+    # or refuted by bits; so every point that passes the sieve is walked
+    walked = {g for family in LIE_FAMILIES for g in _walk(family)}
+    points = [g for family, box in SWEEP_BOXES.items() for g in box_points(family, box)]
+    points += lie_frame_points()
+    assert len(points) == 3508 + 4785
+    skipped = [g for g in points if g not in walked]
+    assert len(skipped) == 8092
+    assert all(g.q is not None and refuted(g) for g in skipped)
+
+
+def bit_gain(n, n_next):
+    """S(max(5, n')) - S(max(5, n)), the bits that n! gains on the way."""
+    return _log2_factorial_floor(max(5, n_next)) - _log2_factorial_floor(max(5, n))
+
+
+def bit_cost(shape, q, q_next):
+    """B at q' less B at q: the bits the limit may gain."""
+    return (q_next.bit_length() - q.bit_length()) * shape[1]
+
+
+def lemma_shapes():
+    """(family, shape) for every Lie family at ranks floor..floor+10."""
+    for family in LIE_FAMILIES:
+        floor = RANK_FLOOR.get(family)
+        for m in [None] if floor is None else range(floor, floor + 11):
+            yield family, order_class_shape(family, m)
+
+
+PRIMES = [p for p in range(2, 200) if is_prime(p)]
+
+
+def test_k_step_lemma():
+    # where the k tail holds, n! gains at least the limit's bits to k + step
+    # (2 in the twisted families), and the tail holds there again
+    held = 0
+    for family, shape in lemma_shapes():
+        step = 2 if family in TWISTED_ODD_POWER else 1
+        for p in PRIMES:
+            for k in range(1, 40):
+                n, n_next = shape[0] * k * (p - 1), shape[0] * (k + step) * (p - 1)
+                if not _k_tail(shape, p, n):
+                    continue
+                held += 1
+                assert bit_gain(n, n_next) >= bit_cost(shape, p**k, p ** (k + step)), (
+                    family, shape, p, k)
+                assert _k_tail(shape, p, n_next), (family, shape, p, k)
+    assert held > 130_000
+
+
+def test_p_step_lemma():
+    # where the p tail holds, n! gains at least the limit's bits on the way
+    # to the next prime, for every k; the tails hold at the next prime again
+    held = 0
+    for family, shape in lemma_shapes():
+        if family in TWISTED_ODD_POWER:
+            continue
+        e = shape[0]
+        for p, p_next in zip(PRIMES, PRIMES[1:]):
+            if not _p_tail(shape, e * (p - 1)):
+                continue
+            held += 1
+            for k in range(1, 40):
+                n, n_next = e * k * (p - 1), e * k * (p_next - 1)
+                assert bit_gain(n, n_next) >= bit_cost(shape, p**k, p_next**k), (
+                    family, shape, p, k)
+            assert _p_tail(shape, e * (p_next - 1)), (family, shape, p)
+            if _k_tail(shape, p, e * (p - 1)):
+                assert _k_tail(shape, p_next, e * (p_next - 1)), (family, shape, p)
+    assert held > 3_000
+
+
+# Δe and Δ(D + d) from rank m to m + 1, as the module docstring states them
+RANK_STEPS = {
+    "PSL": lambda m: (m + 1, 2 * m + 4),
+    "PSU": lambda m: (m + 1, 2 * m + 4),
+    "PSp": lambda m: (2 * m + 1, 4 * m + 4),
+    "OmegaOdd": lambda m: (2 * m + 1, 4 * m + 4),
+    "OPlus": lambda m: (2 * m, 4 * m + 2),
+    "OMinus": lambda m: (2 * m, 4 * m + 2),
+}
+
+
+@pytest.mark.parametrize("family", CLASSICAL_FAMILIES)
+def test_m_step_lemma(family):
+    # along the rank: Δe/Δ(D + d) does not decrease, c is constant, and an
+    # m stop at m is an m stop at m + 1 whose bits at (2, 1) keep up
+    floor = RANK_FLOOR[family]
+    shapes = {m: order_class_shape(family, m) for m in range(floor, floor + 203)}
+    stops = 0
+    for m in range(floor, floor + 201):
+        (e, degree, c), (e1, degree1, c1), (e2, degree2, _) = (
+            shapes[m], shapes[m + 1], shapes[m + 2])
+        assert (e1 - e, degree1 - degree) == RANK_STEPS[family](m)
+        assert c1 == c
+        assert (e2 - e1) * (degree1 - degree) >= (e1 - e) * (degree2 - degree1), m
+        if _p_stop(shapes[m], 2) and _m_tail(family, m):
+            stops += 1
+            assert bit_gain(e, e1) >= 2 * (degree1 - degree), m
+            assert _p_stop(shapes[m + 1], 2) and _m_tail(family, m + 1), m
+    assert stops > 180
 
 
 def test_half_factorial_below_at_the_boundary():
@@ -354,15 +484,16 @@ EMPTY_BOUND_FAMILIES = ("F4", "E6", "E7", "E8", "TwistedE6", "Ree", "TwistedF4")
 
 @pytest.mark.parametrize("family", sorted(EXPECTED_BOUNDS))
 def test_derived_bounds(family):
-    b = derive_family_bounds(family)
+    b = sweep_family(family).bounds
     assert (b.m_max, b.p_max, b.k_max) == EXPECTED_BOUNDS[family]
 
 
 @pytest.mark.parametrize("family", EMPTY_BOUND_FAMILIES)
 def test_infeasible_families(family):
-    b = derive_family_bounds(family)
-    assert b.p_max is None
-    assert any("already fails" in note for note in b.notes)
+    rep = sweep_family(family)
+    b = rep.bounds
+    assert (b.m_max, b.p_max, b.k_max) == (None, None, None)
+    assert rep.rows == ()
 
 
 def test_psl_sweep_matches_frozen_table():
@@ -370,9 +501,6 @@ def test_psl_sweep_matches_frozen_table():
     got = [(r.m, r.q, r.n, r.ratio) for r in rep.rows]
     assert sorted(got) == sorted(EXPECTED_PSL_ROWS)
     assert len(rep.rows) == 12
-    # floor must widen the derived box, never shrink it
-    assert rep.box == (6, 17, 63)
-    assert any("widened" in note for note in rep.notes)
 
 
 def test_psu_and_omega_sweeps():
@@ -405,7 +533,7 @@ def test_g2_swept_through_derived_subgroup():
 def test_suzuki_odd_power_bound():
     rep = sweep_family("Suzuki")
     assert rep.bounds.m_max == 4  # a <= 4, i.e. q = 2^3 .. 2^9
-    assert any("a=5" in note for note in rep.notes)
+    assert rep.bounds.k_max == 9
 
 
 def test_psp4_over_even_q_passes_no_sieve():
