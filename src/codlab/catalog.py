@@ -1,11 +1,12 @@
 """Catalog of finite simple groups touched by the exception search.
 
-Identities, exact orders, q-part exponents, class-number bounds, and
-embedded character-degree tables.  Everything is exact: each Lie family
-has one order formula over Z, from which its orders, q-part exponents
-and q-degrees are all read; bound constants are Fractions, and degree
-data is read from a versioned structured-text file shipped with the
-package (override the path with the CODLAB_DATA environment variable).
+Identities, exact orders, class-number bounds, and embedded
+character-degree tables.  Everything is exact: each Lie family has one
+order formula over Z, from which group_order evaluates its orders and
+order_class_shape reads its q-part exponent and q-degree; bound
+constants are Fractions, and degree data is read from a versioned
+structured-text file shipped with the package (override the path with
+the CODLAB_DATA environment variable).
 
 A note on naming: the classical families are parametrised by the rank m
 used in the search, so the PSL tag with (m, q) is the group PSL(m+1, q),
@@ -269,25 +270,6 @@ def group_order(g: GroupId) -> int:
     return order // gcd(c, q ** j + t)
 
 
-def q_part_exponent(g: GroupId) -> int:
-    """e with |G|_p = q^e for G of Lie type over q = p^k.
-
-    The factors of the order formula are coprime to p and the centre
-    order divides one of them, so the p-part of the order is exactly the
-    q-power prefix of the product formula.
-    """
-    if g.q is None:
-        raise ValueError(f"{g.family} has no q-part exponent")
-    return _order_formula(g.family, g.m)[0]
-
-
-def order_q_degree(g: GroupId) -> int:
-    """D, the degree in q of the order formula of G of Lie type, so |G| <= q^D."""
-    if g.q is None:
-        raise ValueError(f"{g.family} has no order polynomial in q")
-    return _order_formula(g.family, g.m)[1]
-
-
 # ---------------------------------------------------------------------------
 # Class-number bounds: k(G) <= bound, everything an exact Fraction.
 
@@ -334,10 +316,24 @@ def class_number_bound(g: GroupId) -> Fraction:
 
 @lru_cache(maxsize=256)
 def order_class_shape(family: str, m: int | None) -> tuple[int, int, int]:
-    """(e, D + d, c) of a Lie family at rank m, the numbers order_class_bits
-    reads: e the q-part exponent, D the q-degree of the order formula, d the
-    degree in q of the class bound (m for the classical families), and c the
-    bit length of K, the bound's ceiled constant or its coefficient sum."""
+    """(e, D + d, c) of a Lie family at rank m: e the q-part exponent, D the
+    q-degree of the order formula, d the degree in q of the class bound (m
+    for the classical families), and c the bit length of K, the bound's
+    ceiled constant or its coefficient sum.
+
+    |G|_p = q^e exactly: the factors of the order formula are coprime to p
+    and the centre order divides one of them, so the p-part of the order
+    is the q-power prefix of the formula.
+
+    For G over q, ceil(|G| * class_number_bound(G)) < 2^B with
+    B = b(D + d) + c and b = q.bit_length().  As q < 2^b, the q-part q^e is
+    below 2^(be), each factor q^i +- 1 of the order formula is at most
+    2^(bi), q^8 + q^4 + 1 is at most 2^(8b), and the gcd divisor is at
+    least 1: |G| < 2^(bD).  The class bound is C*q^m with C <= K = ceil(C),
+    or a polynomial of degree d with nonnegative coefficients summing to K,
+    so it is at most K*2^(bd).  The product is then below the integer
+    K*2^(b(D + d)), so its ceiling is at most that, and K < 2^c.
+    """
     e, degree = _order_formula(family, m)[:2]
     if family in _CLASSICAL_BOUND_CONSTANT:
         k_degree, k_const = m, ceil(_CLASSICAL_BOUND_CONSTANT[family])
@@ -345,25 +341,6 @@ def order_class_shape(family: str, m: int | None) -> tuple[int, int, int]:
         poly = _EXCEPTIONAL_BOUND_POLY[family]
         k_degree, k_const = len(poly) - 1, sum(poly)
     return e, degree + k_degree, k_const.bit_length()
-
-
-def order_class_bits(g: GroupId) -> int | None:
-    """B with ceil(|G| * class_number_bound(G)) < 2^B, from q's bit length.
-
-    With b = q.bit_length(), q < 2^b, so the q-part q^e is below 2^(be),
-    each factor q^i +- 1 of the order formula is at most 2^(bi),
-    q^8 + q^4 + 1 is at most 2^(8b), and the gcd divisor is at least 1:
-    |G| < 2^(bD) with D = order_q_degree(G).  The class bound is C*q^m with
-    C <= K = ceil(C), or a polynomial of degree d with nonnegative
-    coefficients summing to K, so it is at most K*2^(bd) (d = m for the
-    classical families).  The product is then below the integer
-    K*2^(b(D + d)), so its ceiling is at most that, and K < 2^c, c = K.bit_length().
-    None for the groups without a q (alternating, sporadic, G2(2)').
-    """
-    if g.q is None:
-        return None
-    _, degree, c = order_class_shape(g.family, g.m)
-    return g.q.q.bit_length() * degree + c
 
 
 # ---------------------------------------------------------------------------

@@ -8,18 +8,18 @@ characters).  For H of Lie type over q = p^k there is also a lower bound
 n >= e*k*(p-1) where q^e is the p-part of |H|, since the p-part of n!
 is at most p^(n/(p-1)).
 
-Most points fail the size sieve by hundreds of bits, so each one is
-first tested by bit length alone.  catalog.order_class_shape(family, m)
-gives (e, D + d, c) with ceil(|H| * k-bound) < 2^B for
-B = bitlen(q)(D + d) + c, and 2^(S(n) - 1) <= n!/2 with S(n) the sum of
-floor(log2 i) over i <= n.  A point is refuted by bits when
-S(max(5, n)) - 1 >= B at n = n_min = e*k*(p-1): that proves
-n!/2 >= |H| * k-bound there, the refusal the exact test would reach, so
-the point has no candidate n.  Only the points it leaves open build |H|
-and the limit.
+Most points fail the size sieve by hundreds of bits, and bit length
+alone shows it.  catalog.order_class_shape(family, m) gives (e, D + d, c)
+with ceil(|H| * k-bound) < 2^B for B = bitlen(q)(D + d) + c, and
+2^(S(n) - 1) <= n!/2 with S(n) the sum of floor(log2 i) over i <= n.  A
+point is refuted by bits when S(max(5, n)) - 1 >= B at
+n = n_min = e*k*(p-1): that proves n!/2 >= |H| * k-bound there, the
+refusal the exact test would reach, so the point has no candidate n.
 
 Each Lie family is walked in the order m, p, k, and each loop ends where
-an integer step inequality proves every later point refuted by bits.
+an integer step inequality proves every later point refuted by bits, so
+the walk's stops do all the refusing by bits and no walked point is
+tested by bits again.
 With L(n) = floor(log2(n + 1)), S(n') - S(n) >= (n' - n) L(n) for
 n' >= n, and the three step lemmas are:
 
@@ -69,7 +69,6 @@ from .catalog import (
     lie,
     order_class_shape,
     parse_group_label,
-    q_part_exponent,
     simple_codegree_set,
     sporadic,
     sporadic_entries,
@@ -166,8 +165,8 @@ def n_min(g: GroupId) -> int:
     """Legendre lower bound for |H| dividing n!/2; 5 for non-Lie tags."""
     if g.q is None:
         return 5
-    e = q_part_exponent(g)
-    return e * g.q.k * (g.q.p - 1)  # type: ignore[union-attr]
+    e = order_class_shape(g.family, g.m)[0]
+    return e * g.q.k * (g.q.p - 1)
 
 
 def _class_number_limit(g: GroupId, order: int) -> int:
@@ -205,55 +204,43 @@ def _refuted_by_bits(shape: tuple[int, int, int], q: int, n: int) -> bool:
     """True if n!/2 >= |H| * k-bound at max(5, n), by bit length alone, for
     H of order_class_shape shape over a field of q elements, n = n_min(H).
 
-    The limit is below 2^B for B = bitlen(q)(D + d) + c (as in
-    catalog.order_class_bits), so it has at most B bits, and S - 1 >= B is
-    the refusal _half_factorial_below would make, reached without building
-    |H| or the limit.  False means only that the exact test must decide.
+    The limit is below 2^B for B = bitlen(q)(D + d) + c (the bound proved
+    in catalog.order_class_shape), so it has at most B bits, and S - 1 >= B
+    is the refusal _half_factorial_below would make, reached without
+    building |H| or the limit.  False means only that the exact test must
+    decide.
     """
     _, degree, c = shape
     return _log2_factorial_floor(max(5, n)) - 1 >= q.bit_length() * degree + c
 
 
-# (|H|, limit, n, n!/2): where the size sieve of one point starts
-_Start = tuple[int, int, int, int]
-
-
-def _sieve_start(g: GroupId) -> _Start | None:
-    """(|H|, limit, n, n!/2) at n = max(5, n_min) if n!/2 < limit there,
-    else None; limit is ceil(|H| * k-bound)."""
-    n = n_min(g)
-    if g.q is not None and _refuted_by_bits(
-        order_class_shape(g.family, g.m), g.q.q, n
-    ):
-        return None
-    order = group_order(g)
-    limit = _class_number_limit(g, order)
-    n = max(5, n)
-    half = _half_factorial_below(n, limit)
-    return None if half is None else (order, limit, n, half)
-
-
-def _candidates(g: GroupId, start: _Start | None) -> Iterator[tuple[int, int]]:
-    """(n, (n!/2) / |H|) for all n with |H| | n!/2 and n!/2 < |H|*k-bound,
-    n >= max(5, n_min), walked up from start = _sieve_start(g).
+def _sieve(g: GroupId) -> list[tuple[int, int]] | None:
+    """(n, (n!/2) / |H|) for all n >= max(5, n_min) with |H| | n!/2 and
+    n!/2 < |H| * k-bound, in increasing n; None if the size sieve already
+    fails at n = max(5, n_min).
 
     n!/2 is strictly increasing, so the first n where the bound fails is
     a natural cutoff.  Raises if the cutoff is not reached before
     HARD_N_CAP, rather than silently truncating.
     """
-    if start is None:
-        return
-    order, limit, n, half = start
+    order = group_order(g)
+    limit = _class_number_limit(g, order)
+    n = max(5, n_min(g))
+    half = _half_factorial_below(n, limit)
+    if half is None:
+        return None
+    found = []
     while half < limit:
         ratio, rest = divmod(half, order)
         if not rest:
-            yield n, ratio
+            found.append((n, ratio))
         n += 1
         if n > HARD_N_CAP:
             raise RuntimeError(
                 f"candidate range for {group_label(g)} exceeded hard cap {HARD_N_CAP}"
             )
         half *= n
+    return found
 
 
 def _k_tail(shape: tuple[int, int, int], p: int, n: int) -> bool:
@@ -311,24 +298,29 @@ def _walk(family: str) -> Iterator[GroupId]:
                     pass
 
 
-def _rows_for_point(g: GroupId, start: _Start | None) -> Iterator[ExceptionRow]:
+def _row(g: GroupId, n: int, ratio: int) -> ExceptionRow:
     p, k, q = (g.q.p, g.q.k, g.q.q) if g.q else (None, None, None)
-    for n, ratio in _candidates(g, start):
-        yield ExceptionRow(g.family, group_label(g), g.m, p, k, q, n, ratio)
+    return ExceptionRow(g.family, group_label(g), g.m, p, k, q, n, ratio)
 
 
 def sweep_family(family: str) -> FamilySweepReport:
     """Walk one Lie family to its proven frontier and sieve every point
-    exactly, each from one _sieve_start."""
+    exactly, once each."""
+    if family not in LIE_FAMILIES:
+        raise ValueError(
+            f"unknown Lie family {family!r}; expected one of {', '.join(LIE_FAMILIES)}"
+        )
     walked, rows, notes = 0, [], []
     ms, ps, ks = [], [], []
     for g in _walk(family):
         walked += 1
         if g.family == "G2Prime2":
             notes.append("point (p,k)=(2,1) swept as the simple group G2(2)' of order 6048")
-        start = _sieve_start(g)
-        rows.extend(_rows_for_point(g, start))
-        if start is not None and g.q is not None:
+        found = _sieve(g)
+        if found is None:
+            continue
+        rows.extend(_row(g, n, ratio) for n, ratio in found)
+        if g.q is not None:
             m = g.q.k // 2 if family in TWISTED_ODD_POWER else g.m
             if m is not None:
                 ms.append(m)
@@ -344,7 +336,7 @@ def sweep_family(family: str) -> FamilySweepReport:
 def sweep_sporadic() -> tuple[ExceptionRow, ...]:
     """Sieve all 26 sporadic groups and the Tits group."""
     points = [sporadic(entry.label) for entry in sporadic_entries()]
-    rows = [r for g in points for r in _rows_for_point(g, _sieve_start(g))]
+    rows = [_row(g, n, ratio) for g in points for n, ratio in _sieve(g) or ()]
     return tuple(sorted(rows, key=ExceptionRow.sort_key))
 
 

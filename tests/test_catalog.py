@@ -28,16 +28,14 @@ from codlab.catalog import (
     group_label,
     group_order,
     lie,
-    order_class_bits,
     order_class_shape,
-    order_q_degree,
     parse_group_label,
     prime_power,
-    q_part_exponent,
     simple_codegree_set,
     sporadic,
     sporadic_entries,
     _load_catalog,
+    _order_formula,
     twisted_codegree_set_2a9,
 )
 from codlab.exactnum import PrimePower, factor
@@ -126,11 +124,21 @@ _SAMPLE_POINTS = [
 ]
 
 
+def q_exponent(g):
+    """e with |G|_p = q^e, as order_class_shape gives it."""
+    return order_class_shape(g.family, g.m)[0]
+
+
+def q_degree(g):
+    """D, the q-degree of the order formula, so |G| <= q^D."""
+    return _order_formula(g.family, g.m)[1]
+
+
 @pytest.mark.parametrize("family,m,p,k", _SAMPLE_POINTS)
 def test_q_part_valuation(family, m, p, k):
     # p divides no (q^i - 1) factor, so v_p(|G|) is exactly e*k
     g = lie(family, PrimePower(p, k), m=m)
-    assert valuation(group_order(g), p) == q_part_exponent(g) * k
+    assert valuation(group_order(g), p) == q_exponent(g) * k
 
 
 EXPECTED_EXPONENTS = {
@@ -153,7 +161,7 @@ _SMALLEST_Q = {
 def test_q_part_exponents(key, e):
     family, m = key
     q = _SMALLEST_Q.get(family, PrimePower(2, 1))
-    assert q_part_exponent(lie(family, q, m=m)) == e
+    assert q_exponent(lie(family, q, m=m)) == e
 
 
 @pytest.mark.parametrize(
@@ -312,7 +320,7 @@ def test_order_q_degrees(key, d):
     family, m = key
     q = PrimePower(3, 41) if family in ("OmegaOdd", "Ree") else PrimePower(2, 41)
     g = lie(family, q, m=m)
-    assert order_q_degree(g) == d
+    assert q_degree(g) == d
     assert group_order(g).bit_length() in range(d * (g.q.q.bit_length() - 1) - 3,
                                                 d * g.q.q.bit_length() + 1)
 
@@ -335,7 +343,7 @@ def test_classical_order_degrees_over_ranks(family):
     for m in range(RANK_FLOOR[family], RANK_FLOOR[family] + 7):
         g = lie(family, q, m=m)
         e, d = CLASSICAL_DEGREES[family](m)
-        assert (q_part_exponent(g), order_q_degree(g)) == (e, d), m
+        assert (q_exponent(g), q_degree(g)) == (e, d), m
         assert group_order(g).bit_length() in range(d * (b - 1) - 3, d * b + 1), m
 
 
@@ -349,13 +357,6 @@ def test_order_class_shape_over_ranks(family):
     for m in range(RANK_FLOOR[family], RANK_FLOOR[family] + 7):
         e, d = CLASSICAL_DEGREES[family](m)
         assert order_class_shape(family, m) == (e, d + m, CLASS_BITS[family]), m
-
-
-def test_order_q_degree_and_bits_need_a_q():
-    for g in (alternating(7), sporadic("M"), GroupId("G2Prime2")):
-        assert order_class_bits(g) is None
-        with pytest.raises(ValueError):
-            order_q_degree(g)
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 31, 127, 8191, 65537, 2**31 - 1, 2**61 - 1)
@@ -387,16 +388,16 @@ def test_order_class_bits_bound_the_limit(g):
     order = group_order(g)
     bound = class_number_bound(g)
     limit = -(-order * bound.numerator // bound.denominator)
-    assert limit.bit_length() <= order_class_bits(g)
-    assert order <= g.q.q ** order_q_degree(g)
-    assert order_class_shape(g.family, g.m)[0] == q_part_exponent(g)
+    _, degree, c = order_class_shape(g.family, g.m)
+    assert limit.bit_length() <= g.q.q.bit_length() * degree + c
+    assert order <= g.q.q ** q_degree(g)
 
 
 @given(lie_points(max_bits=32))
 @settings(max_examples=150, deadline=None)
 def test_q_part_valuation_on_lie_points(g):
     # as test_q_part_valuation, with q <= 2^32 to keep the valuation short
-    assert valuation(group_order(g), g.q.p) == q_part_exponent(g) * g.q.k
+    assert valuation(group_order(g), g.q.p) == q_exponent(g) * g.q.k
 
 
 def test_degree_records_sum_of_squares():

@@ -23,10 +23,9 @@ from codlab.catalog import (
     PrimePower,
     class_number_bound,
     group_order,
+    _order_formula,
     lie,
-    order_class_bits,
     order_class_shape,
-    order_q_degree,
     parse_group_label,
     simple_codegree_set,
     sporadic,
@@ -43,8 +42,7 @@ from codlab.search import (
     _p_stop,
     _p_tail,
     _refuted_by_bits,
-    _candidates,
-    _sieve_start,
+    _sieve,
     _walk,
     check_subset,
     compare_with_golden,
@@ -99,16 +97,16 @@ def test_n_min():
 
 def candidate_n_range(g):
     """The n that the sweep meets for g, in increasing order."""
-    return [n for n, _ in _candidates(g, _sieve_start(g))]
+    return [n for n, _ in _sieve(g) or ()]
 
 
 def feasible(g):
     """The sieve's exact inequality |A_max(5, n_min)| < |H| * k-bound."""
-    return _sieve_start(g) is not None
+    return _sieve(g) is not None
 
 
 def refuted(g):
-    """The sieve's bit test at g, which has a q."""
+    """The walk's bit test at g, which has a q."""
     return _refuted_by_bits(order_class_shape(g.family, g.m), g.q.q, n_min(g))
 
 
@@ -230,12 +228,15 @@ def lie_frame_points():
 
 
 def check_bit_bound(g):
-    """order_class_bits is sound and its q-degree D is tight at g."""
+    """order_class_shape's bound B = bitlen(q)(D + d) + c on the limit is
+    sound at g, and the order formula's q-degree D is tight there."""
     order = group_order(g)
     limit = _class_number_limit(g, order)
-    bits = order_class_bits(g)
+    _, degree, c = order_class_shape(g.family, g.m)
+    bits = g.q.q.bit_length() * degree + c
     assert limit.bit_length() <= bits, g
-    assert (g.q.q.bit_length() - 1) * order_q_degree(g) - 5 < order.bit_length(), g
+    q_degree = _order_formula(g.family, g.m)[1]
+    assert (g.q.q.bit_length() - 1) * q_degree - 5 < order.bit_length(), g
     if refuted(g):
         assert _half_factorial_below(max(5, n_min(g)), limit) is None, g
     return limit.bit_length() == bits
@@ -258,22 +259,30 @@ def test_bit_bound_past_the_boxes():
         check_bit_bound(g)
 
 
-def test_bit_bound_skips_orders_and_limits(monkeypatch):
-    # a refused point builds no |H|, no class bound and no factorial
-    monkeypatch.setattr("codlab.search.group_order", None)
-    monkeypatch.setattr("codlab.search.class_number_bound", None)
-    monkeypatch.setattr("codlab.search.factorial", None)
-    g = lie("PSL", PrimePower(17, 63), m=6)
-    assert refuted(g)
-    assert not feasible(g)
-    assert candidate_n_range(g) == []
-
-
 WALKED = {
     "PSL": 123, "PSU": 41, "PSp": 11, "OmegaOdd": 4, "OPlus": 9, "OMinus": 9,
     "G2": 6, "F4": 1, "E6": 1, "E7": 1, "E8": 0, "TwistedE6": 1, "TriD4": 3,
     "Suzuki": 7, "Ree": 0, "TwistedF4": 0,
 }
+
+
+def test_sweeps_build_one_order_per_walked_point(monkeypatch):
+    # the walk's stops do all the refusing by bits: each walked point
+    # builds |H| once, none is refuted by bits, and 99 pass the size sieve
+    built = []
+
+    def recording_order(g):
+        built.append(g)
+        return group_order(g)
+
+    monkeypatch.setattr("codlab.search.group_order", recording_order)
+    for family in LIE_FAMILIES:
+        sweep_family(family)
+    monkeypatch.undo()
+    assert len(built) == 217
+    assert built == [g for family in LIE_FAMILIES for g in _walk(family)]
+    assert not any(g.q is not None and refuted(g) for g in built)
+    assert sum(_sieve(g) is not None for g in built) == 99
 
 
 def test_walk_counts():
@@ -494,6 +503,13 @@ def test_infeasible_families(family):
     b = rep.bounds
     assert (b.m_max, b.p_max, b.k_max) == (None, None, None)
     assert rep.rows == ()
+
+
+@pytest.mark.parametrize("family", ["Sporadic", "Alternating", "G2Prime2", "psl"])
+def test_sweep_family_refuses_a_non_lie_family(family):
+    with pytest.raises(ValueError, match=f"unknown Lie family '{family}'") as err:
+        sweep_family(family)
+    assert ", ".join(LIE_FAMILIES) in str(err.value)
 
 
 def test_psl_sweep_matches_frozen_table():
