@@ -23,7 +23,7 @@ _EXPORTS = {
         twisted_codegree_set_2a9""",
     "exactnum": "PrimePower factor factorial format_factored is_prime",
     "partitions": "hook_product",
-    "search": """ExceptionRow FamilyBounds FamilySweepReport SchurScan SubsetCheck
+    "search": """ExceptionRow FamilySweepReport SchurScan SubsetCheck
         VerificationReport check_subset run_full_verification schur_a9_size_check
         schur_degree_equation_solutions sweep_family sweep_sporadic""",
 }

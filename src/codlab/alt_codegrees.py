@@ -38,7 +38,7 @@ reference cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import isqrt
 from operator import mul
 from typing import Iterator
@@ -49,22 +49,22 @@ from .partitions import Partition, hook_product
 Run = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CodegreeSet:
+class CodegreeSet(namedtuple("CodegreeSet", "group_label order values")):
     """The set cod(G) = {cod(chi)} with its group label and order."""
 
-    group_label: str
-    order: int
-    values: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if 1 not in self.values:
+    def __new__(cls, *args, **kwargs) -> CodegreeSet:
+        self = super().__new__(cls, *args, **kwargs)
+        _, order, values = self
+        if 1 not in values:
             raise ValueError("codegree set must contain 1")
-        if list(self.values) != sorted(set(self.values)):
+        if list(values) != sorted(set(values)):
             raise ValueError("values must be sorted and duplicate-free")
-        for v in self.values:
-            if self.order % v != 0:
-                raise ValueError(f"codegree {v} does not divide order {self.order}")
+        for v in values:
+            if order % v != 0:
+                raise ValueError(f"codegree {v} does not divide order {order}")
+        return self
 
 
 def sym_degree(parts: Partition) -> int:

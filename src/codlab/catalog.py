@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
@@ -67,21 +67,17 @@ SPORADIC_LABELS = (
 )
 
 
-@dataclass(frozen=True)
-class GroupId:
+class GroupId(namedtuple("GroupId", "family n name m q", defaults=(None,) * 4)):
     """Tagged identity of a group in the catalog.
 
     family: one of FAMILIES; n for Alternating, name for Sporadic,
-    (m, q) for classical Lie, q alone for exceptional Lie.
+    (m, q) for classical Lie, q alone for exceptional Lie (a PrimePower).
     """
 
-    family: str
-    n: int | None = None
-    name: str | None = None
-    m: int | None = None
-    q: PrimePower | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> GroupId:
+        self = super().__new__(cls, *args, **kwargs)
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if self.family == "Alternating":
@@ -96,6 +92,7 @@ class GroupId:
             if self.q is None:
                 raise ValueError(f"{self.family} needs a field size q")
             _check_lie_point(self.family, self.m, self.q)
+        return self
 
 
 def _check_lie_point(family: str, m: int | None, q: PrimePower) -> None:
@@ -351,16 +348,13 @@ _DATA_FORMAT = "codlab-groups"
 _DATA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class SporadicEntry:
-    label: str
-    order: int
-    class_count: int
-    provenance: str
+class SporadicEntry(namedtuple("SporadicEntry", "label order class_count provenance")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DegreeRecord:
+class DegreeRecord(namedtuple(
+    "DegreeRecord", "label order degrees faithful_only provenance aliases", defaults=((),)
+)):
     """Tabulated irreducible character degrees for one group.
 
     faithful_only marks records listing only the characters that are
@@ -368,18 +362,13 @@ class DegreeRecord:
     degrees satisfy sum d^2 == order.
     """
 
-    label: str
-    order: int
-    degrees: tuple[int, ...]
-    faithful_only: bool
-    provenance: str
-    aliases: tuple[str, ...] = ()
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CatalogData:
-    sporadic: dict[str, SporadicEntry]
-    degrees: dict[str, DegreeRecord]
+class CatalogData(namedtuple("CatalogData", "sporadic degrees")):
+    """Sporadic entries and degree records (aliases included), by label."""
+
+    __slots__ = ()
 
 
 @lru_cache(maxsize=1)

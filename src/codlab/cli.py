@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import asdict
 from functools import wraps
 from typing import TYPE_CHECKING, Callable, Iterable
 
@@ -167,23 +166,23 @@ def cmd_min_cod(args: argparse.Namespace) -> int:
 
 
 def _row_json(r: ExceptionRow) -> dict:
-    return asdict(r) | {"q": None if r.q is None else str(r.q), "ratio": str(r.ratio)}
+    return r._asdict() | {"q": None if r.q is None else str(r.q), "ratio": str(r.ratio)}
 
 
 def _check_json(c: SubsetCheck) -> dict:
-    return asdict(c) | {
+    return c._asdict() | {
         "witness": None if c.witness is None else str(c.witness),
         "h_order": str(c.h_order),
     }
 
 
 def _rows_table(rows: tuple[ExceptionRow, ...]) -> list[str]:
-    from .search import ROW_HEADER, row_cells
+    from .search import ExceptionRow, row_cells
 
     if not rows:
         return ["(no surviving rows)"]
-    cells = [ROW_HEADER] + [row_cells(r) for r in rows]
-    widths = [max(len(row[i]) for row in cells) for i in range(len(ROW_HEADER))]
+    cells = [ExceptionRow._fields, *map(row_cells, rows)]
+    widths = [max(map(len, column)) for column in zip(*cells)]
     return ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip()
             for row in cells]
 
@@ -205,18 +204,16 @@ def _alarm_exit(checks: tuple[SubsetCheck, ...]) -> int:
 
 
 def _sweep_json(rep: FamilySweepReport) -> dict:
-    b = rep.bounds
     return {
-        "bounds": {"m_max": b.m_max, "p_max": b.p_max, "k_max": b.k_max},
+        "bounds": {"m_max": rep.m_max, "p_max": rep.p_max, "k_max": rep.k_max},
         "points_examined": rep.points_examined,
         "notes": list(rep.notes),
     }
 
 
 def _family_table(rep: FamilySweepReport, checks: tuple[SubsetCheck, ...]) -> list[str]:
-    b = rep.bounds
     lines = [f"target: {rep.family}"]
-    lines.append(f"derived bounds: m_max={b.m_max} p_max={b.p_max} k_max={b.k_max}")
+    lines.append(f"derived bounds: m_max={rep.m_max} p_max={rep.p_max} k_max={rep.k_max}")
     lines.append(f"points examined: {rep.points_examined}")
     for note in rep.notes:
         lines.append(f"note: {note}")

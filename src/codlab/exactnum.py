@@ -9,7 +9,7 @@ factorisation and the factored text form of a number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import repeat
 from math import factorial as _factorial, gcd, isqrt
@@ -86,18 +86,18 @@ def exact_root(n: int, k: int) -> int | None:
     return r if r ** k == n else None
 
 
-@dataclass(frozen=True)
-class PrimePower:
+class PrimePower(namedtuple("PrimePower", "p k")):
     """A field size q = p**k with p prime and k >= 1."""
 
-    p: int
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> PrimePower:
+        self = super().__new__(cls, *args, **kwargs)
         if not is_prime(self.p):
             raise ValueError(f"p = {self.p} is not prime")
         if self.k < 1:
             raise ValueError(f"k = {self.k} must be >= 1")
+        return self
 
     @property
     def q(self) -> int:

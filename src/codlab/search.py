@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import astuple, dataclass, fields
+from collections import namedtuple
 from itertools import count
 from typing import Iterator
 
@@ -92,18 +92,11 @@ KNOWN_ISOMORPHIC: frozenset[tuple[str, int]] = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class ExceptionRow:
-    """One surviving (H, n) pair from a sweep."""
+class ExceptionRow(namedtuple("ExceptionRow", "family label m p k q n ratio")):
+    """One surviving (H, n) pair from a sweep; m, p, k and q are None
+    where H has no such parameter, and ratio = (n!/2) / |H| exactly."""
 
-    family: str
-    label: str
-    m: int | None
-    p: int | None
-    k: int | None
-    q: int | None
-    n: int
-    ratio: int  # (n!/2) / |H|, exact
+    __slots__ = ()
 
     def sort_key(self) -> tuple:
         return (
@@ -111,54 +104,36 @@ class ExceptionRow:
         )
 
 
-ROW_HEADER = tuple(f.name for f in fields(ExceptionRow))
-
-
 def row_cells(r: ExceptionRow) -> tuple[str, ...]:
-    """One row as text cells in ROW_HEADER order, "" for an absent value."""
-    return tuple("" if v is None else str(v) for v in astuple(r))
+    """One row as text cells in field order, "" for an absent value."""
+    return tuple("" if v is None else str(v) for v in r)
 
 
-@dataclass(frozen=True)
-class FamilyBounds:
-    """The largest m, p and k of a walked point of one Lie family that
-    passes the size sieve (None = no such point).
+class FamilySweepReport(namedtuple(
+    "FamilySweepReport", "family m_max p_max k_max points_examined rows notes"
+)):
+    """One Lie family's sweep.  m_max, p_max and k_max are the largest m,
+    p and k of a walked point that passes the size sieve (None = no such
+    point); for the odd-power families (Suzuki, Ree, TwistedF4) m_max
+    holds a, where q = p^(2a+1).  points_examined counts the legal points
+    walked."""
 
-    For the odd-power families (Suzuki, Ree, TwistedF4) m_max holds a,
-    where q = p^(2a+1).
-    """
-
-    family: str
-    m_max: int | None
-    p_max: int | None
-    k_max: int | None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FamilySweepReport:
-    family: str
-    bounds: FamilyBounds
-    points_examined: int  # legal points walked
-    rows: tuple[ExceptionRow, ...]
-    notes: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class SubsetCheck:
+class SubsetCheck(namedtuple(
+    "SubsetCheck", "label n verdict witness h_order h_cod_size a_cod_size"
+)):
     """Outcome of testing cod(H) subset-of cod(A_n).
 
+    verdict is "isomorphic", "subset_refuted" or "subset_holds", and
+    witness the smallest codegree of H missing from cod(A_n), or None.
     "subset_holds" (containment without a known isomorphism) is an
     alarm state: it would contradict the classification the sweeps
     verify, so reports treat it as a failure.
     """
 
-    label: str
-    n: int
-    verdict: str  # "isomorphic" | "subset_refuted" | "subset_holds"
-    witness: int | None  # smallest codegree of H missing from cod(A_n)
-    h_order: int
-    h_cod_size: int
-    a_cod_size: int
+    __slots__ = ()
 
 
 def n_min(g: GroupId) -> int:
@@ -326,11 +301,11 @@ def sweep_family(family: str) -> FamilySweepReport:
                 ms.append(m)
             ps.append(g.q.p)
             ks.append(g.q.k)
-    bounds = FamilyBounds(
-        family, max(ms, default=None), max(ps, default=None), max(ks, default=None)
-    )
     rows.sort(key=ExceptionRow.sort_key)
-    return FamilySweepReport(family, bounds, walked, tuple(rows), tuple(notes))
+    return FamilySweepReport(
+        family, max(ms, default=None), max(ps, default=None), max(ks, default=None),
+        walked, tuple(rows), tuple(notes),
+    )
 
 
 def sweep_sporadic() -> tuple[ExceptionRow, ...]:
@@ -379,14 +354,12 @@ def discharge_rows(rows: tuple[ExceptionRow, ...]) -> tuple[SubsetCheck, ...]:
 # Double cover of A9.
 
 
-@dataclass(frozen=True)
-class SchurScan:
-    """Solutions of n-1 = 2^(floor((n-2)/2)-1) or n-1 = 2^(floor(n/2)-1)."""
+class SchurScan(namedtuple("SchurScan", "n_lo n_hi solutions exhausted")):
+    """Solutions of n-1 = 2^(floor((n-2)/2)-1) or n-1 = 2^(floor(n/2)-1)
+    on (n_lo, n_hi]; exhausted: both right-hand sides exceed n-1 at the
+    range end."""
 
-    n_lo: int
-    n_hi: int
-    solutions: tuple[int, ...]
-    exhausted: bool  # both right-hand sides exceed n-1 at the range end
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -417,12 +390,10 @@ def schur_degree_equation_solutions(n_lo: int = 8, n_hi: int = 64) -> SchurScan:
     return SchurScan(n_lo, n_hi, tuple(sols), exhausted)
 
 
-@dataclass(frozen=True)
-class Schur2A9Report:
-    a9_size: int
-    twisted_size: int
-    proper_superset: bool
-    new_values: tuple[int, ...]
+class Schur2A9Report(namedtuple(
+    "Schur2A9Report", "a9_size twisted_size proper_superset new_values"
+)):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -447,18 +418,14 @@ def schur_a9_size_check() -> Schur2A9Report:
 # Full verification run.
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    monotone_ok: bool
-    monotone_range: tuple[int, int]
-    sporadic_rows: tuple[ExceptionRow, ...]
-    family_reports: tuple[FamilySweepReport, ...]
-    rows: tuple[ExceptionRow, ...]  # sporadic and family rows, canonical order
-    checks: tuple[SubsetCheck, ...]
-    schur_scan: SchurScan
-    schur_2a9: Schur2A9Report
-    golden_ok: bool
-    golden_diffs: tuple[str, ...]
+class VerificationReport(namedtuple("VerificationReport", (
+    "monotone_ok monotone_range sporadic_rows family_reports rows checks"
+    " schur_scan schur_2a9 golden_ok golden_diffs"
+))):
+    """A full verification run; rows holds the sporadic and family rows
+    in canonical order."""
+
+    __slots__ = ()
 
     @property
     def unresolved(self) -> tuple[SubsetCheck, ...]:
@@ -480,7 +447,7 @@ def render_rows_csv(rows: tuple[ExceptionRow, ...]) -> str:
     a header line, each line ending in a bare newline."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(ROW_HEADER)
+    writer.writerow(ExceptionRow._fields)
     writer.writerows(map(row_cells, rows))
     return buf.getvalue()
 

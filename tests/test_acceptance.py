@@ -118,7 +118,7 @@ def test_05_classical_sweeps():
     # the walk covers the old reference boxes: each of their points is
     # walked, or refuted by bit length alone
     for rep in (psl, psu):
-        assert rep.bounds.m_max is not None
+        assert rep.m_max is not None
         walked = set(_walk(rep.family))
         for g in box_points(rep.family, SWEEP_BOXES[rep.family]):
             shape = order_class_shape(g.family, g.m)
@@ -135,11 +135,10 @@ def test_06_exceptional_sweeps():
     }
     for fam, rep in reports.items():
         assert rep.rows == (), fam
-    e6 = reports["E6"].bounds
-    assert e6.p_max is None
+    assert reports["E6"].p_max is None
     g2 = reports["G2"]
     assert any("G2(2)'" in note and "6048" in note for note in g2.notes)
-    assert reports["Suzuki"].bounds.m_max == 4  # odd-power parameter a < 5
+    assert reports["Suzuki"].m_max == 4  # odd-power parameter a < 5
     _passed(6, "exceptional sweeps", t0, 60.0)
 
 

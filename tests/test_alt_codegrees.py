@@ -164,6 +164,14 @@ def test_codegree_set_validation():
         CodegreeSet("X", 60, (12, 15))  # missing 1
     with pytest.raises(ValueError):
         CodegreeSet("X", 60, (1, 7))  # 7 does not divide 60
+    for values in ((1, 5, 3), (1, 3, 3)):
+        with pytest.raises(ValueError, match="sorted and duplicate-free"):
+            CodegreeSet("X", 60, values)
+    # built by keyword, the same checks run
+    with pytest.raises(ValueError, match="codegree 7 does not divide order 60"):
+        CodegreeSet(group_label="X", order=60, values=(1, 7))
+    with pytest.raises(ValueError, match="must contain 1"):
+        CodegreeSet("X", values=(12, 15), order=60)
 
 
 @pytest.mark.parametrize("n", range(5, 31))

@@ -197,6 +197,17 @@ def test_rejects_non_simple_parameters(ctor):
         ctor()
 
 
+def test_group_id_checks_keyword_fields():
+    g = GroupId(family="PSL", m=1, q=PrimePower(p=2, k=2))
+    assert g == lie("PSL", PrimePower(2, 2), m=1) == ("PSL", None, None, 1, (2, 2))
+    with pytest.raises(ValueError, match="unknown sporadic label 'XYZ'"):
+        GroupId(family="Sporadic", name="XYZ")
+    with pytest.raises(ValueError, match="not simple"):
+        GroupId(family="PSL", m=1, q=PrimePower(p=2, k=1))
+    with pytest.raises(ValueError, match="alternating groups need n >= 5"):
+        GroupId("Alternating", n=4)
+
+
 @given(st.integers(min_value=-3, max_value=10**6))
 def test_prime_power_matches_factorisation(q):
     pairs = factor(q) if q >= 1 else []
@@ -359,6 +370,20 @@ def test_order_class_shape_over_ranks(family):
         assert order_class_shape(family, m) == (e, d + m, CLASS_BITS[family]), m
 
 
+# (e, D + d, c) of each exceptional family: its class bound is a polynomial
+# in q of degree d, and c is the bit length of its coefficient sum
+EXCEPTIONAL_SHAPES = {
+    "Suzuki": (2, 6, 3), "Ree": (3, 8, 4), "G2": (6, 16, 4), "TwistedF4": (12, 28, 5),
+    "TriD4": (12, 32, 4), "F4": (24, 56, 6), "E6": (36, 84, 7), "TwistedE6": (36, 84, 7),
+    "E7": (63, 140, 8), "E8": (120, 256, 8),
+}
+
+
+@pytest.mark.parametrize("family", sorted(EXCEPTIONAL_SHAPES))
+def test_order_class_shape_of_exceptional_families(family):
+    assert order_class_shape(family, None) == EXCEPTIONAL_SHAPES[family]
+
+
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 31, 127, 8191, 65537, 2**31 - 1, 2**61 - 1)
 
 
@@ -463,6 +488,17 @@ def test_build_tool_rebuilds_shipped_data_file(tmp_path):
         check=True, capture_output=True,
     )
     assert out.read_bytes() == (root / "src" / "codlab" / "data" / "groups_v1.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("flag,code", [("--help", 0), ("--no-such-option", 2)])
+def test_build_tool_options_write_nothing(tmp_path, flag, code):
+    # an option is never taken for the output path
+    tool = Path(__file__).resolve().parent.parent / "tools" / "build_data_file.py"
+    proc = subprocess.run([sys.executable, str(tool), flag], cwd=tmp_path,
+                          capture_output=True, text=True)
+    assert proc.returncode == code
+    assert "usage: build_data_file.py [-h] [OUTPUT]" in proc.stdout + proc.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 _DATA_LINES = data_path().read_text(encoding="utf-8").splitlines()

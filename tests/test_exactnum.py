@@ -83,6 +83,12 @@ def test_prime_power_validation():
         PrimePower(6, 1)
     with pytest.raises(ValueError):
         PrimePower(2, 0)
+    # built by keyword, the same checks run
+    assert PrimePower(k=3, p=2) == PrimePower(2, 3) == (2, 3)
+    with pytest.raises(ValueError, match="p = 6 is not prime"):
+        PrimePower(p=6, k=1)
+    with pytest.raises(ValueError, match="k = 0 must be >= 1"):
+        PrimePower(2, k=0)
 
 
 def test_factor_matches_stepwise_oracle():

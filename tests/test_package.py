@@ -22,7 +22,7 @@ PUBLIC = {
     "exactnum": ("PrimePower", "factor", "factorial", "format_factored", "is_prime"),
     "partitions": ("hook_product",),
     "search": (
-        "ExceptionRow", "FamilyBounds", "FamilySweepReport", "SchurScan", "SubsetCheck",
+        "ExceptionRow", "FamilySweepReport", "SchurScan", "SubsetCheck",
         "VerificationReport", "check_subset", "run_full_verification",
         "schur_a9_size_check", "schur_degree_equation_solutions", "sweep_family",
         "sweep_sporadic",
@@ -30,15 +30,17 @@ PUBLIC = {
 }
 
 
-def fresh_modules(code: str) -> list[str]:
-    """The codlab modules loaded after running code in a fresh interpreter."""
-    probe = code + (
-        "\nimport json, sys\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('codlab'))))\n"
-    )
+def loaded_modules(code: str) -> set[str]:
+    """The modules loaded after running code in a fresh interpreter."""
+    probe = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           check=True)
-    return json.loads(proc.stdout.splitlines()[-1])
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def fresh_modules(code: str) -> list[str]:
+    """The codlab modules loaded after running code in a fresh interpreter."""
+    return sorted(m for m in loaded_modules(code) if m.startswith("codlab"))
 
 
 def test_import_loads_no_submodule():
@@ -57,9 +59,21 @@ def test_search_loads_catalog_and_search():
     assert {"codlab.catalog", "codlab.search"} <= set(loaded)
 
 
+@pytest.mark.parametrize("code", [
+    "from codlab.cli import main\nassert main(['search', 'all']) == 0",
+    "from codlab.cli import main\nassert main(['cod', '5']) == 0",
+    "import codlab.cli\nfrom codlab.catalog import sporadic_entries\nsporadic_entries()",
+], ids=["search-all", "cod-5", "setup-probe"])
+def test_runs_load_no_reflection_machinery(code):
+    # records are named tuples, so no run pays for dataclasses and inspect
+    added = loaded_modules(code) - loaded_modules("pass")
+    assert "codlab.cli" in added
+    assert not added & {"dataclasses", "inspect"}
+
+
 def test_all_names_are_the_home_objects():
     assert sorted(codlab.__all__) == sorted(n for names in PUBLIC.values() for n in names)
-    assert len(codlab.__all__) == 34
+    assert len(codlab.__all__) == 33
     listed = dir(codlab)
     for module, names in PUBLIC.items():
         home = importlib.import_module(f"codlab.{module}")
@@ -86,3 +100,42 @@ def test_unknown_name_raises_attribute_error():
         codlab.render_rows_csv
     with pytest.raises(ImportError):
         from codlab import no_such_name  # noqa: F401
+
+
+# every record type of the package, each with its home module
+RECORDS = {
+    "alt_codegrees": ("CodegreeSet",),
+    "catalog": ("CatalogData", "DegreeRecord", "GroupId", "SporadicEntry"),
+    "exactnum": ("PrimePower",),
+    "search": ("ExceptionRow", "FamilySweepReport", "Schur2A9Report", "SchurScan",
+               "SubsetCheck", "VerificationReport"),
+}
+VALID_FIELDS = {
+    "CodegreeSet": ("A5", 60, (1, 3, 4, 5, 12)),
+    "GroupId": ("Sporadic", None, "M11"),
+    "PrimePower": (2, 3),
+}
+
+
+def record_types():
+    return [(name, getattr(importlib.import_module(f"codlab.{module}"), name))
+            for module, names in RECORDS.items() for name in names]
+
+
+def test_records_are_all_the_named_tuples():
+    found = {name for module in RECORDS for name, obj in
+             vars(importlib.import_module(f"codlab.{module}")).items()
+             if isinstance(obj, type) and issubclass(obj, tuple) and hasattr(obj, "_fields")
+             and obj.__module__ == f"codlab.{module}"}
+    assert found == {name for name, _ in record_types()}
+
+
+@pytest.mark.parametrize("name,cls", record_types())
+def test_records_are_immutable_tuples_of_their_fields(name, cls):
+    fields = VALID_FIELDS.get(name, tuple(range(len(cls._fields))))
+    rec = cls(*fields)
+    assert rec == tuple(getattr(rec, field) for field in cls._fields)
+    with pytest.raises(AttributeError):
+        setattr(rec, cls._fields[0], None)
+    with pytest.raises(AttributeError):
+        rec.not_a_field = None

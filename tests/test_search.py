@@ -493,15 +493,14 @@ EMPTY_BOUND_FAMILIES = ("F4", "E6", "E7", "E8", "TwistedE6", "Ree", "TwistedF4")
 
 @pytest.mark.parametrize("family", sorted(EXPECTED_BOUNDS))
 def test_derived_bounds(family):
-    b = sweep_family(family).bounds
-    assert (b.m_max, b.p_max, b.k_max) == EXPECTED_BOUNDS[family]
+    rep = sweep_family(family)
+    assert (rep.m_max, rep.p_max, rep.k_max) == EXPECTED_BOUNDS[family]
 
 
 @pytest.mark.parametrize("family", EMPTY_BOUND_FAMILIES)
 def test_infeasible_families(family):
     rep = sweep_family(family)
-    b = rep.bounds
-    assert (b.m_max, b.p_max, b.k_max) == (None, None, None)
+    assert (rep.m_max, rep.p_max, rep.k_max) == (None, None, None)
     assert rep.rows == ()
 
 
@@ -548,8 +547,8 @@ def test_g2_swept_through_derived_subgroup():
 
 def test_suzuki_odd_power_bound():
     rep = sweep_family("Suzuki")
-    assert rep.bounds.m_max == 4  # a <= 4, i.e. q = 2^3 .. 2^9
-    assert rep.bounds.k_max == 9
+    assert rep.m_max == 4  # a <= 4, i.e. q = 2^3 .. 2^9
+    assert rep.k_max == 9
 
 
 def test_psp4_over_even_q_passes_no_sieve():
@@ -644,8 +643,7 @@ def test_golden_comparison_detects_drift():
     ok, diffs = compare_with_golden(sp, families)
     assert ok and diffs == ()
     # drop a row: must be flagged
-    import dataclasses
-    clipped = dataclasses.replace(families[0], rows=families[0].rows[:-1])
+    clipped = families[0]._replace(rows=families[0].rows[:-1])
     ok, diffs = compare_with_golden(sp, (clipped,) + families[1:])
     assert not ok
     assert any("table_psl.csv" in d for d in diffs)

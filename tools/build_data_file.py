@@ -19,6 +19,7 @@ Sources per record:
   * 2.A9 faithful block: spin degree formula over strict partitions
 """
 
+import argparse
 import json
 import math
 import sys
@@ -207,4 +208,9 @@ def main(out: Path = OUT) -> None:
 
 
 if __name__ == "__main__":
-    main(Path(sys.argv[1]) if len(sys.argv) > 1 else OUT)
+    parser = argparse.ArgumentParser(
+        description="Validate and write the codlab degree data file."
+    )
+    parser.add_argument("output", nargs="?", type=Path, default=OUT, metavar="OUTPUT",
+                        help=f"file to write (default {OUT.relative_to(SRC.parent)})")
+    main(parser.parse_args().output)
