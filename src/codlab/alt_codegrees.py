@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from math import isqrt
-from operator import mul
+from operator import lt, mul
 from typing import Iterator
 
 from .exactnum import factorial
@@ -59,7 +59,7 @@ class CodegreeSet(namedtuple("CodegreeSet", "group_label order values")):
         _, order, values = self
         if 1 not in values:
             raise ValueError("codegree set must contain 1")
-        if list(values) != sorted(set(values)):
+        if not all(map(lt, values, values[1:])):
             raise ValueError("values must be sorted and duplicate-free")
         for v in values:
             if order % v != 0:

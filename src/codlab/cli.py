@@ -37,8 +37,8 @@ if TYPE_CHECKING:
 
 DEFAULT_MAX_N = 40
 # Largest --max-n accepted.  cod(A_n) costs about twice as much for each
-# 5 added to n; at 60, `cod 60` takes about 6 s and `min-cod 5 60` about
-# 4 s on a 2-core VM, and far beyond it a request would run for hours.
+# 5 added to n; at 60, `cod 60` takes about 5 s and `min-cod 5 60` about
+# 4.5 s on a 2-core VM, and far beyond it a request would run for hours.
 MAX_N_CEILING = 60
 
 Handler = Callable[[argparse.Namespace], int]

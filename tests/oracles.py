@@ -6,10 +6,11 @@ partitions of n, conjugates by column counts, single hook lengths and
 the hook product cell by cell, corner removal, the text form of a
 partition, partition counts, Frobenius coordinates, the direct routes
 to the A_n entries and to the n!/2 sieve, factorisation one division at
-a time, and the parameter boxes the family sweeps once enumerated.  The tests check the library's fast paths against
-them; none of these share code with the partition and hook machinery
-they check.  A partition is a tuple of weakly decreasing positive ints;
-cells are 1-based (row, column) pairs.
+a time, the factored text of a number by trial division, and the
+parameter boxes the family sweeps once enumerated.  The tests check the
+library's fast paths against them; none of these share code with the
+partition and hook machinery they check.  A partition is a tuple of
+weakly decreasing positive ints; cells are 1-based (row, column) pairs.
 """
 
 from __future__ import annotations
@@ -255,6 +256,26 @@ def factor_stepwise(n: int) -> list[tuple[int, int]]:
     if n > 1:
         out.append((n, 1))
     return out
+
+
+def factored_text(n: int) -> str:
+    """The text p^k·q·... of n >= 1, ascending, by trial division of n by
+    every d = 2, 3, 4, ...; "1" for n = 1."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    terms = []
+    d = 2
+    while d * d <= n:
+        k = 0
+        while n % d == 0:
+            n //= d
+            k += 1
+        if k:
+            terms.append(str(d) if k == 1 else f"{d}^{k}")
+        d += 1
+    if n > 1:
+        terms.append(str(n))
+    return "·".join(terms) or "1"
 
 
 # The (m_hi, p_hi, k_hi) box of legal points each Lie family's sweep

@@ -1,6 +1,7 @@
 """Command line surface: formats, exit codes, determinism."""
 
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -78,6 +79,53 @@ def test_min_cod_csv(capsys):
 def test_min_cod_bad_range(capsys):
     code, _, err = run_cli(capsys, "min-cod", "6", "5")
     assert code == 2 and "n_lo < n_hi" in err
+
+
+# sha256 of each command's stdout, recorded from the earlier per-prime
+# renderer: the bulk cod table and min-cod's one-value factored column
+# keep every byte on every supported Python.
+TABLE_DIGESTS = [
+    (("cod", "5", "--format", "table"),
+     "869c487d8b454f6560ea28c2308e42cad5a3a127917128d1e0e6b5f945b66bb4"),
+    (("cod", "5", "--format", "csv"),
+     "501167c2156514af6f7b17cf073495c598cf228a322981e35a2a0c54a86778c9"),
+    (("cod", "5", "--format", "json"),
+     "4dd69971900959582881e7894d92e11006b046af5f1538c3b4298e18cadcdfb8"),
+    (("cod", "8", "--format", "table"),
+     "9cd8e2b7c8fa1d8e22a134baa7090d1c77016fe503cdb263e5aa444294613a9e"),
+    (("cod", "8", "--format", "csv"),
+     "64e5ca23e7310697852628cbeea8709d30df97c77d69992e12490ad00cd6c408"),
+    (("cod", "8", "--format", "json"),
+     "1e6db7434ecea7473e724a04abb8cc76f63a5211c370c156323e00c8a57751ab"),
+    (("cod", "12", "--format", "table"),
+     "30dcec51ad6d58a064f10ce6e8781ad59f330645ddc6e684d42e07d3e5f129d7"),
+    (("cod", "12", "--format", "csv"),
+     "3b0214eabd44fb357e0697aec7a2d2a24d5c23691c3eff523827ef44e8ac06e8"),
+    (("cod", "12", "--format", "json"),
+     "8a62cc398ccaf79df66d64543c84a677674d05349a6f03fb93cf7859465431dc"),
+    (("cod", "25", "--format", "table"),
+     "e559775bc784a3408877a356d6f037a459758c85c31a38a88d6a09360315f212"),
+    (("cod", "25", "--format", "csv"),
+     "dac7925a94817c20793b78bfc880c7f2e0dd4adb9f4278d43d1c7a047163c052"),
+    (("cod", "25", "--format", "json"),
+     "9fee86bb2ae0c48bde7d569b9db218d1d52e65267507e7c72a2017fc3b2ebc16"),
+    (("cod", "40", "--format", "table"),
+     "b5cf8fe558cccb8d8ef0991d0ff75b1610533fabcd904038d00ca01be7232a7d"),
+    (("cod", "40", "--format", "csv"),
+     "07c79a94c8e36144b152ee8bf5847db18476a9c871a85b4f1285ca692dbd377d"),
+    (("cod", "40", "--format", "json"),
+     "0f308bac5fb67fd6d84c2641099281e7d66133a3cda36c994b8c6ad5cb19a893"),
+    (("min-cod", "5", "40"),
+     "351dc6f47eadeab2b8e69186c963cbe65fa79b8824507d758c3949b398cc5e99"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", TABLE_DIGESTS,
+                         ids=["-".join(a).replace("---format", "") for a, _ in TABLE_DIGESTS])
+def test_a_n_table_bytes_are_pinned(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_search_psl_csv_matches_golden(capsys):

@@ -1,7 +1,8 @@
 import math
+import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from codlab.alt_codegrees import alt_codegree_set
 from codlab.exactnum import (
@@ -14,7 +15,7 @@ from codlab.exactnum import (
     format_factored,
     is_prime,
 )
-from oracles import divides, factor_stepwise, factorial_valuation, valuation
+from oracles import divides, factor_stepwise, factored_text, factorial_valuation, valuation
 
 
 @given(st.integers(min_value=-5, max_value=20000))
@@ -161,10 +162,13 @@ def test_format_factored_roundtrip(n):
 
 
 def test_format_divisors_matches_format_factored_on_cod_an():
-    # the bulk renderer of the cod table, on every value of cod(A_n)
+    # the bulk renderer of the cod table, on every value of cod(A_n), against
+    # the one-value path and against trial division of each value
     for n in range(5, 41):
         cs = alt_codegree_set(n)
-        assert format_divisors(cs.values, cs.order) == [format_factored(v) for v in cs.values], n
+        texts = format_divisors(cs.values, cs.order)
+        assert texts == [format_factored(v) for v in cs.values], n
+        assert texts == [factored_text(v) for v in cs.values], n
 
 
 def test_format_divisors_small_cases():
@@ -177,3 +181,46 @@ def test_format_divisors_small_cases():
 def test_format_divisors_refuses_a_non_divisor(value, multiple):
     with pytest.raises(ArithmeticError, match="does not divide"):
         format_divisors([1, value], multiple)
+
+
+_PRIMES_TO_1009 = [p for p, flag in enumerate(_sieve(1010)) if flag]
+
+
+@st.composite
+def _divisor_cases(draw):
+    """(multiple, values): a product of primes up to 1009 and some of its
+    divisors, with 1 and multiple itself among them."""
+    exponents = draw(st.dictionaries(st.sampled_from(_PRIMES_TO_1009),
+                                     st.integers(1, 40), max_size=8))
+    multiple = math.prod(p**e for p, e in exponents.items())
+    divisor = st.builds(
+        math.prod,
+        st.tuples(*(st.integers(0, e).map(p.__pow__) for p, e in exponents.items())),
+    )
+    values = draw(st.lists(divisor, max_size=20))
+    values[draw(st.integers(0, len(values))):0] = [1, multiple]
+    return multiple, values
+
+
+# 2^5000 alone has more divisors than one block may hold, so 2 is a block
+# by itself, here both alone and ahead of other primes
+@example(case=(2**5000, [1, 2, 2**4999, 2**5000, 2**1234]))
+@example(case=(2**5000 * 3**2 * 1009, [1, 3, 2**5000 * 1009, 2**17 * 3**2, 2**5000 * 3**2 * 1009]))
+@given(case=_divisor_cases())
+def test_format_divisors_matches_trial_division(case):
+    multiple, values = case
+    assert format_divisors(values, multiple) == [factored_text(v) for v in values]
+
+
+@given(case=_divisor_cases(), data=st.data())
+def test_format_divisors_refuses_a_non_divisor_among_divisors(case, data):
+    multiple, values = case
+    bad = data.draw(st.one_of(
+        st.integers(max_value=0),
+        st.integers(2, 50).map(multiple.__mul__),
+        # 1013 is prime and above every prime of multiple
+        st.sampled_from(values).map((1013).__mul__),
+    ))
+    values.insert(data.draw(st.integers(0, len(values))), bad)
+    with pytest.raises(ArithmeticError, match=re.escape(f"{bad} does not divide {multiple}")):
+        format_divisors(values, multiple)
