@@ -1,12 +1,15 @@
 """Catalog of finite simple groups touched by the exception search.
 
 Identities, exact orders, class-number bounds, and embedded
-character-degree tables.  Everything is exact: each Lie family has one
-order formula over Z, from which group_order evaluates its orders and
-order_class_shape reads its q-part exponent and q-degree; bound
-constants are Fractions, and degree data is read from a versioned
-structured-text file shipped with the package (override the path with
-the CODLAB_DATA environment variable).
+character-degree tables.  Everything is exact.  Each Lie family's
+label, rank floor or twisted prime, order formula and class-number
+bound sit in one row of _CLASSICAL or _EXCEPTIONAL.  The order formula
+is over Z, and the bound is a polynomial in q with integer coefficients
+over one denominator; group_order and class_number_bound evaluate them,
+and order_class_shape reads the q-part exponent and q-degrees off them.
+Degree data is read from a versioned structured-text file shipped with
+the package (override the path with the CODLAB_DATA environment
+variable); a record that contradicts its group raises DataFileError.
 
 A note on naming: the classical families are parametrised by the rank m
 used in the search, so the PSL tag with (m, q) is the group PSL(m+1, q),
@@ -25,40 +28,61 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
-from math import ceil, gcd
+from math import gcd
 from pathlib import Path
 
 from .alt_codegrees import CodegreeSet, alt_codegree_set
 from .exactnum import PrimePower, exact_root, factorial, is_prime
 
-# Smallest rank m of each classical family: PSL(m+1,q), PSU(m+1,q),
-# PSp(2m,q), Omega(2m+1,q), O+-(2m,q).  Lower ranks are refused.
-RANK_FLOOR = {"PSL": 1, "PSU": 2, "PSp": 3, "OmegaOdd": 2, "OPlus": 4, "OMinus": 4}
-CLASSICAL_FAMILIES = tuple(RANK_FLOOR)
-EXCEPTIONAL_FAMILIES = (
-    "G2", "F4", "E6", "E7", "E8", "TwistedE6", "TriD4",
-    "Suzuki", "Ree", "TwistedF4",
-)
-LIE_FAMILIES = CLASSICAL_FAMILIES + EXCEPTIONAL_FAMILIES
+# Every fact about a classical family, one row each: the label head(d, q)
+# with dimension d = a*m + b, the smallest rank m (PSL(m+1,q), PSU(m+1,q),
+# PSp(2m,q), Omega(2m+1,q), O+-(2m,q); lower ranks are refused), and the
+# constant C = num/den of the class-number bound k(G) <= C*q^m (Fulman and
+# Guralnick, Trans. Amer. Math. Soc. 364 (2012); the PSp constant is the
+# q-even one, valid for both parities).
+_CLASSICAL = {  # family: (head, a, b, rank floor, (num, den))
+    "PSL": ("PSL", 1, 1, 1, (5, 2)),
+    "PSU": ("PSU", 1, 1, 2, (413, 50)),
+    "PSp": ("PSp", 2, 0, 3, (76, 5)),
+    "OmegaOdd": ("Omega", 2, 1, 2, (73, 10)),
+    "OPlus": ("O+", 2, 0, 4, (15, 1)),
+    "OMinus": ("O-", 2, 0, 4, (15, 1)),
+}
+
+# Every fact about an exceptional family, one row each: the label prefix(q);
+# the prime p of a twisted family defined only over odd powers q = p^(2a+1),
+# else None; the order formula (Carter, Simple Groups of Lie Type)
+# |G| = q^e * prod(q^i + s for (i, s) in factors) / gcd(c, q^j + t), with
+# s = +-1 except in 3D4's factor (8, 0), which is q^8 + q^4 + 1; and the
+# class-number bound k(G) <= a polynomial in q, its coefficients by
+# descending degree (from Luebeck's class-number polynomials).
+_EXCEPTIONAL = {  # family: (prefix, twisted prime, e, factors, (c, j, t), bound)
+    "G2": ("G2", None, 6, ((6, -1), (2, -1)), (1, 1, -1), (1, 2, 9)),
+    "F4": ("F4", None, 24, ((12, -1), (8, -1), (6, -1), (2, -1)), (1, 1, -1),
+           (1, 2, 7, 15, 31)),
+    "E6": ("E6", None, 36, tuple((i, -1) for i in (12, 9, 8, 6, 5, 2)), (3, 1, -1),
+           (1, 1, 2, 2, 15, 21, 60)),
+    "E7": ("E7", None, 63, tuple((i, -1) for i in (18, 14, 12, 10, 8, 6, 2)), (2, 1, -1),
+           (1, 1, 2, 7, 17, 35, 71, 103)),
+    "E8": ("E8", None, 120, tuple((i, -1) for i in (30, 24, 20, 18, 14, 12, 8, 2)),
+           (1, 1, -1), (1, 1, 2, 3, 10, 16, 40, 67, 112)),
+    "TwistedE6": ("2E6", None, 36, ((12, -1), (9, 1), (8, -1), (6, -1), (5, 1), (2, -1)),
+                  (3, 1, 1), (1, 1, 2, 4, 18, 26, 62)),
+    "TriD4": ("3D4", None, 12, ((8, 0), (6, -1), (2, -1)), (1, 1, -1), (1, 1, 1, 1, 6)),
+    "Suzuki": ("2B2", 2, 2, ((2, 1), (1, -1)), (1, 1, -1), (1, 3)),
+    "Ree": ("2G2", 3, 3, ((3, 1), (1, -1)), (1, 1, -1), (1, 8)),
+    "TwistedF4": ("2F4", 2, 12, ((6, 1), (4, -1), (3, 1), (1, -1)), (1, 1, -1),
+                  (1, 4, 17)),
+}
+
+RANK_FLOOR = {family: row[3] for family, row in _CLASSICAL.items()}
+CLASSICAL_FAMILIES = tuple(_CLASSICAL)
+LIE_FAMILIES = CLASSICAL_FAMILIES + tuple(_EXCEPTIONAL)
 FAMILIES = ("Alternating", "Sporadic", "G2Prime2") + LIE_FAMILIES
-
-# Twisted families defined only over odd powers of a fixed prime.
-TWISTED_ODD_POWER = {"Suzuki": 2, "Ree": 3, "TwistedF4": 2}
-
-# Label of a classical family: head and dimension d = a*m + b in head(d,q).
-_CLASSICAL_LABEL = {
-    "PSL": ("PSL", 1, 1), "PSU": ("PSU", 1, 1), "PSp": ("PSp", 2, 0),
-    "OmegaOdd": ("Omega", 2, 1), "OPlus": ("O+", 2, 0), "OMinus": ("O-", 2, 0),
-}
-_CLASSICAL_BY_HEAD = {head: (fam, a, b) for fam, (head, a, b) in _CLASSICAL_LABEL.items()}
-
-# Label prefix of an exceptional family: prefix(q).
-EXCEPTIONAL_PREFIX = {
-    "G2": "G2", "F4": "F4", "E6": "E6", "E7": "E7", "E8": "E8",
-    "TwistedE6": "2E6", "TriD4": "3D4", "Suzuki": "2B2",
-    "Ree": "2G2", "TwistedF4": "2F4",
-}
-_EXCEPTIONAL_BY_PREFIX = {prefix: fam for fam, prefix in EXCEPTIONAL_PREFIX.items()}
+TWISTED_ODD_POWER = {family: row[1] for family, row in _EXCEPTIONAL.items() if row[1]}
+EXCEPTIONAL_PREFIX = {family: row[0] for family, row in _EXCEPTIONAL.items()}
+_CLASSICAL_BY_HEAD = {row[0]: (family, *row[1:3]) for family, row in _CLASSICAL.items()}
+_EXCEPTIONAL_BY_PREFIX = {prefix: family for family, prefix in EXCEPTIONAL_PREFIX.items()}
 
 SPORADIC_LABELS = (
     "M11", "M12", "J1", "M22", "J2", "M23", "HS", "J3", "M24", "McL",
@@ -166,8 +190,8 @@ def group_label(g: GroupId) -> str:
     if g.family == "G2Prime2":
         return "G2(2)'"
     qv = g.q.q  # type: ignore[union-attr]
-    if g.family in _CLASSICAL_LABEL:
-        head, a, b = _CLASSICAL_LABEL[g.family]
+    if g.family in _CLASSICAL:
+        head, a, b = _CLASSICAL[g.family][:3]
         return f"{head}({a * g.m + b},{qv})"  # type: ignore[operator]
     return f"{EXCEPTIONAL_PREFIX[g.family]}({qv})"
 
@@ -217,39 +241,29 @@ def parse_group_label(label: str) -> GroupId:
 # Orders.
 
 
-# Order formula of each Lie family (Carter, Simple Groups of Lie Type):
-# |G| = q^e * prod(q^i + s for (i, s) in factors) / gcd(c, q^j + t), with
-# s = +-1 except in 3D4's factor (8, 0), which is q^8 + q^4 + 1.
-_EXCEPTIONAL_ORDER = {  # family: (e, factors, (c, j, t))
-    "G2": (6, ((6, -1), (2, -1)), (1, 1, -1)),
-    "F4": (24, ((12, -1), (8, -1), (6, -1), (2, -1)), (1, 1, -1)),
-    "E6": (36, tuple((i, -1) for i in (12, 9, 8, 6, 5, 2)), (3, 1, -1)),
-    "E7": (63, tuple((i, -1) for i in (18, 14, 12, 10, 8, 6, 2)), (2, 1, -1)),
-    "E8": (120, tuple((i, -1) for i in (30, 24, 20, 18, 14, 12, 8, 2)), (1, 1, -1)),
-    "TwistedE6": (36, ((12, -1), (9, 1), (8, -1), (6, -1), (5, 1), (2, -1)), (3, 1, 1)),
-    "TriD4": (12, ((8, 0), (6, -1), (2, -1)), (1, 1, -1)),
-    "Suzuki": (2, ((2, 1), (1, -1)), (1, 1, -1)),
-    "Ree": (3, ((3, 1), (1, -1)), (1, 1, -1)),
-    "TwistedF4": (12, ((6, 1), (4, -1), (3, 1), (1, -1)), (1, 1, -1)),
-}
-
-
 @lru_cache(maxsize=256)
 def _order_formula(family: str, m: int | None) -> tuple:
-    """(e, D, factors, (c, j, t)) of a Lie family at rank m, where D, e plus
-    the degree i of each factor, is the formula's degree in q."""
+    """(e, D, factors, (c, j, t), (bound, den)) of a Lie family at rank m.
+
+    D, e plus the degree i of each factor, is the order formula's degree
+    in q.  The class-number bound is the polynomial in q with the integer
+    coefficients bound, by descending degree, over den: C*q^m is
+    (num, 0, ..., 0) over den, an exceptional polynomial is over 1.
+    """
+    if family in _EXCEPTIONAL:
+        _, _, e, factors, centre, bound = _EXCEPTIONAL[family]
+        return e, e + sum(i for i, _ in factors), factors, centre, (bound, 1)
     if family in ("PSL", "PSU"):  # factors q^i - (-t)^i
         t = 1 if family == "PSU" else -1
         e, centre = m * (m + 1) // 2, (m + 1, 1, t)
         factors = [(i, -(-t) ** i) for i in range(2, m + 2)]
     elif family in ("PSp", "OmegaOdd"):
         e, factors, centre = m * m, [(2 * i, -1) for i in range(1, m + 1)], (2, 1, -1)
-    elif family in ("OPlus", "OMinus"):
+    else:
         t = -1 if family == "OPlus" else 1
         e, factors, centre = m * (m - 1), [(m, t)] + [(2 * i, -1) for i in range(1, m)], (4, m, t)
-    else:
-        e, factors, centre = _EXCEPTIONAL_ORDER[family]
-    return e, e + sum(i for i, _ in factors), tuple(factors), centre
+    num, den = _CLASSICAL[family][4]
+    return e, e + sum(i for i, _ in factors), tuple(factors), centre, ((num,) + (0,) * m, den)
 
 
 def group_order(g: GroupId) -> int:
@@ -260,7 +274,7 @@ def group_order(g: GroupId) -> int:
     if g.family == "G2Prime2":
         return 6048  # index 2 in G2(2) of order 12096
     q = g.q.q  # type: ignore[union-attr]
-    e, _, factors, (c, j, t) = _order_formula(g.family, g.m)
+    e, _, factors, (c, j, t), _ = _order_formula(g.family, g.m)
     order = q ** e
     for i, s in factors:
         order *= q ** i + s if s else q ** 8 + q ** 4 + 1
@@ -268,30 +282,7 @@ def group_order(g: GroupId) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Class-number bounds: k(G) <= bound, everything an exact Fraction.
-
-_CLASSICAL_BOUND_CONSTANT = {
-    "PSL": Fraction(5, 2),
-    "PSU": Fraction(413, 50),
-    "PSp": Fraction(76, 5),  # q-even constant, valid for both parities
-    "OmegaOdd": Fraction(73, 10),
-    "OPlus": Fraction(15),
-    "OMinus": Fraction(15),
-}
-
-# Exceptional bounds: polynomial coefficients by descending degree.
-_EXCEPTIONAL_BOUND_POLY = {
-    "Suzuki": (1, 3),
-    "Ree": (1, 8),
-    "G2": (1, 2, 9),
-    "TwistedF4": (1, 4, 17),
-    "TriD4": (1, 1, 1, 1, 6),
-    "F4": (1, 2, 7, 15, 31),
-    "E6": (1, 1, 2, 2, 15, 21, 60),
-    "TwistedE6": (1, 1, 2, 4, 18, 26, 62),
-    "E7": (1, 1, 2, 7, 17, 35, 71, 103),
-    "E8": (1, 1, 2, 3, 10, 16, 40, 67, 112),
-}
+# Class-number bounds: k(G) <= bound, an exact Fraction.
 
 
 def class_number_bound(g: GroupId) -> Fraction:
@@ -303,20 +294,18 @@ def class_number_bound(g: GroupId) -> Fraction:
         family, q = "G2", 2  # swept with the G2 bound evaluated at q = 2
     else:
         family, q = g.family, g.q.q  # type: ignore[union-attr]
-    if family in _CLASSICAL_BOUND_CONSTANT:
-        return _CLASSICAL_BOUND_CONSTANT[family] * q ** g.m
+    bound, den = _order_formula(family, g.m)[4]
     value = 0
-    for c in _EXCEPTIONAL_BOUND_POLY[family]:
+    for c in bound:
         value = value * q + c
-    return Fraction(value)
+    return Fraction(value, den)
 
 
-@lru_cache(maxsize=256)
 def order_class_shape(family: str, m: int | None) -> tuple[int, int, int]:
     """(e, D + d, c) of a Lie family at rank m: e the q-part exponent, D the
     q-degree of the order formula, d the degree in q of the class bound (m
-    for the classical families), and c the bit length of K, the bound's
-    ceiled constant or its coefficient sum.
+    for the classical families), and c the bit length of K, the ceiling of
+    the bound's coefficient sum over its denominator.
 
     |G|_p = q^e exactly: the factors of the order formula are coprime to p
     and the centre order divides one of them, so the p-part of the order
@@ -326,18 +315,14 @@ def order_class_shape(family: str, m: int | None) -> tuple[int, int, int]:
     B = b(D + d) + c and b = q.bit_length().  As q < 2^b, the q-part q^e is
     below 2^(be), each factor q^i +- 1 of the order formula is at most
     2^(bi), q^8 + q^4 + 1 is at most 2^(8b), and the gcd divisor is at
-    least 1: |G| < 2^(bD).  The class bound is C*q^m with C <= K = ceil(C),
-    or a polynomial of degree d with nonnegative coefficients summing to K,
-    so it is at most K*2^(bd).  The product is then below the integer
-    K*2^(b(D + d)), so its ceiling is at most that, and K < 2^c.
+    least 1: |G| < 2^(bD).  The class bound is a polynomial of degree d
+    with nonnegative integer coefficients over a denominator, their sum
+    over it at most K, so the bound is at most K*2^(bd).  The product is
+    then below the integer K*2^(b(D + d)), so its ceiling is at most that,
+    and K < 2^c.
     """
-    e, degree = _order_formula(family, m)[:2]
-    if family in _CLASSICAL_BOUND_CONSTANT:
-        k_degree, k_const = m, ceil(_CLASSICAL_BOUND_CONSTANT[family])
-    else:
-        poly = _EXCEPTIONAL_BOUND_POLY[family]
-        k_degree, k_const = len(poly) - 1, sum(poly)
-    return e, degree + k_degree, k_const.bit_length()
+    e, degree, _, _, (bound, den) = _order_formula(family, m)
+    return e, degree + len(bound) - 1, (-(-sum(bound) // den)).bit_length()
 
 
 # ---------------------------------------------------------------------------
@@ -492,52 +477,46 @@ def degree_record(label: str) -> DegreeRecord:
         raise DataFileError(f"{path}: no degree data for {label}") from None
 
 
-def simple_codegree_set(g: GroupId) -> CodegreeSet:
-    """cod(G) for a simple catalog group.
+def _record_codegrees(label: str, order: int, cover_of: CodegreeSet | None) -> CodegreeSet:
+    """cod of the group label of the given order, from its degree record.
 
-    Non-trivial irreducibles of a simple group are faithful, so each
-    codegree is |G| divided by the degree.
+    Without cover_of the group is simple and its record is full: the
+    non-trivial irreducibles are faithful, so each degree d > 1 gives the
+    codegree order / d.  With cover_of, the cod of a simple group S, the
+    group is a double cover of S and its record lists only the faithful
+    characters: the others are inflations from S and keep S's codegrees.
+    A record that contradicts the group raises DataFileError.
     """
-    if g.family == "Alternating":
-        return alt_codegree_set(g.n)  # type: ignore[arg-type]
-    label = group_label(g)
     rec = degree_record(label)
-    if rec.faithful_only:
-        raise ValueError(f"{label} record is faithful-only, not a simple group table")
-    order = group_order(g)
-    if order != rec.order:
-        raise ArithmeticError(
-            f"order formula {order} disagrees with record {rec.order} for {label}"
-        )
-    values = {1}
+    faithful = cover_of is not None
+    values = set(cover_of.values) if faithful else {1}
+
+    def refuse(problem: str) -> DataFileError:
+        return DataFileError(f"{data_path()}: degree record {label}: {problem}")
+
+    if rec.faithful_only != faithful:
+        raise refuse(f"faithful_only should be {str(faithful).lower()}")
+    if rec.order != order:
+        raise refuse(f"order {rec.order} disagrees with the order formula {order}")
+    # the loader checks the sum of squares of a full record
+    if faithful and sum(d * d for d in rec.degrees) != order - cover_of.order:
+        raise refuse(f"sum of squared degrees is not {order - cover_of.order}")
     for d in rec.degrees:
-        if d == 1:
-            continue
-        if order % d != 0:
-            raise ArithmeticError(f"degree {d} does not divide |{label}| = {order}")
-        values.add(order // d)
+        if order % d:
+            raise refuse(f"degree {d} does not divide |{label}| = {order}")
+        if d > 1:
+            values.add(order // d)
     return CodegreeSet(label, order, tuple(sorted(values)))
 
 
-def twisted_codegree_set_2a9() -> CodegreeSet:
-    """cod(2.A9) for the double cover of A9.
+def simple_codegree_set(g: GroupId) -> CodegreeSet:
+    """cod(G) for a simple catalog group."""
+    if g.family == "Alternating":
+        return alt_codegree_set(g.n)  # type: ignore[arg-type]
+    return _record_codegrees(group_label(g), group_order(g), None)
 
-    Characters trivial on the centre are inflations from A9 and keep
-    their A9 codegrees; faithful characters have trivial kernel and
-    contribute |2.A9| / degree.
-    """
-    rec = degree_record("2.A9")
-    if not rec.faithful_only:
-        raise ValueError("2.A9 record must be faithful-only")
+
+def twisted_codegree_set_2a9() -> CodegreeSet:
+    """cod(2.A9) for the double cover of A9, of order 2|A9|."""
     a9 = alt_codegree_set(9)
-    order = 2 * a9.order
-    if rec.order != order:
-        raise ArithmeticError(f"2.A9 record order {rec.order} != {order}")
-    if sum(d * d for d in rec.degrees) != order - a9.order:
-        raise ArithmeticError("faithful degrees fail sum of squares = |2.A9| - |A9|")
-    values = set(a9.values)
-    for d in rec.degrees:
-        if order % d != 0:
-            raise ArithmeticError(f"faithful degree {d} does not divide {order}")
-        values.add(order // d)
-    return CodegreeSet("2.A9", order, tuple(sorted(values)))
+    return _record_codegrees("2.A9", 2 * a9.order, a9)

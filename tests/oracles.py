@@ -6,16 +6,19 @@ partitions of n, conjugates by column counts, single hook lengths and
 the hook product cell by cell, corner removal, the text form of a
 partition, partition counts, Frobenius coordinates, the direct routes
 to the A_n entries and to the n!/2 sieve, factorisation one division at
-a time, the factored text of a number by trial division, and the
-parameter boxes the family sweeps once enumerated.  The tests check the
-library's fast paths against them; none of these share code with the
-partition and hook machinery they check.  A partition is a tuple of
-weakly decreasing positive ints; cells are 1-based (row, column) pairs.
+a time, the factored text of a number by trial division, the parameter
+boxes the family sweeps once enumerated, and the class-number bounds and
+order formulas of the Lie families as their sources print them.  The
+tests check the library's fast paths against them; none of these share
+code with the partition and hook machinery they check.  A partition is
+a tuple of weakly decreasing positive ints; cells are 1-based (row,
+column) pairs.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Iterator
 
 from codlab.catalog import RANK_FLOOR, GroupId, lie
@@ -304,3 +307,72 @@ def box_points(family: str, box: tuple[int, int, int]) -> Iterator[GroupId]:
                     yield lie(family, PrimePower(p, k), m=m)
                 except ValueError:
                     continue
+
+
+# Class-number bounds k(G) <= bound, as catalog held them before each Lie
+# family's facts were gathered into one row.  Classical: C*q^m with the
+# constants of Fulman and Guralnick, Trans. Amer. Math. Soc. 364 (2012).
+# Exceptional: polynomials in q from Luebeck's class-number polynomials,
+# coefficients by descending degree.
+CLASSICAL_CLASS_CONSTANTS = {
+    "PSL": Fraction(5, 2), "PSU": Fraction(413, 50), "PSp": Fraction(76, 5),
+    "OmegaOdd": Fraction(73, 10), "OPlus": Fraction(15), "OMinus": Fraction(15),
+}
+EXCEPTIONAL_CLASS_POLYNOMIALS = {
+    "G2": (1, 2, 9),
+    "F4": (1, 2, 7, 15, 31),
+    "E6": (1, 1, 2, 2, 15, 21, 60),
+    "E7": (1, 1, 2, 7, 17, 35, 71, 103),
+    "E8": (1, 1, 2, 3, 10, 16, 40, 67, 112),
+    "TwistedE6": (1, 1, 2, 4, 18, 26, 62),
+    "TriD4": (1, 1, 1, 1, 6),
+    "Suzuki": (1, 3),
+    "Ree": (1, 8),
+    "TwistedF4": (1, 4, 17),
+}
+
+
+def lie_class_bound(family: str, m: int | None, q: int) -> Fraction:
+    """The class-number bound of family at rank m over q, term by term."""
+    if family in CLASSICAL_CLASS_CONSTANTS:
+        return CLASSICAL_CLASS_CONSTANTS[family] * q ** m
+    poly = EXCEPTIONAL_CLASS_POLYNOMIALS[family]
+    return Fraction(sum(c * q ** (len(poly) - 1 - i) for i, c in enumerate(poly)))
+
+
+def _prod_minus_one(q: int, exponents) -> int:
+    return math.prod(q ** i - 1 for i in exponents)
+
+
+# |G| of each exceptional simple group over q, written out as Carter,
+# Simple Groups of Lie Type, prints it.
+EXCEPTIONAL_ORDERS = {
+    "G2": lambda q: q ** 6 * (q ** 6 - 1) * (q ** 2 - 1),
+    "F4": lambda q: q ** 24 * _prod_minus_one(q, (12, 8, 6, 2)),
+    "E6": lambda q: q ** 36 * _prod_minus_one(q, (12, 9, 8, 6, 5, 2)) // math.gcd(3, q - 1),
+    "E7": lambda q: (q ** 63 * _prod_minus_one(q, (18, 14, 12, 10, 8, 6, 2))
+                     // math.gcd(2, q - 1)),
+    "E8": lambda q: q ** 120 * _prod_minus_one(q, (30, 24, 20, 18, 14, 12, 8, 2)),
+    "TwistedE6": lambda q: (q ** 36 * (q ** 12 - 1) * (q ** 9 + 1) * (q ** 8 - 1)
+                            * (q ** 6 - 1) * (q ** 5 + 1) * (q ** 2 - 1) // math.gcd(3, q + 1)),
+    "TriD4": lambda q: q ** 12 * (q ** 8 + q ** 4 + 1) * (q ** 6 - 1) * (q ** 2 - 1),
+    "Suzuki": lambda q: q ** 2 * (q ** 2 + 1) * (q - 1),
+    "Ree": lambda q: q ** 3 * (q ** 3 + 1) * (q - 1),
+    "TwistedF4": lambda q: q ** 12 * (q ** 6 + 1) * (q ** 4 - 1) * (q ** 3 + 1) * (q - 1),
+}
+
+
+def lie_order(family: str, m: int | None, q: int) -> int:
+    """|G| of family at rank m over q: PSL(m+1,q), PSU(m+1,q), PSp(2m,q),
+    Omega(2m+1,q), P-Omega+-(2m,q), or an exceptional group."""
+    if family in ("PSL", "PSU"):
+        n, s = m + 1, (1 if family == "PSL" else -1)
+        return (q ** (n * (n - 1) // 2) * math.prod(q ** i - s ** i for i in range(2, n + 1))
+                // math.gcd(n, q - s))
+    if family in ("PSp", "OmegaOdd"):
+        return q ** (m * m) * _prod_minus_one(q, range(2, 2 * m + 1, 2)) // math.gcd(2, q - 1)
+    if family in ("OPlus", "OMinus"):
+        twist = q ** m - 1 if family == "OPlus" else q ** m + 1
+        return (q ** (m * (m - 1)) * twist * _prod_minus_one(q, range(2, 2 * m - 1, 2))
+                // math.gcd(4, twist))
+    return EXCEPTIONAL_ORDERS[family](q)

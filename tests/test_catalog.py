@@ -39,7 +39,7 @@ from codlab.catalog import (
     twisted_codegree_set_2a9,
 )
 from codlab.exactnum import PrimePower, factor
-from oracles import valuation
+from oracles import lie_class_bound, lie_order, valuation
 
 KNOWN_ORDERS = {
     "PSL(2,4)": 60,
@@ -277,6 +277,19 @@ def test_class_number_bounds():
     assert class_number_bound(parse_group_label("PSL(2,4)")) == 10
     assert class_number_bound(parse_group_label("PSU(3,3)")) * 50 == 413 * 9
     assert class_number_bound(parse_group_label("Omega(5,3)")) * 10 == 73 * 9
+    # every Lie family against the bounds and orders its sources print, at
+    # ranks floor..floor+3 over three fields, the largest 2^61 - 1, or p^61
+    # for a twisted family over odd powers of p
+    for family in LIE_FAMILIES:
+        p = TWISTED_ODD_POWER.get(family)
+        fields = ((p ** 3, p ** 5, p ** 61) if p
+                  else (3 if family == "OmegaOdd" else 4, 5, 2 ** 61 - 1))
+        floor = RANK_FLOOR.get(family)
+        for m in range(floor, floor + 4) if floor else [None]:
+            for q in fields:
+                g = lie(family, prime_power(q), m=m)
+                assert class_number_bound(g) == lie_class_bound(family, m, q), (family, m, q)
+                assert group_order(g) == lie_order(family, m, q), (family, m, q)
 
 
 def test_bounds_dominate_actual_class_counts():

@@ -81,9 +81,12 @@ def test_min_cod_bad_range(capsys):
     assert code == 2 and "n_lo < n_hi" in err
 
 
-# sha256 of each command's stdout, recorded from the earlier per-prime
-# renderer: the bulk cod table and min-cod's one-value factored column
-# keep every byte on every supported Python.
+# sha256 of each command's stdout.  The cod and min-cod digests were
+# recorded from the earlier per-prime renderer: the bulk cod table and
+# min-cod's one-value factored column keep every byte on every supported
+# Python.  The search, schur and check-subset digests were recorded before
+# the Lie family tables were merged into one row per family; they pin the
+# bounds, points examined and rows that those tables drive.
 TABLE_DIGESTS = [
     (("cod", "5", "--format", "table"),
      "869c487d8b454f6560ea28c2308e42cad5a3a127917128d1e0e6b5f945b66bb4"),
@@ -117,6 +120,72 @@ TABLE_DIGESTS = [
      "0f308bac5fb67fd6d84c2641099281e7d66133a3cda36c994b8c6ad5cb19a893"),
     (("min-cod", "5", "40"),
      "351dc6f47eadeab2b8e69186c963cbe65fa79b8824507d758c3949b398cc5e99"),
+    (("search", "all", "--format", "table"),
+     "f12ace5f042c6744915063b70395cc70d30c0e70d4bb9074d67e7429518773f7"),
+    (("search", "all", "--format", "json"),
+     "b54c2131c284f23db877a2404455407203aaeb806b4830be3e6b58fadba3604f"),
+    (("search", "all", "--format", "csv"),
+     "29a49e0d841450d6f2414e0b72ccad757fbb7016ebf4d9fd4708352516e415c0"),
+    (("search", "sporadic", "--format", "json"),
+     "1400ef0a452f8c2ffdd985c87bb6eae9a0f1c86b6557e2f35ea52d4175298dbe"),
+    (("search", "psl", "--format", "json"),
+     "3348d3ceffb1674075983feb3599b78e3aecfc4eb192a8ccc04347bfd9903b1e"),
+    (("search", "psu", "--format", "json"),
+     "37e92d5f16c56006f9ef15f3a84910379781da0e9674b55e54dabdea7b7e1d79"),
+    (("search", "psp", "--format", "json"),
+     "b5a8c37977eeaa5d1b49d0cdc6dad9ae4106514b3a576d5ed6317fee8fec0c7d"),
+    (("search", "omegaodd", "--format", "json"),
+     "69ba23040e42f11043bc75b79f342d3d949ad63ca0596a0697486c1b2ceac5c4"),
+    (("search", "oplus", "--format", "json"),
+     "651f446eb6161ce6a5c438d800f0df718dfdd9e325f24220598e8c6aed3bd9ae"),
+    (("search", "ominus", "--format", "json"),
+     "ab496d32f967f92befa5a023b94e4ad3943bdd328da828f3729afae569dd7cc1"),
+    (("search", "g2", "--format", "json"),
+     "e292647222113bceac1ab16105bd1b7f7a8414755a4fd9a753682f006ecedaeb"),
+    (("search", "f4", "--format", "json"),
+     "da444f4a647129f453b5974bb5836838a0ce5bb8c9f84499214408a359ed6af9"),
+    (("search", "e6", "--format", "json"),
+     "43f1feec3a4d7bbb0ee4e2e2840b4a889430881e463b5c0dddaee37bb72e7738"),
+    (("search", "e7", "--format", "json"),
+     "340c2fc1960aa3dca526acb6db905eb39f959c36ff576dae105be235e8396030"),
+    (("search", "e8", "--format", "json"),
+     "08d168f500d98b4a0ef4bf8088ec638f3182318894e8dcdaae971862769b6b4d"),
+    (("search", "twistede6", "--format", "json"),
+     "cbb66fccb02b38c8932d491e1573bc67e0fd6ba5bfc5fa2015659336d5798377"),
+    (("search", "trid4", "--format", "json"),
+     "3bc9a11e9033bc9dd16418492c5fe055432d8a8d57b2d80f899436b10f2e59d5"),
+    (("search", "suzuki", "--format", "json"),
+     "8267583b25b2950ff8719054cb8848669f3dba19505e352cdedf7ec5027e1a29"),
+    (("search", "ree", "--format", "json"),
+     "f9c0fd391e41c4b5742a8930d3e0b5a7db157fa8a5d57b61b0fc0fa0079d3ef1"),
+    (("search", "twistedf4", "--format", "json"),
+     "73c763a817e2a8e993319045457ec30c91dc60a847acd127cff3a6d2fc25233d"),
+    (("schur", "--format", "json"),
+     "04e87edead2bfb76a5bac2607c6f4a67369cada3304b034d54c84543b353a746"),
+    (("check-subset", "G2(2)'", "9"),
+     "b9cfc5b39b7d7c1a728037006bf58a15cc7fc51d20d366dc07270ab8c466a03b"),
+    (("check-subset", "J2", "9"),
+     "754453b70b63842f7b77ceb5b8562e474509ebb85cd66b9384c3ee6f03ec17e0"),
+    (("check-subset", "Omega(5,3)", "9"),
+     "68deb1f9257c41e6995748bcd9a03c16136402fd834fc9c46edace5a8ccec571"),
+    (("check-subset", "PSL(2,4)", "9"),
+     "06c1bed17a15998cccb51bec79d3a5443c10785760808fdab3f6b7f4c71cc4f4"),
+    (("check-subset", "PSL(2,5)", "9"),
+     "e3b8b7ccd550be68b43629372b0dd64c27e509746d7c16eb3c3caf43bc15b802"),
+    (("check-subset", "PSL(2,7)", "9"),
+     "3d8424de06ee6b393f4e1cffc882eb7eb863ae283ff3611f3572164f1bff830c"),
+    (("check-subset", "PSL(2,8)", "9"),
+     "1c7d90fcb900f62495765e8b4a77c4e50ff776735e08770ee8b9494def72fed9"),
+    (("check-subset", "PSL(2,9)", "9"),
+     "f72e4658e5ea5ed2a46c23c4c28d73b8777db77385be88ac9b0246dc5ba06653"),
+    (("check-subset", "PSL(3,4)", "9"),
+     "41708f68d962890235a5759976781626eb58011460cd3e33c3aa3c4431fe4b5b"),
+    (("check-subset", "PSL(4,2)", "9"),
+     "937a89f9d0c67bdd673d62d2a0408bb55a81605e50700801de4919a1772173ad"),
+    (("check-subset", "PSU(3,3)", "9"),
+     "a253d32a6dd7d0f9186875e98923faa6ebd107bc1cd376c05b7fa3b007125e45"),
+    (("check-subset", "PSU(4,2)", "9"),
+     "3d6a2575c1eaba79aece82e3ec59643fddf450603a262cdb11de37f978febf43"),
 ]
 
 
@@ -359,6 +428,15 @@ def _without_degrees(label):
     return apply
 
 
+def _degrees_of(label, **fields):
+    """Set fields of the degree record of label."""
+    def apply(lines):
+        key = f'"record": "degrees", "label": "{label}"'
+        [i] = [i for i, ln in enumerate(lines) if key in ln]
+        return lines[:i] + [json.dumps({**json.loads(lines[i]), **fields})] + lines[i + 1:]
+    return apply
+
+
 @pytest.mark.parametrize(
     "edit,argv,problem",
     [
@@ -371,10 +449,22 @@ def _without_degrees(label):
         (_without_degrees("J2"), ("search", "all"), ": no degree data for J2"),
         (_without_degrees("J2"), ("search", "sporadic"), ": no degree data for J2"),
         (_without_degrees("J2"), ("check-subset", "J2", "10"), ": no degree data for J2"),
+        # records the loader accepts that contradict the group they name
+        (_degrees_of("PSL(2,8)", order=26, degrees=[1, 3, 4]), ("check-subset", "PSL(2,8)", "8"),
+         ": degree record PSL(2,8): order 26 disagrees with the order formula 504"),
+        (_degrees_of("PSL(2,8)", degrees=[1, 1, 5, 6, 21]), ("search", "all"),
+         ": degree record PSL(2,8): degree 5 does not divide |PSL(2,8)| = 504"),
+        (_degrees_of("2.A9", order=725760), ("schur",),
+         ": degree record 2.A9: order 725760 disagrees with the order formula 362880"),
+        (_degrees_of("2.A9", degrees=[8, 48]), ("schur",),
+         ": degree record 2.A9: sum of squared degrees is not 181440"),
+        (_degrees_of("J2", faithful_only=True), ("check-subset", "J2", "10"),
+         ": degree record J2: faithful_only should be false"),
     ],
     ids=["missing-file", "non-json-line", "record-without-label",
          "no-2a9-search-all", "no-2a9-schur", "no-j2-search-all",
-         "no-j2-search-sporadic", "no-j2-check-subset"],
+         "no-j2-search-sporadic", "no-j2-check-subset", "psl28-order-26",
+         "psl28-degree-5", "2a9-order-doubled", "2a9-squares", "j2-faithful-only"],
 )
 def test_bad_data_file_exits_2(tmp_path, monkeypatch, capsys, edit, argv, problem):
     target = tmp_path / "data.jsonl"
