@@ -1,7 +1,7 @@
 """Exact codegree sets of alternating groups and the exception search
 that identifies which finite simple groups share codegrees with an A_n.
 
-Everything is integer or Fraction arithmetic; no floats anywhere.
+Everything is integer arithmetic; no floats anywhere.
 cod(A_n) has one path, the Frobenius walk in alt_codegrees; enumerating
 partitions, conjugating them or listing per-shape entries is left to the
 tests' own oracles.

@@ -9,7 +9,7 @@ over one denominator; group_order and class_number_bound evaluate them,
 and order_class_shape reads the q-part exponent and q-degrees off them.
 Degree data is read from a versioned structured-text file shipped with
 the package (override the path with the CODLAB_DATA environment
-variable); a record that contradicts its group raises DataFileError.
+variable); the loader alone checks a record against its group.
 
 A note on naming: the classical families are parametrised by the rank m
 used in the search, so the PSL tag with (m, q) is the group PSL(m+1, q),
@@ -25,7 +25,6 @@ from __future__ import annotations
 import json
 import os
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 from math import gcd
@@ -282,14 +281,14 @@ def group_order(g: GroupId) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Class-number bounds: k(G) <= bound, an exact Fraction.
+# Class-number bounds: k(G) <= num/den exactly, as the int pair (num, den).
 
 
-def class_number_bound(g: GroupId) -> Fraction:
+def class_number_bound(g: GroupId) -> tuple[int, int]:
     if g.family == "Alternating":
         raise ValueError("alternating groups are not bounded here")
     if g.family == "Sporadic":
-        return Fraction(_catalog().sporadic[g.name].class_count)  # type: ignore[index]
+        return _catalog().sporadic[g.name].class_count, 1  # type: ignore[index]
     if g.family == "G2Prime2":
         family, q = "G2", 2  # swept with the G2 bound evaluated at q = 2
     else:
@@ -298,7 +297,7 @@ def class_number_bound(g: GroupId) -> Fraction:
     value = 0
     for c in bound:
         value = value * q + c
-    return Fraction(value, den)
+    return value, den
 
 
 def order_class_shape(family: str, m: int | None) -> tuple[int, int, int]:
@@ -331,6 +330,7 @@ def order_class_shape(family: str, m: int | None) -> tuple[int, int, int]:
 DATA_ENV_VAR = "CODLAB_DATA"
 _DATA_FORMAT = "codlab-groups"
 _DATA_VERSION = 1
+_DOUBLE_COVER = "2.A9"  # the one faithful_only record, of order 2|A9| = 9!
 
 
 class SporadicEntry(namedtuple("SporadicEntry", "label order class_count provenance")):
@@ -373,8 +373,8 @@ def data_path() -> Path:
 
 
 class DataFileError(ValueError):
-    """A degree data file that cannot be read or parsed, or that lacks a
-    record a run needs.
+    """A degree data file that cannot be read or parsed, that holds a
+    record contradicting its group, or that lacks a record a run needs.
 
     The message is "<path>:<line>: <problem>", or "<path>: <problem>"
     when the problem belongs to no one line.
@@ -410,6 +410,11 @@ def _load_catalog(path: Path) -> CatalogData:
         raise DataFileError(
             f"{path}: sporadic table incomplete, missing {sorted(missing)}"
         )
+    for key, record in degree_records.items():
+        try:
+            _check_against_group(key, record, sporadic_entries)
+        except ValueError as exc:
+            raise DataFileError(f"{path}: degree record {key}: {exc}") from None
     return CatalogData(sporadic_entries, degree_records)
 
 
@@ -418,7 +423,7 @@ def _add_record(
     sporadic_entries: dict[str, SporadicEntry],
     degree_records: dict[str, DegreeRecord],
 ) -> None:
-    """Check one parsed record and file it.
+    """Check one parsed record against its own fields and file it.
 
     Raises KeyError, TypeError or ValueError, which the loader reports
     with the path and line.
@@ -434,9 +439,9 @@ def _add_record(
     elif rec["record"] == "degrees":
         degrees = tuple(int(d) for d in rec["degrees"])
         record = DegreeRecord(
-            rec["label"], int(rec["order"]), degrees,
+            str(rec["label"]), int(rec["order"]), degrees,
             bool(rec.get("faithful_only", False)), rec["provenance"],
-            tuple(rec.get("aliases", ())),
+            tuple(map(str, rec.get("aliases", ()))),
         )
         if list(degrees) != sorted(degrees):
             raise ValueError(f"degrees for {record.label} not sorted")
@@ -453,6 +458,35 @@ def _add_record(
             degree_records[key] = record
     else:
         raise ValueError(f"unknown record type {rec['record']!r}")
+
+
+def _check_against_group(key: str, record: DegreeRecord, sporadic_entries: dict) -> None:
+    """Raise ValueError if the degree record filed under key contradicts the
+    group key names.  A sporadic order is read from the entries being
+    loaded: group_order would load the catalog again."""
+    cover = key == _DOUBLE_COVER
+    g = None if cover else parse_group_label(key)
+    entry = sporadic_entries[g.name] if g and g.family == "Sporadic" else None
+    bits = record.order.bit_length()
+    b = g.q.q.bit_length() - 1 if g and g.q else 0  # a Lie group's q >= 2^b
+    # refuse a too big G before building |G|: |A_n| >= 2^(n-2) and |G| >= 2^(b*e),
+    # where e >= m at a classical rank m, tried first: the order formula has m factors
+    if (g and g.n and g.n - 2 >= bits or b and (b * (g.m or 0) >= bits
+            or b * order_class_shape(g.family, g.m)[0] >= bits)):
+        raise ValueError(f"order {record.order} is below |{key}|")
+    order = factorial(9) if cover else (entry.order if entry else group_order(g))
+    if record.faithful_only != cover:
+        raise ValueError(f"faithful_only should be {str(cover).lower()}")
+    if record.order != order:
+        raise ValueError(f"order {record.order} disagrees with the order formula {order}")
+    # the faithful characters of 2.A9 make up |2.A9| - |A9| = order / 2
+    if cover and sum(d * d for d in record.degrees) != order // 2:
+        raise ValueError(f"sum of squared degrees is not {order // 2}")
+    if entry and len(record.degrees) != entry.class_count:
+        raise ValueError(f"{len(record.degrees)} degrees for {entry.class_count} classes")
+    for d in record.degrees:
+        if d < 1 or order % d:
+            raise ValueError(f"degree {d} does not divide |{key}| = {order}")
 
 
 @lru_cache(maxsize=4)
@@ -477,46 +511,28 @@ def degree_record(label: str) -> DegreeRecord:
         raise DataFileError(f"{path}: no degree data for {label}") from None
 
 
-def _record_codegrees(label: str, order: int, cover_of: CodegreeSet | None) -> CodegreeSet:
-    """cod of the group label of the given order, from its degree record.
+def _record_codegrees(label: str, cover_of: CodegreeSet | None = None) -> CodegreeSet:
+    """cod of the group label, from the degree record the loader checked.
 
     Without cover_of the group is simple and its record is full: the
     non-trivial irreducibles are faithful, so each degree d > 1 gives the
     codegree order / d.  With cover_of, the cod of a simple group S, the
     group is a double cover of S and its record lists only the faithful
     characters: the others are inflations from S and keep S's codegrees.
-    A record that contradicts the group raises DataFileError.
     """
     rec = degree_record(label)
-    faithful = cover_of is not None
-    values = set(cover_of.values) if faithful else {1}
-
-    def refuse(problem: str) -> DataFileError:
-        return DataFileError(f"{data_path()}: degree record {label}: {problem}")
-
-    if rec.faithful_only != faithful:
-        raise refuse(f"faithful_only should be {str(faithful).lower()}")
-    if rec.order != order:
-        raise refuse(f"order {rec.order} disagrees with the order formula {order}")
-    # the loader checks the sum of squares of a full record
-    if faithful and sum(d * d for d in rec.degrees) != order - cover_of.order:
-        raise refuse(f"sum of squared degrees is not {order - cover_of.order}")
-    for d in rec.degrees:
-        if order % d:
-            raise refuse(f"degree {d} does not divide |{label}| = {order}")
-        if d > 1:
-            values.add(order // d)
-    return CodegreeSet(label, order, tuple(sorted(values)))
+    values = {1} if cover_of is None else set(cover_of.values)
+    values.update(rec.order // d for d in rec.degrees if d > 1)
+    return CodegreeSet(label, rec.order, tuple(sorted(values)))
 
 
 def simple_codegree_set(g: GroupId) -> CodegreeSet:
     """cod(G) for a simple catalog group."""
     if g.family == "Alternating":
         return alt_codegree_set(g.n)  # type: ignore[arg-type]
-    return _record_codegrees(group_label(g), group_order(g), None)
+    return _record_codegrees(group_label(g))
 
 
 def twisted_codegree_set_2a9() -> CodegreeSet:
     """cod(2.A9) for the double cover of A9, of order 2|A9|."""
-    a9 = alt_codegree_set(9)
-    return _record_codegrees("2.A9", 2 * a9.order, a9)
+    return _record_codegrees(_DOUBLE_COVER, alt_codegree_set(9))

@@ -1,8 +1,8 @@
 """Exact integer arithmetic helpers.
 
-Every quantity in this package is an exact integer or an exact fraction;
-no floating point is used in any comparison of group orders, hook
-products, or class-number bounds.  Python ints are arbitrary precision,
+Every quantity in this package is an exact integer, and a class-number
+bound is a pair of them; no floating point is used in any comparison of
+group orders, hook products, or class-number bounds.  Python ints are arbitrary precision,
 so the only work here is the number theory: primality, prime powers,
 factorisation and the factored text form of a number.
 """

@@ -146,8 +146,8 @@ def n_min(g: GroupId) -> int:
 
 def _class_number_limit(g: GroupId, order: int) -> int:
     """ceil(|H| * k-bound): n!/2 < |H| * k-bound iff n!/2 < this limit."""
-    bound = class_number_bound(g)
-    return -(-order * bound.numerator // bound.denominator)
+    num, den = class_number_bound(g)
+    return -(-order * num // den)
 
 
 def _log2_factorial_floor(n: int) -> int:

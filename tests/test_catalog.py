@@ -5,10 +5,12 @@ Groups); sporadic orders are additionally checked against their full
 prime factorizations, which is how those values are usually quoted.
 """
 
+import importlib.util
 import json
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -34,6 +36,7 @@ from codlab.catalog import (
     simple_codegree_set,
     sporadic,
     sporadic_entries,
+    _catalog,
     _load_catalog,
     _order_formula,
     twisted_codegree_set_2a9,
@@ -269,14 +272,14 @@ def test_rank_floor(family, q):
 
 def test_class_number_bounds():
     # sporadic: exact class counts
-    assert class_number_bound(sporadic("J2")) == 21
-    assert class_number_bound(sporadic("M")) == 194
+    assert class_number_bound(sporadic("J2")) == (21, 1)
+    assert class_number_bound(sporadic("M")) == (194, 1)
     # G2(2)' has 17 classes, polynomial value at q=2
-    assert class_number_bound(GroupId("G2Prime2")) == 17
+    assert class_number_bound(GroupId("G2Prime2")) == (17, 1)
     # classical bounds are the published constants times q^m
-    assert class_number_bound(parse_group_label("PSL(2,4)")) == 10
-    assert class_number_bound(parse_group_label("PSU(3,3)")) * 50 == 413 * 9
-    assert class_number_bound(parse_group_label("Omega(5,3)")) * 10 == 73 * 9
+    assert Fraction(*class_number_bound(parse_group_label("PSL(2,4)"))) == 10
+    assert Fraction(*class_number_bound(parse_group_label("PSU(3,3)"))) * 50 == 413 * 9
+    assert Fraction(*class_number_bound(parse_group_label("Omega(5,3)"))) * 10 == 73 * 9
     # every Lie family against the bounds and orders its sources print, at
     # ranks floor..floor+3 over three fields, the largest 2^61 - 1, or p^61
     # for a twisted family over odd powers of p
@@ -288,7 +291,8 @@ def test_class_number_bounds():
         for m in range(floor, floor + 4) if floor else [None]:
             for q in fields:
                 g = lie(family, prime_power(q), m=m)
-                assert class_number_bound(g) == lie_class_bound(family, m, q), (family, m, q)
+                bound = Fraction(*class_number_bound(g))
+                assert bound == lie_class_bound(family, m, q), (family, m, q)
                 assert group_order(g) == lie_order(family, m, q), (family, m, q)
 
 
@@ -299,11 +303,11 @@ def test_bounds_dominate_actual_class_counts():
                   "PSL(2,9)", "PSL(3,4)", "PSL(4,2)", "PSU(3,3)",
                   "Omega(5,3)", "G2(2)'"):
         rec = degree_record(label)
-        bound = class_number_bound(parse_group_label(label))
+        bound = Fraction(*class_number_bound(parse_group_label(label)))
         assert len(rec.degrees) <= bound
     # G2(2)' = PSU(3,3): 14 classes against the G2 polynomial at q = 2
     assert len(degree_record("G2(2)'").degrees) == 14
-    assert class_number_bound(parse_group_label("G2(2)'")) == 17
+    assert Fraction(*class_number_bound(parse_group_label("G2(2)'"))) == 17
 
 
 def _psl2_class_number(q):
@@ -324,7 +328,8 @@ def test_psl2_class_numbers_within_bound():
             q = PrimePower(p, k)
             if q.q < 4:
                 continue
-            assert _psl2_class_number(q.q) <= class_number_bound(lie("PSL", q, m=1)), q.q
+            bound = Fraction(*class_number_bound(lie("PSL", q, m=1)))
+            assert _psl2_class_number(q.q) <= bound, q.q
             checked += 1
     assert checked == 7 * 63 - 2
 
@@ -424,8 +429,8 @@ def lie_points(draw, max_bits=200):
 @settings(max_examples=300, deadline=None)
 def test_order_class_bits_bound_the_limit(g):
     order = group_order(g)
-    bound = class_number_bound(g)
-    limit = -(-order * bound.numerator // bound.denominator)
+    num, den = class_number_bound(g)
+    limit = -(-order * num // den)
     _, degree, c = order_class_shape(g.family, g.m)
     assert limit.bit_length() <= g.q.q.bit_length() * degree + c
     assert order <= g.q.q ** q_degree(g)
@@ -475,6 +480,21 @@ def test_simple_codegree_set_matches_alternating():
             == simple_codegree_set(alternating(6)).values)
 
 
+DATA_LABELS = ("PSL(2,4)", "PSL(2,5)", "PSL(2,7)", "PSL(2,8)", "PSL(2,9)", "PSL(4,2)",
+               "PSL(3,4)", "PSU(3,3)", "Omega(5,3)", "J2", "G2(2)'", "PSU(4,2)")
+
+
+def test_codegree_sets_trust_the_loaded_records(monkeypatch):
+    # the loader checked each record against its group; a query asks no
+    # order again
+    _catalog()
+    calls = []
+    monkeypatch.setattr("codlab.catalog.group_order", lambda g: calls.append(g))
+    for label in DATA_LABELS:
+        assert simple_codegree_set(parse_group_label(label)).order == degree_record(label).order
+    assert calls == []
+
+
 def test_twisted_2a9():
     cs = twisted_codegree_set_2a9()
     assert cs.order == 362880
@@ -493,7 +513,7 @@ def test_data_path_override(tmp_path, monkeypatch):
 
 
 def test_build_tool_rebuilds_shipped_data_file(tmp_path):
-    # the tool checks every order against group_order before it writes
+    # the tool writes only a file the loader accepts
     root = Path(__file__).resolve().parent.parent
     out = tmp_path / "groups_v1.jsonl"
     subprocess.run(
@@ -501,6 +521,27 @@ def test_build_tool_rebuilds_shipped_data_file(tmp_path):
         check=True, capture_output=True,
     )
     assert out.read_bytes() == (root / "src" / "codlab" / "data" / "groups_v1.jsonl").read_bytes()
+
+
+def test_build_tool_writes_only_what_the_loader_accepts(tmp_path, monkeypatch):
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "build_data_file", root / "tools" / "build_data_file.py")
+    tool = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the tool puts src first
+    spec.loader.exec_module(tool)
+    out = tmp_path / "groups_v1.jsonl"
+    out.write_bytes(b"earlier bytes\n")
+    good = tool.J2_DEGREES
+    monkeypatch.setattr(tool, "J2_DEGREES", [1, 15, *good[2:]])
+    with pytest.raises(SystemExit, match=r"groups_v1\.jsonl\.tmp:.*J2: sum of squares"):
+        tool.main(out)
+    assert out.read_bytes() == b"earlier bytes\n"
+    assert list(tmp_path.iterdir()) == [out]
+    monkeypatch.setattr(tool, "J2_DEGREES", good)
+    tool.main(out)
+    assert out.read_bytes() == (root / "src" / "codlab" / "data" / "groups_v1.jsonl").read_bytes()
+    assert list(tmp_path.iterdir()) == [out]
 
 
 @pytest.mark.parametrize("flag,code", [("--help", 0), ("--no-such-option", 2)])

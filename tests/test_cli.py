@@ -86,7 +86,9 @@ def test_min_cod_bad_range(capsys):
 # min-cod's one-value factored column keep every byte on every supported
 # Python.  The search, schur and check-subset digests were recorded before
 # the Lie family tables were merged into one row per family; they pin the
-# bounds, points examined and rows that those tables drive.
+# bounds, points examined and rows that those tables drive.  The sporadic,
+# psl and g2 csv and table digests pin the rows of a single sweep target
+# as the CLI prints them, beside the golden comparison of search all.
 TABLE_DIGESTS = [
     (("cod", "5", "--format", "table"),
      "869c487d8b454f6560ea28c2308e42cad5a3a127917128d1e0e6b5f945b66bb4"),
@@ -128,8 +130,16 @@ TABLE_DIGESTS = [
      "29a49e0d841450d6f2414e0b72ccad757fbb7016ebf4d9fd4708352516e415c0"),
     (("search", "sporadic", "--format", "json"),
      "1400ef0a452f8c2ffdd985c87bb6eae9a0f1c86b6557e2f35ea52d4175298dbe"),
+    (("search", "sporadic", "--format", "csv"),
+     "df04198a88bfeaa56ca6f5ba497fad3ef8d6859d5a150d32647960a5ce822469"),
+    (("search", "sporadic", "--format", "table"),
+     "d5b88d8f1ce7bf2f338ae6d6a5e42d300a13fdad6ebedcf187263f64c3c3e07e"),
     (("search", "psl", "--format", "json"),
      "3348d3ceffb1674075983feb3599b78e3aecfc4eb192a8ccc04347bfd9903b1e"),
+    (("search", "psl", "--format", "csv"),
+     "245d0d2afc58e18049063d18eedce087f985d28e9cd25b73a8c7cd675e52e5d9"),
+    (("search", "psl", "--format", "table"),
+     "9a3ab8b20c7e9960466d804d2d3451b4d9a7c232156d1119e8bab202b495c54a"),
     (("search", "psu", "--format", "json"),
      "37e92d5f16c56006f9ef15f3a84910379781da0e9674b55e54dabdea7b7e1d79"),
     (("search", "psp", "--format", "json"),
@@ -142,6 +152,10 @@ TABLE_DIGESTS = [
      "ab496d32f967f92befa5a023b94e4ad3943bdd328da828f3729afae569dd7cc1"),
     (("search", "g2", "--format", "json"),
      "e292647222113bceac1ab16105bd1b7f7a8414755a4fd9a753682f006ecedaeb"),
+    (("search", "g2", "--format", "csv"),  # the header line alone
+     "6059718051f1ce1f5a13220d78b445fb11e4062ff43952dcfa2b293468306fd3"),
+    (("search", "g2", "--format", "table"),
+     "2683ce20afd51b3eb5f9c168a8c0a92665589dc0144e4b5886d9eee5701379eb"),
     (("search", "f4", "--format", "json"),
      "da444f4a647129f453b5974bb5836838a0ce5bb8c9f84499214408a359ed6af9"),
     (("search", "e6", "--format", "json"),
@@ -428,7 +442,7 @@ def _without_degrees(label):
     return apply
 
 
-def _degrees_of(label, **fields):
+def _degrees_of(label, /, **fields):
     """Set fields of the degree record of label."""
     def apply(lines):
         key = f'"record": "degrees", "label": "{label}"'
@@ -460,11 +474,42 @@ def _degrees_of(label, **fields):
          ": degree record 2.A9: sum of squared degrees is not 181440"),
         (_degrees_of("J2", faithful_only=True), ("check-subset", "J2", "10"),
          ": degree record J2: faithful_only should be false"),
+        # the loader refuses them on every run, whichever groups the run reaches
+        (_degrees_of("PSL(2,8)", order=26, degrees=[1, 3, 4]), ("check-subset", "J2", "10"),
+         ": degree record PSL(2,8): order 26 disagrees with the order formula 504"),
+        (_degrees_of("PSL(2,8)", order=26, degrees=[1, 3, 4]), ("search", "sporadic"),
+         ": degree record PSL(2,8): order 26 disagrees with the order formula 504"),
+        (_degrees_of("PSL(2,8)", order=26, degrees=[1, 3, 4]), ("schur",),
+         ": degree record PSL(2,8): order 26 disagrees with the order formula 504"),
+        (_degrees_of("2.A9", degrees=[8, 48]), ("check-subset", "J2", "10"),
+         ": degree record 2.A9: sum of squared degrees is not 181440"),
+        (_degrees_of("2.A9", degrees=[8, 48]), ("search", "psl"),
+         ": degree record 2.A9: sum of squared degrees is not 181440"),
+        # each alias is checked against the group it names
+        (_degrees_of("PSU(3,3)", aliases=["G2(2)'", "PSL(2,11)"]), ("check-subset", "J2", "10"),
+         ": degree record PSL(2,11): order 6048 disagrees with the order formula 660"),
+        # a name too big for the record is refused before its order is built
+        (_degrees_of("PSL(2,4)", aliases=["PSL(20000,2)"]), ("check-subset", "J2", "10"),
+         ": degree record PSL(20000,2): order 60 is below |PSL(20000,2)|"),
+        # a rank past the record's bits is refused before the order formula is built
+        (_degrees_of("PSL(2,4)", aliases=["PSL(1000000001,2)"]), ("check-subset", "J2", "10"),
+         ": degree record PSL(1000000001,2): order 60 is below |PSL(1000000001,2)|"),
+        (_degrees_of("PSL(2,4)", aliases=["A99999999"]), ("check-subset", "J2", "10"),
+         ": degree record A99999999: order 60 is below |A99999999|"),
+        (_degrees_of("PSL(2,4)", label="Foo"), ("check-subset", "J2", "10"),
+         ": degree record Foo: cannot parse group label 'Foo'"),
+        (_on_j2(lambda line: json.dumps({**json.loads(line), "class_count": 22})),
+         ("check-subset", "J2", "10"), ": degree record J2: 21 degrees for 22 classes"),
     ],
     ids=["missing-file", "non-json-line", "record-without-label",
          "no-2a9-search-all", "no-2a9-schur", "no-j2-search-all",
          "no-j2-search-sporadic", "no-j2-check-subset", "psl28-order-26",
-         "psl28-degree-5", "2a9-order-doubled", "2a9-squares", "j2-faithful-only"],
+         "psl28-degree-5", "2a9-order-doubled", "2a9-squares", "j2-faithful-only",
+         "psl28-order-26-check-subset-j2", "psl28-order-26-search-sporadic",
+         "psl28-order-26-schur", "2a9-squares-check-subset-j2", "2a9-squares-search-psl",
+         "alias-psl211", "alias-psl20000-2", "alias-psl1000000001-2",
+         "alias-a99999999", "label-foo",
+         "j2-class-count-22"],
 )
 def test_bad_data_file_exits_2(tmp_path, monkeypatch, capsys, edit, argv, problem):
     target = tmp_path / "data.jsonl"

@@ -71,6 +71,17 @@ def test_runs_load_no_reflection_machinery(code):
     assert not added & {"dataclasses", "inspect"}
 
 
+@pytest.mark.parametrize("code", [
+    "from codlab.cli import main\nassert main(['search', 'all']) == 0",
+    "import codlab.cli\nfrom codlab.catalog import sporadic_entries\nsporadic_entries()",
+], ids=["search-all", "setup-probe"])
+def test_runs_load_no_fraction_arithmetic(code):
+    # class-number bounds are int pairs, so no run pays for fractions and decimal
+    added = loaded_modules(code) - loaded_modules("pass")
+    assert "codlab.catalog" in added
+    assert not added & {"fractions", "decimal"}
+
+
 def test_all_names_are_the_home_objects():
     assert sorted(codlab.__all__) == sorted(n for names in PUBLIC.values() for n in names)
     assert len(codlab.__all__) == 33

@@ -144,9 +144,9 @@ def test_candidate_range_cutoff_is_tight():
                   "Omega(5,3)", "J2"):
         g = parse_group_label(label)
         last = candidate_n_range(g)[-1]
-        bound = class_number_bound(g)
+        num, den = class_number_bound(g)
         lhs = math.factorial(last + 1) // 2
-        assert lhs * bound.denominator >= group_order(g) * bound.numerator
+        assert lhs * den >= group_order(g) * num
 
 
 def test_candidate_range_hard_cap_is_loud(monkeypatch):
@@ -161,18 +161,18 @@ def test_candidate_range_hard_cap_is_loud(monkeypatch):
 
 def oracle_feasible(g):
     """The sieve inequality with n!/2 computed in full."""
-    bound = class_number_bound(g)
+    num, den = class_number_bound(g)
     half = math.factorial(max(5, n_min(g))) // 2
-    return half * bound.denominator < group_order(g) * bound.numerator
+    return half * den < group_order(g) * num
 
 
 def oracle_candidate_n_range(g):
     """candidate_n_range by walking n! up from max(5, n_min) in full."""
     order = group_order(g)
-    bound = class_number_bound(g)
+    num, den = class_number_bound(g)
     n = max(5, n_min(g))
     out = []
-    while (half := math.factorial(n) // 2) * bound.denominator < order * bound.numerator:
+    while (half := math.factorial(n) // 2) * den < order * num:
         if half % order == 0:
             out.append(n)
         n += 1
@@ -670,8 +670,8 @@ def test_row_arithmetic_exact(family):
         order = group_order(g)
         half = math.factorial(row.n) // 2
         assert order * row.ratio == half
-        bound = class_number_bound(g)
-        assert half * bound.denominator < order * bound.numerator
+        num, den = class_number_bound(g)
+        assert half * den < order * num
 
 
 def test_missing_degree_record_is_loud(tmp_path, monkeypatch):
