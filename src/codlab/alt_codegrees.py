@@ -180,16 +180,17 @@ def _frobenius_pairs(n_lo: int, n_hi: int) -> Iterator[tuple[int, Run, Run, bool
 
 
 def alt_codegree_set(n: int) -> CodegreeSet:
-    """cod(A_n) = {1} union {(n!/2)/dim over non-trivial irreducibles}."""
+    """cod(A_n) = {1} union {(n!/2)/dim over non-trivial irreducibles}.
+
+    The walk pairs dim n!/H with H/2 and n!/(2H) with H, so dim * codegree
+    is n!/2 by construction; only the sum of squared dimensions is checked.
+    """
     half = factorial(n) // 2
     values = {1}
     total = 0
-    for _, arms, legs, split, dim, codegree in _frobenius_pairs(n, n):
+    for _, _, _, split, dim, codegree in _frobenius_pairs(n, n):
         total += 2 * dim * dim if split else dim * dim
-        if codegree != 1:
-            if codegree * dim != half:
-                raise ArithmeticError(f"codegree mismatch for ({arms} | {legs})")
-            values.add(codegree)
+        values.add(codegree)
     if total != half:
         raise ArithmeticError(f"sum of squared dimensions {total} != |A_{n}| = {half}")
     return CodegreeSet(f"A{n}", half, tuple(sorted(values)))

@@ -26,7 +26,6 @@ import json
 import os
 from collections import namedtuple
 from functools import lru_cache
-from importlib import resources
 from math import gcd
 from pathlib import Path
 
@@ -356,20 +355,18 @@ class CatalogData(namedtuple("CatalogData", "sporadic degrees")):
     __slots__ = ()
 
 
-@lru_cache(maxsize=1)
-def _packaged_data_path() -> Path:
-    return Path(str(resources.files("codlab").joinpath("data/groups_v1.jsonl")))
+_PACKAGED_DATA = Path(__file__).parent / "data" / "groups_v1.jsonl"
 
 
 def data_path() -> Path:
     """The degree data file: $CODLAB_DATA if set, else the packaged file.
 
-    The environment is read on every call; only the packaged path is cached.
+    The environment is read on every call.
     """
     override = os.environ.get(DATA_ENV_VAR)
     if override:
         return Path(override)
-    return _packaged_data_path()
+    return _PACKAGED_DATA
 
 
 class DataFileError(ValueError):
@@ -418,6 +415,14 @@ def _load_catalog(path: Path) -> CatalogData:
     return CatalogData(sporadic_entries, degree_records)
 
 
+def _integer(value: object, field: str) -> int:
+    """value if it is a JSON integer; a float, bool, string or null is
+    refused, not truncated or coerced."""
+    if type(value) is not int:
+        raise TypeError(f"{field} {json.dumps(value)} is not an integer")
+    return value
+
+
 def _add_record(
     rec: object,
     sporadic_entries: dict[str, SporadicEntry],
@@ -432,14 +437,15 @@ def _add_record(
         raise ValueError("record is not a JSON object")
     if rec["record"] == "sporadic":
         entry = SporadicEntry(
-            rec["label"], int(rec["order"]), int(rec["class_count"]),
+            rec["label"], _integer(rec["order"], "order"),
+            _integer(rec["class_count"], "class_count"),
             rec["provenance"],
         )
         sporadic_entries[entry.label] = entry
     elif rec["record"] == "degrees":
-        degrees = tuple(int(d) for d in rec["degrees"])
+        degrees = tuple(_integer(d, "degree") for d in rec["degrees"])
         record = DegreeRecord(
-            str(rec["label"]), int(rec["order"]), degrees,
+            str(rec["label"]), _integer(rec["order"], "order"), degrees,
             bool(rec.get("faithful_only", False)), rec["provenance"],
             tuple(map(str, rec.get("aliases", ()))),
         )

@@ -53,6 +53,7 @@ import csv
 import io
 from collections import namedtuple
 from itertools import count
+from pathlib import Path
 from typing import Iterator
 
 from .alt_codegrees import alt_codegree_set, verify_min_codegree_monotone
@@ -461,9 +462,7 @@ _GOLDEN_FILES = {
 
 
 def _golden_text(name: str) -> str:
-    from importlib import resources
-
-    return resources.files("codlab").joinpath(f"data/golden/{name}").read_text("utf-8")
+    return (Path(__file__).parent / "data" / "golden" / name).read_text("utf-8")
 
 
 def compare_with_golden(

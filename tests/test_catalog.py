@@ -523,13 +523,29 @@ def test_build_tool_rebuilds_shipped_data_file(tmp_path):
     assert out.read_bytes() == (root / "src" / "codlab" / "data" / "groups_v1.jsonl").read_bytes()
 
 
+def _load_tool(name, monkeypatch):
+    """Import tools/<name>.py as a module."""
+    spec = importlib.util.spec_from_file_location(
+        name, Path(__file__).resolve().parent.parent / "tools" / f"{name}.py")
+    tool = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # build_data_file puts src first
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def test_dixon_lists_are_their_derivation(monkeypatch):
+    # the pinned lists and the shipped records are what Dixon-Schneider gives
+    # on the projective-point permutation groups (Dixon 1967; Schneider 1990)
+    derived = _load_tool("derive_degree_data", monkeypatch).derive()
+    pinned = _load_tool("build_data_file", monkeypatch).DIXON
+    assert derived.keys() == pinned.keys() == {"PSL(3,4)", "PSU(3,3)", "Omega(5,3)"}
+    for label, degrees in derived.items():
+        assert degrees == pinned[label] == list(degree_record(label).degrees), label
+
+
 def test_build_tool_writes_only_what_the_loader_accepts(tmp_path, monkeypatch):
     root = Path(__file__).resolve().parent.parent
-    spec = importlib.util.spec_from_file_location(
-        "build_data_file", root / "tools" / "build_data_file.py")
-    tool = importlib.util.module_from_spec(spec)
-    monkeypatch.setattr(sys, "path", list(sys.path))  # the tool puts src first
-    spec.loader.exec_module(tool)
+    tool = _load_tool("build_data_file", monkeypatch)
     out = tmp_path / "groups_v1.jsonl"
     out.write_bytes(b"earlier bytes\n")
     good = tool.J2_DEGREES
@@ -599,6 +615,47 @@ def test_loader_returns_or_raises_data_file_error(lines, keep_header):
             assert str(exc).startswith(f"{path}:"), exc
         else:
             assert set(cat.sporadic) == set(SPORADIC_LABELS)
+
+
+def _with_number(field, i, value):
+    """The data lines with value written into one number: the order or
+    class count of sporadic record i, or degree i of the J2 record."""
+    lines = list(_DATA_LINES)
+    if field == "degree":
+        [row] = [r for r, ln in enumerate(lines) if '"degrees", "label": "J2"' in ln]
+        rec = json.loads(lines[row])
+        rec["degrees"][i % len(rec["degrees"])] = value
+    else:
+        row = 1 + i % len(SPORADIC_LABELS)
+        rec = json.loads(lines[row])
+        rec[field] = value
+    lines[row] = json.dumps(rec)
+    return lines, rec["label"]
+
+
+_JSON_SCALAR = (st.integers() | st.floats() | st.booleans() | st.none()
+                | st.text(max_size=8) | st.integers(0, 10**6).map(str))
+
+
+@given(st.sampled_from(["order", "class_count", "degree"]), st.integers(0, 100),
+       _JSON_SCALAR)
+@settings(max_examples=150, deadline=None)
+def test_loader_reads_numbers_exactly(field, i, value):
+    # a number is loaded as exactly the JSON integer written, or refused
+    lines, label = _with_number(field, i, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "numbers.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        try:
+            cat = _load_catalog(path)
+        except DataFileError as exc:
+            assert str(exc).startswith(f"{path}:"), exc
+            return
+    if field == "degree":
+        got = cat.degrees[label].degrees[i % len(cat.degrees[label].degrees)]
+    else:
+        got = getattr(cat.sporadic[label], field)
+    assert type(value) is int and type(got) is int and got == value
 
 
 def test_corrupted_data_detected(tmp_path, monkeypatch):

@@ -444,8 +444,13 @@ def _without_degrees(label):
 
 def _degrees_of(label, /, **fields):
     """Set fields of the degree record of label."""
+    return _record_of("degrees", label, **fields)
+
+
+def _record_of(kind, label, /, **fields):
+    """Set fields of the kind record of label."""
     def apply(lines):
-        key = f'"record": "degrees", "label": "{label}"'
+        key = f'"record": "{kind}", "label": "{label}"'
         [i] = [i for i, ln in enumerate(lines) if key in ln]
         return lines[:i] + [json.dumps({**json.loads(lines[i]), **fields})] + lines[i + 1:]
     return apply
@@ -500,6 +505,13 @@ def _degrees_of(label, /, **fields):
          ": degree record Foo: cannot parse group label 'Foo'"),
         (_on_j2(lambda line: json.dumps({**json.loads(line), "class_count": 22})),
          ("check-subset", "J2", "10"), ": degree record J2: 21 degrees for 22 classes"),
+        # a number is read only as a JSON integer, never truncated or coerced
+        (_degrees_of("PSL(2,4)", degrees=[1, 3.9, 3, 4, 5.5]), ("check-subset", "J2", "10"),
+         ":29: degree 3.9 is not an integer"),
+        (_record_of("sporadic", "M11", class_count=10.7), ("check-subset", "J2", "10"),
+         ":2: class_count 10.7 is not an integer"),
+        (_record_of("sporadic", "M12", order="95040"), ("check-subset", "J2", "10"),
+         ':3: order "95040" is not an integer'),
     ],
     ids=["missing-file", "non-json-line", "record-without-label",
          "no-2a9-search-all", "no-2a9-schur", "no-j2-search-all",
@@ -509,7 +521,8 @@ def _degrees_of(label, /, **fields):
          "psl28-order-26-schur", "2a9-squares-check-subset-j2", "2a9-squares-search-psl",
          "alias-psl211", "alias-psl20000-2", "alias-psl1000000001-2",
          "alias-a99999999", "label-foo",
-         "j2-class-count-22"],
+         "j2-class-count-22", "psl24-float-degrees", "m11-float-class-count",
+         "m12-string-order"],
 )
 def test_bad_data_file_exits_2(tmp_path, monkeypatch, capsys, edit, argv, problem):
     target = tmp_path / "data.jsonl"

@@ -124,8 +124,9 @@ def spin_degrees_2an(n: int) -> list[int]:
     return sorted(degs)
 
 
-# Dixon-Schneider outputs (tools/derive_degree_data.py), frozen here so
-# rebuilding the data file does not need the multi-minute derivation.
+# Dixon-Schneider outputs of tools/derive_degree_data.py, pinned so that
+# rebuilding the data file does not rerun the derivation;
+# tests/test_catalog.py::test_dixon_lists_are_their_derivation checks them.
 DIXON = {
     "PSL(3,4)": [1, 20, 35, 35, 35, 45, 45, 63, 63, 64],
     "PSU(3,3)": [1, 6, 7, 7, 7, 14, 21, 21, 21, 27, 28, 28, 32, 32],

@@ -1,20 +1,25 @@
-"""One-time derivation of embedded character-degree tables.
+"""Derivation of the Dixon-Schneider character-degree lists.
 
-Builds small classical groups as explicit matrix groups over finite
-fields, enumerates them by closure under multiplication, computes
-conjugacy classes, and runs the Dixon-Schneider algorithm (class
-matrices diagonalised over GF(p) for a prime p = 1 mod exponent(G)) to
-recover the irreducible character degrees.  Run from the repo root:
+Builds PSp(4,3) = Omega(5,3), PSU(3,3) and PSL(3,4) from explicit matrix
+generators over finite fields, maps each generator once to the
+permutation it induces on the projective points of GF(q)^n (40, 91 and
+21 points; the kernel is the scalars, so the image is the simple group),
+enumerates the group by closure, computes conjugacy classes, and runs
+the Dixon-Schneider algorithm (class matrices diagonalised over GF(p)
+for a prime p = 1 mod exponent(G)) to recover the irreducible character
+degrees.  Run from the repo root:
 
     python tools/derive_degree_data.py
 
-The output is pasted into src/codlab/data/groups_v1.jsonl.  Everything
-here is exact modular arithmetic; no floating point.
+The lists are pinned as DIXON in tools/build_data_file.py, and
+tests/test_catalog.py checks that derive() still returns them.
+Everything here is exact modular arithmetic; no floating point.
 """
 
 from __future__ import annotations
 
-from math import isqrt
+from itertools import product
+from math import isqrt, lcm
 
 # ---------------------------------------------------------------------------
 # Tiny finite fields.  Elements are ints 0..q-1 indexing F_p[x]/(f).
@@ -26,7 +31,6 @@ class GF:
         self.k = k
         self.q = p ** k
         if k == 1:
-            self.add_table = None
             return
         assert modulus is not None and len(modulus) == k + 1 and modulus[-1] == 1
         self.modulus = modulus
@@ -81,6 +85,10 @@ class GF:
             return (a * b) % self.p
         return self.mul_table[a][b]
 
+    def inv(self, a: int) -> int:
+        return next(b for b in range(1, self.q) if self.mul(a, b) == 1)
+
+
 def mat_mul(F: GF, A: tuple[int, ...], B: tuple[int, ...], n: int) -> tuple[int, ...]:
     out = [0] * (n * n)
     for i in range(n):
@@ -99,56 +107,35 @@ def identity(n: int) -> tuple[int, ...]:
     return tuple(1 if i == j else 0 for i in range(n) for j in range(n))
 
 
-def mulclose(F: GF, gens: list[tuple[int, ...]], n: int, limit: int) -> list[tuple[int, ...]]:
-    elems = {identity(n)}
-    frontier = list(gens)
-    for g in gens:
-        elems.add(g)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                b = mat_mul(F, a, g, n)
-                if b not in elems:
-                    elems.add(b)
-                    nxt.append(b)
-        frontier = nxt
-        assert len(elems) <= limit, f"group larger than expected {limit}"
-    return sorted(elems)
-
-
 # ---------------------------------------------------------------------------
-# Group constructions.
+# Group constructions: matrix generators over GF(q) and the expected order
+# of their image on projective points.
 
 
 def sp4_3() -> tuple[GF, list[tuple[int, ...]], int]:
-    """Sp(4,3): symplectic transvections x -> x + <x,v> v over GF(3)."""
+    """Sp(4,3): symplectic transvections x -> x + <x,v> v over GF(3);
+    PSp(4,3) = Omega(5,3) on points, order 25920."""
     F = GF(3, 1)
-    n = 4
     # symplectic form J: <x,y> = x1 y3 + x2 y4 - x3 y1 - x4 y2
     def form(x, y):
         return (x[0] * y[2] + x[1] * y[3] - x[2] * y[0] - x[3] * y[1]) % 3
 
     gens = []
-    basis = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0)]
-    for v in basis:
-        # transvection T_v: x -> x + <x, v> v
-        cols = []
+    for v in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 0, 0, 1)):
+        # transvection T_v: x -> x + <x, v> v; row i is the image of e_i
+        rows = []
         for i in range(4):
             e = [0] * 4
             e[i] = 1
             c = form(e, v)
-            row = [(e[j] + c * v[j]) % 3 for j in range(4)]
-            cols.append(row)
-        M = tuple(cols[i][j] for i in range(4) for j in range(4))
-        gens.append(M)
-    return F, gens, 51840
+            rows.append([(e[j] + c * v[j]) % 3 for j in range(4)])
+        gens.append(tuple(x for row in rows for x in row))
+    return F, gens, 25920
 
 
 def su3_3() -> tuple[GF, list[tuple[int, ...]], int]:
     """SU(3,3) = PSU(3,3), order 6048, over GF(9) with form antidiag(1,1,1)."""
     F = GF(3, 2, modulus=(1, 0, 1))  # x^2 + 1 irreducible mod 3
-    n = 3
 
     def bar(a: int) -> int:
         r = F.mul(a, a)
@@ -165,120 +152,123 @@ def su3_3() -> tuple[GF, list[tuple[int, ...]], int]:
     w = (0, 0, 1, 0, F.neg(1), 0, 1, 0, 0)
     assert is_unitary(w)
     gens = [w]
-    for a in range(9):
-        for b in range(9):
-            # u(a,b) upper unitriangular: rows (1,a,b),(0,1,-abar),(0,0,1)
-            if F.add(F.add(b, bar(b)), F.mul(a, bar(a))) != 0:
-                continue
-            M = (1, a, b, 0, 1, F.neg(bar(a)), 0, 0, 1)
-            if is_unitary(M):
-                gens.append(M)
+    for a, b in ((0, 3), (1, 1)):
+        # u(a,b) upper unitriangular: rows (1,a,b),(0,1,-abar),(0,0,1)
+        M = (1, a, b, 0, 1, F.neg(bar(a)), 0, 0, 1)
+        assert is_unitary(M)
+        gens.append(M)
     return F, gens, 6048
 
 
 def sl3_4() -> tuple[GF, list[tuple[int, ...]], int]:
-    """SL(3,4) via elementary transvections over GF(4)."""
+    """SL(3,4) via elementary transvections over GF(4); PSL(3,4) on
+    points, order 20160."""
     F = GF(2, 2, modulus=(1, 1, 1))  # x^2 + x + 1
-    n = 3
     gens = []
-    for i in range(3):
-        for j in range(3):
-            if i == j:
-                continue
-            for lam in range(1, 4):
-                M = list(identity(3))
-                M[i * 3 + j] = lam
-                gens.append(tuple(M))
-    return F, gens, 60480
+    for i, j, lam in ((0, 1, 1), (1, 2, 1), (2, 0, 2)):
+        M = list(identity(3))
+        M[i * 3 + j] = lam
+        gens.append(tuple(M))
+    return F, gens, 20160
 
 
-def central_quotient(F: GF, elems: list[tuple[int, ...]], n: int) -> tuple[list[tuple[int, ...]], dict]:
-    """Quotient by scalar matrices; representative = min of scalar orbit."""
-    elem_set = set(elems)
-    scalars = []
-    for lam in range(1, F.q):
-        s = tuple(F.mul(lam, x) for x in identity(n))
-        if s in elem_set:
-            scalars.append(lam)
-    rep_of: dict = {}
-    reps = set()
-    for M in elems:
-        orbit = [tuple(F.mul(lam, x) for x in M) for lam in scalars]
-        r = min(orbit)
-        rep_of[M] = r
-        reps.add(r)
-    return sorted(reps), rep_of
+def on_points(F: GF, gens: list[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
+    """The permutation each matrix M induces on the projective points
+    of GF(q)^n by x -> xM; a point is the vector whose first nonzero
+    coordinate is 1."""
+    points = [v for v in product(range(F.q), repeat=n) if any(v)
+              and next(c for c in v if c) == 1]
+    index = {v: i for i, v in enumerate(points)}
+    perms = []
+    for M in gens:
+        perm = []
+        for x in points:
+            y = [0] * n
+            for i, a in enumerate(x):
+                if a:
+                    for j in range(n):
+                        y[j] = F.add(y[j], F.mul(a, M[i * n + j]))
+            scale = F.inv(next(c for c in y if c))
+            perm.append(index[tuple(F.mul(scale, c) for c in y)])
+        perms.append(tuple(perm))
+    return perms
+
+
+# ---------------------------------------------------------------------------
+# Permutations are tuples of images; a * b applies a, then b.
+
+
+def mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(map(b.__getitem__, a))
+
+
+def inverse(a: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(sorted(range(len(a)), key=a.__getitem__))
+
+
+def perm_order(a: tuple[int, ...]) -> int:
+    """lcm of the cycle lengths."""
+    seen = [False] * len(a)
+    order = 1
+    for i in range(len(a)):
+        length = 0
+        while not seen[i]:
+            seen[i] = True
+            i = a[i]
+            length += 1
+        order = lcm(order, max(length, 1))
+    return order
+
+
+def mulclose(gens: list[tuple[int, ...]], limit: int) -> list[tuple[int, ...]]:
+    """Every product of gens, the identity first."""
+    elems = [tuple(range(len(gens[0])))]
+    seen = set(elems)
+    for a in elems:
+        for g in gens:
+            b = mul(a, g)
+            if b not in seen:
+                seen.add(b)
+                elems.append(b)
+        assert len(elems) <= limit, f"group larger than expected {limit}"
+    return elems
 
 
 # ---------------------------------------------------------------------------
 # Conjugacy classes and Dixon-Schneider.
 
 
-def inverse_in(group_index: dict, F: GF, M: tuple[int, ...], n: int, order_bound: int) -> tuple[int, ...]:
-    # inverse by repeated squaring of element order search (small groups)
-    acc = M
-    prev = identity(n)
-    while acc != identity(n):
-        prev = acc
-        acc = mat_mul(F, acc, M, n)
-    return prev
-
-
-def conjugacy_classes(F: GF, elems: list, gens: list, n: int, rep_of=None):
-    index = {M: i for i, M in enumerate(elems)}
-    norm = (lambda M: rep_of[M]) if rep_of else (lambda M: M)
-    gen_invs = [inverse_in(index, F, g, n, len(elems)) for g in gens]
-    class_id = [-1] * len(elems)
+def conjugacy_classes(elems: list, gens: list) -> tuple[list[list], dict]:
+    gen_invs = [inverse(g) for g in gens]
+    class_of: dict = {}
     classes = []
-    for i, M in enumerate(elems):
-        if class_id[i] >= 0:
+    for x in elems:
+        if x in class_of:
             continue
         cid = len(classes)
-        members = [i]
-        class_id[i] = cid
-        queue = [M]
-        while queue:
-            x = queue.pop()
+        class_of[x] = cid
+        members = [x]
+        for y in members:
             for g, gi in zip(gens, gen_invs):
-                y = norm(mat_mul(F, mat_mul(F, g, x, n), gi, n))
-                j = index[y]
-                if class_id[j] < 0:
-                    class_id[j] = cid
-                    members.append(j)
-                    queue.append(y)
+                z = tuple(map(g.__getitem__, map(y.__getitem__, gi)))  # gi * y * g
+                if z not in class_of:
+                    class_of[z] = cid
+                    members.append(z)
         classes.append(members)
-    return classes, class_id
+    return classes, class_of
 
 
-def exponent_of(F: GF, elems: list, n: int) -> int:
-    from math import lcm
-
-    e = 1
-    ident = identity(n)
-    for M in elems:
-        k = 1
-        acc = M
-        while acc != ident:
-            acc = mat_mul(F, acc, M, n)
-            k += 1
-        e = lcm(e, k)
-    return e
-
-
-def dixon_degrees(F: GF, elems: list, gens: list, n: int, rep_of=None) -> list[int]:
-    classes, class_id = conjugacy_classes(F, elems, gens, n, rep_of)
+def dixon_degrees(elems: list, gens: list) -> list[int]:
+    classes, class_of = conjugacy_classes(elems, gens)
     k = len(classes)
-    index = {M: i for i, M in enumerate(elems)}
-    norm = (lambda M: rep_of[M]) if rep_of else (lambda M: M)
-    reps = [elems[c[0]] for c in classes]
+    reps = [c[0] for c in classes]
     sizes = [len(c) for c in classes]
     g_order = len(elems)
     print(f"  |G| = {g_order}, {k} classes, sizes {sorted(sizes)}")
 
-    inv_of = [index[norm(inverse_in(index, F, elems[c[0]], n, g_order))] for c in classes]
-    inv_class = [class_id[i] for i in inv_of]
+    inv_class = [class_of[inverse(z)] for z in reps]
 
-    exp = exponent_of(F, elems, n)
+    exp = lcm(*map(perm_order, reps))
     bound = 2 * isqrt(g_order) + 1
     p = exp + 1
     while True:
@@ -289,19 +279,13 @@ def dixon_degrees(F: GF, elems: list, gens: list, n: int, rep_of=None) -> list[i
         p += exp
     print(f"  exponent {exp}, Dixon prime p = {p}")
 
-    # class matrices: M_i[j][l] = #{x in C_i : x^{-1} z_l in C_j}
-    inv_elem = {}
-    for i, M in enumerate(elems):
-        inv_elem[i] = inverse_in(index, F, M, n, g_order)
-    class_mats = []
-    for ci, members in enumerate(classes):
+    def class_matrix(i):
+        # M_i[j][l] = #{x in C_i : x^{-1} z_l in C_j}; x^{-1} runs over C_i'
         mat = [[0] * k for _ in range(k)]
-        for xi in members:
-            xinv = inv_elem[xi]
+        for y in classes[inv_class[i]]:
             for l, z in enumerate(reps):
-                y = norm(mat_mul(F, xinv, z, n))
-                mat[class_id[index[y]]][l] += 1
-        class_mats.append(mat)
+                mat[class_of[mul(y, z)]][l] += 1
+        return mat
 
     # simultaneous eigenvectors over GF(p)
     def mat_vec(mat, vec):
@@ -337,20 +321,28 @@ def dixon_degrees(F: GF, elems: list, gens: list, n: int, rep_of=None) -> list[i
         return basis
 
     subspaces = [[[1 if i == j else 0 for j in range(k)] for i in range(k)]]
-    for mat in class_mats:
+    # class 0 is the identity's, whose matrix is the identity; the others
+    # are built only while some subspace is still unsplit
+    for ci in range(1, k):
         if all(len(S) == 1 for S in subspaces):
             break
+        mat = class_matrix(ci)
         new_subspaces = []
         for S in subspaces:
             if len(S) == 1:
                 new_subspaces.append(S)
                 continue
-            # restrict mat to span(S): images of basis vectors
-            images = [mat_vec(mat, v) for v in S]
-            # eigenvalues: lambda with (mat - lambda) singular on S
-            found = []
+            # restrict mat to span(S): row r holds coordinate r of each image
+            images = list(zip(*(mat_vec(mat, v) for v in S)))
+            basis = list(zip(*S))
+            # eigenvalues: lambda with (mat - lambda) singular on S; the
+            # eigenspaces are independent, so the search stops once they fill S
+            found, total = [], 0
             for lam in range(p):
-                rows = [[(images[b][r] - lam * S[b][r]) % p for b in range(len(S))] for r in range(k)]
+                if total == len(S):
+                    break
+                rows = [[(x - lam * y) % p for x, y in zip(im, sv)]
+                        for im, sv in zip(images, basis)]
                 ker = kernel_basis(rows)
                 if ker:
                     vecs = []
@@ -362,17 +354,16 @@ def dixon_degrees(F: GF, elems: list, gens: list, n: int, rep_of=None) -> list[i
                                     v[r] = (v[r] + co * S[b][r]) % p
                         vecs.append(v)
                     found.append(vecs)
-            total = sum(len(v) for v in found)
+                    total += len(vecs)
             assert total == len(S), f"splitting lost dimensions {total} != {len(S)}"
             new_subspaces.extend(found)
         subspaces = new_subspaces
     assert all(len(S) == 1 for S in subspaces), "class matrices failed to separate"
 
-    id_class = class_id[index[identity(n)]]
     degrees = []
     for S in subspaces:
         v = S[0]
-        scale = pow(v[id_class], p - 2, p)
+        scale = pow(v[0], p - 2, p)  # class 0 is the identity's
         omega = [(x * scale) % p for x in v]
         s = 0
         for i in range(k):
@@ -385,24 +376,25 @@ def dixon_degrees(F: GF, elems: list, gens: list, n: int, rep_of=None) -> list[i
     return degrees
 
 
-def run(name, builder, quotient_center):
+def run(name, builder):
     print(name)
     F, gens, expected = builder()
-    n = isqrt(len(gens[0]))
-    elems = mulclose(F, gens, n, expected)
+    gens = on_points(F, gens, isqrt(len(gens[0])))
+    elems = mulclose(gens, expected)
     assert len(elems) == expected, f"got {len(elems)}, expected {expected}"
-    rep_of = None
-    if quotient_center:
-        reps, rep_of = central_quotient(F, elems, n)
-        print(f"  central quotient: {len(elems)} -> {len(reps)}")
-        gens = [rep_of[g] for g in gens]
-        elems = reps
-    degrees = dixon_degrees(F, elems, gens, n, rep_of)
+    degrees = dixon_degrees(elems, gens)
     print(f"  degrees: {degrees}")
     return degrees
 
 
+def derive() -> dict[str, list[int]]:
+    """The degree lists, keyed by the data file's labels."""
+    return {
+        "Omega(5,3)": run("PSp(4,3) = Omega(5,3)", sp4_3),
+        "PSU(3,3)": run("PSU(3,3) = SU(3,3)", su3_3),
+        "PSL(3,4)": run("PSL(3,4)", sl3_4),
+    }
+
+
 if __name__ == "__main__":
-    run("PSp(4,3) = Omega(5,3)", sp4_3, True)
-    run("PSU(3,3) = SU(3,3)", su3_3, False)
-    run("PSL(3,4)", sl3_4, True)
+    derive()
