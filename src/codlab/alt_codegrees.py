@@ -5,9 +5,16 @@ irreducible character is faithful and its codegree is |A_n| divided by
 its degree.  Restricting from S_n: a partition pair {lam, lam'} with
 lam != lam' gives a single A_n-irreducible of dimension n!/H(lam) and
 codegree H(lam)/2, while a self-conjugate lam splits into two halves of
-dimension (n!/H(lam))/2 and codegree H(lam).  The minimal non-trivial
-codegree is strictly increasing in n, which is the monotonicity fact the
-search engine leans on.
+dimension (n!/H(lam))/2 and codegree H(lam).
+
+The minimal non-trivial codegree a_n = |A_n| / D_n, with D_n the largest
+degree of A_n, is strictly increasing in n, the monotonicity fact the
+search engine leans on.  It holds for every n by a lemma from the
+branching rule (James and Kerber, The Representation Theory of the
+Symmetric Group, 1981, 2.4 and 2.5): a_N / a_{N-1} >= N / (2 r(N)), where
+r(N), the largest r with r(r+1)/2 <= N, bounds the removable corners of a
+partition of N, and N > 2 r(N) for every N >= 7.  So only a_5 < a_6 < a_7
+is walked; prove_min_codegree_monotone gives the proof.
 
 Shapes are met in Frobenius coordinates lam = (a | b): with Durfee size
 d, a_i = lam_i - i and b_i = lam'_i - i for i <= d are strictly
@@ -213,3 +220,39 @@ def verify_min_codegree_monotone(n_lo: int, n_hi: int) -> tuple[bool, list[tuple
     witness = list(zip(range(n_lo, n_hi + 1), least))
     ok = all(prev[1] < cur[1] for prev, cur in zip(witness, witness[1:]))
     return ok, witness
+
+
+def _corner_bound(n: int) -> int:
+    """r(n), the largest r with r(r+1)/2 <= n.
+
+    A partition with c removable corners has c distinct part sizes, so
+    n >= 1 + 2 + ... + c = c(c+1)/2 and c <= r(n).
+    """
+    return (isqrt(8 * n + 1) - 1) // 2
+
+
+_LEMMA_FROM = 7  # the first N with N > 2 r(N)
+
+
+def prove_min_codegree_monotone() -> tuple[bool, list[tuple[int, int]]]:
+    """a_{n-1} < a_n for every n > 5: the walk on 5..7 and the branching
+    lemma beyond; returns the walked witnesses (n, a_n) for n = 5, 6, 7.
+
+    Let M_N be the largest degree of S_N, D_N that of A_N, and r(N) as in
+    _corner_bound.  The branching rule restricts the S_N irreducible of a
+    shape to the sum of those of its shapes less one removable corner, of
+    which there are at most r(N), so D_N <= M_N <= r(N) M_{N-1}.  A_{N-1}
+    restricts each S_{N-1} irreducible whole or in two halves of one
+    degree, so M_{N-1} <= 2 D_{N-1}.  With a_N = (N!/2) / D_N,
+
+        a_N / a_{N-1} = N D_{N-1} / D_N >= N / (2 r(N)),
+
+    which exceeds 1 when N > 2 r(N).  That holds for every N >= 7: 2r >= N
+    would give r(r+1)/2 >= N(N+2)/8 > N once N > 6, against the choice of
+    r.  The obligations left are exact and finite: the walk shows
+    a_5 < a_6 < a_7 with every per-shape check on those shapes, and the
+    step inequality is tested at N = 7, where the lemma takes over and
+    N - 2 r(N) = 1 is smallest.
+    """
+    ok, witness = verify_min_codegree_monotone(5, _LEMMA_FROM)
+    return ok and _LEMMA_FROM > 2 * _corner_bound(_LEMMA_FROM), witness

@@ -26,7 +26,7 @@ import json
 import os
 from collections import namedtuple
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 from pathlib import Path
 
 from .alt_codegrees import CodegreeSet, alt_codegree_set
@@ -82,11 +82,45 @@ EXCEPTIONAL_PREFIX = {family: row[0] for family, row in _EXCEPTIONAL.items()}
 _CLASSICAL_BY_HEAD = {row[0]: (family, *row[1:3]) for family, row in _CLASSICAL.items()}
 _EXCEPTIONAL_BY_PREFIX = {prefix: family for family, prefix in EXCEPTIONAL_PREFIX.items()}
 
-SPORADIC_LABELS = (
-    "M11", "M12", "J1", "M22", "J2", "M23", "HS", "J3", "M24", "McL",
-    "He", "Ru", "Suz", "ON", "Co3", "Co2", "Fi22", "HN", "Ly", "Th",
-    "Fi23", "Co1", "J4", "Fi24'", "B", "M", "2F4(2)'",
-)
+# The 26 sporadic groups and the Tits group, each with the prime
+# factorisation of its order as the ATLAS of Finite Groups quotes it
+# (the form exactnum.format_factored writes).  A data file's orders are
+# checked against these.
+_SPORADIC_ATLAS = {
+    "M11": "2^4·3^2·5·11",
+    "M12": "2^6·3^3·5·11",
+    "J1": "2^3·3·5·7·11·19",
+    "M22": "2^7·3^2·5·7·11",
+    "J2": "2^7·3^3·5^2·7",
+    "M23": "2^7·3^2·5·7·11·23",
+    "HS": "2^9·3^2·5^3·7·11",
+    "J3": "2^7·3^5·5·17·19",
+    "M24": "2^10·3^3·5·7·11·23",
+    "McL": "2^7·3^6·5^3·7·11",
+    "He": "2^10·3^3·5^2·7^3·17",
+    "Ru": "2^14·3^3·5^3·7·13·29",
+    "Suz": "2^13·3^7·5^2·7·11·13",
+    "ON": "2^9·3^4·5·7^3·11·19·31",
+    "Co3": "2^10·3^7·5^3·7·11·23",
+    "Co2": "2^18·3^6·5^3·7·11·23",
+    "Fi22": "2^17·3^9·5^2·7·11·13",
+    "HN": "2^14·3^6·5^6·7·11·19",
+    "Ly": "2^8·3^7·5^6·7·11·31·37·67",
+    "Th": "2^15·3^10·5^3·7^2·13·19·31",
+    "Fi23": "2^18·3^13·5^2·7·11·13·17·23",
+    "Co1": "2^21·3^9·5^4·7^2·11·13·23",
+    "J4": "2^21·3^3·5·7·11^3·23·29·31·37·43",
+    "Fi24'": "2^21·3^16·5^2·7^3·11·13·17·23·29",
+    "B": "2^41·3^13·5^6·7^2·11·13·17·19·23·31·47",
+    "M": "2^46·3^20·5^9·7^6·11^2·13^3·17·19·23·29·31·41·47·59·71",
+    "2F4(2)'": "2^11·3^3·5^2·13",
+}
+SPORADIC_LABELS = tuple(_SPORADIC_ATLAS)
+_SPORADIC_ORDER = {  # "2^4·3^2·5·11" -> 7920
+    label: prod(int(p) ** int(e or 1)
+                for p, _, e in (power.partition("^") for power in text.split("·")))
+    for label, text in _SPORADIC_ATLAS.items()
+}
 
 
 class GroupId(namedtuple("GroupId", "family n name m q", defaults=(None,) * 4)):
@@ -268,7 +302,7 @@ def group_order(g: GroupId) -> int:
     if g.family == "Alternating":
         return factorial(g.n) // 2  # type: ignore[arg-type]
     if g.family == "Sporadic":
-        return _catalog().sporadic[g.name].order  # type: ignore[index]
+        return _SPORADIC_ORDER[g.name]  # type: ignore[index]
     if g.family == "G2Prime2":
         return 6048  # index 2 in G2(2) of order 12096
     q = g.q.q  # type: ignore[union-attr]
@@ -423,6 +457,13 @@ def _integer(value: object, field: str) -> int:
     return value
 
 
+def _text(value: object, field: str) -> str:
+    """value if it is a JSON string; a number, bool, list or null is refused."""
+    if type(value) is not str:
+        raise TypeError(f"{field} {json.dumps(value)} is not text")
+    return value
+
+
 def _add_record(
     rec: object,
     sporadic_entries: dict[str, SporadicEntry],
@@ -437,17 +478,30 @@ def _add_record(
         raise ValueError("record is not a JSON object")
     if rec["record"] == "sporadic":
         entry = SporadicEntry(
-            rec["label"], _integer(rec["order"], "order"),
+            _text(rec["label"], "label"), _integer(rec["order"], "order"),
             _integer(rec["class_count"], "class_count"),
-            rec["provenance"],
+            _text(rec["provenance"], "provenance"),
         )
+        if entry.label not in _SPORADIC_ORDER:
+            raise ValueError(f"unknown sporadic label {entry.label!r}")
+        if entry.label in sporadic_entries:
+            raise ValueError(f"duplicate sporadic record {entry.label}")
+        if entry.order != _SPORADIC_ORDER[entry.label]:
+            raise ValueError(f"{entry.label} order {entry.order} disagrees with the "
+                             f"ATLAS order {_SPORADIC_ORDER[entry.label]}")
         sporadic_entries[entry.label] = entry
     elif rec["record"] == "degrees":
         degrees = tuple(_integer(d, "degree") for d in rec["degrees"])
+        faithful_only = rec.get("faithful_only", False)
+        if type(faithful_only) is not bool:
+            raise TypeError(f"faithful_only {json.dumps(faithful_only)} is not true or false")
+        aliases = rec.get("aliases", [])
+        if type(aliases) is not list:
+            raise TypeError(f"aliases {json.dumps(aliases)} is not a list")
         record = DegreeRecord(
-            str(rec["label"]), _integer(rec["order"], "order"), degrees,
-            bool(rec.get("faithful_only", False)), rec["provenance"],
-            tuple(map(str, rec.get("aliases", ()))),
+            _text(rec["label"], "label"), _integer(rec["order"], "order"), degrees,
+            faithful_only, _text(rec["provenance"], "provenance"),
+            tuple(_text(alias, "alias") for alias in aliases),
         )
         if list(degrees) != sorted(degrees):
             raise ValueError(f"degrees for {record.label} not sorted")
@@ -468,8 +522,8 @@ def _add_record(
 
 def _check_against_group(key: str, record: DegreeRecord, sporadic_entries: dict) -> None:
     """Raise ValueError if the degree record filed under key contradicts the
-    group key names.  A sporadic order is read from the entries being
-    loaded: group_order would load the catalog again."""
+    group key names.  A sporadic class count is read from the entries
+    being loaded: class_number_bound would load the catalog again."""
     cover = key == _DOUBLE_COVER
     g = None if cover else parse_group_label(key)
     entry = sporadic_entries[g.name] if g and g.family == "Sporadic" else None
@@ -480,7 +534,7 @@ def _check_against_group(key: str, record: DegreeRecord, sporadic_entries: dict)
     if (g and g.n and g.n - 2 >= bits or b and (b * (g.m or 0) >= bits
             or b * order_class_shape(g.family, g.m)[0] >= bits)):
         raise ValueError(f"order {record.order} is below |{key}|")
-    order = factorial(9) if cover else (entry.order if entry else group_order(g))
+    order = factorial(9) if cover else group_order(g)
     if record.faithful_only != cover:
         raise ValueError(f"faithful_only should be {str(cover).lower()}")
     if record.order != order:

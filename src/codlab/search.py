@@ -56,7 +56,7 @@ from itertools import count
 from pathlib import Path
 from typing import Iterator
 
-from .alt_codegrees import alt_codegree_set, verify_min_codegree_monotone
+from .alt_codegrees import alt_codegree_set, prove_min_codegree_monotone
 from .catalog import (
     EXCEPTIONAL_PREFIX,
     LIE_FAMILIES,
@@ -77,7 +77,7 @@ from .catalog import (
 )
 from .exactnum import factorial, is_prime
 
-HARD_N_CAP = 200
+# the range `search all` prints for its monotonicity line
 _MONOTONE_RANGE = (5, 30)
 # `codlab search` target, lower case without '-' or '_' -> family: each
 # Lie family's name, and each exceptional family's label prefix.
@@ -190,14 +190,31 @@ def _refuted_by_bits(shape: tuple[int, int, int], q: int, n: int) -> bool:
     return _log2_factorial_floor(max(5, n)) - 1 >= q.bit_length() * degree + c
 
 
+def _bit_cutoff(n: int, limit: int) -> int:
+    """The first n' >= n with S(n') - 1 >= bitlen(limit), so n'!/2 >= limit.
+
+    Each step adds floor(log2 n') >= 2 to S (n >= 5), so the loop takes at
+    most half the bits that S(n) - 1 lacks, rounded up.
+    """
+    bits = limit.bit_length()
+    s = _log2_factorial_floor(n)
+    while s - 1 < bits:
+        n += 1
+        s += n.bit_length() - 1
+    return n
+
+
 def _sieve(g: GroupId) -> list[tuple[int, int]] | None:
     """(n, (n!/2) / |H|) for all n >= max(5, n_min) with |H| | n!/2 and
     n!/2 < |H| * k-bound, in increasing n; None if the size sieve already
     fails at n = max(5, n_min).
 
     n!/2 is strictly increasing, so the first n where the bound fails is
-    a natural cutoff.  Raises if the cutoff is not reached before
-    HARD_N_CAP, rather than silently truncating.
+    a natural cutoff, and it comes by the bit cutoff: at the first n with
+    S(n) - 1 >= bitlen(limit), n!/2 >= 2^(S(n) - 1) > limit.  That n is
+    computed once per point that passes the first test (49 at most over
+    the sweep, at M), and the loop raises if it passes it, which that
+    proof rules out; no n is capped.
     """
     order = group_order(g)
     limit = _class_number_limit(g, order)
@@ -205,15 +222,16 @@ def _sieve(g: GroupId) -> list[tuple[int, int]] | None:
     half = _half_factorial_below(n, limit)
     if half is None:
         return None
+    stop = _bit_cutoff(n, limit)
     found = []
     while half < limit:
         ratio, rest = divmod(half, order)
         if not rest:
             found.append((n, ratio))
         n += 1
-        if n > HARD_N_CAP:
+        if n > stop:
             raise RuntimeError(
-                f"candidate range for {group_label(g)} exceeded hard cap {HARD_N_CAP}"
+                f"candidate range for {group_label(g)} passed its bit cutoff {stop}"
             )
         half *= n
     return found
@@ -424,7 +442,9 @@ class VerificationReport(namedtuple("VerificationReport", (
     " schur_scan schur_2a9 golden_ok golden_diffs"
 ))):
     """A full verification run; rows holds the sporadic and family rows
-    in canonical order."""
+    in canonical order.  monotone_ok is the outcome of the proof that a_n
+    increases for every n >= 5 (prove_min_codegree_monotone);
+    monotone_range, (5, 30), is the range the report prints for it."""
 
     __slots__ = ()
 
@@ -489,7 +509,7 @@ def compare_with_golden(
 
 def run_full_verification() -> VerificationReport:
     """Reproduce every table and discharge every survivor."""
-    monotone_ok, _ = verify_min_codegree_monotone(*_MONOTONE_RANGE)
+    monotone_ok, _ = prove_min_codegree_monotone()
     sporadic_rows = sweep_sporadic()
     family_reports = tuple(
         sweep_family(fam) for fam in LIE_FAMILIES

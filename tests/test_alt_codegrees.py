@@ -18,9 +18,12 @@ from hypothesis import given, settings, strategies as st
 
 import codlab.alt_codegrees as alt_codegrees
 from codlab.alt_codegrees import (
+    _LEMMA_FROM,
     CodegreeSet,
+    _corner_bound,
     _frobenius_pairs,
     alt_codegree_set,
+    prove_min_codegree_monotone,
     verify_min_codegree_monotone,
 )
 from codlab.catalog import degree_record
@@ -113,6 +116,23 @@ def test_min_codegree_ratio_bound():
         assert ratio >= bound > 1, n
         margins.append(ratio / bound)
     assert min(margins) == Fraction(12, 7)  # at N = 7: ratio 2, bound 7/6
+
+
+def test_branching_step_inequality_on_a_grid():
+    # r(N) is the largest r with r(r+1)/2 <= N, and N > 2r(N) from N = 7 on
+    r = 0
+    for n in range(1, 10**4 + 1):
+        while (r + 1) * (r + 2) // 2 <= n:
+            r += 1
+        assert _corner_bound(n) == r, n
+        assert n > 2 * r or n < _LEMMA_FROM, n
+    # the walk hands over to the lemma at the first N past its last failure
+    assert _LEMMA_FROM == 7 and _corner_bound(6) == 3
+
+
+def test_monotone_proof_walks_only_its_base():
+    assert prove_min_codegree_monotone() == verify_min_codegree_monotone(5, 7)
+    assert prove_min_codegree_monotone() == (True, [(5, 12), (6, 36), (7, 72)])
 
 
 @pytest.mark.parametrize("n", range(5, 21))

@@ -36,12 +36,13 @@ from codlab.catalog import (
     simple_codegree_set,
     sporadic,
     sporadic_entries,
+    _SPORADIC_ATLAS,
     _catalog,
     _load_catalog,
     _order_formula,
     twisted_codegree_set_2a9,
 )
-from codlab.exactnum import PrimePower, factor
+from codlab.exactnum import PrimePower, factor, format_factored
 from oracles import lie_class_bound, lie_order, valuation
 
 KNOWN_ORDERS = {
@@ -77,8 +78,29 @@ def test_orders_match_published_values(label, order):
 
 SPORADIC_FACTORIZATIONS = {
     "M11": [(2, 4), (3, 2), (5, 1), (11, 1)],
+    "M12": [(2, 6), (3, 3), (5, 1), (11, 1)],
+    "J1": [(2, 3), (3, 1), (5, 1), (7, 1), (11, 1), (19, 1)],
+    "M22": [(2, 7), (3, 2), (5, 1), (7, 1), (11, 1)],
     "J2": [(2, 7), (3, 3), (5, 2), (7, 1)],
+    "M23": [(2, 7), (3, 2), (5, 1), (7, 1), (11, 1), (23, 1)],
+    "HS": [(2, 9), (3, 2), (5, 3), (7, 1), (11, 1)],
+    "J3": [(2, 7), (3, 5), (5, 1), (17, 1), (19, 1)],
     "M24": [(2, 10), (3, 3), (5, 1), (7, 1), (11, 1), (23, 1)],
+    "McL": [(2, 7), (3, 6), (5, 3), (7, 1), (11, 1)],
+    "He": [(2, 10), (3, 3), (5, 2), (7, 3), (17, 1)],
+    "Ru": [(2, 14), (3, 3), (5, 3), (7, 1), (13, 1), (29, 1)],
+    "Suz": [(2, 13), (3, 7), (5, 2), (7, 1), (11, 1), (13, 1)],
+    "ON": [(2, 9), (3, 4), (5, 1), (7, 3), (11, 1), (19, 1), (31, 1)],
+    "Co3": [(2, 10), (3, 7), (5, 3), (7, 1), (11, 1), (23, 1)],
+    "Co2": [(2, 18), (3, 6), (5, 3), (7, 1), (11, 1), (23, 1)],
+    "Fi22": [(2, 17), (3, 9), (5, 2), (7, 1), (11, 1), (13, 1)],
+    "HN": [(2, 14), (3, 6), (5, 6), (7, 1), (11, 1), (19, 1)],
+    "Ly": [(2, 8), (3, 7), (5, 6), (7, 1), (11, 1), (31, 1), (37, 1), (67, 1)],
+    "Th": [(2, 15), (3, 10), (5, 3), (7, 2), (13, 1), (19, 1), (31, 1)],
+    "Fi23": [(2, 18), (3, 13), (5, 2), (7, 1), (11, 1), (13, 1), (17, 1), (23, 1)],
+    "Co1": [(2, 21), (3, 9), (5, 4), (7, 2), (11, 1), (13, 1), (23, 1)],
+    "J4": [(2, 21), (3, 3), (5, 1), (7, 1), (11, 3), (23, 1), (29, 1), (31, 1),
+           (37, 1), (43, 1)],
     "2F4(2)'": [(2, 11), (3, 3), (5, 2), (13, 1)],
     "Fi24'": [(2, 21), (3, 16), (5, 2), (7, 3), (11, 1), (13, 1),
               (17, 1), (23, 1), (29, 1)],
@@ -92,14 +114,18 @@ SPORADIC_FACTORIZATIONS = {
 
 @pytest.mark.parametrize("label", sorted(SPORADIC_FACTORIZATIONS))
 def test_sporadic_orders_factor_correctly(label):
+    # the loaded order and the library's table, against this copy
     entry = next(e for e in sporadic_entries() if e.label == label)
     assert factor(entry.order) == SPORADIC_FACTORIZATIONS[label]
+    assert entry.order == group_order(sporadic(label))
+    assert format_factored(entry.order) == _SPORADIC_ATLAS[label]
 
 
 def test_sporadic_table_complete():
     entries = sporadic_entries()
     assert len(entries) == 27
     assert [e.label for e in entries] == list(SPORADIC_LABELS)
+    assert set(SPORADIC_FACTORIZATIONS) == set(SPORADIC_LABELS)
     assert all(e.class_count >= 10 for e in entries)
     assert all("ATLAS" in e.provenance for e in entries)
 
@@ -656,6 +682,45 @@ def test_loader_reads_numbers_exactly(field, i, value):
     else:
         got = getattr(cat.sporadic[label], field)
     assert type(value) is int and type(got) is int and got == value
+
+
+def _with_field(field, i, value):
+    """The data lines with value as one field: the label of sporadic record
+    i, the provenance of record i, or faithful_only of degree record i."""
+    lines = list(_DATA_LINES)
+    sporadic_rows = range(1, 1 + len(SPORADIC_LABELS))
+    rows = {"label": sporadic_rows, "provenance": range(1, len(lines)),
+            "faithful_only": range(sporadic_rows.stop, len(lines))}[field]
+    row = rows[i % len(rows)]
+    rec = json.loads(lines[row])
+    kind, was = rec["record"], rec["label"]
+    rec[field] = value
+    lines[row] = json.dumps(rec)
+    return lines, kind, was
+
+
+@given(st.sampled_from(["label", "provenance", "faithful_only"]), st.integers(0, 100),
+       _JSON_SCALAR | st.sampled_from(SPORADIC_LABELS + ("2.A9", "ATLAS of Finite Groups"))
+       | st.lists(st.text(max_size=3), max_size=2))
+@settings(max_examples=150, deadline=None)
+def test_loader_reads_fields_exactly(field, i, value):
+    # a name is loaded only as the JSON text written, a flag only as a JSON bool
+    lines, kind, was = _with_field(field, i, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fields.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        try:
+            cat = _load_catalog(path)
+        except DataFileError as exc:
+            assert str(exc).startswith(f"{path}:"), exc
+            return
+    if field == "label":  # each label once, so only the same one loads
+        assert value == was
+    elif field == "provenance":
+        record = (cat.sporadic if kind == "sporadic" else cat.degrees)[was]
+        assert type(value) is str and record.provenance == value
+    else:
+        assert value is (was == "2.A9") and cat.degrees[was].faithful_only is value
 
 
 def test_corrupted_data_detected(tmp_path, monkeypatch):

@@ -272,6 +272,18 @@ def test_search_all_json(capsys):
     assert len(doc["rows"]) == 16
 
 
+@pytest.mark.parametrize("patch", [
+    ("verify_min_codegree_monotone", lambda lo, hi: (False, [(5, 12), (6, 36), (7, 36)])),
+    ("_corner_bound", lambda n: n),
+], ids=["base-walk", "step-inequality"])
+def test_search_all_fails_when_the_monotone_proof_does(capsys, monkeypatch, patch):
+    monkeypatch.setattr(f"codlab.alt_codegrees.{patch[0]}", patch[1])
+    code, out, _ = run_cli(capsys, "search", "all")
+    assert code == 3
+    assert out.splitlines()[0] == "minimal codegree strictly increasing on 5..30: FAIL"
+    assert out.splitlines()[-1] == "RESULT: FAIL"
+
+
 @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
 def test_search_all_threads_deterministic(capsys, fmt):
     _, one, _ = run_cli(capsys, "search", "all", "--threads", "1",
@@ -456,6 +468,18 @@ def _record_of(kind, label, /, **fields):
     return apply
 
 
+def _appended(**record):
+    """Append the record as line 40, after the 2.A9 record on line 39."""
+    def apply(lines):
+        assert len(lines) == 39 and '"label": "2.A9"' in lines[38]
+        return lines + [json.dumps(record)]
+    return apply
+
+
+_M22 = {"record": "sporadic", "label": "M22", "order": 443520, "class_count": 12,
+        "provenance": "ATLAS of Finite Groups"}
+
+
 @pytest.mark.parametrize(
     "edit,argv,problem",
     [
@@ -512,6 +536,32 @@ def _record_of(kind, label, /, **fields):
          ":2: class_count 10.7 is not an integer"),
         (_record_of("sporadic", "M12", order="95040"), ("check-subset", "J2", "10"),
          ':3: order "95040" is not an integer'),
+        # a sporadic record is checked against the ATLAS table of its group
+        (_record_of("sporadic", "M11", order=7921), ("check-subset", "J2", "10"),
+         ":2: M11 order 7921 disagrees with the ATLAS order 7920"),
+        (_record_of("sporadic", "M11", order=7921), ("search", "all"),
+         ":2: M11 order 7921 disagrees with the ATLAS order 7920"),
+        (_appended(**{**_M22, "label": "Foo"}), ("check-subset", "J2", "10"),
+         ":40: unknown sporadic label 'Foo'"),
+        (_appended(**{**_M22, "class_count": 60}), ("search", "all"),
+         ":40: duplicate sporadic record M22"),
+        # a flag is a JSON bool and a name is JSON text, never coerced
+        (_degrees_of("2.A9", faithful_only=1), ("schur",),
+         ":39: faithful_only 1 is not true or false"),
+        (_degrees_of("2.A9", faithful_only="no"), ("check-subset", "J2", "10"),
+         ':39: faithful_only "no" is not true or false'),
+        (_record_of("sporadic", "M11", label=11), ("check-subset", "J2", "10"),
+         ":2: label 11 is not text"),
+        (_record_of("sporadic", "J1", provenance=["ATLAS"]), ("check-subset", "J2", "10"),
+         ':4: provenance ["ATLAS"] is not text'),
+        (_degrees_of("J2", provenance=None), ("check-subset", "J2", "10"),
+         ":38: provenance null is not text"),
+        (_degrees_of("PSL(2,4)", label=["PSL(2,4)"]), ("check-subset", "J2", "10"),
+         ':29: label ["PSL(2,4)"] is not text'),
+        (_degrees_of("PSU(3,3)", aliases="A5"), ("check-subset", "J2", "10"),
+         ':36: aliases "A5" is not a list'),
+        (_degrees_of("PSU(3,3)", aliases=["G2(2)'", 7]), ("check-subset", "J2", "10"),
+         ":36: alias 7 is not text"),
     ],
     ids=["missing-file", "non-json-line", "record-without-label",
          "no-2a9-search-all", "no-2a9-schur", "no-j2-search-all",
@@ -522,7 +572,11 @@ def _record_of(kind, label, /, **fields):
          "alias-psl211", "alias-psl20000-2", "alias-psl1000000001-2",
          "alias-a99999999", "label-foo",
          "j2-class-count-22", "psl24-float-degrees", "m11-float-class-count",
-         "m12-string-order"],
+         "m12-string-order", "m11-order-7921", "m11-order-7921-search-all",
+         "extra-sporadic-foo", "duplicate-m22", "2a9-faithful-only-1",
+         "2a9-faithful-only-no", "m11-label-number", "j1-provenance-list",
+         "j2-provenance-null", "psl24-label-list", "psu33-aliases-text",
+         "psu33-alias-number"],
 )
 def test_bad_data_file_exits_2(tmp_path, monkeypatch, capsys, edit, argv, problem):
     target = tmp_path / "data.jsonl"

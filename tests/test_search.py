@@ -33,7 +33,7 @@ from codlab.catalog import (
 )
 from codlab.exactnum import is_prime
 from codlab.search import (
-    HARD_N_CAP,
+    _bit_cutoff,
     _class_number_limit,
     _half_factorial_below,
     _k_tail,
@@ -149,13 +149,16 @@ def test_candidate_range_cutoff_is_tight():
         assert lhs * den >= group_order(g) * num
 
 
-def test_candidate_range_hard_cap_is_loud(monkeypatch):
+def test_candidate_range_bit_cutoff_is_loud(monkeypatch):
     g = parse_group_label("PSL(3,4)")
-    monkeypatch.setattr("codlab.search.HARD_N_CAP", 10)
+    limit = _class_number_limit(g, group_order(g))
+    # 10!/2 is the first half factorial past the limit; bits alone show it at 11
+    assert _bit_cutoff(8, limit) == 11
+    monkeypatch.setattr("codlab.search._bit_cutoff", lambda n, limit: 10)
     assert candidate_n_range(g) == [8, 9]
-    # n = 9 still meets the class-number bound, so a cap of 9 cuts the range
-    monkeypatch.setattr("codlab.search.HARD_N_CAP", 9)
-    with pytest.raises(RuntimeError, match=r"PSL\(3,4\) exceeded hard cap 9"):
+    # n = 9 still meets the class-number bound, so a cutoff of 9 is a false proof
+    monkeypatch.setattr("codlab.search._bit_cutoff", lambda n, limit: 9)
+    with pytest.raises(RuntimeError, match=r"PSL\(3,4\) passed its bit cutoff 9"):
         candidate_n_range(g)
 
 
@@ -167,16 +170,19 @@ def oracle_feasible(g):
 
 
 def oracle_candidate_n_range(g):
-    """candidate_n_range by walking n! up from max(5, n_min) in full."""
+    """candidate_n_range by walking n! up from max(5, n_min) in full; each
+    n it passes has fewer bits of floor(log2 i) summed over i <= n, less
+    one, than the limit, so the walk ends by the sieve's bit cutoff."""
     order = group_order(g)
     num, den = class_number_bound(g)
+    limit_bits = (-(-order * num // den)).bit_length()
     n = max(5, n_min(g))
     out = []
     while (half := math.factorial(n) // 2) * den < order * num:
         if half % order == 0:
             out.append(n)
+        assert sum(i.bit_length() - 1 for i in range(2, n + 1)) - 1 < limit_bits, (g, n)
         n += 1
-        assert n <= HARD_N_CAP
     return out
 
 
@@ -657,6 +663,24 @@ def test_full_verification_passes():
     assert len(rep.rows) == 16
     assert sum(1 for c in rep.checks if c.verdict == "isomorphic") == 4
     assert rep.unresolved == ()
+
+
+def test_full_verification_walks_no_range_past_7(monkeypatch):
+    # monotonicity past n = 7 is the branching lemma's; every other walk
+    # is the single n of one codegree set
+    import codlab.alt_codegrees as alt
+
+    ranges = []
+    walk = alt._frobenius_pairs
+
+    def recording(n_lo, n_hi):
+        ranges.append((n_lo, n_hi))
+        return walk(n_lo, n_hi)
+
+    monkeypatch.setattr(alt, "_frobenius_pairs", recording)
+    assert run_full_verification().monotone_ok
+    assert [r for r in ranges if r[0] != r[1]] == [(5, 7)]
+    assert max(n for r in ranges for n in r) == 10  # cod(A10) for J2@10
 
 
 @given(st.sampled_from(["PSL", "PSU", "OmegaOdd"]))

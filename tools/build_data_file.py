@@ -9,7 +9,8 @@ It writes a temporary file next to OUTPUT, which replaces OUTPUT only if
 the loader accepts it; a refused one is deleted, with the message and exit 1.
 
 Sources per record:
-  * sporadic orders / class counts: ATLAS of Finite Groups
+  * sporadic orders: codlab.catalog's ATLAS factorisations
+  * sporadic class counts: ATLAS of Finite Groups
   * PSL(2,q): the classical degree pattern of the q+1 / q-1 series
   * PSL(4,2): equals A8, degrees from hook lengths
   * PSL(3,4), PSU(3,3), Omega(5,3): tools/derive_degree_data.py
@@ -30,41 +31,19 @@ sys.path.insert(0, str(SRC))
 
 from codlab.alt_codegrees import _frobenius_pairs  # noqa: E402
 from codlab.catalog import DataFileError, _load_catalog  # noqa: E402
-from codlab.catalog import group_order, parse_group_label  # noqa: E402
+from codlab.catalog import group_order, parse_group_label, sporadic  # noqa: E402
 
 OUT = SRC / "codlab" / "data" / "groups_v1.jsonl"
 
 ATLAS = "ATLAS of Finite Groups"
 
-# label -> (order, number of conjugacy classes)
-SPORADIC = {
-    "M11": (7920, 10),
-    "M12": (95040, 15),
-    "J1": (175560, 15),
-    "M22": (443520, 12),
-    "J2": (604800, 21),
-    "M23": (10200960, 17),
-    "HS": (44352000, 24),
-    "J3": (50232960, 21),
-    "M24": (244823040, 26),
-    "McL": (898128000, 24),
-    "He": (4030387200, 33),
-    "Ru": (145926144000, 36),
-    "Suz": (448345497600, 43),
-    "ON": (460815505920, 30),
-    "Co3": (495766656000, 42),
-    "Co2": (42305421312000, 60),
-    "Fi22": (64561751654400, 65),
-    "HN": (273030912000000, 54),
-    "Ly": (51765179004000000, 53),
-    "Th": (90745943887872000, 48),
-    "Fi23": (4089470473293004800, 98),
-    "Co1": (4157776806543360000, 101),
-    "J4": (86775571046077562880, 62),
-    "Fi24'": (1255205709190661721292800, 108),
-    "B": (4154781481226426191177580544000000, 184),
-    "M": (808017424794512875886459904961710757005754368000000000, 194),
-    "2F4(2)'": (17971200, 22),
+# label -> number of conjugacy classes; the orders are codlab.catalog's
+# ATLAS factorisations, read through group_order
+SPORADIC_CLASSES = {
+    "M11": 10, "M12": 15, "J1": 15, "M22": 12, "J2": 21, "M23": 17, "HS": 24,
+    "J3": 21, "M24": 26, "McL": 24, "He": 33, "Ru": 36, "Suz": 43, "ON": 30,
+    "Co3": 42, "Co2": 60, "Fi22": 65, "HN": 54, "Ly": 53, "Th": 48, "Fi23": 98,
+    "Co1": 101, "J4": 62, "Fi24'": 108, "B": 184, "M": 194, "2F4(2)'": 22,
 }
 
 
@@ -159,8 +138,9 @@ def degree_row(label: str, degrees: list[int], provenance: str,
 
 def main(out: Path = OUT) -> None:
     rows: list[dict] = [{"format": "codlab-groups", "version": 1}]
-    rows += [{"record": "sporadic", "label": label, "order": order, "class_count": classes,
-              "provenance": ATLAS} for label, (order, classes) in SPORADIC.items()]
+    rows += [{"record": "sporadic", "label": label, "order": group_order(sporadic(label)),
+              "class_count": classes, "provenance": ATLAS}
+             for label, classes in SPORADIC_CLASSES.items()]
 
     series = "PSL(2,q) series degree pattern; sum-of-squares checked"
     for q in (4, 5, 7, 8, 9):
@@ -178,7 +158,7 @@ def main(out: Path = OUT) -> None:
     rows.append(degree_row("Omega(5,3)", DIXON["Omega(5,3)"], dixon,
                            aliases=["PSU(4,2)"]))
 
-    rows.append(degree_row("J2", J2_DEGREES, ATLAS, order=SPORADIC["J2"][0]))
+    rows.append(degree_row("J2", J2_DEGREES, ATLAS))
 
     rows.append(degree_row(
         "2.A9", spin_degrees_2an(9),
