@@ -9,9 +9,9 @@ before all output was written (for example by `| head`).
 All arithmetic is exact, so json and csv output carry group orders,
 codegrees, ratios and witnesses as decimal strings; small structural
 integers (n, m, p, k, set sizes) stay plain.  Table output additionally
-shows a factored form for large values.  Sweeps run serially; --threads
-is accepted and validated (N >= 1) for compatibility, and output bytes
-are identical for any N.
+shows a factored form for large values.  Sweeps run serially; search
+accepts and validates --threads (N >= 1) for compatibility, and its
+output bytes are identical for any N.
 
 Each handler imports what it runs, and json and csv are imported only
 for those formats.  cod and min-cod load only the A_n layer (partitions,
@@ -35,10 +35,10 @@ from .exactnum import format_divisors, format_factored
 if TYPE_CHECKING:
     from .search import ExceptionRow, FamilySweepReport, SubsetCheck
 
-DEFAULT_MAX_N = 40
-# Largest --max-n accepted.  cod(A_n) costs about twice as much for each
-# 5 added to n; at 60, `cod 60` takes about 5 s and `min-cod 5 60` about
-# 4.5 s on a 2-core VM, and far beyond it a request would run for hours.
+# Largest n that cod, min-cod and check-subset accept.  cod(A_n) costs
+# about twice as much for each 5 added to n; at 60, `cod 60` takes about
+# 5 s and `min-cod 5 60` about 4.5 s on a 2-core VM, and far beyond it a
+# request would run for hours.
 MAX_N_CEILING = 60
 
 Handler = Callable[[argparse.Namespace], int]
@@ -103,8 +103,8 @@ def _emit_csv(header: Iterable[str], rows: Iterable[Iterable[str]]) -> None:
 
 def cmd_cod(args: argparse.Namespace) -> int:
     n = args.n
-    if not 5 <= n <= args.max_n:
-        return _fail_usage(f"n must be in [5, {args.max_n}], got {n}")
+    if not 5 <= n <= MAX_N_CEILING:
+        return _fail_usage(f"n must be in [5, {MAX_N_CEILING}], got {n}")
     cs = alt_codegree_set(n)
     if args.format == "json":
         _emit_json({
@@ -134,8 +134,8 @@ def cmd_cod(args: argparse.Namespace) -> int:
 
 def cmd_min_cod(args: argparse.Namespace) -> int:
     lo, hi = args.n_lo, args.n_hi
-    if not (5 <= lo < hi <= args.max_n):
-        return _fail_usage(f"need 5 <= n_lo < n_hi <= {args.max_n}, got {lo} {hi}")
+    if not (5 <= lo < hi <= MAX_N_CEILING):
+        return _fail_usage(f"need 5 <= n_lo < n_hi <= {MAX_N_CEILING}, got {lo} {hi}")
     monotone, rows = verify_min_codegree_monotone(lo, hi)
     verdict = "PASS" if monotone else "FAIL"
     if args.format == "json":
@@ -211,67 +211,46 @@ def _sweep_json(rep: FamilySweepReport) -> dict:
     }
 
 
-def _family_table(rep: FamilySweepReport, checks: tuple[SubsetCheck, ...]) -> list[str]:
-    lines = [f"target: {rep.family}"]
-    lines.append(f"derived bounds: m_max={rep.m_max} p_max={rep.p_max} k_max={rep.k_max}")
-    lines.append(f"points examined: {rep.points_examined}")
-    for note in rep.notes:
-        lines.append(f"note: {note}")
-    lines.extend(_rows_table(rep.rows))
-    if rep.rows:
-        lines.append("checks:")
-        lines.extend(_check_lines(checks))
-    return lines
-
-
 @_reads_data
 def cmd_search(args: argparse.Namespace) -> int:
-    from .search import (
-        SEARCH_TARGETS,
-        discharge_rows,
-        render_rows_csv,
-        sweep_family,
-        sweep_sporadic,
-    )
+    from .search import (SEARCH_TARGETS, discharge_rows, render_rows_csv,
+                         sweep_family, sweep_sporadic)
 
+    if args.threads < 1:
+        return _fail_usage(f"--threads must be >= 1, got {args.threads}")
     raw = args.target.lower().replace("-", "").replace("_", "")
     if raw == "all":
         return _search_all(args)
     if raw == "sporadic":
-        rows = sweep_sporadic()
-        checks = discharge_rows(rows)
-        if args.format == "json":
-            _emit_json({
-                "command": "search",
-                "target": "sporadic",
-                "rows": [_row_json(r) for r in rows],
-                "checks": [_check_json(c) for c in checks],
-            })
-        elif args.format == "csv":
-            _emit(render_rows_csv(rows))
-        else:
-            print("target: sporadic (26 sporadic groups and the Tits group)")
-            print("\n".join(_rows_table(rows)))
-            print("checks:")
-            print("\n".join(_check_lines(checks)))
-        return _alarm_exit(checks)
-    family = SEARCH_TARGETS.get(raw)
-    if family is None:
+        target, rows, extra = "sporadic", sweep_sporadic(), {}
+        head = ["target: sporadic (26 sporadic groups and the Tits group)"]
+    elif raw in SEARCH_TARGETS:
+        target = SEARCH_TARGETS[raw]
+        rep = sweep_family(target)
+        rows, extra = rep.rows, _sweep_json(rep)
+        head = [f"target: {target}",
+                f"derived bounds: m_max={rep.m_max} p_max={rep.p_max} k_max={rep.k_max}",
+                f"points examined: {rep.points_examined}",
+                *(f"note: {note}" for note in rep.notes)]
+    else:
         return _fail_usage(f"unknown search target {args.target!r}")
-    rep = sweep_family(family)
-    checks = discharge_rows(rep.rows)
+    checks = discharge_rows(rows)
     if args.format == "json":
         _emit_json({
             "command": "search",
-            "target": family,
-            **_sweep_json(rep),
-            "rows": [_row_json(r) for r in rep.rows],
+            "target": target,
+            **extra,
+            "rows": [_row_json(r) for r in rows],
             "checks": [_check_json(c) for c in checks],
         })
     elif args.format == "csv":
-        _emit(render_rows_csv(rep.rows))
+        _emit(render_rows_csv(rows))
     else:
-        print("\n".join(_family_table(rep, checks)))
+        lines = head + _rows_table(rows)
+        # a family with no surviving rows has no checks line
+        if rows or raw == "sporadic":
+            lines += ["checks:", *_check_lines(checks)]
+        print("\n".join(lines))
     return _alarm_exit(checks)
 
 
@@ -387,10 +366,10 @@ def cmd_check_subset(args: argparse.Namespace) -> int:
         g = parse_group_label(args.group)
     except ValueError as exc:
         return _fail_usage(str(exc))
-    if g.family == "Alternating" and g.n > args.max_n:
-        return _fail_usage(f"{group_label(g)} exceeds --max-n {args.max_n}")
-    if not 5 <= args.n <= args.max_n:
-        return _fail_usage(f"n must be in [5, {args.max_n}], got {args.n}")
+    if g.family == "Alternating" and g.n > MAX_N_CEILING:
+        return _fail_usage(f"{group_label(g)} exceeds the largest accepted n, {MAX_N_CEILING}")
+    if not 5 <= args.n <= MAX_N_CEILING:
+        return _fail_usage(f"n must be in [5, {MAX_N_CEILING}], got {args.n}")
     result = check_subset(g, args.n)
     if args.format == "json":
         _emit_json({"command": "check-subset", **_check_json(result)})
@@ -416,58 +395,33 @@ def build_parser() -> argparse.ArgumentParser:
                     "and the bounded simple-group exception search.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("table", "json", "csv"),
-                       default="table")
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility; sweeps run serially, so "
-                            "output bytes are identical for any value >= 1")
-        p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N,
-                       help=f"largest accepted n (default {DEFAULT_MAX_N}, "
-                            f"at most {MAX_N_CEILING})")
-
-    p_cod = sub.add_parser("cod", help="codegree set of A_n")
-    p_cod.add_argument("n", type=int)
-    common(p_cod)
-    p_cod.set_defaults(func=cmd_cod)
-
-    p_min = sub.add_parser("min-cod", help="minimal codegrees a_n and monotonicity")
-    p_min.add_argument("n_lo", type=int)
-    p_min.add_argument("n_hi", type=int)
-    common(p_min)
-    p_min.set_defaults(func=cmd_min_cod)
-
-    p_search = sub.add_parser(
-        "search",
-        help="exception sweep for one family, 'sporadic', or 'all'",
-    )
-    p_search.add_argument("target")
-    common(p_search)
-    p_search.set_defaults(func=cmd_search)
-
-    p_schur = sub.add_parser("schur", help="double cover of A9: equations and sizes")
-    common(p_schur)
-    p_schur.set_defaults(func=cmd_schur)
-
-    p_sub = sub.add_parser("check-subset", help="test cod(H) against cod(A_n)")
-    p_sub.add_argument("group")
-    p_sub.add_argument("n", type=int)
-    common(p_sub)
-    p_sub.set_defaults(func=cmd_check_subset)
-
+    # name, handler, help, positionals.  All take --format; search also
+    # takes --threads.  The handlers are read here, per call, so one that
+    # is replaced in this module (as a span tracer does) is dispatched.
+    for name, handler, help_text, positionals in (
+        ("cod", cmd_cod, "codegree set of A_n", (("n", int),)),
+        ("min-cod", cmd_min_cod, "minimal codegrees a_n and monotonicity",
+         (("n_lo", int), ("n_hi", int))),
+        ("search", cmd_search, "exception sweep for one family, 'sporadic', or 'all'",
+         (("target", str),)),
+        ("schur", cmd_schur, "double cover of A9: equations and sizes", ()),
+        ("check-subset", cmd_check_subset, "test cod(H) against cod(A_n)",
+         (("group", str), ("n", int))),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        for dest, kind in positionals:
+            p.add_argument(dest, type=kind)
+        p.add_argument("--format", choices=("table", "json", "csv"), default="table")
+        if name == "search":
+            p.add_argument("--threads", type=int, default=1,
+                           help="accepted for compatibility; sweeps run serially, so "
+                                "output bytes are identical for any value >= 1")
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.threads < 1:
-        return _fail_usage(f"--threads must be >= 1, got {args.threads}")
-    if args.max_n < 5:
-        return _fail_usage(f"--max-n must be >= 5, got {args.max_n}")
-    if args.max_n > MAX_N_CEILING:
-        return _fail_usage(f"--max-n must be <= {MAX_N_CEILING}, got {args.max_n}")
+    args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

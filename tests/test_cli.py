@@ -1,5 +1,6 @@
 """Command line surface: formats, exit codes, determinism."""
 
+import argparse
 import csv
 import hashlib
 import io
@@ -13,7 +14,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from codlab.cli import MAX_N_CEILING, main
+from codlab.cli import MAX_N_CEILING, build_parser, cmd_search, main
 from codlab.catalog import data_path
 from codlab.search import SEARCH_TARGETS
 
@@ -52,12 +53,17 @@ def test_cod_json(capsys):
 
 
 def test_cod_out_of_range(capsys):
-    code, _, err = run_cli(capsys, "cod", "4")
-    assert code == 2 and "n must be" in err
-    code, _, _ = run_cli(capsys, "cod", "41")
-    assert code == 2
-    code, _, _ = run_cli(capsys, "cod", "41", "--max-n", "45")
-    assert code == 0
+    code, out, err = run_cli(capsys, "cod", "4")
+    assert code == 2 and out == "" and "n must be" in err
+    code, out, _ = run_cli(capsys, "cod", "41")
+    assert code == 0 and out.endswith(" values\n")
+    code, out, err = run_cli(capsys, "cod", "61")
+    assert code == 2 and out == ""
+    assert err == f"error: n must be in [5, {MAX_N_CEILING}], got 61\n"
+    # the bound is fixed: no option raises or lowers it
+    with pytest.raises(SystemExit) as exc:
+        main(["cod", "41", "--max-n", "45"])
+    assert exc.value.code == 2
 
 
 def test_min_cod(capsys):
@@ -356,10 +362,10 @@ def test_check_subset_errors(capsys):
         code, _, err = run_cli(capsys, "check-subset", label, "9")
         assert code == 2, label
         assert label in err
-    for label in ("A70", "A41"):
-        code, _, err = run_cli(capsys, "check-subset", label, "9")
-        assert code == 2, label
-        assert label in err and "--max-n 40" in err
+    for label in ("A70", "A61"):
+        code, out, err = run_cli(capsys, "check-subset", label, "9")
+        assert code == 2 and out == "", label
+        assert err == f"error: {label} exceeds the largest accepted n, {MAX_N_CEILING}\n"
 
 
 @pytest.mark.parametrize("q", [2**61 - 1, 2**127 - 1], ids=["2^61-1", "2^127-1"])
@@ -375,29 +381,17 @@ def test_check_subset_huge_q_exits_2_in_bounded_time(q):
 
 
 def test_max_n_ceiling(capsys):
-    code, out, err = run_cli(capsys, "cod", "5", "--max-n", str(MAX_N_CEILING))
-    assert code == 0 and "4 values" in out
-    for argv in (("cod", "80", "--max-n", "100"), ("min-cod", "5", "200", "--max-n", "1000"),
-                 ("check-subset", "A70", "9", "--max-n", "70"),
-                 ("search", "all", "--max-n", str(MAX_N_CEILING + 1))):
+    # past the ceiling a request would run for hours: refused before any work
+    for argv, message in (
+        (("cod", "80"), f"n must be in [5, {MAX_N_CEILING}], got 80"),
+        (("min-cod", "5", "200"), f"need 5 <= n_lo < n_hi <= {MAX_N_CEILING}, got 5 200"),
+        (("check-subset", "A70", "9"), f"A70 exceeds the largest accepted n, {MAX_N_CEILING}"),
+    ):
         start = time.perf_counter()
         code, out, err = run_cli(capsys, *argv)
         assert time.perf_counter() - start < 1.0, argv
         assert code == 2 and out == "", argv
-        assert f"--max-n must be <= {MAX_N_CEILING}" in err, argv
-
-
-def test_max_n_floor(capsys):
-    # below 5 no n is accepted, so the option itself is refused, on every
-    # subcommand
-    code, out, _ = run_cli(capsys, "cod", "5", "--max-n", "5")
-    assert code == 0 and "4 values" in out
-    for argv in (("cod", "5", "--max-n", "4"), ("min-cod", "5", "6", "--max-n", "0"),
-                 ("check-subset", "J2", "10", "--max-n", "-1"),
-                 ("search", "psl", "--max-n", "4"), ("schur", "--max-n", "3")):
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 2 and out == "", argv
-        assert err == f"error: --max-n must be >= 5, got {argv[-1]}\n", argv
+        assert err == f"error: {message}\n", argv
 
 
 def test_search_targets():
@@ -412,8 +406,38 @@ def test_search_targets():
 
 
 def test_bad_thread_count(capsys):
-    code, _, err = run_cli(capsys, "cod", "8", "--threads", "0")
-    assert code == 2 and "--threads" in err
+    code, out, err = run_cli(capsys, "search", "psl", "--threads", "0")
+    assert code == 2 and out == ""
+    assert err == "error: --threads must be >= 1, got 0\n"
+    # only search takes --threads
+    with pytest.raises(SystemExit) as exc:
+        main(["cod", "8", "--threads", "1"])
+    assert exc.value.code == 2
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    parser = build_parser()
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {name: sorted(s for a in p._actions for s in a.option_strings)
+               for name, p in commands.choices.items()}
+    only_format = ["--format", "--help", "-h"]
+    assert options == {
+        "cod": only_format,
+        "min-cod": only_format,
+        "search": ["--format", "--help", "--threads", "-h"],
+        "schur": only_format,
+        "check-subset": only_format,
+    }
+    assert parser.parse_args(["search", "all"]).threads == 1
+
+
+def test_main_calls_the_handler_the_module_holds(capsys, monkeypatch):
+    # a wrapper put in place of a handler, as a span tracer does, is called
+    seen = []
+    monkeypatch.setattr("codlab.cli.cmd_search",
+                        lambda args: seen.append(args.threads) or cmd_search(args))
+    code, out, _ = run_cli(capsys, "search", "g2", "--threads", "2")
+    assert code == 0 and out.startswith("target: G2\n") and seen == [2]
 
 
 def test_usage_error_exit_code():
