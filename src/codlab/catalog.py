@@ -7,9 +7,11 @@ bound sit in one row of _CLASSICAL or _EXCEPTIONAL.  The order formula
 is over Z, and the bound is a polynomial in q with integer coefficients
 over one denominator; group_order and class_number_bound evaluate them,
 and order_class_shape reads the q-part exponent and q-degrees off them.
-Degree data is read from a versioned structured-text file shipped with
-the package (override the path with the CODLAB_DATA environment
-variable); the loader alone checks a record against its group.
+Each sporadic group's order and class count sit in one row of
+_SPORADIC_ATLAS.  Only degree data is read from a versioned
+structured-text file shipped with the package (override the path with
+the CODLAB_DATA environment variable); the loader alone checks a record
+against its group, on the record's line.
 
 A note on naming: the classical families are parametrised by the rank m
 used in the search, so the PSL tag with (m, q) is the group PSL(m+1, q),
@@ -83,43 +85,49 @@ _CLASSICAL_BY_HEAD = {row[0]: (family, *row[1:3]) for family, row in _CLASSICAL.
 _EXCEPTIONAL_BY_PREFIX = {prefix: family for family, prefix in EXCEPTIONAL_PREFIX.items()}
 
 # The 26 sporadic groups and the Tits group, each with the prime
-# factorisation of its order as the ATLAS of Finite Groups quotes it
-# (the form exactnum.format_factored writes).  A data file's orders are
-# checked against these.
-_SPORADIC_ATLAS = {
-    "M11": "2^4·3^2·5·11",
-    "M12": "2^6·3^3·5·11",
-    "J1": "2^3·3·5·7·11·19",
-    "M22": "2^7·3^2·5·7·11",
-    "J2": "2^7·3^3·5^2·7",
-    "M23": "2^7·3^2·5·7·11·23",
-    "HS": "2^9·3^2·5^3·7·11",
-    "J3": "2^7·3^5·5·17·19",
-    "M24": "2^10·3^3·5·7·11·23",
-    "McL": "2^7·3^6·5^3·7·11",
-    "He": "2^10·3^3·5^2·7^3·17",
-    "Ru": "2^14·3^3·5^3·7·13·29",
-    "Suz": "2^13·3^7·5^2·7·11·13",
-    "ON": "2^9·3^4·5·7^3·11·19·31",
-    "Co3": "2^10·3^7·5^3·7·11·23",
-    "Co2": "2^18·3^6·5^3·7·11·23",
-    "Fi22": "2^17·3^9·5^2·7·11·13",
-    "HN": "2^14·3^6·5^6·7·11·19",
-    "Ly": "2^8·3^7·5^6·7·11·31·37·67",
-    "Th": "2^15·3^10·5^3·7^2·13·19·31",
-    "Fi23": "2^18·3^13·5^2·7·11·13·17·23",
-    "Co1": "2^21·3^9·5^4·7^2·11·13·23",
-    "J4": "2^21·3^3·5·7·11^3·23·29·31·37·43",
-    "Fi24'": "2^21·3^16·5^2·7^3·11·13·17·23·29",
-    "B": "2^41·3^13·5^6·7^2·11·13·17·19·23·31·47",
-    "M": "2^46·3^20·5^9·7^6·11^2·13^3·17·19·23·29·31·41·47·59·71",
-    "2F4(2)'": "2^11·3^3·5^2·13",
+# factorisation of its order (the form exactnum.format_factored writes) and
+# its number of conjugacy classes, as the ATLAS of Finite Groups quotes them.
+_SPORADIC_ATLAS = {  # label: (order factorisation, class count)
+    "M11": ("2^4·3^2·5·11", 10),
+    "M12": ("2^6·3^3·5·11", 15),
+    "J1": ("2^3·3·5·7·11·19", 15),
+    "M22": ("2^7·3^2·5·7·11", 12),
+    "J2": ("2^7·3^3·5^2·7", 21),
+    "M23": ("2^7·3^2·5·7·11·23", 17),
+    "HS": ("2^9·3^2·5^3·7·11", 24),
+    "J3": ("2^7·3^5·5·17·19", 21),
+    "M24": ("2^10·3^3·5·7·11·23", 26),
+    "McL": ("2^7·3^6·5^3·7·11", 24),
+    "He": ("2^10·3^3·5^2·7^3·17", 33),
+    "Ru": ("2^14·3^3·5^3·7·13·29", 36),
+    "Suz": ("2^13·3^7·5^2·7·11·13", 43),
+    "ON": ("2^9·3^4·5·7^3·11·19·31", 30),
+    "Co3": ("2^10·3^7·5^3·7·11·23", 42),
+    "Co2": ("2^18·3^6·5^3·7·11·23", 60),
+    "Fi22": ("2^17·3^9·5^2·7·11·13", 65),
+    "HN": ("2^14·3^6·5^6·7·11·19", 54),
+    "Ly": ("2^8·3^7·5^6·7·11·31·37·67", 53),
+    "Th": ("2^15·3^10·5^3·7^2·13·19·31", 48),
+    "Fi23": ("2^18·3^13·5^2·7·11·13·17·23", 98),
+    "Co1": ("2^21·3^9·5^4·7^2·11·13·23", 101),
+    "J4": ("2^21·3^3·5·7·11^3·23·29·31·37·43", 62),
+    "Fi24'": ("2^21·3^16·5^2·7^3·11·13·17·23·29", 108),
+    "B": ("2^41·3^13·5^6·7^2·11·13·17·19·23·31·47", 184),
+    "M": ("2^46·3^20·5^9·7^6·11^2·13^3·17·19·23·29·31·41·47·59·71", 194),
+    "2F4(2)'": ("2^11·3^3·5^2·13", 22),
 }
 SPORADIC_LABELS = tuple(_SPORADIC_ATLAS)
-_SPORADIC_ORDER = {  # "2^4·3^2·5·11" -> 7920
-    label: prod(int(p) ** int(e or 1)
-                for p, _, e in (power.partition("^") for power in text.split("·")))
-    for label, text in _SPORADIC_ATLAS.items()
+
+
+class SporadicEntry(namedtuple("SporadicEntry", "label order class_count")):
+    __slots__ = ()
+
+
+_SPORADIC = {  # "2^4·3^2·5·11" -> order 7920
+    label: SporadicEntry(label, prod(int(p) ** int(e or 1) for p, _, e in
+                                     (power.partition("^") for power in text.split("·"))),
+                         classes)
+    for label, (text, classes) in _SPORADIC_ATLAS.items()
 }
 
 
@@ -175,7 +183,7 @@ def _check_lie_point(family: str, m: int | None, q: PrimePower) -> None:
                     f"{family} needs q = {fixed}^(2a+1) with a >= 1, got {qv}"
                 )
         elif family == "G2" and qv == 2:
-            raise ValueError("G2(2) is not simple; use the G2Prime2 tag")
+            raise ValueError("G2(2) is not simple; use the label G2(2)'")
 
 
 def alternating(n: int) -> GroupId:
@@ -302,7 +310,7 @@ def group_order(g: GroupId) -> int:
     if g.family == "Alternating":
         return factorial(g.n) // 2  # type: ignore[arg-type]
     if g.family == "Sporadic":
-        return _SPORADIC_ORDER[g.name]  # type: ignore[index]
+        return _SPORADIC[g.name].order  # type: ignore[index]
     if g.family == "G2Prime2":
         return 6048  # index 2 in G2(2) of order 12096
     q = g.q.q  # type: ignore[union-attr]
@@ -321,7 +329,7 @@ def class_number_bound(g: GroupId) -> tuple[int, int]:
     if g.family == "Alternating":
         raise ValueError("alternating groups are not bounded here")
     if g.family == "Sporadic":
-        return _catalog().sporadic[g.name].class_count, 1  # type: ignore[index]
+        return _SPORADIC[g.name].class_count, 1  # type: ignore[index]
     if g.family == "G2Prime2":
         family, q = "G2", 2  # swept with the G2 bound evaluated at q = 2
     else:
@@ -366,10 +374,6 @@ _DATA_VERSION = 1
 _DOUBLE_COVER = "2.A9"  # the one faithful_only record, of order 2|A9| = 9!
 
 
-class SporadicEntry(namedtuple("SporadicEntry", "label order class_count provenance")):
-    __slots__ = ()
-
-
 class DegreeRecord(namedtuple(
     "DegreeRecord", "label order degrees faithful_only provenance aliases", defaults=((),)
 )):
@@ -379,12 +383,6 @@ class DegreeRecord(namedtuple(
     faithful on a covering group (used for 2.A9); for full records the
     degrees satisfy sum d^2 == order.
     """
-
-    __slots__ = ()
-
-
-class CatalogData(namedtuple("CatalogData", "sporadic degrees")):
-    """Sporadic entries and degree records (aliases included), by label."""
 
     __slots__ = ()
 
@@ -404,17 +402,18 @@ def data_path() -> Path:
 
 
 class DataFileError(ValueError):
-    """A degree data file that cannot be read or parsed, that holds a
-    record contradicting its group, or that lacks a record a run needs.
+    """A degree data file that cannot be read, that holds a line other than
+    a degree record or a record contradicting its group, or that lacks a
+    degree record a run needs.
 
-    The message is "<path>:<line>: <problem>", or "<path>: <problem>"
-    when the problem belongs to no one line.
+    The message is "<path>:<line>: <problem>" for a problem on one line,
+    as each record is checked on its own line, else "<path>: <problem>".
     """
 
 
-def _load_catalog(path: Path) -> CatalogData:
-    sporadic_entries: dict[str, SporadicEntry] = {}
-    degree_records: dict[str, DegreeRecord] = {}
+def _load_catalog(path: Path) -> dict[str, DegreeRecord]:
+    """The degree records of the data file at path, by label and alias."""
+    records: dict[str, DegreeRecord] = {}
     lineno = 1
     try:
         with open(path, encoding="utf-8") as fh:
@@ -425,7 +424,7 @@ def _load_catalog(path: Path) -> CatalogData:
             for lineno, line in enumerate(fh, 2):
                 line = line.strip()
                 if line:
-                    _add_record(json.loads(line), sporadic_entries, degree_records)
+                    _add_record(json.loads(line), records)
     except OSError as exc:
         raise DataFileError(f"{path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
@@ -436,17 +435,7 @@ def _load_catalog(path: Path) -> CatalogData:
         raise DataFileError(f"{path}:{lineno}: record has no {exc} field") from None
     except (TypeError, ValueError) as exc:
         raise DataFileError(f"{path}:{lineno}: {exc}") from None
-    missing = set(SPORADIC_LABELS) - set(sporadic_entries)
-    if missing:
-        raise DataFileError(
-            f"{path}: sporadic table incomplete, missing {sorted(missing)}"
-        )
-    for key, record in degree_records.items():
-        try:
-            _check_against_group(key, record, sporadic_entries)
-        except ValueError as exc:
-            raise DataFileError(f"{path}: degree record {key}: {exc}") from None
-    return CatalogData(sporadic_entries, degree_records)
+    return records
 
 
 def _integer(value: object, field: str) -> int:
@@ -464,69 +453,46 @@ def _text(value: object, field: str) -> str:
     return value
 
 
-def _add_record(
-    rec: object,
-    sporadic_entries: dict[str, SporadicEntry],
-    degree_records: dict[str, DegreeRecord],
-) -> None:
-    """Check one parsed record against its own fields and file it.
+def _add_record(rec: object, records: dict[str, DegreeRecord]) -> None:
+    """Check one parsed degree record, under its label and each alias,
+    against the group that name gives, and file it under each.
 
     Raises KeyError, TypeError or ValueError, which the loader reports
     with the path and line.
     """
     if not isinstance(rec, dict):
         raise ValueError("record is not a JSON object")
-    if rec["record"] == "sporadic":
-        entry = SporadicEntry(
-            _text(rec["label"], "label"), _integer(rec["order"], "order"),
-            _integer(rec["class_count"], "class_count"),
-            _text(rec["provenance"], "provenance"),
-        )
-        if entry.label not in _SPORADIC_ORDER:
-            raise ValueError(f"unknown sporadic label {entry.label!r}")
-        if entry.label in sporadic_entries:
-            raise ValueError(f"duplicate sporadic record {entry.label}")
-        if entry.order != _SPORADIC_ORDER[entry.label]:
-            raise ValueError(f"{entry.label} order {entry.order} disagrees with the "
-                             f"ATLAS order {_SPORADIC_ORDER[entry.label]}")
-        sporadic_entries[entry.label] = entry
-    elif rec["record"] == "degrees":
-        degrees = tuple(_integer(d, "degree") for d in rec["degrees"])
-        faithful_only = rec.get("faithful_only", False)
-        if type(faithful_only) is not bool:
-            raise TypeError(f"faithful_only {json.dumps(faithful_only)} is not true or false")
-        aliases = rec.get("aliases", [])
-        if type(aliases) is not list:
-            raise TypeError(f"aliases {json.dumps(aliases)} is not a list")
-        record = DegreeRecord(
-            _text(rec["label"], "label"), _integer(rec["order"], "order"), degrees,
-            faithful_only, _text(rec["provenance"], "provenance"),
-            tuple(_text(alias, "alias") for alias in aliases),
-        )
-        if list(degrees) != sorted(degrees):
-            raise ValueError(f"degrees for {record.label} not sorted")
-        if not record.faithful_only:
-            total = sum(d * d for d in degrees)
-            if total != record.order:
-                raise ValueError(
-                    f"degree record {record.label}: sum of squares "
-                    f"{total} != order {record.order}"
-                )
-        for key in (record.label, *record.aliases):
-            if key in degree_records:
-                raise ValueError(f"duplicate degree record {key}")
-            degree_records[key] = record
-    else:
+    if rec["record"] != "degrees":
         raise ValueError(f"unknown record type {rec['record']!r}")
+    degrees = tuple(_integer(d, "degree") for d in rec["degrees"])
+    faithful_only = rec.get("faithful_only", False)
+    if type(faithful_only) is not bool:
+        raise TypeError(f"faithful_only {json.dumps(faithful_only)} is not true or false")
+    aliases = rec.get("aliases", [])
+    if type(aliases) is not list:
+        raise TypeError(f"aliases {json.dumps(aliases)} is not a list")
+    record = DegreeRecord(
+        _text(rec["label"], "label"), _integer(rec["order"], "order"), degrees,
+        faithful_only, _text(rec["provenance"], "provenance"),
+        tuple(_text(alias, "alias") for alias in aliases),
+    )
+    if list(degrees) != sorted(degrees):
+        raise ValueError(f"degrees for {record.label} not sorted")
+    for key in (record.label, *record.aliases):
+        if key in records:
+            raise ValueError(f"duplicate degree record {key}")
+        try:
+            _check_against_group(key, record)
+        except ValueError as exc:
+            raise ValueError(f"degree record {key}: {exc}") from None
+        records[key] = record
 
 
-def _check_against_group(key: str, record: DegreeRecord, sporadic_entries: dict) -> None:
+def _check_against_group(key: str, record: DegreeRecord) -> None:
     """Raise ValueError if the degree record filed under key contradicts the
-    group key names.  A sporadic class count is read from the entries
-    being loaded: class_number_bound would load the catalog again."""
+    group key names."""
     cover = key == _DOUBLE_COVER
     g = None if cover else parse_group_label(key)
-    entry = sporadic_entries[g.name] if g and g.family == "Sporadic" else None
     bits = record.order.bit_length()
     b = g.q.q.bit_length() - 1 if g and g.q else 0  # a Lie group's q >= 2^b
     # refuse a too big G before building |G|: |A_n| >= 2^(n-2) and |G| >= 2^(b*e),
@@ -540,33 +506,30 @@ def _check_against_group(key: str, record: DegreeRecord, sporadic_entries: dict)
     if record.order != order:
         raise ValueError(f"order {record.order} disagrees with the order formula {order}")
     # the faithful characters of 2.A9 make up |2.A9| - |A9| = order / 2
-    if cover and sum(d * d for d in record.degrees) != order // 2:
-        raise ValueError(f"sum of squared degrees is not {order // 2}")
-    if entry and len(record.degrees) != entry.class_count:
-        raise ValueError(f"{len(record.degrees)} degrees for {entry.class_count} classes")
+    squares = order // 2 if cover else order
+    if sum(d * d for d in record.degrees) != squares:
+        raise ValueError(f"sum of squared degrees is not {squares}")
+    classes = _SPORADIC[g.name].class_count if g and g.family == "Sporadic" else None
+    if classes and len(record.degrees) != classes:
+        raise ValueError(f"{len(record.degrees)} degrees for {classes} classes")
     for d in record.degrees:
         if d < 1 or order % d:
             raise ValueError(f"degree {d} does not divide |{key}| = {order}")
 
 
 @lru_cache(maxsize=4)
-def _catalog_cached(path_str: str) -> CatalogData:
+def _degree_records(path_str: str) -> dict[str, DegreeRecord]:
     return _load_catalog(Path(path_str))
 
 
-def _catalog() -> CatalogData:
-    return _catalog_cached(str(data_path()))
-
-
 def sporadic_entries() -> list[SporadicEntry]:
-    cat = _catalog()
-    return [cat.sporadic[label] for label in SPORADIC_LABELS]
+    return list(_SPORADIC.values())
 
 
 def degree_record(label: str) -> DegreeRecord:
     path = data_path()
     try:
-        return _catalog_cached(str(path)).degrees[label]
+        return _degree_records(str(path))[label]
     except KeyError:
         raise DataFileError(f"{path}: no degree data for {label}") from None
 

@@ -61,6 +61,7 @@ from .catalog import (
     EXCEPTIONAL_PREFIX,
     LIE_FAMILIES,
     RANK_FLOOR,
+    SPORADIC_LABELS,
     TWISTED_ODD_POWER,
     GroupId,
     PrimePower,
@@ -72,7 +73,6 @@ from .catalog import (
     parse_group_label,
     simple_codegree_set,
     sporadic,
-    sporadic_entries,
     twisted_codegree_set_2a9,
 )
 from .exactnum import factorial, is_prime
@@ -329,7 +329,7 @@ def sweep_family(family: str) -> FamilySweepReport:
 
 def sweep_sporadic() -> tuple[ExceptionRow, ...]:
     """Sieve all 26 sporadic groups and the Tits group."""
-    points = [sporadic(entry.label) for entry in sporadic_entries()]
+    points = map(sporadic, SPORADIC_LABELS)
     rows = [_row(g, n, ratio) for g in points for n, ratio in _sieve(g) or ()]
     return tuple(sorted(rows, key=ExceptionRow.sort_key))
 

@@ -37,7 +37,6 @@ from codlab.catalog import (
     sporadic,
     sporadic_entries,
     _SPORADIC_ATLAS,
-    _catalog,
     _load_catalog,
     _order_formula,
     twisted_codegree_set_2a9,
@@ -114,11 +113,20 @@ SPORADIC_FACTORIZATIONS = {
 
 @pytest.mark.parametrize("label", sorted(SPORADIC_FACTORIZATIONS))
 def test_sporadic_orders_factor_correctly(label):
-    # the loaded order and the library's table, against this copy
+    # the library's table, against this copy
     entry = next(e for e in sporadic_entries() if e.label == label)
     assert factor(entry.order) == SPORADIC_FACTORIZATIONS[label]
     assert entry.order == group_order(sporadic(label))
-    assert format_factored(entry.order) == _SPORADIC_ATLAS[label]
+    assert format_factored(entry.order) == _SPORADIC_ATLAS[label][0]
+
+
+# k(H), the number of conjugacy classes, as the ATLAS of Finite Groups gives it
+SPORADIC_CLASS_COUNTS = {
+    "M11": 10, "M12": 15, "J1": 15, "M22": 12, "J2": 21, "M23": 17, "HS": 24,
+    "J3": 21, "M24": 26, "McL": 24, "He": 33, "Ru": 36, "Suz": 43, "ON": 30,
+    "Co3": 42, "Co2": 60, "Fi22": 65, "HN": 54, "Ly": 53, "Th": 48, "Fi23": 98,
+    "Co1": 101, "J4": 62, "Fi24'": 108, "B": 184, "M": 194, "2F4(2)'": 22,
+}
 
 
 def test_sporadic_table_complete():
@@ -126,8 +134,10 @@ def test_sporadic_table_complete():
     assert len(entries) == 27
     assert [e.label for e in entries] == list(SPORADIC_LABELS)
     assert set(SPORADIC_FACTORIZATIONS) == set(SPORADIC_LABELS)
-    assert all(e.class_count >= 10 for e in entries)
-    assert all("ATLAS" in e.provenance for e in entries)
+    # the size sieve's k(H) for each sporadic group, against this copy
+    assert {e.label: e.class_count for e in entries} == SPORADIC_CLASS_COUNTS
+    for e in entries:
+        assert class_number_bound(sporadic(e.label)) == (e.class_count, 1)
 
 
 def test_alternating_coincidences():
@@ -479,7 +489,7 @@ def test_degree_record_aliases():
     assert degree_record("PSU(4,2)") is degree_record("Omega(5,3)")
     assert degree_record("G2(2)'") is degree_record("PSU(3,3)")
     with pytest.raises(DataFileError, match="no degree data for M11"):
-        degree_record("M11")  # sporadic order table only, no degrees
+        degree_record("M11")  # in the ATLAS table only, no degrees
 
 
 EXPECTED_SIMPLE_COD = {
@@ -510,10 +520,17 @@ DATA_LABELS = ("PSL(2,4)", "PSL(2,5)", "PSL(2,7)", "PSL(2,8)", "PSL(2,9)", "PSL(
                "PSL(3,4)", "PSU(3,3)", "Omega(5,3)", "J2", "G2(2)'", "PSU(4,2)")
 
 
+def test_data_file_holds_degree_records_only():
+    # one degree record a line after the header; the sporadic facts are catalog's
+    lines = data_path().read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["record"] for line in lines[1:]] == ["degrees"] * 11
+    assert set(_load_catalog(data_path())) == {*DATA_LABELS, "2.A9"}
+
+
 def test_codegree_sets_trust_the_loaded_records(monkeypatch):
     # the loader checked each record against its group; a query asks no
     # order again
-    _catalog()
+    degree_record("J2")
     calls = []
     monkeypatch.setattr("codlab.catalog.group_order", lambda g: calls.append(g))
     for label in DATA_LABELS:
@@ -576,7 +593,8 @@ def test_build_tool_writes_only_what_the_loader_accepts(tmp_path, monkeypatch):
     out.write_bytes(b"earlier bytes\n")
     good = tool.J2_DEGREES
     monkeypatch.setattr(tool, "J2_DEGREES", [1, 15, *good[2:]])
-    with pytest.raises(SystemExit, match=r"groups_v1\.jsonl\.tmp:.*J2: sum of squares"):
+    with pytest.raises(SystemExit,
+                       match=r"groups_v1\.jsonl\.tmp:11: degree record J2: sum of squared"):
         tool.main(out)
     assert out.read_bytes() == b"earlier bytes\n"
     assert list(tmp_path.iterdir()) == [out]
@@ -639,36 +657,41 @@ def test_loader_returns_or_raises_data_file_error(lines, keep_header):
             cat = _load_catalog(path)
         except DataFileError as exc:
             assert str(exc).startswith(f"{path}:"), exc
-        else:
-            assert set(cat.sporadic) == set(SPORADIC_LABELS)
+        else:  # each record is filed under its label and aliases, and checked
+            for key, record in cat.items():
+                assert key in (record.label, *record.aliases)
+                squares = sum(d * d for d in record.degrees)
+                assert squares == record.order // (2 if record.faithful_only else 1)
 
 
-def _with_number(field, i, value):
-    """The data lines with value written into one number: the order or
-    class count of sporadic record i, or degree i of the J2 record."""
+def _with_number(field, i, edit):
+    """The data lines with one number replaced by edit(number): the order
+    of degree record i, or degree i of the J2 record."""
     lines = list(_DATA_LINES)
     if field == "degree":
-        [row] = [r for r, ln in enumerate(lines) if '"degrees", "label": "J2"' in ln]
+        [row] = [r for r, ln in enumerate(lines) if '"label": "J2"' in ln]
         rec = json.loads(lines[row])
-        rec["degrees"][i % len(rec["degrees"])] = value
+        numbers, key = rec["degrees"], i % len(rec["degrees"])
     else:
-        row = 1 + i % len(SPORADIC_LABELS)
+        row = 1 + i % (len(lines) - 1)
         rec = json.loads(lines[row])
-        rec[field] = value
+        numbers, key = rec, "order"
+    value = numbers[key] = edit(numbers[key])
     lines[row] = json.dumps(rec)
-    return lines, rec["label"]
+    return lines, rec["label"], value
 
 
 _JSON_SCALAR = (st.integers() | st.floats() | st.booleans() | st.none()
                 | st.text(max_size=8) | st.integers(0, 10**6).map(str))
+# the number written, the same value as a float or as text, or any JSON scalar
+_NUMBER_EDIT = st.sampled_from([int, float, str]) | _JSON_SCALAR.map(lambda v: lambda _: v)
 
 
-@given(st.sampled_from(["order", "class_count", "degree"]), st.integers(0, 100),
-       _JSON_SCALAR)
+@given(st.sampled_from(["order", "degree"]), st.integers(0, 100), _NUMBER_EDIT)
 @settings(max_examples=150, deadline=None)
-def test_loader_reads_numbers_exactly(field, i, value):
+def test_loader_reads_numbers_exactly(field, i, edit):
     # a number is loaded as exactly the JSON integer written, or refused
-    lines, label = _with_number(field, i, value)
+    lines, label, value = _with_number(field, i, edit)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "numbers.jsonl"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -678,34 +701,32 @@ def test_loader_reads_numbers_exactly(field, i, value):
             assert str(exc).startswith(f"{path}:"), exc
             return
     if field == "degree":
-        got = cat.degrees[label].degrees[i % len(cat.degrees[label].degrees)]
+        got = cat[label].degrees[i % len(cat[label].degrees)]
     else:
-        got = getattr(cat.sporadic[label], field)
+        got = cat[label].order
     assert type(value) is int and type(got) is int and got == value
 
 
 def _with_field(field, i, value):
-    """The data lines with value as one field: the label of sporadic record
-    i, the provenance of record i, or faithful_only of degree record i."""
+    """The data lines with value as one field of degree record i: its
+    label, its provenance or its faithful_only flag."""
     lines = list(_DATA_LINES)
-    sporadic_rows = range(1, 1 + len(SPORADIC_LABELS))
-    rows = {"label": sporadic_rows, "provenance": range(1, len(lines)),
-            "faithful_only": range(sporadic_rows.stop, len(lines))}[field]
-    row = rows[i % len(rows)]
+    row = 1 + i % (len(lines) - 1)
     rec = json.loads(lines[row])
-    kind, was = rec["record"], rec["label"]
+    was = rec["label"]
     rec[field] = value
     lines[row] = json.dumps(rec)
-    return lines, kind, was
+    return lines, was
 
 
 @given(st.sampled_from(["label", "provenance", "faithful_only"]), st.integers(0, 100),
-       _JSON_SCALAR | st.sampled_from(SPORADIC_LABELS + ("2.A9", "ATLAS of Finite Groups"))
+       _JSON_SCALAR | st.sampled_from(DATA_LABELS + ("2.A9", "A5", "A8", "M11",
+                                                     "ATLAS of Finite Groups"))
        | st.lists(st.text(max_size=3), max_size=2))
 @settings(max_examples=150, deadline=None)
 def test_loader_reads_fields_exactly(field, i, value):
     # a name is loaded only as the JSON text written, a flag only as a JSON bool
-    lines, kind, was = _with_field(field, i, value)
+    lines, was = _with_field(field, i, value)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fields.jsonl"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -714,13 +735,13 @@ def test_loader_reads_fields_exactly(field, i, value):
         except DataFileError as exc:
             assert str(exc).startswith(f"{path}:"), exc
             return
-    if field == "label":  # each label once, so only the same one loads
-        assert value == was
+    if field == "label":  # filed under the name written, and no longer under the old one
+        assert type(value) is str and cat[value].label == value
+        assert (was in cat) == (value == was)
     elif field == "provenance":
-        record = (cat.sporadic if kind == "sporadic" else cat.degrees)[was]
-        assert type(value) is str and record.provenance == value
+        assert type(value) is str and cat[was].provenance == value
     else:
-        assert value is (was == "2.A9") and cat.degrees[was].faithful_only is value
+        assert value is (was == "2.A9") and cat[was].faithful_only is value
 
 
 def test_corrupted_data_detected(tmp_path, monkeypatch):
@@ -730,5 +751,5 @@ def test_corrupted_data_detected(tmp_path, monkeypatch):
     target = tmp_path / "bad.jsonl"
     target.write_text(bad, encoding="utf-8")
     monkeypatch.setenv("CODLAB_DATA", str(target))
-    with pytest.raises(ValueError, match="sum of squares"):
+    with pytest.raises(ValueError, match=r":9: degree record PSU\(3,3\): sum of squared"):
         degree_record("PSU(3,3)")

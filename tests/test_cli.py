@@ -368,6 +368,13 @@ def test_check_subset_errors(capsys):
         assert err == f"error: {label} exceeds the largest accepted n, {MAX_N_CEILING}\n"
 
 
+def test_check_subset_g2_2_names_its_derived_group(capsys):
+    # G2(2) is not simple; the error names the label that parses, G2(2)'
+    code, out, err = run_cli(capsys, "check-subset", "G2(2)", "9")
+    assert code == 2 and out == ""
+    assert err == "error: G2(2) is not simple; use the label G2(2)'\n"
+
+
 @pytest.mark.parametrize("q", [2**61 - 1, 2**127 - 1], ids=["2^61-1", "2^127-1"])
 def test_check_subset_huge_q_exits_2_in_bounded_time(q):
     # a prime q with no degree data, and a q past the proven primality range
@@ -461,10 +468,10 @@ def _drop_label(line):
 
 
 def _on_j2(edit):
-    """Apply edit to line 6, the sporadic J2 record."""
+    """Apply edit to line 11, the J2 degree record."""
     def apply(lines):
-        assert '"label": "J2"' in lines[5]
-        return lines[:5] + [edit(lines[5])] + lines[6:]
+        assert '"label": "J2"' in lines[10]
+        return lines[:10] + [edit(lines[10])] + lines[11:]
     return apply
 
 
@@ -480,112 +487,114 @@ def _without_degrees(label):
 
 def _degrees_of(label, /, **fields):
     """Set fields of the degree record of label."""
-    return _record_of("degrees", label, **fields)
-
-
-def _record_of(kind, label, /, **fields):
-    """Set fields of the kind record of label."""
     def apply(lines):
-        key = f'"record": "{kind}", "label": "{label}"'
+        key = f'"record": "degrees", "label": "{label}"'
         [i] = [i for i, ln in enumerate(lines) if key in ln]
         return lines[:i] + [json.dumps({**json.loads(lines[i]), **fields})] + lines[i + 1:]
     return apply
 
 
-def _appended(**record):
-    """Append the record as line 40, after the 2.A9 record on line 39."""
+def _appended(record):
+    """Append the record as line 13, after the 2.A9 record on line 12."""
     def apply(lines):
-        assert len(lines) == 39 and '"label": "2.A9"' in lines[38]
+        assert len(lines) == 12 and '"label": "2.A9"' in lines[11]
         return lines + [json.dumps(record)]
     return apply
 
 
-_M22 = {"record": "sporadic", "label": "M22", "order": 443520, "class_count": 12,
-        "provenance": "ATLAS of Finite Groups"}
+_SPORADIC_M11 = {"record": "sporadic", "label": "M11", "order": 7920, "class_count": 10,
+                 "provenance": "ATLAS of Finite Groups"}
+# J2's 21 degrees with 300 split as 180 and 240 (300^2 = 180^2 + 240^2): the
+# squares still sum to |J2|, and each degree divides it, but 22 is not k(J2)
+_J2_22_DEGREES = [1, 14, 14, 21, 21, 36, 63, 70, 70, 90, 126, 160, 175, 180,
+                  189, 189, 224, 224, 225, 240, 288, 336]
 
 
 @pytest.mark.parametrize(
     "edit,argv,problem",
     [
         (None, ("check-subset", "J2", "10"), ": No such file or directory"),
-        (_on_j2(lambda line: "{not json"), ("check-subset", "J2", "10"), ":6: not JSON: "),
+        (_on_j2(lambda line: "{not json"), ("check-subset", "J2", "10"), ":11: not JSON: "),
         (_on_j2(_drop_label), ("check-subset", "J2", "10"),
-         ":6: record has no 'label' field"),
+         ":11: record has no 'label' field"),
         (_without_degrees("2.A9"), ("search", "all"), ": no degree data for 2.A9"),
         (_without_degrees("2.A9"), ("schur",), ": no degree data for 2.A9"),
         (_without_degrees("J2"), ("search", "all"), ": no degree data for J2"),
         (_without_degrees("J2"), ("search", "sporadic"), ": no degree data for J2"),
         (_without_degrees("J2"), ("check-subset", "J2", "10"), ": no degree data for J2"),
-        # records the loader accepts that contradict the group they name
+        # records that contradict the group they name, refused on their line
         (_degrees_of("PSL(2,8)", order=26, degrees=[1, 3, 4]), ("check-subset", "PSL(2,8)", "8"),
-         ": degree record PSL(2,8): order 26 disagrees with the order formula 504"),
+         ":5: degree record PSL(2,8): order 26 disagrees with the order formula 504"),
         (_degrees_of("PSL(2,8)", degrees=[1, 1, 5, 6, 21]), ("search", "all"),
-         ": degree record PSL(2,8): degree 5 does not divide |PSL(2,8)| = 504"),
+         ":5: degree record PSL(2,8): degree 5 does not divide |PSL(2,8)| = 504"),
         (_degrees_of("2.A9", order=725760), ("schur",),
-         ": degree record 2.A9: order 725760 disagrees with the order formula 362880"),
+         ":12: degree record 2.A9: order 725760 disagrees with the order formula 362880"),
         (_degrees_of("2.A9", degrees=[8, 48]), ("schur",),
-         ": degree record 2.A9: sum of squared degrees is not 181440"),
+         ":12: degree record 2.A9: sum of squared degrees is not 181440"),
         (_degrees_of("J2", faithful_only=True), ("check-subset", "J2", "10"),
-         ": degree record J2: faithful_only should be false"),
+         ":11: degree record J2: faithful_only should be false"),
         # the loader refuses them on every run, whichever groups the run reaches
         (_degrees_of("PSL(2,8)", order=26, degrees=[1, 3, 4]), ("check-subset", "J2", "10"),
-         ": degree record PSL(2,8): order 26 disagrees with the order formula 504"),
+         ":5: degree record PSL(2,8): order 26 disagrees with the order formula 504"),
         (_degrees_of("PSL(2,8)", order=26, degrees=[1, 3, 4]), ("search", "sporadic"),
-         ": degree record PSL(2,8): order 26 disagrees with the order formula 504"),
+         ":5: degree record PSL(2,8): order 26 disagrees with the order formula 504"),
         (_degrees_of("PSL(2,8)", order=26, degrees=[1, 3, 4]), ("schur",),
-         ": degree record PSL(2,8): order 26 disagrees with the order formula 504"),
+         ":5: degree record PSL(2,8): order 26 disagrees with the order formula 504"),
         (_degrees_of("2.A9", degrees=[8, 48]), ("check-subset", "J2", "10"),
-         ": degree record 2.A9: sum of squared degrees is not 181440"),
+         ":12: degree record 2.A9: sum of squared degrees is not 181440"),
         (_degrees_of("2.A9", degrees=[8, 48]), ("search", "psl"),
-         ": degree record 2.A9: sum of squared degrees is not 181440"),
+         ":12: degree record 2.A9: sum of squared degrees is not 181440"),
         # each alias is checked against the group it names
         (_degrees_of("PSU(3,3)", aliases=["G2(2)'", "PSL(2,11)"]), ("check-subset", "J2", "10"),
-         ": degree record PSL(2,11): order 6048 disagrees with the order formula 660"),
+         ":9: degree record PSL(2,11): order 6048 disagrees with the order formula 660"),
         # a name too big for the record is refused before its order is built
         (_degrees_of("PSL(2,4)", aliases=["PSL(20000,2)"]), ("check-subset", "J2", "10"),
-         ": degree record PSL(20000,2): order 60 is below |PSL(20000,2)|"),
+         ":2: degree record PSL(20000,2): order 60 is below |PSL(20000,2)|"),
         # a rank past the record's bits is refused before the order formula is built
         (_degrees_of("PSL(2,4)", aliases=["PSL(1000000001,2)"]), ("check-subset", "J2", "10"),
-         ": degree record PSL(1000000001,2): order 60 is below |PSL(1000000001,2)|"),
+         ":2: degree record PSL(1000000001,2): order 60 is below |PSL(1000000001,2)|"),
         (_degrees_of("PSL(2,4)", aliases=["A99999999"]), ("check-subset", "J2", "10"),
-         ": degree record A99999999: order 60 is below |A99999999|"),
+         ":2: degree record A99999999: order 60 is below |A99999999|"),
         (_degrees_of("PSL(2,4)", label="Foo"), ("check-subset", "J2", "10"),
-         ": degree record Foo: cannot parse group label 'Foo'"),
-        (_on_j2(lambda line: json.dumps({**json.loads(line), "class_count": 22})),
-         ("check-subset", "J2", "10"), ": degree record J2: 21 degrees for 22 classes"),
+         ":2: degree record Foo: cannot parse group label 'Foo'"),
+        # a sporadic record lists one degree per class of the ATLAS table
+        (_degrees_of("J2", degrees=_J2_22_DEGREES), ("check-subset", "J2", "10"),
+         ":11: degree record J2: 22 degrees for 21 classes"),
         # a number is read only as a JSON integer, never truncated or coerced
         (_degrees_of("PSL(2,4)", degrees=[1, 3.9, 3, 4, 5.5]), ("check-subset", "J2", "10"),
-         ":29: degree 3.9 is not an integer"),
-        (_record_of("sporadic", "M11", class_count=10.7), ("check-subset", "J2", "10"),
-         ":2: class_count 10.7 is not an integer"),
-        (_record_of("sporadic", "M12", order="95040"), ("check-subset", "J2", "10"),
-         ':3: order "95040" is not an integer'),
-        # a sporadic record is checked against the ATLAS table of its group
-        (_record_of("sporadic", "M11", order=7921), ("check-subset", "J2", "10"),
-         ":2: M11 order 7921 disagrees with the ATLAS order 7920"),
-        (_record_of("sporadic", "M11", order=7921), ("search", "all"),
-         ":2: M11 order 7921 disagrees with the ATLAS order 7920"),
-        (_appended(**{**_M22, "label": "Foo"}), ("check-subset", "J2", "10"),
-         ":40: unknown sporadic label 'Foo'"),
-        (_appended(**{**_M22, "class_count": 60}), ("search", "all"),
-         ":40: duplicate sporadic record M22"),
+         ":2: degree 3.9 is not an integer"),
+        (_degrees_of("PSL(2,8)", order=504.0), ("check-subset", "J2", "10"),
+         ":5: order 504.0 is not an integer"),
+        (_degrees_of("PSL(2,7)", order="168"), ("check-subset", "J2", "10"),
+         ':4: order "168" is not an integer'),
+        # the file holds degree records only: the sporadic facts are catalog's,
+        # and search all, whose sweep reads no file, still reads it to discharge
+        (_appended({**_SPORADIC_M11, "order": 7921}), ("check-subset", "J2", "10"),
+         ":13: unknown record type 'sporadic'"),
+        (_appended({**_SPORADIC_M11, "order": 7921}), ("search", "all"),
+         ":13: unknown record type 'sporadic'"),
+        (_appended({**_SPORADIC_M11, "label": "Foo"}), ("check-subset", "J2", "10"),
+         ":13: unknown record type 'sporadic'"),
+        (_appended({"record": "degrees", "label": "PSL(2,7)", "order": 168,
+                    "degrees": [1, 3, 3, 6, 7, 8], "provenance": "PSL(2,q) series"}),
+         ("search", "all"), ":13: duplicate degree record PSL(2,7)"),
         # a flag is a JSON bool and a name is JSON text, never coerced
         (_degrees_of("2.A9", faithful_only=1), ("schur",),
-         ":39: faithful_only 1 is not true or false"),
+         ":12: faithful_only 1 is not true or false"),
         (_degrees_of("2.A9", faithful_only="no"), ("check-subset", "J2", "10"),
-         ':39: faithful_only "no" is not true or false'),
-        (_record_of("sporadic", "M11", label=11), ("check-subset", "J2", "10"),
-         ":2: label 11 is not text"),
-        (_record_of("sporadic", "J1", provenance=["ATLAS"]), ("check-subset", "J2", "10"),
-         ':4: provenance ["ATLAS"] is not text'),
+         ':12: faithful_only "no" is not true or false'),
+        (_degrees_of("PSL(2,7)", label=7), ("check-subset", "J2", "10"),
+         ":4: label 7 is not text"),
+        (_degrees_of("PSL(3,4)", provenance=["ATLAS"]), ("check-subset", "J2", "10"),
+         ':8: provenance ["ATLAS"] is not text'),
         (_degrees_of("J2", provenance=None), ("check-subset", "J2", "10"),
-         ":38: provenance null is not text"),
+         ":11: provenance null is not text"),
         (_degrees_of("PSL(2,4)", label=["PSL(2,4)"]), ("check-subset", "J2", "10"),
-         ':29: label ["PSL(2,4)"] is not text'),
+         ':2: label ["PSL(2,4)"] is not text'),
         (_degrees_of("PSU(3,3)", aliases="A5"), ("check-subset", "J2", "10"),
-         ':36: aliases "A5" is not a list'),
+         ':9: aliases "A5" is not a list'),
         (_degrees_of("PSU(3,3)", aliases=["G2(2)'", 7]), ("check-subset", "J2", "10"),
-         ":36: alias 7 is not text"),
+         ":9: alias 7 is not text"),
     ],
     ids=["missing-file", "non-json-line", "record-without-label",
          "no-2a9-search-all", "no-2a9-schur", "no-j2-search-all",
@@ -595,12 +604,12 @@ _M22 = {"record": "sporadic", "label": "M22", "order": 443520, "class_count": 12
          "psl28-order-26-schur", "2a9-squares-check-subset-j2", "2a9-squares-search-psl",
          "alias-psl211", "alias-psl20000-2", "alias-psl1000000001-2",
          "alias-a99999999", "label-foo",
-         "j2-class-count-22", "psl24-float-degrees", "m11-float-class-count",
-         "m12-string-order", "m11-order-7921", "m11-order-7921-search-all",
-         "extra-sporadic-foo", "duplicate-m22", "2a9-faithful-only-1",
-         "2a9-faithful-only-no", "m11-label-number", "j1-provenance-list",
-         "j2-provenance-null", "psl24-label-list", "psu33-aliases-text",
-         "psu33-alias-number"],
+         "j2-class-count-22", "psl24-float-degrees", "psl28-float-order",
+         "psl27-string-order", "m11-order-7921", "m11-order-7921-search-all",
+         "extra-sporadic-foo", "duplicate-psl27",
+         "2a9-faithful-only-1", "2a9-faithful-only-no", "psl27-label-number",
+         "psl34-provenance-list", "j2-provenance-null", "psl24-label-list",
+         "psu33-aliases-text", "psu33-alias-number"],
 )
 def test_bad_data_file_exits_2(tmp_path, monkeypatch, capsys, edit, argv, problem):
     target = tmp_path / "data.jsonl"

@@ -116,7 +116,7 @@ def test_unknown_name_raises_attribute_error():
 # every record type of the package, each with its home module
 RECORDS = {
     "alt_codegrees": ("CodegreeSet",),
-    "catalog": ("CatalogData", "DegreeRecord", "GroupId", "SporadicEntry"),
+    "catalog": ("DegreeRecord", "GroupId", "SporadicEntry"),
     "exactnum": ("PrimePower",),
     "search": ("ExceptionRow", "FamilySweepReport", "Schur2A9Report", "SchurScan",
                "SubsetCheck", "VerificationReport"),

@@ -698,6 +698,15 @@ def test_row_arithmetic_exact(family):
         assert half * den < order * num
 
 
+def test_sweeps_read_no_data_file(tmp_path, monkeypatch):
+    # the size sieve reads |H| and k(H) from catalog's tables, so a missing
+    # data file changes no sweep
+    with_file = sweep_sporadic(), [sweep_family(f) for f in LIE_FAMILIES]
+    monkeypatch.setenv("CODLAB_DATA", str(tmp_path / "missing.jsonl"))
+    assert (sweep_sporadic(), [sweep_family(f) for f in LIE_FAMILIES]) == with_file
+    assert class_number_bound(sporadic("M")) == (194, 1)
+
+
 def test_missing_degree_record_is_loud(tmp_path, monkeypatch):
     # strip the 2.A9 record: the double-cover check must name the gap
     from codlab.catalog import data_path

@@ -8,9 +8,8 @@ The tool keeps no rules of its own: codlab's loader is the one validator.
 It writes a temporary file next to OUTPUT, which replaces OUTPUT only if
 the loader accepts it; a refused one is deleted, with the message and exit 1.
 
-Sources per record:
-  * sporadic orders: codlab.catalog's ATLAS factorisations
-  * sporadic class counts: ATLAS of Finite Groups
+The file holds degree records only; the sporadic orders and class counts
+are codlab.catalog's ATLAS table.  Sources per record:
   * PSL(2,q): the classical degree pattern of the q+1 / q-1 series
   * PSL(4,2): equals A8, degrees from hook lengths
   * PSL(3,4), PSU(3,3), Omega(5,3): tools/derive_degree_data.py
@@ -31,20 +30,11 @@ sys.path.insert(0, str(SRC))
 
 from codlab.alt_codegrees import _frobenius_pairs  # noqa: E402
 from codlab.catalog import DataFileError, _load_catalog  # noqa: E402
-from codlab.catalog import group_order, parse_group_label, sporadic  # noqa: E402
+from codlab.catalog import group_order, parse_group_label  # noqa: E402
 
 OUT = SRC / "codlab" / "data" / "groups_v1.jsonl"
 
 ATLAS = "ATLAS of Finite Groups"
-
-# label -> number of conjugacy classes; the orders are codlab.catalog's
-# ATLAS factorisations, read through group_order
-SPORADIC_CLASSES = {
-    "M11": 10, "M12": 15, "J1": 15, "M22": 12, "J2": 21, "M23": 17, "HS": 24,
-    "J3": 21, "M24": 26, "McL": 24, "He": 33, "Ru": 36, "Suz": 43, "ON": 30,
-    "Co3": 42, "Co2": 60, "Fi22": 65, "HN": 54, "Ly": 53, "Th": 48, "Fi23": 98,
-    "Co1": 101, "J4": 62, "Fi24'": 108, "B": 184, "M": 194, "2F4(2)'": 22,
-}
 
 
 def psl2_degrees(q: int) -> list[int]:
@@ -138,9 +128,6 @@ def degree_row(label: str, degrees: list[int], provenance: str,
 
 def main(out: Path = OUT) -> None:
     rows: list[dict] = [{"format": "codlab-groups", "version": 1}]
-    rows += [{"record": "sporadic", "label": label, "order": group_order(sporadic(label)),
-              "class_count": classes, "provenance": ATLAS}
-             for label, classes in SPORADIC_CLASSES.items()]
 
     series = "PSL(2,q) series degree pattern; sum-of-squares checked"
     for q in (4, 5, 7, 8, 9):
