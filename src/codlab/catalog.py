@@ -490,15 +490,17 @@ def _add_record(rec: object, records: dict[str, DegreeRecord]) -> None:
 
 def _check_against_group(key: str, record: DegreeRecord) -> None:
     """Raise ValueError if the degree record filed under key contradicts the
-    group key names."""
+    group key names, or if key names an A_n: nothing reads such a record,
+    and the loader has no degree list of A_n to check it against."""
     cover = key == _DOUBLE_COVER
     g = None if cover else parse_group_label(key)
+    if g and g.family == "Alternating":
+        raise ValueError("cod(A_n) comes from hook lengths, never from a degree record")
     bits = record.order.bit_length()
     b = g.q.q.bit_length() - 1 if g and g.q else 0  # a Lie group's q >= 2^b
-    # refuse a too big G before building |G|: |A_n| >= 2^(n-2) and |G| >= 2^(b*e),
-    # where e >= m at a classical rank m, tried first: the order formula has m factors
-    if (g and g.n and g.n - 2 >= bits or b and (b * (g.m or 0) >= bits
-            or b * order_class_shape(g.family, g.m)[0] >= bits)):
+    # refuse a too big G before building |G|: |G| >= 2^(b*e), where e >= m at a
+    # classical rank m, tried first: the order formula has m factors
+    if b and (b * (g.m or 0) >= bits or b * order_class_shape(g.family, g.m)[0] >= bits):
         raise ValueError(f"order {record.order} is below |{key}|")
     order = factorial(9) if cover else group_order(g)
     if record.faithful_only != cover:

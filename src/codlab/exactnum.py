@@ -4,7 +4,9 @@ Every quantity in this package is an exact integer, and a class-number
 bound is a pair of them; no floating point is used in any comparison of
 group orders, hook products, or class-number bounds.  Python ints are arbitrary precision,
 so the only work here is the number theory: primality, prime powers,
-factorisation and the factored text form of a number.
+factorisation and the factored text form of a number.  Primality has one
+algorithm for every n it accepts, Miller-Rabin to bases proven
+deterministic below MR_PROVEN_BELOW; larger n are refused.
 """
 
 from __future__ import annotations
@@ -17,10 +19,6 @@ from operator import add
 from typing import Iterable
 
 
-# Below this bound trial division needs at most 128 odd divisors, and
-# every characteristic the search meets lies below it.
-_TRIAL_DIVISION_BELOW = 1 << 16
-
 # Miller-Rabin to the first 13 prime bases is deterministic below this
 # bound (Sorenson and Webster, Math. Comp. 86 (2017), psi_13).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -28,32 +26,24 @@ MR_PROVEN_BELOW = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for n < MR_PROVEN_BELOW.
+    """Deterministic primality test for n < MR_PROVEN_BELOW, by one
+    algorithm: Miller-Rabin to _MR_BASES, proven for that whole range.
 
-    Trial division below _TRIAL_DIVISION_BELOW, Miller-Rabin to the
-    bases proven for the whole range above it.  Larger n raise
-    ValueError: no answer is given that is not proven.
+    The bases are first tried as divisors: a base a divides n only if n is
+    a or composite.  A composite n with no prime factor up to 41 is at
+    least 43^2, so below that an n with no base as a divisor is prime
+    exactly when n > 1.  Larger n raise ValueError: no answer is given
+    that is not proven.
     """
-    if n < _TRIAL_DIVISION_BELOW:
-        if n < 2:
-            return False
-        if n < 4:
-            return True
-        if n % 2 == 0:
-            return False
-        root = isqrt(n)
-        d = 3
-        while d <= root:
-            if n % d == 0:
-                return False
-            d += 2
-        return True
     if n >= MR_PROVEN_BELOW:
         raise ValueError(
             f"{n} is beyond the proven primality range (< {MR_PROVEN_BELOW})"
         )
-    if n % 2 == 0:
-        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    if n < 43 * 43:
+        return n > 1
     m = n - 1
     s = (m & -m).bit_length() - 1  # n - 1 = odd * 2^s
     odd = m >> s

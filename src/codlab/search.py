@@ -162,29 +162,14 @@ def _log2_factorial_floor(n: int) -> int:
     return top * (n + 1) - (2 << top) + 2
 
 
-def _half_factorial_below(n: int, limit: int) -> int | None:
-    """n!/2 if it is below limit, else None.
-
-    n!/2 >= 2^(S(n) - 1), so once S(n) - 1 reaches the bit length of limit
-    the answer is None without any factorial.  Otherwise n! is built once;
-    each of the n factors i adds less than one bit beyond floor(log2 i), so
-    n! then has at most n bits more than limit, whatever n is.
-    """
-    if _log2_factorial_floor(n) - 1 >= limit.bit_length():
-        return None
-    half = factorial(n) // 2
-    return half if half < limit else None
-
-
 def _refuted_by_bits(shape: tuple[int, int, int], q: int, n: int) -> bool:
     """True if n!/2 >= |H| * k-bound at max(5, n), by bit length alone, for
     H of order_class_shape shape over a field of q elements, n = n_min(H).
 
     The limit is below 2^B for B = bitlen(q)(D + d) + c (the bound proved
     in catalog.order_class_shape), so it has at most B bits, and S - 1 >= B
-    is the refusal _half_factorial_below would make, reached without
-    building |H| or the limit.  False means only that the exact test must
-    decide.
+    is the refusal _sieve's bit cutoff would make, reached without building
+    |H| or the limit.  False means only that the exact test must decide.
     """
     _, degree, c = shape
     return _log2_factorial_floor(max(5, n)) - 1 >= q.bit_length() * degree + c
@@ -212,17 +197,20 @@ def _sieve(g: GroupId) -> list[tuple[int, int]] | None:
     n!/2 is strictly increasing, so the first n where the bound fails is
     a natural cutoff, and it comes by the bit cutoff: at the first n with
     S(n) - 1 >= bitlen(limit), n!/2 >= 2^(S(n) - 1) > limit.  That n is
-    computed once per point that passes the first test (49 at most over
-    the sweep, at M), and the loop raises if it passes it, which that
-    proof rules out; no n is capped.
+    computed once per point, before any factorial: a cutoff at
+    max(5, n_min) itself refuses the point by bits alone, else n!/2 is
+    built once there and compared exactly.  The loop raises if it passes
+    the cutoff, which that proof rules out; no n is capped.
     """
     order = group_order(g)
     limit = _class_number_limit(g, order)
     n = max(5, n_min(g))
-    half = _half_factorial_below(n, limit)
-    if half is None:
-        return None
     stop = _bit_cutoff(n, limit)
+    if stop == n:
+        return None
+    half = factorial(n) // 2
+    if half >= limit:
+        return None
     found = []
     while half < limit:
         ratio, rest = divmod(half, order)
@@ -489,21 +477,21 @@ def compare_with_golden(
     sporadic_rows: tuple[ExceptionRow, ...],
     family_reports: tuple[FamilySweepReport, ...],
 ) -> tuple[bool, tuple[str, ...]]:
-    """Byte-compare rendered rows against the packaged expected tables."""
-    diffs: list[str] = []
-    by_family = {rep.family: rep for rep in family_reports}
-    for family, fname in _GOLDEN_FILES.items():
-        if family == "Sporadic":
-            got = render_rows_csv(sporadic_rows)
-        else:
-            rep = by_family.get(family)
-            got = render_rows_csv(rep.rows if rep else ())
-        want = _golden_text(fname)
-        if got != want:
-            diffs.append(f"{family}: sweep output differs from {fname}")
-    for rep in family_reports:
-        if rep.family not in _GOLDEN_FILES and rep.rows:
-            diffs.append(f"{rep.family}: expected no rows, found {len(rep.rows)}")
+    """Byte-compare rendered rows against the packaged expected tables.
+
+    A family with no golden file must have no rows.
+    """
+    rows = {rep.family: rep.rows for rep in family_reports}
+    rows["Sporadic"] = sporadic_rows
+    diffs = [
+        f"{family}: sweep output differs from {fname}"
+        for family, fname in _GOLDEN_FILES.items()
+        if render_rows_csv(rows.get(family, ())) != _golden_text(fname)
+    ] + [
+        f"{family}: expected no rows, found {len(got)}"
+        for family, got in rows.items()
+        if family not in _GOLDEN_FILES and got
+    ]
     return (not diffs, tuple(diffs))
 
 

@@ -230,14 +230,12 @@ def alt_irr_entries_direct(n: int) -> Iterator[tuple[Partition, bool, int, int]]
             yield conj, False, dim, hp // 2
 
 
-def half_factorial_below_stepwise(n: int, limit: int) -> int | None:
-    """n!/2 if it is below limit, else None, one factor at a time."""
-    half = 1
-    for i in range(3, n + 1):
-        half *= i
-        if half >= limit:
-            return None
-    return half
+def bit_cutoff_stepwise(n: int, limit: int) -> int:
+    """The first n' >= n whose sum of floor(log2 i) over 2 <= i <= n', less
+    one, reaches bitlen(limit); each sum is taken afresh."""
+    while sum(i.bit_length() - 1 for i in range(2, n + 1)) - 1 < limit.bit_length():
+        n += 1
+    return n
 
 
 def factor_stepwise(n: int) -> list[tuple[int, int]]:

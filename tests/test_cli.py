@@ -508,6 +508,7 @@ _SPORADIC_M11 = {"record": "sporadic", "label": "M11", "order": 7920, "class_cou
 # squares still sum to |J2|, and each degree divides it, but 22 is not k(J2)
 _J2_22_DEGREES = [1, 14, 14, 21, 21, 36, 63, 70, 70, 90, 126, 160, 175, 180,
                   189, 189, 224, 224, 225, 240, 288, 336]
+_NO_A_N_RECORD = "cod(A_n) comes from hook lengths, never from a degree record"
 
 
 @pytest.mark.parametrize(
@@ -553,8 +554,11 @@ _J2_22_DEGREES = [1, 14, 14, 21, 21, 36, 63, 70, 70, 90, 126, 160, 175, 180,
         # a rank past the record's bits is refused before the order formula is built
         (_degrees_of("PSL(2,4)", aliases=["PSL(1000000001,2)"]), ("check-subset", "J2", "10"),
          ":2: degree record PSL(1000000001,2): order 60 is below |PSL(1000000001,2)|"),
+        # no record is filed under an A_n, whose codegrees come from hook lengths
         (_degrees_of("PSL(2,4)", aliases=["A99999999"]), ("check-subset", "J2", "10"),
-         ":2: degree record A99999999: order 60 is below |A99999999|"),
+         f":2: degree record A99999999: {_NO_A_N_RECORD}"),
+        (_degrees_of("PSL(3,4)", label="A8"), ("check-subset", "J2", "10"),
+         f":8: degree record A8: {_NO_A_N_RECORD}"),
         (_degrees_of("PSL(2,4)", label="Foo"), ("check-subset", "J2", "10"),
          ":2: degree record Foo: cannot parse group label 'Foo'"),
         # a sporadic record lists one degree per class of the ATLAS table
@@ -603,7 +607,7 @@ _J2_22_DEGREES = [1, 14, 14, 21, 21, 36, 63, 70, 70, 90, 126, 160, 175, 180,
          "psl28-order-26-check-subset-j2", "psl28-order-26-search-sporadic",
          "psl28-order-26-schur", "2a9-squares-check-subset-j2", "2a9-squares-search-psl",
          "alias-psl211", "alias-psl20000-2", "alias-psl1000000001-2",
-         "alias-a99999999", "label-foo",
+         "alias-a99999999", "psl34-label-a8", "label-foo",
          "j2-class-count-22", "psl24-float-degrees", "psl28-float-order",
          "psl27-string-order", "m11-order-7921", "m11-order-7921-search-all",
          "extra-sporadic-foo", "duplicate-psl27",

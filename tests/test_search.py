@@ -35,7 +35,6 @@ from codlab.exactnum import is_prime
 from codlab.search import (
     _bit_cutoff,
     _class_number_limit,
-    _half_factorial_below,
     _k_tail,
     _log2_factorial_floor,
     _m_tail,
@@ -55,7 +54,7 @@ from codlab.search import (
     sweep_family,
     sweep_sporadic,
 )
-from oracles import SWEEP_BOXES, box_points, half_factorial_below_stepwise
+from oracles import SWEEP_BOXES, bit_cutoff_stepwise, box_points
 
 # (m, q, n, ratio) per family, the frozen sweep outcome
 EXPECTED_PSL_ROWS = [
@@ -244,7 +243,8 @@ def check_bit_bound(g):
     q_degree = _order_formula(g.family, g.m)[1]
     assert (g.q.q.bit_length() - 1) * q_degree - 5 < order.bit_length(), g
     if refuted(g):
-        assert _half_factorial_below(max(5, n_min(g)), limit) is None, g
+        n = max(5, n_min(g))
+        assert _bit_cutoff(n, limit) == n, g
     return limit.bit_length() == bits
 
 
@@ -404,14 +404,19 @@ def test_m_step_lemma(family):
     assert stops > 180
 
 
-def test_half_factorial_below_at_the_boundary():
+def test_bit_cutoff_at_the_boundary():
+    # limits around n!/2 and around 2^(S(n) - 1): the cutoff is the stepwise
+    # one, its factorial reaches the limit, and it is n exactly when
+    # S(n) - 1 >= bitlen(limit)
     for n in range(5, 301):
         half = math.factorial(n) // 2
-        for limit in (half - 1, half, half + 1):
-            got = _half_factorial_below(n, limit)
-            assert got == half_factorial_below_stepwise(n, limit), (n, limit)
-        assert _half_factorial_below(n, half + 1) == half
-        assert _half_factorial_below(n, half) is None
+        power = 1 << (_log2_factorial_floor(n) - 1)
+        for limit in (half - 1, half, half + 1, power - 1, power, power + 1):
+            stop = _bit_cutoff(n, limit)
+            assert stop == bit_cutoff_stepwise(n, limit), (n, limit)
+            assert math.factorial(stop) // 2 >= limit, (n, limit)
+        assert _bit_cutoff(n, power - 1) == n
+        assert _bit_cutoff(n, power) > n
 
 
 def test_log2_factorial_floor_closed_form():
@@ -425,9 +430,9 @@ def test_log2_factorial_floor_closed_form():
 
 
 @pytest.mark.parametrize("n", [21168, 10**6])  # 21168: n_min of PSL(7,17^63)
-def test_half_factorial_below_work_is_bounded_by_the_limit(n, monkeypatch):
-    # whatever n is, n! is built only once the limit has S(n) bits, and no
-    # factorial k! is built with more than bit_length(limit) + k bits
+def test_bit_cutoff_refuses_without_a_factorial(n, monkeypatch):
+    # whatever n is, the cutoff is n exactly when S(n) - 1 >= bitlen(limit),
+    # and a point refused by it builds no factorial
     built = []
     monkeypatch.setattr(
         "codlab.search.factorial", lambda k: built.append(k) or math.factorial(k)
@@ -440,30 +445,10 @@ def test_half_factorial_below_work_is_bounded_by_the_limit(n, monkeypatch):
     if n < 10**5:
         limits += [1 << (floor - 1), (1 << floor) + 1, 1 << (floor + n), math.factorial(n)]
     for limit in limits:
-        before = len(built)
-        got = _half_factorial_below(n, limit)
-        assert (len(built) > before) == (limit.bit_length() >= floor), limit.bit_length()
-        for k in built[before:]:
-            assert math.factorial(k).bit_length() <= limit.bit_length() + k, (k, limit)
-        if len(built) == before:
-            assert got is None
-        else:
-            half = math.factorial(n) // 2
-            assert got == (half if half < limit else None)
-    assert set(built) <= {n}
-
-
-@pytest.mark.parametrize("n", [2047, 2048, 2049, 4096, 4097])
-def test_half_factorial_below_past_the_table(n):
-    # limits at n!/2 and at every m!/2, m = 8, 16, ..., 4096, on both
-    # sides, for n around 2^11 and 2^12
-    half = math.factorial(n) // 2
-    edges = [half] + [math.factorial(8 << i) // 2 for i in range(10)]
-    for edge in edges:
-        for limit in (edge - 1, edge, edge + 1):
-            got = _half_factorial_below(n, limit)
-            assert got == half_factorial_below_stepwise(n, limit), (n, limit)
-            assert got == (half if half < limit else None), (n, limit)
+        refused = floor - 1 >= limit.bit_length()
+        assert (_bit_cutoff(n, limit) == n) == refused, limit.bit_length()
+    assert _sieve(psl) is None
+    assert built == []
 
 
 @given(
@@ -473,8 +458,10 @@ def test_half_factorial_below_past_the_table(n):
     ),
 )
 @settings(max_examples=200, deadline=None)
-def test_half_factorial_below_matches_stepwise(n, limit):
-    assert _half_factorial_below(n, limit) == half_factorial_below_stepwise(n, limit)
+def test_bit_cutoff_matches_stepwise(n, limit):
+    stop = _bit_cutoff(n, limit)
+    assert stop == bit_cutoff_stepwise(n, limit)
+    assert math.factorial(stop) // 2 >= limit
 
 
 def test_candidate_range_infeasible_exceptional():
@@ -653,6 +640,19 @@ def test_golden_comparison_detects_drift():
     ok, diffs = compare_with_golden(sp, (clipped,) + families[1:])
     assert not ok
     assert any("table_psl.csv" in d for d in diffs)
+    # rows in a family with no golden file are flagged after every golden
+    # diff, which follow the order of the golden files
+    psl, psu, _, psp = families
+    stray = psp._replace(rows=psl.rows[:2])
+    ok, diffs = compare_with_golden(sp, families[:3] + (stray,))
+    assert (ok, diffs) == (False, ("PSp: expected no rows, found 2",))
+    ok, diffs = compare_with_golden(sp[:-1], (stray, psu, clipped))
+    assert (ok, diffs) == (False, (
+        "PSL: sweep output differs from table_psl.csv",
+        "OmegaOdd: sweep output differs from table_omega_odd.csv",
+        "Sporadic: sweep output differs from sporadic.csv",
+        "PSp: expected no rows, found 2",
+    ))
 
 
 def test_full_verification_passes():
