@@ -4,7 +4,8 @@ Subcommands: cod, min-cod, search, schur, check-subset.  Exit codes are
 a stable contract: 0 success / verification PASS, 2 usage error or a
 data file that is unreadable or lacks a record the run needs, 3
 mathematical verification failure.  Exit 1 means stdout was closed
-before all output was written (for example by `| head`).
+before all output was written (for example by `| head`), whether
+stdout is buffered or not (python -u, PYTHONUNBUFFERED); see _emit.
 
 All arithmetic is exact, so json and csv output carry group orders,
 codegrees, ratios and witnesses as decimal strings; small structural
@@ -25,12 +26,14 @@ from __future__ import annotations
 
 import argparse
 import os
+import select
 import sys
 from functools import wraps
+from itertools import chain
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from .alt_codegrees import alt_codegree_set, verify_min_codegree_monotone
-from .exactnum import format_divisors, format_factored
+from .exactnum import format_factored, format_known_divisors
 
 if TYPE_CHECKING:
     from .search import ExceptionRow, FamilySweepReport, SubsetCheck
@@ -66,35 +69,53 @@ def _reads_data(handler: Handler) -> Handler:
 
 def _big(v: int) -> str:
     """Decimal plus factored form for table output."""
-    if v < 2:
-        return str(v)
-    return f"{v} = {format_factored(v)}"
+    return str(v) if v < 2 else f"{v} = {format_factored(v)}"
 
 
-def _emit(text: str) -> None:
-    """Write a CSV or JSON body to stdout line by line.
+_CHUNK = getattr(select, "PIPE_BUF", 512) // 4  # 512: POSIX; a char is at most 4 bytes
 
-    Not as one string: a write longer than the pipe holds reports a short
-    count once the reader is gone, and the rest would be lost with exit 0.
-    Line by line, the buffered writes stay small and the first one after
-    the reader has gone raises BrokenPipeError.
+
+def _emit(pieces: Iterable[str]) -> None:
+    """Write the pieces to stdout as they come, consecutive ones joined into
+    one write of at most _CHUNK characters; a longer piece is cut.
+
+    A pipe takes a write of at most PIPE_BUF bytes whole or fails it with
+    EPIPE, so the first write after the reader has gone raises
+    BrokenPipeError and main exits 1.  A larger write could be taken in
+    part, and unbuffered stdout (python -u) does not see the short count:
+    the output would end cut short with exit 0.
     """
-    sys.stdout.writelines(text.splitlines(keepends=True))
+    write = sys.stdout.write
+    chunk: list[str] = []
+    size = 0
+    for piece in pieces:
+        size += len(piece)
+        if size > _CHUNK:
+            if chunk:
+                write("".join(chunk))
+                chunk.clear()
+            head = (len(piece) - 1) // _CHUNK * _CHUNK  # all but the last chunk
+            for i in range(0, head, _CHUNK):
+                write(piece[i:i + _CHUNK])
+            piece, size = piece[head:], len(piece) - head
+        chunk.append(piece)
+    if chunk:
+        write("".join(chunk))
 
 
 def _emit_json(payload: dict) -> None:
     import json
 
-    _emit(json.dumps(payload, indent=2) + "\n")
+    _emit(chain(json.JSONEncoder(indent=2).iterencode(payload), "\n"))
 
 
-def _emit_csv(header: Iterable[str], rows: Iterable[Iterable[str]]) -> None:
-    """Write a CSV table to stdout, one write per line (see _emit)."""
+def _csv_lines(header: Iterable[str], rows: Iterable[Iterable[str]]) -> Iterable[str]:
     import csv
+    from types import SimpleNamespace
 
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    # writerow returns what the file's write returns: here the line itself
+    echo = csv.writer(SimpleNamespace(write=str), lineterminator="\n")
+    return map(echo.writerow, chain([header], rows))
 
 
 # ---------------------------------------------------------------------------
@@ -108,23 +129,23 @@ def cmd_cod(args: argparse.Namespace) -> int:
     cs = alt_codegree_set(n)
     if args.format == "json":
         _emit_json({
-            "command": "cod",
-            "group": cs.group_label,
-            "n": n,
+            "command": "cod", "group": cs.group_label, "n": n,
             "order": str(cs.order),
             "codegrees": [str(v) for v in cs.values],
         })
     elif args.format == "csv":
         order = str(cs.order)
-        _emit_csv(["n", "group_order", "codegree"], ([str(n), order, str(v)] for v in cs.values))
+        _emit(_csv_lines(["n", "group_order", "codegree"],
+                         ([str(n), order, str(v)] for v in cs.values)))
     else:
-        print(f"cod({cs.group_label})    |{cs.group_label}| = {_big(cs.order)}")
         width = len(str(cs.values[-1]))
-        sys.stdout.writelines(
-            f"  {v:>{width}}\n" if v == 1 else f"  {v:>{width}} = {text}\n"
-            for v, text in zip(cs.values, format_divisors(cs.values, cs.order))
-        )
-        print(f"{len(cs.values)} values")
+        # cs is a CodegreeSet, so each value is a checked divisor of cs.order
+        _emit(chain(
+            [f"cod({cs.group_label})    |{cs.group_label}| = {_big(cs.order)}\n"],
+            (f"  {v:>{width}}\n" if v == 1 else f"  {v:>{width}} = {text}\n"
+             for v, text in zip(cs.values, format_known_divisors(cs.values, cs.order))),
+            [f"{len(cs.values)} values\n"],
+        ))
     return 0
 
 
@@ -141,24 +162,21 @@ def cmd_min_cod(args: argparse.Namespace) -> int:
     if args.format == "json":
         _emit_json({
             "command": "min-cod",
-            "n_lo": lo,
-            "n_hi": hi,
+            "n_lo": lo, "n_hi": hi,
             "rows": [{"n": n, "min_codegree": str(a)} for n, a in rows],
-            "monotone": monotone,
-            "verdict": verdict,
+            "monotone": monotone, "verdict": verdict,
         })
     elif args.format == "csv":
-        _emit_csv(["n", "min_codegree"], ([str(n), str(a)] for n, a in rows))
-        print(verdict)
+        _emit(chain(_csv_lines(["n", "min_codegree"], ([str(n), str(a)] for n, a in rows)),
+                    [f"{verdict}\n"]))
     else:
-        width = len(str(rows[-1][1]))
-        print(f"{'n':>3}  {'min codegree':>{max(width, 12)}}")
-        for n, a in rows:
-            print(f"{n:>3}  {a:>{max(width, 12)}} = {format_factored(a)}")
-        print(f"{verdict}: minimal codegree strictly increasing on {lo}..{hi}")
-    if not monotone:
-        return 3
-    return 0
+        width = max(len(str(rows[-1][1])), 12)
+        _emit(chain(
+            [f"{'n':>3}  {'min codegree':>{width}}\n"],
+            (f"{n:>3}  {a:>{width}} = {format_factored(a)}\n" for n, a in rows),
+            [f"{verdict}: minimal codegree strictly increasing on {lo}..{hi}\n"],
+        ))
+    return 0 if monotone else 3
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +188,8 @@ def _row_json(r: ExceptionRow) -> dict:
 
 
 def _check_json(c: SubsetCheck) -> dict:
-    return c._asdict() | {
-        "witness": None if c.witness is None else str(c.witness),
-        "h_order": str(c.h_order),
-    }
+    witness = None if c.witness is None else str(c.witness)
+    return c._asdict() | {"witness": witness, "h_order": str(c.h_order)}
 
 
 def _rows_table(rows: tuple[ExceptionRow, ...]) -> list[str]:
@@ -188,15 +204,10 @@ def _rows_table(rows: tuple[ExceptionRow, ...]) -> list[str]:
 
 
 def _check_lines(checks: tuple[SubsetCheck, ...]) -> list[str]:
-    out = []
-    for c in checks:
-        if c.verdict == "isomorphic":
-            out.append(f"{c.label} vs A{c.n}: isomorphic (orders and codegree sets equal)")
-        elif c.verdict == "subset_refuted":
-            out.append(f"{c.label} vs A{c.n}: refuted, witness codegree {_big(c.witness)}")
-        else:
-            out.append(f"{c.label} vs A{c.n}: SUBSET HOLDS without isomorphism (alarm)")
-    return out
+    return [f"{c.label} vs A{c.n}: " + (
+        "isomorphic (orders and codegree sets equal)" if c.verdict == "isomorphic"
+        else f"refuted, witness codegree {_big(c.witness)}" if c.verdict == "subset_refuted"
+        else "SUBSET HOLDS without isomorphism (alarm)") for c in checks]
 
 
 def _alarm_exit(checks: tuple[SubsetCheck, ...]) -> int:
@@ -204,11 +215,8 @@ def _alarm_exit(checks: tuple[SubsetCheck, ...]) -> int:
 
 
 def _sweep_json(rep: FamilySweepReport) -> dict:
-    return {
-        "bounds": {"m_max": rep.m_max, "p_max": rep.p_max, "k_max": rep.k_max},
-        "points_examined": rep.points_examined,
-        "notes": list(rep.notes),
-    }
+    return {"bounds": {"m_max": rep.m_max, "p_max": rep.p_max, "k_max": rep.k_max},
+            "points_examined": rep.points_examined, "notes": list(rep.notes)}
 
 
 @_reads_data
@@ -237,20 +245,19 @@ def cmd_search(args: argparse.Namespace) -> int:
     checks = discharge_rows(rows)
     if args.format == "json":
         _emit_json({
-            "command": "search",
-            "target": target,
+            "command": "search", "target": target,
             **extra,
             "rows": [_row_json(r) for r in rows],
             "checks": [_check_json(c) for c in checks],
         })
     elif args.format == "csv":
-        _emit(render_rows_csv(rows))
+        _emit([render_rows_csv(rows)])
     else:
         lines = head + _rows_table(rows)
         # a family with no surviving rows has no checks line
         if rows or raw == "sporadic":
             lines += ["checks:", *_check_lines(checks)]
-        print("\n".join(lines))
+        _emit(f"{line}\n" for line in lines)
     return _alarm_exit(checks)
 
 
@@ -259,11 +266,10 @@ def _search_all(args: argparse.Namespace) -> int:
 
     rep = run_full_verification()
     verdict = "PASS" if rep.ok else "FAIL"
+    sc, tw = rep.schur_scan, rep.schur_2a9
     if args.format == "json":
         _emit_json({
-            "command": "search",
-            "target": "all",
-            "verdict": verdict,
+            "command": "search", "target": "all", "verdict": verdict,
             "monotone": {"range": list(rep.monotone_range), "ok": rep.monotone_ok},
             "golden": {"ok": rep.golden_ok, "diffs": list(rep.golden_diffs)},
             "families": [
@@ -272,40 +278,33 @@ def _search_all(args: argparse.Namespace) -> int:
             ],
             "rows": [_row_json(r) for r in rep.rows],
             "checks": [_check_json(c) for c in rep.checks],
-            "schur": {
-                "solutions": list(rep.schur_scan.solutions),
-                "exhausted": rep.schur_scan.exhausted,
-                "a9_size": rep.schur_2a9.a9_size,
-                "twisted_size": rep.schur_2a9.twisted_size,
-                "proper_superset": rep.schur_2a9.proper_superset,
-            },
+            "schur": {"solutions": list(sc.solutions), "exhausted": sc.exhausted,
+                      "a9_size": tw.a9_size, "twisted_size": tw.twisted_size,
+                      "proper_superset": tw.proper_superset},
         })
     elif args.format == "csv":
-        _emit(render_rows_csv(rep.rows))
-        print(verdict)
+        _emit([render_rows_csv(rep.rows), f"{verdict}\n"])
     else:
         lo, hi = rep.monotone_range
-        print(f"minimal codegree strictly increasing on {lo}..{hi}: "
-              f"{'PASS' if rep.monotone_ok else 'FAIL'}")
         counts = ", ".join(f"{f.family} {len(f.rows)}" for f in rep.family_reports)
-        print(f"sporadic rows: {len(rep.sporadic_rows)}; family rows: {counts}")
-        print(f"golden tables: {'MATCH' if rep.golden_ok else 'MISMATCH'}")
-        for diff in rep.golden_diffs:
-            print(f"  {diff}")
-        iso = sum(1 for c in rep.checks if c.verdict == "isomorphic")
-        ref = sum(1 for c in rep.checks if c.verdict == "subset_refuted")
-        print(f"survivors: {len(rep.checks)} checks, {iso} isomorphic, "
-              f"{ref} refuted, {len(rep.unresolved)} unresolved")
-        print("\n".join(_rows_table(rep.rows)))
-        print("checks:")
-        print("\n".join(_check_lines(rep.checks)))
-        sc = rep.schur_scan
-        print(f"double-cover equations on ({sc.n_lo}, {sc.n_hi}]: solutions "
-              f"{list(sc.solutions)}, exhausted: {sc.exhausted}")
-        tw = rep.schur_2a9
-        print(f"cod(A9) size {tw.a9_size}, cod(2.A9) size {tw.twisted_size}, "
-              f"proper superset: {tw.proper_superset}")
-        print(f"RESULT: {verdict}")
+        verdicts = [c.verdict for c in rep.checks]
+        _emit(f"{line}\n" for line in [
+            f"minimal codegree strictly increasing on {lo}..{hi}: "
+            f"{'PASS' if rep.monotone_ok else 'FAIL'}",
+            f"sporadic rows: {len(rep.sporadic_rows)}; family rows: {counts}",
+            f"golden tables: {'MATCH' if rep.golden_ok else 'MISMATCH'}",
+            *(f"  {diff}" for diff in rep.golden_diffs),
+            f"survivors: {len(rep.checks)} checks, {verdicts.count('isomorphic')} isomorphic, "
+            f"{verdicts.count('subset_refuted')} refuted, {len(rep.unresolved)} unresolved",
+            *_rows_table(rep.rows),
+            "checks:",
+            *_check_lines(rep.checks),
+            f"double-cover equations on ({sc.n_lo}, {sc.n_hi}]: solutions "
+            f"{list(sc.solutions)}, exhausted: {sc.exhausted}",
+            f"cod(A9) size {tw.a9_size}, cod(2.A9) size {tw.twisted_size}, "
+            f"proper superset: {tw.proper_superset}",
+            f"RESULT: {verdict}",
+        ])
     return 0 if rep.ok else 3
 
 
@@ -324,32 +323,31 @@ def cmd_schur(args: argparse.Namespace) -> int:
     if args.format == "json":
         _emit_json({
             "command": "schur",
-            "n_lo": scan.n_lo,
-            "n_hi": scan.n_hi,
+            "n_lo": scan.n_lo, "n_hi": scan.n_hi,
             "solutions": list(scan.solutions),
             "exhausted": scan.exhausted,
-            "a9_size": report.a9_size,
-            "twisted_size": report.twisted_size,
+            "a9_size": report.a9_size, "twisted_size": report.twisted_size,
             "distinct_sizes": report.a9_size != report.twisted_size,
             "proper_superset": report.proper_superset,
             "new_codegrees": [str(v) for v in report.new_values],
             "verdict": verdict,
         })
     elif args.format == "csv":
-        _emit_csv(["solution_n"], ([str(n)] for n in scan.solutions))
-        print(f"sizes,{report.a9_size},{report.twisted_size}")
-        print(verdict)
+        _emit(chain(_csv_lines(["solution_n"], ([str(n)] for n in scan.solutions)),
+                    [f"sizes,{report.a9_size},{report.twisted_size}\n", f"{verdict}\n"]))
     else:
-        print(f"degree equations n-1 = 2^(floor((n-2)/2)-1) and "
-              f"n-1 = 2^(floor(n/2)-1) on ({scan.n_lo}, {scan.n_hi}]")
-        print(f"solutions: {list(scan.solutions)} (exhausted beyond range: {scan.exhausted})")
-        print(f"cod(A9) size: {report.a9_size}")
-        print(f"cod(2.A9) size: {report.twisted_size}")
-        print(f"distinct sizes: {str(report.a9_size != report.twisted_size).lower()}")
-        print(f"cod(A9) proper subset of cod(2.A9): {str(report.proper_superset).lower()}")
-        print("new codegrees from faithful characters: "
-              + ", ".join(_big(v) for v in report.new_values))
-        print(verdict)
+        _emit(f"{line}\n" for line in [
+            f"degree equations n-1 = 2^(floor((n-2)/2)-1) and "
+            f"n-1 = 2^(floor(n/2)-1) on ({scan.n_lo}, {scan.n_hi}]",
+            f"solutions: {list(scan.solutions)} (exhausted beyond range: {scan.exhausted})",
+            f"cod(A9) size: {report.a9_size}",
+            f"cod(2.A9) size: {report.twisted_size}",
+            f"distinct sizes: {str(report.a9_size != report.twisted_size).lower()}",
+            f"cod(A9) proper subset of cod(2.A9): {str(report.proper_superset).lower()}",
+            "new codegrees from faithful characters: "
+            + ", ".join(_big(v) for v in report.new_values),
+            verdict,
+        ])
     return 0 if ok else 3
 
 
@@ -374,13 +372,15 @@ def cmd_check_subset(args: argparse.Namespace) -> int:
     if args.format == "json":
         _emit_json({"command": "check-subset", **_check_json(result)})
     elif args.format == "csv":
-        _emit_csv(["label", "n", "verdict", "witness"],
-                  [[result.label, str(result.n), result.verdict,
-                    "" if result.witness is None else str(result.witness)]])
+        _emit(_csv_lines(["label", "n", "verdict", "witness"],
+                         [[result.label, str(result.n), result.verdict,
+                           "" if result.witness is None else str(result.witness)]]))
     else:
-        print("\n".join(_check_lines((result,))))
-        print(f"|{result.label}| = {_big(result.h_order)}")
-        print(f"codegree set sizes: {result.h_cod_size} vs {result.a_cod_size}")
+        _emit(f"{line}\n" for line in [
+            *_check_lines((result,)),
+            f"|{result.label}| = {_big(result.h_order)}",
+            f"codegree set sizes: {result.h_cod_size} vs {result.a_cod_size}",
+        ])
     return _alarm_exit((result,))
 
 

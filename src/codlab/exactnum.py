@@ -16,7 +16,7 @@ from functools import partial, reduce
 from itertools import repeat
 from math import factorial as _factorial, gcd, isqrt, prod
 from operator import add
-from typing import Iterable
+from typing import Iterable, Sequence
 
 
 # Miller-Rabin to the first 13 prime bases is deterministic below this
@@ -130,7 +130,7 @@ def factor(n: int) -> list[tuple[int, int]]:
 
 
 # Largest divisor count prod(E + 1) of one block of primes in
-# format_divisors.  Rendering the 16,215 values of cod(A_40) took 45-52 ms
+# format_known_divisors.  Rendering the 16,215 values of cod(A_40) took 45-52 ms
 # for bounds from 1024 to 4096, 83 ms at 65,536 and 234 ms with no bound,
 # as a block's table renders every divisor that occurs; one gcd per prime
 # took 91 ms (2-core VM, Python 3.11, best of 9).
@@ -186,7 +186,18 @@ def _blocks(multiple: int) -> list[tuple[int, _BlockTexts]]:
 
 
 def format_divisors(values: Iterable[int], multiple: int) -> list[str]:
-    """The factored text of each value, e.g. 2^6·3^2·5; each must divide multiple.
+    """The factored text of each value, e.g. 2^6·3^2·5; each must divide
+    multiple, or ArithmeticError is raised, so every text is exact."""
+    values = tuple(values)
+    for v in values:
+        if v < 1 or multiple % v:
+            raise ArithmeticError(f"{v} does not divide {multiple}")
+    return format_known_divisors(values, multiple)
+
+
+def format_known_divisors(values: Sequence[int], multiple: int) -> list[str]:
+    """format_divisors for values already checked to divide multiple, such
+    as a CodegreeSet's values and order; a non-divisor gets a wrong text.
 
     multiple >= 1 is factored once and its ascending primes are cut into
     blocks of consecutive primes, each with at most _BLOCK_DIVISORS
@@ -195,13 +206,8 @@ def format_divisors(values: Iterable[int], multiple: int) -> list[str]:
     gcd(v, M) comes from a table of that block built for this call: only
     the divisors that occur are rendered, once each.  Fewer blocks mean
     fewer gcds per value; a larger bound means more distinct divisors per
-    block to render, which is why the bound is small.  A value that does
-    not divide multiple raises ArithmeticError, so every text is exact.
+    block to render, which is why the bound is small.
     """
-    values = tuple(values)
-    for v in values:
-        if v < 1 or multiple % v:
-            raise ArithmeticError(f"{v} does not divide {multiple}")
     columns = (
         map(texts.__getitem__, map(gcd, values, repeat(modulus)))
         for modulus, texts in _blocks(multiple)

@@ -5,6 +5,7 @@ import csv
 import hashlib
 import io
 import json
+import select
 import subprocess
 import sys
 import threading
@@ -14,6 +15,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from codlab import cli
 from codlab.cli import MAX_N_CEILING, build_parser, cmd_search, main
 from codlab.catalog import data_path
 from codlab.search import SEARCH_TARGETS
@@ -627,23 +629,84 @@ def test_bad_data_file_exits_2(tmp_path, monkeypatch, capsys, edit, argv, proble
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize(
-    "fmt,first",
-    [("table", b"cod(A40)"), ("csv", b"n,group_order,codegree"), ("json", b"{")],
-    ids=["table", "csv", "json"],
-)
-def test_closed_stdout_is_silent(fmt, first):
-    # the reader stops after one line; the writer must exit 1 without a
-    # traceback, not 0 with its output cut short
+@pytest.mark.parametrize("flags,argv,first", [
+    pytest.param(flags, argv, first, id=name + suffix)
+    for flags, suffix in (((), ""), (("-u",), "-u"))
+    for name, argv, first in (
+        ("table", ("cod", "40", "--format", "table"), b"cod(A40)"),
+        ("csv", ("cod", "40", "--format", "csv"), b"n,group_order,codegree"),
+        ("json", ("cod", "40", "--format", "json"), b"{"),
+        # its 2 KB would fit in the pipe, so the reader closes before any is read
+        ("min-cod", ("min-cod", "5", "40"), None),
+    )
+])
+def test_closed_stdout_is_silent(flags, argv, first):
+    # the reader stops after one line, or before any; the writer, buffered
+    # or not (-u), must exit 1 without a traceback, not 0 with its output
+    # cut short
     proc = subprocess.Popen(
-        [sys.executable, "-m", "codlab.cli", "cod", "40", "--format", fmt],
+        [sys.executable, *flags, "-m", "codlab.cli", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
-    assert proc.stdout.readline().startswith(first)
+    if first is not None:
+        assert proc.stdout.readline().startswith(first)
     proc.stdout.close()
     assert proc.wait(timeout=60) == 1
     assert proc.stderr.read() == b""
     proc.stderr.close()
+
+
+class RecordingStdout(io.StringIO):
+    """A stdout stand-in that keeps each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+def recorded_writes(emit):
+    out = RecordingStdout()
+    with redirect_stdout(out):
+        emit()
+    return out.writes
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_cod_40_is_written_in_pipe_atomic_chunks(fmt):
+    # one write per line would be 16,219 writes; every write must fit in
+    # PIPE_BUF bytes, which a pipe takes whole or not at all
+    argv = ("cod", "40", "--format", fmt)
+    writes = recorded_writes(lambda: main(list(argv)))
+    assert len(writes) <= 1400
+    assert max(len(w.encode()) for w in writes) <= select.PIPE_BUF
+    assert hashlib.sha256("".join(writes).encode()).hexdigest() == dict(TABLE_DIGESTS)[argv]
+
+
+def test_emit_cuts_a_piece_longer_than_a_chunk():
+    chunk = cli._CHUNK
+    pieces = ["·" * (3 * chunk + 5) + "\n", "a\n", "b" * chunk, "c" * (chunk + 1), "", "d\n"]
+    writes = recorded_writes(lambda: cli._emit(iter(pieces)))
+    assert "".join(writes).encode() == "".join(pieces).encode()
+    assert max(len(w.encode()) for w in writes) <= select.PIPE_BUF
+    # three cut from the first piece, its tail joined with "a\n", the b's
+    # whole, the c's cut, and the last c joined with "d\n"
+    assert [len(w) for w in writes] == [chunk, chunk, chunk, 8, chunk, chunk, 3]
+
+
+def test_cod_refuses_a_codegree_that_does_not_divide_the_order(monkeypatch, capsys):
+    # the CodegreeSet check is the only divisibility check on the cod path
+    from codlab import alt_codegrees
+
+    walk = alt_codegrees._frobenius_pairs
+    monkeypatch.setattr(alt_codegrees, "_frobenius_pairs", lambda lo, hi: (
+        (*pair[:5], 7 if pair[5] == 12 else pair[5]) for pair in walk(lo, hi)))
+    with pytest.raises(ValueError, match="codegree 7 does not divide order 60"):
+        main(["cod", "5"])
+    assert capsys.readouterr().out == ""
 
 
 def test_console_script_installed():

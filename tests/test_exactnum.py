@@ -144,7 +144,7 @@ def test_divides():
         (7, "7"),
         (6048, "2^5·3^3·7"),
         (1, "1"),
-        (2**200, "2^200"),
+        pytest.param(2**200, "2^200", id="2^200"),
         (2**61 * 3**5, "2^61·3^5"),
         (2**40 * 37, "2^40·37"),
     ],

@@ -68,7 +68,8 @@ def test_integer_labels_parse_or_are_refused(head, d, q):
 
 
 @pytest.mark.parametrize(
-    "text", ["A" + "9" * 5000, "PSL(2," + "9" * 5000 + ")", "E8(" + "1" * 5000 + ")"]
+    "text", ["A" + "9" * 5000, "PSL(2," + "9" * 5000 + ")", "E8(" + "1" * 5000 + ")"],
+    ids=["A-5000-digits", "PSL-5000-digits", "E8-5000-digits"],
 )
 def test_overlong_digit_strings_are_refused(text):
     with pytest.raises(ValueError):
