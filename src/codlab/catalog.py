@@ -372,6 +372,10 @@ DATA_ENV_VAR = "CODLAB_DATA"
 _DATA_FORMAT = "codlab-groups"
 _DATA_VERSION = 1
 _DOUBLE_COVER = "2.A9"  # the one faithful_only record, of order 2|A9| = 9!
+# The catalog groups that are an A_n, each with its n.  The loader holds a
+# record under one of these labels to cod(A_n), so check_subset may call a
+# pair isomorphic when H's codegrees lie in cod(A_n).
+KNOWN_ISOMORPHIC = {"PSL(2,4)": 5, "PSL(2,5)": 5, "PSL(2,9)": 6, "PSL(4,2)": 8}
 
 
 class DegreeRecord(namedtuple(
@@ -490,8 +494,9 @@ def _add_record(rec: object, records: dict[str, DegreeRecord]) -> None:
 
 def _check_against_group(key: str, record: DegreeRecord) -> None:
     """Raise ValueError if the degree record filed under key contradicts the
-    group key names, or if key names an A_n: nothing reads such a record,
-    and the loader has no degree list of A_n to check it against."""
+    group key names, whose codegrees are cod(A_n) if it is an A_n under
+    another name, or if key names an A_n: nothing reads such a record, and
+    the loader has no degree list of A_n to check it against."""
     cover = key == _DOUBLE_COVER
     g = None if cover else parse_group_label(key)
     if g and g.family == "Alternating":
@@ -517,6 +522,9 @@ def _check_against_group(key: str, record: DegreeRecord) -> None:
     for d in record.degrees:
         if d < 1 or order % d:
             raise ValueError(f"degree {d} does not divide |{key}| = {order}")
+    n = KNOWN_ISOMORPHIC.get(key)
+    if n and _codegrees(key, record).values != alt_codegree_set(n).values:
+        raise ValueError(f"codegrees are not cod(A{n}), though {key} = A{n}")
 
 
 @lru_cache(maxsize=4)
@@ -536,8 +544,8 @@ def degree_record(label: str) -> DegreeRecord:
         raise DataFileError(f"{path}: no degree data for {label}") from None
 
 
-def _record_codegrees(label: str, cover_of: CodegreeSet | None = None) -> CodegreeSet:
-    """cod of the group label, from the degree record the loader checked.
+def _codegrees(label: str, rec: DegreeRecord, cover_of: CodegreeSet | None = None) -> CodegreeSet:
+    """cod of the group label from its degree record rec.
 
     Without cover_of the group is simple and its record is full: the
     non-trivial irreducibles are faithful, so each degree d > 1 gives the
@@ -545,7 +553,6 @@ def _record_codegrees(label: str, cover_of: CodegreeSet | None = None) -> Codegr
     group is a double cover of S and its record lists only the faithful
     characters: the others are inflations from S and keep S's codegrees.
     """
-    rec = degree_record(label)
     values = {1} if cover_of is None else set(cover_of.values)
     values.update(rec.order // d for d in rec.degrees if d > 1)
     return CodegreeSet(label, rec.order, tuple(sorted(values)))
@@ -555,9 +562,10 @@ def simple_codegree_set(g: GroupId) -> CodegreeSet:
     """cod(G) for a simple catalog group."""
     if g.family == "Alternating":
         return alt_codegree_set(g.n)  # type: ignore[arg-type]
-    return _record_codegrees(group_label(g))
+    label = group_label(g)
+    return _codegrees(label, degree_record(label))
 
 
 def twisted_codegree_set_2a9() -> CodegreeSet:
     """cod(2.A9) for the double cover of A9, of order 2|A9|."""
-    return _record_codegrees(_DOUBLE_COVER, alt_codegree_set(9))
+    return _codegrees(_DOUBLE_COVER, degree_record(_DOUBLE_COVER), alt_codegree_set(9))

@@ -2,10 +2,12 @@
 
 Subcommands: cod, min-cod, search, schur, check-subset.  Exit codes are
 a stable contract: 0 success / verification PASS, 2 usage error or a
-data file that is unreadable or lacks a record the run needs, 3
-mathematical verification failure.  Exit 1 means stdout was closed
-before all output was written (for example by `| head`), whether
-stdout is buffered or not (python -u, PYTHONUNBUFFERED); see _emit.
+data file that is unreadable, lacks a record the run needs or holds one
+that contradicts its group (for a group that is an A_n under another
+name, codegrees other than cod(A_n)), 3 mathematical verification
+failure.  Exit 1 means stdout was closed before all output was written
+(for example by `| head`), whether stdout is buffered or not (python -u,
+PYTHONUNBUFFERED); see _emit.
 
 All arithmetic is exact, so json and csv output carry group orders,
 codegrees, ratios and witnesses as decimal strings; small structural

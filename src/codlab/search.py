@@ -59,6 +59,7 @@ from typing import Iterator
 from .alt_codegrees import alt_codegree_set, prove_min_codegree_monotone
 from .catalog import (
     EXCEPTIONAL_PREFIX,
+    KNOWN_ISOMORPHIC,
     LIE_FAMILIES,
     RANK_FLOOR,
     SPORADIC_LABELS,
@@ -84,13 +85,6 @@ _MONOTONE_RANGE = (5, 30)
 SEARCH_TARGETS = {f.lower(): f for f in LIE_FAMILIES} | {
     prefix.lower(): f for f, prefix in EXCEPTIONAL_PREFIX.items()
 }
-
-# Known coincidences between catalog groups and alternating groups,
-# used to justify an "isomorphic" verdict when orders and codegree sets
-# both agree.
-KNOWN_ISOMORPHIC: frozenset[tuple[str, int]] = frozenset(
-    {("PSL(2,4)", 5), ("PSL(2,5)", 5), ("PSL(2,9)", 6), ("PSL(4,2)", 8)}
-)
 
 
 class ExceptionRow(namedtuple("ExceptionRow", "family label m p k q n ratio")):
@@ -325,9 +319,10 @@ def sweep_sporadic() -> tuple[ExceptionRow, ...]:
 def check_subset(g: GroupId, n: int) -> SubsetCheck:
     """Decide cod(H) subset-of cod(A_n) for a survivor pair.
 
-    Equal order and equal codegree set on a known coincidence pair, or
-    on A_n itself, gives "isomorphic"; otherwise the smallest missing
-    codegree is the refutation witness.  A subset relation on a
+    A subset relation on A_n itself, or on a group that KNOWN_ISOMORPHIC
+    pairs with this n, gives "isomorphic": the loader has checked that
+    such a group's record gives exactly cod(A_n).  Otherwise the smallest
+    missing codegree is the refutation witness.  A subset relation on a
     non-isomorphic pair is "subset_holds" and treated as a failure
     upstream.
     """
@@ -335,19 +330,12 @@ def check_subset(g: GroupId, n: int) -> SubsetCheck:
     ca = alt_codegree_set(n)
     label = ch.group_label
     missing = sorted(set(ch.values) - set(ca.values))
-    if not missing:
-        if (label, n) in KNOWN_ISOMORPHIC or label == f"A{n}":
-            if ch.order != ca.order or ch.values != ca.values:
-                raise ArithmeticError(
-                    f"known coincidence {label} = A{n} fails data check"
-                )
-            verdict = "isomorphic"
-        else:
-            verdict = "subset_holds"
-        witness = None
+    if missing:
+        verdict, witness = "subset_refuted", missing[0]
+    elif KNOWN_ISOMORPHIC.get(label) == n or label == f"A{n}":
+        verdict, witness = "isomorphic", None
     else:
-        verdict = "subset_refuted"
-        witness = missing[0]
+        verdict, witness = "subset_holds", None
     return SubsetCheck(
         label, n, verdict, witness, ch.order, len(ch.values), len(ca.values)
     )

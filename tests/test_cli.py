@@ -5,12 +5,14 @@ import csv
 import hashlib
 import io
 import json
+import os
 import select
 import subprocess
 import sys
 import threading
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,13 +20,38 @@ from hypothesis import given, settings, strategies as st
 from codlab import cli
 from codlab.cli import MAX_N_CEILING, build_parser, cmd_search, main
 from codlab.catalog import data_path
-from codlab.search import SEARCH_TARGETS
+from codlab.search import SEARCH_TARGETS, run_full_verification
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def python(*args, unbuffered=False):
+    """A child Python running args, its stdout and stderr piped.
+
+    Its stdout buffering is set here, not inherited: the unbuffered child
+    gets -u, and neither gets PYTHONUNBUFFERED, which would make the
+    buffered one unbuffered too.
+    """
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.Popen([sys.executable, *(["-u"] if unbuffered else []), *args],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+
+
+def codlab(*argv, unbuffered=False):
+    """The command line run as a child process; see python."""
+    return python("-m", "codlab.cli", *argv, unbuffered=unbuffered)
+
+
+def finished(proc, timeout):
+    """stdout and stderr of proc once it exits; killed if it runs longer."""
+    try:
+        return proc.communicate(timeout=timeout)
+    finally:
+        proc.kill()
 
 
 def test_cod_table(capsys):
@@ -89,14 +116,27 @@ def test_min_cod_bad_range(capsys):
     assert code == 2 and "n_lo < n_hi" in err
 
 
-# sha256 of each command's stdout.  The cod and min-cod digests were
-# recorded from the earlier per-prime renderer: the bulk cod table and
-# min-cod's one-value factored column keep every byte on every supported
-# Python.  The search, schur and check-subset digests were recorded before
-# the Lie family tables were merged into one row per family; they pin the
-# bounds, points examined and rows that those tables drive.  The sporadic,
-# psl and g2 csv and table digests pin the rows of a single sweep target
-# as the CLI prints them, beside the golden comparison of search all.
+# The benchmark's reference outputs (perfbench/oracle.json), read and never
+# written here: the stdout sha256 of search all, cod 40 and min-cod 5 40.
+_ORACLE = json.loads((Path(__file__).parents[1] / "perfbench" / "oracle.json").read_text("utf-8"))
+
+
+def oracle_digest(*argv):
+    [digest] = [ref["sha256"] for ref in (_ORACLE["verify"], *_ORACLE["alt-tables"])
+                if ref["argv"] == list(argv)]
+    return digest
+
+
+# sha256 of each command's stdout, for every subcommand in every format.
+# The cod and min-cod digests were recorded from the earlier per-prime
+# renderer: the bulk cod table and min-cod's one-value factored column keep
+# every byte on every supported Python.  The search, schur and check-subset
+# digests were recorded before the Lie family tables were merged into one
+# row per family; they pin the bounds, points examined and rows that those
+# tables drive.  The sporadic, psl and g2 csv and table digests pin the rows
+# of a single sweep target as the CLI prints them, beside the golden
+# comparison of search all.  Three table digests are the benchmark's: its
+# argv leaves out --format table, and search all's also sets --threads 1.
 TABLE_DIGESTS = [
     (("cod", "5", "--format", "table"),
      "869c487d8b454f6560ea28c2308e42cad5a3a127917128d1e0e6b5f945b66bb4"),
@@ -122,16 +162,17 @@ TABLE_DIGESTS = [
      "dac7925a94817c20793b78bfc880c7f2e0dd4adb9f4278d43d1c7a047163c052"),
     (("cod", "25", "--format", "json"),
      "9fee86bb2ae0c48bde7d569b9db218d1d52e65267507e7c72a2017fc3b2ebc16"),
-    (("cod", "40", "--format", "table"),
-     "b5cf8fe558cccb8d8ef0991d0ff75b1610533fabcd904038d00ca01be7232a7d"),
+    (("cod", "40", "--format", "table"), oracle_digest("cod", "40")),
     (("cod", "40", "--format", "csv"),
      "07c79a94c8e36144b152ee8bf5847db18476a9c871a85b4f1285ca692dbd377d"),
     (("cod", "40", "--format", "json"),
      "0f308bac5fb67fd6d84c2641099281e7d66133a3cda36c994b8c6ad5cb19a893"),
-    (("min-cod", "5", "40"),
-     "351dc6f47eadeab2b8e69186c963cbe65fa79b8824507d758c3949b398cc5e99"),
-    (("search", "all", "--format", "table"),
-     "f12ace5f042c6744915063b70395cc70d30c0e70d4bb9074d67e7429518773f7"),
+    (("min-cod", "5", "40"), oracle_digest("min-cod", "5", "40")),
+    (("min-cod", "5", "40", "--format", "csv"),
+     "f897d96b02fe22b70c645f4c9acfb69a56d236c19e230fbde725541503470e04"),
+    (("min-cod", "5", "40", "--format", "json"),
+     "7578e2e9bc00986676fdd7eca7d7c9bb3fc805b76e1c692239e8111d3feeba9e"),
+    (("search", "all", "--format", "table"), oracle_digest("search", "all", "--threads", "1")),
     (("search", "all", "--format", "json"),
      "b54c2131c284f23db877a2404455407203aaeb806b4830be3e6b58fadba3604f"),
     (("search", "all", "--format", "csv"),
@@ -182,6 +223,10 @@ TABLE_DIGESTS = [
      "f9c0fd391e41c4b5742a8930d3e0b5a7db157fa8a5d57b61b0fc0fa0079d3ef1"),
     (("search", "twistedf4", "--format", "json"),
      "73c763a817e2a8e993319045457ec30c91dc60a847acd127cff3a6d2fc25233d"),
+    (("schur", "--format", "table"),
+     "607b199bc85e2d6da1c3b25ffae65f7c0466cfc510ce9c6146c14a7b922dbd99"),
+    (("schur", "--format", "csv"),
+     "a117d85886263558b00ea1c3da495a4dd4aecf2d21a73d9dc91a5c68d494ff2b"),
     (("schur", "--format", "json"),
      "04e87edead2bfb76a5bac2607c6f4a67369cada3304b034d54c84543b353a746"),
     (("check-subset", "G2(2)'", "9"),
@@ -208,6 +253,10 @@ TABLE_DIGESTS = [
      "a253d32a6dd7d0f9186875e98923faa6ebd107bc1cd376c05b7fa3b007125e45"),
     (("check-subset", "PSU(4,2)", "9"),
      "3d6a2575c1eaba79aece82e3ec59643fddf450603a262cdb11de37f978febf43"),
+    (("check-subset", "J2", "10", "--format", "csv"),
+     "eaf9f5bfdb00aaeb5a829f4c6aa59b919fc594b99178392fdcca3f36f3482658"),
+    (("check-subset", "J2", "10", "--format", "json"),
+     "d476d24104b7a7ee491e98539c543356a28261588df471806e355a6f31706a62"),
 ]
 
 
@@ -380,13 +429,11 @@ def test_check_subset_g2_2_names_its_derived_group(capsys):
 @pytest.mark.parametrize("q", [2**61 - 1, 2**127 - 1], ids=["2^61-1", "2^127-1"])
 def test_check_subset_huge_q_exits_2_in_bounded_time(q):
     # a prime q with no degree data, and a q past the proven primality range
-    proc = subprocess.run(
-        [sys.executable, "-m", "codlab.cli", "check-subset", f"PSL(2,{q})", "9"],
-        capture_output=True, text=True, timeout=5,
-    )
+    proc = codlab("check-subset", f"PSL(2,{q})", "9")
+    out, err = finished(proc, 5)
     assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("error: ")
+    assert out == b""
+    assert err.startswith(b"error: ")
 
 
 def test_max_n_ceiling(capsys):
@@ -504,8 +551,23 @@ def _appended(record):
     return apply
 
 
+def data_file(path, edit):
+    """Write the packaged data file, its lines changed by edit, to path; a
+    character U+DC80..U+DCFF is written as the byte it escapes."""
+    lines = edit(data_path().read_text("utf-8").splitlines())
+    path.write_text("\n".join(lines) + "\n", "utf-8", "surrogateescape")
+
+
 _SPORADIC_M11 = {"record": "sporadic", "label": "M11", "order": 7920, "class_count": 10,
                  "provenance": "ATLAS of Finite Groups"}
+# PSL(2,9)'s degrees with its 10 split as four 5s (10^2 = 4 * 5^2): the
+# squares still sum to 360, but the codegree 36 is gone from cod(A6)
+_COD_NOT_COD_A6 = [1, 5, 5, 5, 5, 5, 5, 8, 8, 9]
+# 16 degrees of a group of order 20160 whose codegrees 1, 315, 360, 448,
+# 1008 and 2880 all lie in cod(A8): each divides the order and the squares
+# sum to it, so the loader takes them for PSL(3,4), which is not A8, but
+# not for PSL(4,2), which is
+_COD_IN_COD_A8 = [1, 7, 7, 7, 7, 7, 7, 20, 20, 20, 45, 56, 56, 56, 56, 64]
 # J2's 21 degrees with 300 split as 180 and 240 (300^2 = 180^2 + 240^2): the
 # squares still sum to |J2|, and each degree divides it, but 22 is not k(J2)
 _J2_22_DEGREES = [1, 14, 14, 21, 21, 36, 63, 70, 70, 90, 126, 160, 175, 180,
@@ -517,6 +579,9 @@ _NO_A_N_RECORD = "cod(A_n) comes from hook lengths, never from a degree record"
     "edit,argv,problem",
     [
         (None, ("check-subset", "J2", "10"), ": No such file or directory"),
+        (None, ("schur",), ": No such file or directory"),
+        (_on_j2(lambda line: line + "\udcff"), ("check-subset", "J2", "10"),
+         ": not UTF-8 text: invalid start byte"),
         (_on_j2(lambda line: "{not json"), ("check-subset", "J2", "10"), ":11: not JSON: "),
         (_on_j2(_drop_label), ("check-subset", "J2", "10"),
          ":11: record has no 'label' field"),
@@ -575,6 +640,8 @@ _NO_A_N_RECORD = "cod(A_n) comes from hook lengths, never from a degree record"
          ':4: order "168" is not an integer'),
         # the file holds degree records only: the sporadic facts are catalog's,
         # and search all, whose sweep reads no file, still reads it to discharge
+        (_appended(_SPORADIC_M11), ("check-subset", "J2", "10"),
+         ":13: unknown record type 'sporadic'"),
         (_appended({**_SPORADIC_M11, "order": 7921}), ("check-subset", "J2", "10"),
          ":13: unknown record type 'sporadic'"),
         (_appended({**_SPORADIC_M11, "order": 7921}), ("search", "all"),
@@ -601,8 +668,15 @@ _NO_A_N_RECORD = "cod(A_n) comes from hook lengths, never from a degree record"
          ':9: aliases "A5" is not a list'),
         (_degrees_of("PSU(3,3)", aliases=["G2(2)'", 7]), ("check-subset", "J2", "10"),
          ":9: alias 7 is not text"),
+        # a group that is an A_n under another name has the codegrees of A_n
+        (_degrees_of("PSL(2,9)", degrees=_COD_NOT_COD_A6), ("check-subset", "PSL(2,9)", "6"),
+         ":6: degree record PSL(2,9): codegrees are not cod(A6), though PSL(2,9) = A6"),
+        (_degrees_of("PSL(2,9)", degrees=_COD_NOT_COD_A6), ("search", "all"),
+         ":6: degree record PSL(2,9): codegrees are not cod(A6), though PSL(2,9) = A6"),
+        (_degrees_of("PSL(4,2)", degrees=_COD_IN_COD_A8), ("check-subset", "PSL(4,2)", "8"),
+         ":7: degree record PSL(4,2): codegrees are not cod(A8), though PSL(4,2) = A8"),
     ],
-    ids=["missing-file", "non-json-line", "record-without-label",
+    ids=["missing-file", "missing-file-schur", "not-utf8", "non-json-line", "record-without-label",
          "no-2a9-search-all", "no-2a9-schur", "no-j2-search-all",
          "no-j2-search-sporadic", "no-j2-check-subset", "psl28-order-26",
          "psl28-degree-5", "2a9-order-doubled", "2a9-squares", "j2-faithful-only",
@@ -611,17 +685,17 @@ _NO_A_N_RECORD = "cod(A_n) comes from hook lengths, never from a degree record"
          "alias-psl211", "alias-psl20000-2", "alias-psl1000000001-2",
          "alias-a99999999", "psl34-label-a8", "label-foo",
          "j2-class-count-22", "psl24-float-degrees", "psl28-float-order",
-         "psl27-string-order", "m11-order-7921", "m11-order-7921-search-all",
+         "psl27-string-order", "m11-atlas-record", "m11-order-7921", "m11-order-7921-search-all",
          "extra-sporadic-foo", "duplicate-psl27",
          "2a9-faithful-only-1", "2a9-faithful-only-no", "psl27-label-number",
          "psl34-provenance-list", "j2-provenance-null", "psl24-label-list",
-         "psu33-aliases-text", "psu33-alias-number"],
+         "psu33-aliases-text", "psu33-alias-number", "psl29-not-a6",
+         "psl29-not-a6-search-all", "psl42-not-a8"],
 )
 def test_bad_data_file_exits_2(tmp_path, monkeypatch, capsys, edit, argv, problem):
     target = tmp_path / "data.jsonl"
     if edit is not None:
-        lines = edit(data_path().read_text("utf-8").splitlines())
-        target.write_text("\n".join(lines) + "\n", "utf-8")
+        data_file(target, edit)
     monkeypatch.setenv("CODLAB_DATA", str(target))
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
@@ -629,9 +703,41 @@ def test_bad_data_file_exits_2(tmp_path, monkeypatch, capsys, edit, argv, proble
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("flags,argv,first", [
-    pytest.param(flags, argv, first, id=name + suffix)
-    for flags, suffix in (((), ""), (("-u",), "-u"))
+def test_a_subset_without_isomorphism_fails_the_run(tmp_path, monkeypatch, capsys):
+    # the theorem's failure path: a group that is not A_n, all of whose
+    # codegrees lie in cod(A_n), is an alarm, never called isomorphic
+    data_file(tmp_path / "data.jsonl", _degrees_of("PSL(3,4)", degrees=_COD_IN_COD_A8))
+    monkeypatch.setenv("CODLAB_DATA", str(tmp_path / "data.jsonl"))
+    alarm = "PSL(3,4) vs A8: SUBSET HOLDS without isomorphism (alarm)"
+    code, out, _ = run_cli(capsys, "search", "all")
+    assert code == 3
+    lines = out.splitlines()
+    assert "survivors: 16 checks, 4 isomorphic, 11 refuted, 1 unresolved" in lines
+    assert alarm in lines and lines[-1] == "RESULT: FAIL"
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "452a45640e62d274caf1c5bbaf41889f75734b540fa42146dec8cd7765cca34d")
+    code, out, _ = run_cli(capsys, "check-subset", "PSL(3,4)", "8")
+    assert code == 3 and out.splitlines()[0] == alarm
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "df1a9aba38e45866bc2e10a4b95e76cb80b6dd1fec631d2838e373e98bb0b908")
+    [check] = run_full_verification().unresolved
+    assert check == ("PSL(3,4)", 8, "subset_holds", None, 20160, 6, 11)
+
+
+@pytest.mark.parametrize("unbuffered,stdout", [(False, "BufferedWriter"), (True, "FileIO")],
+                         ids=["buffered", "unbuffered"])
+def test_child_stdout_buffering_is_set_not_inherited(monkeypatch, unbuffered, stdout):
+    # with PYTHONUNBUFFERED=1 in the caller's environment, the buffered child
+    # still writes through a buffer, and only the -u child to the file itself
+    monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+    proc = python("-c", "import sys; print(type(sys.stdout.buffer).__name__)",
+                  unbuffered=unbuffered)
+    assert finished(proc, 60) == (f"{stdout}\n".encode(), b"")
+
+
+@pytest.mark.parametrize("unbuffered,argv,first", [
+    pytest.param(unbuffered, argv, first, id=name + suffix)
+    for unbuffered, suffix in ((False, ""), (True, "-u"))
     for name, argv, first in (
         ("table", ("cod", "40", "--format", "table"), b"cod(A40)"),
         ("csv", ("cod", "40", "--format", "csv"), b"n,group_order,codegree"),
@@ -640,14 +746,11 @@ def test_bad_data_file_exits_2(tmp_path, monkeypatch, capsys, edit, argv, proble
         ("min-cod", ("min-cod", "5", "40"), None),
     )
 ])
-def test_closed_stdout_is_silent(flags, argv, first):
+def test_closed_stdout_is_silent(unbuffered, argv, first):
     # the reader stops after one line, or before any; the writer, buffered
     # or not (-u), must exit 1 without a traceback, not 0 with its output
     # cut short
-    proc = subprocess.Popen(
-        [sys.executable, *flags, "-m", "codlab.cli", *argv],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-    )
+    proc = codlab(*argv, unbuffered=unbuffered)
     if first is not None:
         assert proc.stdout.readline().startswith(first)
     proc.stdout.close()
@@ -673,6 +776,16 @@ def recorded_writes(emit):
     with redirect_stdout(out):
         emit()
     return out.writes
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_cod_40_child_writes_the_pinned_bytes(fmt, unbuffered):
+    argv = ("cod", "40", "--format", fmt)
+    proc = codlab(*argv, unbuffered=unbuffered)
+    out, err = finished(proc, 60)
+    assert (proc.returncode, err) == (0, b"")
+    assert hashlib.sha256(out).hexdigest() == dict(TABLE_DIGESTS)[argv]
 
 
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
@@ -707,15 +820,6 @@ def test_cod_refuses_a_codegree_that_does_not_divide_the_order(monkeypatch, caps
     with pytest.raises(ValueError, match="codegree 7 does not divide order 60"):
         main(["cod", "5"])
     assert capsys.readouterr().out == ""
-
-
-def test_console_script_installed():
-    proc = subprocess.run(
-        [sys.executable, "-m", "codlab.cli", "cod", "5", "--format", "csv"],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode == 0
-    assert proc.stdout.splitlines()[-1] == "5,60,20"
 
 
 # Argv fuzzing.  Every integer is at most 25 or past MAX_N_CEILING, and the
