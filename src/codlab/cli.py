@@ -9,6 +9,10 @@ failure.  Exit 1 means stdout was closed before all output was written
 (for example by `| head`), whether stdout is buffered or not (python -u,
 PYTHONUNBUFFERED); see _emit.
 
+Every result takes one path: a handler hands _answer whether it
+verifies and a function for each format's text, and _answer alone reads
+--format, builds and writes only the text asked for, and returns 0 or 3.
+
 All arithmetic is exact, so json and csv output carry group orders,
 codegrees, ratios and witnesses as decimal strings; small structural
 integers (n, m, p, k, set sizes) stay plain.  Table output additionally
@@ -105,19 +109,30 @@ def _emit(pieces: Iterable[str]) -> None:
         write("".join(chunk))
 
 
-def _emit_json(payload: dict) -> None:
-    import json
-
-    _emit(chain(json.JSONEncoder(indent=2).iterencode(payload), "\n"))
-
-
-def _csv_lines(header: Iterable[str], rows: Iterable[Iterable[str]]) -> Iterable[str]:
+def _csv_lines(rows: Iterable[Iterable[str]]) -> Iterable[str]:
     import csv
     from types import SimpleNamespace
 
     # writerow returns what the file's write returns: here the line itself
     echo = csv.writer(SimpleNamespace(write=str), lineterminator="\n")
-    return map(echo.writerow, chain([header], rows))
+    return map(echo.writerow, rows)
+
+
+def _answer(args: argparse.Namespace, ok: bool, *, doc: Callable[[], dict],
+            csv: Callable[[], Iterable[str]], table: Callable[[], Iterable[str]]) -> int:
+    """Write the rendering that --format asks for, built only now: the JSON
+    document, the CSV text or the table lines; exit 0 if the result
+    verifies, else 3."""
+    if args.format == "json":
+        import json
+
+        pieces = chain(json.JSONEncoder(indent=2).iterencode(doc()), "\n")
+    elif args.format == "csv":
+        pieces = csv()
+    else:
+        pieces = (f"{line}\n" for line in table())
+    _emit(pieces)
+    return 0 if ok else 3
 
 
 # ---------------------------------------------------------------------------
@@ -128,27 +143,20 @@ def cmd_cod(args: argparse.Namespace) -> int:
     n = args.n
     if not 5 <= n <= MAX_N_CEILING:
         return _fail_usage(f"n must be in [5, {MAX_N_CEILING}], got {n}")
-    cs = alt_codegree_set(n)
-    if args.format == "json":
-        _emit_json({
-            "command": "cod", "group": cs.group_label, "n": n,
-            "order": str(cs.order),
-            "codegrees": [str(v) for v in cs.values],
-        })
-    elif args.format == "csv":
-        order = str(cs.order)
-        _emit(_csv_lines(["n", "group_order", "codegree"],
-                         ([str(n), order, str(v)] for v in cs.values)))
-    else:
-        width = len(str(cs.values[-1]))
-        # cs is a CodegreeSet, so each value is a checked divisor of cs.order
-        _emit(chain(
-            [f"cod({cs.group_label})    |{cs.group_label}| = {_big(cs.order)}\n"],
-            (f"  {v:>{width}}\n" if v == 1 else f"  {v:>{width}} = {text}\n"
-             for v, text in zip(cs.values, format_known_divisors(cs.values, cs.order))),
-            [f"{len(cs.values)} values\n"],
-        ))
-    return 0
+    label, order, values = alt_codegree_set(n)
+    n_text, order_text, width = str(n), str(order), len(str(values[-1]))
+    # the values of a CodegreeSet are checked divisors of its order
+    return _answer(args, True, doc=lambda: {
+        "command": "cod", "group": label, "n": n, "order": order_text,
+        "codegrees": [str(v) for v in values],
+    }, csv=lambda: _csv_lines(chain(
+        [("n", "group_order", "codegree")], ((n_text, order_text, str(v)) for v in values),
+    )), table=lambda: chain(
+        [f"cod({label})    |{label}| = {_big(order)}"],
+        (f"  {v:>{width}}" if v == 1 else f"  {v:>{width}} = {text}"
+         for v, text in zip(values, format_known_divisors(values, order))),
+        [f"{len(values)} values"],
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -159,26 +167,21 @@ def cmd_min_cod(args: argparse.Namespace) -> int:
     lo, hi = args.n_lo, args.n_hi
     if not (5 <= lo < hi <= MAX_N_CEILING):
         return _fail_usage(f"need 5 <= n_lo < n_hi <= {MAX_N_CEILING}, got {lo} {hi}")
-    monotone, rows = verify_min_codegree_monotone(lo, hi)
+    monotone, minima = verify_min_codegree_monotone(lo, hi)
     verdict = "PASS" if monotone else "FAIL"
-    if args.format == "json":
-        _emit_json({
-            "command": "min-cod",
-            "n_lo": lo, "n_hi": hi,
-            "rows": [{"n": n, "min_codegree": str(a)} for n, a in rows],
-            "monotone": monotone, "verdict": verdict,
-        })
-    elif args.format == "csv":
-        _emit(chain(_csv_lines(["n", "min_codegree"], ([str(n), str(a)] for n, a in rows)),
-                    [f"{verdict}\n"]))
-    else:
-        width = max(len(str(rows[-1][1])), 12)
-        _emit(chain(
-            [f"{'n':>3}  {'min codegree':>{width}}\n"],
-            (f"{n:>3}  {a:>{width}} = {format_factored(a)}\n" for n, a in rows),
-            [f"{verdict}: minimal codegree strictly increasing on {lo}..{hi}\n"],
-        ))
-    return 0 if monotone else 3
+    width = max(len(str(minima[-1][1])), 12)
+    return _answer(args, monotone, doc=lambda: {
+        "command": "min-cod",
+        "n_lo": lo, "n_hi": hi,
+        "rows": [{"n": n, "min_codegree": str(a)} for n, a in minima],
+        "monotone": monotone, "verdict": verdict,
+    }, csv=lambda: _csv_lines([
+        ("n", "min_codegree"), *((str(n), str(a)) for n, a in minima), (verdict,),
+    ]), table=lambda: [
+        f"{'n':>3}  {'min codegree':>{width}}",
+        *(f"{n:>3}  {a:>{width}} = {format_factored(a)}" for n, a in minima),
+        f"{verdict}: minimal codegree strictly increasing on {lo}..{hi}",
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +215,6 @@ def _check_lines(checks: tuple[SubsetCheck, ...]) -> list[str]:
         else "SUBSET HOLDS without isomorphism (alarm)") for c in checks]
 
 
-def _alarm_exit(checks: tuple[SubsetCheck, ...]) -> int:
-    return 3 if any(c.verdict == "subset_holds" for c in checks) else 0
-
-
 def _sweep_json(rep: FamilySweepReport) -> dict:
     return {"bounds": {"m_max": rep.m_max, "p_max": rep.p_max, "k_max": rep.k_max},
             "points_examined": rep.points_examined, "notes": list(rep.notes)}
@@ -245,22 +244,16 @@ def cmd_search(args: argparse.Namespace) -> int:
     else:
         return _fail_usage(f"unknown search target {args.target!r}")
     checks = discharge_rows(rows)
-    if args.format == "json":
-        _emit_json({
-            "command": "search", "target": target,
-            **extra,
-            "rows": [_row_json(r) for r in rows],
-            "checks": [_check_json(c) for c in checks],
-        })
-    elif args.format == "csv":
-        _emit([render_rows_csv(rows)])
-    else:
-        lines = head + _rows_table(rows)
+    return _answer(args, all(c.verdict != "subset_holds" for c in checks), doc=lambda: {
+        "command": "search", "target": target,
+        **extra,
+        "rows": [_row_json(r) for r in rows],
+        "checks": [_check_json(c) for c in checks],
+    }, csv=lambda: [render_rows_csv(rows)], table=lambda: [
+        *head, *_rows_table(rows),
         # a family with no surviving rows has no checks line
-        if rows or raw == "sporadic":
-            lines += ["checks:", *_check_lines(checks)]
-        _emit(f"{line}\n" for line in lines)
-    return _alarm_exit(checks)
+        *(["checks:", *_check_lines(checks)] if rows or raw == "sporadic" else []),
+    ])
 
 
 def _search_all(args: argparse.Namespace) -> int:
@@ -269,45 +262,39 @@ def _search_all(args: argparse.Namespace) -> int:
     rep = run_full_verification()
     verdict = "PASS" if rep.ok else "FAIL"
     sc, tw = rep.schur_scan, rep.schur_2a9
-    if args.format == "json":
-        _emit_json({
-            "command": "search", "target": "all", "verdict": verdict,
-            "monotone": {"range": list(rep.monotone_range), "ok": rep.monotone_ok},
-            "golden": {"ok": rep.golden_ok, "diffs": list(rep.golden_diffs)},
-            "families": [
-                {"family": f.family, **_sweep_json(f), "row_count": len(f.rows)}
-                for f in rep.family_reports
-            ],
-            "rows": [_row_json(r) for r in rep.rows],
-            "checks": [_check_json(c) for c in rep.checks],
-            "schur": {"solutions": list(sc.solutions), "exhausted": sc.exhausted,
-                      "a9_size": tw.a9_size, "twisted_size": tw.twisted_size,
-                      "proper_superset": tw.proper_superset},
-        })
-    elif args.format == "csv":
-        _emit([render_rows_csv(rep.rows), f"{verdict}\n"])
-    else:
-        lo, hi = rep.monotone_range
-        counts = ", ".join(f"{f.family} {len(f.rows)}" for f in rep.family_reports)
-        verdicts = [c.verdict for c in rep.checks]
-        _emit(f"{line}\n" for line in [
-            f"minimal codegree strictly increasing on {lo}..{hi}: "
-            f"{'PASS' if rep.monotone_ok else 'FAIL'}",
-            f"sporadic rows: {len(rep.sporadic_rows)}; family rows: {counts}",
-            f"golden tables: {'MATCH' if rep.golden_ok else 'MISMATCH'}",
-            *(f"  {diff}" for diff in rep.golden_diffs),
-            f"survivors: {len(rep.checks)} checks, {verdicts.count('isomorphic')} isomorphic, "
-            f"{verdicts.count('subset_refuted')} refuted, {len(rep.unresolved)} unresolved",
-            *_rows_table(rep.rows),
-            "checks:",
-            *_check_lines(rep.checks),
-            f"double-cover equations on ({sc.n_lo}, {sc.n_hi}]: solutions "
-            f"{list(sc.solutions)}, exhausted: {sc.exhausted}",
-            f"cod(A9) size {tw.a9_size}, cod(2.A9) size {tw.twisted_size}, "
-            f"proper superset: {tw.proper_superset}",
-            f"RESULT: {verdict}",
-        ])
-    return 0 if rep.ok else 3
+    lo, hi = rep.monotone_range
+    counts = ", ".join(f"{f.family} {len(f.rows)}" for f in rep.family_reports)
+    verdicts = [c.verdict for c in rep.checks]
+    return _answer(args, rep.ok, doc=lambda: {
+        "command": "search", "target": "all", "verdict": verdict,
+        "monotone": {"range": list(rep.monotone_range), "ok": rep.monotone_ok},
+        "golden": {"ok": rep.golden_ok, "diffs": list(rep.golden_diffs)},
+        "families": [
+            {"family": f.family, **_sweep_json(f), "row_count": len(f.rows)}
+            for f in rep.family_reports
+        ],
+        "rows": [_row_json(r) for r in rep.rows],
+        "checks": [_check_json(c) for c in rep.checks],
+        "schur": {"solutions": list(sc.solutions), "exhausted": sc.exhausted,
+                  "a9_size": tw.a9_size, "twisted_size": tw.twisted_size,
+                  "proper_superset": tw.proper_superset},
+    }, csv=lambda: [render_rows_csv(rep.rows), f"{verdict}\n"], table=lambda: [
+        f"minimal codegree strictly increasing on {lo}..{hi}: "
+        f"{'PASS' if rep.monotone_ok else 'FAIL'}",
+        f"sporadic rows: {len(rep.sporadic_rows)}; family rows: {counts}",
+        f"golden tables: {'MATCH' if rep.golden_ok else 'MISMATCH'}",
+        *(f"  {diff}" for diff in rep.golden_diffs),
+        f"survivors: {len(rep.checks)} checks, {verdicts.count('isomorphic')} isomorphic, "
+        f"{verdicts.count('subset_refuted')} refuted, {len(rep.unresolved)} unresolved",
+        *_rows_table(rep.rows),
+        "checks:",
+        *_check_lines(rep.checks),
+        f"double-cover equations on ({sc.n_lo}, {sc.n_hi}]: solutions "
+        f"{list(sc.solutions)}, exhausted: {sc.exhausted}",
+        f"cod(A9) size {tw.a9_size}, cod(2.A9) size {tw.twisted_size}, "
+        f"proper superset: {tw.proper_superset}",
+        f"RESULT: {verdict}",
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -322,35 +309,31 @@ def cmd_schur(args: argparse.Namespace) -> int:
     report = schur_a9_size_check()
     ok = scan.ok and report.ok
     verdict = "PASS" if ok else "FAIL"
-    if args.format == "json":
-        _emit_json({
-            "command": "schur",
-            "n_lo": scan.n_lo, "n_hi": scan.n_hi,
-            "solutions": list(scan.solutions),
-            "exhausted": scan.exhausted,
-            "a9_size": report.a9_size, "twisted_size": report.twisted_size,
-            "distinct_sizes": report.a9_size != report.twisted_size,
-            "proper_superset": report.proper_superset,
-            "new_codegrees": [str(v) for v in report.new_values],
-            "verdict": verdict,
-        })
-    elif args.format == "csv":
-        _emit(chain(_csv_lines(["solution_n"], ([str(n)] for n in scan.solutions)),
-                    [f"sizes,{report.a9_size},{report.twisted_size}\n", f"{verdict}\n"]))
-    else:
-        _emit(f"{line}\n" for line in [
-            f"degree equations n-1 = 2^(floor((n-2)/2)-1) and "
-            f"n-1 = 2^(floor(n/2)-1) on ({scan.n_lo}, {scan.n_hi}]",
-            f"solutions: {list(scan.solutions)} (exhausted beyond range: {scan.exhausted})",
-            f"cod(A9) size: {report.a9_size}",
-            f"cod(2.A9) size: {report.twisted_size}",
-            f"distinct sizes: {str(report.a9_size != report.twisted_size).lower()}",
-            f"cod(A9) proper subset of cod(2.A9): {str(report.proper_superset).lower()}",
-            "new codegrees from faithful characters: "
-            + ", ".join(_big(v) for v in report.new_values),
-            verdict,
-        ])
-    return 0 if ok else 3
+    return _answer(args, ok, doc=lambda: {
+        "command": "schur",
+        "n_lo": scan.n_lo, "n_hi": scan.n_hi,
+        "solutions": list(scan.solutions),
+        "exhausted": scan.exhausted,
+        "a9_size": report.a9_size, "twisted_size": report.twisted_size,
+        "distinct_sizes": report.a9_size != report.twisted_size,
+        "proper_superset": report.proper_superset,
+        "new_codegrees": [str(v) for v in report.new_values],
+        "verdict": verdict,
+    }, csv=lambda: _csv_lines([
+        ("solution_n",), *((str(n),) for n in scan.solutions),
+        ("sizes", str(report.a9_size), str(report.twisted_size)), (verdict,),
+    ]), table=lambda: [
+        f"degree equations n-1 = 2^(floor((n-2)/2)-1) and "
+        f"n-1 = 2^(floor(n/2)-1) on ({scan.n_lo}, {scan.n_hi}]",
+        f"solutions: {list(scan.solutions)} (exhausted beyond range: {scan.exhausted})",
+        f"cod(A9) size: {report.a9_size}",
+        f"cod(2.A9) size: {report.twisted_size}",
+        f"distinct sizes: {str(report.a9_size != report.twisted_size).lower()}",
+        f"cod(A9) proper subset of cod(2.A9): {str(report.proper_superset).lower()}",
+        "new codegrees from faithful characters: "
+        + ", ".join(_big(v) for v in report.new_values),
+        verdict,
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -371,19 +354,17 @@ def cmd_check_subset(args: argparse.Namespace) -> int:
     if not 5 <= args.n <= MAX_N_CEILING:
         return _fail_usage(f"n must be in [5, {MAX_N_CEILING}], got {args.n}")
     result = check_subset(g, args.n)
-    if args.format == "json":
-        _emit_json({"command": "check-subset", **_check_json(result)})
-    elif args.format == "csv":
-        _emit(_csv_lines(["label", "n", "verdict", "witness"],
-                         [[result.label, str(result.n), result.verdict,
-                           "" if result.witness is None else str(result.witness)]]))
-    else:
-        _emit(f"{line}\n" for line in [
-            *_check_lines((result,)),
-            f"|{result.label}| = {_big(result.h_order)}",
-            f"codegree set sizes: {result.h_cod_size} vs {result.a_cod_size}",
-        ])
-    return _alarm_exit((result,))
+    witness = "" if result.witness is None else str(result.witness)
+    return _answer(args, result.verdict != "subset_holds", doc=lambda: {
+        "command": "check-subset", **_check_json(result),
+    }, csv=lambda: _csv_lines([
+        ("label", "n", "verdict", "witness"),
+        (result.label, str(result.n), result.verdict, witness),
+    ]), table=lambda: [
+        *_check_lines((result,)),
+        f"|{result.label}| = {_big(result.h_order)}",
+        f"codegree set sizes: {result.h_cod_size} vs {result.a_cod_size}",
+    ])
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ lengths alone.
 import gc
 import itertools
 import math
+import re
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -306,12 +307,53 @@ def test_walks_leave_no_reference_cycles():
 
 
 def test_range_walk_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^n must be >= 5, got 4$"):
         list(_frobenius_pairs(4, 10))
-    with pytest.raises(ValueError):
-        list(_frobenius_pairs(12, 11))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^n must be >= 5, got 4$"):
+        alt_codegree_set(4)
+    for lo, hi in ((12, 11), (6, 5)):
+        with pytest.raises(ValueError, match=re.escape(f"need n_lo <= n_hi, got ({lo}, {hi})")):
+            list(_frobenius_pairs(lo, hi))
+    with pytest.raises(ValueError, match=re.escape("need 5 <= n_lo <= n_hi, got (6, 5)")):
         verify_min_codegree_monotone(6, 5)
+
+
+def test_codegree_set_checks_the_sum_of_squares(monkeypatch):
+    # a walk that loses one pair, here the trivial one, is refused
+    walk = alt_codegrees._frobenius_pairs
+    monkeypatch.setattr(alt_codegrees, "_frobenius_pairs",
+                        lambda lo, hi: itertools.islice(walk(lo, hi), 1, None))
+    with pytest.raises(ArithmeticError,
+                       match=re.escape("sum of squared dimensions 359 != |A_6| = 360")):
+        alt_codegree_set(6)
+
+
+@pytest.mark.parametrize("n,run,scale,message", [
+    # H(3) = 3! times 7: the pair (3 | 1) of n = 5 gets H = 42 * 1 * 5
+    (5, (3,), (7, 1), "hook product 210 does not divide 5!"),
+    # H(3) halved: H(3 | 1) = 15 is odd, so its codegree H/2 is no integer
+    (5, (3,), (1, 2), "non-self-conjugate ((3,) | (1,)) has odd hook product"),
+    # H(2, 0) times 4 on both sides: H(2, 0 | 2, 0) = 16 * 45 = 6!, dimension 1
+    (6, (2, 0), (4, 1), "self-conjugate ((2, 0) | (2, 0)) has odd dimension 1"),
+], ids=["hook-product-not-dividing", "odd-hook-product", "odd-self-conjugate-dimension"])
+def test_walk_checks_every_shape(monkeypatch, n, run, scale, message):
+    # each per-shape check of the walk is reached through one corrupt H(x)
+    run_list = alt_codegrees._run_list
+    times, over = scale
+
+    def corrupt_run_list(d, total, shorter, fact):
+        return [(r, h * times // over if r == run else h)
+                for r, h in run_list(d, total, shorter, fact)]
+
+    monkeypatch.setattr(alt_codegrees, "_run_list", corrupt_run_list)
+    with pytest.raises(ArithmeticError, match=f"^{re.escape(message)}$"):
+        alt_codegree_set(n)
+
+
+def test_sym_degree_checks_the_hook_product(monkeypatch):
+    monkeypatch.setattr(alt_codegrees, "hook_product", lambda parts: 7)
+    with pytest.raises(ArithmeticError, match=re.escape("hook product 7 does not divide 5!")):
+        alt_codegrees.sym_degree((3, 1, 1))
 
 
 def test_monotone_scan_memory_stays_small(monkeypatch):

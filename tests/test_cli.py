@@ -724,6 +724,81 @@ def test_a_subset_without_isomorphism_fails_the_run(tmp_path, monkeypatch, capsy
     assert check == ("PSL(3,4)", 8, "subset_holds", None, 20160, 6, 11)
 
 
+def failed_answers(capsys, *argv):
+    """argv's output in table, json and csv, each of which must exit 3: the
+    table lines, the JSON document and the CSV rows."""
+    outs = []
+    for fmt in ("table", "json", "csv"):
+        code, out, err = run_cli(capsys, *argv, "--format", fmt)
+        assert (code, err) == (3, ""), fmt
+        outs.append(out)
+    table, doc, rows = outs
+    return table.splitlines(), json.loads(doc), list(csv.reader(io.StringIO(rows)))
+
+
+def test_min_cod_fails_in_every_format(capsys, monkeypatch):
+    monkeypatch.setattr("codlab.cli.verify_min_codegree_monotone",
+                        lambda lo, hi: (False, [(5, 12), (6, 36), (7, 36)]))
+    table, doc, rows = failed_answers(capsys, "min-cod", "5", "7")
+    assert table[-1] == "FAIL: minimal codegree strictly increasing on 5..7"
+    assert (doc["monotone"], doc["verdict"]) == (False, "FAIL")
+    assert rows[-2:] == [["7", "36"], ["FAIL"]]
+
+
+def test_schur_fails_in_every_format(capsys, monkeypatch):
+    from codlab import search
+
+    check = search.schur_a9_size_check
+    monkeypatch.setattr(search, "schur_a9_size_check",
+                        lambda: check()._replace(proper_superset=False))
+    table, doc, rows = failed_answers(capsys, "schur")
+    assert table[-3] == "cod(A9) proper subset of cod(2.A9): false" and table[-1] == "FAIL"
+    assert (doc["proper_superset"], doc["verdict"]) == (False, "FAIL")
+    assert rows[-2:] == [["sizes", "16", "21"], ["FAIL"]]
+
+
+def test_an_alarm_fails_each_command_that_meets_it_in_every_format(tmp_path, monkeypatch,
+                                                                   capsys):
+    golden = (data_path().parent / "golden" / "table_psl.csv").read_text("utf-8")
+    data_file(tmp_path / "data.jsonl", _degrees_of("PSL(3,4)", degrees=_COD_IN_COD_A8))
+    monkeypatch.setenv("CODLAB_DATA", str(tmp_path / "data.jsonl"))
+    alarm = "PSL(3,4) vs A8: SUBSET HOLDS without isomorphism (alarm)"
+    table, doc, rows = failed_answers(capsys, "check-subset", "PSL(3,4)", "8")
+    assert table[0] == alarm
+    assert (doc["verdict"], doc["witness"]) == ("subset_holds", None)
+    assert rows == [["label", "n", "verdict", "witness"], ["PSL(3,4)", "8", "subset_holds", ""]]
+    table, doc, rows = failed_answers(capsys, "search", "psl")
+    assert alarm in table
+    assert [c["label"] for c in doc["checks"] if c["verdict"] == "subset_holds"] == ["PSL(3,4)"]
+    # the rows come from the sweep, which reads no file: only the exit code
+    # tells the csv reader of the alarm
+    assert rows == list(csv.reader(io.StringIO(golden)))
+    table, doc, rows = failed_answers(capsys, "search", "all")
+    assert alarm in table and table[-1] == "RESULT: FAIL"
+    assert doc["verdict"] == "FAIL"
+    assert rows[-1] == ["FAIL"]
+
+
+@pytest.mark.parametrize("renderer,argv", [
+    pytest.param(renderer, (*argv, "--format", fmt), id=f"{argv[0]}-{fmt}")
+    for renderer, argv in (("format_known_divisors", ("cod", "8")),
+                           ("format_factored", ("min-cod", "5", "40")))
+    for fmt in ("json", "csv")
+])
+def test_only_the_format_asked_for_is_rendered(capsys, monkeypatch, renderer, argv):
+    # the table's factored texts are never built for json or csv
+    def refuse(*args):
+        raise AssertionError(f"{renderer} was called")
+
+    monkeypatch.setattr(f"codlab.cli.{renderer}", refuse)
+    with pytest.raises(AssertionError, match=renderer):
+        main([*argv[:-2], "--format", "table"])
+    capsys.readouterr()
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == dict(TABLE_DIGESTS)[argv]
+
+
 @pytest.mark.parametrize("unbuffered,stdout", [(False, "BufferedWriter"), (True, "FileIO")],
                          ids=["buffered", "unbuffered"])
 def test_child_stdout_buffering_is_set_not_inherited(monkeypatch, unbuffered, stdout):

@@ -123,6 +123,14 @@ def test_legendre_formula(n, p):
     assert factorial_valuation(n, p) == valuation(factorial(n), p)
 
 
+def test_argument_guards():
+    with pytest.raises(ValueError, match=r"^factorial of a negative number$"):
+        factorial(-1)
+    for n in (0, -12):
+        with pytest.raises(ValueError, match=rf"^n must be >= 1, got {n}$"):
+            factor(n)
+
+
 def test_valuation_examples():
     assert valuation(2880, 2) == 6
     assert valuation(2880, 3) == 2
