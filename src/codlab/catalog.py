@@ -442,18 +442,15 @@ def _load_catalog(path: Path) -> dict[str, DegreeRecord]:
     return records
 
 
-def _integer(value: object, field: str) -> int:
-    """value if it is a JSON integer; a float, bool, string or null is
-    refused, not truncated or coerced."""
-    if type(value) is not int:
-        raise TypeError(f"{field} {json.dumps(value)} is not an integer")
-    return value
+# The JSON type of each field of a degree record, and how a refusal names it.
+_KINDS = {int: "an integer", str: "text", bool: "true or false", list: "a list"}
 
 
-def _text(value: object, field: str) -> str:
-    """value if it is a JSON string; a number, bool, list or null is refused."""
-    if type(value) is not str:
-        raise TypeError(f"{field} {json.dumps(value)} is not text")
+def _typed(value: object, kind: type, field: str):
+    """value if its type is exactly kind; any other JSON value is refused,
+    never truncated or coerced (a float or bool is not an integer)."""
+    if type(value) is not kind:
+        raise TypeError(f"{field} {json.dumps(value)} is not {_KINDS[kind]}")
     return value
 
 
@@ -468,17 +465,13 @@ def _add_record(rec: object, records: dict[str, DegreeRecord]) -> None:
         raise ValueError("record is not a JSON object")
     if rec["record"] != "degrees":
         raise ValueError(f"unknown record type {rec['record']!r}")
-    degrees = tuple(_integer(d, "degree") for d in rec["degrees"])
-    faithful_only = rec.get("faithful_only", False)
-    if type(faithful_only) is not bool:
-        raise TypeError(f"faithful_only {json.dumps(faithful_only)} is not true or false")
-    aliases = rec.get("aliases", [])
-    if type(aliases) is not list:
-        raise TypeError(f"aliases {json.dumps(aliases)} is not a list")
+    degrees = tuple(_typed(d, int, "degree") for d in rec["degrees"])
+    faithful_only = _typed(rec.get("faithful_only", False), bool, "faithful_only")
+    aliases = _typed(rec.get("aliases", []), list, "aliases")
     record = DegreeRecord(
-        _text(rec["label"], "label"), _integer(rec["order"], "order"), degrees,
-        faithful_only, _text(rec["provenance"], "provenance"),
-        tuple(_text(alias, "alias") for alias in aliases),
+        _typed(rec["label"], str, "label"), _typed(rec["order"], int, "order"), degrees,
+        faithful_only, _typed(rec["provenance"], str, "provenance"),
+        tuple(_typed(alias, str, "alias") for alias in aliases),
     )
     if list(degrees) != sorted(degrees):
         raise ValueError(f"degrees for {record.label} not sorted")

@@ -244,7 +244,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     else:
         return _fail_usage(f"unknown search target {args.target!r}")
     checks = discharge_rows(rows)
-    return _answer(args, all(c.verdict != "subset_holds" for c in checks), doc=lambda: {
+    return _answer(args, all(c.ok for c in checks), doc=lambda: {
         "command": "search", "target": target,
         **extra,
         "rows": [_row_json(r) for r in rows],
@@ -355,7 +355,7 @@ def cmd_check_subset(args: argparse.Namespace) -> int:
         return _fail_usage(f"n must be in [5, {MAX_N_CEILING}], got {args.n}")
     result = check_subset(g, args.n)
     witness = "" if result.witness is None else str(result.witness)
-    return _answer(args, result.verdict != "subset_holds", doc=lambda: {
+    return _answer(args, result.ok, doc=lambda: {
         "command": "check-subset", **_check_json(result),
     }, csv=lambda: _csv_lines([
         ("label", "n", "verdict", "witness"),

@@ -16,7 +16,7 @@ from functools import partial, reduce
 from itertools import repeat
 from math import factorial as _factorial, gcd, isqrt, prod
 from operator import add
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 # Miller-Rabin to the first 13 prime bases is deterministic below this
@@ -101,29 +101,20 @@ def factorial(n: int) -> int:
 
 
 def factor(n: int) -> list[tuple[int, int]]:
-    """Prime factorisation of n >= 1 as (prime, exponent) pairs, ascending."""
+    """Prime factorisation of n >= 1 as (prime, exponent) pairs, ascending,
+    by trial division: 2, then each odd d while d * d <= n."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     out: list[tuple[int, int]] = []
-    e = (n & -n).bit_length() - 1  # the power of two, in one step
-    if e:
-        n >>= e
-        out.append((2, e))
-    d = 3
+    d = 2
     while d * d <= n:
-        if n % d == 0:
-            # strip d two at a time, then the odd one left over, if any
+        e = 0
+        while n % d == 0:
             n //= d
-            e = 1
-            dd = d * d
-            while n % dd == 0:
-                n //= dd
-                e += 2
-            if n % d == 0:
-                n //= d
-                e += 1
+            e += 1
+        if e:
             out.append((d, e))
-        d += 2
+        d += 1 if d == 2 else 2
     if n > 1:
         out.append((n, 1))
     return out
@@ -185,19 +176,11 @@ def _blocks(multiple: int) -> list[tuple[int, _BlockTexts]]:
     ]
 
 
-def format_divisors(values: Iterable[int], multiple: int) -> list[str]:
-    """The factored text of each value, e.g. 2^6·3^2·5; each must divide
-    multiple, or ArithmeticError is raised, so every text is exact."""
-    values = tuple(values)
-    for v in values:
-        if v < 1 or multiple % v:
-            raise ArithmeticError(f"{v} does not divide {multiple}")
-    return format_known_divisors(values, multiple)
-
-
 def format_known_divisors(values: Sequence[int], multiple: int) -> list[str]:
-    """format_divisors for values already checked to divide multiple, such
-    as a CodegreeSet's values and order; a non-divisor gets a wrong text.
+    """The factored text of each value, e.g. 2^6·3^2·5.  Each value must
+    divide multiple, which is proved where the values come from, not here
+    (a non-divisor gets a wrong text): CodegreeSet.__new__ proves it for a
+    CodegreeSet's values and order, and format_factored's value is multiple.
 
     multiple >= 1 is factored once and its ascending primes are cut into
     blocks of consecutive primes, each with at most _BLOCK_DIVISORS
@@ -217,5 +200,6 @@ def format_known_divisors(values: Sequence[int], multiple: int) -> list[str]:
 
 
 def format_factored(n: int) -> str:
-    """Render n >= 1 as a compact prime-power product, e.g. 2^6·3^2·5."""
-    return format_divisors((n,), n)[0]
+    """Render n >= 1 as a compact prime-power product, e.g. 2^6·3^2·5; n is
+    its own multiple, and factor refuses n < 1 with ValueError."""
+    return format_known_divisors((n,), n)[0]

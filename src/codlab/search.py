@@ -125,10 +125,14 @@ class SubsetCheck(namedtuple(
     witness the smallest codegree of H missing from cod(A_n), or None.
     "subset_holds" (containment without a known isomorphism) is an
     alarm state: it would contradict the classification the sweeps
-    verify, so reports treat it as a failure.
+    verify, so it is the one verdict that is not ok.
     """
 
     __slots__ = ()
+
+    @property
+    def ok(self) -> bool:
+        return self.verdict != "subset_holds"
 
 
 def n_min(g: GroupId) -> int:
@@ -323,8 +327,7 @@ def check_subset(g: GroupId, n: int) -> SubsetCheck:
     pairs with this n, gives "isomorphic": the loader has checked that
     such a group's record gives exactly cod(A_n).  Otherwise the smallest
     missing codegree is the refutation witness.  A subset relation on a
-    non-isomorphic pair is "subset_holds" and treated as a failure
-    upstream.
+    non-isomorphic pair is "subset_holds", the verdict that is not ok.
     """
     ch = simple_codegree_set(g)
     ca = alt_codegree_set(n)
@@ -426,7 +429,7 @@ class VerificationReport(namedtuple("VerificationReport", (
 
     @property
     def unresolved(self) -> tuple[SubsetCheck, ...]:
-        return tuple(c for c in self.checks if c.verdict == "subset_holds")
+        return tuple(c for c in self.checks if not c.ok)
 
     @property
     def ok(self) -> bool:

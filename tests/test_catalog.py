@@ -245,6 +245,12 @@ def test_group_id_checks_keyword_fields():
         GroupId(family="PSL", m=1, q=PrimePower(p=2, k=1))
     with pytest.raises(ValueError, match="alternating groups need n >= 5"):
         GroupId("Alternating", n=4)
+    with pytest.raises(ValueError, match=r"^PSL needs a field size q$"):
+        GroupId("PSL", m=1)
+    with pytest.raises(ValueError, match=r"^PSL needs a rank parameter m$"):
+        lie("PSL", PrimePower(2, 2))
+    with pytest.raises(ValueError, match=r"^G2 takes no rank parameter$"):
+        lie("G2", PrimePower(3, 1), m=1)
 
 
 @given(st.integers(min_value=-3, max_value=10**6))
@@ -312,6 +318,8 @@ def test_class_number_bounds():
     assert class_number_bound(sporadic("M")) == (194, 1)
     # G2(2)' has 17 classes, polynomial value at q=2
     assert class_number_bound(GroupId("G2Prime2")) == (17, 1)
+    with pytest.raises(ValueError, match=r"^alternating groups are not bounded here$"):
+        class_number_bound(alternating(5))
     # classical bounds are the published constants times q^m
     assert Fraction(*class_number_bound(parse_group_label("PSL(2,4)"))) == 10
     assert Fraction(*class_number_bound(parse_group_label("PSU(3,3)"))) * 50 == 413 * 9

@@ -12,7 +12,7 @@ from itertools import count, islice
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from codlab.alt_codegrees import alt_codegree_set
+from codlab.alt_codegrees import CodegreeSet, alt_codegree_set
 from codlab.catalog import (
     CLASSICAL_FAMILIES,
     LIE_FAMILIES,
@@ -572,15 +572,23 @@ def test_sporadic_sweep():
     assert (row.label, row.n, row.ratio) == ("J2", 10, 3)
 
 
-def test_check_subset_verdicts():
+def test_check_subset_verdicts(monkeypatch):
     for (label, n), witness in EXPECTED_WITNESSES.items():
         res = check_subset(parse_group_label(label), n)
         assert res.verdict == "subset_refuted", (label, n)
         assert res.witness == witness
+        assert res.ok
     for label, n in ISOMORPHIC_PAIRS:
         res = check_subset(parse_group_label(label), n)
         assert res.verdict == "isomorphic", (label, n)
         assert res.witness is None
+        assert res.ok
+    # a group that is not A8 with exactly the codegrees of A8: the alarm
+    a8 = alt_codegree_set(8)
+    monkeypatch.setattr("codlab.search.simple_codegree_set",
+                        lambda g: CodegreeSet("PSL(3,4)", a8.order, a8.values))
+    res = check_subset(parse_group_label("PSL(3,4)"), 8)
+    assert (res.verdict, res.witness, res.ok) == ("subset_holds", None, False)
 
 
 def test_witnesses_sound():
