@@ -39,8 +39,14 @@ of length d - 1 (a run (x,) + r has H = H(r) * x! / prod_{y in r} (x - y)),
 and then drops those; a heavy sum's list goes as soon as neither a later
 light sum nor the next Durfee size reads it.  Each light table is built
 once per (d, t) at its widest, for n_hi.  A single n is the range
-(n, n).  Nothing is cached beyond one walk, and a walk makes no
-reference cycle.
+(n, n), and a walk makes no reference cycle.
+
+alt_codegree_set keeps each cod(A_n) it builds for the life of the
+process, so the walk of one n, with every per-shape check, runs once per
+process.  The memo holds at most _MEMO_VALUES codegree values in all: a
+set that would pass that budget is returned but not kept, and walked
+again on each call, and nothing is evicted, so what the memo holds
+depends only on the order of calls.
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import isqrt
 from operator import lt, mul
+from threading import Lock
 from typing import Iterator
 
 from .exactnum import factorial
@@ -186,12 +193,36 @@ def _frobenius_pairs(n_lo: int, n_hi: int) -> Iterator[tuple[int, Run, Run, bool
                 del level[n_hi - d - t]
 
 
+# cod(A_n) by n, for the life of the process.  Its budget counts values,
+# not sets: cod(A_40) holds 16,215 values in about 0.9 MB and cod(A_50)
+# 86,688 in about 4.8 MB, and the size grows about 2.3 times for every 5
+# added to n, so a budget in sets could keep many megabytes alive.
+_MEMO: dict[int, CodegreeSet] = {}
+_MEMO_VALUES = 1 << 16
+_MEMO_LOCK = Lock()
+
+
 def alt_codegree_set(n: int) -> CodegreeSet:
     """cod(A_n) = {1} union {(n!/2)/dim over non-trivial irreducibles}.
 
     The walk pairs dim n!/H with H/2 and n!/(2H) with H, so dim * codegree
     is n!/2 by construction; only the sum of squared dimensions is checked.
+    Each set is built once per process and then shared, which is safe as a
+    CodegreeSet is immutable; a set that would take the memo past
+    _MEMO_VALUES values is built again on every call.
     """
+    cod = _MEMO.get(n)
+    if cod is not None:
+        return cod
+    cod = _codegree_set(n)
+    with _MEMO_LOCK:  # one budget check and store at a time, and one set per n
+        held = sum(len(c.values) for c in _MEMO.values())
+        if n not in _MEMO and held + len(cod.values) <= _MEMO_VALUES:
+            _MEMO[n] = cod
+        return _MEMO.get(n, cod)
+
+
+def _codegree_set(n: int) -> CodegreeSet:
     half = factorial(n) // 2
     values = {1}
     total = 0

@@ -465,7 +465,7 @@ def _add_record(rec: object, records: dict[str, DegreeRecord]) -> None:
         raise ValueError("record is not a JSON object")
     if rec["record"] != "degrees":
         raise ValueError(f"unknown record type {rec['record']!r}")
-    degrees = tuple(_typed(d, int, "degree") for d in rec["degrees"])
+    degrees = tuple(_typed(d, int, "degree") for d in _typed(rec["degrees"], list, "degrees"))
     faithful_only = _typed(rec.get("faithful_only", False), bool, "faithful_only")
     aliases = _typed(rec.get("aliases", []), list, "aliases")
     record = DegreeRecord(

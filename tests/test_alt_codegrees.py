@@ -10,6 +10,8 @@ import gc
 import itertools
 import math
 import re
+import sys
+import threading
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -354,6 +356,70 @@ def test_sym_degree_checks_the_hook_product(monkeypatch):
     monkeypatch.setattr(alt_codegrees, "hook_product", lambda parts: 7)
     with pytest.raises(ArithmeticError, match=re.escape("hook product 7 does not divide 5!")):
         alt_codegrees.sym_degree((3, 1, 1))
+
+
+def test_codegree_set_is_built_once_per_process(walks):
+    first = alt_codegree_set(12)
+    assert alt_codegree_set(12) is first
+    assert walks == [(12, 12)]
+
+
+def test_memoised_sets_equal_fresh_walks():
+    kept = [alt_codegree_set(n) for n in range(5, 31)]
+    assert [alt_codegree_set(n) for n in range(5, 31)] == kept
+    alt_codegrees._MEMO.clear()
+    for n, cod in zip(range(5, 31), kept):
+        fresh = alt_codegree_set(n)
+        assert fresh is not cod and fresh == cod
+
+
+def test_memo_keeps_the_first_sets_within_its_budget(monkeypatch, walks):
+    # |cod(A_n)| is 4, 5, 7, 11 and 16 for n = 5..9.  With room for 20
+    # values, A8 and A5 are kept, A9 would overflow and is not, A6 fills the
+    # budget exactly and A7 is refused: nothing kept is evicted for later sets
+    monkeypatch.setattr(alt_codegrees, "_MEMO_VALUES", 20)
+    order = (8, 5, 9, 6, 7)
+    for n in order * 2:
+        assert alt_codegree_set(n).values == EXPECTED_COD[n]
+    assert list(alt_codegrees._MEMO) == [8, 5, 6]
+    assert walks == [(n, n) for n in (*order, 9, 7)]
+
+
+def test_memo_is_shared_and_bounded_under_threads(monkeypatch):
+    # eight threads, more than the cores, switching every microsecond, each
+    # asking for n = 5..16 from its own starting point
+    monkeypatch.setattr(alt_codegrees, "_MEMO_VALUES", 100)
+    ns = list(range(5, 17))
+    got = []
+
+    def ask(start):
+        got.append({n: alt_codegree_set(n) for n in ns[start:] + ns[:start]})
+
+    threads = [threading.Thread(target=ask, args=(3 * i % len(ns),)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and len(got) == 8
+    held = alt_codegrees._MEMO
+    assert sum(len(c.values) for c in held.values()) <= 100
+    for sets in got:
+        assert [sets[n].values for n in ns] == [got[0][n].values for n in ns]
+        assert all(sets[n] is held[n] for n in held)
+
+
+def test_memo_never_holds_more_than_its_budget():
+    # the sets of n = 5..38 hold 62,449 values, so A39 and A40 are refused
+    for n in range(5, 41):
+        alt_codegree_set(n)
+        assert sum(len(c.values) for c in alt_codegrees._MEMO.values()) <= (
+            alt_codegrees._MEMO_VALUES)
+    assert list(alt_codegrees._MEMO) == list(range(5, 39))
 
 
 def test_monotone_scan_memory_stays_small(monkeypatch):

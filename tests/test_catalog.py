@@ -19,6 +19,7 @@ from hypothesis import given, reject, settings, strategies as st
 from codlab.catalog import (
     DataFileError,
     GroupId,
+    KNOWN_ISOMORPHIC,
     LIE_FAMILIES,
     RANK_FLOOR,
     SPORADIC_LABELS,
@@ -42,6 +43,7 @@ from codlab.catalog import (
     twisted_codegree_set_2a9,
 )
 from codlab.exactnum import PrimePower, factor, format_factored
+from codlab.search import check_subset
 from oracles import lie_class_bound, lie_order, valuation
 
 KNOWN_ORDERS = {
@@ -561,6 +563,19 @@ def test_data_path_override(tmp_path, monkeypatch):
     monkeypatch.setenv("CODLAB_DATA", str(copy))
     assert data_path() == copy
     assert degree_record("J2").order == 604800
+
+
+def test_loading_walks_each_coincidence_once(tmp_path, monkeypatch, walks):
+    # the loader checks PSL(2,4), PSL(2,5), PSL(2,9) and PSL(4,2) against
+    # cod(A5), cod(A6) and cod(A8), and the checks of those pairs reuse them
+    copy = tmp_path / "fresh.jsonl"
+    copy.write_bytes(data_path().read_bytes())
+    monkeypatch.setenv("CODLAB_DATA", str(copy))
+    degree_record("J2")
+    assert sorted(walks) == [(5, 5), (6, 6), (8, 8)]
+    for label, n in KNOWN_ISOMORPHIC.items():
+        assert check_subset(parse_group_label(label), n).verdict == "isomorphic"
+    assert sorted(walks) == [(5, 5), (6, 6), (8, 8)]
 
 
 def test_build_tool_rebuilds_shipped_data_file(tmp_path):

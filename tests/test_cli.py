@@ -634,6 +634,13 @@ _NO_A_N_RECORD = "cod(A_n) comes from hook lengths, never from a degree record"
         # a number is read only as a JSON integer, never truncated or coerced
         (_degrees_of("PSL(2,4)", degrees=[1, 3.9, 3, 4, 5.5]), ("check-subset", "J2", "10"),
          ":2: degree 3.9 is not an integer"),
+        # a degree list is a JSON list, never read digit by digit or key by key
+        (_degrees_of("PSL(2,7)", degrees=7), ("check-subset", "J2", "10"),
+         ":4: degrees 7 is not a list"),
+        (_degrees_of("PSL(2,7)", degrees="1,3,3"), ("check-subset", "J2", "10"),
+         ':4: degrees "1,3,3" is not a list'),
+        (_degrees_of("PSL(2,7)", degrees={"1": 1}), ("check-subset", "J2", "10"),
+         ':4: degrees {"1": 1} is not a list'),
         (_degrees_of("PSL(2,8)", order=504.0), ("check-subset", "J2", "10"),
          ":5: order 504.0 is not an integer"),
         (_degrees_of("PSL(2,7)", order="168"), ("check-subset", "J2", "10"),
@@ -684,7 +691,8 @@ _NO_A_N_RECORD = "cod(A_n) comes from hook lengths, never from a degree record"
          "psl28-order-26-schur", "2a9-squares-check-subset-j2", "2a9-squares-search-psl",
          "alias-psl211", "alias-psl20000-2", "alias-psl1000000001-2",
          "alias-a99999999", "psl34-label-a8", "label-foo",
-         "j2-class-count-22", "psl24-float-degrees", "psl28-float-order",
+         "j2-class-count-22", "psl24-float-degrees", "psl27-degrees-number",
+         "psl27-degrees-text", "psl27-degrees-object", "psl28-float-order",
          "psl27-string-order", "m11-atlas-record", "m11-order-7921", "m11-order-7921-search-all",
          "extra-sporadic-foo", "duplicate-psl27",
          "2a9-faithful-only-1", "2a9-faithful-only-no", "psl27-label-number",

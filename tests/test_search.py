@@ -6,8 +6,10 @@ them exactly.  Witness soundness (witness divides |H| but lies outside
 cod(A_n)) is re-verified from scratch here rather than trusted.
 """
 
+import json
 import math
 from itertools import count, islice
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,6 +37,7 @@ from codlab.exactnum import is_prime
 from codlab.search import (
     _bit_cutoff,
     _class_number_limit,
+    _first_missing,
     _k_tail,
     _log2_factorial_floor,
     _m_tail,
@@ -601,6 +604,31 @@ def test_witnesses_sound():
         assert witness == min(h_cod - a_cod)
 
 
+# The benchmark's query table (perfbench/oracle.json), read and never
+# written here: (verdict, witness) of check_subset for each of 12 labels
+# at n = 5..27, computed without codlab.
+_QUERY_TABLE = json.loads(
+    (Path(__file__).parents[1] / "perfbench" / "oracle.json").read_text("utf-8")
+)["queries"]["table"]
+
+
+def test_check_subset_matches_the_independent_query_table():
+    assert len(_QUERY_TABLE) == 276
+    for key, want in _QUERY_TABLE.items():
+        label, n = key.rsplit("|", 1)
+        res = check_subset(parse_group_label(label), int(n))
+        assert [res.verdict, None if res.witness is None else str(res.witness)] == want, key
+
+
+sorted_sets = st.frozensets(st.integers(1, 60), max_size=12).map(sorted).map(tuple)
+
+
+@given(sorted_sets, sorted_sets)
+@settings(max_examples=300, deadline=None)
+def test_first_missing_is_the_least_of_the_set_difference(values, within):
+    assert _first_missing(values, within) == min(set(values) - set(within), default=None)
+
+
 def test_discharge_covers_all_rows():
     rows = sweep_family("PSL").rows + sweep_family("PSU").rows
     checks = discharge_rows(rows)
@@ -673,22 +701,14 @@ def test_full_verification_passes():
     assert rep.unresolved == ()
 
 
-def test_full_verification_walks_no_range_past_7(monkeypatch):
+def test_full_verification_walks_no_range_past_7(walks):
     # monotonicity past n = 7 is the branching lemma's; every other walk
-    # is the single n of one codegree set
-    import codlab.alt_codegrees as alt
-
-    ranges = []
-    walk = alt._frobenius_pairs
-
-    def recording(n_lo, n_hi):
-        ranges.append((n_lo, n_hi))
-        return walk(n_lo, n_hi)
-
-    monkeypatch.setattr(alt, "_frobenius_pairs", recording)
+    # is the single n of one codegree set, made once however often the
+    # loader and the survivor checks ask for it
     assert run_full_verification().monotone_ok
-    assert [r for r in ranges if r[0] != r[1]] == [(5, 7)]
-    assert max(n for r in ranges for n in r) == 10  # cod(A10) for J2@10
+    assert [r for r in walks if r[0] != r[1]] == [(5, 7)]
+    assert max(n for r in walks for n in r) == 10  # cod(A10) for J2@10
+    assert sorted(lo for lo, hi in walks if lo == hi) == [5, 6, 7, 8, 9, 10]
 
 
 @given(st.sampled_from(["PSL", "PSU", "OmegaOdd"]))
