@@ -12,6 +12,7 @@ submodule, and `codlab.alt_codegree_set` loads the A_n layer without
 the simple-group catalog or the search.
 """
 
+import sys
 from importlib import import_module
 
 __version__ = "0.1.0"
@@ -28,18 +29,23 @@ _EXPORTS = {
         schur_degree_equation_solutions sweep_family sweep_sporadic""",
 }
 # public name -> the submodule that defines it
-_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+_HOME = {name: f"{__name__}.{module}" for module, names in _EXPORTS.items()
+         for name in names.split()}
 
 __all__ = sorted(_HOME)
 
 
 def __getattr__(name: str):
     # Resolved on every access and never stored here, so a name always
-    # reads the home module's current binding.
-    module = _HOME.get(name)
-    if module is None:
+    # reads the home module's current binding.  A home module is imported
+    # only if it is not loaded yet, or is still loading and lacks the name.
+    home = _HOME.get(name)
+    if home is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(f"{__name__}.{module}"), name)
+    try:
+        return getattr(sys.modules[home], name)
+    except (KeyError, AttributeError):
+        return getattr(import_module(home), name)
 
 
 def __dir__() -> list[str]:

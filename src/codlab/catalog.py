@@ -251,7 +251,14 @@ def parse_group_label(label: str) -> GroupId:
 
     Numbers are ASCII digit strings; signs, underscores and other Unicode
     digits are refused rather than read the way int() would read them.
+    Each label is parsed once: the last 256 parses are kept, and a refused
+    label is refused again on every call.
     """
+    return _parse_group_label(label)
+
+
+@lru_cache(maxsize=256)
+def _parse_group_label(label: str) -> GroupId:
     text = label.strip()
     if text == "G2(2)'":
         return GroupId("G2Prime2")
@@ -397,7 +404,9 @@ _PACKAGED_DATA = Path(__file__).parent / "data" / "groups_v1.jsonl"
 def data_path() -> Path:
     """The degree data file: $CODLAB_DATA if set, else the packaged file.
 
-    The environment is read on every call.
+    The environment is read on every call, but a file is read once per
+    process, with the codegree sets built from it: a file rewritten at the
+    same path is not read again.
     """
     override = os.environ.get(DATA_ENV_VAR)
     if override:
@@ -415,9 +424,14 @@ class DataFileError(ValueError):
     """
 
 
-def _load_catalog(path: Path) -> dict[str, DegreeRecord]:
-    """The degree records of the data file at path, by label and alias."""
+def _load_catalog(path: Path, sets: dict[str, CodegreeSet] | None = None
+                  ) -> dict[str, DegreeRecord]:
+    """The degree records of the data file at path, by label and alias.
+
+    The codegree sets the checks build are put in sets, by label.
+    """
     records: dict[str, DegreeRecord] = {}
+    sets = {} if sets is None else sets
     lineno = 1
     try:
         with open(path, encoding="utf-8") as fh:
@@ -428,7 +442,7 @@ def _load_catalog(path: Path) -> dict[str, DegreeRecord]:
             for lineno, line in enumerate(fh, 2):
                 line = line.strip()
                 if line:
-                    _add_record(json.loads(line), records)
+                    _add_record(json.loads(line), records, sets)
     except OSError as exc:
         raise DataFileError(f"{path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
@@ -454,9 +468,11 @@ def _typed(value: object, kind: type, field: str):
     return value
 
 
-def _add_record(rec: object, records: dict[str, DegreeRecord]) -> None:
+def _add_record(rec: object, records: dict[str, DegreeRecord],
+                sets: dict[str, CodegreeSet]) -> None:
     """Check one parsed degree record, under its label and each alias,
-    against the group that name gives, and file it under each.
+    against the group that name gives, and file it under each; a codegree
+    set a check builds goes in sets.
 
     Raises KeyError, TypeError or ValueError, which the loader reports
     with the path and line.
@@ -479,17 +495,20 @@ def _add_record(rec: object, records: dict[str, DegreeRecord]) -> None:
         if key in records:
             raise ValueError(f"duplicate degree record {key}")
         try:
-            _check_against_group(key, record)
+            cod = _check_against_group(key, record)
         except ValueError as exc:
             raise ValueError(f"degree record {key}: {exc}") from None
         records[key] = record
+        if cod is not None:
+            sets[key] = cod
 
 
-def _check_against_group(key: str, record: DegreeRecord) -> None:
+def _check_against_group(key: str, record: DegreeRecord) -> CodegreeSet | None:
     """Raise ValueError if the degree record filed under key contradicts the
     group key names, whose codegrees are cod(A_n) if it is an A_n under
     another name, or if key names an A_n: nothing reads such a record, and
-    the loader has no degree list of A_n to check it against."""
+    the loader has no degree list of A_n to check it against.  Returns the
+    codegree set of an A_n under another name, the one set it builds."""
     cover = key == _DOUBLE_COVER
     g = None if cover else parse_group_label(key)
     if g and g.family == "Alternating":
@@ -516,49 +535,73 @@ def _check_against_group(key: str, record: DegreeRecord) -> None:
         if d < 1 or order % d:
             raise ValueError(f"degree {d} does not divide |{key}| = {order}")
     n = KNOWN_ISOMORPHIC.get(key)
-    if n and _codegrees(key, record).values != alt_codegree_set(n).values:
+    if not n:
+        return None
+    cod = _codegrees(key, record)
+    if cod.values != alt_codegree_set(n).values:
         raise ValueError(f"codegrees are not cod(A{n}), though {key} = A{n}")
+    return cod
 
 
 @lru_cache(maxsize=4)
-def _degree_records(path_str: str) -> dict[str, DegreeRecord]:
-    return _load_catalog(Path(path_str))
+def _degree_records(path_str: str) -> tuple[dict[str, DegreeRecord], dict[str, CodegreeSet]]:
+    """The records of the data file at path_str and the codegree sets built
+    from them so far, both by label: a set lives and goes with its records."""
+    sets: dict[str, CodegreeSet] = {}
+    return _load_catalog(Path(path_str), sets), sets
 
 
 def sporadic_entries() -> list[SporadicEntry]:
     return list(_SPORADIC.values())
 
 
-def degree_record(label: str) -> DegreeRecord:
-    path = data_path()
+def degree_record(label: str, path: Path | None = None) -> DegreeRecord:
+    """The degree record of label in the data file at path, by default
+    data_path(); DataFileError if the file has no such record."""
+    path = path or data_path()
     try:
-        return _degree_records(str(path))[label]
+        return _degree_records(str(path))[0][label]
     except KeyError:
         raise DataFileError(f"{path}: no degree data for {label}") from None
 
 
-def _codegrees(label: str, rec: DegreeRecord, cover_of: CodegreeSet | None = None) -> CodegreeSet:
+def _codegrees(label: str, rec: DegreeRecord) -> CodegreeSet:
     """cod of the group label from its degree record rec.
 
-    Without cover_of the group is simple and its record is full: the
-    non-trivial irreducibles are faithful, so each degree d > 1 gives the
-    codegree order / d.  With cover_of, the cod of a simple group S, the
-    group is a double cover of S and its record lists only the faithful
-    characters: the others are inflations from S and keep S's codegrees.
+    A simple group's record is full: the non-trivial irreducibles are
+    faithful, so each degree d > 1 gives the codegree order / d.  The record
+    of 2.A9, a double cover of A9, lists only the faithful characters: the
+    others are inflations from A9 and keep cod(A9).
     """
-    values = {1} if cover_of is None else set(cover_of.values)
+    values = set(alt_codegree_set(9).values) if label == _DOUBLE_COVER else {1}
     values.update(rec.order // d for d in rec.degrees if d > 1)
     return CodegreeSet(label, rec.order, tuple(sorted(values)))
 
 
+def _catalog_codegrees(label: str) -> CodegreeSet:
+    """cod of the group label from the current data file, built once per file."""
+    path = data_path()
+    sets = _degree_records(str(path))[1]
+    cod = sets.get(label)
+    if cod is None:
+        cod = sets.setdefault(label, _codegrees(label, degree_record(label, path)))
+    return cod
+
+
 def simple_codegree_set(g: GroupId) -> CodegreeSet:
-    """cod(G) for a simple catalog group."""
+    """cod(G) for a simple catalog group.
+
+    Each set is built once per loaded data file, as cod(A_n) is once per
+    process, and the same object is returned to every later caller.  The
+    set is kept with the file's degree records, so a file rewritten at the
+    same path inside one process is not read again.
+    """
     if g.family == "Alternating":
         return alt_codegree_set(g.n)  # type: ignore[arg-type]
-    label = group_label(g)
-    return _codegrees(label, degree_record(label))
+    return _catalog_codegrees(group_label(g))
 
 
 def twisted_codegree_set_2a9() -> CodegreeSet:
-    """cod(2.A9) for the double cover of A9, of order 2|A9|."""
-    return _codegrees(_DOUBLE_COVER, degree_record(_DOUBLE_COVER), alt_codegree_set(9))
+    """cod(2.A9) for the double cover of A9, of order 2|A9|, built once per
+    loaded data file as simple_codegree_set's sets are."""
+    return _catalog_codegrees(_DOUBLE_COVER)

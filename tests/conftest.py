@@ -2,17 +2,24 @@
 
 import pytest
 
-from codlab import alt_codegrees
+from codlab import alt_codegrees, catalog
+
+# Every memo of the library: cod(A_n) for the life of the process, each data
+# file with the cod(H) sets built from it, and the parsed group labels.
+_CACHES = (alt_codegrees._MEMO.clear, catalog._degree_records.cache_clear,
+           catalog._parse_group_label.cache_clear)
 
 
 @pytest.fixture(autouse=True)
-def empty_codegree_memo():
-    # alt_codegree_set keeps each cod(A_n) for the life of the process; each
-    # test starts and ends with it empty, so a test that patches the walk
-    # sees the walk run, and no test leaves a set built under a patch behind
-    alt_codegrees._MEMO.clear()
+def empty_memos():
+    # each test starts and ends with every memo empty, so a test that patches
+    # the walk sees the walk run, and no test leaves a set built under a patch
+    # behind
+    for clear in _CACHES:
+        clear()
     yield
-    alt_codegrees._MEMO.clear()
+    for clear in _CACHES:
+        clear()
 
 
 @pytest.fixture

@@ -10,6 +10,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -42,8 +43,9 @@ from codlab.catalog import (
     _order_formula,
     twisted_codegree_set_2a9,
 )
+from codlab import catalog
 from codlab.exactnum import PrimePower, factor, format_factored
-from codlab.search import check_subset
+from codlab.search import check_subset, run_full_verification
 from oracles import lie_class_bound, lie_order, valuation
 
 KNOWN_ORDERS = {
@@ -576,6 +578,92 @@ def test_loading_walks_each_coincidence_once(tmp_path, monkeypatch, walks):
     for label, n in KNOWN_ISOMORPHIC.items():
         assert check_subset(parse_group_label(label), n).verdict == "isomorphic"
     assert sorted(walks) == [(5, 5), (6, 6), (8, 8)]
+
+
+def _builds(monkeypatch):
+    """The label of every cod(H) the catalog builds from a degree record, in order."""
+    built = []
+    build = catalog._codegrees
+
+    def recording(label, rec):
+        built.append(label)
+        return build(label, rec)
+
+    monkeypatch.setattr(catalog, "_codegrees", recording)
+    return built
+
+
+def test_catalog_codegree_set_is_built_once_per_data_file(monkeypatch):
+    degree_record("J2")  # the load builds the sets of the A_n under other names
+    built = _builds(monkeypatch)
+    j2 = parse_group_label("J2")
+    assert simple_codegree_set(j2) is simple_codegree_set(j2)
+    assert twisted_codegree_set_2a9() is twisted_codegree_set_2a9()
+    for label in KNOWN_ISOMORPHIC:  # served from the loader's checks
+        simple_codegree_set(parse_group_label(label))
+    assert built == ["J2", "2.A9"]
+
+
+def test_catalog_codegree_sets_are_shared_under_threads():
+    # eight threads, more than the cores, switching every microsecond, each
+    # asking for every catalog set of the loaded file from its own start
+    degree_record("J2")
+    labels = [label for label in DATA_LABELS if label not in KNOWN_ISOMORPHIC]
+    got = []
+
+    def ask(start):
+        got.append({label: simple_codegree_set(parse_group_label(label))
+                    for label in labels[start:] + labels[:start]})
+
+    threads = [threading.Thread(target=ask, args=(i % len(labels),)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and len(got) == 8
+    for sets in got:
+        assert all(sets[label] is simple_codegree_set(parse_group_label(label))
+                   for label in labels)
+
+
+def test_full_verification_builds_each_catalog_set_once(monkeypatch):
+    built = _builds(monkeypatch)
+    run_full_verification()
+    assert sorted(built) == sorted({*DATA_LABELS, "2.A9"} - {"G2(2)'"})
+
+
+def test_each_data_file_gives_its_own_codegree_sets(tmp_path, monkeypatch):
+    # PSL(3,4) with degrees whose codegrees all lie in cod(A8): the alarm
+    lines = list(_DATA_LINES)
+    [row] = [r for r, ln in enumerate(lines) if '"label": "PSL(3,4)"' in ln]
+    rec = json.loads(lines[row])
+    rec["degrees"] = [1, 7, 7, 7, 7, 7, 7, 20, 20, 20, 45, 56, 56, 56, 56, 64]
+    lines[row] = json.dumps(rec)
+    alarm = tmp_path / "alarm.jsonl"
+    alarm.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    g = parse_group_label("PSL(3,4)")
+    verdicts = []
+    for path in (None, alarm, None):
+        if path is None:
+            monkeypatch.delenv("CODLAB_DATA", raising=False)
+        else:
+            monkeypatch.setenv("CODLAB_DATA", str(path))
+        verdicts.append(check_subset(g, 8).verdict)
+    assert verdicts == ["subset_refuted", "subset_holds", "subset_refuted"]
+
+
+def test_a_missing_degree_record_is_refused_on_every_call():
+    refusals = []
+    for _ in range(2):
+        with pytest.raises(DataFileError) as exc:
+            simple_codegree_set(sporadic("M11"))
+        refusals.append(str(exc.value))
+    assert refusals == [f"{data_path()}: no degree data for M11"] * 2
 
 
 def test_build_tool_rebuilds_shipped_data_file(tmp_path):

@@ -8,9 +8,12 @@ group.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from codlab import catalog
 from codlab.catalog import (
     LIE_FAMILIES,
+    SPORADIC_LABELS,
     GroupId,
+    data_path,
     group_label,
     parse_group_label,
     sporadic,
@@ -107,3 +110,26 @@ def test_every_sweep_label_round_trips():
     assert len(walked) == 217
     for g in points + walked:
         assert parse_group_label(group_label(g)) == g, g
+
+
+def test_cached_parses_equal_fresh_parses():
+    # loading the data file parses each of its labels and aliases
+    labels = [*(key for key in catalog._load_catalog(data_path()) if key != "2.A9"),
+              *SPORADIC_LABELS]
+    assert len(labels) == 12 + 27
+    cached = [parse_group_label(label) for label in labels]
+    assert all(parse_group_label(label) is g for label, g in zip(labels, cached))
+    catalog._parse_group_label.cache_clear()
+    fresh = [parse_group_label(label) for label in labels]
+    assert [type(g) for g in cached] == [GroupId] * len(labels)
+    assert cached == fresh
+
+
+@pytest.mark.parametrize("text", ["2.A9", "A4", "PSL(2,6)", "PSL(3,4", "PSL(2,1_3)"])
+def test_a_refused_label_is_refused_on_every_call(text):
+    refusals = []
+    for _ in range(2):
+        with pytest.raises(ValueError) as exc:
+            parse_group_label(text)
+        refusals.append(str(exc.value))
+    assert refusals[0] == refusals[1]

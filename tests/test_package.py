@@ -99,11 +99,32 @@ def test_names_are_read_not_stored(monkeypatch):
     assert codlab.check_subset is search.check_subset
     assert "check_subset" not in vars(codlab)
     # a name follows a rebinding in its home module, and back
-    monkeypatch.setattr(search, "check_subset", "rebound")
-    assert codlab.check_subset == "rebound"
+    def rebound(g, n):
+        return None
+
+    monkeypatch.setattr(search, "check_subset", rebound)
+    assert codlab.check_subset is rebound
     monkeypatch.undo()
     assert codlab.check_subset is search.check_subset
     assert not set(vars(codlab)) & set(codlab.__all__)
+
+
+def test_a_loaded_home_module_is_read_without_importlib(monkeypatch):
+    from codlab import search
+
+    def refuse(name):
+        raise AssertionError(f"import_module({name!r})")
+
+    monkeypatch.setattr(codlab, "import_module", refuse)
+    assert codlab.check_subset is search.check_subset
+
+
+def test_a_home_module_is_imported_on_first_access():
+    probe = ("import sys, codlab\n"
+             "assert 'codlab.search' not in sys.modules\n"
+             "check = codlab.check_subset\n"
+             "assert check is sys.modules['codlab.search'].check_subset\n")
+    subprocess.run([sys.executable, "-c", probe], check=True)
 
 
 def test_unknown_name_raises_attribute_error():
