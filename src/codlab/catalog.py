@@ -399,14 +399,18 @@ class DegreeRecord(namedtuple(
 
 
 _PACKAGED_DATA = Path(__file__).parent / "data" / "groups_v1.jsonl"
+_PACKAGED_KEY = os.path.abspath(_PACKAGED_DATA)
 
 
 def data_path() -> Path:
     """The degree data file: $CODLAB_DATA if set, else the packaged file.
 
-    The environment is read on every call, but a file is read once per
-    process, with the codegree sets built from it: a file rewritten at the
-    same path is not read again.
+    The environment is read on every call.  A file is read once per
+    process, and kept with the codegree sets built from it under its
+    absolute path, which each reader resolves on every call: after an
+    os.chdir a relative $CODLAB_DATA names the file in the new directory,
+    and one file reached by two spellings is read once.  A file rewritten
+    at the same path is not read again.
     """
     override = os.environ.get(DATA_ENV_VAR)
     if override:
@@ -424,11 +428,11 @@ class DataFileError(ValueError):
     """
 
 
-def _load_catalog(path: Path, sets: dict[str, CodegreeSet] | None = None
+def _load_catalog(path: str | Path, sets: dict[GroupId | str, CodegreeSet] | None = None
                   ) -> dict[str, DegreeRecord]:
     """The degree records of the data file at path, by label and alias.
 
-    The codegree sets the checks build are put in sets, by label.
+    The codegree sets the checks build are put in sets, by group.
     """
     records: dict[str, DegreeRecord] = {}
     sets = {} if sets is None else sets
@@ -469,7 +473,7 @@ def _typed(value: object, kind: type, field: str):
 
 
 def _add_record(rec: object, records: dict[str, DegreeRecord],
-                sets: dict[str, CodegreeSet]) -> None:
+                sets: dict[GroupId | str, CodegreeSet]) -> None:
     """Check one parsed degree record, under its label and each alias,
     against the group that name gives, and file it under each; a codegree
     set a check builds goes in sets.
@@ -500,7 +504,7 @@ def _add_record(rec: object, records: dict[str, DegreeRecord],
             raise ValueError(f"degree record {key}: {exc}") from None
         records[key] = record
         if cod is not None:
-            sets[key] = cod
+            sets[parse_group_label(key)] = cod
 
 
 def _check_against_group(key: str, record: DegreeRecord) -> CodegreeSet | None:
@@ -544,25 +548,40 @@ def _check_against_group(key: str, record: DegreeRecord) -> CodegreeSet | None:
 
 
 @lru_cache(maxsize=4)
-def _degree_records(path_str: str) -> tuple[dict[str, DegreeRecord], dict[str, CodegreeSet]]:
-    """The records of the data file at path_str and the codegree sets built
-    from them so far, both by label: a set lives and goes with its records."""
-    sets: dict[str, CodegreeSet] = {}
-    return _load_catalog(Path(path_str), sets), sets
+def _degree_records(key: str
+                    ) -> tuple[dict[str, DegreeRecord], dict[GroupId | str, CodegreeSet]]:
+    """The records of the data file at the absolute path key, by label, and
+    the codegree sets built from them so far, by GroupId (2.A9's by its
+    label): a set lives and goes with its records."""
+    sets: dict[GroupId | str, CodegreeSet] = {}
+    return _load_catalog(key, sets), sets
+
+
+def _data_file() -> tuple[dict[str, DegreeRecord], dict[GroupId | str, CodegreeSet]]:
+    """The records and codegree sets of the data file data_path() names:
+    each reader takes its file from here, so one file is never loaded under
+    two keys.  A refusal names the file as data_path() does."""
+    override = os.environ.get(DATA_ENV_VAR)
+    if not override:
+        return _degree_records(_PACKAGED_KEY)
+    key = os.path.abspath(override)
+    try:
+        return _degree_records(key)
+    except DataFileError as exc:  # each loader message starts with key
+        raise DataFileError(f"{Path(override)}{str(exc)[len(key):]}") from None
 
 
 def sporadic_entries() -> list[SporadicEntry]:
     return list(_SPORADIC.values())
 
 
-def degree_record(label: str, path: Path | None = None) -> DegreeRecord:
-    """The degree record of label in the data file at path, by default
-    data_path(); DataFileError if the file has no such record."""
-    path = path or data_path()
+def degree_record(label: str) -> DegreeRecord:
+    """The degree record of label in the data file data_path() names;
+    DataFileError if the file has no such record."""
     try:
-        return _degree_records(str(path))[0][label]
+        return _data_file()[0][label]
     except KeyError:
-        raise DataFileError(f"{path}: no degree data for {label}") from None
+        raise DataFileError(f"{data_path()}: no degree data for {label}") from None
 
 
 def _codegrees(label: str, rec: DegreeRecord) -> CodegreeSet:
@@ -578,13 +597,15 @@ def _codegrees(label: str, rec: DegreeRecord) -> CodegreeSet:
     return CodegreeSet(label, rec.order, tuple(sorted(values)))
 
 
-def _catalog_codegrees(label: str) -> CodegreeSet:
-    """cod of the group label from the current data file, built once per file."""
-    path = data_path()
-    sets = _degree_records(str(path))[1]
-    cod = sets.get(label)
+def _catalog_codegrees(key: GroupId | str) -> CodegreeSet:
+    """cod of the group key, a GroupId or 2.A9's label, from the current
+    data file, built once per file and kept with its records; a set another
+    thread kept first is the one returned."""
+    sets = _data_file()[1]
+    cod = sets.get(key)
     if cod is None:
-        cod = sets.setdefault(label, _codegrees(label, degree_record(label, path)))
+        label = key if key == _DOUBLE_COVER else group_label(key)  # type: ignore[arg-type]
+        cod = sets.setdefault(key, _codegrees(label, degree_record(label)))
     return cod
 
 
@@ -593,12 +614,14 @@ def simple_codegree_set(g: GroupId) -> CodegreeSet:
 
     Each set is built once per loaded data file, as cod(A_n) is once per
     process, and the same object is returned to every later caller.  The
-    set is kept with the file's degree records, so a file rewritten at the
-    same path inside one process is not read again.
+    set is kept with the file's degree records under the file's absolute
+    path, resolved from $CODLAB_DATA on every call: after an os.chdir a
+    relative $CODLAB_DATA gives the new directory's sets, and a file
+    rewritten at the same path inside one process is not read again.
     """
     if g.family == "Alternating":
         return alt_codegree_set(g.n)  # type: ignore[arg-type]
-    return _catalog_codegrees(group_label(g))
+    return _catalog_codegrees(g)
 
 
 def twisted_codegree_set_2a9() -> CodegreeSet:

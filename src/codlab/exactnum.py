@@ -15,7 +15,7 @@ from collections import namedtuple
 from functools import partial, reduce
 from itertools import repeat
 from math import factorial as _factorial, gcd, isqrt, prod
-from operator import add
+from operator import add, and_, neg
 from typing import Sequence
 
 
@@ -120,11 +120,13 @@ def factor(n: int) -> list[tuple[int, int]]:
     return out
 
 
-# Largest divisor count prod(E + 1) of one block of primes in
-# format_known_divisors.  Rendering the 16,215 values of cod(A_40) took 45-52 ms
-# for bounds from 1024 to 4096, 83 ms at 65,536 and 234 ms with no bound,
-# as a block's table renders every divisor that occurs; one gcd per prime
-# took 91 ms (2-core VM, Python 3.11, best of 9).
+# Largest divisor count prod(E + 1) of one block of odd primes in
+# format_known_divisors.  Rendering the 16,215 values of cod(A_40) took 23 ms
+# at 4096 (two blocks), 25-26 ms at 1024 and 2048, 42 ms at 65,536 and
+# 63 ms with no bound, as a block's table renders every divisor that
+# occurs; one gcd per odd prime took 43 ms.  Cutting 2 into the blocks
+# too, instead of reading its power off the low bit, took 27 ms at 4096
+# (three blocks; 2-core VM, Python 3.11, best of 9).
 _BLOCK_DIVISORS = 4096
 
 
@@ -155,8 +157,8 @@ class _BlockTexts(dict):
         return text
 
 
-def _blocks(multiple: int) -> list[tuple[int, _BlockTexts]]:
-    """Runs of consecutive primes of multiple, each with its modulus and texts.
+def _blocks(primes: list[tuple[int, int]]) -> list[tuple[int, _BlockTexts]]:
+    """Runs of consecutive (p, E) of primes, each with its modulus and texts.
 
     A run grows while its divisor count prod(E + 1) stays within
     _BLOCK_DIVISORS; a prime whose E + 1 alone exceeds it is a run by
@@ -164,7 +166,7 @@ def _blocks(multiple: int) -> list[tuple[int, _BlockTexts]]:
     """
     runs: list[list[tuple[int, int]]] = []
     count = 0
-    for p, e in factor(multiple):
+    for p, e in primes:
         if not runs or count * (e + 1) > _BLOCK_DIVISORS:
             runs.append([])
             count = 1
@@ -182,19 +184,25 @@ def format_known_divisors(values: Sequence[int], multiple: int) -> list[str]:
     (a non-divisor gets a wrong text): CodegreeSet.__new__ proves it for a
     CodegreeSet's values and order, and format_factored's value is multiple.
 
-    multiple >= 1 is factored once and its ascending primes are cut into
-    blocks of consecutive primes, each with at most _BLOCK_DIVISORS
-    divisors (a prime with more is a block by itself).  Each value then
-    costs one gcd with each block's part M of multiple, and the text of
-    gcd(v, M) comes from a table of that block built for this call: only
-    the divisors that occur are rendered, once each.  Fewer blocks mean
-    fewer gcds per value; a larger bound means more distinct divisors per
-    block to render, which is why the bound is small.
+    multiple >= 1 is factored once.  A value's power of 2 is read off the
+    bit length of its lowest set bit, v & -v.  The ascending odd primes of
+    multiple are cut into blocks of consecutive primes, each with at most
+    _BLOCK_DIVISORS divisors (a prime with more is a block by itself).
+    Each value then costs one gcd with each block's part M of multiple,
+    and the text of gcd(v, M) comes from a table of that block built for
+    this call: only the divisors that occur are rendered, once each.
+    Fewer blocks mean fewer gcds per value; a larger bound means more
+    distinct divisors per block to render, which is why the bound is small.
     """
-    columns = (
+    primes = factor(multiple)
+    columns = [
         map(texts.__getitem__, map(gcd, values, repeat(modulus)))
-        for modulus, texts in _blocks(multiple)
-    )
+        for modulus, texts in _blocks([(p, e) for p, e in primes if p != 2])
+    ]
+    if primes and primes[0][0] == 2:  # the text of 2^k at the bit length k + 1 of v & -v
+        twos = ["", "", "·2", *(f"·2^{k}" for k in range(2, primes[0][1] + 1))]
+        lowest = map(int.bit_length, map(and_, values, map(neg, values)))
+        columns.insert(0, map(twos.__getitem__, lowest))
     joined = reduce(partial(map, add), columns, repeat("", len(values)))
     return [text[1:] or "1" for text in joined]
 

@@ -637,15 +637,20 @@ def test_full_verification_builds_each_catalog_set_once(monkeypatch):
     assert sorted(built) == sorted({*DATA_LABELS, "2.A9"} - {"G2(2)'"})
 
 
-def test_each_data_file_gives_its_own_codegree_sets(tmp_path, monkeypatch):
-    # PSL(3,4) with degrees whose codegrees all lie in cod(A8): the alarm
+def _write_alarm_file(path):
+    """Write the shipped data file with PSL(3,4)'s degrees replaced by ones
+    whose codegrees all lie in cod(A8): the alarm."""
     lines = list(_DATA_LINES)
     [row] = [r for r, ln in enumerate(lines) if '"label": "PSL(3,4)"' in ln]
     rec = json.loads(lines[row])
     rec["degrees"] = [1, 7, 7, 7, 7, 7, 7, 20, 20, 20, 45, 56, 56, 56, 56, 64]
     lines[row] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def test_each_data_file_gives_its_own_codegree_sets(tmp_path, monkeypatch):
     alarm = tmp_path / "alarm.jsonl"
-    alarm.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_alarm_file(alarm)
     g = parse_group_label("PSL(3,4)")
     verdicts = []
     for path in (None, alarm, None):
@@ -655,6 +660,49 @@ def test_each_data_file_gives_its_own_codegree_sets(tmp_path, monkeypatch):
             monkeypatch.setenv("CODLAB_DATA", str(path))
         verdicts.append(check_subset(g, 8).verdict)
     assert verdicts == ["subset_refuted", "subset_holds", "subset_refuted"]
+
+
+def test_a_relative_data_path_names_the_file_in_the_current_directory(tmp_path, monkeypatch):
+    # CODLAB_DATA=data.jsonl is a/data.jsonl in a/, and the alarm file
+    # b/data.jsonl after a chdir to b/
+    for where in ("a", "b"):
+        (tmp_path / where).mkdir()
+    (tmp_path / "a" / "data.jsonl").write_bytes(data_path().read_bytes())
+    _write_alarm_file(tmp_path / "b" / "data.jsonl")
+    monkeypatch.setenv("CODLAB_DATA", "data.jsonl")
+    g = parse_group_label("PSL(3,4)")
+    verdicts = []
+    for where in ("a", "b", "a"):
+        monkeypatch.chdir(tmp_path / where)
+        verdicts.append(check_subset(g, 8).verdict)
+    assert verdicts == ["subset_refuted", "subset_holds", "subset_refuted"]
+
+
+def _loads(monkeypatch):
+    """The path of every data file the catalog loads, in order."""
+    loaded = []
+    load = catalog._load_catalog
+
+    def recording(path, sets=None):
+        loaded.append(path)
+        return load(path, sets)
+
+    monkeypatch.setattr(catalog, "_load_catalog", recording)
+    return loaded
+
+
+def test_a_data_file_reached_by_three_spellings_is_loaded_once(tmp_path, monkeypatch):
+    target = tmp_path / "data.jsonl"
+    target.write_bytes(data_path().read_bytes())
+    monkeypatch.chdir(tmp_path)
+    loaded = _loads(monkeypatch)
+    j2 = parse_group_label("J2")
+    got = []
+    for spelling in ("data.jsonl", "./data.jsonl", str(target)):
+        monkeypatch.setenv("CODLAB_DATA", spelling)
+        got.append((degree_record("J2"), simple_codegree_set(j2), twisted_codegree_set_2a9()))
+    assert loaded == [str(target)]
+    assert all(a is b for first, later in zip(got, got[1:]) for a, b in zip(first, later))
 
 
 def test_a_missing_degree_record_is_refused_on_every_call():

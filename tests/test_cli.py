@@ -711,6 +711,30 @@ def test_bad_data_file_exits_2(tmp_path, monkeypatch, capsys, edit, argv, proble
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "spelling,edit,argv,problem",
+    [
+        ("missing.jsonl", None, ("check-subset", "J2", "10"), ": No such file or directory"),
+        ("./missing.jsonl", None, ("schur",), ": No such file or directory"),
+        ("data.jsonl", _on_j2(_drop_label), ("check-subset", "J2", "10"),
+         ":11: record has no 'label' field"),
+        ("./data.jsonl", _without_degrees("J2"), ("check-subset", "J2", "10"),
+         ": no degree data for J2"),
+    ],
+    ids=["missing-file", "dot-missing-file-schur", "record-without-label", "no-j2"],
+)
+def test_a_relative_data_path_is_refused_by_its_name(tmp_path, monkeypatch, capsys,
+                                                     spelling, edit, argv, problem):
+    # the path as given, without a leading ./, never the absolute path the
+    # catalog keys the file by
+    if edit is not None:
+        data_file(tmp_path / "data.jsonl", edit)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("CODLAB_DATA", spelling)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {spelling.removeprefix('./')}{problem}\n")
+
+
 def test_a_subset_without_isomorphism_fails_the_run(tmp_path, monkeypatch, capsys):
     # the theorem's failure path: a group that is not A_n, all of whose
     # codegrees lie in cod(A_n), is an alarm, never called isomorphic

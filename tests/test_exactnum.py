@@ -206,9 +206,11 @@ def _divisor_cases(draw):
     return multiple, values
 
 
-# 2^5000 alone has more divisors than one block may hold, so 2 is a block
-# by itself, here both alone and ahead of other primes
+# 2^5000, its power read off the low bit, both alone and ahead of other
+# primes; 3^5000 alone has more divisors than one block may hold, so 3 is a
+# block by itself, ahead of another block
 @example(case=(2**5000, [1, 2, 2**4999, 2**5000, 2**1234]))
+@example(case=(2 * 3**5000 * 5, [1, 2, 5, 3**4999 * 5, 2 * 3**17, 2 * 3**5000 * 5]))
 @example(case=(2**5000 * 3**2 * 1009, [1, 3, 2**5000 * 1009, 2**17 * 3**2, 2**5000 * 3**2 * 1009]))
 @given(case=_divisor_cases())
 def test_format_known_divisors_matches_trial_division(case):

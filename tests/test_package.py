@@ -171,3 +171,22 @@ def test_records_are_immutable_tuples_of_their_fields(name, cls):
         setattr(rec, cls._fields[0], None)
     with pytest.raises(AttributeError):
         rec.not_a_field = None
+
+
+def test_the_autouse_fixture_empties_every_cache_of_the_library():
+    # a cache the fixture misses would carry state from one test into the
+    # next, so tests would pass or fail by their order
+    from codlab import alt_codegrees, catalog
+    from codlab.search import run_full_verification
+    from conftest import _CACHES
+
+    run_full_verification()
+    caches = {f"{mod.__name__}.{name}": obj for mod in (catalog, alt_codegrees)
+              for name, obj in vars(mod).items() if hasattr(obj, "cache_clear")}
+    assert caches and all(c.cache_info().currsize for c in caches.values())
+    assert alt_codegrees._MEMO
+    for clear in _CACHES:
+        clear()
+    sizes = {name: c.cache_info().currsize for name, c in caches.items()}
+    assert sizes == dict.fromkeys(caches, 0)
+    assert not alt_codegrees._MEMO
