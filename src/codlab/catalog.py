@@ -575,11 +575,12 @@ def sporadic_entries() -> list[SporadicEntry]:
     return list(_SPORADIC.values())
 
 
-def degree_record(label: str) -> DegreeRecord:
-    """The degree record of label in the data file data_path() names;
-    DataFileError if the file has no such record."""
+def degree_record(label: str, records: dict[str, DegreeRecord] | None = None
+                  ) -> DegreeRecord:
+    """The degree record of label in records, by default the records of the
+    data file data_path() names; DataFileError if there is no such record."""
     try:
-        return _data_file()[0][label]
+        return (_data_file()[0] if records is None else records)[label]
     except KeyError:
         raise DataFileError(f"{data_path()}: no degree data for {label}") from None
 
@@ -600,12 +601,13 @@ def _codegrees(label: str, rec: DegreeRecord) -> CodegreeSet:
 def _catalog_codegrees(key: GroupId | str) -> CodegreeSet:
     """cod of the group key, a GroupId or 2.A9's label, from the current
     data file, built once per file and kept with its records; a set another
-    thread kept first is the one returned."""
-    sets = _data_file()[1]
+    thread kept first is the one returned.  The file is resolved once, so a
+    set is built from the records it is kept with."""
+    records, sets = _data_file()
     cod = sets.get(key)
     if cod is None:
         label = key if key == _DOUBLE_COVER else group_label(key)  # type: ignore[arg-type]
-        cod = sets.setdefault(key, _codegrees(label, degree_record(label)))
+        cod = sets.setdefault(key, _codegrees(label, degree_record(label, records)))
     return cod
 
 

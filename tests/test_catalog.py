@@ -678,6 +678,42 @@ def test_a_relative_data_path_names_the_file_in_the_current_directory(tmp_path, 
     assert verdicts == ["subset_refuted", "subset_holds", "subset_refuted"]
 
 
+def _data_file_calls(monkeypatch, then=None):
+    """A list that gets one entry per call of catalog._data_file; then(),
+    if given, runs after the first call returns."""
+    calls = []
+    resolve = catalog._data_file
+
+    def recording():
+        got = resolve()
+        calls.append(got)
+        if then is not None and len(calls) == 1:
+            then()
+        return got
+
+    monkeypatch.setattr(catalog, "_data_file", recording)
+    return calls
+
+
+def test_a_set_is_built_from_the_file_it_is_kept_with(tmp_path, monkeypatch):
+    # CODLAB_DATA switches from a copy of the shipped file to the alarm file
+    # right after the query resolves its file: the set is the shipped one's
+    shipped, alarm = tmp_path / "shipped.jsonl", tmp_path / "alarm.jsonl"
+    shipped.write_bytes(data_path().read_bytes())
+    _write_alarm_file(alarm)
+    monkeypatch.setenv("CODLAB_DATA", str(shipped))
+    calls = _data_file_calls(monkeypatch,
+                             then=lambda: monkeypatch.setenv("CODLAB_DATA", str(alarm)))
+    assert check_subset(parse_group_label("PSL(3,4)"), 8).verdict == "subset_refuted"
+    assert len(calls) == 1
+
+
+def test_a_cold_catalog_set_resolves_the_data_file_once(monkeypatch):
+    calls = _data_file_calls(monkeypatch)
+    simple_codegree_set(parse_group_label("J2"))
+    assert len(calls) == 1
+
+
 def _loads(monkeypatch):
     """The path of every data file the catalog loads, in order."""
     loaded = []

@@ -127,6 +127,58 @@ def test_a_home_module_is_imported_on_first_access():
     subprocess.run([sys.executable, "-c", probe], check=True)
 
 
+def test_every_name_is_served_by_the_package_type():
+    served = vars(type(codlab))
+    assert all(name in served for name in codlab.__all__)
+    assert "__getattr__" not in vars(codlab)
+
+
+def test_star_import_binds_every_name():
+    probe = ("import codlab\n"
+             "from codlab import *\n"
+             "names = [n for n in codlab.__all__ if n in globals()]\n"
+             "assert len(names) == 33, names\n"
+             "assert all(globals()[n] is getattr(codlab, n) for n in names)\n")
+    subprocess.run([sys.executable, "-c", probe], check=True)
+
+
+def test_an_assigned_name_shadows_its_home_until_deleted(monkeypatch):
+    from codlab import search
+
+    def stand_in(g, n):
+        return None
+
+    try:
+        monkeypatch.setattr(codlab, "check_subset", stand_in)
+        assert codlab.check_subset is stand_in
+        monkeypatch.undo()  # assigns the value it saved back on the package
+        assert codlab.check_subset is search.check_subset
+        del codlab.check_subset
+        assert "check_subset" not in vars(codlab)
+        monkeypatch.setattr(search, "check_subset", stand_in)
+        assert codlab.check_subset is stand_in  # read from the home module again
+    finally:
+        vars(codlab).pop("check_subset", None)
+
+
+def test_mock_patch_shadows_a_name_and_restores_it():
+    from unittest import mock
+
+    from codlab import search
+
+    with mock.patch("codlab.check_subset") as fake:
+        assert codlab.check_subset is fake
+    assert codlab.check_subset is search.check_subset
+    assert "check_subset" not in vars(codlab)
+
+
+def test_a_home_module_that_lacks_the_name_gives_attribute_error(monkeypatch):
+    monkeypatch.setitem(sys.modules, "codlab.search", type(sys)("codlab.search"))
+    with pytest.raises(AttributeError, match="check_subset"):
+        codlab.check_subset
+    assert not hasattr(codlab, "run_full_verification")
+
+
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'render_rows_csv'"):
         codlab.render_rows_csv
