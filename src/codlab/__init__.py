@@ -25,10 +25,10 @@ from types import ModuleType
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "alt_codegrees": "CodegreeSet alt_codegree_set sym_degree verify_min_codegree_monotone",
+    "alt_codegrees": """CodegreeSet alt_codegree_set sym_degree twisted_codegree_set_2a9
+        verify_min_codegree_monotone""",
     "catalog": """GroupId alternating class_number_bound group_label group_order lie
-        parse_group_label prime_power simple_codegree_set sporadic sporadic_entries
-        twisted_codegree_set_2a9""",
+        parse_group_label prime_power simple_codegree_set sporadic sporadic_entries""",
     "exactnum": "PrimePower factor factorial format_factored is_prime",
     "partitions": "hook_product",
     "search": """ExceptionRow FamilySweepReport SchurScan SubsetCheck

@@ -47,6 +47,10 @@ process.  The memo holds at most _MEMO_VALUES codegree values in all: a
 set that would pass that budget is returned but not kept, and walked
 again on each call, and nothing is evicted, so what the memo holds
 depends only on the order of calls.
+
+twisted_codegree_set_2a9 adds to cod(A9) the codegrees of the faithful
+characters of the double cover 2.A9, from Schur's spin-degree formula
+over the strict partitions of 9, in integers only.
 """
 
 from __future__ import annotations
@@ -232,6 +236,51 @@ def _codegree_set(n: int) -> CodegreeSet:
     if total != half:
         raise ArithmeticError(f"sum of squared dimensions {total} != |A_{n}| = {half}")
     return CodegreeSet(f"A{n}", half, tuple(sorted(values)))
+
+
+def _strict_partitions(n: int, most: int) -> Iterator[Partition]:
+    """The partitions of n into distinct parts, each at most most."""
+    if n == 0:
+        yield ()
+    for first in range(min(n, most), 0, -1):
+        for rest in _strict_partitions(n - first, first - 1):
+            yield (first,) + rest
+
+
+def twisted_codegree_set_2a9() -> CodegreeSet:
+    """cod(2.A9) for the double cover of A9, of order 2|A9| = 9!.
+
+    The characters trivial on the centre are those of A9 and keep cod(A9);
+    a faithful one of degree d adds the codegree 9!/d.  The faithful
+    degrees are Schur's spin degrees (Schur, J. reine angew. Math. 139
+    (1911); Hoffman and Humphreys, Projective Representations of the
+    Symmetric Groups, 1992): a strict partition lam of 9 with l parts gives
+
+        2^floor((9-l)/2) * 9!/prod lam_i! * prod_{i<j} (lam_i - lam_j)/(lam_i + lam_j),
+
+    two characters of half that degree when 9 - l is even, one otherwise.
+    Each degree is checked to be a whole divisor of 9!, and their squares
+    to sum to |2.A9| - |A9| = 9!/2.  The set is built on every call.
+    """
+    n = 9
+    order = factorial(n)
+    values = set(alt_codegree_set(n).values)
+    squares = 0
+    for lam in _strict_partitions(n, n):
+        split = (n - len(lam)) % 2 == 0
+        num, den = order << (n - len(lam)) // 2, 2 if split else 1
+        for i, a in enumerate(lam):
+            den *= factorial(a)
+            for b in lam[i + 1:]:
+                num, den = num * (a - b), den * (a + b)
+        degree, rest = divmod(num, den)
+        if rest or order % degree:
+            raise ArithmeticError(f"spin degree {num}/{den} of {lam} does not divide {n}!")
+        squares += 2 * degree * degree if split else degree * degree
+        values.add(order // degree)
+    if squares != order // 2:
+        raise ArithmeticError(f"sum of squared spin degrees {squares} != {n}!/2")
+    return CodegreeSet(f"2.A{n}", order, tuple(sorted(values)))
 
 
 def verify_min_codegree_monotone(n_lo: int, n_hi: int) -> tuple[bool, list[tuple[int, int]]]:

@@ -11,7 +11,9 @@ Each sporadic group's order and class count sit in one row of
 _SPORADIC_ATLAS.  Only degree data is read from a versioned
 structured-text file shipped with the package (override the path with
 the CODLAB_DATA environment variable); the loader alone checks a record
-against its group, on the record's line.
+against its group, on the record's line.  Each record is of a simple
+group: cod(2.A9) of the double cover comes from Schur's spin degrees in
+alt_codegrees, not from the file.
 
 A note on naming: the classical families are parametrised by the rank m
 used in the search, so the PSL tag with (m, q) is the group PSL(m+1, q),
@@ -378,7 +380,6 @@ def order_class_shape(family: str, m: int | None) -> tuple[int, int, int]:
 DATA_ENV_VAR = "CODLAB_DATA"
 _DATA_FORMAT = "codlab-groups"
 _DATA_VERSION = 1
-_DOUBLE_COVER = "2.A9"  # the one faithful_only record, of order 2|A9| = 9!
 # The catalog groups that are an A_n, each with its n.  The loader holds a
 # record under one of these labels to cod(A_n), so check_subset may call a
 # pair isomorphic when H's codegrees lie in cod(A_n).
@@ -386,14 +387,10 @@ KNOWN_ISOMORPHIC = {"PSL(2,4)": 5, "PSL(2,5)": 5, "PSL(2,9)": 6, "PSL(4,2)": 8}
 
 
 class DegreeRecord(namedtuple(
-    "DegreeRecord", "label order degrees faithful_only provenance aliases", defaults=((),)
+    "DegreeRecord", "label order degrees provenance aliases", defaults=((),)
 )):
-    """Tabulated irreducible character degrees for one group.
-
-    faithful_only marks records listing only the characters that are
-    faithful on a covering group (used for 2.A9); for full records the
-    degrees satisfy sum d^2 == order.
-    """
+    """Tabulated irreducible character degrees for one group: all of them,
+    so sum d^2 == order."""
 
     __slots__ = ()
 
@@ -428,7 +425,7 @@ class DataFileError(ValueError):
     """
 
 
-def _load_catalog(path: str | Path, sets: dict[GroupId | str, CodegreeSet] | None = None
+def _load_catalog(path: str | Path, sets: dict[GroupId, CodegreeSet] | None = None
                   ) -> dict[str, DegreeRecord]:
     """The degree records of the data file at path, by label and alias.
 
@@ -461,7 +458,7 @@ def _load_catalog(path: str | Path, sets: dict[GroupId | str, CodegreeSet] | Non
 
 
 # The JSON type of each field of a degree record, and how a refusal names it.
-_KINDS = {int: "an integer", str: "text", bool: "true or false", list: "a list"}
+_KINDS = {int: "an integer", str: "text", list: "a list"}
 
 
 def _typed(value: object, kind: type, field: str):
@@ -473,7 +470,7 @@ def _typed(value: object, kind: type, field: str):
 
 
 def _add_record(rec: object, records: dict[str, DegreeRecord],
-                sets: dict[GroupId | str, CodegreeSet]) -> None:
+                sets: dict[GroupId, CodegreeSet]) -> None:
     """Check one parsed degree record, under its label and each alias,
     against the group that name gives, and file it under each; a codegree
     set a check builds goes in sets.
@@ -486,11 +483,10 @@ def _add_record(rec: object, records: dict[str, DegreeRecord],
     if rec["record"] != "degrees":
         raise ValueError(f"unknown record type {rec['record']!r}")
     degrees = tuple(_typed(d, int, "degree") for d in _typed(rec["degrees"], list, "degrees"))
-    faithful_only = _typed(rec.get("faithful_only", False), bool, "faithful_only")
     aliases = _typed(rec.get("aliases", []), list, "aliases")
     record = DegreeRecord(
         _typed(rec["label"], str, "label"), _typed(rec["order"], int, "order"), degrees,
-        faithful_only, _typed(rec["provenance"], str, "provenance"),
+        _typed(rec["provenance"], str, "provenance"),
         tuple(_typed(alias, str, "alias") for alias in aliases),
     )
     if list(degrees) != sorted(degrees):
@@ -513,26 +509,21 @@ def _check_against_group(key: str, record: DegreeRecord) -> CodegreeSet | None:
     another name, or if key names an A_n: nothing reads such a record, and
     the loader has no degree list of A_n to check it against.  Returns the
     codegree set of an A_n under another name, the one set it builds."""
-    cover = key == _DOUBLE_COVER
-    g = None if cover else parse_group_label(key)
-    if g and g.family == "Alternating":
+    g = parse_group_label(key)
+    if g.family == "Alternating":
         raise ValueError("cod(A_n) comes from hook lengths, never from a degree record")
     bits = record.order.bit_length()
-    b = g.q.q.bit_length() - 1 if g and g.q else 0  # a Lie group's q >= 2^b
+    b = g.q.q.bit_length() - 1 if g.q else 0  # a Lie group's q >= 2^b
     # refuse a too big G before building |G|: |G| >= 2^(b*e), where e >= m at a
     # classical rank m, tried first: the order formula has m factors
     if b and (b * (g.m or 0) >= bits or b * order_class_shape(g.family, g.m)[0] >= bits):
         raise ValueError(f"order {record.order} is below |{key}|")
-    order = factorial(9) if cover else group_order(g)
-    if record.faithful_only != cover:
-        raise ValueError(f"faithful_only should be {str(cover).lower()}")
+    order = group_order(g)
     if record.order != order:
         raise ValueError(f"order {record.order} disagrees with the order formula {order}")
-    # the faithful characters of 2.A9 make up |2.A9| - |A9| = order / 2
-    squares = order // 2 if cover else order
-    if sum(d * d for d in record.degrees) != squares:
-        raise ValueError(f"sum of squared degrees is not {squares}")
-    classes = _SPORADIC[g.name].class_count if g and g.family == "Sporadic" else None
+    if sum(d * d for d in record.degrees) != order:
+        raise ValueError(f"sum of squared degrees is not {order}")
+    classes = _SPORADIC[g.name].class_count if g.family == "Sporadic" else None
     if classes and len(record.degrees) != classes:
         raise ValueError(f"{len(record.degrees)} degrees for {classes} classes")
     for d in record.degrees:
@@ -548,16 +539,15 @@ def _check_against_group(key: str, record: DegreeRecord) -> CodegreeSet | None:
 
 
 @lru_cache(maxsize=4)
-def _degree_records(key: str
-                    ) -> tuple[dict[str, DegreeRecord], dict[GroupId | str, CodegreeSet]]:
+def _degree_records(key: str) -> tuple[dict[str, DegreeRecord], dict[GroupId, CodegreeSet]]:
     """The records of the data file at the absolute path key, by label, and
-    the codegree sets built from them so far, by GroupId (2.A9's by its
-    label): a set lives and goes with its records."""
-    sets: dict[GroupId | str, CodegreeSet] = {}
+    the codegree sets built from them so far, by GroupId: a set lives and
+    goes with its records."""
+    sets: dict[GroupId, CodegreeSet] = {}
     return _load_catalog(key, sets), sets
 
 
-def _data_file() -> tuple[dict[str, DegreeRecord], dict[GroupId | str, CodegreeSet]]:
+def _data_file() -> tuple[dict[str, DegreeRecord], dict[GroupId, CodegreeSet]]:
     """The records and codegree sets of the data file data_path() names:
     each reader takes its file from here, so one file is never loaded under
     two keys.  A refusal names the file as data_path() does."""
@@ -586,47 +576,30 @@ def degree_record(label: str, records: dict[str, DegreeRecord] | None = None
 
 
 def _codegrees(label: str, rec: DegreeRecord) -> CodegreeSet:
-    """cod of the group label from its degree record rec.
-
-    A simple group's record is full: the non-trivial irreducibles are
-    faithful, so each degree d > 1 gives the codegree order / d.  The record
-    of 2.A9, a double cover of A9, lists only the faithful characters: the
-    others are inflations from A9 and keep cod(A9).
-    """
-    values = set(alt_codegree_set(9).values) if label == _DOUBLE_COVER else {1}
-    values.update(rec.order // d for d in rec.degrees if d > 1)
+    """cod of the simple group label from its degree record rec: the
+    non-trivial irreducibles are faithful, so each degree d > 1 gives the
+    codegree order / d."""
+    values = {1, *(rec.order // d for d in rec.degrees if d > 1)}
     return CodegreeSet(label, rec.order, tuple(sorted(values)))
-
-
-def _catalog_codegrees(key: GroupId | str) -> CodegreeSet:
-    """cod of the group key, a GroupId or 2.A9's label, from the current
-    data file, built once per file and kept with its records; a set another
-    thread kept first is the one returned.  The file is resolved once, so a
-    set is built from the records it is kept with."""
-    records, sets = _data_file()
-    cod = sets.get(key)
-    if cod is None:
-        label = key if key == _DOUBLE_COVER else group_label(key)  # type: ignore[arg-type]
-        cod = sets.setdefault(key, _codegrees(label, degree_record(label, records)))
-    return cod
 
 
 def simple_codegree_set(g: GroupId) -> CodegreeSet:
     """cod(G) for a simple catalog group.
 
-    Each set is built once per loaded data file, as cod(A_n) is once per
-    process, and the same object is returned to every later caller.  The
-    set is kept with the file's degree records under the file's absolute
-    path, resolved from $CODLAB_DATA on every call: after an os.chdir a
-    relative $CODLAB_DATA gives the new directory's sets, and a file
-    rewritten at the same path inside one process is not read again.
+    cod(A_n) is built once per process.  Any other set is built from the
+    data file's degree record once per loaded file and kept with its
+    records; a set another thread kept first is the one returned to every
+    later caller.  The file is resolved once per call, from $CODLAB_DATA,
+    to its absolute path, so a set is built from the records it is kept
+    with: after an os.chdir a relative $CODLAB_DATA gives the new
+    directory's sets, and a file rewritten at the same path inside one
+    process is not read again.
     """
     if g.family == "Alternating":
         return alt_codegree_set(g.n)  # type: ignore[arg-type]
-    return _catalog_codegrees(g)
-
-
-def twisted_codegree_set_2a9() -> CodegreeSet:
-    """cod(2.A9) for the double cover of A9, of order 2|A9|, built once per
-    loaded data file as simple_codegree_set's sets are."""
-    return _catalog_codegrees(_DOUBLE_COVER)
+    records, sets = _data_file()
+    cod = sets.get(g)
+    if cod is None:
+        label = group_label(g)
+        cod = sets.setdefault(g, _codegrees(label, degree_record(label, records)))
+    return cod

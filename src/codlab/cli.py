@@ -24,8 +24,9 @@ Each handler imports what it runs, and json and csv are imported only
 for those formats.  cod and min-cod load only the A_n layer (partitions,
 alt_codegrees, exactnum), never catalog or search, so a table of A_n
 pays neither for the simple-group catalog nor for the sweeps.  search,
-schur and check-subset load both; only they read the data file, so only
-they map its DataFileError to exit 2.
+schur and check-subset load both.  Only search and check-subset read the
+data file, so only they map its DataFileError to exit 2; schur's cod(2.A9)
+comes from the spin-degree formula in alt_codegrees.
 """
 
 from __future__ import annotations
@@ -301,7 +302,6 @@ def _search_all(args: argparse.Namespace) -> int:
 # schur
 
 
-@_reads_data
 def cmd_schur(args: argparse.Namespace) -> int:
     from .search import schur_a9_size_check, schur_degree_equation_solutions
 

@@ -57,7 +57,11 @@ from itertools import count
 from pathlib import Path
 from typing import Iterator
 
-from .alt_codegrees import alt_codegree_set, prove_min_codegree_monotone
+from .alt_codegrees import (
+    alt_codegree_set,
+    prove_min_codegree_monotone,
+    twisted_codegree_set_2a9,
+)
 from .catalog import (
     EXCEPTIONAL_PREFIX,
     KNOWN_ISOMORPHIC,
@@ -75,7 +79,6 @@ from .catalog import (
     parse_group_label,
     simple_codegree_set,
     sporadic,
-    twisted_codegree_set_2a9,
 )
 from .exactnum import factorial, is_prime
 

@@ -5,7 +5,8 @@ on its own: divisibility, p-adic valuations, Legendre's formula, the
 partitions of n, conjugates by column counts, single hook lengths and
 the hook product cell by cell, corner removal, the text form of a
 partition, partition counts, Frobenius coordinates, the direct routes
-to the A_n entries and to the n!/2 sieve, factorisation one division at
+to the A_n entries and to the n!/2 sieve, Schur's spin degrees in exact
+fractions, factorisation one division at
 a time, the factored text of a number by trial division, the parameter
 boxes the family sweeps once enumerated, and the class-number bounds and
 order formulas of the Lie families as their sources print them.  The
@@ -228,6 +229,26 @@ def alt_irr_entries_direct(n: int) -> Iterator[tuple[Partition, bool, int, int]]
             yield lam, True, dim // 2, hp
         else:
             yield conj, False, dim, hp // 2
+
+
+def spin_degrees(n: int) -> list[Fraction]:
+    """The faithful irreducible degrees of the double cover 2.A_n, sorted,
+    as exact fractions of Schur's formula: a partition lam of n into
+    distinct parts, l of them, gives 2^floor((n-l)/2) * n!/prod lam_i! *
+    prod_{i<j} (lam_i - lam_j)/(lam_i + lam_j), as two characters of half
+    that degree when n - l is even and as one otherwise."""
+    degrees = []
+    for lam in partitions(n):
+        ell = len(lam)
+        if len(set(lam)) < ell:
+            continue
+        d = Fraction(2 ** ((n - ell) // 2) * math.factorial(n),
+                     math.prod(map(math.factorial, lam)))
+        for i, a in enumerate(lam):
+            for b in lam[i + 1:]:
+                d *= Fraction(a - b, a + b)
+        degrees += [d / 2, d / 2] if (n - ell) % 2 == 0 else [d]
+    return sorted(degrees)
 
 
 def bit_cutoff_stepwise(n: int, limit: int) -> int:

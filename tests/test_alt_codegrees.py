@@ -27,6 +27,7 @@ from codlab.alt_codegrees import (
     _frobenius_pairs,
     alt_codegree_set,
     prove_min_codegree_monotone,
+    twisted_codegree_set_2a9,
     verify_min_codegree_monotone,
 )
 from codlab.catalog import degree_record
@@ -39,6 +40,7 @@ from oracles import (
     frobenius,
     partitions,
     pentagonal_partition_counts,
+    spin_degrees,
 )
 
 EXPECTED_COD = {
@@ -356,6 +358,52 @@ def test_sym_degree_checks_the_hook_product(monkeypatch):
     monkeypatch.setattr(alt_codegrees, "hook_product", lambda parts: 7)
     with pytest.raises(ArithmeticError, match=re.escape("hook product 7 does not divide 5!")):
         alt_codegrees.sym_degree((3, 1, 1))
+
+
+# The faithful degrees of 2.A9 as the shipped data file once held them, in
+# a record of their own
+FORMER_2A9_DEGREES = [8, 8, 48, 48, 56, 112, 120, 120, 160, 168, 168, 224]
+
+
+def test_twisted_2a9_is_the_former_records_set():
+    cod = twisted_codegree_set_2a9()
+    former = {*alt_codegree_set(9).values, *(math.factorial(9) // d for d in FORMER_2A9_DEGREES)}
+    assert cod == ("2.A9", math.factorial(9), tuple(sorted(former)))
+
+
+def test_twisted_2a9_matches_the_spin_degree_oracle():
+    degrees = spin_degrees(9)
+    assert degrees == FORMER_2A9_DEGREES
+    oracle = {*EXPECTED_COD[9], *(math.factorial(9) // int(d) for d in degrees)}
+    assert twisted_codegree_set_2a9().values == tuple(sorted(oracle))
+
+
+def test_spin_degree_oracle_is_whole_and_squares_to_half_the_order():
+    # the faithful characters of 2.A_n make up |2.A_n| - |A_n| = n!/2
+    for n in range(4, 13):
+        degrees = spin_degrees(n)
+        assert all(d.denominator == 1 for d in degrees), n
+        assert sum(d * d for d in degrees) == math.factorial(n) // 2, n
+
+
+def test_strict_partitions_are_the_partitions_into_distinct_parts():
+    for n in range(16):
+        expected = [lam for lam in partitions(n) if len(set(lam)) == len(lam)]
+        assert list(alt_codegrees._strict_partitions(n, n)) == expected, n
+
+
+@pytest.mark.parametrize("parts,message", [
+    # 2^4 * 9!/10! / 2 = 4/5
+    ([(10,)], "spin degree 5806080/7257600 of (10,) does not divide 9!"),
+    # 2^4 * 9!/3! / 2 = 483840, past 9!
+    ([(3,)], "spin degree 5806080/12 of (3,) does not divide 9!"),
+    # only the two characters of degree 8
+    ([(9,)], "sum of squared spin degrees 128 != 9!/2"),
+], ids=["not-whole", "not-a-divisor", "squares"])
+def test_twisted_2a9_checks_each_degree_and_the_sum_of_squares(monkeypatch, parts, message):
+    monkeypatch.setattr(alt_codegrees, "_strict_partitions", lambda n, most: iter(parts))
+    with pytest.raises(ArithmeticError, match=f"^{re.escape(message)}$"):
+        twisted_codegree_set_2a9()
 
 
 def test_codegree_set_is_built_once_per_process(walks):

@@ -41,9 +41,9 @@ from codlab.catalog import (
     _SPORADIC_ATLAS,
     _load_catalog,
     _order_formula,
-    twisted_codegree_set_2a9,
 )
 from codlab import catalog
+from codlab.alt_codegrees import twisted_codegree_set_2a9
 from codlab.exactnum import PrimePower, factor, format_factored
 from codlab.search import check_subset, run_full_verification
 from oracles import lie_class_bound, lie_order, valuation
@@ -535,8 +535,8 @@ DATA_LABELS = ("PSL(2,4)", "PSL(2,5)", "PSL(2,7)", "PSL(2,8)", "PSL(2,9)", "PSL(
 def test_data_file_holds_degree_records_only():
     # one degree record a line after the header; the sporadic facts are catalog's
     lines = data_path().read_text(encoding="utf-8").splitlines()
-    assert [json.loads(line)["record"] for line in lines[1:]] == ["degrees"] * 11
-    assert set(_load_catalog(data_path())) == {*DATA_LABELS, "2.A9"}
+    assert [json.loads(line)["record"] for line in lines[1:]] == ["degrees"] * 10
+    assert set(_load_catalog(data_path())) == set(DATA_LABELS)
 
 
 def test_codegree_sets_trust_the_loaded_records(monkeypatch):
@@ -598,10 +598,9 @@ def test_catalog_codegree_set_is_built_once_per_data_file(monkeypatch):
     built = _builds(monkeypatch)
     j2 = parse_group_label("J2")
     assert simple_codegree_set(j2) is simple_codegree_set(j2)
-    assert twisted_codegree_set_2a9() is twisted_codegree_set_2a9()
     for label in KNOWN_ISOMORPHIC:  # served from the loader's checks
         simple_codegree_set(parse_group_label(label))
-    assert built == ["J2", "2.A9"]
+    assert built == ["J2"]
 
 
 def test_catalog_codegree_sets_are_shared_under_threads():
@@ -634,7 +633,7 @@ def test_catalog_codegree_sets_are_shared_under_threads():
 def test_full_verification_builds_each_catalog_set_once(monkeypatch):
     built = _builds(monkeypatch)
     run_full_verification()
-    assert sorted(built) == sorted({*DATA_LABELS, "2.A9"} - {"G2(2)'"})
+    assert sorted(built) == sorted(set(DATA_LABELS) - {"G2(2)'"})
 
 
 def _write_alarm_file(path):
@@ -736,7 +735,7 @@ def test_a_data_file_reached_by_three_spellings_is_loaded_once(tmp_path, monkeyp
     got = []
     for spelling in ("data.jsonl", "./data.jsonl", str(target)):
         monkeypatch.setenv("CODLAB_DATA", spelling)
-        got.append((degree_record("J2"), simple_codegree_set(j2), twisted_codegree_set_2a9()))
+        got.append((degree_record("J2"), simple_codegree_set(j2)))
     assert loaded == [str(target)]
     assert all(a is b for first, later in zip(got, got[1:]) for a, b in zip(first, later))
 
@@ -855,8 +854,7 @@ def test_loader_returns_or_raises_data_file_error(lines, keep_header):
         else:  # each record is filed under its label and aliases, and checked
             for key, record in cat.items():
                 assert key in (record.label, *record.aliases)
-                squares = sum(d * d for d in record.degrees)
-                assert squares == record.order // (2 if record.faithful_only else 1)
+                assert sum(d * d for d in record.degrees) == record.order
 
 
 def _with_number(field, i, edit):
@@ -904,7 +902,7 @@ def test_loader_reads_numbers_exactly(field, i, edit):
 
 def _with_field(field, i, value):
     """The data lines with value as one field of degree record i: its
-    label, its provenance or its faithful_only flag."""
+    label or its provenance."""
     lines = list(_DATA_LINES)
     row = 1 + i % (len(lines) - 1)
     rec = json.loads(lines[row])
@@ -914,13 +912,13 @@ def _with_field(field, i, value):
     return lines, was
 
 
-@given(st.sampled_from(["label", "provenance", "faithful_only"]), st.integers(0, 100),
+@given(st.sampled_from(["label", "provenance"]), st.integers(0, 100),
        _JSON_SCALAR | st.sampled_from(DATA_LABELS + ("2.A9", "A5", "A8", "M11",
                                                      "ATLAS of Finite Groups"))
        | st.lists(st.text(max_size=3), max_size=2))
 @settings(max_examples=150, deadline=None)
 def test_loader_reads_fields_exactly(field, i, value):
-    # a name is loaded only as the JSON text written, a flag only as a JSON bool
+    # a name is loaded only as the JSON text written
     lines, was = _with_field(field, i, value)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fields.jsonl"
@@ -934,11 +932,9 @@ def test_loader_reads_fields_exactly(field, i, value):
         assert type(value) is str and cat[value].label == value
         assert (was in cat) == (value == was)
         # never under an A_n, whose codegrees come from hook lengths
-        assert value == "2.A9" or parse_group_label(value).family != "Alternating"
-    elif field == "provenance":
-        assert type(value) is str and cat[was].provenance == value
+        assert parse_group_label(value).family != "Alternating"
     else:
-        assert value is (was == "2.A9") and cat[was].faithful_only is value
+        assert type(value) is str and cat[was].provenance == value
 
 
 def test_corrupted_data_detected(tmp_path, monkeypatch):

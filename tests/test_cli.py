@@ -544,9 +544,9 @@ def _degrees_of(label, /, **fields):
 
 
 def _appended(record):
-    """Append the record as line 13, after the 2.A9 record on line 12."""
+    """Append the record as line 12, after the J2 record on line 11."""
     def apply(lines):
-        assert len(lines) == 12 and '"label": "2.A9"' in lines[11]
+        assert len(lines) == 11 and '"label": "J2"' in lines[10]
         return lines + [json.dumps(record)]
     return apply
 
@@ -573,20 +573,23 @@ _COD_IN_COD_A8 = [1, 7, 7, 7, 7, 7, 7, 20, 20, 20, 45, 56, 56, 56, 56, 64]
 _J2_22_DEGREES = [1, 14, 14, 21, 21, 36, 63, 70, 70, 90, 126, 160, 175, 180,
                   189, 189, 224, 224, 225, 240, 288, 336]
 _NO_A_N_RECORD = "cod(A_n) comes from hook lengths, never from a degree record"
+# The record of 2.A9's faithful degrees that the data file once held; cod(2.A9)
+# now comes from Schur's spin-degree formula, and the format has no such record
+_FORMER_2A9 = {"record": "degrees", "label": "2.A9", "order": 362880,
+               "degrees": [8, 8, 48, 48, 56, 112, 120, 120, 160, 168, 168, 224],
+               "provenance": "spin degrees over strict partitions; sum-of-squares checked",
+               "faithful_only": True}
 
 
 @pytest.mark.parametrize(
     "edit,argv,problem",
     [
         (None, ("check-subset", "J2", "10"), ": No such file or directory"),
-        (None, ("schur",), ": No such file or directory"),
         (_on_j2(lambda line: line + "\udcff"), ("check-subset", "J2", "10"),
          ": not UTF-8 text: invalid start byte"),
         (_on_j2(lambda line: "{not json"), ("check-subset", "J2", "10"), ":11: not JSON: "),
         (_on_j2(_drop_label), ("check-subset", "J2", "10"),
          ":11: record has no 'label' field"),
-        (_without_degrees("2.A9"), ("search", "all"), ": no degree data for 2.A9"),
-        (_without_degrees("2.A9"), ("schur",), ": no degree data for 2.A9"),
         (_without_degrees("J2"), ("search", "all"), ": no degree data for J2"),
         (_without_degrees("J2"), ("search", "sporadic"), ": no degree data for J2"),
         (_without_degrees("J2"), ("check-subset", "J2", "10"), ": no degree data for J2"),
@@ -595,23 +598,19 @@ _NO_A_N_RECORD = "cod(A_n) comes from hook lengths, never from a degree record"
          ":5: degree record PSL(2,8): order 26 disagrees with the order formula 504"),
         (_degrees_of("PSL(2,8)", degrees=[1, 1, 5, 6, 21]), ("search", "all"),
          ":5: degree record PSL(2,8): degree 5 does not divide |PSL(2,8)| = 504"),
-        (_degrees_of("2.A9", order=725760), ("schur",),
-         ":12: degree record 2.A9: order 725760 disagrees with the order formula 362880"),
-        (_degrees_of("2.A9", degrees=[8, 48]), ("schur",),
-         ":12: degree record 2.A9: sum of squared degrees is not 181440"),
-        (_degrees_of("J2", faithful_only=True), ("check-subset", "J2", "10"),
-         ":11: degree record J2: faithful_only should be false"),
+        (_degrees_of("J2", order=1209600), ("check-subset", "J2", "10"),
+         ":11: degree record J2: order 1209600 disagrees with the order formula 604800"),
+        (_degrees_of("PSU(3,3)", degrees=[1, 6, 7]), ("check-subset", "PSU(3,3)", "9"),
+         ":9: degree record PSU(3,3): sum of squared degrees is not 6048"),
         # the loader refuses them on every run, whichever groups the run reaches
         (_degrees_of("PSL(2,8)", order=26, degrees=[1, 3, 4]), ("check-subset", "J2", "10"),
          ":5: degree record PSL(2,8): order 26 disagrees with the order formula 504"),
         (_degrees_of("PSL(2,8)", order=26, degrees=[1, 3, 4]), ("search", "sporadic"),
          ":5: degree record PSL(2,8): order 26 disagrees with the order formula 504"),
-        (_degrees_of("PSL(2,8)", order=26, degrees=[1, 3, 4]), ("schur",),
-         ":5: degree record PSL(2,8): order 26 disagrees with the order formula 504"),
-        (_degrees_of("2.A9", degrees=[8, 48]), ("check-subset", "J2", "10"),
-         ":12: degree record 2.A9: sum of squared degrees is not 181440"),
-        (_degrees_of("2.A9", degrees=[8, 48]), ("search", "psl"),
-         ":12: degree record 2.A9: sum of squared degrees is not 181440"),
+        (_degrees_of("PSU(3,3)", degrees=[1, 6, 7]), ("check-subset", "J2", "10"),
+         ":9: degree record PSU(3,3): sum of squared degrees is not 6048"),
+        (_degrees_of("PSU(3,3)", degrees=[1, 6, 7]), ("search", "psl"),
+         ":9: degree record PSU(3,3): sum of squared degrees is not 6048"),
         # each alias is checked against the group it names
         (_degrees_of("PSU(3,3)", aliases=["G2(2)'", "PSL(2,11)"]), ("check-subset", "J2", "10"),
          ":9: degree record PSL(2,11): order 6048 disagrees with the order formula 660"),
@@ -648,21 +647,22 @@ _NO_A_N_RECORD = "cod(A_n) comes from hook lengths, never from a degree record"
         # the file holds degree records only: the sporadic facts are catalog's,
         # and search all, whose sweep reads no file, still reads it to discharge
         (_appended(_SPORADIC_M11), ("check-subset", "J2", "10"),
-         ":13: unknown record type 'sporadic'"),
+         ":12: unknown record type 'sporadic'"),
         (_appended({**_SPORADIC_M11, "order": 7921}), ("check-subset", "J2", "10"),
-         ":13: unknown record type 'sporadic'"),
+         ":12: unknown record type 'sporadic'"),
         (_appended({**_SPORADIC_M11, "order": 7921}), ("search", "all"),
-         ":13: unknown record type 'sporadic'"),
+         ":12: unknown record type 'sporadic'"),
         (_appended({**_SPORADIC_M11, "label": "Foo"}), ("check-subset", "J2", "10"),
-         ":13: unknown record type 'sporadic'"),
+         ":12: unknown record type 'sporadic'"),
         (_appended({"record": "degrees", "label": "PSL(2,7)", "order": 168,
                     "degrees": [1, 3, 3, 6, 7, 8], "provenance": "PSL(2,q) series"}),
-         ("search", "all"), ":13: duplicate degree record PSL(2,7)"),
-        # a flag is a JSON bool and a name is JSON text, never coerced
-        (_degrees_of("2.A9", faithful_only=1), ("schur",),
-         ":12: faithful_only 1 is not true or false"),
-        (_degrees_of("2.A9", faithful_only="no"), ("check-subset", "J2", "10"),
-         ':12: faithful_only "no" is not true or false'),
+         ("search", "all"), ":12: duplicate degree record PSL(2,7)"),
+        # a record names a simple group: cod(2.A9) comes from Schur's formula
+        (_appended(_FORMER_2A9), ("check-subset", "J2", "10"),
+         ":12: degree record 2.A9: cannot parse group label '2.A9'"),
+        (_appended(_FORMER_2A9), ("search", "all"),
+         ":12: degree record 2.A9: cannot parse group label '2.A9'"),
+        # a name is JSON text, never coerced
         (_degrees_of("PSL(2,7)", label=7), ("check-subset", "J2", "10"),
          ":4: label 7 is not text"),
         (_degrees_of("PSL(3,4)", provenance=["ATLAS"]), ("check-subset", "J2", "10"),
@@ -683,19 +683,19 @@ _NO_A_N_RECORD = "cod(A_n) comes from hook lengths, never from a degree record"
         (_degrees_of("PSL(4,2)", degrees=_COD_IN_COD_A8), ("check-subset", "PSL(4,2)", "8"),
          ":7: degree record PSL(4,2): codegrees are not cod(A8), though PSL(4,2) = A8"),
     ],
-    ids=["missing-file", "missing-file-schur", "not-utf8", "non-json-line", "record-without-label",
-         "no-2a9-search-all", "no-2a9-schur", "no-j2-search-all",
+    ids=["missing-file", "not-utf8", "non-json-line", "record-without-label",
+         "no-j2-search-all",
          "no-j2-search-sporadic", "no-j2-check-subset", "psl28-order-26",
-         "psl28-degree-5", "2a9-order-doubled", "2a9-squares", "j2-faithful-only",
+         "psl28-degree-5", "j2-order-doubled", "psu33-squares",
          "psl28-order-26-check-subset-j2", "psl28-order-26-search-sporadic",
-         "psl28-order-26-schur", "2a9-squares-check-subset-j2", "2a9-squares-search-psl",
+         "psu33-squares-check-subset-j2", "psu33-squares-search-psl",
          "alias-psl211", "alias-psl20000-2", "alias-psl1000000001-2",
          "alias-a99999999", "psl34-label-a8", "label-foo",
          "j2-class-count-22", "psl24-float-degrees", "psl27-degrees-number",
          "psl27-degrees-text", "psl27-degrees-object", "psl28-float-order",
          "psl27-string-order", "m11-atlas-record", "m11-order-7921", "m11-order-7921-search-all",
          "extra-sporadic-foo", "duplicate-psl27",
-         "2a9-faithful-only-1", "2a9-faithful-only-no", "psl27-label-number",
+         "former-2a9-record", "former-2a9-record-search-all", "psl27-label-number",
          "psl34-provenance-list", "j2-provenance-null", "psl24-label-list",
          "psu33-aliases-text", "psu33-alias-number", "psl29-not-a6",
          "psl29-not-a6-search-all", "psl42-not-a8"],
@@ -715,13 +715,12 @@ def test_bad_data_file_exits_2(tmp_path, monkeypatch, capsys, edit, argv, proble
     "spelling,edit,argv,problem",
     [
         ("missing.jsonl", None, ("check-subset", "J2", "10"), ": No such file or directory"),
-        ("./missing.jsonl", None, ("schur",), ": No such file or directory"),
         ("data.jsonl", _on_j2(_drop_label), ("check-subset", "J2", "10"),
          ":11: record has no 'label' field"),
         ("./data.jsonl", _without_degrees("J2"), ("check-subset", "J2", "10"),
          ": no degree data for J2"),
     ],
-    ids=["missing-file", "dot-missing-file-schur", "record-without-label", "no-j2"],
+    ids=["missing-file", "record-without-label", "no-j2"],
 )
 def test_a_relative_data_path_is_refused_by_its_name(tmp_path, monkeypatch, capsys,
                                                      spelling, edit, argv, problem):
@@ -733,6 +732,30 @@ def test_a_relative_data_path_is_refused_by_its_name(tmp_path, monkeypatch, caps
     monkeypatch.setenv("CODLAB_DATA", spelling)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {spelling.removeprefix('./')}{problem}\n")
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+@pytest.mark.parametrize(
+    "spelling,edit",
+    [
+        ("missing.jsonl", None),
+        ("./missing.jsonl", None),
+        ("data.jsonl", _without_degrees("J2")),
+        ("data.jsonl", _degrees_of("PSL(2,8)", order=26, degrees=[1, 3, 4])),
+    ],
+    ids=["missing-file", "dot-missing-file", "no-j2", "psl28-order-26"],
+)
+def test_schur_reads_no_data_file(tmp_path, monkeypatch, capsys, spelling, edit, fmt):
+    # cod(2.A9) comes from Schur's spin-degree formula, so schur answers
+    # with its pinned bytes whatever CODLAB_DATA names
+    if edit is not None:
+        data_file(tmp_path / "data.jsonl", edit)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("CODLAB_DATA", spelling)
+    argv = ("schur", "--format", fmt)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == dict(TABLE_DIGESTS)[argv]
 
 
 def test_a_subset_without_isomorphism_fails_the_run(tmp_path, monkeypatch, capsys):

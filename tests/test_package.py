@@ -12,12 +12,13 @@ import codlab
 # the public names of the package, each with the module that defines it
 PUBLIC = {
     "alt_codegrees": (
-        "CodegreeSet", "alt_codegree_set", "sym_degree", "verify_min_codegree_monotone",
+        "CodegreeSet", "alt_codegree_set", "sym_degree", "twisted_codegree_set_2a9",
+        "verify_min_codegree_monotone",
     ),
     "catalog": (
         "GroupId", "alternating", "class_number_bound", "group_label", "group_order", "lie",
         "parse_group_label", "prime_power", "simple_codegree_set", "sporadic",
-        "sporadic_entries", "twisted_codegree_set_2a9",
+        "sporadic_entries",
     ),
     "exactnum": ("PrimePower", "factor", "factorial", "format_factored", "is_prime"),
     "partitions": ("hook_product",),

@@ -736,15 +736,14 @@ def test_sweeps_read_no_data_file(tmp_path, monkeypatch):
 
 
 def test_missing_degree_record_is_loud(tmp_path, monkeypatch):
-    # strip the 2.A9 record: the double-cover check must name the gap
+    # strip the J2 record: the discharge of J2 must name the gap
     from codlab.catalog import data_path
-    from codlab.catalog import twisted_codegree_set_2a9
 
     lines = data_path().read_text("utf-8").splitlines()
-    pruned = [ln for ln in lines if '"label": "2.A9"' not in ln]
+    pruned = [ln for ln in lines if '"label": "J2"' not in ln]
     assert len(pruned) == len(lines) - 1
-    target = tmp_path / "no2a9.jsonl"
+    target = tmp_path / "noj2.jsonl"
     target.write_text("\n".join(pruned) + "\n", "utf-8")
     monkeypatch.setenv("CODLAB_DATA", str(target))
-    with pytest.raises(DataFileError, match="2.A9"):
-        twisted_codegree_set_2a9()
+    with pytest.raises(DataFileError, match="no degree data for J2"):
+        simple_codegree_set(sporadic("J2"))

@@ -15,12 +15,10 @@ are codlab.catalog's ATLAS table.  Sources per record:
   * PSL(3,4), PSU(3,3), Omega(5,3): tools/derive_degree_data.py
     (Dixon-Schneider from explicit matrix generators)
   * J2: ATLAS of Finite Groups
-  * 2.A9 faithful block: spin degree formula over strict partitions
 """
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -58,41 +56,6 @@ def alt_degrees(n: int) -> list[int]:
     return sorted(degs)
 
 
-def strict_partitions(n: int, least: int = 1) -> list[tuple[int, ...]]:
-    out = []
-    for first in range(least, n + 1):
-        rest = n - first
-        if rest == 0:
-            out.append((first,))
-        else:
-            out.extend((first,) + tail for tail in strict_partitions(rest, first + 1))
-    return [tuple(sorted(p, reverse=True)) for p in out]
-
-
-def spin_degrees_2an(n: int) -> list[int]:
-    """Faithful irreducible degrees of the double cover of A_n.
-
-    Each strict partition lambda with l parts carries the basic degree
-    2^floor((n-l)/2) * n!/prod(lambda_i!) * prod (li-lj)/(li+lj); it
-    splits into two halves when n-l is even and stays whole otherwise.
-    """
-    degs: list[int] = []
-    for lam in strict_partitions(n):
-        ell = len(lam)
-        num, den = math.factorial(n) * 2 ** ((n - ell) // 2), math.prod(map(math.factorial, lam))
-        for i, a in enumerate(lam):
-            for b in lam[i + 1:]:
-                num, den = num * (a - b), den * (a + b)
-        d, rest = divmod(num, den)
-        assert rest == 0, lam
-        if (n - ell) % 2 == 0:
-            assert d % 2 == 0, lam
-            degs += [d // 2, d // 2]
-        else:
-            degs.append(d)
-    return sorted(degs)
-
-
 # Dixon-Schneider outputs of tools/derive_degree_data.py, pinned so that
 # rebuilding the data file does not rerun the derivation;
 # tests/test_catalog.py::test_dixon_lists_are_their_derivation checks them.
@@ -108,21 +71,16 @@ J2_DEGREES = [1, 14, 14, 21, 21, 36, 63, 70, 70, 90, 126, 160, 175,
 
 
 def degree_row(label: str, degrees: list[int], provenance: str,
-               aliases: list[str] | None = None, faithful_only: bool = False,
-               order: int | None = None) -> dict:
-    if order is None:
-        order = group_order(parse_group_label(label))
+               aliases: list[str] | None = None) -> dict:
     row = {
         "record": "degrees",
         "label": label,
-        "order": order,
+        "order": group_order(parse_group_label(label)),
         "degrees": sorted(degrees),
         "provenance": provenance,
     }
     if aliases:
         row["aliases"] = aliases
-    if faithful_only:
-        row["faithful_only"] = True
     return row
 
 
@@ -146,12 +104,6 @@ def main(out: Path = OUT) -> None:
                            aliases=["PSU(4,2)"]))
 
     rows.append(degree_row("J2", J2_DEGREES, ATLAS))
-
-    rows.append(degree_row(
-        "2.A9", spin_degrees_2an(9),
-        "spin degrees over strict partitions; sum-of-squares checked",
-        faithful_only=True, order=2 * math.factorial(9) // 2,
-    ))
 
     tmp = out.with_name(out.name + ".tmp")
     tmp.write_text("".join(json.dumps(row, separators=(", ", ": ")) + "\n" for row in rows),
