@@ -11,7 +11,9 @@ Each sporadic group's order and class count sit in one row of
 _SPORADIC_ATLAS.  Only degree data is read from a versioned
 structured-text file shipped with the package (override the path with
 the CODLAB_DATA environment variable); the loader alone checks a record
-against its group, on the record's line.  Each record is of a simple
+against its group, on the record's line, and keeps only the codegree set
+it gives: a loaded file is one table from each group to its cod(H), and
+a file that names a group twice is refused.  Each record is of a simple
 group: cod(2.A9) of the double cover comes from Schur's spin degrees in
 alt_codegrees, not from the file.
 
@@ -381,19 +383,9 @@ DATA_ENV_VAR = "CODLAB_DATA"
 _DATA_FORMAT = "codlab-groups"
 _DATA_VERSION = 1
 # The catalog groups that are an A_n, each with its n.  The loader holds a
-# record under one of these labels to cod(A_n), so check_subset may call a
-# pair isomorphic when H's codegrees lie in cod(A_n).
+# record of one of these groups, however its name is spelt, to cod(A_n), so
+# check_subset may call a pair isomorphic when H's codegrees lie in cod(A_n).
 KNOWN_ISOMORPHIC = {"PSL(2,4)": 5, "PSL(2,5)": 5, "PSL(2,9)": 6, "PSL(4,2)": 8}
-
-
-class DegreeRecord(namedtuple(
-    "DegreeRecord", "label order degrees provenance aliases", defaults=((),)
-)):
-    """Tabulated irreducible character degrees for one group: all of them,
-    so sum d^2 == order."""
-
-    __slots__ = ()
-
 
 _PACKAGED_DATA = Path(__file__).parent / "data" / "groups_v1.jsonl"
 _PACKAGED_KEY = os.path.abspath(_PACKAGED_DATA)
@@ -403,10 +395,10 @@ def data_path() -> Path:
     """The degree data file: $CODLAB_DATA if set, else the packaged file.
 
     The environment is read on every call.  A file is read once per
-    process, and kept with the codegree sets built from it under its
-    absolute path, which each reader resolves on every call: after an
-    os.chdir a relative $CODLAB_DATA names the file in the new directory,
-    and one file reached by two spellings is read once.  A file rewritten
+    process, and its codegree sets are kept under its absolute path, which
+    each reader resolves on every call: after an os.chdir a relative
+    $CODLAB_DATA names the file in the new directory, and one file reached
+    by two spellings is read once.  A file rewritten
     at the same path is not read again.
     """
     override = os.environ.get(DATA_ENV_VAR)
@@ -425,14 +417,10 @@ class DataFileError(ValueError):
     """
 
 
-def _load_catalog(path: str | Path, sets: dict[GroupId, CodegreeSet] | None = None
-                  ) -> dict[str, DegreeRecord]:
-    """The degree records of the data file at path, by label and alias.
-
-    The codegree sets the checks build are put in sets, by group.
-    """
-    records: dict[str, DegreeRecord] = {}
-    sets = {} if sets is None else sets
+def _load_catalog(path: str | Path) -> dict[GroupId, CodegreeSet]:
+    """The codegree set of each group the data file at path has a degree
+    record of, by the group its label or an alias names."""
+    table: dict[GroupId, CodegreeSet] = {}
     lineno = 1
     try:
         with open(path, encoding="utf-8") as fh:
@@ -443,7 +431,7 @@ def _load_catalog(path: str | Path, sets: dict[GroupId, CodegreeSet] | None = No
             for lineno, line in enumerate(fh, 2):
                 line = line.strip()
                 if line:
-                    _add_record(json.loads(line), records, sets)
+                    _add_record(json.loads(line), table)
     except OSError as exc:
         raise DataFileError(f"{path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
@@ -454,11 +442,13 @@ def _load_catalog(path: str | Path, sets: dict[GroupId, CodegreeSet] | None = No
         raise DataFileError(f"{path}:{lineno}: record has no {exc} field") from None
     except (TypeError, ValueError) as exc:
         raise DataFileError(f"{path}:{lineno}: {exc}") from None
-    return records
+    return table
 
 
 # The JSON type of each field of a degree record, and how a refusal names it.
 _KINDS = {int: "an integer", str: "text", list: "a list"}
+# The fields a degree record may have; all but aliases are required.
+_FIELDS = ("record", "label", "order", "degrees", "provenance", "aliases")
 
 
 def _typed(value: object, kind: type, field: str):
@@ -469,11 +459,11 @@ def _typed(value: object, kind: type, field: str):
     return value
 
 
-def _add_record(rec: object, records: dict[str, DegreeRecord],
-                sets: dict[GroupId, CodegreeSet]) -> None:
-    """Check one parsed degree record, under its label and each alias,
-    against the group that name gives, and file it under each; a codegree
-    set a check builds goes in sets.
+def _add_record(rec: object, table: dict[GroupId, CodegreeSet]) -> None:
+    """Check one parsed degree record against the group its label names and
+    the group each alias names, and file its codegree set in table under
+    each of them.  A group is filed once, and a field outside _FIELDS is
+    refused after every other check.
 
     Raises KeyError, TypeError or ValueError, which the loader reports
     with the path and line.
@@ -482,75 +472,74 @@ def _add_record(rec: object, records: dict[str, DegreeRecord],
         raise ValueError("record is not a JSON object")
     if rec["record"] != "degrees":
         raise ValueError(f"unknown record type {rec['record']!r}")
-    degrees = tuple(_typed(d, int, "degree") for d in _typed(rec["degrees"], list, "degrees"))
+    degrees = [_typed(d, int, "degree") for d in _typed(rec["degrees"], list, "degrees")]
     aliases = _typed(rec.get("aliases", []), list, "aliases")
-    record = DegreeRecord(
-        _typed(rec["label"], str, "label"), _typed(rec["order"], int, "order"), degrees,
-        _typed(rec["provenance"], str, "provenance"),
-        tuple(_typed(alias, str, "alias") for alias in aliases),
-    )
-    if list(degrees) != sorted(degrees):
-        raise ValueError(f"degrees for {record.label} not sorted")
-    for key in (record.label, *record.aliases):
-        if key in records:
-            raise ValueError(f"duplicate degree record {key}")
+    label, order = _typed(rec["label"], str, "label"), _typed(rec["order"], int, "order")
+    _typed(rec["provenance"], str, "provenance")
+    aliases = [_typed(alias, str, "alias") for alias in aliases]
+    if degrees != sorted(degrees):
+        raise ValueError(f"degrees for {label} not sorted")
+    for key in (label, *aliases):
         try:
-            cod = _check_against_group(key, record)
+            g = parse_group_label(key)
+            cod = None if g in table else _check_against_group(key, g, order, degrees)
         except ValueError as exc:
             raise ValueError(f"degree record {key}: {exc}") from None
-        records[key] = record
-        if cod is not None:
-            sets[parse_group_label(key)] = cod
+        if cod is None:
+            raise ValueError(f"duplicate degree record {key}")
+        table[g] = cod
+    unknown = [field for field in rec if field not in _FIELDS]
+    if unknown:
+        raise ValueError(f"record has unknown field {unknown[0]!r}")
 
 
-def _check_against_group(key: str, record: DegreeRecord) -> CodegreeSet | None:
-    """Raise ValueError if the degree record filed under key contradicts the
-    group key names, whose codegrees are cod(A_n) if it is an A_n under
-    another name, or if key names an A_n: nothing reads such a record, and
-    the loader has no degree list of A_n to check it against.  Returns the
-    codegree set of an A_n under another name, the one set it builds."""
-    g = parse_group_label(key)
+def _check_against_group(key: str, g: GroupId, order: int, degrees: list[int]
+                         ) -> CodegreeSet:
+    """cod(g) from a degree record of the group g, which key names, with
+    the order and degrees written: the non-trivial irreducibles of a
+    simple group are faithful, so each degree d > 1 gives the codegree
+    order / d.
+
+    Raises ValueError if the record contradicts g, whose codegrees are
+    cod(A_n) if g is an A_n under another name, or if key names an A_n:
+    nothing reads such a record, and the loader has no degree list of A_n
+    to check it against."""
     if g.family == "Alternating":
         raise ValueError("cod(A_n) comes from hook lengths, never from a degree record")
-    bits = record.order.bit_length()
+    bits = order.bit_length()
     b = g.q.q.bit_length() - 1 if g.q else 0  # a Lie group's q >= 2^b
     # refuse a too big G before building |G|: |G| >= 2^(b*e), where e >= m at a
     # classical rank m, tried first: the order formula has m factors
     if b and (b * (g.m or 0) >= bits or b * order_class_shape(g.family, g.m)[0] >= bits):
-        raise ValueError(f"order {record.order} is below |{key}|")
-    order = group_order(g)
-    if record.order != order:
-        raise ValueError(f"order {record.order} disagrees with the order formula {order}")
-    if sum(d * d for d in record.degrees) != order:
+        raise ValueError(f"order {order} is below |{key}|")
+    formula = group_order(g)
+    if order != formula:
+        raise ValueError(f"order {order} disagrees with the order formula {formula}")
+    if sum(d * d for d in degrees) != order:
         raise ValueError(f"sum of squared degrees is not {order}")
     classes = _SPORADIC[g.name].class_count if g.family == "Sporadic" else None
-    if classes and len(record.degrees) != classes:
-        raise ValueError(f"{len(record.degrees)} degrees for {classes} classes")
-    for d in record.degrees:
+    if classes and len(degrees) != classes:
+        raise ValueError(f"{len(degrees)} degrees for {classes} classes")
+    for d in degrees:
         if d < 1 or order % d:
             raise ValueError(f"degree {d} does not divide |{key}| = {order}")
-    n = KNOWN_ISOMORPHIC.get(key)
-    if not n:
-        return None
-    cod = _codegrees(key, record)
-    if cod.values != alt_codegree_set(n).values:
+    label = group_label(g)
+    cod = CodegreeSet(label, order, tuple(sorted({1, *(order // d for d in degrees if d > 1)})))
+    n = KNOWN_ISOMORPHIC.get(label)
+    if n and cod.values != alt_codegree_set(n).values:
         raise ValueError(f"codegrees are not cod(A{n}), though {key} = A{n}")
     return cod
 
 
-@lru_cache(maxsize=4)
-def _degree_records(key: str) -> tuple[dict[str, DegreeRecord], dict[GroupId, CodegreeSet]]:
-    """The records of the data file at the absolute path key, by label, and
-    the codegree sets built from them so far, by GroupId: a set lives and
-    goes with its records."""
-    sets: dict[GroupId, CodegreeSet] = {}
-    return _load_catalog(key, sets), sets
+# The codegree sets of the data file at an absolute path, by that path: each
+# file is loaded once, and the last four loaded are kept.
+_degree_records = lru_cache(maxsize=4)(_load_catalog)
 
 
-def _data_file() -> tuple[dict[str, DegreeRecord], dict[GroupId, CodegreeSet]]:
-    """The records and codegree sets of the data file data_path() names:
-    each reader takes its file from here, so one file is never loaded under
-    two keys.  A refusal names the file as data_path() does."""
+def _data_file() -> dict[GroupId, CodegreeSet]:
+    """The codegree sets of the data file data_path() names: each reader
+    takes its file from here, so one file is never loaded under two keys.
+    A refusal names the file as data_path() does."""
     override = os.environ.get(DATA_ENV_VAR)
     if not override:
         return _degree_records(_PACKAGED_KEY)
@@ -565,41 +554,19 @@ def sporadic_entries() -> list[SporadicEntry]:
     return list(_SPORADIC.values())
 
 
-def degree_record(label: str, records: dict[str, DegreeRecord] | None = None
-                  ) -> DegreeRecord:
-    """The degree record of label in records, by default the records of the
-    data file data_path() names; DataFileError if there is no such record."""
-    try:
-        return (_data_file()[0] if records is None else records)[label]
-    except KeyError:
-        raise DataFileError(f"{data_path()}: no degree data for {label}") from None
-
-
-def _codegrees(label: str, rec: DegreeRecord) -> CodegreeSet:
-    """cod of the simple group label from its degree record rec: the
-    non-trivial irreducibles are faithful, so each degree d > 1 gives the
-    codegree order / d."""
-    values = {1, *(rec.order // d for d in rec.degrees if d > 1)}
-    return CodegreeSet(label, rec.order, tuple(sorted(values)))
-
-
 def simple_codegree_set(g: GroupId) -> CodegreeSet:
     """cod(G) for a simple catalog group.
 
-    cod(A_n) is built once per process.  Any other set is built from the
-    data file's degree record once per loaded file and kept with its
-    records; a set another thread kept first is the one returned to every
-    later caller.  The file is resolved once per call, from $CODLAB_DATA,
-    to its absolute path, so a set is built from the records it is kept
-    with: after an os.chdir a relative $CODLAB_DATA gives the new
-    directory's sets, and a file rewritten at the same path inside one
-    process is not read again.
+    cod(A_n) is built once per process.  Every other set is built, and its
+    degree record checked, when the data file is loaded, once per file;
+    a query is one lookup in that file's table.  The file is resolved once
+    per call, from $CODLAB_DATA, to its absolute path: after an os.chdir a
+    relative $CODLAB_DATA gives the new directory's sets, and a file
+    rewritten at the same path inside one process is not read again.
     """
     if g.family == "Alternating":
         return alt_codegree_set(g.n)  # type: ignore[arg-type]
-    records, sets = _data_file()
-    cod = sets.get(g)
+    cod = _data_file().get(g)
     if cod is None:
-        label = group_label(g)
-        cod = sets.setdefault(g, _codegrees(label, degree_record(label, records)))
+        raise DataFileError(f"{data_path()}: no degree data for {group_label(g)}")
     return cod

@@ -8,8 +8,9 @@ partition, partition counts, Frobenius coordinates, the direct routes
 to the A_n entries and to the n!/2 sieve, Schur's spin degrees in exact
 fractions, factorisation one division at
 a time, the factored text of a number by trial division, the parameter
-boxes the family sweeps once enumerated, and the class-number bounds and
-order formulas of the Lie families as their sources print them.  The
+boxes the family sweeps once enumerated, the class-number bounds and
+order formulas of the Lie families as their sources print them, and the
+shipped degree records as their JSON lines read.  The
 tests check the library's fast paths against them; none of these share
 code with the partition and hook machinery they check.  A partition is
 a tuple of weakly decreasing positive ints; cells are 1-based (row,
@@ -18,11 +19,12 @@ column) pairs.
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 from typing import Iterator
 
-from codlab.catalog import RANK_FLOOR, GroupId, lie
+from codlab.catalog import RANK_FLOOR, GroupId, data_path, lie
 from codlab.exactnum import PrimePower, is_prime
 
 Partition = tuple[int, ...]
@@ -395,3 +397,11 @@ def lie_order(family: str, m: int | None, q: int) -> int:
         return (q ** (m * (m - 1)) * twist * _prod_minus_one(q, range(2, 2 * m - 1, 2))
                 // math.gcd(4, twist))
     return EXCEPTIONAL_ORDERS[family](q)
+
+
+def shipped_records() -> dict[str, dict]:
+    """Each degree record of the shipped data file, as the JSON object its
+    line holds, by its label and by each of its aliases."""
+    lines = data_path().read_text(encoding="utf-8").splitlines()[1:]
+    return {key: rec for rec in map(json.loads, lines)
+            for key in (rec["label"], *rec.get("aliases", ()))}

@@ -30,7 +30,6 @@ from codlab.alt_codegrees import (
     twisted_codegree_set_2a9,
     verify_min_codegree_monotone,
 )
-from codlab.catalog import degree_record
 from codlab.partitions import hook_product
 from oracles import (
     alt_irr_entries_direct,
@@ -40,6 +39,7 @@ from oracles import (
     frobenius,
     partitions,
     pentagonal_partition_counts,
+    shipped_records,
     spin_degrees,
 )
 
@@ -224,7 +224,7 @@ def test_frobenius_hook_identity():
 
 def test_a8_degrees_match_shipped_psl42_record():
     # the data file builder writes PSL(4,2) = A8 from the walk of n = 8
-    assert degrees(8) == list(degree_record("PSL(4,2)").degrees)
+    assert degrees(8) == shipped_records()["PSL(4,2)"]["degrees"]
 
 
 def traced_peak(call):

@@ -28,7 +28,6 @@ from codlab.catalog import (
     alternating,
     class_number_bound,
     data_path,
-    degree_record,
     group_label,
     group_order,
     lie,
@@ -46,7 +45,7 @@ from codlab import catalog
 from codlab.alt_codegrees import twisted_codegree_set_2a9
 from codlab.exactnum import PrimePower, factor, format_factored
 from codlab.search import check_subset, run_full_verification
-from oracles import lie_class_bound, lie_order, valuation
+from oracles import lie_class_bound, lie_order, shipped_records, valuation
 
 KNOWN_ORDERS = {
     "PSL(2,4)": 60,
@@ -350,11 +349,11 @@ def test_bounds_dominate_actual_class_counts():
     for label in ("PSL(2,4)", "PSL(2,5)", "PSL(2,7)", "PSL(2,8)",
                   "PSL(2,9)", "PSL(3,4)", "PSL(4,2)", "PSU(3,3)",
                   "Omega(5,3)", "G2(2)'"):
-        rec = degree_record(label)
+        rec = shipped_records()[label]
         bound = Fraction(*class_number_bound(parse_group_label(label)))
-        assert len(rec.degrees) <= bound
+        assert len(rec["degrees"]) <= bound
     # G2(2)' = PSU(3,3): 14 classes against the G2 polynomial at q = 2
-    assert len(degree_record("G2(2)'").degrees) == 14
+    assert len(shipped_records()["G2(2)'"]["degrees"]) == 14
     assert Fraction(*class_number_bound(parse_group_label("G2(2)'"))) == 17
 
 
@@ -367,7 +366,7 @@ def test_psl2_class_numbers_within_bound():
     # the closed form agrees with the embedded full character tables ...
     for label in ("PSL(2,4)", "PSL(2,5)", "PSL(2,7)", "PSL(2,8)", "PSL(2,9)"):
         q = parse_group_label(label).q.q
-        assert len(degree_record(label).degrees) == _psl2_class_number(q)
+        assert len(shipped_records()[label]["degrees"]) == _psl2_class_number(q)
     # ... and stays under the bound on every q = p^k of the PSL sweep box
     # at m = 1 (PSL(2,2) and PSL(2,3) are not simple)
     checked = 0
@@ -484,6 +483,29 @@ def test_order_class_bits_bound_the_limit(g):
     assert order <= g.q.q ** q_degree(g)
 
 
+@pytest.mark.parametrize("q", [2**31 - 1, 2**61 - 1], ids=["M31", "M61"])
+def test_order_class_bits_at_q_just_below_a_power_of_two(q):
+    # q < 2^b by 1 is where q^D nearly fills b*D bits, so a c one smaller
+    # than the shape's shows here; the limit comes from group_order and
+    # class_number_bound alone
+    points = [(family, m) for family in RANK_FLOOR
+              for m in range(RANK_FLOOR[family], RANK_FLOOR[family] + 3)]
+    points += [(family, None) for family in LIE_FAMILIES
+               if family not in RANK_FLOOR and family not in TWISTED_ODD_POWER]
+    spare = {}
+    for family, m in points:
+        g = lie(family, prime_power(q), m=m)
+        num, den = class_number_bound(g)
+        limit = -(-group_order(g) * num // den)
+        _, degree, c = order_class_shape(family, m)
+        bits = q.bit_length() * degree + c
+        assert limit < 2 ** bits, group_label(g)
+        spare[group_label(g)] = bits - limit.bit_length()
+    assert len(spare) == 6 * 3 + 7
+    # PSU(3,q) and PSU(5,q) meet the limit with no bit to spare
+    assert min(spare.values()) == 0 == spare[f"PSU(3,{q})"]
+
+
 @given(lie_points(max_bits=32))
 @settings(max_examples=150, deadline=None)
 def test_q_part_valuation_on_lie_points(g):
@@ -492,16 +514,23 @@ def test_q_part_valuation_on_lie_points(g):
 
 
 def test_degree_records_sum_of_squares():
+    # each shipped line, read as its JSON, is a full character table
+    records = shipped_records()
     for label in ("PSL(2,7)", "PSL(3,4)", "PSU(3,3)", "Omega(5,3)", "J2"):
-        rec = degree_record(label)
-        assert sum(d * d for d in rec.degrees) == rec.order
+        rec = records[label]
+        assert sum(d * d for d in rec["degrees"]) == rec["order"]
 
 
 def test_degree_record_aliases():
-    assert degree_record("PSU(4,2)") is degree_record("Omega(5,3)")
-    assert degree_record("G2(2)'") is degree_record("PSU(3,3)")
+    # an alias names the same record, so its group has the same cod(H)
+    records = shipped_records()
+    for alias, label in (("PSU(4,2)", "Omega(5,3)"), ("G2(2)'", "PSU(3,3)")):
+        assert records[alias] is records[label]
+        a, b = (simple_codegree_set(parse_group_label(name)) for name in (alias, label))
+        assert (a.group_label, b.group_label) == (alias, label)
+        assert a.order == b.order and a.values == b.values
     with pytest.raises(DataFileError, match="no degree data for M11"):
-        degree_record("M11")  # in the ATLAS table only, no degrees
+        simple_codegree_set(sporadic("M11"))  # in the ATLAS table only, no degrees
 
 
 EXPECTED_SIMPLE_COD = {
@@ -536,18 +565,43 @@ def test_data_file_holds_degree_records_only():
     # one degree record a line after the header; the sporadic facts are catalog's
     lines = data_path().read_text(encoding="utf-8").splitlines()
     assert [json.loads(line)["record"] for line in lines[1:]] == ["degrees"] * 10
-    assert set(_load_catalog(data_path())) == set(DATA_LABELS)
+    table = _load_catalog(data_path())
+    assert set(table) == set(map(parse_group_label, DATA_LABELS))
+    assert all(cod.group_label == group_label(g) for g, cod in table.items())
 
 
 def test_codegree_sets_trust_the_loaded_records(monkeypatch):
     # the loader checked each record against its group; a query asks no
     # order again
-    degree_record("J2")
+    catalog._data_file()
     calls = []
     monkeypatch.setattr("codlab.catalog.group_order", lambda g: calls.append(g))
+    records = shipped_records()
     for label in DATA_LABELS:
-        assert simple_codegree_set(parse_group_label(label)).order == degree_record(label).order
+        assert simple_codegree_set(parse_group_label(label)).order == records[label]["order"]
     assert calls == []
+
+
+def test_a_catalog_set_is_the_loaded_files_own():
+    # the loaded file is one table by group, and a query reads its set
+    table = catalog._data_file()
+    assert len(table) == len(DATA_LABELS)
+    for g in map(parse_group_label, DATA_LABELS):
+        assert simple_codegree_set(g) is table[g] is catalog._data_file()[g]
+
+
+def test_a_record_serves_its_group_under_any_spelling(tmp_path, monkeypatch):
+    # a record is filed by the group its label names, and its set by that
+    # group's label
+    text = data_path().read_text(encoding="utf-8")
+    spelt = text.replace('"label": "PSL(2,7)"', '"label": " PSL(2, 7)"')
+    assert spelt != text
+    target = tmp_path / "spelt.jsonl"
+    target.write_text(spelt, encoding="utf-8")
+    monkeypatch.setenv("CODLAB_DATA", str(target))
+    cod = simple_codegree_set(parse_group_label("PSL(2,7)"))
+    assert (cod.group_label, cod.order, cod.values) == ("PSL(2,7)", 168,
+                                                        EXPECTED_SIMPLE_COD["PSL(2,7)"])
 
 
 def test_twisted_2a9():
@@ -564,7 +618,8 @@ def test_data_path_override(tmp_path, monkeypatch):
     copy.write_text(data_path().read_text(encoding="utf-8"), encoding="utf-8")
     monkeypatch.setenv("CODLAB_DATA", str(copy))
     assert data_path() == copy
-    assert degree_record("J2").order == 604800
+    assert simple_codegree_set(sporadic("J2")).order == 604800
+    assert catalog._data_file() is catalog._degree_records(str(copy))
 
 
 def test_loading_walks_each_coincidence_once(tmp_path, monkeypatch, walks):
@@ -573,7 +628,7 @@ def test_loading_walks_each_coincidence_once(tmp_path, monkeypatch, walks):
     copy = tmp_path / "fresh.jsonl"
     copy.write_bytes(data_path().read_bytes())
     monkeypatch.setenv("CODLAB_DATA", str(copy))
-    degree_record("J2")
+    catalog._data_file()
     assert sorted(walks) == [(5, 5), (6, 6), (8, 8)]
     for label, n in KNOWN_ISOMORPHIC.items():
         assert check_subset(parse_group_label(label), n).verdict == "isomorphic"
@@ -581,32 +636,32 @@ def test_loading_walks_each_coincidence_once(tmp_path, monkeypatch, walks):
 
 
 def _builds(monkeypatch):
-    """The label of every cod(H) the catalog builds from a degree record, in order."""
+    """The label of every cod(H) the catalog builds, in order."""
     built = []
-    build = catalog._codegrees
+    build = catalog.CodegreeSet
 
-    def recording(label, rec):
+    def recording(label, order, values):
         built.append(label)
-        return build(label, rec)
+        return build(label, order, values)
 
-    monkeypatch.setattr(catalog, "_codegrees", recording)
+    monkeypatch.setattr(catalog, "CodegreeSet", recording)
     return built
 
 
 def test_catalog_codegree_set_is_built_once_per_data_file(monkeypatch):
-    degree_record("J2")  # the load builds the sets of the A_n under other names
+    # the load builds the set of each group a record names, and a query none
     built = _builds(monkeypatch)
     j2 = parse_group_label("J2")
     assert simple_codegree_set(j2) is simple_codegree_set(j2)
-    for label in KNOWN_ISOMORPHIC:  # served from the loader's checks
+    for label in DATA_LABELS:
         simple_codegree_set(parse_group_label(label))
-    assert built == ["J2"]
+    assert sorted(built) == sorted(DATA_LABELS)
 
 
 def test_catalog_codegree_sets_are_shared_under_threads():
     # eight threads, more than the cores, switching every microsecond, each
     # asking for every catalog set of the loaded file from its own start
-    degree_record("J2")
+    catalog._data_file()
     labels = [label for label in DATA_LABELS if label not in KNOWN_ISOMORPHIC]
     got = []
 
@@ -633,7 +688,19 @@ def test_catalog_codegree_sets_are_shared_under_threads():
 def test_full_verification_builds_each_catalog_set_once(monkeypatch):
     built = _builds(monkeypatch)
     run_full_verification()
-    assert sorted(built) == sorted(set(DATA_LABELS) - {"G2(2)'"})
+    assert sorted(built) == sorted(DATA_LABELS)
+
+
+def test_queries_build_no_catalog_set_after_the_load(monkeypatch):
+    # every set was built when the file loaded: a run or a query only reads
+    catalog._data_file()
+    built = _builds(monkeypatch)
+    run_full_verification()
+    for label in DATA_LABELS:
+        g = parse_group_label(label)
+        for n in range(5, 28):
+            check_subset(g, n)
+    assert built == []
 
 
 def _write_alarm_file(path):
@@ -713,30 +780,19 @@ def test_a_cold_catalog_set_resolves_the_data_file_once(monkeypatch):
     assert len(calls) == 1
 
 
-def _loads(monkeypatch):
-    """The path of every data file the catalog loads, in order."""
-    loaded = []
-    load = catalog._load_catalog
-
-    def recording(path, sets=None):
-        loaded.append(path)
-        return load(path, sets)
-
-    monkeypatch.setattr(catalog, "_load_catalog", recording)
-    return loaded
-
-
 def test_a_data_file_reached_by_three_spellings_is_loaded_once(tmp_path, monkeypatch):
     target = tmp_path / "data.jsonl"
     target.write_bytes(data_path().read_bytes())
     monkeypatch.chdir(tmp_path)
-    loaded = _loads(monkeypatch)
     j2 = parse_group_label("J2")
     got = []
     for spelling in ("data.jsonl", "./data.jsonl", str(target)):
         monkeypatch.setenv("CODLAB_DATA", spelling)
-        got.append((degree_record("J2"), simple_codegree_set(j2)))
-    assert loaded == [str(target)]
+        got.append((catalog._data_file(), simple_codegree_set(j2)))
+    # one load, kept under the absolute path
+    assert catalog._degree_records.cache_info().misses == 1
+    assert catalog._degree_records(str(target)) is got[0][0]
+    assert catalog._degree_records.cache_info().misses == 1
     assert all(a is b for first, later in zip(got, got[1:]) for a, b in zip(first, later))
 
 
@@ -777,7 +833,7 @@ def test_dixon_lists_are_their_derivation(monkeypatch):
     pinned = _load_tool("build_data_file", monkeypatch).DIXON
     assert derived.keys() == pinned.keys() == {"PSL(3,4)", "PSU(3,3)", "Omega(5,3)"}
     for label, degrees in derived.items():
-        assert degrees == pinned[label] == list(degree_record(label).degrees), label
+        assert degrees == pinned[label] == shipped_records()[label]["degrees"], label
 
 
 def test_build_tool_writes_only_what_the_loader_accepts(tmp_path, monkeypatch):
@@ -851,10 +907,15 @@ def test_loader_returns_or_raises_data_file_error(lines, keep_header):
             cat = _load_catalog(path)
         except DataFileError as exc:
             assert str(exc).startswith(f"{path}:"), exc
-        else:  # each record is filed under its label and aliases, and checked
-            for key, record in cat.items():
-                assert key in (record.label, *record.aliases)
-                assert sum(d * d for d in record.degrees) == record.order
+        else:  # each record is checked, and filed under its label and aliases
+            filed = {}
+            for line in filter(str.strip, lines[1:]):
+                rec = json.loads(line)
+                assert sum(d * d for d in rec["degrees"]) == rec["order"]
+                for key in (rec["label"], *rec.get("aliases", ())):
+                    filed[parse_group_label(key)] = {
+                        1, *(rec["order"] // d for d in rec["degrees"] if d > 1)}
+            assert {g: set(cod.values) for g, cod in cat.items()} == filed
 
 
 def _with_number(field, i, edit):
@@ -893,11 +954,12 @@ def test_loader_reads_numbers_exactly(field, i, edit):
         except DataFileError as exc:
             assert str(exc).startswith(f"{path}:"), exc
             return
-    if field == "degree":
-        got = cat[label].degrees[i % len(cat[label].degrees)]
+    cod = cat[parse_group_label(label)]
+    if field == "degree":  # the degree gives the codegree |J2| / degree
+        assert type(value) is int and cod.order % value == 0
+        assert (cod.order // value if value > 1 else 1) in cod.values
     else:
-        got = cat[label].order
-    assert type(value) is int and type(got) is int and got == value
+        assert type(value) is int and type(cod.order) is int and cod.order == value
 
 
 def _with_field(field, i, value):
@@ -929,12 +991,14 @@ def test_loader_reads_fields_exactly(field, i, value):
             assert str(exc).startswith(f"{path}:"), exc
             return
     if field == "label":  # filed under the name written, and no longer under the old one
-        assert type(value) is str and cat[value].label == value
-        assert (was in cat) == (value == was)
+        assert type(value) is str
+        g, old = parse_group_label(value), parse_group_label(was)
+        assert cat[g].group_label == group_label(g)
+        assert (old in cat) == (g == old)
         # never under an A_n, whose codegrees come from hook lengths
-        assert parse_group_label(value).family != "Alternating"
-    else:
-        assert type(value) is str and cat[was].provenance == value
+        assert g.family != "Alternating"
+    else:  # the provenance is text, and files nothing
+        assert type(value) is str and cat == _load_catalog(data_path())
 
 
 def test_corrupted_data_detected(tmp_path, monkeypatch):
@@ -945,4 +1009,4 @@ def test_corrupted_data_detected(tmp_path, monkeypatch):
     target.write_text(bad, encoding="utf-8")
     monkeypatch.setenv("CODLAB_DATA", str(target))
     with pytest.raises(ValueError, match=r":9: degree record PSU\(3,3\): sum of squared"):
-        degree_record("PSU(3,3)")
+        simple_codegree_set(parse_group_label("PSU(3,3)"))

@@ -657,6 +657,21 @@ _FORMER_2A9 = {"record": "degrees", "label": "2.A9", "order": 362880,
         (_appended({"record": "degrees", "label": "PSL(2,7)", "order": 168,
                     "degrees": [1, 3, 3, 6, 7, 8], "provenance": "PSL(2,q) series"}),
          ("search", "all"), ":12: duplicate degree record PSL(2,7)"),
+        # each group is filed once, however its name is spelt
+        (_degrees_of("PSL(2,7)", aliases=["PSL(2, 7)"]), ("check-subset", "J2", "10"),
+         ":4: duplicate degree record PSL(2, 7)"),
+        # a record of an A_n under another name is held to cod(A_n) under any spelling
+        (_degrees_of("PSL(2,9)", label="PSL(2, 9)", degrees=_COD_NOT_COD_A6),
+         ("check-subset", "PSL(2,9)", "6"),
+         ":6: degree record PSL(2, 9): codegrees are not cod(A6), though PSL(2, 9) = A6"),
+        # a record holds no field the loader does not read, refused after every
+        # other check
+        (_degrees_of("J2", faithful_only=True), ("check-subset", "J2", "10"),
+         ":11: record has unknown field 'faithful_only'"),
+        (_degrees_of("J2", alias=["Foo"]), ("check-subset", "J2", "10"),
+         ":11: record has unknown field 'alias'"),
+        (_degrees_of("J2", order=1209600, alias=["Foo"]), ("check-subset", "J2", "10"),
+         ":11: degree record J2: order 1209600 disagrees with the order formula 604800"),
         # a record names a simple group: cod(2.A9) comes from Schur's formula
         (_appended(_FORMER_2A9), ("check-subset", "J2", "10"),
          ":12: degree record 2.A9: cannot parse group label '2.A9'"),
@@ -694,7 +709,9 @@ _FORMER_2A9 = {"record": "degrees", "label": "2.A9", "order": 362880,
          "j2-class-count-22", "psl24-float-degrees", "psl27-degrees-number",
          "psl27-degrees-text", "psl27-degrees-object", "psl28-float-order",
          "psl27-string-order", "m11-atlas-record", "m11-order-7921", "m11-order-7921-search-all",
-         "extra-sporadic-foo", "duplicate-psl27",
+         "extra-sporadic-foo", "duplicate-psl27", "duplicate-psl27-spelling",
+         "psl29-spelt-not-a6", "j2-faithful-only", "j2-alias-key",
+         "j2-alias-key-order-doubled",
          "former-2a9-record", "former-2a9-record-search-all", "psl27-label-number",
          "psl34-provenance-list", "j2-provenance-null", "psl24-label-list",
          "psu33-aliases-text", "psu33-alias-number", "psl29-not-a6",

@@ -190,7 +190,7 @@ def test_unknown_name_raises_attribute_error():
 # every record type of the package, each with its home module
 RECORDS = {
     "alt_codegrees": ("CodegreeSet",),
-    "catalog": ("DegreeRecord", "GroupId", "SporadicEntry"),
+    "catalog": ("GroupId", "SporadicEntry"),
     "exactnum": ("PrimePower",),
     "search": ("ExceptionRow", "FamilySweepReport", "Schur2A9Report", "SchurScan",
                "SubsetCheck", "VerificationReport"),
