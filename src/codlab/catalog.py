@@ -424,14 +424,15 @@ def _load_catalog(path: str | Path) -> dict[GroupId, CodegreeSet]:
     lineno = 1
     try:
         with open(path, encoding="utf-8") as fh:
-            header = json.loads(fh.readline())
+            header = json.loads(_line(fh))
             if (not isinstance(header, dict) or header.get("format") != _DATA_FORMAT
                     or header.get("version") != _DATA_VERSION):
                 raise ValueError(f"unsupported data file header {header!r}")
-            for lineno, line in enumerate(fh, 2):
-                line = line.strip()
-                if line:
+            lineno = 2
+            while line := _line(fh):
+                if line.strip():
                     _add_record(json.loads(line), table)
+                lineno += 1
     except OSError as exc:
         raise DataFileError(f"{path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
@@ -443,6 +444,17 @@ def _load_catalog(path: str | Path) -> dict[GroupId, CodegreeSet]:
     except (TypeError, ValueError) as exc:
         raise DataFileError(f"{path}:{lineno}: {exc}") from None
     return table
+
+
+_MAX_LINE = 1 << 20  # characters in a line, its newline aside; the longest shipped has 258
+
+
+def _line(fh) -> str:
+    """The next line of fh, "" at its end; refused past _MAX_LINE characters."""
+    line = fh.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE and not line.endswith("\n"):
+        raise ValueError(f"line longer than {_MAX_LINE} characters")
+    return line
 
 
 # The JSON type of each field of a degree record, and how a refusal names it.

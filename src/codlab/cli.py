@@ -2,12 +2,12 @@
 
 Subcommands: cod, min-cod, search, schur, check-subset.  Exit codes are
 a stable contract: 0 success / verification PASS, 2 usage error or a
-data file that is unreadable, lacks a record the run needs or holds one
-that contradicts its group (for a group that is an A_n under another
-name, codegrees other than cod(A_n)), 3 mathematical verification
-failure.  Exit 1 means stdout was closed before all output was written
-(for example by `| head`), whether stdout is buffered or not (python -u,
-PYTHONUNBUFFERED); see _emit.
+data file that is unreadable, has an over-long line, lacks a record the
+run needs or holds one that contradicts its group (for a group that is
+an A_n under another name, codegrees other than cod(A_n)), 3
+mathematical verification failure.  Exit 1 means stdout was closed
+before all output was written (for example by `| head`), whether stdout
+is buffered or not (python -u, PYTHONUNBUFFERED); see _emit.
 
 Every result takes one path: a handler hands _answer whether it
 verifies and a function for each format's text, and _answer alone reads
@@ -25,8 +25,8 @@ for those formats.  cod and min-cod load only the A_n layer (partitions,
 alt_codegrees, exactnum), never catalog or search, so a table of A_n
 pays neither for the simple-group catalog nor for the sweeps.  search,
 schur and check-subset load both.  Only search and check-subset read the
-data file, so only they map its DataFileError to exit 2; schur's cod(2.A9)
-comes from the spin-degree formula in alt_codegrees.
+data file, and main alone maps its DataFileError to exit 2; schur's
+cod(2.A9) comes from the spin-degree formula in alt_codegrees.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ import argparse
 import os
 import select
 import sys
-from functools import wraps
 from itertools import chain
 from typing import TYPE_CHECKING, Callable, Iterable
 
@@ -51,27 +50,10 @@ if TYPE_CHECKING:
 # request would run for hours.
 MAX_N_CEILING = 60
 
-Handler = Callable[[argparse.Namespace], int]
-
 
 def _fail_usage(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
-
-
-def _reads_data(handler: Handler) -> Handler:
-    """A handler that loads catalog: a bad data file exits 2 with its message."""
-
-    @wraps(handler)
-    def run(args: argparse.Namespace) -> int:
-        from .catalog import DataFileError
-
-        try:
-            return handler(args)
-        except DataFileError as exc:
-            return _fail_usage(str(exc))
-
-    return run
 
 
 def _big(v: int) -> str:
@@ -221,7 +203,6 @@ def _sweep_json(rep: FamilySweepReport) -> dict:
             "points_examined": rep.points_examined, "notes": list(rep.notes)}
 
 
-@_reads_data
 def cmd_search(args: argparse.Namespace) -> int:
     from .search import (SEARCH_TARGETS, discharge_rows, render_rows_csv,
                          sweep_family, sweep_sporadic)
@@ -340,7 +321,6 @@ def cmd_schur(args: argparse.Namespace) -> int:
 # check-subset
 
 
-@_reads_data
 def cmd_check_subset(args: argparse.Namespace) -> int:
     from .catalog import group_label, parse_group_label
     from .search import check_subset
@@ -414,6 +394,13 @@ def main(argv: list[str] | None = None) -> int:
         # interpreter's final flush of what is still buffered stays silent.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except ValueError as exc:
+        # a bad data file; catalog is imported here, so a cod run never loads it
+        from .catalog import DataFileError
+
+        if not isinstance(exc, DataFileError):
+            raise
+        return _fail_usage(str(exc))
 
 
 if __name__ == "__main__":

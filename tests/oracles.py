@@ -3,13 +3,14 @@
 Small, direct implementations of definitions the library never needs
 on its own: divisibility, p-adic valuations, Legendre's formula, the
 partitions of n, conjugates by column counts, single hook lengths and
-the hook product cell by cell, corner removal, the text form of a
-partition, partition counts, Frobenius coordinates, the direct routes
-to the A_n entries and to the n!/2 sieve, Schur's spin degrees in exact
-fractions, factorisation one division at
+the hook product cell by cell, corner removal, degrees by the branching
+rule, the text form of a partition, partition counts, Frobenius
+coordinates, the direct routes to the A_n entries and to the n!/2 sieve,
+Schur's spin degrees in exact fractions, factorisation one division at
 a time, the factored text of a number by trial division, the parameter
 boxes the family sweeps once enumerated, the class-number bounds and
-order formulas of the Lie families as their sources print them, and the
+order formulas of the Lie families as their sources print them, the
+degrees and class number of PSL(2,q) by the series pattern, and the
 shipped degree records as their JSON lines read.  The
 tests check the library's fast paths against them; none of these share
 code with the partition and hook machinery they check.  A partition is
@@ -22,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator
 
 from codlab.catalog import RANK_FLOOR, GroupId, data_path, lie
@@ -161,6 +163,14 @@ def remove_corner(parts: Partition, cell: Cell) -> Partition:
     if shrunk[i - 1] == 0:
         shrunk.pop(i - 1)
     return tuple(shrunk)
+
+
+@lru_cache(maxsize=None)
+def branching_degree(parts: Partition) -> int:
+    """Dimension via the branching rule only; no hook lengths."""
+    if parts == (1,):
+        return 1
+    return sum(branching_degree(remove_corner(parts, c)) for c in corners(parts))
 
 
 def pentagonal_partition_counts(limit: int) -> list[int]:
@@ -397,6 +407,26 @@ def lie_order(family: str, m: int | None, q: int) -> int:
         return (q ** (m * (m - 1)) * twist * _prod_minus_one(q, range(2, 2 * m - 1, 2))
                 // math.gcd(4, twist))
     return EXCEPTIONAL_ORDERS[family](q)
+
+
+def psl2_degrees(q: int) -> list[int]:
+    """The degrees of PSL(2,q), q >= 4 a prime power, sorted, by the series
+    pattern: 1, q, q + 1 and q - 1, and for odd q two halves of (q + 1) when
+    q = 1 mod 4, of (q - 1) when q = 3 mod 4."""
+    if q % 2 == 0:
+        degs = [1, q] + [q + 1] * ((q - 2) // 2) + [q - 1] * (q // 2)
+    elif q % 4 == 1:
+        degs = [1, q, (q + 1) // 2, (q + 1) // 2]
+        degs += [q + 1] * ((q - 5) // 4) + [q - 1] * ((q - 1) // 4)
+    else:
+        degs = [1, q, (q - 1) // 2, (q - 1) // 2]
+        degs += [q + 1] * ((q - 3) // 4) + [q - 1] * ((q - 3) // 4)
+    return sorted(degs)
+
+
+def psl2_class_number(q: int) -> int:
+    """k(PSL(2,q)): q + 1 classes for even q, (q + 5)/2 for odd q."""
+    return q + 1 if q % 2 == 0 else (q + 5) // 2
 
 
 def shipped_records() -> dict[str, dict]:

@@ -9,7 +9,6 @@ import csv
 import io
 import math
 import time
-from functools import lru_cache
 from pathlib import Path
 
 from codlab.alt_codegrees import _frobenius_pairs, sym_degree, verify_min_codegree_monotone
@@ -28,7 +27,7 @@ from codlab.search import (
     sweep_sporadic,
 )
 from codlab.exactnum import format_factored
-from oracles import SWEEP_BOXES, box_points, corners, partitions, remove_corner
+from oracles import SWEEP_BOXES, box_points, branching_degree, partitions
 
 
 def _passed(k: int, name: str, started: float, budget: float) -> None:
@@ -65,13 +64,6 @@ def test_02_min_codegree_monotonicity():
     _passed(2, "monotonicity 5..30", t0, 10.0)
 
 
-@lru_cache(maxsize=None)
-def _branching(lam):
-    if lam == (1,):
-        return 1
-    return sum(_branching(remove_corner(lam, c)) for c in corners(lam))
-
-
 def test_03_hook_formula_soundness():
     t0 = time.perf_counter()
     for n in range(5, 16):
@@ -83,7 +75,7 @@ def test_03_hook_formula_soundness():
         assert alt_total == math.factorial(n) // 2
     for n in range(2, 13):
         for lam in partitions(n):
-            assert sym_degree(lam) == _branching(lam)
+            assert sym_degree(lam) == branching_degree(lam)
     _passed(3, "hook formula soundness", t0, 30.0)
 
 

@@ -223,7 +223,7 @@ def test_frobenius_hook_identity():
 
 
 def test_a8_degrees_match_shipped_psl42_record():
-    # the data file builder writes PSL(4,2) = A8 from the walk of n = 8
+    # the record of PSL(4,2) = A8 holds the degrees the walk of n = 8 gives
     assert degrees(8) == shipped_records()["PSL(4,2)"]["degrees"]
 
 

@@ -7,7 +7,6 @@ prime factorizations, which is how those values are usually quoted.
 
 import importlib.util
 import json
-import subprocess
 import sys
 import tempfile
 import threading
@@ -45,7 +44,8 @@ from codlab import catalog
 from codlab.alt_codegrees import twisted_codegree_set_2a9
 from codlab.exactnum import PrimePower, factor, format_factored
 from codlab.search import check_subset, run_full_verification
-from oracles import lie_class_bound, lie_order, shipped_records, valuation
+from oracles import (lie_class_bound, lie_order, psl2_class_number, psl2_degrees,
+                     shipped_records, valuation)
 
 KNOWN_ORDERS = {
     "PSL(2,4)": 60,
@@ -357,18 +357,27 @@ def test_bounds_dominate_actual_class_counts():
     assert Fraction(*class_number_bound(parse_group_label("G2(2)'"))) == 17
 
 
-def _psl2_class_number(q):
-    # k(PSL(2,q)): q + 1 classes for even q, (q + 5)/2 for odd q
-    return q + 1 if q % 2 == 0 else (q + 5) // 2
+def test_psl2_records_are_the_series_pattern():
+    # each shipped PSL(2,q) list is the series pattern ...
+    groups = {parse_group_label(label): rec for label, rec in shipped_records().items()}
+    shipped = {g.q.q: rec["degrees"] for g, rec in groups.items()
+               if (g.family, g.m) == ("PSL", 1)}
+    assert sorted(shipped) == [4, 5, 7, 8, 9]
+    for q, degrees in shipped.items():
+        assert degrees == psl2_degrees(q), q
+    # ... which, at every prime power 4 <= q <= 128, has one degree per
+    # class and squares that sum to the order
+    prime_powers = [q for q in range(4, 129) if len(factor(q)) == 1]
+    assert len(prime_powers) == 42
+    for q in prime_powers:
+        degrees = psl2_degrees(q)
+        assert len(degrees) == psl2_class_number(q), q
+        assert sum(d * d for d in degrees) == lie_order("PSL", 1, q), q
 
 
 def test_psl2_class_numbers_within_bound():
-    # the closed form agrees with the embedded full character tables ...
-    for label in ("PSL(2,4)", "PSL(2,5)", "PSL(2,7)", "PSL(2,8)", "PSL(2,9)"):
-        q = parse_group_label(label).q.q
-        assert len(shipped_records()[label]["degrees"]) == _psl2_class_number(q)
-    # ... and stays under the bound on every q = p^k of the PSL sweep box
-    # at m = 1 (PSL(2,2) and PSL(2,3) are not simple)
+    # the closed form stays under the bound on every q = p^k of the PSL
+    # sweep box at m = 1 (PSL(2,2) and PSL(2,3) are not simple)
     checked = 0
     for p in (2, 3, 5, 7, 11, 13, 17):
         for k in range(1, 64):
@@ -376,7 +385,7 @@ def test_psl2_class_numbers_within_bound():
             if q.q < 4:
                 continue
             bound = Fraction(*class_number_bound(lie("PSL", q, m=1)))
-            assert _psl2_class_number(q.q) <= bound, q.q
+            assert psl2_class_number(q.q) <= bound, q.q
             checked += 1
     assert checked == 7 * 63 - 2
 
@@ -805,64 +814,30 @@ def test_a_missing_degree_record_is_refused_on_every_call():
     assert refusals == [f"{data_path()}: no degree data for M11"] * 2
 
 
-def test_build_tool_rebuilds_shipped_data_file(tmp_path):
-    # the tool writes only a file the loader accepts
-    root = Path(__file__).resolve().parent.parent
-    out = tmp_path / "groups_v1.jsonl"
-    subprocess.run(
-        [sys.executable, str(root / "tools" / "build_data_file.py"), str(out)],
-        check=True, capture_output=True,
-    )
-    assert out.read_bytes() == (root / "src" / "codlab" / "data" / "groups_v1.jsonl").read_bytes()
-
-
-def _load_tool(name, monkeypatch):
-    """Import tools/<name>.py as a module."""
+def test_dixon_lists_are_their_derivation():
+    # the shipped records are what Dixon-Schneider gives on the
+    # projective-point permutation groups (Dixon 1967; Schneider 1990)
     spec = importlib.util.spec_from_file_location(
-        name, Path(__file__).resolve().parent.parent / "tools" / f"{name}.py")
+        "derive_degree_data",
+        Path(__file__).resolve().parent.parent / "tools" / "derive_degree_data.py")
     tool = importlib.util.module_from_spec(spec)
-    monkeypatch.setattr(sys, "path", list(sys.path))  # build_data_file puts src first
     spec.loader.exec_module(tool)
-    return tool
-
-
-def test_dixon_lists_are_their_derivation(monkeypatch):
-    # the pinned lists and the shipped records are what Dixon-Schneider gives
-    # on the projective-point permutation groups (Dixon 1967; Schneider 1990)
-    derived = _load_tool("derive_degree_data", monkeypatch).derive()
-    pinned = _load_tool("build_data_file", monkeypatch).DIXON
-    assert derived.keys() == pinned.keys() == {"PSL(3,4)", "PSU(3,3)", "Omega(5,3)"}
+    derived = tool.derive()
+    assert derived.keys() == {"PSL(3,4)", "PSU(3,3)", "Omega(5,3)"}
     for label, degrees in derived.items():
-        assert degrees == pinned[label] == shipped_records()[label]["degrees"], label
+        assert degrees == shipped_records()[label]["degrees"], label
 
 
-def test_build_tool_writes_only_what_the_loader_accepts(tmp_path, monkeypatch):
-    root = Path(__file__).resolve().parent.parent
-    tool = _load_tool("build_data_file", monkeypatch)
-    out = tmp_path / "groups_v1.jsonl"
-    out.write_bytes(b"earlier bytes\n")
-    good = tool.J2_DEGREES
-    monkeypatch.setattr(tool, "J2_DEGREES", [1, 15, *good[2:]])
-    with pytest.raises(SystemExit,
-                       match=r"groups_v1\.jsonl\.tmp:11: degree record J2: sum of squared"):
-        tool.main(out)
-    assert out.read_bytes() == b"earlier bytes\n"
-    assert list(tmp_path.iterdir()) == [out]
-    monkeypatch.setattr(tool, "J2_DEGREES", good)
-    tool.main(out)
-    assert out.read_bytes() == (root / "src" / "codlab" / "data" / "groups_v1.jsonl").read_bytes()
-    assert list(tmp_path.iterdir()) == [out]
-
-
-@pytest.mark.parametrize("flag,code", [("--help", 0), ("--no-such-option", 2)])
-def test_build_tool_options_write_nothing(tmp_path, flag, code):
-    # an option is never taken for the output path
-    tool = Path(__file__).resolve().parent.parent / "tools" / "build_data_file.py"
-    proc = subprocess.run([sys.executable, str(tool), flag], cwd=tmp_path,
-                          capture_output=True, text=True)
-    assert proc.returncode == code
-    assert "usage: build_data_file.py [-h] [OUTPUT]" in proc.stdout + proc.stderr
-    assert list(tmp_path.iterdir()) == []
+def test_shipped_file_is_in_canonical_form():
+    # each line, the header too, is its JSON object as json.dumps writes
+    # it, a record's fields in the order the loader lists them, and ends
+    # with one newline
+    lines = data_path().read_text(encoding="utf-8").splitlines(keepends=True)
+    for line in lines:
+        rec = json.loads(line)
+        assert line == json.dumps(rec, separators=(", ", ": ")) + "\n"
+    for rec in map(json.loads, lines[1:]):
+        assert list(rec) == [field for field in catalog._FIELDS if field in rec]
 
 
 _DATA_LINES = data_path().read_text(encoding="utf-8").splitlines()

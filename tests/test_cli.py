@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import select
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from codlab import cli
 from codlab.cli import MAX_N_CEILING, build_parser, cmd_search, main
 from codlab.catalog import data_path
 from codlab.search import SEARCH_TARGETS, run_full_verification
+from oracles import shipped_records
 
 
 def run_cli(capsys, *argv):
@@ -570,8 +572,7 @@ _COD_NOT_COD_A6 = [1, 5, 5, 5, 5, 5, 5, 8, 8, 9]
 _COD_IN_COD_A8 = [1, 7, 7, 7, 7, 7, 7, 20, 20, 20, 45, 56, 56, 56, 56, 64]
 # J2's 21 degrees with 300 split as 180 and 240 (300^2 = 180^2 + 240^2): the
 # squares still sum to |J2|, and each degree divides it, but 22 is not k(J2)
-_J2_22_DEGREES = [1, 14, 14, 21, 21, 36, 63, 70, 70, 90, 126, 160, 175, 180,
-                  189, 189, 224, 224, 225, 240, 288, 336]
+_J2_22_DEGREES = sorted([d for d in shipped_records()["J2"]["degrees"] if d != 300] + [180, 240])
 _NO_A_N_RECORD = "cod(A_n) comes from hook lengths, never from a degree record"
 # The record of 2.A9's faithful degrees that the data file once held; cod(2.A9)
 # now comes from Schur's spin-degree formula, and the format has no such record
@@ -697,6 +698,9 @@ _FORMER_2A9 = {"record": "degrees", "label": "2.A9", "order": 362880,
          ":6: degree record PSL(2,9): codegrees are not cod(A6), though PSL(2,9) = A6"),
         (_degrees_of("PSL(4,2)", degrees=_COD_IN_COD_A8), ("check-subset", "PSL(4,2)", "8"),
          ":7: degree record PSL(4,2): codegrees are not cod(A8), though PSL(4,2) = A8"),
+        # a line is read up to a bound, never whole
+        (_degrees_of("J2", provenance="x" * (2 << 20)), ("check-subset", "J2", "10"),
+         ":11: line longer than 1048576 characters"),
     ],
     ids=["missing-file", "not-utf8", "non-json-line", "record-without-label",
          "no-j2-search-all",
@@ -715,7 +719,7 @@ _FORMER_2A9 = {"record": "degrees", "label": "2.A9", "order": 362880,
          "former-2a9-record", "former-2a9-record-search-all", "psl27-label-number",
          "psl34-provenance-list", "j2-provenance-null", "psl24-label-list",
          "psu33-aliases-text", "psu33-alias-number", "psl29-not-a6",
-         "psl29-not-a6-search-all", "psl42-not-a8"],
+         "psl29-not-a6-search-all", "psl42-not-a8", "j2-provenance-2mib"],
 )
 def test_bad_data_file_exits_2(tmp_path, monkeypatch, capsys, edit, argv, problem):
     target = tmp_path / "data.jsonl"
@@ -726,6 +730,19 @@ def test_bad_data_file_exits_2(tmp_path, monkeypatch, capsys, edit, argv, proble
     assert code == 2 and out == ""
     assert err.startswith(f"error: {target}{problem}")
     assert err.count("\n") == 1
+
+
+def test_an_endless_data_line_exits_2_in_bounded_memory():
+    # /dev/zero is one line that never ends; it is refused once its first
+    # MiB is read, in an address space that could not hold the line whole
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "codlab.cli", "check-subset", "J2", "10"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "CODLAB_DATA": "/dev/zero"},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20)))
+    out, err = finished(proc, 30)
+    assert (proc.returncode, out) == (2, b"")
+    assert err == b"error: /dev/zero:1: line longer than 1048576 characters\n"
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,6 @@ checks first.
 """
 
 import math
-from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from codlab.alt_codegrees import sym_degree
 from codlab.partitions import hook_product
 from oracles import (
+    branching_degree,
     cell_hook_product,
     check_partition,
     conjugate,
@@ -94,14 +94,6 @@ def test_corner_removal(n, data):
     for cell in cs:
         mu = remove_corner(lam, cell)
         assert partition_size(mu) == n - 1
-
-
-@lru_cache(maxsize=None)
-def branching_degree(lam):
-    """Dimension via the branching rule only; no hook lengths."""
-    if lam == (1,):
-        return 1
-    return sum(branching_degree(remove_corner(lam, c)) for c in corners(lam))
 
 
 @pytest.mark.parametrize("n", range(2, 13))

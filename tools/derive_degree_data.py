@@ -11,8 +11,9 @@ degrees.  Run from the repo root:
 
     python tools/derive_degree_data.py
 
-The lists are pinned as DIXON in tools/build_data_file.py, and
-tests/test_catalog.py checks that derive() still returns them.
+Each list is typed once, in the shipped data file
+src/codlab/data/groups_v1.jsonl, and tests/test_catalog.py checks that
+derive() still returns the file's records.
 Everything here is exact modular arithmetic; no floating point.
 """
 
