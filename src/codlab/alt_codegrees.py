@@ -84,6 +84,19 @@ class CodegreeSet(namedtuple("CodegreeSet", "group_label order values")):
                 raise ValueError(f"codegree {v} does not divide order {order}")
         return self
 
+    @classmethod
+    def from_degrees(cls, label: str, order: int, degrees: list[int],
+                     squares: int | None = None) -> CodegreeSet:
+        """{1} union {order/d : d > 1}, each character of degree d > 1 faithful;
+        the degrees, one per character, must each divide the order and square
+        to squares in sum (the order unless given), else ValueError."""
+        if sum(d * d for d in degrees) != (squares or order):
+            raise ValueError(f"sum of squared degrees is not {squares or order}")
+        for d in degrees:
+            if d < 1 or order % d:
+                raise ValueError(f"degree {d} does not divide |{label}| = {order}")
+        return cls(label, order, tuple(sorted({1, *(order // d for d in degrees if d > 1)})))
+
 
 def sym_degree(parts: Partition) -> int:
     """Dimension of the S_n irreducible for this shape (hook formula)."""
@@ -131,12 +144,12 @@ def _frobenius_pairs(n_lo: int, n_hi: int) -> Iterator[tuple[int, Run, Run, bool
     sum t, n.  Per d the run lists of every sum the walk meets are built
     once, from those of length d - 1, which are then dropped; the list of
     the heavy sum n_hi - d - t is dropped after light sum t unless the
-    runs of length d + 1 still read it.  Per (d, t)
-    each light run of sum t gets its table g(x) = prod_j (x + b_j + 1)
-    wide enough for n_hi, and for each n with t <= (n - d)/2 the runs of
-    the heavy sum n - d - t are met against them, so a pair costs d
-    multiplications.  Every shape passes the exact checks: H | n!, an
-    even dimension when self-conjugate, an even H otherwise.
+    runs of length d + 1 still read it.  Per (d, t) each light run of sum
+    t gets its table g(x) = prod_j (x + b_j + 1) wide enough for n_hi, and
+    for each n with t <= (n - d)/2 the runs of the heavy sum n - d - t are
+    met against them, so a pair costs d multiplications.  Exact checks:
+    H | n! per shape, an even dimension if self-conjugate, else an even H,
+    and, after the last pair, each n's squared A_n dimensions sum to n!/2.
     """
     if n_lo < 5:
         raise ValueError(f"n must be >= 5, got {n_lo}")
@@ -145,6 +158,7 @@ def _frobenius_pairs(n_lo: int, n_hi: int) -> Iterator[tuple[int, Run, Run, bool
     fact = [1] * (n_hi + 1)
     for i in range(2, n_hi + 1):
         fact[i] = fact[i - 1] * i
+    squares = [1] * (n_hi - n_lo + 1)  # the trivial pair's 1^2, per n
     for n in range(n_lo, n_hi + 1):
         yield n, (n - 1,), (0,), False, 1, 1
     level: dict[int, list[tuple[Run, int]]] = {}
@@ -170,6 +184,7 @@ def _frobenius_pairs(n_lo: int, n_hi: int) -> Iterator[tuple[int, Run, Run, bool
                 n_factorial = fact[n]
                 s = n - d - t
                 middle = s == t
+                sq = 0
                 for i, (a, ha) in enumerate(level[s]):
                     for b, hb, g in light[i:] if middle else light:
                         hp = ha * hb
@@ -178,11 +193,13 @@ def _frobenius_pairs(n_lo: int, n_hi: int) -> Iterator[tuple[int, Run, Run, bool
                         dim, rest = divmod(n_factorial, hp)
                         if rest:
                             raise ArithmeticError(f"hook product {hp} does not divide {n}!")
+                        sq += dim * dim
                         if a == b:
                             if dim & 1:
                                 raise ArithmeticError(
                                     f"self-conjugate ({a} | {a}) has odd dimension {dim}"
                                 )
+                            sq -= dim * dim >> 1  # two A_n irreducibles of dimension dim/2
                             yield n, a, a, True, dim >> 1, hp
                         elif hp & 1:
                             raise ArithmeticError(
@@ -192,9 +209,13 @@ def _frobenius_pairs(n_lo: int, n_hi: int) -> Iterator[tuple[int, Run, Run, bool
                             yield n, a, b, False, dim, hp >> 1
                         else:
                             yield n, b, a, False, dim, hp >> 1
+                squares[n - n_lo] += sq
             # later light sums meet only smaller heavy sums
             if n_hi - d - t > kept:
                 del level[n_hi - d - t]
+    for n, total in enumerate(squares, n_lo):
+        if total != fact[n] >> 1:
+            raise ArithmeticError(f"sum of squared dimensions {total} != |A_{n}| = {fact[n] >> 1}")
 
 
 # cod(A_n) by n, for the life of the process.  Its budget counts values,
@@ -210,7 +231,7 @@ def alt_codegree_set(n: int) -> CodegreeSet:
     """cod(A_n) = {1} union {(n!/2)/dim over non-trivial irreducibles}.
 
     The walk pairs dim n!/H with H/2 and n!/(2H) with H, so dim * codegree
-    is n!/2 by construction; only the sum of squared dimensions is checked.
+    is n!/2 by construction; the walk checks the sum of squared dimensions.
     Each set is built once per process and then shared, which is safe as a
     CodegreeSet is immutable; a set that would take the memo past
     _MEMO_VALUES values is built again on every call.
@@ -218,24 +239,13 @@ def alt_codegree_set(n: int) -> CodegreeSet:
     cod = _MEMO.get(n)
     if cod is not None:
         return cod
-    cod = _codegree_set(n)
+    values = {pair[5] for pair in _frobenius_pairs(n, n)}
+    cod = CodegreeSet(f"A{n}", factorial(n) // 2, tuple(sorted(values)))
     with _MEMO_LOCK:  # one budget check and store at a time, and one set per n
         held = sum(len(c.values) for c in _MEMO.values())
         if n not in _MEMO and held + len(cod.values) <= _MEMO_VALUES:
             _MEMO[n] = cod
         return _MEMO.get(n, cod)
-
-
-def _codegree_set(n: int) -> CodegreeSet:
-    half = factorial(n) // 2
-    values = {1}
-    total = 0
-    for _, _, _, split, dim, codegree in _frobenius_pairs(n, n):
-        total += 2 * dim * dim if split else dim * dim
-        values.add(codegree)
-    if total != half:
-        raise ArithmeticError(f"sum of squared dimensions {total} != |A_{n}| = {half}")
-    return CodegreeSet(f"A{n}", half, tuple(sorted(values)))
 
 
 def _strict_partitions(n: int, most: int) -> Iterator[Partition]:
@@ -259,13 +269,12 @@ def twisted_codegree_set_2a9() -> CodegreeSet:
         2^floor((9-l)/2) * 9!/prod lam_i! * prod_{i<j} (lam_i - lam_j)/(lam_i + lam_j),
 
     two characters of half that degree when 9 - l is even, one otherwise.
-    Each degree is checked to be a whole divisor of 9!, and their squares
+    Each degree is checked to be whole, then to divide 9!, and the squares
     to sum to |2.A9| - |A9| = 9!/2.  The set is built on every call.
     """
     n = 9
     order = factorial(n)
-    values = set(alt_codegree_set(n).values)
-    squares = 0
+    degrees = []
     for lam in _strict_partitions(n, n):
         split = (n - len(lam)) % 2 == 0
         num, den = order << (n - len(lam)) // 2, 2 if split else 1
@@ -274,13 +283,11 @@ def twisted_codegree_set_2a9() -> CodegreeSet:
             for b in lam[i + 1:]:
                 num, den = num * (a - b), den * (a + b)
         degree, rest = divmod(num, den)
-        if rest or order % degree:
+        if rest:
             raise ArithmeticError(f"spin degree {num}/{den} of {lam} does not divide {n}!")
-        squares += 2 * degree * degree if split else degree * degree
-        values.add(order // degree)
-    if squares != order // 2:
-        raise ArithmeticError(f"sum of squared spin degrees {squares} != {n}!/2")
-    return CodegreeSet(f"2.A{n}", order, tuple(sorted(values)))
+        degrees += [degree, degree] if split else [degree]
+    faithful = CodegreeSet.from_degrees(f"2.A{n}", order, degrees, squares=order // 2).values
+    return CodegreeSet(f"2.A{n}", order, tuple(sorted({*alt_codegree_set(n).values, *faithful})))
 
 
 def verify_min_codegree_monotone(n_lo: int, n_hi: int) -> tuple[bool, list[tuple[int, int]]]:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 import os
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import lru_cache
 from math import gcd, prod
 from pathlib import Path
@@ -424,14 +424,14 @@ def _load_catalog(path: str | Path) -> dict[GroupId, CodegreeSet]:
     lineno = 1
     try:
         with open(path, encoding="utf-8") as fh:
-            header = json.loads(_line(fh))
+            header = json.loads(_line(fh), object_pairs_hook=_object)
             if (not isinstance(header, dict) or header.get("format") != _DATA_FORMAT
                     or header.get("version") != _DATA_VERSION):
                 raise ValueError(f"unsupported data file header {header!r}")
             lineno = 2
             while line := _line(fh):
                 if line.strip():
-                    _add_record(json.loads(line), table)
+                    _add_record(json.loads(line, object_pairs_hook=_object), table)
                 lineno += 1
     except OSError as exc:
         raise DataFileError(f"{path}: {exc.strerror or exc}") from None
@@ -439,6 +439,8 @@ def _load_catalog(path: str | Path) -> dict[GroupId, CodegreeSet]:
         raise DataFileError(f"{path}: not UTF-8 text: {exc.reason}") from None
     except json.JSONDecodeError as exc:
         raise DataFileError(f"{path}:{lineno}: not JSON: {exc.msg}") from None
+    except RecursionError:
+        raise DataFileError(f"{path}:{lineno}: nested too deeply") from None
     except KeyError as exc:
         raise DataFileError(f"{path}:{lineno}: record has no {exc} field") from None
     except (TypeError, ValueError) as exc:
@@ -455,6 +457,15 @@ def _line(fh) -> str:
     if len(line) > _MAX_LINE and not line.endswith("\n"):
         raise ValueError(f"line longer than {_MAX_LINE} characters")
     return line
+
+
+def _object(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object of a data file; a key written twice in it is refused."""
+    fields = dict(pairs)
+    if len(fields) < len(pairs):
+        key = next(k for k, count in Counter(k for k, _ in pairs).items() if count > 1)
+        raise ValueError(f"repeated field {key!r}")
+    return fields
 
 
 # The JSON type of each field of a degree record, and how a refusal names it.
@@ -507,10 +518,8 @@ def _add_record(rec: object, table: dict[GroupId, CodegreeSet]) -> None:
 
 def _check_against_group(key: str, g: GroupId, order: int, degrees: list[int]
                          ) -> CodegreeSet:
-    """cod(g) from a degree record of the group g, which key names, with
-    the order and degrees written: the non-trivial irreducibles of a
-    simple group are faithful, so each degree d > 1 gives the codegree
-    order / d.
+    """cod(g) from a degree record of the simple group g, which key names,
+    with the order and degrees written.
 
     Raises ValueError if the record contradicts g, whose codegrees are
     cod(A_n) if g is an A_n under another name, or if key names an A_n:
@@ -527,17 +536,11 @@ def _check_against_group(key: str, g: GroupId, order: int, degrees: list[int]
     formula = group_order(g)
     if order != formula:
         raise ValueError(f"order {order} disagrees with the order formula {formula}")
-    if sum(d * d for d in degrees) != order:
-        raise ValueError(f"sum of squared degrees is not {order}")
+    cod = CodegreeSet.from_degrees(group_label(g), order, degrees)
     classes = _SPORADIC[g.name].class_count if g.family == "Sporadic" else None
     if classes and len(degrees) != classes:
         raise ValueError(f"{len(degrees)} degrees for {classes} classes")
-    for d in degrees:
-        if d < 1 or order % d:
-            raise ValueError(f"degree {d} does not divide |{key}| = {order}")
-    label = group_label(g)
-    cod = CodegreeSet(label, order, tuple(sorted({1, *(order // d for d in degrees if d > 1)})))
-    n = KNOWN_ISOMORPHIC.get(label)
+    n = KNOWN_ISOMORPHIC.get(cod.group_label)
     if n and cod.values != alt_codegree_set(n).values:
         raise ValueError(f"codegrees are not cod(A{n}), though {key} = A{n}")
     return cod

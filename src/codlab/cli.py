@@ -44,10 +44,9 @@ from .exactnum import format_factored, format_known_divisors
 if TYPE_CHECKING:
     from .search import ExceptionRow, FamilySweepReport, SubsetCheck
 
-# Largest n that cod, min-cod and check-subset accept.  cod(A_n) costs
-# about twice as much for each 5 added to n; at 60, `cod 60` takes about
-# 5 s and `min-cod 5 60` about 4.5 s on a 2-core VM, and far beyond it a
-# request would run for hours.
+# Largest n that cod, min-cod and check-subset accept.  cod(A_n) costs about
+# twice as much for each 5 added to n: in a fresh process on a 2-core VM, `cod 60`
+# takes about 2.3 s and `min-cod 5 60` about 3 s; far beyond, hours.
 MAX_N_CEILING = 60
 
 

@@ -199,6 +199,29 @@ def test_codegree_set_validation():
         CodegreeSet("X", values=(12, 15), order=60)
 
 
+@pytest.mark.parametrize("degrees,squares,message", [
+    # A5's degrees with 5 replaced by 6: 6 does not divide 60, and the
+    # squares no longer sum to 60, which is named first
+    ([1, 3, 3, 4, 6], None, "sum of squared degrees is not 60"),
+    # the squares sum to 60, but 0 and -4 divide nothing
+    ([0, 1, 3, 3, 4, 5], None, "degree 0 does not divide |A5| = 60"),
+    ([-4, 1, 3, 3, 5], None, "degree -4 does not divide |A5| = 60"),
+    # 7^2 + 11^2 is 170, but only a stated part of it is asked for
+    ([7, 11], 170, "degree 7 does not divide |A5| = 60"),
+], ids=["squares-first", "zero", "negative", "stated-squares"])
+def test_from_degrees_checks_the_squares_then_each_degree(degrees, squares, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        CodegreeSet.from_degrees("A5", 60, degrees, squares=squares)
+
+
+def test_from_degrees_gives_the_codegrees_of_the_faithful_degrees():
+    assert CodegreeSet.from_degrees("A5", 60, [1, 3, 3, 4, 5]) == alt_codegree_set(5)
+    assert CodegreeSet.from_degrees("A5", 60, [1, 3, 3, 4, 5], squares=60) == alt_codegree_set(5)
+    # a stated part of the order: two faithful characters of degree 2 of SL(2,5)
+    assert CodegreeSet.from_degrees("SL(2,5)", 120, [2, 2], squares=8) == (
+        "SL(2,5)", 120, (1, 60))
+
+
 @pytest.mark.parametrize("n", range(5, 31))
 def test_entries_match_direct_enumeration(n):
     entries = list(_frobenius_pairs(n, n))
@@ -322,14 +345,34 @@ def test_range_walk_validation():
         verify_min_codegree_monotone(6, 5)
 
 
+def _lose_run(monkeypatch, lost):
+    """Make the walk drop the run lost, and every shape built on it."""
+    run_list = alt_codegrees._run_list
+    monkeypatch.setattr(alt_codegrees, "_run_list", lambda d, total, shorter, fact: [
+        (r, h) for r, h in run_list(d, total, shorter, fact) if r != lost])
+
+
 def test_codegree_set_checks_the_sum_of_squares(monkeypatch):
-    # a walk that loses one pair, here the trivial one, is refused
-    walk = alt_codegrees._frobenius_pairs
-    monkeypatch.setattr(alt_codegrees, "_frobenius_pairs",
-                        lambda lo, hi: itertools.islice(walk(lo, hi), 1, None))
+    # a walk that loses one shape, here the self-conjugate (3, 2, 1) =
+    # (2, 0 | 2, 0) of dimension 16, is refused: 360 - 2 * 8^2 = 232
+    _lose_run(monkeypatch, (2, 0))
     with pytest.raises(ArithmeticError,
-                       match=re.escape("sum of squared dimensions 359 != |A_6| = 360")):
+                       match=f"^{re.escape('sum of squared dimensions 232 != |A_6| = 360')}$"):
         alt_codegree_set(6)
+
+
+@pytest.mark.parametrize("walk", [
+    lambda: verify_min_codegree_monotone(5, 12),
+    prove_min_codegree_monotone,
+], ids=["verify-monotone", "prove-monotone"])
+def test_every_walk_checks_the_sum_of_squares(monkeypatch, walk):
+    # the range walks of min-cod and of the monotonicity proof run the same
+    # check as alt_codegree_set: without the run (2, 0), A5 loses (3, 2) =
+    # (2, 0 | 1, 0) of dimension 5, and a_5 would read 15 instead of 12
+    _lose_run(monkeypatch, (2, 0))
+    with pytest.raises(ArithmeticError,
+                       match=f"^{re.escape('sum of squared dimensions 35 != |A_5| = 60')}$"):
+        walk()
 
 
 @pytest.mark.parametrize("n,run,scale,message", [
@@ -392,17 +435,21 @@ def test_strict_partitions_are_the_partitions_into_distinct_parts():
         assert list(alt_codegrees._strict_partitions(n, n)) == expected, n
 
 
-@pytest.mark.parametrize("parts,message", [
+@pytest.mark.parametrize("parts,error,message", [
     # 2^4 * 9!/10! / 2 = 4/5
-    ([(10,)], "spin degree 5806080/7257600 of (10,) does not divide 9!"),
-    # 2^4 * 9!/3! / 2 = 483840, past 9!
-    ([(3,)], "spin degree 5806080/12 of (3,) does not divide 9!"),
+    ([(10,)], ArithmeticError, "spin degree 5806080/7257600 of (10,) does not divide 9!"),
+    # the true degrees and a degree 0 from the repeated part of (2, 2): the
+    # squares still sum to 9!/2, but 0 divides nothing (a whole positive
+    # value of the formula small enough to keep that sum, below 430, divides 9!)
+    ([*alt_codegrees._strict_partitions(9, 9), (2, 2)], ValueError,
+     "degree 0 does not divide |2.A9| = 362880"),
     # only the two characters of degree 8
-    ([(9,)], "sum of squared spin degrees 128 != 9!/2"),
+    ([(9,)], ValueError, "sum of squared degrees is not 181440"),
 ], ids=["not-whole", "not-a-divisor", "squares"])
-def test_twisted_2a9_checks_each_degree_and_the_sum_of_squares(monkeypatch, parts, message):
+def test_twisted_2a9_checks_each_degree_and_the_sum_of_squares(monkeypatch, parts, error,
+                                                              message):
     monkeypatch.setattr(alt_codegrees, "_strict_partitions", lambda n, most: iter(parts))
-    with pytest.raises(ArithmeticError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
         twisted_codegree_set_2a9()
 
 

@@ -6,12 +6,16 @@ prime factorizations, which is how those values are usually quoted.
 """
 
 import importlib.util
+import io
 import json
+import os
 import sys
 import tempfile
 import threading
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, reject, settings, strategies as st
@@ -40,8 +44,9 @@ from codlab.catalog import (
     _load_catalog,
     _order_formula,
 )
-from codlab import catalog
+from codlab import alt_codegrees, catalog
 from codlab.alt_codegrees import twisted_codegree_set_2a9
+from codlab.cli import main
 from codlab.exactnum import PrimePower, factor, format_factored
 from codlab.search import check_subset, run_full_verification
 from oracles import (lie_class_bound, lie_order, psl2_class_number, psl2_degrees,
@@ -644,16 +649,31 @@ def test_loading_walks_each_coincidence_once(tmp_path, monkeypatch, walks):
     assert sorted(walks) == [(5, 5), (6, 6), (8, 8)]
 
 
+def test_a_walk_failure_met_by_the_loader_is_not_a_data_file_error(monkeypatch):
+    # the loader holds PSL(2,4), on line 2, to cod(A5): a walk that loses
+    # the run (2, 0), and with it the shape (3, 2), fails with the walk's
+    # own error, which no exit code of a data file refusal hides
+    run_list = alt_codegrees._run_list
+    monkeypatch.setattr(alt_codegrees, "_run_list", lambda d, total, shorter, fact: [
+        (r, h) for r, h in run_list(d, total, shorter, fact) if r != (2, 0)])
+    with pytest.raises(ArithmeticError, match=r"^sum of squared dimensions 35 != \|A_5\| = 60$"):
+        _load_catalog(data_path())
+
+
 def _builds(monkeypatch):
-    """The label of every cod(H) the catalog builds, in order."""
+    """The label of every cod(H) the catalog builds from degrees, in order."""
     built = []
     build = catalog.CodegreeSet
 
-    def recording(label, order, values):
-        built.append(label)
-        return build(label, order, values)
+    class Recording(build):
+        __slots__ = ()
 
-    monkeypatch.setattr(catalog, "CodegreeSet", recording)
+        @classmethod
+        def from_degrees(cls, label, *args, **kwargs):
+            built.append(label)
+            return build.from_degrees(label, *args, **kwargs)
+
+    monkeypatch.setattr(catalog, "CodegreeSet", Recording)
     return built
 
 
@@ -850,6 +870,28 @@ def _without_key(line, i):
     return json.dumps(rec)
 
 
+def _repeated_key(line, i):
+    """line with one of its keys written once more, first, with the value 1."""
+    keys = list(json.loads(line))
+    return "{" + json.dumps(keys[i % len(keys)]) + ": 1, " + line[1:]
+
+
+def _nested(opener, depth):
+    """A JSON value nested depth deep: arrays, or objects under the key "a"."""
+    if opener == "[":
+        return "[" * depth + "]" * depth
+    return '{"a": ' * depth + "0" + "}" * depth
+
+
+def _deep_field(line, i, opener, depth):
+    """line with the value of one of its keys nested depth deep."""
+    rec = json.loads(line)
+    keys = list(rec)
+    rec[keys[i % len(keys)]] = "\0"
+    return json.dumps(rec).replace('"\\u0000"', _nested(opener, depth))
+
+
+_DEPTH = st.integers(1, 3000)  # either side of the recursion limit
 _MANGLED_LINE = st.one_of(
     st.sampled_from(_DATA_LINES),
     st.tuples(st.sampled_from(_DATA_LINES), st.integers(0, 200)).map(
@@ -867,25 +909,47 @@ _MANGLED_LINE = st.one_of(
         max_leaves=6,
     ).map(json.dumps),
     st.text(max_size=30).filter(lambda t: "\n" not in t and "\r" not in t),
+    st.tuples(st.sampled_from("[{"), _DEPTH).map(lambda t: _nested(*t)),
+    st.tuples(st.sampled_from(_DATA_LINES), st.integers(0, 9), st.sampled_from("[{"),
+              _DEPTH).map(lambda t: _deep_field(*t)),
+    st.tuples(st.sampled_from(_DATA_LINES), st.integers(0, 9)).map(
+        lambda t: _repeated_key(*t)
+    ),
 )
 
 
-@given(st.lists(_MANGLED_LINE, max_size=60), st.booleans())
+def _unique_keys(pairs):
+    assert len({key for key, _ in pairs}) == len(pairs), pairs
+    return dict(pairs)
+
+
+_FUZZ_ARGV = (("check-subset", "J2", "10"), ("check-subset", "PSL(2,9)", "6"),
+              ("search", "all", "--format", "json"))
+
+
+@given(st.lists(_MANGLED_LINE, max_size=60), st.booleans(), st.sampled_from(_FUZZ_ARGV))
 @settings(max_examples=150, deadline=None)
-def test_loader_returns_or_raises_data_file_error(lines, keep_header):
+def test_loader_returns_or_raises_data_file_error(lines, keep_header, argv):
     if keep_header:
         lines = [_DATA_LINES[0], *lines]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.jsonl"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        # the command line answers the file or refuses it in one line
+        err = io.StringIO()
+        with (patch.dict(os.environ, CODLAB_DATA=str(path)), redirect_stdout(io.StringIO()),
+              redirect_stderr(err)):
+            code = main(list(argv))
+        assert code in (0, 2, 3) and err.getvalue().count("\n") <= 1, (code, err.getvalue())
         try:
             cat = _load_catalog(path)
         except DataFileError as exc:
             assert str(exc).startswith(f"{path}:"), exc
         else:  # each record is checked, and filed under its label and aliases
+            json.loads(lines[0], object_pairs_hook=_unique_keys)
             filed = {}
             for line in filter(str.strip, lines[1:]):
-                rec = json.loads(line)
+                rec = json.loads(line, object_pairs_hook=_unique_keys)
                 assert sum(d * d for d in rec["degrees"]) == rec["order"]
                 for key in (rec["label"], *rec.get("aliases", ())):
                     filed[parse_group_label(key)] = {

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import resource
 import select
 import subprocess
@@ -526,6 +527,13 @@ def _on_j2(edit):
     return apply
 
 
+def _on_header(edit):
+    """Apply edit to line 1, the header."""
+    def apply(lines):
+        return [edit(lines[0])] + lines[1:]
+    return apply
+
+
 def _without_degrees(label):
     """Drop the degree record of label."""
     def apply(lines):
@@ -701,6 +709,18 @@ _FORMER_2A9 = {"record": "degrees", "label": "2.A9", "order": 362880,
         # a line is read up to a bound, never whole
         (_degrees_of("J2", provenance="x" * (2 << 20)), ("check-subset", "J2", "10"),
          ":11: line longer than 1048576 characters"),
+        # a line nested past the recursion limit is refused, not a traceback
+        (_on_j2(lambda line: "[" * 100_000), ("check-subset", "J2", "10"),
+         ":11: nested too deeply"),
+        (_on_header(lambda line: '{"format": ' * 50_000), ("check-subset", "J2", "10"),
+         ":1: nested too deeply"),
+        # a key written twice is refused, never read as its last value
+        (_on_j2(lambda line: line.replace('"order": ', '"order": 1, "order": ')),
+         ("check-subset", "J2", "10"), ":11: repeated field 'order'"),
+        (_on_j2(lambda line: line.replace('"provenance": ', '"provenance": {"a": 1, "a": 2}, "x": ')),
+         ("check-subset", "J2", "10"), ":11: repeated field 'a'"),
+        (_on_header(lambda line: line.replace('"version": 1', '"version": 2, "version": 1')),
+         ("search", "all"), ":1: repeated field 'version'"),
     ],
     ids=["missing-file", "not-utf8", "non-json-line", "record-without-label",
          "no-j2-search-all",
@@ -719,7 +739,9 @@ _FORMER_2A9 = {"record": "degrees", "label": "2.A9", "order": 362880,
          "former-2a9-record", "former-2a9-record-search-all", "psl27-label-number",
          "psl34-provenance-list", "j2-provenance-null", "psl24-label-list",
          "psu33-aliases-text", "psu33-alias-number", "psl29-not-a6",
-         "psl29-not-a6-search-all", "psl42-not-a8", "j2-provenance-2mib"],
+         "psl29-not-a6-search-all", "psl42-not-a8", "j2-provenance-2mib",
+         "j2-nested-100000", "header-nested-50000", "j2-repeated-order",
+         "j2-repeated-nested-key", "header-repeated-version"],
 )
 def test_bad_data_file_exits_2(tmp_path, monkeypatch, capsys, edit, argv, problem):
     target = tmp_path / "data.jsonl"
@@ -983,6 +1005,29 @@ def test_cod_refuses_a_codegree_that_does_not_divide_the_order(monkeypatch, caps
         (*pair[:5], 7 if pair[5] == 12 else pair[5]) for pair in walk(lo, hi)))
     with pytest.raises(ValueError, match="codegree 7 does not divide order 60"):
         main(["cod", "5"])
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv,caller,message", [
+    (("cod", "8"), "alt_codegree_set", "sum of squared dimensions 11164 != |A_8| = 20160"),
+    (("min-cod", "5", "12"), "verify_min_codegree_monotone",
+     "sum of squared dimensions 35 != |A_5| = 60"),
+    (("search", "all"), "prove_min_codegree_monotone",
+     "sum of squared dimensions 35 != |A_5| = 60"),
+], ids=["cod", "min-cod", "search-all"])
+def test_a_walk_that_loses_a_shape_is_refused(monkeypatch, capsys, argv, caller, message):
+    # cod, min-cod and the monotonicity proof of search all each meet the
+    # walk's check of every n's sum of squared dimensions, the proof before
+    # the data file is read; a failure there is an internal error, never
+    # exit 2 or 3
+    from codlab import alt_codegrees
+
+    run_list = alt_codegrees._run_list
+    monkeypatch.setattr(alt_codegrees, "_run_list", lambda d, total, shorter, fact: [
+        (r, h) for r, h in run_list(d, total, shorter, fact) if r != (2, 0)])
+    with pytest.raises(ArithmeticError, match=f"^{re.escape(message)}$") as caught:
+        main(list(argv))
+    assert caller in [entry.name for entry in caught.traceback]
     assert capsys.readouterr().out == ""
 
 
