@@ -284,7 +284,7 @@ def twisted_codegree_set_2a9() -> CodegreeSet:
                 num, den = num * (a - b), den * (a + b)
         degree, rest = divmod(num, den)
         if rest:
-            raise ArithmeticError(f"spin degree {num}/{den} of {lam} does not divide {n}!")
+            raise ArithmeticError(f"spin degree {num}/{den} of {lam} is not whole")
         degrees += [degree, degree] if split else [degree]
     faithful = CodegreeSet.from_degrees(f"2.A{n}", order, degrees, squares=order // 2).values
     return CodegreeSet(f"2.A{n}", order, tuple(sorted({*alt_codegree_set(n).values, *faithful})))

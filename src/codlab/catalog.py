@@ -1,14 +1,18 @@
 """Catalog of finite simple groups touched by the exception search.
 
-Identities, exact orders, class-number bounds, and embedded
-character-degree tables.  Everything is exact.  Each Lie family's
-label, rank floor or twisted prime, order formula and class-number
-bound sit in one row of _CLASSICAL or _EXCEPTIONAL.  The order formula
-is over Z, and the bound is a polynomial in q with integer coefficients
-over one denominator; group_order and class_number_bound evaluate them,
-and order_class_shape reads the q-part exponent and q-degrees off them.
-Each sporadic group's order and class count sit in one row of
-_SPORADIC_ATLAS.  Only degree data is read from a versioned
+Identities, exact orders, class-number bounds, exceptional isomorphisms
+and embedded character-degree tables.  Everything is exact.  Each Lie
+family's label, rank floor or twisted prime, order formula and
+class-number bound sit in one row of _CLASSICAL or _EXCEPTIONAL.  The
+order formula is over Z, and the bound is a polynomial in q with integer
+coefficients over one denominator; group_order and class_number_bound
+evaluate them, and order_class_shape reads the q-part exponent and
+q-degrees off them.  Each sporadic group's order and class count sit in
+one row of _SPORADIC_ATLAS.  Each group the catalog names twice maps to
+one representative in _REPRESENTATIVE, an A_n where it is one: the
+discharge's isomorphic verdict, the loader's checks of a record and of
+its aliases, and the answer for a group with no record of its own all
+read representative().  Only degree data is read from a versioned
 structured-text file shipped with the package (override the path with
 the CODLAB_DATA environment variable); the loader alone checks a record
 against its group, on the record's line, and keeps only the codegree set
@@ -289,6 +293,37 @@ def _parse_group_label(label: str) -> GroupId:
 
 
 # ---------------------------------------------------------------------------
+# Exceptional isomorphisms.
+
+_ARTIN = "Artin, Comm. Pure Appl. Math. 8 (1955)"
+_ATLAS = "ATLAS of Finite Groups, introduction"
+# Each group the catalog names twice, by label, with the label of its
+# representative and the source of the isomorphism.  A group that is an A_n
+# is represented by that A_n.  Within the catalog's families and rank floors
+# these are all the isomorphisms; two catalog groups of one order with
+# different representatives, such as PSL(3,4) and A8, or PSp(2m,q) and
+# Omega(2m+1,q) at odd q and m >= 3, are not isomorphic (Artin).
+_ISOMORPHISMS = (  # (label, representative, source)
+    ("PSL(2,4)", "A5", _ARTIN),
+    ("PSL(2,5)", "A5", _ARTIN),
+    ("PSL(2,9)", "A6", _ARTIN),
+    ("PSL(4,2)", "A8", _ARTIN),
+    ("PSL(3,2)", "PSL(2,7)", _ARTIN),
+    ("G2(2)'", "PSU(3,3)", _ATLAS),
+    ("PSU(4,2)", "Omega(5,3)", _ATLAS),
+)
+_REPRESENTATIVE = {parse_group_label(label): parse_group_label(rep)
+                   for label, rep, _ in _ISOMORPHISMS}
+
+
+def representative(g: GroupId) -> GroupId:
+    """The one group of _ISOMORPHISMS that stands for every catalog group
+    isomorphic to g: the A_n if g is one, g itself if the catalog names
+    g's group once."""
+    return _REPRESENTATIVE.get(g, g)
+
+
+# ---------------------------------------------------------------------------
 # Orders.
 
 
@@ -382,10 +417,6 @@ def order_class_shape(family: str, m: int | None) -> tuple[int, int, int]:
 DATA_ENV_VAR = "CODLAB_DATA"
 _DATA_FORMAT = "codlab-groups"
 _DATA_VERSION = 1
-# The catalog groups that are an A_n, each with its n.  The loader holds a
-# record of one of these groups, however its name is spelt, to cod(A_n), so
-# check_subset may call a pair isomorphic when H's codegrees lie in cod(A_n).
-KNOWN_ISOMORPHIC = {"PSL(2,4)": 5, "PSL(2,5)": 5, "PSL(2,9)": 6, "PSL(4,2)": 8}
 
 _PACKAGED_DATA = Path(__file__).parent / "data" / "groups_v1.jsonl"
 _PACKAGED_KEY = os.path.abspath(_PACKAGED_DATA)
@@ -483,10 +514,11 @@ def _typed(value: object, kind: type, field: str):
 
 
 def _add_record(rec: object, table: dict[GroupId, CodegreeSet]) -> None:
-    """Check one parsed degree record against the group its label names and
-    the group each alias names, and file its codegree set in table under
-    each of them.  A group is filed once, and a field outside _FIELDS is
-    refused after every other check.
+    """Check one parsed degree record against the group its label names, and
+    file its codegree set in table under that group and, relabelled, under
+    the group each alias names, which must be isomorphic to it.  A group is
+    filed once, never an A_n, and a field outside _FIELDS is refused after
+    every other check.
 
     Raises KeyError, TypeError or ValueError, which the loader reports
     with the path and line.
@@ -502,31 +534,45 @@ def _add_record(rec: object, table: dict[GroupId, CodegreeSet]) -> None:
     aliases = [_typed(alias, str, "alias") for alias in aliases]
     if degrees != sorted(degrees):
         raise ValueError(f"degrees for {label} not sorted")
-    for key in (label, *aliases):
-        try:
-            g = parse_group_label(key)
-            cod = None if g in table else _check_against_group(key, g, order, degrees)
-        except ValueError as exc:
-            raise ValueError(f"degree record {key}: {exc}") from None
-        if cod is None:
-            raise ValueError(f"duplicate degree record {key}")
-        table[g] = cod
+    g = _filed_group(label, table)
+    try:
+        cod = table[g] = _check_against_group(label, g, order, degrees)
+    except ValueError as exc:
+        raise ValueError(f"degree record {label}: {exc}") from None
+    for alias in aliases:
+        h = _filed_group(alias, table, (label, g))
+        table[h] = cod._replace(group_label=group_label(h))
     unknown = [field for field in rec if field not in _FIELDS]
     if unknown:
         raise ValueError(f"record has unknown field {unknown[0]!r}")
 
 
+def _filed_group(key: str, table: dict[GroupId, CodegreeSet],
+                 record: tuple[str, GroupId] | None = None) -> GroupId:
+    """The group key names, to file a record under in table: for an alias,
+    one isomorphic to the group of the record's label, given as record.
+    An A_n, whose codegrees come from hook lengths, and a group already
+    filed are refused (ValueError)."""
+    try:
+        g = parse_group_label(key)
+        if record and representative(g) != representative(record[1]):
+            raise ValueError(f"not isomorphic to {record[0]}")
+        if g.family == "Alternating":
+            raise ValueError("cod(A_n) comes from hook lengths, never from a degree record")
+    except ValueError as exc:
+        raise ValueError(f"degree record {key}: {exc}") from None
+    if g in table:
+        raise ValueError(f"duplicate degree record {key}")
+    return g
+
+
 def _check_against_group(key: str, g: GroupId, order: int, degrees: list[int]
                          ) -> CodegreeSet:
-    """cod(g) from a degree record of the simple group g, which key names,
-    with the order and degrees written.
+    """cod(g) from a degree record of the simple group g, not an A_n, which
+    key names, with the order and degrees written.
 
     Raises ValueError if the record contradicts g, whose codegrees are
-    cod(A_n) if g is an A_n under another name, or if key names an A_n:
-    nothing reads such a record, and the loader has no degree list of A_n
-    to check it against."""
-    if g.family == "Alternating":
-        raise ValueError("cod(A_n) comes from hook lengths, never from a degree record")
+    cod(A_n) if g is an A_n under another name (its representative)."""
     bits = order.bit_length()
     b = g.q.q.bit_length() - 1 if g.q else 0  # a Lie group's q >= 2^b
     # refuse a too big G before building |G|: |G| >= 2^(b*e), where e >= m at a
@@ -540,9 +586,10 @@ def _check_against_group(key: str, g: GroupId, order: int, degrees: list[int]
     classes = _SPORADIC[g.name].class_count if g.family == "Sporadic" else None
     if classes and len(degrees) != classes:
         raise ValueError(f"{len(degrees)} degrees for {classes} classes")
-    n = KNOWN_ISOMORPHIC.get(cod.group_label)
-    if n and cod.values != alt_codegree_set(n).values:
-        raise ValueError(f"codegrees are not cod(A{n}), though {key} = A{n}")
+    rep = representative(g)
+    if rep.family == "Alternating" and cod.values != alt_codegree_set(rep.n).values:
+        name = group_label(rep)
+        raise ValueError(f"codegrees are not cod({name}), though {key} = {name}")
     return cod
 
 
@@ -574,14 +621,22 @@ def simple_codegree_set(g: GroupId) -> CodegreeSet:
 
     cod(A_n) is built once per process.  Every other set is built, and its
     degree record checked, when the data file is loaded, once per file;
-    a query is one lookup in that file's table.  The file is resolved once
-    per call, from $CODLAB_DATA, to its absolute path: after an os.chdir a
-    relative $CODLAB_DATA gives the new directory's sets, and a file
-    rewritten at the same path inside one process is not read again.
+    a query is one lookup in that file's table.  A group the file has no
+    record of is answered from its representative, relabelled: cod(A_n)
+    for a group that is an A_n, else the file's set of the representative.
+    The file is resolved once per call, from $CODLAB_DATA, to its absolute
+    path: after an os.chdir a relative $CODLAB_DATA gives the new
+    directory's sets, and a file rewritten at the same path inside one
+    process is not read again.
     """
     if g.family == "Alternating":
         return alt_codegree_set(g.n)  # type: ignore[arg-type]
-    cod = _data_file().get(g)
+    table = _data_file()
+    cod = table.get(g)
     if cod is None:
-        raise DataFileError(f"{data_path()}: no degree data for {group_label(g)}")
+        rep = representative(g)
+        cod = alt_codegree_set(rep.n) if rep.family == "Alternating" else table.get(rep)
+        if cod is None:
+            raise DataFileError(f"{data_path()}: no degree data for {group_label(g)}")
+        cod = cod._replace(group_label=group_label(g))
     return cod

@@ -4,8 +4,11 @@ Subcommands: cod, min-cod, search, schur, check-subset.  Exit codes are
 a stable contract: 0 success / verification PASS, 2 usage error or a
 data file that is unreadable, has an over-long line, lacks a record the
 run needs or holds one that contradicts its group (for a group that is
-an A_n under another name, codegrees other than cod(A_n)), 3
-mathematical verification failure.  Exit 1 means stdout was closed
+an A_n under another name, codegrees other than cod(A_n); an alias of
+a group not isomorphic to the record's), 3 mathematical verification
+failure.  check-subset answers a group with no record of its own, such
+as PSL(3,2), from the group the catalog's table of exceptional
+isomorphisms maps it to (PSL(2,7)), under its own label.  Exit 1 means stdout was closed
 before all output was written (for example by `| head`), whether stdout
 is buffered or not (python -u, PYTHONUNBUFFERED); see _emit.
 

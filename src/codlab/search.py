@@ -64,19 +64,20 @@ from .alt_codegrees import (
 )
 from .catalog import (
     EXCEPTIONAL_PREFIX,
-    KNOWN_ISOMORPHIC,
     LIE_FAMILIES,
     RANK_FLOOR,
     SPORADIC_LABELS,
     TWISTED_ODD_POWER,
     GroupId,
     PrimePower,
+    alternating,
     class_number_bound,
     group_label,
     group_order,
     lie,
     order_class_shape,
     parse_group_label,
+    representative,
     simple_codegree_set,
     sporadic,
 )
@@ -338,24 +339,26 @@ def _first_missing(values: tuple[int, ...], within: tuple[int, ...]) -> int | No
 def check_subset(g: GroupId, n: int) -> SubsetCheck:
     """Decide cod(H) subset-of cod(A_n) for a survivor pair.
 
-    A subset relation on A_n itself, or on a group that KNOWN_ISOMORPHIC
-    pairs with this n, gives "isomorphic": the loader has checked that
-    such a group's record gives exactly cod(A_n).  Otherwise the smallest
-    missing codegree is the refutation witness.  A subset relation on a
-    non-isomorphic pair is "subset_holds", the verdict that is not ok.
+    A subset relation on a group whose representative is A_n (A_n itself,
+    or a group that is A_n under another name, catalog.representative)
+    gives "isomorphic": the loader has checked that such a group's record
+    gives exactly cod(A_n), and a group with no record is given cod(A_n)
+    itself.  Otherwise the smallest missing codegree is the
+    refutation witness.  A subset relation on a non-isomorphic pair is
+    "subset_holds", the verdict that is not ok.  The representative is
+    looked up only once the subset relation holds.
     """
     ch = simple_codegree_set(g)
     ca = alt_codegree_set(n)
-    label = ch.group_label
     witness = _first_missing(ch.values, ca.values)
     if witness is not None:
         verdict = "subset_refuted"
-    elif KNOWN_ISOMORPHIC.get(label) == n or label == f"A{n}":
+    elif representative(g) == alternating(n):
         verdict = "isomorphic"
     else:
         verdict = "subset_holds"
     return SubsetCheck(
-        label, n, verdict, witness, ch.order, len(ch.values), len(ca.values)
+        ch.group_label, n, verdict, witness, ch.order, len(ch.values), len(ca.values)
     )
 
 

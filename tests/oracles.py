@@ -10,8 +10,9 @@ Schur's spin degrees in exact fractions, factorisation one division at
 a time, the factored text of a number by trial division, the parameter
 boxes the family sweeps once enumerated, the class-number bounds and
 order formulas of the Lie families as their sources print them, the
-degrees and class number of PSL(2,q) by the series pattern, and the
-shipped degree records as their JSON lines read.  The
+degrees and class number of PSL(2,q) by the series pattern, the
+shipped degree records as their JSON lines read, and the classes of
+isomorphic catalog groups as the ATLAS lists them.  The
 tests check the library's fast paths against them; none of these share
 code with the partition and hook machinery they check.  A partition is
 a tuple of weakly decreasing positive ints; cells are 1-based (row,
@@ -435,3 +436,20 @@ def shipped_records() -> dict[str, dict]:
     lines = data_path().read_text(encoding="utf-8").splitlines()[1:]
     return {key: rec for rec in map(json.loads, lines)
             for key in (rec["label"], *rec.get("aliases", ()))}
+
+
+# Each set of catalog labels that name one group (ATLAS of Finite Groups,
+# introduction); a catalog group outside them is named once.
+ISOMORPHIC_LABELS = (
+    {"A5", "PSL(2,4)", "PSL(2,5)"},
+    {"A6", "PSL(2,9)"},
+    {"A8", "PSL(4,2)"},
+    {"PSL(2,7)", "PSL(3,2)"},
+    {"PSU(3,3)", "G2(2)'"},
+    {"Omega(5,3)", "PSU(4,2)"},
+)
+
+
+def same_group(a: str, b: str) -> bool:
+    """Whether the labels a and b, as group_label writes them, name one group."""
+    return a == b or any({a, b} <= labels for labels in ISOMORPHIC_LABELS)

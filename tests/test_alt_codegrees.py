@@ -437,7 +437,7 @@ def test_strict_partitions_are_the_partitions_into_distinct_parts():
 
 @pytest.mark.parametrize("parts,error,message", [
     # 2^4 * 9!/10! / 2 = 4/5
-    ([(10,)], ArithmeticError, "spin degree 5806080/7257600 of (10,) does not divide 9!"),
+    ([(10,)], ArithmeticError, "spin degree 5806080/7257600 of (10,) is not whole"),
     # the true degrees and a degree 0 from the repeated part of (2, 2): the
     # squares still sum to 9!/2, but 0 divides nothing (a whole positive
     # value of the formula small enough to keep that sum, below 430, divides 9!)

@@ -23,7 +23,6 @@ from hypothesis import given, reject, settings, strategies as st
 from codlab.catalog import (
     DataFileError,
     GroupId,
-    KNOWN_ISOMORPHIC,
     LIE_FAMILIES,
     RANK_FLOOR,
     SPORADIC_LABELS,
@@ -37,6 +36,7 @@ from codlab.catalog import (
     order_class_shape,
     parse_group_label,
     prime_power,
+    representative,
     simple_codegree_set,
     sporadic,
     sporadic_entries,
@@ -49,8 +49,8 @@ from codlab.alt_codegrees import twisted_codegree_set_2a9
 from codlab.cli import main
 from codlab.exactnum import PrimePower, factor, format_factored
 from codlab.search import check_subset, run_full_verification
-from oracles import (lie_class_bound, lie_order, psl2_class_number, psl2_degrees,
-                     shipped_records, valuation)
+from oracles import (ISOMORPHIC_LABELS, lie_class_bound, lie_order, psl2_class_number,
+                     psl2_degrees, same_group, shipped_records, valuation)
 
 KNOWN_ORDERS = {
     "PSL(2,4)": 60,
@@ -155,6 +155,64 @@ def test_alternating_coincidences():
     assert group_order(parse_group_label("PSU(4,2)")) == group_order(
         parse_group_label("Omega(5,3)")
     )
+
+
+def test_isomorphism_table_is_the_atlas_classes():
+    # each group the catalog names twice maps to one representative, an A_n
+    # where it is one, of the same order; a representative maps to itself
+    table = catalog._REPRESENTATIVE
+    assert len(table) == len(catalog._ISOMORPHISMS) == 7
+    assert all(source for _, _, source in catalog._ISOMORPHISMS)
+    classes = {}
+    for g, rep in table.items():
+        assert representative(g) == rep and group_order(g) == group_order(rep), g
+        assert representative(rep) == rep and rep not in table, rep
+        classes.setdefault(rep, {group_label(rep)}).add(group_label(g))
+    assert sorted(map(sorted, classes.values())) == sorted(map(sorted, ISOMORPHIC_LABELS))
+    assert sorted(group_label(rep) for rep in classes if rep.family == "Alternating") == [
+        "A5", "A6", "A8"]
+
+
+def test_catalog_groups_of_one_order_are_one_group_or_artins_pairs():
+    # over A5..A27, the sporadic groups and every point the sweeps walk, groups
+    # of one order have one representative, save the pairs that are not
+    # isomorphic: A8 and PSL(3,4), and PSp(2m,q) and Omega(2m+1,q) at odd q
+    from codlab.search import _walk
+
+    points = [*map(alternating, range(5, 28)), *map(sporadic, SPORADIC_LABELS),
+              *(g for family in LIE_FAMILIES for g in _walk(family))]
+    assert set(catalog._REPRESENTATIVE) <= set(points)
+    by_order = {}
+    for g in points:
+        by_order.setdefault(group_order(g), set()).add(representative(g))
+    clashes = sorted(sorted(map(group_label, reps)) for reps in by_order.values()
+                     if len(reps) > 1)
+    assert clashes == [["A8", "PSL(3,4)"], ["Omega(7,3)", "PSp(6,3)"]]
+    assert not any(same_group(*pair) for pair in clashes)
+
+
+def test_every_shipped_alias_is_a_table_entry_of_its_record():
+    lines = data_path().read_text(encoding="utf-8").splitlines()[1:]
+    aliases = [(alias, rec["label"]) for rec in map(json.loads, lines)
+               for alias in rec.get("aliases", ())]
+    assert aliases == [("G2(2)'", "PSU(3,3)"), ("PSU(4,2)", "Omega(5,3)")]
+    for alias, label in aliases:
+        assert catalog._REPRESENTATIVE[parse_group_label(alias)] == parse_group_label(label)
+
+
+def test_each_table_entry_gets_its_representatives_verdicts():
+    # under its own label, with the verdict and witness of its representative,
+    # whether the file has a record of it or not (PSL(3,2) has none)
+    for label, rep_label, _ in catalog._ISOMORPHISMS:
+        g, rep = parse_group_label(label), parse_group_label(rep_label)
+        for n in range(5, 28):
+            got, expected = check_subset(g, n), check_subset(rep, n)
+            assert got._replace(label=rep_label) == expected, (label, n)
+            assert got.label == label
+    psl32 = check_subset(parse_group_label("PSL(3,2)"), 7)
+    assert (psl32.label, psl32.verdict, psl32.witness, psl32.h_order) == (
+        "PSL(3,2)", "subset_refuted", 21, 168)
+    assert simple_codegree_set(parse_group_label("PSL(3,2)")).group_label == "PSL(3,2)"
 
 
 _SAMPLE_POINTS = [
@@ -571,8 +629,10 @@ def test_simple_codegree_set_matches_alternating():
             == simple_codegree_set(alternating(6)).values)
 
 
-DATA_LABELS = ("PSL(2,4)", "PSL(2,5)", "PSL(2,7)", "PSL(2,8)", "PSL(2,9)", "PSL(4,2)",
-               "PSL(3,4)", "PSU(3,3)", "Omega(5,3)", "J2", "G2(2)'", "PSU(4,2)")
+# the label of each shipped record, then each shipped alias
+RECORD_LABELS = ("PSL(2,4)", "PSL(2,5)", "PSL(2,7)", "PSL(2,8)", "PSL(2,9)", "PSL(4,2)",
+                 "PSL(3,4)", "PSU(3,3)", "Omega(5,3)", "J2")
+DATA_LABELS = RECORD_LABELS + ("G2(2)'", "PSU(4,2)")
 
 
 def test_data_file_holds_degree_records_only():
@@ -637,15 +697,20 @@ def test_data_path_override(tmp_path, monkeypatch):
 
 
 def test_loading_walks_each_coincidence_once(tmp_path, monkeypatch, walks):
-    # the loader checks PSL(2,4), PSL(2,5), PSL(2,9) and PSL(4,2) against
-    # cod(A5), cod(A6) and cod(A8), and the checks of those pairs reuse them
+    # the loader checks each record of a group whose representative is an
+    # A_n, PSL(2,4), PSL(2,5), PSL(2,9) and PSL(4,2), against cod(A5),
+    # cod(A6) and cod(A8), and the checks of those pairs reuse them
     copy = tmp_path / "fresh.jsonl"
     copy.write_bytes(data_path().read_bytes())
     monkeypatch.setenv("CODLAB_DATA", str(copy))
     catalog._data_file()
     assert sorted(walks) == [(5, 5), (6, 6), (8, 8)]
-    for label, n in KNOWN_ISOMORPHIC.items():
-        assert check_subset(parse_group_label(label), n).verdict == "isomorphic"
+    pairs = [(g, rep.n) for g, rep in catalog._REPRESENTATIVE.items()
+             if rep.family == "Alternating"]
+    assert sorted(map(group_label, dict(pairs))) == ["PSL(2,4)", "PSL(2,5)", "PSL(2,9)",
+                                                     "PSL(4,2)"]
+    for g, n in pairs:
+        assert check_subset(g, n).verdict == "isomorphic"
     assert sorted(walks) == [(5, 5), (6, 6), (8, 8)]
 
 
@@ -678,27 +743,30 @@ def _builds(monkeypatch):
 
 
 def test_catalog_codegree_set_is_built_once_per_data_file(monkeypatch):
-    # the load builds the set of each group a record names, and a query none
+    # the load builds the set of each record from its degrees once, under its
+    # label; an alias files that set relabelled, and a query builds none
     built = _builds(monkeypatch)
     j2 = parse_group_label("J2")
     assert simple_codegree_set(j2) is simple_codegree_set(j2)
     for label in DATA_LABELS:
         simple_codegree_set(parse_group_label(label))
-    assert sorted(built) == sorted(DATA_LABELS)
+    assert sorted(built) == sorted(RECORD_LABELS) and len(built) == 10
 
 
 def test_catalog_codegree_sets_are_shared_under_threads():
     # eight threads, more than the cores, switching every microsecond, each
-    # asking for every catalog set of the loaded file from its own start
-    catalog._data_file()
-    labels = [label for label in DATA_LABELS if label not in KNOWN_ISOMORPHIC]
+    # asking for every catalog set of the loaded file, and for each group of
+    # the isomorphism table, from its own start
+    table = catalog._data_file()
+    groups = [*map(parse_group_label, DATA_LABELS),
+              *(g for g in catalog._REPRESENTATIVE if g not in table)]
+    assert [group_label(g) for g in groups[len(DATA_LABELS):]] == ["PSL(3,2)"]
     got = []
 
     def ask(start):
-        got.append({label: simple_codegree_set(parse_group_label(label))
-                    for label in labels[start:] + labels[:start]})
+        got.append({g: simple_codegree_set(g) for g in groups[start:] + groups[:start]})
 
-    threads = [threading.Thread(target=ask, args=(i % len(labels),)) for i in range(8)]
+    threads = [threading.Thread(target=ask, args=(i % len(groups),)) for i in range(8)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -710,14 +778,16 @@ def test_catalog_codegree_sets_are_shared_under_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads) and len(got) == 8
     for sets in got:
-        assert all(sets[label] is simple_codegree_set(parse_group_label(label))
-                   for label in labels)
+        # a filed set is the file's own; a group with no record of its own
+        # is answered from its representative's, relabelled
+        assert all(sets[g] is table[g] for g in groups if g in table)
+        assert all(sets[g] == simple_codegree_set(g) for g in groups)
 
 
 def test_full_verification_builds_each_catalog_set_once(monkeypatch):
     built = _builds(monkeypatch)
     run_full_verification()
-    assert sorted(built) == sorted(DATA_LABELS)
+    assert sorted(built) == sorted(RECORD_LABELS)
 
 
 def test_queries_build_no_catalog_set_after_the_load(monkeypatch):
@@ -891,7 +961,15 @@ def _deep_field(line, i, opener, depth):
     return json.dumps(rec).replace('"\\u0000"', _nested(opener, depth))
 
 
+def _with_aliases(line, aliases):
+    """A record line with its aliases replaced by the labels given."""
+    return json.dumps({**json.loads(line), "aliases": aliases})
+
+
 _DEPTH = st.integers(1, 3000)  # either side of the recursion limit
+# labels of the isomorphism table, and PSL(3,4), of A8's order but not A8
+_ALIAS_LABELS = sorted({*(label for pair in catalog._ISOMORPHISMS for label in pair[:2]),
+                        "PSL(3,4)"})
 _MANGLED_LINE = st.one_of(
     st.sampled_from(_DATA_LINES),
     st.tuples(st.sampled_from(_DATA_LINES), st.integers(0, 200)).map(
@@ -918,6 +996,21 @@ _MANGLED_LINE = st.one_of(
 )
 
 
+def _aliased_file(kept, row, aliases):
+    """The shipped records that kept marks, and record row always, that one
+    with the aliases given."""
+    return [_with_aliases(line, aliases) if i == row else line
+            for i, line in enumerate(_DATA_LINES[1:]) if kept[i] or i == row]
+
+
+# a file of shipped records, some dropped, one with aliases drawn: it loads
+# when each alias names its record's group and no group is filed twice
+_ALIASED_FILE = st.tuples(st.lists(st.booleans(), min_size=10, max_size=10),
+                          st.integers(0, 9),
+                          st.lists(st.sampled_from(_ALIAS_LABELS), max_size=3)).map(
+    lambda t: _aliased_file(*t))
+
+
 def _unique_keys(pairs):
     assert len({key for key, _ in pairs}) == len(pairs), pairs
     return dict(pairs)
@@ -927,7 +1020,8 @@ _FUZZ_ARGV = (("check-subset", "J2", "10"), ("check-subset", "PSL(2,9)", "6"),
               ("search", "all", "--format", "json"))
 
 
-@given(st.lists(_MANGLED_LINE, max_size=60), st.booleans(), st.sampled_from(_FUZZ_ARGV))
+@given(st.lists(_MANGLED_LINE, max_size=60) | _ALIASED_FILE, st.booleans(),
+       st.sampled_from(_FUZZ_ARGV))
 @settings(max_examples=150, deadline=None)
 def test_loader_returns_or_raises_data_file_error(lines, keep_header, argv):
     if keep_header:
@@ -945,16 +1039,20 @@ def test_loader_returns_or_raises_data_file_error(lines, keep_header, argv):
             cat = _load_catalog(path)
         except DataFileError as exc:
             assert str(exc).startswith(f"{path}:"), exc
-        else:  # each record is checked, and filed under its label and aliases
+        else:  # each record is checked, and filed under its label and under
+            # each alias, which names the label's group
             json.loads(lines[0], object_pairs_hook=_unique_keys)
             filed = {}
             for line in filter(str.strip, lines[1:]):
                 rec = json.loads(line, object_pairs_hook=_unique_keys)
                 assert sum(d * d for d in rec["degrees"]) == rec["order"]
+                label = group_label(parse_group_label(rec["label"]))
                 for key in (rec["label"], *rec.get("aliases", ())):
-                    filed[parse_group_label(key)] = {
-                        1, *(rec["order"] // d for d in rec["degrees"] if d > 1)}
+                    g = parse_group_label(key)
+                    assert same_group(group_label(g), label), (key, label)
+                    filed[g] = {1, *(rec["order"] // d for d in rec["degrees"] if d > 1)}
             assert {g: set(cod.values) for g, cod in cat.items()} == filed
+            assert all(cod.group_label == group_label(g) for g, cod in cat.items())
 
 
 def _with_number(field, i, edit):

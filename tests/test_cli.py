@@ -395,6 +395,19 @@ def test_check_subset_isomorphic(capsys):
         assert f"{label} vs A{n}: isomorphic" in out
 
 
+def test_check_subset_answers_a_group_from_its_representative(capsys):
+    # PSL(3,2) = PSL(2,7) has no record of its own: its codegrees are
+    # PSL(2,7)'s, under its own label
+    code, out, err = run_cli(capsys, "check-subset", "PSL(3,2)", "7", "--format", "json")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert (doc["label"], doc["verdict"], doc["witness"], doc["h_order"]) == (
+        "PSL(3,2)", "subset_refuted", "21", "168")
+    code, out, _ = run_cli(capsys, "check-subset", "PSL(3,2)", "7")
+    assert code == 0
+    assert out.startswith("PSL(3,2) vs A7: refuted, witness codegree 21 = 3·7\n")
+
+
 def test_check_subset_json(capsys):
     code, out, _ = run_cli(capsys, "check-subset", "Omega(5,3)", "9",
                            "--format", "json")
@@ -544,6 +557,12 @@ def _without_degrees(label):
     return apply
 
 
+def _without_degrees_then(label, edit):
+    """Drop the degree record of label, then apply edit."""
+    drop = _without_degrees(label)
+    return lambda lines: edit(drop(lines))
+
+
 def _degrees_of(label, /, **fields):
     """Set fields of the degree record of label."""
     def apply(lines):
@@ -620,18 +639,35 @@ _FORMER_2A9 = {"record": "degrees", "label": "2.A9", "order": 362880,
          ":9: degree record PSU(3,3): sum of squared degrees is not 6048"),
         (_degrees_of("PSU(3,3)", degrees=[1, 6, 7]), ("search", "psl"),
          ":9: degree record PSU(3,3): sum of squared degrees is not 6048"),
-        # each alias is checked against the group it names
+        # an alias names a group isomorphic to its record's, by the table of
+        # exceptional isomorphisms, and no order of it is built
         (_degrees_of("PSU(3,3)", aliases=["G2(2)'", "PSL(2,11)"]), ("check-subset", "J2", "10"),
-         ":9: degree record PSL(2,11): order 6048 disagrees with the order formula 660"),
-        # a name too big for the record is refused before its order is built
+         ":9: degree record PSL(2,11): not isomorphic to PSU(3,3)"),
         (_degrees_of("PSL(2,4)", aliases=["PSL(20000,2)"]), ("check-subset", "J2", "10"),
+         ":2: degree record PSL(20000,2): not isomorphic to PSL(2,4)"),
+        (_degrees_of("PSL(2,4)", aliases=["PSL(1000000001,2)"]), ("check-subset", "J2", "10"),
+         ":2: degree record PSL(1000000001,2): not isomorphic to PSL(2,4)"),
+        (_degrees_of("PSL(2,4)", aliases=["A99999999"]), ("check-subset", "J2", "10"),
+         ":2: degree record A99999999: not isomorphic to PSL(2,4)"),
+        # PSL(3,4) has the order of PSL(4,2) = A8, but is another group: its
+        # codegrees would be taken for cod(A8), a false alarm
+        (_without_degrees_then("PSL(3,4)", _degrees_of("PSL(4,2)", aliases=["PSL(3,4)"])),
+         ("search", "all"), ":7: degree record PSL(3,4): not isomorphic to PSL(4,2)"),
+        (_without_degrees_then("PSL(3,4)", _degrees_of("PSL(4,2)", aliases=["PSL(3,4)"])),
+         ("check-subset", "PSL(3,4)", "8"),
+         ":7: degree record PSL(3,4): not isomorphic to PSL(4,2)"),
+        # an alias of the record's group is filed once, like a label
+        (_degrees_of("PSL(2,4)", aliases=["PSL(2,5)"]), ("check-subset", "J2", "10"),
+         ":3: duplicate degree record PSL(2,5)"),
+        # a name too big for the record is refused before its order is built
+        (_degrees_of("PSL(2,4)", label="PSL(20000,2)"), ("check-subset", "J2", "10"),
          ":2: degree record PSL(20000,2): order 60 is below |PSL(20000,2)|"),
         # a rank past the record's bits is refused before the order formula is built
-        (_degrees_of("PSL(2,4)", aliases=["PSL(1000000001,2)"]), ("check-subset", "J2", "10"),
+        (_degrees_of("PSL(2,4)", label="PSL(1000000001,2)"), ("check-subset", "J2", "10"),
          ":2: degree record PSL(1000000001,2): order 60 is below |PSL(1000000001,2)|"),
         # no record is filed under an A_n, whose codegrees come from hook lengths
-        (_degrees_of("PSL(2,4)", aliases=["A99999999"]), ("check-subset", "J2", "10"),
-         f":2: degree record A99999999: {_NO_A_N_RECORD}"),
+        (_degrees_of("PSL(2,4)", aliases=["A5"]), ("check-subset", "J2", "10"),
+         f":2: degree record A5: {_NO_A_N_RECORD}"),
         (_degrees_of("PSL(3,4)", label="A8"), ("check-subset", "J2", "10"),
          f":8: degree record A8: {_NO_A_N_RECORD}"),
         (_degrees_of("PSL(2,4)", label="Foo"), ("check-subset", "J2", "10"),
@@ -729,7 +765,9 @@ _FORMER_2A9 = {"record": "degrees", "label": "2.A9", "order": 362880,
          "psl28-order-26-check-subset-j2", "psl28-order-26-search-sporadic",
          "psu33-squares-check-subset-j2", "psu33-squares-search-psl",
          "alias-psl211", "alias-psl20000-2", "alias-psl1000000001-2",
-         "alias-a99999999", "psl34-label-a8", "label-foo",
+         "alias-a99999999", "alias-psl34-on-psl42", "alias-psl34-on-psl42-check-subset",
+         "alias-psl25-on-psl24", "label-psl20000-2", "label-psl1000000001-2",
+         "alias-a5-on-psl24", "psl34-label-a8", "label-foo",
          "j2-class-count-22", "psl24-float-degrees", "psl27-degrees-number",
          "psl27-degrees-text", "psl27-degrees-object", "psl28-float-order",
          "psl27-string-order", "m11-atlas-record", "m11-order-7921", "m11-order-7921-search-all",
