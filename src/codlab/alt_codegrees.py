@@ -26,18 +26,23 @@ for each Durfee size d = 1, ..., isqrt(n) in turn, and
 
 where H(x) = prod x_i! / prod_{i<j} (x_i - x_j) is the hook product of
 the shape outside the Durfee square on that side (x is its beta set).
-lam_i = a_i + i for i <= d, so lam compares with lam' as a compares
-with b, and the lex-smaller member of a pair with a >= b is (b | a).
 No conjugate is formed and no shape's hooks are walked one by one.
 
 A pair splits into a light run b of sum t <= (n - d)/2 and a heavy run
 a of sum n - d - t.  Neither the runs of a given (d, sum) nor the factor
 table g(x) = prod_j (x + b_j + 1) of a light run depends on n, so one
-walk covers a whole range n_lo..n_hi in the order d, t, n.  Per d it
-builds the run list of every sum once, as a plain list, from the lists
-of length d - 1 (a run (x,) + r has H = H(r) * x! / prod_{y in r} (x - y)),
-and then drops those; a heavy sum's list goes as soon as neither a later
-light sum nor the next Durfee size reads it.  Each light table is built
+walk covers a whole range n_lo..n_hi in blocks (d, t, n), in that
+order, and hands its caller one list per block: the codegree of each
+A_n irreducible met there, a self-conjugate shape's twice.  When t is
+the heavy sum too, the self-conjugate pair (a | a) is the first that
+each heavy run a meets, so the inner loop compares no runs and yields
+nothing per pair; the walk of 5..40 meets 107,894 pairs in 1,296
+blocks, and alt_codegree_set and verify_min_codegree_monotone fold each
+block with one set update or one min.  Per d the walk builds the run
+list of every sum once, as a plain list, from the lists of length d - 1
+(a run (x,) + r has H = H(r) * x! / prod_{y in r} (x - y)), and then
+drops those; a heavy sum's list goes as soon as neither a later light
+sum nor the next Durfee size reads it.  Each light table is built
 once per (d, t) at its widest, for n_hi.  A single n is the range
 (n, n), and a walk makes no reference cycle.
 
@@ -134,22 +139,26 @@ def _run_list(
     return out
 
 
-def _frobenius_pairs(n_lo: int, n_hi: int) -> Iterator[tuple[int, Run, Run, bool, int, int]]:
-    """(n, arms, legs, split, dim, codegree) once per unordered conjugate
-    pair of partitions of n, for every n in n_lo..n_hi.
+def _codegree_blocks(n_lo: int, n_hi: int) -> Iterator[tuple[int, list[int]]]:
+    """(n, codegrees) once per block of the walk, for every n in n_lo..n_hi:
+    the codegree of every A_n irreducible met in the block, a self-conjugate
+    shape's listed twice, once for each of its two irreducibles.
 
-    (arms | legs) is the lex-larger member, so arms >= legs and equality
-    means self-conjugate.  The trivial pairs (n) = (n-1 | 0) come first
-    with codegree 1; the rest follow in the order Durfee size d, light
-    sum t, n.  Per d the run lists of every sum the walk meets are built
-    once, from those of length d - 1, which are then dropped; the list of
-    the heavy sum n_hi - d - t is dropped after light sum t unless the
-    runs of length d + 1 still read it.  Per (d, t) each light run of sum
-    t gets its table g(x) = prod_j (x + b_j + 1) wide enough for n_hi, and
-    for each n with t <= (n - d)/2 the runs of the heavy sum n - d - t are
-    met against them, so a pair costs d multiplications.  Exact checks:
-    H | n! per shape, an even dimension if self-conjugate, else an even H,
-    and, after the last pair, each n's squared A_n dimensions sum to n!/2.
+    A block is one (Durfee size d, light sum t, n): the conjugate pairs
+    (a | b) of n with a run a of sum n - d - t and a run b of sum t.  The
+    trivial pair (n) = (n-1 | 0), with codegree 1, is the block d = 1,
+    t = 0 of each n, and the blocks come in the order d, t, n.  Per d the
+    run lists of every sum the walk meets are built once, from those of
+    length d - 1, which are then dropped; the list of the heavy sum
+    n_hi - d - t is dropped after light sum t unless the runs of length
+    d + 1 still read it.  Per (d, t) each light run of sum t gets its
+    table g(x) = prod_j (x + b_j + 1) wide enough for n_hi, and for each
+    n with t <= (n - d)/2 the runs of the heavy sum n - d - t are met
+    against them, so a pair costs d multiplications.  When the two sums
+    are equal, the self-conjugate pair (a | a) is the first that each
+    heavy run a meets.  Exact checks: H | n! per shape, an even dimension
+    if self-conjugate, else an even H, and, after the last block, each
+    n's squared A_n dimensions sum to n!/2.
     """
     if n_lo < 5:
         raise ValueError(f"n must be >= 5, got {n_lo}")
@@ -160,7 +169,7 @@ def _frobenius_pairs(n_lo: int, n_hi: int) -> Iterator[tuple[int, Run, Run, bool
         fact[i] = fact[i - 1] * i
     squares = [1] * (n_hi - n_lo + 1)  # the trivial pair's 1^2, per n
     for n in range(n_lo, n_hi + 1):
-        yield n, (n - 1,), (0,), False, 1, 1
+        yield n, [1]
     level: dict[int, list[tuple[Run, int]]] = {}
     for d in range(1, isqrt(n_hi) + 1):
         least = d * (d - 1) // 2  # smallest sum of a run of length d
@@ -184,32 +193,38 @@ def _frobenius_pairs(n_lo: int, n_hi: int) -> Iterator[tuple[int, Run, Run, bool
                 n_factorial = fact[n]
                 s = n - d - t
                 middle = s == t
+                codegrees: list[int] = []
+                add = codegrees.append
                 sq = 0
                 for i, (a, ha) in enumerate(level[s]):
-                    for b, hb, g in light[i:] if middle else light:
+                    if middle:
+                        _, hb, g = light[i]
                         hp = ha * hb
                         for x in a:
                             hp *= g[x]
                         dim, rest = divmod(n_factorial, hp)
                         if rest:
                             raise ArithmeticError(f"hook product {hp} does not divide {n}!")
-                        sq += dim * dim
-                        if a == b:
-                            if dim & 1:
-                                raise ArithmeticError(
-                                    f"self-conjugate ({a} | {a}) has odd dimension {dim}"
-                                )
-                            sq -= dim * dim >> 1  # two A_n irreducibles of dimension dim/2
-                            yield n, a, a, True, dim >> 1, hp
-                        elif hp & 1:
+                        if dim & 1:
                             raise ArithmeticError(
-                                f"non-self-conjugate ({a} | {b}) has odd hook product"
-                            )
-                        elif a > b:
-                            yield n, a, b, False, dim, hp >> 1
-                        else:
-                            yield n, b, a, False, dim, hp >> 1
+                                f"self-conjugate ({a} | {a}) has odd dimension {dim}")
+                        sq += dim * dim >> 1  # two A_n irreducibles of dimension dim/2
+                        codegrees += hp, hp
+                    for b, hb, g in light[i + 1:] if middle else light:
+                        hp = ha * hb
+                        for x in a:
+                            hp *= g[x]
+                        dim, rest = divmod(n_factorial, hp)
+                        if rest:
+                            raise ArithmeticError(f"hook product {hp} does not divide {n}!")
+                        if hp & 1:
+                            raise ArithmeticError(
+                                f"non-self-conjugate ({a} | {b}) has odd hook product")
+                        sq += dim * dim
+                        add(hp >> 1)
                 squares[n - n_lo] += sq
+                if codegrees:  # a block that lost every shape is left to the squares check
+                    yield n, codegrees
             # later light sums meet only smaller heavy sums
             if n_hi - d - t > kept:
                 del level[n_hi - d - t]
@@ -239,7 +254,9 @@ def alt_codegree_set(n: int) -> CodegreeSet:
     cod = _MEMO.get(n)
     if cod is not None:
         return cod
-    values = {pair[5] for pair in _frobenius_pairs(n, n)}
+    values: set[int] = set()
+    for _, codegrees in _codegree_blocks(n, n):
+        values.update(codegrees)
     cod = CodegreeSet(f"A{n}", factorial(n) // 2, tuple(sorted(values)))
     with _MEMO_LOCK:  # one budget check and store at a time, and one set per n
         held = sum(len(c.values) for c in _MEMO.values())
@@ -300,8 +317,8 @@ def verify_min_codegree_monotone(n_lo: int, n_hi: int) -> tuple[bool, list[tuple
     if not (5 <= n_lo <= n_hi):
         raise ValueError(f"need 5 <= n_lo <= n_hi, got ({n_lo}, {n_hi})")
     least = [0] * (n_hi - n_lo + 1)  # 0 until a non-trivial codegree is met
-    for n, _, _, _, _, c in _frobenius_pairs(n_lo, n_hi):
-        i = n - n_lo
+    for n, codegrees in _codegree_blocks(n_lo, n_hi):
+        c, i = min(codegrees), n - n_lo
         if c != 1 and (not least[i] or c < least[i]):
             least[i] = c
     witness = list(zip(range(n_lo, n_hi + 1), least))

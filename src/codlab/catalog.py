@@ -550,13 +550,17 @@ def _add_record(rec: object, table: dict[GroupId, CodegreeSet]) -> None:
 def _filed_group(key: str, table: dict[GroupId, CodegreeSet],
                  record: tuple[str, GroupId] | None = None) -> GroupId:
     """The group key names, to file a record under in table: for an alias,
-    one isomorphic to the group of the record's label, given as record.
-    An A_n, whose codegrees come from hook lengths, and a group already
-    filed are refused (ValueError)."""
+    one isomorphic to the group of the record's label, given as record;
+    for a label, the group's own representative unless that is an A_n, so
+    that no group has two records.  An A_n, whose codegrees come from hook
+    lengths, and a group already filed are refused (ValueError)."""
     try:
         g = parse_group_label(key)
-        if record and representative(g) != representative(record[1]):
+        rep = representative(g)
+        if record and rep != representative(record[1]):
             raise ValueError(f"not isomorphic to {record[0]}")
+        if not record and rep != g and rep.family != "Alternating":
+            raise ValueError(f"the catalog files this group as {group_label(rep)}")
         if g.family == "Alternating":
             raise ValueError("cod(A_n) comes from hook lengths, never from a degree record")
     except ValueError as exc:
@@ -572,7 +576,8 @@ def _check_against_group(key: str, g: GroupId, order: int, degrees: list[int]
     key names, with the order and degrees written.
 
     Raises ValueError if the record contradicts g, whose codegrees are
-    cod(A_n) if g is an A_n under another name (its representative)."""
+    cod(A_n) if g is an A_n under another name (its representative), and
+    whose one linear character is the trivial one."""
     bits = order.bit_length()
     b = g.q.q.bit_length() - 1 if g.q else 0  # a Lie group's q >= 2^b
     # refuse a too big G before building |G|: |G| >= 2^(b*e), where e >= m at a
@@ -583,6 +588,11 @@ def _check_against_group(key: str, g: GroupId, order: int, degrees: list[int]
     if order != formula:
         raise ValueError(f"order {order} disagrees with the order formula {formula}")
     cod = CodegreeSet.from_degrees(group_label(g), order, degrees)
+    # not in from_degrees: the faithful degrees of a cover hold no 1
+    ones = degrees.count(1)
+    if ones != 1:
+        raise ValueError(
+            f"{ones} degrees 1, but a non-abelian simple group has one linear character")
     classes = _SPORADIC[g.name].class_count if g.family == "Sporadic" else None
     if classes and len(degrees) != classes:
         raise ValueError(f"{len(degrees)} degrees for {classes} classes")

@@ -4,8 +4,10 @@ Subcommands: cod, min-cod, search, schur, check-subset.  Exit codes are
 a stable contract: 0 success / verification PASS, 2 usage error or a
 data file that is unreadable, has an over-long line, lacks a record the
 run needs or holds one that contradicts its group (for a group that is
-an A_n under another name, codegrees other than cod(A_n); an alias of
-a group not isomorphic to the record's), 3 mathematical verification
+an A_n under another name, codegrees other than cod(A_n); a count of
+degrees 1 other than one; a label that is not its group's representative
+in the catalog's table, unless that is an A_n; an alias of a group not
+isomorphic to the record's), 3 mathematical verification
 failure.  check-subset answers a group with no record of its own, such
 as PSL(3,2), from the group the catalog's table of exceptional
 isomorphisms maps it to (PSL(2,7)), under its own label.  Exit 1 means stdout was closed
@@ -38,7 +40,7 @@ import argparse
 import os
 import select
 import sys
-from itertools import chain
+from itertools import chain, islice
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from .alt_codegrees import alt_codegree_set, verify_min_codegree_monotone
@@ -48,8 +50,9 @@ if TYPE_CHECKING:
     from .search import ExceptionRow, FamilySweepReport, SubsetCheck
 
 # Largest n that cod, min-cod and check-subset accept.  cod(A_n) costs about
-# twice as much for each 5 added to n: in a fresh process on a 2-core VM, `cod 60`
-# takes about 2.3 s and `min-cod 5 60` about 3 s; far beyond, hours.
+# twice as much for each 5 added to n: in a fresh process without a bytecode
+# cache on a 2-core VM (Python 3.11), `cod 60` takes about 2.0 s and
+# `min-cod 5 60` about 2.3 s; far beyond, hours.
 MAX_N_CEILING = 60
 
 
@@ -137,9 +140,10 @@ def cmd_cod(args: argparse.Namespace) -> int:
     }, csv=lambda: _csv_lines(chain(
         [("n", "group_order", "codegree")], ((n_text, order_text, str(v)) for v in values),
     )), table=lambda: chain(
-        [f"cod({label})    |{label}| = {_big(order)}"],
-        (f"  {v:>{width}}" if v == 1 else f"  {v:>{width}} = {text}"
-         for v, text in zip(values, format_known_divisors(values, order))),
+        # values[0] is 1, printed bare; the rest with their factored text
+        [f"cod({label})    |{label}| = {_big(order)}", "  " + "1".rjust(width)],
+        ("  " + str(v).rjust(width) + " = " + text for v, text in
+         islice(zip(values, format_known_divisors(values, order)), 1, None)),
         [f"{len(values)} values"],
     ))
 

@@ -27,11 +27,11 @@ def empty_memos():
 def walks(monkeypatch):
     """(n_lo, n_hi) of every walk of the A_n shapes the test makes, in order."""
     ranges = []
-    walk = alt_codegrees._frobenius_pairs
+    walk = alt_codegrees._codegree_blocks
 
     def recording(n_lo, n_hi):
         ranges.append((n_lo, n_hi))
         return walk(n_lo, n_hi)
 
-    monkeypatch.setattr(alt_codegrees, "_frobenius_pairs", recording)
+    monkeypatch.setattr(alt_codegrees, "_codegree_blocks", recording)
     return ranges

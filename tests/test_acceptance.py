@@ -11,7 +11,7 @@ import math
 import time
 from pathlib import Path
 
-from codlab.alt_codegrees import _frobenius_pairs, sym_degree, verify_min_codegree_monotone
+from codlab.alt_codegrees import _codegree_blocks, sym_degree, verify_min_codegree_monotone
 from codlab.catalog import order_class_shape, parse_group_label, sporadic_entries
 from codlab.cli import main
 from codlab.search import (
@@ -69,10 +69,12 @@ def test_03_hook_formula_soundness():
     for n in range(5, 16):
         sym_total = sum(sym_degree(lam) ** 2 for lam in partitions(n))
         assert sym_total == math.factorial(n)
-        # a split pair is two A_n-irreducibles of one degree
-        alt_total = sum((1 + split) * dim * dim
-                        for _, _, _, split, dim, _ in _frobenius_pairs(n, n))
-        assert alt_total == math.factorial(n) // 2
+        # each A_n-irreducible has degree |A_n|/c from its codegree c, a
+        # split pair giving two of one degree; the trivial one has c = 1
+        half = math.factorial(n) // 2
+        alt_total = sum((1 if c == 1 else half // c) ** 2
+                        for _, codegrees in _codegree_blocks(n, n) for c in codegrees)
+        assert alt_total == half
     for n in range(2, 13):
         for lam in partitions(n):
             assert sym_degree(lam) == branching_degree(lam)

@@ -24,7 +24,7 @@ from codlab.alt_codegrees import (
     _LEMMA_FROM,
     CodegreeSet,
     _corner_bound,
-    _frobenius_pairs,
+    _codegree_blocks,
     alt_codegree_set,
     prove_min_codegree_monotone,
     twisted_codegree_set_2a9,
@@ -34,7 +34,6 @@ from codlab.partitions import hook_product
 from oracles import (
     alt_irr_entries_direct,
     beta_shape,
-    conjugate,
     distinct_odd_partition_counts,
     frobenius,
     partitions,
@@ -65,17 +64,33 @@ EXPECTED_MIN = {5: 12, 6: 36, 7: 72, 8: 288, 9: 840}
 
 
 def degrees(n):
-    """Degrees of Irr(A_n) with multiplicity (a split pair counts twice)."""
-    return sorted(dim for _, _, _, split, dim, _ in _frobenius_pairs(n, n)
-                  for _ in range(1 + split))
+    """Degrees of Irr(A_n) with multiplicity, each |A_n|/c from the walk's
+    codegree c, the trivial character's 1 giving degree 1."""
+    half = math.factorial(n) // 2
+    return sorted(1 if c == 1 else half // c
+                  for _, codegrees in _codegree_blocks(n, n) for c in codegrees)
 
 
-def direct_pairs(n):
-    """The oracle's entries in the walker's form (n, arms, legs, split, dim,
-    codegree): the oracle keeps the lex-smaller member (legs | arms)."""
-    for lam, split, dim, codegree in alt_irr_entries_direct(n):
-        legs, arms = frobenius(lam)
-        yield n, arms, legs, split, dim, codegree
+def walked_codegrees(n_lo, n_hi):
+    """{n: Counter of the codegrees the walk of n_lo..n_hi yields for n}."""
+    counts = {n: Counter() for n in range(n_lo, n_hi + 1)}
+    for n, codegrees in _codegree_blocks(n_lo, n_hi):
+        counts[n].update(codegrees)
+    return counts
+
+
+def direct_codegrees(n):
+    """The oracle's codegrees of Irr(A_n) with multiplicity: a split
+    (self-conjugate) shape gives two irreducibles of one codegree."""
+    return Counter(c for _, split, _, c in alt_irr_entries_direct(n) for _ in range(1 + split))
+
+
+def class_number(n):
+    """k(A_n) = (p(n) + 3 sc(n)) / 2: a pair of shapes gives one irreducible
+    and a self-conjugate shape two, with sc(n) self-conjugate shapes."""
+    p = pentagonal_partition_counts(n)[n]
+    sc = distinct_odd_partition_counts(n)[n]
+    return (p + 3 * sc) // 2
 
 
 @pytest.mark.parametrize("n", sorted(EXPECTED_COD))
@@ -159,29 +174,24 @@ def test_codegree_set_structure(n):
 
 @pytest.mark.parametrize("n", range(5, 15))
 def test_entries_consistent(n):
+    # one codegree per irreducible, each dividing |A_n|, with degrees
+    # |A_n|/c whose squares sum to |A_n|
     half = math.factorial(n) // 2
-    shape = {frobenius(lam): lam for lam in partitions(n)}
-    total = 0
-    for _, arms, legs, split, dim, codegree in _frobenius_pairs(n, n):
-        lam = shape[arms, legs]
-        h = hook_product(lam)
-        if split:
-            assert conjugate(lam) == lam
-            assert codegree == h
-            total += 2 * dim**2
-        else:
-            # hook product of a non-self-conjugate partition is even
-            assert h % 2 == 0
-            assert codegree * 2 == h or codegree == 1
-            total += dim**2
-    assert total == half
+    counts = walked_codegrees(n, n)[n]
+    assert counts == direct_codegrees(n)
+    assert sum(counts.values()) == class_number(n)
+    assert all(half % c == 0 for c in counts)
+    assert sum(k * (1 if c == 1 else half // c) ** 2 for c, k in counts.items()) == half
 
 
 def test_trivial_entry():
-    # the trivial pair {(6), (1^6)} is met once, as (6) = (5 | 0)
-    pairs = {(arms, legs): rest for _, arms, legs, *rest in _frobenius_pairs(6, 6)}
+    # the trivial pair {(6), (1^6)} = (5 | 0) is the first block of n = 6,
+    # alone, and the only irreducible with codegree 1
+    blocks = list(_codegree_blocks(6, 6))
+    assert blocks[0] == (6, [1])
     assert frobenius((6,)) == ((5,), (0,))
-    assert pairs[(5,), (0,)] == [False, 1, 1]  # not split, dim 1, codegree 1
+    assert walked_codegrees(6, 6)[6][1] == direct_codegrees(6)[1] == 1
+    assert sum(len(codegrees) for _, codegrees in blocks) == class_number(6) == 7
 
 
 def test_codegree_set_validation():
@@ -224,13 +234,10 @@ def test_from_degrees_gives_the_codegrees_of_the_faithful_degrees():
 
 @pytest.mark.parametrize("n", range(5, 31))
 def test_entries_match_direct_enumeration(n):
-    entries = list(_frobenius_pairs(n, n))
-    assert Counter(entries) == Counter(direct_pairs(n))
-    # one entry per conjugate pair: (p(n) + sc(n)) / 2
-    p = pentagonal_partition_counts(n)[n]
-    sc = distinct_odd_partition_counts(n)[n]
-    assert len(entries) * 2 == p + sc
-    assert sum(e[3] for e in entries) == sc
+    counts = walked_codegrees(n, n)[n]
+    assert counts == direct_codegrees(n)
+    # one codegree per irreducible: k(A_n) = (p(n) + 3 sc(n)) / 2
+    assert sum(counts.values()) == class_number(n)
 
 
 def test_frobenius_hook_identity():
@@ -277,12 +284,27 @@ def test_monotone_scan_matches_per_n_minima(lo, hi):
 
 
 def test_range_walk_is_the_union_of_single_n_walks():
-    walked = sorted(_frobenius_pairs(5, 40))
-    single = sorted(p for n in range(5, 41) for p in _frobenius_pairs(n, n))
-    assert walked == single
+    walked = walked_codegrees(5, 40)
+    assert walked == {n: walked_codegrees(n, n)[n] for n in range(5, 41)}
+    for n, counts in walked.items():
+        assert sum(counts.values()) == class_number(n), n
     # and, below n = 21, the direct enumeration of every shape
     for n in range(5, 21):
-        assert Counter(p for p in walked if p[0] == n) == Counter(direct_pairs(n))
+        assert walked[n] == direct_codegrees(n), n
+
+
+def test_range_walk_yields_once_per_block():
+    # one list per (Durfee size d, light sum t, n) with t from d(d-1)/2 to
+    # (n - d)/2, the trivial pair being the block d = 1, t = 0 of each n:
+    # 1296 resumptions of the consumer for the 108,386 irreducibles of
+    # A_5..A_40, not one per conjugate pair
+    blocks = Counter(n for n, _ in _codegree_blocks(5, 40))
+    expected = {n: sum((n - d) // 2 - d * (d - 1) // 2 + 1 for d in range(1, math.isqrt(n) + 1))
+                for n in range(5, 41)}
+    assert blocks == expected
+    assert sum(blocks.values()) == 1296 < 2000
+    assert {n: sum(c.values()) for n, c in walked_codegrees(5, 40).items()} == {
+        n: class_number(n) for n in range(5, 41)}
 
 
 def test_range_walk_builds_each_run_list_once(monkeypatch):
@@ -297,7 +319,7 @@ def test_range_walk_builds_each_run_list_once(monkeypatch):
     monkeypatch.setattr(alt_codegrees, "_run_list", counting_run_list)
     for lo, hi in ((5, 40), (17, 23), (30, 30)):
         built.clear()
-        assert sum(1 for _ in _frobenius_pairs(lo, hi)) > 0
+        assert sum(1 for _ in _codegree_blocks(lo, hi)) > 0
         assert max(built.values()) == 1, [k for k, c in built.items() if c > 1]
 
 
@@ -324,7 +346,7 @@ def test_walks_leave_no_reference_cycles():
     gc.collect()
     gc.disable()
     try:
-        for _ in _frobenius_pairs(5, 30):
+        for _ in _codegree_blocks(5, 30):
             pass
         alt_codegree_set(20)
         verify_min_codegree_monotone(5, 12)
@@ -335,12 +357,12 @@ def test_walks_leave_no_reference_cycles():
 
 def test_range_walk_validation():
     with pytest.raises(ValueError, match=r"^n must be >= 5, got 4$"):
-        list(_frobenius_pairs(4, 10))
+        list(_codegree_blocks(4, 10))
     with pytest.raises(ValueError, match=r"^n must be >= 5, got 4$"):
         alt_codegree_set(4)
     for lo, hi in ((12, 11), (6, 5)):
         with pytest.raises(ValueError, match=re.escape(f"need n_lo <= n_hi, got ({lo}, {hi})")):
-            list(_frobenius_pairs(lo, hi))
+            list(_codegree_blocks(lo, hi))
     with pytest.raises(ValueError, match=re.escape("need 5 <= n_lo <= n_hi, got (6, 5)")):
         verify_min_codegree_monotone(6, 5)
 

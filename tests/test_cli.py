@@ -702,6 +702,21 @@ _FORMER_2A9 = {"record": "degrees", "label": "2.A9", "order": 362880,
         (_appended({"record": "degrees", "label": "PSL(2,7)", "order": 168,
                     "degrees": [1, 3, 3, 6, 7, 8], "provenance": "PSL(2,q) series"}),
          ("search", "all"), ":12: duplicate degree record PSL(2,7)"),
+        # a second record of one group, under a name that is not the
+        # catalog's for it, is refused; records of an A_n's names are held
+        # to cod(A_n) instead
+        (_appended({"record": "degrees", "label": "PSL(3,2)", "order": 168,
+                    "degrees": [1, 3, 3, 6, 7, 8], "provenance": "PSL(2,q) series"}),
+         ("check-subset", "PSL(3,2)", "7"),
+         ":12: degree record PSL(3,2): the catalog files this group as PSL(2,7)"),
+        # a simple group has one linear character: 168 ones pass the order,
+        # divisor and squares checks, and would give cod(H) = {1}
+        (_degrees_of("PSL(2,7)", degrees=[1] * 168), ("check-subset", "PSL(2,7)", "7"),
+         ":4: degree record PSL(2,7): 168 degrees 1, but a non-abelian simple group "
+         "has one linear character"),
+        (_degrees_of("PSL(2,7)", degrees=[2] * 42), ("search", "all"),
+         ":4: degree record PSL(2,7): 0 degrees 1, but a non-abelian simple group "
+         "has one linear character"),
         # each group is filed once, however its name is spelt
         (_degrees_of("PSL(2,7)", aliases=["PSL(2, 7)"]), ("check-subset", "J2", "10"),
          ":4: duplicate degree record PSL(2, 7)"),
@@ -771,7 +786,8 @@ _FORMER_2A9 = {"record": "degrees", "label": "2.A9", "order": 362880,
          "j2-class-count-22", "psl24-float-degrees", "psl27-degrees-number",
          "psl27-degrees-text", "psl27-degrees-object", "psl28-float-order",
          "psl27-string-order", "m11-atlas-record", "m11-order-7921", "m11-order-7921-search-all",
-         "extra-sporadic-foo", "duplicate-psl27", "duplicate-psl27-spelling",
+         "extra-sporadic-foo", "duplicate-psl27", "second-record-psl32",
+         "psl27-168-ones", "psl27-no-one", "duplicate-psl27-spelling",
          "psl29-spelt-not-a6", "j2-faithful-only", "j2-alias-key",
          "j2-alias-key-order-doubled",
          "former-2a9-record", "former-2a9-record-search-all", "psl27-label-number",
@@ -1038,9 +1054,9 @@ def test_cod_refuses_a_codegree_that_does_not_divide_the_order(monkeypatch, caps
     # the CodegreeSet check is the only divisibility check on the cod path
     from codlab import alt_codegrees
 
-    walk = alt_codegrees._frobenius_pairs
-    monkeypatch.setattr(alt_codegrees, "_frobenius_pairs", lambda lo, hi: (
-        (*pair[:5], 7 if pair[5] == 12 else pair[5]) for pair in walk(lo, hi)))
+    walk = alt_codegrees._codegree_blocks
+    monkeypatch.setattr(alt_codegrees, "_codegree_blocks", lambda lo, hi: (
+        (n, [7 if c == 12 else c for c in codegrees]) for n, codegrees in walk(lo, hi)))
     with pytest.raises(ValueError, match="codegree 7 does not divide order 60"):
         main(["cod", "5"])
     assert capsys.readouterr().out == ""
