@@ -34,9 +34,9 @@ table g(x) = prod_j (x + b_j + 1) of a light run depends on n, so one
 walk covers a whole range n_lo..n_hi in blocks (d, t, n), in that
 order, and hands its caller one list per block: the codegree of each
 A_n irreducible met there, a self-conjugate shape's twice.  When t is
-the heavy sum too, the self-conjugate pair (a | a) is the first that
-each heavy run a meets, so the inner loop compares no runs and yields
-nothing per pair; the walk of 5..40 meets 107,894 pairs in 1,296
+the heavy sum too, the self-conjugate pair (a | a) shares the one pair
+loop, told apart by identity, so no runs are compared and nothing is
+yielded per pair; the walk of 5..40 meets 107,894 pairs in 1,296
 blocks, and alt_codegree_set and verify_min_codegree_monotone fold each
 block with one set update or one min.  Per d the walk builds the run
 list of every sum once, as a plain list, from the lists of length d - 1
@@ -155,10 +155,11 @@ def _codegree_blocks(n_lo: int, n_hi: int) -> Iterator[tuple[int, list[int]]]:
     table g(x) = prod_j (x + b_j + 1) wide enough for n_hi, and for each
     n with t <= (n - d)/2 the runs of the heavy sum n - d - t are met
     against them, so a pair costs d multiplications.  When the two sums
-    are equal, the self-conjugate pair (a | a) is the first that each
-    heavy run a meets.  Exact checks: H | n! per shape, an even dimension
-    if self-conjugate, else an even H, and, after the last block, each
-    n's squared A_n dimensions sum to n!/2.
+    are equal, each heavy run a meets the light runs from a itself on: the
+    self-conjugate pair (a | a) shares the one pair loop, told apart by
+    identity.  Exact checks: H | n! per shape, an even dimension if
+    self-conjugate, else an even H, and, after the last block, each n's
+    squared A_n dimensions sum to n!/2.
     """
     if n_lo < 5:
         raise ValueError(f"n must be >= 5, got {n_lo}")
@@ -197,31 +198,27 @@ def _codegree_blocks(n_lo: int, n_hi: int) -> Iterator[tuple[int, list[int]]]:
                 add = codegrees.append
                 sq = 0
                 for i, (a, ha) in enumerate(level[s]):
-                    if middle:
-                        _, hb, g = light[i]
+                    # s == t: light was built from level[s] itself, so its run at
+                    # index i is a, and (a | a) is told by identity, not by value
+                    for b, hb, g in light[i:] if middle else light:
                         hp = ha * hb
                         for x in a:
                             hp *= g[x]
                         dim, rest = divmod(n_factorial, hp)
                         if rest:
                             raise ArithmeticError(f"hook product {hp} does not divide {n}!")
-                        if dim & 1:
-                            raise ArithmeticError(
-                                f"self-conjugate ({a} | {a}) has odd dimension {dim}")
-                        sq += dim * dim >> 1  # two A_n irreducibles of dimension dim/2
-                        codegrees += hp, hp
-                    for b, hb, g in light[i + 1:] if middle else light:
-                        hp = ha * hb
-                        for x in a:
-                            hp *= g[x]
-                        dim, rest = divmod(n_factorial, hp)
-                        if rest:
-                            raise ArithmeticError(f"hook product {hp} does not divide {n}!")
-                        if hp & 1:
-                            raise ArithmeticError(
-                                f"non-self-conjugate ({a} | {b}) has odd hook product")
-                        sq += dim * dim
-                        add(hp >> 1)
+                        if b is a:
+                            if dim & 1:
+                                raise ArithmeticError(
+                                    f"self-conjugate ({a} | {a}) has odd dimension {dim}")
+                            sq += dim * dim >> 1  # two A_n irreducibles of dimension dim/2
+                            codegrees += hp, hp
+                        else:
+                            if hp & 1:
+                                raise ArithmeticError(
+                                    f"non-self-conjugate ({a} | {b}) has odd hook product")
+                            sq += dim * dim
+                            add(hp >> 1)
                 squares[n - n_lo] += sq
                 if codegrees:  # a block that lost every shape is left to the squares check
                     yield n, codegrees

@@ -16,7 +16,7 @@ from functools import partial, reduce
 from itertools import repeat
 from math import factorial as _factorial, gcd, isqrt, prod
 from operator import add, and_, neg
-from typing import Sequence
+from typing import Iterator, Sequence
 
 
 # Miller-Rabin to the first 13 prime bases is deterministic below this
@@ -178,8 +178,9 @@ def _blocks(primes: list[tuple[int, int]]) -> list[tuple[int, _BlockTexts]]:
     ]
 
 
-def format_known_divisors(values: Sequence[int], multiple: int) -> list[str]:
-    """The factored text of each value, e.g. 2^6·3^2·5.  Each value must
+def format_known_divisors(values: Sequence[int], multiple: int) -> Iterator[str]:
+    """The factored text of each value, e.g. 2^6·3^2·5, as an iterator, so
+    a caller that streams the texts holds one at a time.  Each value must
     divide multiple, which is proved where the values come from, not here
     (a non-divisor gets a wrong text): CodegreeSet.__new__ proves it for a
     CodegreeSet's values and order, and format_factored's value is multiple.
@@ -204,10 +205,10 @@ def format_known_divisors(values: Sequence[int], multiple: int) -> list[str]:
         lowest = map(int.bit_length, map(and_, values, map(neg, values)))
         columns.insert(0, map(twos.__getitem__, lowest))
     joined = reduce(partial(map, add), columns, repeat("", len(values)))
-    return [text[1:] or "1" for text in joined]
+    return (text[1:] or "1" for text in joined)
 
 
 def format_factored(n: int) -> str:
     """Render n >= 1 as a compact prime-power product, e.g. 2^6·3^2·5; n is
     its own multiple, and factor refuses n < 1 with ValueError."""
-    return format_known_divisors((n,), n)[0]
+    return next(format_known_divisors((n,), n))

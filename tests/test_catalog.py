@@ -48,7 +48,7 @@ from codlab import alt_codegrees, catalog
 from codlab.alt_codegrees import twisted_codegree_set_2a9
 from codlab.cli import main
 from codlab.exactnum import PrimePower, factor, format_factored
-from codlab.search import check_subset, run_full_verification
+from codlab.search import _walk, check_subset, run_full_verification
 from oracles import (ISOMORPHIC_LABELS, lie_class_bound, lie_order, psl2_class_number,
                      psl2_degrees, same_group, shipped_records, valuation)
 
@@ -177,8 +177,6 @@ def test_catalog_groups_of_one_order_are_one_group_or_artins_pairs():
     # over A5..A27, the sporadic groups and every point the sweeps walk, groups
     # of one order have one representative, save the pairs that are not
     # isomorphic: A8 and PSL(3,4), and PSp(2m,q) and Omega(2m+1,q) at odd q
-    from codlab.search import _walk
-
     points = [*map(alternating, range(5, 28)), *map(sporadic, SPORADIC_LABELS),
               *(g for family in LIE_FAMILIES for g in _walk(family))]
     assert set(catalog._REPRESENTATIVE) <= set(points)
@@ -440,7 +438,8 @@ def test_psl2_records_are_the_series_pattern():
 
 def test_psl2_class_numbers_within_bound():
     # the closed form stays under the bound on every q = p^k of the PSL
-    # sweep box at m = 1 (PSL(2,2) and PSL(2,3) are not simple)
+    # sweep box at m = 1 (PSL(2,2) and PSL(2,3) are not simple), and at each
+    # m = 1 point that the sweep walks, q = 4 to 2^63
     checked = 0
     for p in (2, 3, 5, 7, 11, 13, 17):
         for k in range(1, 64):
@@ -451,6 +450,26 @@ def test_psl2_class_numbers_within_bound():
             assert psl2_class_number(q.q) <= bound, q.q
             checked += 1
     assert checked == 7 * 63 - 2
+    walked = [g for g in _walk("PSL") if g.m == 1]
+    for g in walked:
+        assert psl2_class_number(g.q.q) <= Fraction(*class_number_bound(g)), g.q.q
+    assert len(walked) == 83 and max(g.q.q for g in walked) == 2**63
+
+
+def test_suzuki_bound_is_its_class_number():
+    # k(2B2(q)) = q + 3 (Suzuki, Ann. of Math. 75 (1962)) at each point that
+    # the sweep walks, q = 2^3, 2^5, ..., 2^15
+    walked = list(_walk("Suzuki"))
+    for g in walked:
+        assert class_number_bound(g) == (g.q.q + 3, 1), g.q.q
+    assert [g.q.k for g in walked] == list(range(3, 17, 2))
+
+
+def test_ree_bound_is_its_class_number():
+    # k(2G2(q)) = q + 8 (Ward, Trans. AMS 121 (1966)) at each point that the
+    # sweep walks, none today, and at q = 3^k for odd k from 3 to 15
+    for g in [*_walk("Ree"), *(lie("Ree", PrimePower(3, k)) for k in range(3, 16, 2))]:
+        assert class_number_bound(g) == (g.q.q + 8, 1), g.q.q
 
 
 EXPECTED_Q_DEGREES = {

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -176,15 +177,30 @@ def test_format_known_divisors_matches_format_factored_on_cod_an():
     # the one-value path and against trial division of each value
     for n in range(5, 41):
         cs = alt_codegree_set(n)
-        texts = format_known_divisors(cs.values, cs.order)
+        texts = list(format_known_divisors(cs.values, cs.order))
         assert texts == [format_factored(v) for v in cs.values], n
         assert texts == [factored_text(v) for v in cs.values], n
 
 
+def test_format_known_divisors_streams_its_texts():
+    # the cod table writes each text as it comes: consuming the 16,215 texts
+    # of cod(A_40) peaks at about 0.15 MB, against 1.9 MB for a list of them
+    cs = alt_codegree_set(40)
+    tracemalloc.start()
+    try:
+        for _ in format_known_divisors(cs.values, cs.order):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
+
+
 def test_format_known_divisors_small_cases():
-    assert format_known_divisors([1, 2, 12, 60, 5], 60) == ["1", "2", "2^2·3", "2^2·3·5", "5"]
-    assert format_known_divisors((1, 1), 1) == ["1", "1"]
-    assert format_known_divisors((), 2**40 * 37) == []
+    assert list(format_known_divisors([1, 2, 12, 60, 5], 60)) == [
+        "1", "2", "2^2·3", "2^2·3·5", "5"]
+    assert list(format_known_divisors((1, 1), 1)) == ["1", "1"]
+    assert list(format_known_divisors((), 2**40 * 37)) == []
 
 
 _PRIMES_TO_1009 = [p for p, flag in enumerate(_sieve(1010)) if flag]
@@ -215,4 +231,4 @@ def _divisor_cases(draw):
 @given(case=_divisor_cases())
 def test_format_known_divisors_matches_trial_division(case):
     multiple, values = case
-    assert format_known_divisors(values, multiple) == [factored_text(v) for v in values]
+    assert list(format_known_divisors(values, multiple)) == [factored_text(v) for v in values]

@@ -27,67 +27,43 @@ from math import isqrt, lcm
 
 
 class GF:
-    def __init__(self, p: int, k: int, modulus: tuple[int, ...] | None = None):
-        self.p = p
-        self.k = k
-        self.q = p ** k
-        if k == 1:
-            return
-        assert modulus is not None and len(modulus) == k + 1 and modulus[-1] == 1
-        self.modulus = modulus
-        # element i <-> polynomial with base-p digits of i (low degree first)
-        self.mul_table = [[0] * self.q for _ in range(self.q)]
-        for a in range(self.q):
-            for b in range(self.q):
-                self.mul_table[a][b] = self._polymul(a, b)
+    """F_p[x]/(modulus), modulus monic of degree k, the prime field being
+    k = 1 with modulus x; element i has the base-p digits of i as its
+    coefficients, low degree first.  Both tables are built here, once."""
 
-    def _digits(self, a: int) -> list[int]:
-        out = []
-        for _ in range(self.k):
-            out.append(a % self.p)
-            a //= self.p
-        return out
+    def __init__(self, p: int, modulus: tuple[int, ...] = (0, 1)):
+        assert modulus[-1] == 1
+        k = len(modulus) - 1
+        coeffs = [c[::-1] for c in product(range(p), repeat=k)]
+        index = {c: i for i, c in enumerate(coeffs)}
+        self.q = len(coeffs)
 
-    def _undigits(self, ds: list[int]) -> int:
-        val = 0
-        for d in reversed(ds):
-            val = val * self.p + d
-        return val
+        def times(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+            prod = [0] * (2 * k - 1)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    prod[i + j] += x * y
+            for i in range(2 * k - 2, k - 1, -1):  # reduce by the modulus
+                c = prod[i]
+                for j, m in enumerate(modulus):
+                    prod[i - k + j] -= c * m
+            return index[tuple(c % p for c in prod[:k])]
 
-    def _polymul(self, a: int, b: int) -> int:
-        da, db = self._digits(a), self._digits(b)
-        prod = [0] * (2 * self.k - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] = (prod[i + j] + x * y) % self.p
-        # reduce by modulus
-        for i in range(len(prod) - 1, self.k - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j in range(self.k):
-                    prod[i - self.k + j] = (prod[i - self.k + j] - c * self.modulus[j]) % self.p
-        return self._undigits(prod[: self.k])
+        self.sums = [[index[tuple((x + y) % p for x, y in zip(a, b))] for b in coeffs]
+                     for a in coeffs]
+        self.products = [[times(a, b) for b in coeffs] for a in coeffs]
 
     def add(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a + b) % self.p
-        da, db = self._digits(a), self._digits(b)
-        return self._undigits([(x + y) % self.p for x, y in zip(da, db)])
+        return self.sums[a][b]
 
     def neg(self, a: int) -> int:
-        if self.k == 1:
-            return (-a) % self.p
-        return self._undigits([(-x) % self.p for x in self._digits(a)])
+        return self.sums[a].index(0)
 
     def mul(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a * b) % self.p
-        return self.mul_table[a][b]
+        return self.products[a][b]
 
     def inv(self, a: int) -> int:
-        return next(b for b in range(1, self.q) if self.mul(a, b) == 1)
+        return self.products[a].index(1)
 
 
 def mat_mul(F: GF, A: tuple[int, ...], B: tuple[int, ...], n: int) -> tuple[int, ...]:
@@ -116,7 +92,7 @@ def identity(n: int) -> tuple[int, ...]:
 def sp4_3() -> tuple[GF, list[tuple[int, ...]], int]:
     """Sp(4,3): symplectic transvections x -> x + <x,v> v over GF(3);
     PSp(4,3) = Omega(5,3) on points, order 25920."""
-    F = GF(3, 1)
+    F = GF(3)
     # symplectic form J: <x,y> = x1 y3 + x2 y4 - x3 y1 - x4 y2
     def form(x, y):
         return (x[0] * y[2] + x[1] * y[3] - x[2] * y[0] - x[3] * y[1]) % 3
@@ -136,7 +112,7 @@ def sp4_3() -> tuple[GF, list[tuple[int, ...]], int]:
 
 def su3_3() -> tuple[GF, list[tuple[int, ...]], int]:
     """SU(3,3) = PSU(3,3), order 6048, over GF(9) with form antidiag(1,1,1)."""
-    F = GF(3, 2, modulus=(1, 0, 1))  # x^2 + 1 irreducible mod 3
+    F = GF(3, (1, 0, 1))  # x^2 + 1 irreducible mod 3
 
     def bar(a: int) -> int:
         r = F.mul(a, a)
@@ -164,7 +140,7 @@ def su3_3() -> tuple[GF, list[tuple[int, ...]], int]:
 def sl3_4() -> tuple[GF, list[tuple[int, ...]], int]:
     """SL(3,4) via elementary transvections over GF(4); PSL(3,4) on
     points, order 20160."""
-    F = GF(2, 2, modulus=(1, 1, 1))  # x^2 + x + 1
+    F = GF(2, (1, 1, 1))  # x^2 + x + 1
     gens = []
     for i, j, lam in ((0, 1, 1), (1, 2, 1), (2, 0, 2)):
         M = list(identity(3))
