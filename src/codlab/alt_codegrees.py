@@ -51,7 +51,10 @@ process, so the walk of one n, with every per-shape check, runs once per
 process.  The memo holds at most _MEMO_VALUES codegree values in all: a
 set that would pass that budget is returned but not kept, and walked
 again on each call, and nothing is evicted, so what the memo holds
-depends only on the order of calls.
+depends only on the order of calls.  alt_codegree_members gives the
+values of cod(A_n) as a frozenset for membership tests; it keeps that
+index beside each set the memo holds, built the first time a query
+asks for it, and gives an n the memo refused a fresh index on each call.
 
 twisted_codegree_set_2a9 adds to cod(A9) the codegrees of the faithful
 characters of the double cover 2.A9, from Schur's spin-degree formula
@@ -246,7 +249,8 @@ def alt_codegree_set(n: int) -> CodegreeSet:
     is n!/2 by construction; the walk checks the sum of squared dimensions.
     Each set is built once per process and then shared, which is safe as a
     CodegreeSet is immutable; a set that would take the memo past
-    _MEMO_VALUES values is built again on every call.
+    _MEMO_VALUES values is built again on every call.  Its membership
+    index is alt_codegree_members(n), which this never builds.
     """
     cod = _MEMO.get(n)
     if cod is not None:
@@ -260,6 +264,29 @@ def alt_codegree_set(n: int) -> CodegreeSet:
         if n not in _MEMO and held + len(cod.values) <= _MEMO_VALUES:
             _MEMO[n] = cod
         return _MEMO.get(n, cod)
+
+
+# frozenset(cod(A_n).values) for each n whose set _MEMO holds, built on the
+# first membership query: 0.40 MB for n = 5..27, 3.81 MB for all of 5..38
+_MEMBERS: dict[int, frozenset[int]] = {}
+
+
+def alt_codegree_members(n: int) -> frozenset[int]:
+    """The values of cod(A_n) as a frozenset, for membership tests.
+
+    The index of a set the memo holds is built once and then shared, one
+    object per n; an n that the memo refused gets a fresh frozenset on
+    every call, beside a walk that costs far more.
+    """
+    members = _MEMBERS.get(n)
+    if members is not None:
+        return members
+    cod = alt_codegree_set(n)
+    members = frozenset(cod.values)
+    with _MEMO_LOCK:  # only an n the memo holds, and one index per n
+        if _MEMO.get(n) is cod:
+            return _MEMBERS.setdefault(n, members)
+    return members
 
 
 def _strict_partitions(n: int, most: int) -> Iterator[Partition]:

@@ -51,13 +51,13 @@ from __future__ import annotations
 
 import csv
 import io
-from bisect import bisect_left
 from collections import namedtuple
 from itertools import count
 from pathlib import Path
 from typing import Iterator
 
 from .alt_codegrees import (
+    alt_codegree_members,
     alt_codegree_set,
     prove_min_codegree_monotone,
     twisted_codegree_set_2a9,
@@ -325,13 +325,11 @@ def sweep_sporadic() -> tuple[ExceptionRow, ...]:
     return tuple(sorted(rows, key=ExceptionRow.sort_key))
 
 
-def _first_missing(values: tuple[int, ...], within: tuple[int, ...]) -> int | None:
-    """The smallest of the sorted values that the sorted tuple within
-    lacks, or None; each value is found by bisection from the last."""
-    i = 0
+def _first_missing(values: tuple[int, ...], members: frozenset[int]) -> int | None:
+    """The first of the sorted values that members lacks, so the smallest,
+    or None."""
     for v in values:
-        i = bisect_left(within, v, i)
-        if i == len(within) or within[i] != v:
+        if v not in members:
             return v
     return None
 
@@ -346,11 +344,12 @@ def check_subset(g: GroupId, n: int) -> SubsetCheck:
     itself.  Otherwise the smallest missing codegree is the
     refutation witness.  A subset relation on a non-isomorphic pair is
     "subset_holds", the verdict that is not ok.  The representative is
-    looked up only once the subset relation holds.
+    looked up only once the subset relation holds.  Each value of cod(H)
+    is probed in the hash index of cod(A_n), alt_codegree_members(n).
     """
     ch = simple_codegree_set(g)
-    ca = alt_codegree_set(n)
-    witness = _first_missing(ch.values, ca.values)
+    members = alt_codegree_members(n)
+    witness = _first_missing(ch.values, members)
     if witness is not None:
         verdict = "subset_refuted"
     elif representative(g) == alternating(n):
@@ -358,7 +357,7 @@ def check_subset(g: GroupId, n: int) -> SubsetCheck:
     else:
         verdict = "subset_holds"
     return SubsetCheck(
-        ch.group_label, n, verdict, witness, ch.order, len(ch.values), len(ca.values)
+        ch.group_label, n, verdict, witness, ch.order, len(ch.values), len(members)
     )
 
 

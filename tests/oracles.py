@@ -11,8 +11,9 @@ a time, the factored text of a number by trial division, the parameter
 boxes the family sweeps once enumerated, the class-number bounds and
 order formulas of the Lie families as their sources print them, the
 degrees and class number of PSL(2,q) by the series pattern, the
-shipped degree records as their JSON lines read, and the classes of
-isomorphic catalog groups as the ATLAS lists them.  The
+shipped degree records as their JSON lines read, the classes of
+isomorphic catalog groups as the ATLAS lists them, and the subset test
+by bisection in sorted tuples.  The
 tests check the library's fast paths against them; none of these share
 code with the partition and hook machinery they check.  A partition is
 a tuple of weakly decreasing positive ints; cells are 1-based (row,
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
@@ -453,3 +455,24 @@ ISOMORPHIC_LABELS = (
 def same_group(a: str, b: str) -> bool:
     """Whether the labels a and b, as group_label writes them, name one group."""
     return a == b or any({a, b} <= labels for labels in ISOMORPHIC_LABELS)
+
+
+def subset_check_by_bisection(label: str, h_values: tuple[int, ...], n: int,
+                              a_values: tuple[int, ...]) -> tuple[str, int | None, int, int]:
+    """(verdict, witness, |cod(H)|, |cod(A_n)|) for the group named label,
+    from the sorted tuples cod(H) and cod(A_n): the witness is the first
+    value of cod(H) that bisection does not find in cod(A_n), and a subset
+    is "isomorphic" when label names A_n."""
+    witness = None
+    for v in h_values:
+        i = bisect_left(a_values, v)
+        if i == len(a_values) or a_values[i] != v:
+            witness = v
+            break
+    if witness is not None:
+        verdict = "subset_refuted"
+    elif same_group(label, f"A{n}"):
+        verdict = "isomorphic"
+    else:
+        verdict = "subset_holds"
+    return verdict, witness, len(h_values), len(a_values)

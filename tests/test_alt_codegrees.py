@@ -12,6 +12,7 @@ import math
 import re
 import sys
 import threading
+import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -25,12 +26,15 @@ from codlab.alt_codegrees import (
     CodegreeSet,
     _corner_bound,
     _codegree_blocks,
+    alt_codegree_members,
     alt_codegree_set,
     prove_min_codegree_monotone,
     twisted_codegree_set_2a9,
     verify_min_codegree_monotone,
 )
+from codlab.catalog import parse_group_label, simple_codegree_set
 from codlab.partitions import hook_product
+from codlab.search import check_subset
 from oracles import (
     alt_irr_entries_direct,
     beta_shape,
@@ -502,6 +506,25 @@ def test_memo_keeps_the_first_sets_within_its_budget(monkeypatch, walks):
     assert walks == [(n, n) for n in (*order, 9, 7)]
 
 
+def test_membership_index_holds_only_the_memoised_sets(monkeypatch, walks):
+    # the budget of test_memo_keeps_the_first_sets_within_its_budget: A9 and
+    # A7 are refused by the memo, so the index never holds them either.  The
+    # catalog is loaded first, as its loader fills the memo with A5, A6, A8
+    j2 = parse_group_label("J2")
+    h_cod = simple_codegree_set(j2).values
+    alt_codegrees._MEMO.clear()
+    walks.clear()
+    monkeypatch.setattr(alt_codegrees, "_MEMO_VALUES", 20)
+    for n in (8, 5, 9, 6, 7):
+        res = check_subset(j2, n)
+        assert res.witness == min(set(h_cod) - set(EXPECTED_COD[n]))
+        assert res.a_cod_size == len(EXPECTED_COD[n])
+    assert list(alt_codegrees._MEMBERS) == list(alt_codegrees._MEMO) == [8, 5, 6]
+    for n, members in alt_codegrees._MEMBERS.items():
+        assert members == frozenset(alt_codegrees._MEMO[n].values)
+    assert walks == [(n, n) for n in (8, 5, 9, 6, 7)]
+
+
 def test_memo_is_shared_and_bounded_under_threads(monkeypatch):
     # eight threads, more than the cores, switching every microsecond, each
     # asking for n = 5..16 from its own starting point
@@ -528,6 +551,49 @@ def test_memo_is_shared_and_bounded_under_threads(monkeypatch):
     for sets in got:
         assert [sets[n].values for n in ns] == [got[0][n].values for n in ns]
         assert all(sets[n] is held[n] for n in held)
+
+
+def test_membership_index_is_one_object_per_n_under_threads(monkeypatch):
+    # eight threads, switching every microsecond, each indexing n = 5..16 from
+    # its own starting point and checking J2 and A8's other name there: the
+    # first index each thread is handed for n must be the one kept.  A pause
+    # after each set lookup lets other threads miss the same n meanwhile
+    ns = list(range(5, 17))
+    groups = [parse_group_label(label) for label in ("J2", "PSL(4,2)")]
+    got = []
+    lookup = alt_codegrees.alt_codegree_set
+
+    def pausing(n):
+        cod = lookup(n)
+        time.sleep(1e-3)
+        return cod
+
+    monkeypatch.setattr(alt_codegrees, "alt_codegree_set", pausing)
+
+    def ask(start):
+        members, checks = {}, {}
+        for n in ns[start:] + ns[:start]:
+            members[n] = alt_codegree_members(n)
+            checks[n] = [check_subset(g, n) for g in groups]
+        got.append((members, checks))
+
+    threads = [threading.Thread(target=ask, args=(3 * i % len(ns),)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and len(got) == 8
+    held = alt_codegrees._MEMBERS
+    assert sorted(held) == ns
+    for members, checks in got:
+        assert all(members[n] is held[n] for n in ns)
+        assert checks == got[0][1]
+    assert [c.verdict for c in got[0][1][8]] == ["subset_refuted", "isomorphic"]
 
 
 def test_memo_never_holds_more_than_its_budget():

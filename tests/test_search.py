@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import codlab.alt_codegrees as alt_codegrees
 from codlab.alt_codegrees import CodegreeSet, alt_codegree_set
 from codlab.catalog import (
     CLASSICAL_FAMILIES,
@@ -57,7 +58,7 @@ from codlab.search import (
     sweep_family,
     sweep_sporadic,
 )
-from oracles import SWEEP_BOXES, bit_cutoff_stepwise, box_points
+from oracles import SWEEP_BOXES, bit_cutoff_stepwise, box_points, subset_check_by_bisection
 
 # (m, q, n, ratio) per family, the frozen sweep outcome
 EXPECTED_PSL_ROWS = [
@@ -626,7 +627,44 @@ sorted_sets = st.frozensets(st.integers(1, 60), max_size=12).map(sorted).map(tup
 @given(sorted_sets, sorted_sets)
 @settings(max_examples=300, deadline=None)
 def test_first_missing_is_the_least_of_the_set_difference(values, within):
-    assert _first_missing(values, within) == min(set(values) - set(within), default=None)
+    assert _first_missing(values, frozenset(within)) == min(set(values) - set(within),
+                                                            default=None)
+
+
+def _bisection_answer(label, n):
+    """check_subset's fields, with the subset test of the bisection oracle."""
+    h = simple_codegree_set(parse_group_label(label))
+    verdict, witness, h_size, a_size = subset_check_by_bisection(
+        h.group_label, h.values, n, alt_codegree_set(n).values)
+    return h.group_label, n, verdict, witness, h.order, h_size, a_size
+
+
+_QUERY_LABELS = sorted({key.rsplit("|", 1)[0] for key in _QUERY_TABLE})
+
+
+def test_check_subset_matches_a_bisection_oracle():
+    # the hash index of each cod(A_n) against bisection in its sorted tuple:
+    # verdict, witness and both sizes, for the benchmark's 12 labels x 5..27
+    assert len(_QUERY_LABELS) == 12
+    for n in range(5, 28):
+        for label in _QUERY_LABELS:
+            assert check_subset(parse_group_label(label), n) == _bisection_answer(label, n), (
+                label, n)
+    assert sorted(alt_codegrees._MEMBERS) == list(range(5, 28))
+
+
+def test_check_subset_matches_the_oracle_past_the_memo_budget(monkeypatch):
+    # with no room in the memo, cod(A_n) and its index are built on every
+    # call and neither is kept
+    monkeypatch.setattr(alt_codegrees, "_MEMO_VALUES", 0)
+    for n in (5, 8, 9):
+        for label in _QUERY_LABELS:
+            assert check_subset(parse_group_label(label), n) == _bisection_answer(label, n), (
+                label, n)
+        first = alt_codegrees.alt_codegree_members(n)
+        assert first == frozenset(alt_codegree_set(n).values)
+        assert alt_codegrees.alt_codegree_members(n) is not first
+    assert not alt_codegrees._MEMO and not alt_codegrees._MEMBERS
 
 
 def test_discharge_covers_all_rows():
