@@ -46,15 +46,14 @@ sum nor the next Durfee size reads it.  Each light table is built
 once per (d, t) at its widest, for n_hi.  A single n is the range
 (n, n), and a walk makes no reference cycle.
 
-alt_codegree_set keeps each cod(A_n) it builds for the life of the
-process, so the walk of one n, with every per-shape check, runs once per
-process.  The memo holds at most _MEMO_VALUES codegree values in all: a
-set that would pass that budget is returned but not kept, and walked
-again on each call, and nothing is evicted, so what the memo holds
-depends only on the order of calls.  alt_codegree_members gives the
-values of cod(A_n) as a frozenset for membership tests; it keeps that
-index beside each set the memo holds, built the first time a query
-asks for it, and gives an n the memo refused a fresh index on each call.
+alt_codegree_set keeps cod(A_n) for each n <= _MEMO_MAX_N = 38 for the
+life of the process, so the walk of such an n, with every per-shape
+check, runs once per process.  The memo holds one entry per n, the set
+and a frozenset of its values for membership tests, which
+alt_codegree_members gives; the bound on n alone caps it, at 62,449
+values whatever the order of calls.  A larger n is walked again on every
+call, for a fresh set, and alt_codegree_members then indexes that set
+afresh.
 
 twisted_codegree_set_2a9 adds to cod(A9) the codegrees of the faithful
 characters of the double cover 2.A9, from Schur's spin-degree formula
@@ -66,7 +65,6 @@ from __future__ import annotations
 from collections import namedtuple
 from math import isqrt
 from operator import lt, mul
-from threading import Lock
 from typing import Iterator
 
 from .exactnum import factorial
@@ -233,13 +231,29 @@ def _codegree_blocks(n_lo: int, n_hi: int) -> Iterator[tuple[int, list[int]]]:
             raise ArithmeticError(f"sum of squared dimensions {total} != |A_{n}| = {fact[n] >> 1}")
 
 
-# cod(A_n) by n, for the life of the process.  Its budget counts values,
-# not sets: cod(A_40) holds 16,215 values in about 0.9 MB and cod(A_50)
-# 86,688 in about 4.8 MB, and the size grows about 2.3 times for every 5
-# added to n, so a budget in sets could keep many megabytes alive.
-_MEMO: dict[int, CodegreeSet] = {}
-_MEMO_VALUES = 1 << 16
-_MEMO_LOCK = Lock()
+# (cod(A_n), frozenset of its values) by n, for the life of the process,
+# for n <= _MEMO_MAX_N only: the sets of n = 5..38 hold 62,449 values, within
+# 2^16, about 2.75 MB, and their indexes 3.81 MB.  cod(A_39) alone adds 12,977
+# values, and the size grows about 2.3 times for every 5 added to n.
+_MEMO: dict[int, tuple[CodegreeSet, frozenset[int]]] = {}
+_MEMO_MAX_N = 38
+
+
+def _walked_set(n: int) -> CodegreeSet:
+    """cod(A_n) from one walk of its shapes, with every check of the walk."""
+    values: set[int] = set()
+    for _, codegrees in _codegree_blocks(n, n):
+        values.update(codegrees)
+    return CodegreeSet(f"A{n}", factorial(n) // 2, tuple(sorted(values)))
+
+
+def _stored(n: int) -> tuple[CodegreeSet, frozenset[int]]:
+    """The memo entry of n <= _MEMO_MAX_N, walked now.  setdefault on an int
+    key is one atomic step (in C, with no call back into Python; free-threaded
+    builds hold the dict's own lock), so threads that both missed n are all
+    handed the entry stored first."""
+    cod = _walked_set(n)
+    return _MEMO.setdefault(n, (cod, frozenset(cod.values)))
 
 
 def alt_codegree_set(n: int) -> CodegreeSet:
@@ -247,46 +261,28 @@ def alt_codegree_set(n: int) -> CodegreeSet:
 
     The walk pairs dim n!/H with H/2 and n!/(2H) with H, so dim * codegree
     is n!/2 by construction; the walk checks the sum of squared dimensions.
-    Each set is built once per process and then shared, which is safe as a
-    CodegreeSet is immutable; a set that would take the memo past
-    _MEMO_VALUES values is built again on every call.  Its membership
-    index is alt_codegree_members(n), which this never builds.
+    For n <= _MEMO_MAX_N the set is built once per process, beside its
+    membership index, and then shared, which is safe as a CodegreeSet is
+    immutable; a larger n is walked again on every call, and no index is
+    built for it here.
     """
-    cod = _MEMO.get(n)
-    if cod is not None:
-        return cod
-    values: set[int] = set()
-    for _, codegrees in _codegree_blocks(n, n):
-        values.update(codegrees)
-    cod = CodegreeSet(f"A{n}", factorial(n) // 2, tuple(sorted(values)))
-    with _MEMO_LOCK:  # one budget check and store at a time, and one set per n
-        held = sum(len(c.values) for c in _MEMO.values())
-        if n not in _MEMO and held + len(cod.values) <= _MEMO_VALUES:
-            _MEMO[n] = cod
-        return _MEMO.get(n, cod)
-
-
-# frozenset(cod(A_n).values) for each n whose set _MEMO holds, built on the
-# first membership query: 0.40 MB for n = 5..27, 3.81 MB for all of 5..38
-_MEMBERS: dict[int, frozenset[int]] = {}
+    entry = _MEMO.get(n)
+    if entry is not None:
+        return entry[0]
+    return _walked_set(n) if n > _MEMO_MAX_N else _stored(n)[0]
 
 
 def alt_codegree_members(n: int) -> frozenset[int]:
     """The values of cod(A_n) as a frozenset, for membership tests.
 
-    The index of a set the memo holds is built once and then shared, one
-    object per n; an n that the memo refused gets a fresh frozenset on
-    every call, beside a walk that costs far more.
+    For n <= _MEMO_MAX_N it is the index kept in the memo beside the set,
+    one object per n; a larger n gets a fresh set and a fresh frozenset on
+    every call, the walk costing far more than the index.
     """
-    members = _MEMBERS.get(n)
-    if members is not None:
-        return members
-    cod = alt_codegree_set(n)
-    members = frozenset(cod.values)
-    with _MEMO_LOCK:  # only an n the memo holds, and one index per n
-        if _MEMO.get(n) is cod:
-            return _MEMBERS.setdefault(n, members)
-    return members
+    entry = _MEMO.get(n)
+    if entry is not None:
+        return entry[1]
+    return frozenset(_walked_set(n).values) if n > _MEMO_MAX_N else _stored(n)[1]
 
 
 def _strict_partitions(n: int, most: int) -> Iterator[Partition]:

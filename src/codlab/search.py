@@ -345,7 +345,8 @@ def check_subset(g: GroupId, n: int) -> SubsetCheck:
     refutation witness.  A subset relation on a non-isomorphic pair is
     "subset_holds", the verdict that is not ok.  The representative is
     looked up only once the subset relation holds.  Each value of cod(H)
-    is probed in the hash index of cod(A_n), alt_codegree_members(n).
+    is probed in the hash index of cod(A_n), alt_codegree_members(n): the
+    memo's for n <= 38, else a fresh one beside a fresh walk.
     """
     ch = simple_codegree_set(g)
     members = alt_codegree_members(n)

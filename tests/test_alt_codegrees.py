@@ -12,7 +12,6 @@ import math
 import re
 import sys
 import threading
-import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -494,41 +493,44 @@ def test_memoised_sets_equal_fresh_walks():
         assert fresh is not cod and fresh == cod
 
 
-def test_memo_keeps_the_first_sets_within_its_budget(monkeypatch, walks):
-    # |cod(A_n)| is 4, 5, 7, 11 and 16 for n = 5..9.  With room for 20
-    # values, A8 and A5 are kept, A9 would overflow and is not, A6 fills the
-    # budget exactly and A7 is refused: nothing kept is evicted for later sets
-    monkeypatch.setattr(alt_codegrees, "_MEMO_VALUES", 20)
-    order = (8, 5, 9, 6, 7)
-    for n in order * 2:
-        assert alt_codegree_set(n).values == EXPECTED_COD[n]
-    assert list(alt_codegrees._MEMO) == [8, 5, 6]
-    assert walks == [(n, n) for n in (*order, 9, 7)]
+def test_memo_keeps_the_same_n_in_any_call_order(monkeypatch, walks):
+    # with the bound at 7, A5, A6 and A7 are kept and A8 and A9 walked again
+    # on every call, whichever n comes first: only n decides what is kept
+    monkeypatch.setattr(alt_codegrees, "_MEMO_MAX_N", 7)
+    for order in ((8, 5, 9, 6, 7), (7, 9, 6, 5, 8)):
+        alt_codegrees._MEMO.clear()
+        walks.clear()
+        for n in order * 2:
+            assert alt_codegree_set(n).values == EXPECTED_COD[n]
+        assert sorted(alt_codegrees._MEMO) == [5, 6, 7]
+        assert walks == [(n, n) for n in (*order, *(m for m in order if m > 7))]
 
 
 def test_membership_index_holds_only_the_memoised_sets(monkeypatch, walks):
-    # the budget of test_memo_keeps_the_first_sets_within_its_budget: A9 and
-    # A7 are refused by the memo, so the index never holds them either.  The
-    # catalog is loaded first, as its loader fills the memo with A5, A6, A8
+    # the bound of test_memo_keeps_the_same_n_in_any_call_order: A8 and A9
+    # are past it, so neither set nor index is kept for them, and each kept
+    # index holds its own set's values.  The catalog is loaded first, as its
+    # loader fills the memo with A5, A6, A8
     j2 = parse_group_label("J2")
     h_cod = simple_codegree_set(j2).values
     alt_codegrees._MEMO.clear()
     walks.clear()
-    monkeypatch.setattr(alt_codegrees, "_MEMO_VALUES", 20)
+    monkeypatch.setattr(alt_codegrees, "_MEMO_MAX_N", 7)
     for n in (8, 5, 9, 6, 7):
         res = check_subset(j2, n)
         assert res.witness == min(set(h_cod) - set(EXPECTED_COD[n]))
         assert res.a_cod_size == len(EXPECTED_COD[n])
-    assert list(alt_codegrees._MEMBERS) == list(alt_codegrees._MEMO) == [8, 5, 6]
-    for n, members in alt_codegrees._MEMBERS.items():
-        assert members == frozenset(alt_codegrees._MEMO[n].values)
+    assert list(alt_codegrees._MEMO) == [5, 6, 7]
+    for n, (cod, members) in alt_codegrees._MEMO.items():
+        assert cod.values == EXPECTED_COD[n] and members == frozenset(cod.values)
+        assert alt_codegree_set(n) is cod and alt_codegree_members(n) is members
     assert walks == [(n, n) for n in (8, 5, 9, 6, 7)]
 
 
 def test_memo_is_shared_and_bounded_under_threads(monkeypatch):
     # eight threads, more than the cores, switching every microsecond, each
-    # asking for n = 5..16 from its own starting point
-    monkeypatch.setattr(alt_codegrees, "_MEMO_VALUES", 100)
+    # asking for n = 5..16 from its own starting point, past a bound of 12
+    monkeypatch.setattr(alt_codegrees, "_MEMO_MAX_N", 12)
     ns = list(range(5, 17))
     got = []
 
@@ -547,62 +549,65 @@ def test_memo_is_shared_and_bounded_under_threads(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads) and len(got) == 8
     held = alt_codegrees._MEMO
-    assert sum(len(c.values) for c in held.values()) <= 100
+    assert sorted(held) == list(range(5, 13))
     for sets in got:
         assert [sets[n].values for n in ns] == [got[0][n].values for n in ns]
-        assert all(sets[n] is held[n] for n in held)
+        assert all(sets[n] is held[n][0] for n in held)
 
 
 def test_membership_index_is_one_object_per_n_under_threads(monkeypatch):
-    # eight threads, switching every microsecond, each indexing n = 5..16 from
-    # its own starting point and checking J2 and A8's other name there: the
-    # first index each thread is handed for n must be the one kept.  A pause
-    # after each set lookup lets other threads miss the same n meanwhile
-    ns = list(range(5, 17))
+    # two threads that both miss n = 12: each walk waits after its last block
+    # until the other thread's walk has ended too, so both build an entry
+    # before either stores, and the store must hand both the first one.  Then
+    # each thread checks J2 and A8's other name at 8 and 12
     groups = [parse_group_label(label) for label in ("J2", "PSL(4,2)")]
-    got = []
-    lookup = alt_codegrees.alt_codegree_set
+    for g in groups:
+        simple_codegree_set(g)  # the loader walks A5, A6 and A8 before the threads start
+    walk = alt_codegrees._codegree_blocks
 
-    def pausing(n):
-        cod = lookup(n)
-        time.sleep(1e-3)
-        return cod
+    def meeting(n_lo, n_hi):
+        yield from walk(n_lo, n_hi)
+        barrier.wait()
 
-    monkeypatch.setattr(alt_codegrees, "alt_codegree_set", pausing)
+    monkeypatch.setattr(alt_codegrees, "_codegree_blocks", meeting)
+    for slot, ask in enumerate((alt_codegree_set, alt_codegree_members)):
+        alt_codegrees._MEMO.pop(12, None)
+        barrier = threading.Barrier(2, timeout=10)
+        got = []
 
-    def ask(start):
-        members, checks = {}, {}
-        for n in ns[start:] + ns[:start]:
-            members[n] = alt_codegree_members(n)
-            checks[n] = [check_subset(g, n) for g in groups]
-        got.append((members, checks))
+        def run():
+            got.append((ask(12), [check_subset(g, n) for n in (8, 12) for g in groups]))
 
-    threads = [threading.Thread(target=ask, args=(3 * i % len(ns),)) for i in range(8)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
+        threads = [threading.Thread(target=run) for _ in range(2)]
         for t in threads:
             t.start()
         for t in threads:
             t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads) and len(got) == 8
-    held = alt_codegrees._MEMBERS
-    assert sorted(held) == ns
-    for members, checks in got:
-        assert all(members[n] is held[n] for n in ns)
-        assert checks == got[0][1]
-    assert [c.verdict for c in got[0][1][8]] == ["subset_refuted", "isomorphic"]
+        assert not any(t.is_alive() for t in threads) and len(got) == 2
+        assert got[0][0] is got[1][0] is alt_codegrees._MEMO[12][slot]
+        assert got[0][1] == got[1][1]
+        assert [c.verdict for c in got[0][1][:2]] == ["subset_refuted", "isomorphic"]
+        assert [c.a_cod_size for c in got[0][1][2:]] == [len(alt_codegree_set(12).values)] * 2
 
 
-def test_memo_never_holds_more_than_its_budget():
-    # the sets of n = 5..38 hold 62,449 values, so A39 and A40 are refused
-    for n in range(5, 41):
-        alt_codegree_set(n)
-        assert sum(len(c.values) for c in alt_codegrees._MEMO.values()) <= (
-            alt_codegrees._MEMO_VALUES)
+def test_memo_keeps_exactly_the_n_up_to_its_bound():
+    # the sets of n = 5..38 hold 62,449 values, within 2^16, and the set of
+    # 39 would take them to 75,426: that is where the bound of 38 comes from
+    sizes = {n: len(alt_codegree_members(n)) for n in range(5, 41)}
+    assert alt_codegrees._MEMO_MAX_N == 38
+    assert sum(sizes[n] for n in range(5, 39)) == 62449 <= 1 << 16
+    assert sum(sizes[n] for n in range(5, 40)) == 75426 > 1 << 16
     assert list(alt_codegrees._MEMO) == list(range(5, 39))
+    for cod, members in alt_codegrees._MEMO.values():
+        assert members == frozenset(cod.values)
+    for n in (39, 40):
+        assert alt_codegree_set(n) is not alt_codegree_set(n)
+        assert alt_codegree_members(n) is not alt_codegree_members(n)
+    assert list(alt_codegrees._MEMO) == list(range(5, 39))
+    alt_codegrees._MEMO.clear()
+    for n in (37, 38, 39):
+        alt_codegree_set(n)
+    assert list(alt_codegrees._MEMO) == [37, 38]
 
 
 def test_monotone_scan_memory_stays_small(monkeypatch):

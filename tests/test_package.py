@@ -237,9 +237,9 @@ def test_the_autouse_fixture_empties_every_cache_of_the_library():
     caches = {f"{mod.__name__}.{name}": obj for mod in (catalog, alt_codegrees)
               for name, obj in vars(mod).items() if hasattr(obj, "cache_clear")}
     assert caches and all(c.cache_info().currsize for c in caches.values())
-    assert alt_codegrees._MEMO and alt_codegrees._MEMBERS
+    assert alt_codegrees._MEMO
     for clear in _CACHES:
         clear()
     sizes = {name: c.cache_info().currsize for name, c in caches.items()}
     assert sizes == dict.fromkeys(caches, 0)
-    assert not alt_codegrees._MEMO and not alt_codegrees._MEMBERS
+    assert not alt_codegrees._MEMO

@@ -650,13 +650,15 @@ def test_check_subset_matches_a_bisection_oracle():
         for label in _QUERY_LABELS:
             assert check_subset(parse_group_label(label), n) == _bisection_answer(label, n), (
                 label, n)
-    assert sorted(alt_codegrees._MEMBERS) == list(range(5, 28))
+    assert sorted(alt_codegrees._MEMO) == list(range(5, 28))
+    for cod, members in alt_codegrees._MEMO.values():
+        assert members == frozenset(cod.values)
 
 
-def test_check_subset_matches_the_oracle_past_the_memo_budget(monkeypatch):
-    # with no room in the memo, cod(A_n) and its index are built on every
-    # call and neither is kept
-    monkeypatch.setattr(alt_codegrees, "_MEMO_VALUES", 0)
+def test_check_subset_matches_the_oracle_past_the_memo_bound(monkeypatch):
+    # with every n past the memo's bound, cod(A_n) and its index are built
+    # on every call and neither is kept
+    monkeypatch.setattr(alt_codegrees, "_MEMO_MAX_N", 4)
     for n in (5, 8, 9):
         for label in _QUERY_LABELS:
             assert check_subset(parse_group_label(label), n) == _bisection_answer(label, n), (
@@ -664,7 +666,8 @@ def test_check_subset_matches_the_oracle_past_the_memo_budget(monkeypatch):
         first = alt_codegrees.alt_codegree_members(n)
         assert first == frozenset(alt_codegree_set(n).values)
         assert alt_codegrees.alt_codegree_members(n) is not first
-    assert not alt_codegrees._MEMO and not alt_codegrees._MEMBERS
+        assert alt_codegree_set(n) is not alt_codegree_set(n)
+    assert not alt_codegrees._MEMO
 
 
 def test_discharge_covers_all_rows():
