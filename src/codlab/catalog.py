@@ -2,9 +2,11 @@
 
 Identities, exact orders, class-number bounds, exceptional isomorphisms
 and embedded character-degree tables.  Everything is exact.  Each Lie
-family's label, rank floor or twisted prime, order formula and
-class-number bound sit in one row of _CLASSICAL or _EXCEPTIONAL.  The
-order formula is over Z, and the bound is a polynomial in q with integer
+family's label, rank floor or twisted prime and class-number bound sit
+in one row of _CLASSICAL or _EXCEPTIONAL.  An exceptional family's order
+formula sits in its row too; the classical ones are the three branches
+of _order_formula (PSL and PSU, PSp and Omega(2m+1), O+-).  The order
+formula is over Z, and the bound is a polynomial in q with integer
 coefficients over one denominator; group_order and class_number_bound
 evaluate them, and order_class_shape reads the q-part exponent and
 q-degrees off them.  Each sporadic group's order and class count sit in
@@ -89,7 +91,7 @@ LIE_FAMILIES = CLASSICAL_FAMILIES + tuple(_EXCEPTIONAL)
 FAMILIES = ("Alternating", "Sporadic", "G2Prime2") + LIE_FAMILIES
 TWISTED_ODD_POWER = {family: row[1] for family, row in _EXCEPTIONAL.items() if row[1]}
 EXCEPTIONAL_PREFIX = {family: row[0] for family, row in _EXCEPTIONAL.items()}
-_CLASSICAL_BY_HEAD = {row[0]: (family, *row[1:3]) for family, row in _CLASSICAL.items()}
+_CLASSICAL_BY_HEAD = {row[0]: (family, *row[1:4]) for family, row in _CLASSICAL.items()}
 _EXCEPTIONAL_BY_PREFIX = {prefix: family for family, prefix in EXCEPTIONAL_PREFIX.items()}
 
 # The 26 sporadic groups and the Tits group, each with the prime
@@ -283,11 +285,13 @@ def _parse_group_label(label: str) -> GroupId:
             d, qv = nums
             q = prime_power(qv)
             if head in _CLASSICAL_BY_HEAD:
-                family, a, b = _CLASSICAL_BY_HEAD[head]
+                family, a, b, floor = _CLASSICAL_BY_HEAD[head]
                 m, rest = divmod(d - b, a)
                 if rest:
                     parity = "odd" if b else "even"
                     raise ValueError(f"{head} dimension must be {parity} in {label!r}")
+                if m < floor:
+                    raise ValueError(f"{head} needs dimension >= {a * floor + b} in {label!r}")
                 return lie(family, q, m=m)
     raise ValueError(f"cannot parse group label {label!r}")
 

@@ -43,8 +43,10 @@ n' >= n, and the three step lemmas are:
 
 A loop stops at the first point whose lemma holds, so that point and
 every later one are refuted, and the walk yields the legal points
-before the stops, each of which is sieved exactly.  Parameter
-values are not capped anywhere; the tests check each lemma on a grid.
+before the stops, each of which _sieve decides by exact comparison
+alone.  Its first n, max(5, n_min), is at most 78 on the walk (PSL(13,2)
+and PSU(13,2)) and 5 for the sporadic groups.  Parameter values are not
+capped anywhere; the tests check each lemma on a grid.
 """
 
 from __future__ import annotations
@@ -170,26 +172,13 @@ def _refuted_by_bits(shape: tuple[int, int, int], q: int, n: int) -> bool:
     H of order_class_shape shape over a field of q elements, n = n_min(H).
 
     The limit is below 2^B for B = bitlen(q)(D + d) + c (the bound proved
-    in catalog.order_class_shape), so it has at most B bits, and S - 1 >= B
-    is the refusal _sieve's bit cutoff would make, reached without building
-    |H| or the limit.  False means only that the exact test must decide.
+    in catalog.order_class_shape), and S - 1 >= B gives
+    n!/2 >= 2^(S - 1) >= 2^B > limit: the refusal _sieve's exact
+    comparison would make, reached without building |H|, the limit or
+    n!.  False means only that the exact test must decide.
     """
     _, degree, c = shape
     return _log2_factorial_floor(max(5, n)) - 1 >= q.bit_length() * degree + c
-
-
-def _bit_cutoff(n: int, limit: int) -> int:
-    """The first n' >= n with S(n') - 1 >= bitlen(limit), so n'!/2 >= limit.
-
-    Each step adds floor(log2 n') >= 2 to S (n >= 5), so the loop takes at
-    most half the bits that S(n) - 1 lacks, rounded up.
-    """
-    bits = limit.bit_length()
-    s = _log2_factorial_floor(n)
-    while s - 1 < bits:
-        n += 1
-        s += n.bit_length() - 1
-    return n
 
 
 def _sieve(g: GroupId) -> list[tuple[int, int]] | None:
@@ -197,20 +186,17 @@ def _sieve(g: GroupId) -> list[tuple[int, int]] | None:
     n!/2 < |H| * k-bound, in increasing n; None if the size sieve already
     fails at n = max(5, n_min).
 
-    n!/2 is strictly increasing, so the first n where the bound fails is
-    a natural cutoff, and it comes by the bit cutoff: at the first n with
-    S(n) - 1 >= bitlen(limit), n!/2 >= 2^(S(n) - 1) > limit.  That n is
-    computed once per point, before any factorial: a cutoff at
-    max(5, n_min) itself refuses the point by bits alone, else n!/2 is
-    built once there and compared exactly.  The loop raises if it passes
-    the cutoff, which that proof rules out; no n is capped.
+    n!/2 is built once, at max(5, n_min), and compared exactly with the
+    limit; it strictly increases with n, so the first n where it reaches
+    the limit ends the range.  _sieve meets only the walked points and
+    the 27 sporadic groups, so the largest first n it meets is 78, at
+    PSL(13,2) and PSU(13,2); a point beyond the frontier, such as
+    PSL(7,17^63) with n_min 21168, is refused by the walk's
+    _refuted_by_bits before any order is built.
     """
     order = group_order(g)
     limit = _class_number_limit(g, order)
     n = max(5, n_min(g))
-    stop = _bit_cutoff(n, limit)
-    if stop == n:
-        return None
     half = factorial(n) // 2
     if half >= limit:
         return None
@@ -220,10 +206,6 @@ def _sieve(g: GroupId) -> list[tuple[int, int]] | None:
         if not rest:
             found.append((n, ratio))
         n += 1
-        if n > stop:
-            raise RuntimeError(
-                f"candidate range for {group_label(g)} passed its bit cutoff {stop}"
-            )
         half *= n
     return found
 

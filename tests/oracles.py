@@ -266,14 +266,6 @@ def spin_degrees(n: int) -> list[Fraction]:
     return sorted(degrees)
 
 
-def bit_cutoff_stepwise(n: int, limit: int) -> int:
-    """The first n' >= n whose sum of floor(log2 i) over 2 <= i <= n', less
-    one, reaches bitlen(limit); each sum is taken afresh."""
-    while sum(i.bit_length() - 1 for i in range(2, n + 1)) - 1 < limit.bit_length():
-        n += 1
-    return n
-
-
 def factor_stepwise(n: int) -> list[tuple[int, int]]:
     """Prime factorisation of n >= 1, dividing by each odd d once per step."""
     out: list[tuple[int, int]] = []

@@ -435,6 +435,19 @@ def test_check_subset_errors(capsys):
         assert err == f"error: {label} exceeds the largest accepted n, {MAX_N_CEILING}\n"
 
 
+@pytest.mark.parametrize("label,dimension", [
+    ("PSL(1,7)", 2), ("PSU(2,3)", 3), ("PSp(4,3)", 6), ("Omega(3,3)", 5),
+    ("O+(6,2)", 8), ("O-(6,2)", 8),
+])
+def test_a_label_below_its_rank_floor_names_the_smallest_dimension(capsys, label, dimension):
+    # each classical head one rank below its floor is refused in the label's
+    # own terms, the dimension it was written with, not the rank m
+    code, out, err = run_cli(capsys, "check-subset", label, "9")
+    assert (code, out) == (2, "")
+    head = label.split("(")[0]
+    assert err == f"error: {head} needs dimension >= {dimension} in {label!r}\n"
+
+
 def test_check_subset_g2_2_names_its_derived_group(capsys):
     # G2(2) is not simple; the error names the label that parses, G2(2)'
     code, out, err = run_cli(capsys, "check-subset", "G2(2)", "9")

@@ -20,11 +20,13 @@ from codlab.catalog import (
     CLASSICAL_FAMILIES,
     LIE_FAMILIES,
     RANK_FLOOR,
+    SPORADIC_LABELS,
     TWISTED_ODD_POWER,
     DataFileError,
     GroupId,
     PrimePower,
     class_number_bound,
+    group_label,
     group_order,
     _order_formula,
     lie,
@@ -36,7 +38,6 @@ from codlab.catalog import (
 )
 from codlab.exactnum import is_prime
 from codlab.search import (
-    _bit_cutoff,
     _class_number_limit,
     _first_missing,
     _k_tail,
@@ -58,7 +59,7 @@ from codlab.search import (
     sweep_family,
     sweep_sporadic,
 )
-from oracles import SWEEP_BOXES, bit_cutoff_stepwise, box_points, subset_check_by_bisection
+from oracles import SWEEP_BOXES, box_points, subset_check_by_bisection
 
 # (m, q, n, ratio) per family, the frozen sweep outcome
 EXPECTED_PSL_ROWS = [
@@ -98,19 +99,26 @@ def test_n_min():
     assert n_min(GroupId("G2Prime2")) == 5
 
 
+def refuted(g):
+    """The walk's bit test at g, which has a q."""
+    return _refuted_by_bits(order_class_shape(g.family, g.m), g.q.q, n_min(g))
+
+
+def sieved(g):
+    """_sieve(g), for a point the sweep can meet: never one that the
+    walk's bit test refuses, which _sieve is not asked to decide."""
+    assert g.q is None or not refuted(g), g
+    return _sieve(g)
+
+
 def candidate_n_range(g):
     """The n that the sweep meets for g, in increasing order."""
-    return [n for n, _ in _sieve(g) or ()]
+    return [n for n, _ in sieved(g) or ()]
 
 
 def feasible(g):
     """The sieve's exact inequality |A_max(5, n_min)| < |H| * k-bound."""
-    return _sieve(g) is not None
-
-
-def refuted(g):
-    """The walk's bit test at g, which has a q."""
-    return _refuted_by_bits(order_class_shape(g.family, g.m), g.q.q, n_min(g))
+    return sieved(g) is not None
 
 
 @pytest.mark.parametrize(
@@ -152,19 +160,6 @@ def test_candidate_range_cutoff_is_tight():
         assert lhs * den >= group_order(g) * num
 
 
-def test_candidate_range_bit_cutoff_is_loud(monkeypatch):
-    g = parse_group_label("PSL(3,4)")
-    limit = _class_number_limit(g, group_order(g))
-    # 10!/2 is the first half factorial past the limit; bits alone show it at 11
-    assert _bit_cutoff(8, limit) == 11
-    monkeypatch.setattr("codlab.search._bit_cutoff", lambda n, limit: 10)
-    assert candidate_n_range(g) == [8, 9]
-    # n = 9 still meets the class-number bound, so a cutoff of 9 is a false proof
-    monkeypatch.setattr("codlab.search._bit_cutoff", lambda n, limit: 9)
-    with pytest.raises(RuntimeError, match=r"PSL\(3,4\) passed its bit cutoff 9"):
-        candidate_n_range(g)
-
-
 def oracle_feasible(g):
     """The sieve inequality with n!/2 computed in full."""
     num, den = class_number_bound(g)
@@ -175,7 +170,7 @@ def oracle_feasible(g):
 def oracle_candidate_n_range(g):
     """candidate_n_range by walking n! up from max(5, n_min) in full; each
     n it passes has fewer bits of floor(log2 i) summed over i <= n, less
-    one, than the limit, so the walk ends by the sieve's bit cutoff."""
+    one, than the limit, as 2^(S(n) - 1) <= n!/2 < limit requires."""
     order = group_order(g)
     num, den = class_number_bound(g)
     limit_bits = (-(-order * num // den)).bit_length()
@@ -204,11 +199,18 @@ def test_sieve_matches_full_factorial_oracle():
     }
     assert len(points) == 27 + 3508
     assert max(n_min(g) for g in points) == 21168  # PSL(7,17^63)
-    passed = 0
+    passed = by_bits = 0
     for g in points:
-        assert feasible(g) == oracle_feasible(g), g
+        oracle = oracle_feasible(g)
+        if g.q is not None and refuted(g):
+            # the walk refuses it by bits, and the full n!/2 agrees
+            assert not oracle, g
+            by_bits += 1
+            continue
+        assert feasible(g) == oracle, g
         assert candidate_n_range(g) == oracle_candidate_n_range(g), g
-        passed += feasible(g)
+        passed += oracle
+    assert by_bits == 3338
     assert passed == 126
 
 
@@ -246,9 +248,6 @@ def check_bit_bound(g):
     assert limit.bit_length() <= bits, g
     q_degree = _order_formula(g.family, g.m)[1]
     assert (g.q.q.bit_length() - 1) * q_degree - 5 < order.bit_length(), g
-    if refuted(g):
-        n = max(5, n_min(g))
-        assert _bit_cutoff(n, limit) == n, g
     return limit.bit_length() == bits
 
 
@@ -257,9 +256,7 @@ def test_bit_bound_on_sweep_points():
     assert len(points) == 3507
     reached = sum(check_bit_bound(g) for g in points)
     assert reached > 0  # the bound is attained, not just loose
-    by_bits = [g for g in points if refuted(g)]
-    assert len(by_bits) == 3338
-    assert not any(feasible(g) for g in by_bits)
+    assert sum(map(refuted, points)) == 3338
 
 
 def test_bit_bound_past_the_boxes():
@@ -278,7 +275,7 @@ WALKED = {
 
 def test_sweeps_build_one_order_per_walked_point(monkeypatch):
     # the walk's stops do all the refusing by bits: each walked point
-    # builds |H| once, none is refuted by bits, and 99 pass the size sieve
+    # builds |H| once, and none is refuted by bits
     built = []
 
     def recording_order(g):
@@ -292,7 +289,24 @@ def test_sweeps_build_one_order_per_walked_point(monkeypatch):
     assert len(built) == 217
     assert built == [g for family in LIE_FAMILIES for g in _walk(family)]
     assert not any(g.q is not None and refuted(g) for g in built)
-    assert sum(_sieve(g) is not None for g in built) == 99
+
+
+def test_sieve_meets_first_n_up_to_78():
+    # _sieve's domain: the 217 walked points, whose first n = max(5, n_min)
+    # is at most 78, and the 27 sporadic groups, whose first n is 5.  The
+    # first n are checked before any sieving, so a walk that let a point of
+    # huge n_min through fails here rather than building its factorial.
+    walked = [g for family in LIE_FAMILIES for g in _walk(family)]
+    assert len(walked) == 217
+    first = {g: max(5, n_min(g)) for g in walked}
+    assert max(first.values()) == 78
+    assert {group_label(g) for g, n in first.items() if n == 78} == {"PSL(13,2)", "PSU(13,2)"}
+    points = [sporadic(label) for label in SPORADIC_LABELS]
+    assert len(points) == 27
+    assert {max(5, n_min(g)) for g in points} == {5}
+    found = [_sieve(g) for g in walked]
+    assert sum(f is None for f in found) == 118
+    assert sum(f is not None for f in found) == 99
 
 
 def test_walk_counts():
@@ -408,21 +422,6 @@ def test_m_step_lemma(family):
     assert stops > 180
 
 
-def test_bit_cutoff_at_the_boundary():
-    # limits around n!/2 and around 2^(S(n) - 1): the cutoff is the stepwise
-    # one, its factorial reaches the limit, and it is n exactly when
-    # S(n) - 1 >= bitlen(limit)
-    for n in range(5, 301):
-        half = math.factorial(n) // 2
-        power = 1 << (_log2_factorial_floor(n) - 1)
-        for limit in (half - 1, half, half + 1, power - 1, power, power + 1):
-            stop = _bit_cutoff(n, limit)
-            assert stop == bit_cutoff_stepwise(n, limit), (n, limit)
-            assert math.factorial(stop) // 2 >= limit, (n, limit)
-        assert _bit_cutoff(n, power - 1) == n
-        assert _bit_cutoff(n, power) > n
-
-
 def test_log2_factorial_floor_closed_form():
     # S(n) = sum of floor(log2 i) for i <= n, and 2^S(n) <= n!
     total, fact = 0, 1
@@ -433,39 +432,19 @@ def test_log2_factorial_floor_closed_form():
         assert 1 << total <= fact, n
 
 
-@pytest.mark.parametrize("n", [21168, 10**6])  # 21168: n_min of PSL(7,17^63)
-def test_bit_cutoff_refuses_without_a_factorial(n, monkeypatch):
-    # whatever n is, the cutoff is n exactly when S(n) - 1 >= bitlen(limit),
-    # and a point refused by it builds no factorial
+def test_a_point_past_the_frontier_is_refused_by_bits(monkeypatch):
+    # PSL(7,17^63), n_min 21168, is refused by the walk's bit test with no
+    # order and no factorial built; the PSL walk stops long before it
     built = []
     monkeypatch.setattr(
         "codlab.search.factorial", lambda k: built.append(k) or math.factorial(k)
     )
+    monkeypatch.setattr("codlab.search.group_order", lambda g: built.append(g) or group_order(g))
     psl = lie("PSL", PrimePower(17, 63), m=6)
     assert n_min(psl) == 21168
-    floor = _log2_factorial_floor(n)
-    limits = [1, 2, 10**6, 1 << 999, 1 << 99_999, 1 << (floor - 2),
-              _class_number_limit(psl, group_order(psl))]
-    if n < 10**5:
-        limits += [1 << (floor - 1), (1 << floor) + 1, 1 << (floor + n), math.factorial(n)]
-    for limit in limits:
-        refused = floor - 1 >= limit.bit_length()
-        assert (_bit_cutoff(n, limit) == n) == refused, limit.bit_length()
-    assert _sieve(psl) is None
+    assert refuted(psl)
+    assert psl not in set(_walk("PSL"))
     assert built == []
-
-
-@given(
-    st.integers(min_value=5, max_value=300),
-    st.integers(min_value=1, max_value=2200).flatmap(
-        lambda bits: st.integers(min_value=1 << (bits - 1), max_value=1 << bits)
-    ),
-)
-@settings(max_examples=200, deadline=None)
-def test_bit_cutoff_matches_stepwise(n, limit):
-    stop = _bit_cutoff(n, limit)
-    assert stop == bit_cutoff_stepwise(n, limit)
-    assert math.factorial(stop) // 2 >= limit
 
 
 def test_candidate_range_infeasible_exceptional():
