@@ -46,14 +46,14 @@ sum nor the next Durfee size reads it.  Each light table is built
 once per (d, t) at its widest, for n_hi.  A single n is the range
 (n, n), and a walk makes no reference cycle.
 
-alt_codegree_set keeps cod(A_n) for each n <= _MEMO_MAX_N = 38 for the
-life of the process, so the walk of such an n, with every per-shape
-check, runs once per process.  The memo holds one entry per n, the set
-and a frozenset of its values for membership tests, which
-alt_codegree_members gives; the bound on n alone caps it, at 62,449
-values whatever the order of calls.  A larger n is walked again on every
-call, for a fresh set, and alt_codegree_members then indexes that set
-afresh.
+alt_codegree_set walks n afresh on every call and keeps nothing.
+alt_codegree_members keeps the values of cod(A_n), as a frozenset, for
+each n <= _MEMO_MAX_N = 38 for the life of the process, so the walk of
+such an n, with every per-shape check, runs once per process for every
+reader that needs only membership or the values: the subset check, the
+data loader and the Schur check.  The memo holds one frozenset per n;
+the bound on n alone caps it, at 62,449 values whatever the order of
+calls.  A larger n is walked again on every call, for a fresh index.
 
 twisted_codegree_set_2a9 adds to cod(A9) the codegrees of the faithful
 characters of the double cover 2.A9, from Schur's spin-degree formula
@@ -231,29 +231,12 @@ def _codegree_blocks(n_lo: int, n_hi: int) -> Iterator[tuple[int, list[int]]]:
             raise ArithmeticError(f"sum of squared dimensions {total} != |A_{n}| = {fact[n] >> 1}")
 
 
-# (cod(A_n), frozenset of its values) by n, for the life of the process,
-# for n <= _MEMO_MAX_N only: the sets of n = 5..38 hold 62,449 values, within
-# 2^16, about 2.75 MB, and their indexes 3.81 MB.  cod(A_39) alone adds 12,977
-# values, and the size grows about 2.3 times for every 5 added to n.
-_MEMO: dict[int, tuple[CodegreeSet, frozenset[int]]] = {}
+# The values of cod(A_n) by n, for the life of the process, for
+# n <= _MEMO_MAX_N only: the frozensets of n = 5..38 hold 62,449 values,
+# within 2^16, about 6.3 MB.  cod(A_39) alone adds 12,977 values, and the size grows about
+# 2.3 times for every 5 added to n.
+_MEMO: dict[int, frozenset[int]] = {}
 _MEMO_MAX_N = 38
-
-
-def _walked_set(n: int) -> CodegreeSet:
-    """cod(A_n) from one walk of its shapes, with every check of the walk."""
-    values: set[int] = set()
-    for _, codegrees in _codegree_blocks(n, n):
-        values.update(codegrees)
-    return CodegreeSet(f"A{n}", factorial(n) // 2, tuple(sorted(values)))
-
-
-def _stored(n: int) -> tuple[CodegreeSet, frozenset[int]]:
-    """The memo entry of n <= _MEMO_MAX_N, walked now.  setdefault on an int
-    key is one atomic step (in C, with no call back into Python; free-threaded
-    builds hold the dict's own lock), so threads that both missed n are all
-    handed the entry stored first."""
-    cod = _walked_set(n)
-    return _MEMO.setdefault(n, (cod, frozenset(cod.values)))
 
 
 def alt_codegree_set(n: int) -> CodegreeSet:
@@ -261,28 +244,31 @@ def alt_codegree_set(n: int) -> CodegreeSet:
 
     The walk pairs dim n!/H with H/2 and n!/(2H) with H, so dim * codegree
     is n!/2 by construction; the walk checks the sum of squared dimensions.
-    For n <= _MEMO_MAX_N the set is built once per process, beside its
-    membership index, and then shared, which is safe as a CodegreeSet is
-    immutable; a larger n is walked again on every call, and no index is
-    built for it here.
+    Every call walks the shapes of n again, with every check, and keeps
+    nothing: a reader that needs only membership or the values takes
+    alt_codegree_members(n).
     """
-    entry = _MEMO.get(n)
-    if entry is not None:
-        return entry[0]
-    return _walked_set(n) if n > _MEMO_MAX_N else _stored(n)[0]
+    values: set[int] = set()
+    for _, codegrees in _codegree_blocks(n, n):
+        values.update(codegrees)
+    return CodegreeSet(f"A{n}", factorial(n) // 2, tuple(sorted(values)))
 
 
 def alt_codegree_members(n: int) -> frozenset[int]:
     """The values of cod(A_n) as a frozenset, for membership tests.
 
-    For n <= _MEMO_MAX_N it is the index kept in the memo beside the set,
-    one object per n; a larger n gets a fresh set and a fresh frozenset on
-    every call, the walk costing far more than the index.
+    For n <= _MEMO_MAX_N it is walked once per process and then shared,
+    one object per n.  The store is one setdefault on an int key, an
+    atomic step (in C, with no call back into Python; free-threaded builds
+    hold the dict's own lock), so threads that both missed n are all
+    handed the frozenset stored first.  A larger n is walked again on
+    every call, for a fresh frozenset.
     """
-    entry = _MEMO.get(n)
-    if entry is not None:
-        return entry[1]
-    return frozenset(_walked_set(n).values) if n > _MEMO_MAX_N else _stored(n)[1]
+    members = _MEMO.get(n)
+    if members is not None:
+        return members
+    members = frozenset(alt_codegree_set(n).values)
+    return members if n > _MEMO_MAX_N else _MEMO.setdefault(n, members)
 
 
 def _strict_partitions(n: int, most: int) -> Iterator[Partition]:
@@ -307,7 +293,8 @@ def twisted_codegree_set_2a9() -> CodegreeSet:
 
     two characters of half that degree when 9 - l is even, one otherwise.
     Each degree is checked to be whole, then to divide 9!, and the squares
-    to sum to |2.A9| - |A9| = 9!/2.  The set is built on every call.
+    to sum to |2.A9| - |A9| = 9!/2.  The set is built on every call, from
+    the memo's cod(A9).
     """
     n = 9
     order = factorial(n)
@@ -324,7 +311,7 @@ def twisted_codegree_set_2a9() -> CodegreeSet:
             raise ArithmeticError(f"spin degree {num}/{den} of {lam} is not whole")
         degrees += [degree, degree] if split else [degree]
     faithful = CodegreeSet.from_degrees(f"2.A{n}", order, degrees, squares=order // 2).values
-    return CodegreeSet(f"2.A{n}", order, tuple(sorted({*alt_codegree_set(n).values, *faithful})))
+    return CodegreeSet(f"2.A{n}", order, tuple(sorted({*alt_codegree_members(n), *faithful})))
 
 
 def verify_min_codegree_monotone(n_lo: int, n_hi: int) -> tuple[bool, list[tuple[int, int]]]:

@@ -41,7 +41,7 @@ from functools import lru_cache
 from math import gcd, prod
 from pathlib import Path
 
-from .alt_codegrees import CodegreeSet, alt_codegree_set
+from .alt_codegrees import CodegreeSet, alt_codegree_members, alt_codegree_set
 from .exactnum import PrimePower, exact_root, factorial, is_prime
 
 # Every fact about a classical family, one row each: the label head(d, q)
@@ -426,22 +426,6 @@ _PACKAGED_DATA = Path(__file__).parent / "data" / "groups_v1.jsonl"
 _PACKAGED_KEY = os.path.abspath(_PACKAGED_DATA)
 
 
-def data_path() -> Path:
-    """The degree data file: $CODLAB_DATA if set, else the packaged file.
-
-    The environment is read on every call.  A file is read once per
-    process, and its codegree sets are kept under its absolute path, which
-    each reader resolves on every call: after an os.chdir a relative
-    $CODLAB_DATA names the file in the new directory, and one file reached
-    by two spellings is read once.  A file rewritten
-    at the same path is not read again.
-    """
-    override = os.environ.get(DATA_ENV_VAR)
-    if override:
-        return Path(override)
-    return _PACKAGED_DATA
-
-
 class DataFileError(ValueError):
     """A degree data file that cannot be read, that holds a line other than
     a degree record or a record contradicting its group, or that lacks a
@@ -601,7 +585,7 @@ def _check_against_group(key: str, g: GroupId, order: int, degrees: list[int]
     if classes and len(degrees) != classes:
         raise ValueError(f"{len(degrees)} degrees for {classes} classes")
     rep = representative(g)
-    if rep.family == "Alternating" and cod.values != alt_codegree_set(rep.n).values:
+    if rep.family == "Alternating" and set(cod.values) != alt_codegree_members(rep.n):
         name = group_label(rep)
         raise ValueError(f"codegrees are not cod({name}), though {key} = {name}")
     return cod
@@ -612,18 +596,26 @@ def _check_against_group(key: str, g: GroupId, order: int, degrees: list[int]
 _degree_records = lru_cache(maxsize=4)(_load_catalog)
 
 
-def _data_file() -> dict[GroupId, CodegreeSet]:
-    """The codegree sets of the data file data_path() names: each reader
-    takes its file from here, so one file is never loaded under two keys.
-    A refusal names the file as data_path() does."""
+def _data_file() -> tuple[Path, dict[GroupId, CodegreeSet]]:
+    """The data file, $CODLAB_DATA if set, else the packaged file, as a
+    refusal names it, with its codegree sets.
+
+    This is the one reader of $CODLAB_DATA, which it reads on every call.
+    A file is read once per process, and its codegree sets are kept under
+    its absolute path, resolved on every call: after an os.chdir a
+    relative $CODLAB_DATA names the file in the new directory, and one
+    file reached by two spellings is read once.  A file rewritten at the
+    same path is not read again.  A refusal names the file as
+    $CODLAB_DATA gives it, never by its absolute path.
+    """
     override = os.environ.get(DATA_ENV_VAR)
     if not override:
-        return _degree_records(_PACKAGED_KEY)
-    key = os.path.abspath(override)
+        return _PACKAGED_DATA, _degree_records(_PACKAGED_KEY)
+    name, key = Path(override), os.path.abspath(override)
     try:
-        return _degree_records(key)
+        return name, _degree_records(key)
     except DataFileError as exc:  # each loader message starts with key
-        raise DataFileError(f"{Path(override)}{str(exc)[len(key):]}") from None
+        raise DataFileError(f"{name}{str(exc)[len(key):]}") from None
 
 
 def sporadic_entries() -> list[SporadicEntry]:
@@ -633,24 +625,24 @@ def sporadic_entries() -> list[SporadicEntry]:
 def simple_codegree_set(g: GroupId) -> CodegreeSet:
     """cod(G) for a simple catalog group.
 
-    cod(A_n) is built once per process.  Every other set is built, and its
-    degree record checked, when the data file is loaded, once per file;
-    a query is one lookup in that file's table.  A group the file has no
-    record of is answered from its representative, relabelled: cod(A_n)
-    for a group that is an A_n, else the file's set of the representative.
-    The file is resolved once per call, from $CODLAB_DATA, to its absolute
-    path: after an os.chdir a relative $CODLAB_DATA gives the new
-    directory's sets, and a file rewritten at the same path inside one
-    process is not read again.
+    cod(A_n) is walked on every call (alt_codegree_set).  Every other set
+    is built, and its degree record checked, when the data file is loaded,
+    once per file; a query is one lookup in that file's table.  A group
+    the file has no record of is answered from its representative,
+    relabelled: cod(A_n), walked, for a group that is an A_n, else the
+    file's set of the representative.  The file is resolved once per
+    call (_data_file): after an os.chdir a relative $CODLAB_DATA gives
+    the new directory's sets, and a file rewritten at the same path
+    inside one process is not read again.
     """
     if g.family == "Alternating":
         return alt_codegree_set(g.n)  # type: ignore[arg-type]
-    table = _data_file()
+    name, table = _data_file()
     cod = table.get(g)
     if cod is None:
         rep = representative(g)
         cod = alt_codegree_set(rep.n) if rep.family == "Alternating" else table.get(rep)
         if cod is None:
-            raise DataFileError(f"{data_path()}: no degree data for {group_label(g)}")
+            raise DataFileError(f"{name}: no degree data for {group_label(g)}")
         cod = cod._replace(group_label=group_label(g))
     return cod

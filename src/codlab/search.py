@@ -60,7 +60,6 @@ from typing import Iterator
 
 from .alt_codegrees import (
     alt_codegree_members,
-    alt_codegree_set,
     prove_min_codegree_monotone,
     twisted_codegree_set_2a9,
 )
@@ -328,7 +327,7 @@ def check_subset(g: GroupId, n: int) -> SubsetCheck:
     "subset_holds", the verdict that is not ok.  The representative is
     looked up only once the subset relation holds.  Each value of cod(H)
     is probed in the hash index of cod(A_n), alt_codegree_members(n): the
-    memo's for n <= 38, else a fresh one beside a fresh walk.
+    memo's for n <= 38, else a fresh one from a fresh walk.
     """
     ch = simple_codegree_set(g)
     members = alt_codegree_members(n)
@@ -400,10 +399,8 @@ class Schur2A9Report(namedtuple(
 
 def schur_a9_size_check() -> Schur2A9Report:
     """cod(A9) must be a proper subset of cod(2.A9) with different size."""
-    a9 = alt_codegree_set(9)
-    twisted = twisted_codegree_set_2a9()
-    a9_vals = set(a9.values)
-    tw_vals = set(twisted.values)
+    a9_vals = alt_codegree_members(9)
+    tw_vals = set(twisted_codegree_set_2a9().values)
     return Schur2A9Report(
         a9_size=len(a9_vals),
         twisted_size=len(tw_vals),

@@ -4,8 +4,8 @@ import pytest
 
 from codlab import alt_codegrees, catalog
 
-# Every memo of the library: cod(A_n) with its membership index for the life
-# of the process, each data file with the cod(H) sets built from it, the
+# Every memo of the library: the membership index of each cod(A_n) for the
+# life of the process, each data file with the cod(H) sets built from it, the
 # parsed group labels and the Lie order formulas.
 _CACHES = (alt_codegrees._MEMO.clear, catalog._degree_records.cache_clear,
            catalog._parse_group_label.cache_clear, catalog._order_formula.cache_clear)

@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
-from codlab.catalog import RANK_FLOOR, GroupId, data_path, lie
+from codlab.catalog import _PACKAGED_DATA, RANK_FLOOR, GroupId, lie
 from codlab.exactnum import PrimePower, is_prime
 
 Partition = tuple[int, ...]
@@ -427,7 +427,7 @@ def psl2_class_number(q: int) -> int:
 def shipped_records() -> dict[str, dict]:
     """Each degree record of the shipped data file, as the JSON object its
     line holds, by its label and by each of its aliases."""
-    lines = data_path().read_text(encoding="utf-8").splitlines()[1:]
+    lines = _PACKAGED_DATA.read_text(encoding="utf-8").splitlines()[1:]
     return {key: rec for rec in map(json.loads, lines)
             for key in (rec["label"], *rec.get("aliases", ()))}
 

@@ -478,19 +478,24 @@ def test_twisted_2a9_checks_each_degree_and_the_sum_of_squares(monkeypatch, part
         twisted_codegree_set_2a9()
 
 
-def test_codegree_set_is_built_once_per_process(walks):
+def test_the_set_is_walked_on_every_call_and_the_index_once_per_process(walks):
     first = alt_codegree_set(12)
-    assert alt_codegree_set(12) is first
+    assert alt_codegree_set(12) == first
+    assert walks == [(12, 12)] * 2 and not alt_codegrees._MEMO
+    walks.clear()
+    members = alt_codegree_members(12)
+    assert alt_codegree_members(12) is members
+    assert members == frozenset(first.values)
     assert walks == [(12, 12)]
 
 
 def test_memoised_sets_equal_fresh_walks():
-    kept = [alt_codegree_set(n) for n in range(5, 31)]
-    assert [alt_codegree_set(n) for n in range(5, 31)] == kept
+    kept = [alt_codegree_members(n) for n in range(5, 31)]
+    assert [frozenset(alt_codegree_set(n).values) for n in range(5, 31)] == kept
     alt_codegrees._MEMO.clear()
-    for n, cod in zip(range(5, 31), kept):
-        fresh = alt_codegree_set(n)
-        assert fresh is not cod and fresh == cod
+    for n, members in zip(range(5, 31), kept):
+        fresh = alt_codegree_members(n)
+        assert fresh is not members and fresh == members
 
 
 def test_memo_keeps_the_same_n_in_any_call_order(monkeypatch, walks):
@@ -501,16 +506,16 @@ def test_memo_keeps_the_same_n_in_any_call_order(monkeypatch, walks):
         alt_codegrees._MEMO.clear()
         walks.clear()
         for n in order * 2:
-            assert alt_codegree_set(n).values == EXPECTED_COD[n]
+            assert alt_codegree_members(n) == frozenset(EXPECTED_COD[n])
         assert sorted(alt_codegrees._MEMO) == [5, 6, 7]
         assert walks == [(n, n) for n in (*order, *(m for m in order if m > 7))]
 
 
 def test_membership_index_holds_only_the_memoised_sets(monkeypatch, walks):
     # the bound of test_memo_keeps_the_same_n_in_any_call_order: A8 and A9
-    # are past it, so neither set nor index is kept for them, and each kept
-    # index holds its own set's values.  The catalog is loaded first, as its
-    # loader fills the memo with A5, A6, A8
+    # are past it, so no index is kept for them, and each kept index holds
+    # its own n's values.  The catalog is loaded first, as its loader fills
+    # the memo with A5, A6, A8
     j2 = parse_group_label("J2")
     h_cod = simple_codegree_set(j2).values
     alt_codegrees._MEMO.clear()
@@ -521,9 +526,8 @@ def test_membership_index_holds_only_the_memoised_sets(monkeypatch, walks):
         assert res.witness == min(set(h_cod) - set(EXPECTED_COD[n]))
         assert res.a_cod_size == len(EXPECTED_COD[n])
     assert list(alt_codegrees._MEMO) == [5, 6, 7]
-    for n, (cod, members) in alt_codegrees._MEMO.items():
-        assert cod.values == EXPECTED_COD[n] and members == frozenset(cod.values)
-        assert alt_codegree_set(n) is cod and alt_codegree_members(n) is members
+    for n, members in alt_codegrees._MEMO.items():
+        assert members == frozenset(EXPECTED_COD[n]) and alt_codegree_members(n) is members
     assert walks == [(n, n) for n in (8, 5, 9, 6, 7)]
 
 
@@ -535,7 +539,7 @@ def test_memo_is_shared_and_bounded_under_threads(monkeypatch):
     got = []
 
     def ask(start):
-        got.append({n: alt_codegree_set(n) for n in ns[start:] + ns[:start]})
+        got.append({n: alt_codegree_members(n) for n in ns[start:] + ns[:start]})
 
     threads = [threading.Thread(target=ask, args=(3 * i % len(ns),)) for i in range(8)]
     interval = sys.getswitchinterval()
@@ -551,13 +555,13 @@ def test_memo_is_shared_and_bounded_under_threads(monkeypatch):
     held = alt_codegrees._MEMO
     assert sorted(held) == list(range(5, 13))
     for sets in got:
-        assert [sets[n].values for n in ns] == [got[0][n].values for n in ns]
-        assert all(sets[n] is held[n][0] for n in held)
+        assert [sets[n] for n in ns] == [got[0][n] for n in ns]
+        assert all(sets[n] is held[n] for n in held)
 
 
 def test_membership_index_is_one_object_per_n_under_threads(monkeypatch):
     # two threads that both miss n = 12: each walk waits after its last block
-    # until the other thread's walk has ended too, so both build an entry
+    # until the other thread's walk has ended too, so both build an index
     # before either stores, and the store must hand both the first one.  Then
     # each thread checks J2 and A8's other name at 8 and 12
     groups = [parse_group_label(label) for label in ("J2", "PSL(4,2)")]
@@ -570,43 +574,40 @@ def test_membership_index_is_one_object_per_n_under_threads(monkeypatch):
         barrier.wait()
 
     monkeypatch.setattr(alt_codegrees, "_codegree_blocks", meeting)
-    for slot, ask in enumerate((alt_codegree_set, alt_codegree_members)):
-        alt_codegrees._MEMO.pop(12, None)
-        barrier = threading.Barrier(2, timeout=10)
-        got = []
+    barrier = threading.Barrier(2, timeout=10)
+    got = []
 
-        def run():
-            got.append((ask(12), [check_subset(g, n) for n in (8, 12) for g in groups]))
+    def run():
+        got.append((alt_codegree_members(12),
+                    [check_subset(g, n) for n in (8, 12) for g in groups]))
 
-        threads = [threading.Thread(target=run) for _ in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-        assert not any(t.is_alive() for t in threads) and len(got) == 2
-        assert got[0][0] is got[1][0] is alt_codegrees._MEMO[12][slot]
-        assert got[0][1] == got[1][1]
-        assert [c.verdict for c in got[0][1][:2]] == ["subset_refuted", "isomorphic"]
-        assert [c.a_cod_size for c in got[0][1][2:]] == [len(alt_codegree_set(12).values)] * 2
+    threads = [threading.Thread(target=run) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads) and len(got) == 2
+    assert got[0][0] is got[1][0] is alt_codegrees._MEMO[12]
+    assert got[0][1] == got[1][1]
+    assert [c.verdict for c in got[0][1][:2]] == ["subset_refuted", "isomorphic"]
+    assert [c.a_cod_size for c in got[0][1][2:]] == [len(alt_codegrees._MEMO[12])] * 2
 
 
 def test_memo_keeps_exactly_the_n_up_to_its_bound():
-    # the sets of n = 5..38 hold 62,449 values, within 2^16, and the set of
-    # 39 would take them to 75,426: that is where the bound of 38 comes from
+    # the indexes of n = 5..38 hold 62,449 values, within 2^16, and the index
+    # of 39 would take them to 75,426: that is where the bound of 38 comes from
     sizes = {n: len(alt_codegree_members(n)) for n in range(5, 41)}
     assert alt_codegrees._MEMO_MAX_N == 38
     assert sum(sizes[n] for n in range(5, 39)) == 62449 <= 1 << 16
     assert sum(sizes[n] for n in range(5, 40)) == 75426 > 1 << 16
     assert list(alt_codegrees._MEMO) == list(range(5, 39))
-    for cod, members in alt_codegrees._MEMO.values():
-        assert members == frozenset(cod.values)
+    assert all(alt_codegree_members(n) is alt_codegrees._MEMO[n] for n in range(5, 39))
     for n in (39, 40):
-        assert alt_codegree_set(n) is not alt_codegree_set(n)
         assert alt_codegree_members(n) is not alt_codegree_members(n)
     assert list(alt_codegrees._MEMO) == list(range(5, 39))
     alt_codegrees._MEMO.clear()
     for n in (37, 38, 39):
-        alt_codegree_set(n)
+        alt_codegree_members(n)
     assert list(alt_codegrees._MEMO) == [37, 38]
 
 

@@ -29,7 +29,6 @@ from codlab.catalog import (
     TWISTED_ODD_POWER,
     alternating,
     class_number_bound,
-    data_path,
     group_label,
     group_order,
     lie,
@@ -40,6 +39,7 @@ from codlab.catalog import (
     simple_codegree_set,
     sporadic,
     sporadic_entries,
+    _PACKAGED_DATA,
     _SPORADIC_ATLAS,
     _load_catalog,
     _order_formula,
@@ -190,7 +190,7 @@ def test_catalog_groups_of_one_order_are_one_group_or_artins_pairs():
 
 
 def test_every_shipped_alias_is_a_table_entry_of_its_record():
-    lines = data_path().read_text(encoding="utf-8").splitlines()[1:]
+    lines = _PACKAGED_DATA.read_text(encoding="utf-8").splitlines()[1:]
     aliases = [(alias, rec["label"]) for rec in map(json.loads, lines)
                for alias in rec.get("aliases", ())]
     assert aliases == [("G2(2)'", "PSU(3,3)"), ("PSU(4,2)", "Omega(5,3)")]
@@ -656,9 +656,9 @@ DATA_LABELS = RECORD_LABELS + ("G2(2)'", "PSU(4,2)")
 
 def test_data_file_holds_degree_records_only():
     # one degree record a line after the header; the sporadic facts are catalog's
-    lines = data_path().read_text(encoding="utf-8").splitlines()
+    lines = _PACKAGED_DATA.read_text(encoding="utf-8").splitlines()
     assert [json.loads(line)["record"] for line in lines[1:]] == ["degrees"] * 10
-    table = _load_catalog(data_path())
+    table = _load_catalog(_PACKAGED_DATA)
     assert set(table) == set(map(parse_group_label, DATA_LABELS))
     assert all(cod.group_label == group_label(g) for g, cod in table.items())
 
@@ -677,16 +677,16 @@ def test_codegree_sets_trust_the_loaded_records(monkeypatch):
 
 def test_a_catalog_set_is_the_loaded_files_own():
     # the loaded file is one table by group, and a query reads its set
-    table = catalog._data_file()
+    _, table = catalog._data_file()
     assert len(table) == len(DATA_LABELS)
     for g in map(parse_group_label, DATA_LABELS):
-        assert simple_codegree_set(g) is table[g] is catalog._data_file()[g]
+        assert simple_codegree_set(g) is table[g] is catalog._data_file()[1][g]
 
 
 def test_a_record_serves_its_group_under_any_spelling(tmp_path, monkeypatch):
     # a record is filed by the group its label names, and its set by that
     # group's label
-    text = data_path().read_text(encoding="utf-8")
+    text = _PACKAGED_DATA.read_text(encoding="utf-8")
     spelt = text.replace('"label": "PSL(2,7)"', '"label": " PSL(2, 7)"')
     assert spelt != text
     target = tmp_path / "spelt.jsonl"
@@ -708,11 +708,11 @@ def test_twisted_2a9():
 
 def test_data_path_override(tmp_path, monkeypatch):
     copy = tmp_path / "alt.jsonl"
-    copy.write_text(data_path().read_text(encoding="utf-8"), encoding="utf-8")
+    copy.write_text(_PACKAGED_DATA.read_text(encoding="utf-8"), encoding="utf-8")
     monkeypatch.setenv("CODLAB_DATA", str(copy))
-    assert data_path() == copy
+    assert catalog._data_file()[0] == copy
     assert simple_codegree_set(sporadic("J2")).order == 604800
-    assert catalog._data_file() is catalog._degree_records(str(copy))
+    assert catalog._data_file()[1] is catalog._degree_records(str(copy))
 
 
 def test_loading_walks_each_coincidence_once(tmp_path, monkeypatch, walks):
@@ -720,7 +720,7 @@ def test_loading_walks_each_coincidence_once(tmp_path, monkeypatch, walks):
     # A_n, PSL(2,4), PSL(2,5), PSL(2,9) and PSL(4,2), against cod(A5),
     # cod(A6) and cod(A8), and the checks of those pairs reuse them
     copy = tmp_path / "fresh.jsonl"
-    copy.write_bytes(data_path().read_bytes())
+    copy.write_bytes(_PACKAGED_DATA.read_bytes())
     monkeypatch.setenv("CODLAB_DATA", str(copy))
     catalog._data_file()
     assert sorted(walks) == [(5, 5), (6, 6), (8, 8)]
@@ -741,7 +741,7 @@ def test_a_walk_failure_met_by_the_loader_is_not_a_data_file_error(monkeypatch):
     monkeypatch.setattr(alt_codegrees, "_run_list", lambda d, total, shorter, fact: [
         (r, h) for r, h in run_list(d, total, shorter, fact) if r != (2, 0)])
     with pytest.raises(ArithmeticError, match=r"^sum of squared dimensions 35 != \|A_5\| = 60$"):
-        _load_catalog(data_path())
+        _load_catalog(_PACKAGED_DATA)
 
 
 def _builds(monkeypatch):
@@ -776,7 +776,7 @@ def test_catalog_codegree_sets_are_shared_under_threads():
     # eight threads, more than the cores, switching every microsecond, each
     # asking for every catalog set of the loaded file, and for each group of
     # the isomorphism table, from its own start
-    table = catalog._data_file()
+    _, table = catalog._data_file()
     groups = [*map(parse_group_label, DATA_LABELS),
               *(g for g in catalog._REPRESENTATIVE if g not in table)]
     assert [group_label(g) for g in groups[len(DATA_LABELS):]] == ["PSL(3,2)"]
@@ -851,7 +851,7 @@ def test_a_relative_data_path_names_the_file_in_the_current_directory(tmp_path, 
     # b/data.jsonl after a chdir to b/
     for where in ("a", "b"):
         (tmp_path / where).mkdir()
-    (tmp_path / "a" / "data.jsonl").write_bytes(data_path().read_bytes())
+    (tmp_path / "a" / "data.jsonl").write_bytes(_PACKAGED_DATA.read_bytes())
     _write_alarm_file(tmp_path / "b" / "data.jsonl")
     monkeypatch.setenv("CODLAB_DATA", "data.jsonl")
     g = parse_group_label("PSL(3,4)")
@@ -883,7 +883,7 @@ def test_a_set_is_built_from_the_file_it_is_kept_with(tmp_path, monkeypatch):
     # CODLAB_DATA switches from a copy of the shipped file to the alarm file
     # right after the query resolves its file: the set is the shipped one's
     shipped, alarm = tmp_path / "shipped.jsonl", tmp_path / "alarm.jsonl"
-    shipped.write_bytes(data_path().read_bytes())
+    shipped.write_bytes(_PACKAGED_DATA.read_bytes())
     _write_alarm_file(alarm)
     monkeypatch.setenv("CODLAB_DATA", str(shipped))
     calls = _data_file_calls(monkeypatch,
@@ -900,13 +900,13 @@ def test_a_cold_catalog_set_resolves_the_data_file_once(monkeypatch):
 
 def test_a_data_file_reached_by_three_spellings_is_loaded_once(tmp_path, monkeypatch):
     target = tmp_path / "data.jsonl"
-    target.write_bytes(data_path().read_bytes())
+    target.write_bytes(_PACKAGED_DATA.read_bytes())
     monkeypatch.chdir(tmp_path)
     j2 = parse_group_label("J2")
     got = []
     for spelling in ("data.jsonl", "./data.jsonl", str(target)):
         monkeypatch.setenv("CODLAB_DATA", spelling)
-        got.append((catalog._data_file(), simple_codegree_set(j2)))
+        got.append((catalog._data_file()[1], simple_codegree_set(j2)))
     # one load, kept under the absolute path
     assert catalog._degree_records.cache_info().misses == 1
     assert catalog._degree_records(str(target)) is got[0][0]
@@ -920,7 +920,7 @@ def test_a_missing_degree_record_is_refused_on_every_call():
         with pytest.raises(DataFileError) as exc:
             simple_codegree_set(sporadic("M11"))
         refusals.append(str(exc.value))
-    assert refusals == [f"{data_path()}: no degree data for M11"] * 2
+    assert refusals == [f"{catalog._PACKAGED_DATA}: no degree data for M11"] * 2
 
 
 def test_dixon_lists_are_their_derivation():
@@ -941,7 +941,7 @@ def test_shipped_file_is_in_canonical_form():
     # each line, the header too, is its JSON object as json.dumps writes
     # it, a record's fields in the order the loader lists them, and ends
     # with one newline
-    lines = data_path().read_text(encoding="utf-8").splitlines(keepends=True)
+    lines = _PACKAGED_DATA.read_text(encoding="utf-8").splitlines(keepends=True)
     for line in lines:
         rec = json.loads(line)
         assert line == json.dumps(rec, separators=(", ", ": ")) + "\n"
@@ -949,7 +949,7 @@ def test_shipped_file_is_in_canonical_form():
         assert list(rec) == [field for field in catalog._FIELDS if field in rec]
 
 
-_DATA_LINES = data_path().read_text(encoding="utf-8").splitlines()
+_DATA_LINES = _PACKAGED_DATA.read_text(encoding="utf-8").splitlines()
 
 
 def _without_key(line, i):
@@ -1154,11 +1154,11 @@ def test_loader_reads_fields_exactly(field, i, value):
         # never under an A_n, whose codegrees come from hook lengths
         assert g.family != "Alternating"
     else:  # the provenance is text, and files nothing
-        assert type(value) is str and cat == _load_catalog(data_path())
+        assert type(value) is str and cat == _load_catalog(_PACKAGED_DATA)
 
 
 def test_corrupted_data_detected(tmp_path, monkeypatch):
-    text = data_path().read_text(encoding="utf-8")
+    text = _PACKAGED_DATA.read_text(encoding="utf-8")
     bad = text.replace("[1, 6, 7, 7, 7, 14,", "[1, 6, 7, 7, 7, 15,")
     assert bad != text
     target = tmp_path / "bad.jsonl"

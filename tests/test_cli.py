@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from codlab import cli
 from codlab.cli import MAX_N_CEILING, build_parser, cmd_search, main
-from codlab.catalog import data_path
+from codlab.catalog import _PACKAGED_DATA
 from codlab.search import SEARCH_TARGETS, run_full_verification
 from oracles import shipped_records
 
@@ -274,7 +274,7 @@ def test_a_n_table_bytes_are_pinned(capsys, argv, digest):
 def test_search_psl_csv_matches_golden(capsys):
     code, out, _ = run_cli(capsys, "search", "psl", "--format", "csv")
     assert code == 0
-    golden = (data_path().parent / "golden" / "table_psl.csv").read_text("utf-8")
+    golden = (_PACKAGED_DATA.parent / "golden" / "table_psl.csv").read_text("utf-8")
     assert out == golden
     assert len(out.splitlines()) == 13  # header + 12 rows
 
@@ -533,7 +533,7 @@ def test_usage_error_exit_code():
 
 def test_data_override_respected(tmp_path, monkeypatch, capsys):
     copy = tmp_path / "data.jsonl"
-    copy.write_text(data_path().read_text("utf-8"), "utf-8")
+    copy.write_text(_PACKAGED_DATA.read_text("utf-8"), "utf-8")
     monkeypatch.setenv("CODLAB_DATA", str(copy))
     code, out, _ = run_cli(capsys, "check-subset", "PSU(3,3)", "9")
     assert code == 0 and "189" in out
@@ -596,7 +596,7 @@ def _appended(record):
 def data_file(path, edit):
     """Write the packaged data file, its lines changed by edit, to path; a
     character U+DC80..U+DCFF is written as the byte it escapes."""
-    lines = edit(data_path().read_text("utf-8").splitlines())
+    lines = edit(_PACKAGED_DATA.read_text("utf-8").splitlines())
     path.write_text("\n".join(lines) + "\n", "utf-8", "surrogateescape")
 
 
@@ -937,7 +937,7 @@ def test_schur_fails_in_every_format(capsys, monkeypatch):
 
 def test_an_alarm_fails_each_command_that_meets_it_in_every_format(tmp_path, monkeypatch,
                                                                    capsys):
-    golden = (data_path().parent / "golden" / "table_psl.csv").read_text("utf-8")
+    golden = (_PACKAGED_DATA.parent / "golden" / "table_psl.csv").read_text("utf-8")
     data_file(tmp_path / "data.jsonl", _degrees_of("PSL(3,4)", degrees=_COD_IN_COD_A8))
     monkeypatch.setenv("CODLAB_DATA", str(tmp_path / "data.jsonl"))
     alarm = "PSL(3,4) vs A8: SUBSET HOLDS without isomorphism (alarm)"

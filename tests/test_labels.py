@@ -13,11 +13,11 @@ from codlab.catalog import (
     LIE_FAMILIES,
     SPORADIC_LABELS,
     GroupId,
-    data_path,
     group_label,
     parse_group_label,
     sporadic,
     sporadic_entries,
+    _PACKAGED_DATA,
 )
 from codlab.cli import main
 from codlab.search import _walk
@@ -114,7 +114,7 @@ def test_every_sweep_label_round_trips():
 
 def test_cached_parses_equal_fresh_parses():
     # loading the data file parses each of its labels and aliases
-    labels = [*map(group_label, catalog._load_catalog(data_path())), *SPORADIC_LABELS]
+    labels = [*map(group_label, catalog._load_catalog(_PACKAGED_DATA)), *SPORADIC_LABELS]
     assert len(labels) == 12 + 27
     cached = [parse_group_label(label) for label in labels]
     assert all(parse_group_label(label) is g for label, g in zip(labels, cached))

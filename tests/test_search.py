@@ -630,8 +630,8 @@ def test_check_subset_matches_a_bisection_oracle():
             assert check_subset(parse_group_label(label), n) == _bisection_answer(label, n), (
                 label, n)
     assert sorted(alt_codegrees._MEMO) == list(range(5, 28))
-    for cod, members in alt_codegrees._MEMO.values():
-        assert members == frozenset(cod.values)
+    for n, members in alt_codegrees._MEMO.items():
+        assert members == frozenset(alt_codegree_set(n).values)
 
 
 def test_check_subset_matches_the_oracle_past_the_memo_bound(monkeypatch):
@@ -757,9 +757,9 @@ def test_sweeps_read_no_data_file(tmp_path, monkeypatch):
 
 def test_missing_degree_record_is_loud(tmp_path, monkeypatch):
     # strip the J2 record: the discharge of J2 must name the gap
-    from codlab.catalog import data_path
+    from codlab.catalog import _PACKAGED_DATA
 
-    lines = data_path().read_text("utf-8").splitlines()
+    lines = _PACKAGED_DATA.read_text("utf-8").splitlines()
     pruned = [ln for ln in lines if '"label": "J2"' not in ln]
     assert len(pruned) == len(lines) - 1
     target = tmp_path / "noj2.jsonl"
