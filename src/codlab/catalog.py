@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 from collections import Counter, namedtuple
 from functools import lru_cache
 from math import gcd, prod
@@ -46,14 +47,14 @@ from .exactnum import PrimePower, exact_root, factorial, is_prime
 
 # Every fact about a classical family, one row each: the label head(d, q)
 # with dimension d = a*m + b, the smallest rank m (PSL(m+1,q), PSU(m+1,q),
-# PSp(2m,q), Omega(2m+1,q), O+-(2m,q); lower ranks are refused), and the
-# constant C = num/den of the class-number bound k(G) <= C*q^m (Fulman and
-# Guralnick, Trans. Amer. Math. Soc. 364 (2012); the PSp constant is the
-# q-even one, valid for both parities).
+# PSp(2m,q), Omega(2m+1,q), O+-(2m,q); lower ranks are refused, as is PSp(4,q)
+# = Omega(5,q) at odd q), and the constant C = num/den of the class-number
+# bound k(G) <= C*q^m (Fulman and Guralnick, Trans. Amer. Math. Soc. 364
+# (2012); the PSp constant is the q-even one, valid for both parities).
 _CLASSICAL = {  # family: (head, a, b, rank floor, (num, den))
     "PSL": ("PSL", 1, 1, 1, (5, 2)),
     "PSU": ("PSU", 1, 1, 2, (413, 50)),
-    "PSp": ("PSp", 2, 0, 3, (76, 5)),
+    "PSp": ("PSp", 2, 0, 2, (76, 5)),
     "OmegaOdd": ("Omega", 2, 1, 2, (73, 10)),
     "OPlus": ("O+", 2, 0, 4, (15, 1)),
     "OMinus": ("O-", 2, 0, 4, (15, 1)),
@@ -181,6 +182,10 @@ def _check_lie_point(family: str, m: int | None, q: PrimePower) -> None:
             raise ValueError(f"PSL(2,{qv}) is not simple")
         if family == "PSU" and m == 2 and qv == 2:
             raise ValueError("PSU(3,2) is not simple")
+        if family == "PSp" and m == 2 and q.p != 2:
+            raise ValueError(f"PSp(4,{qv}) requires even q; use the label Omega(5,{qv})")
+        if family == "PSp" and m == 2 and qv == 2:
+            raise ValueError("PSp(4,2) is not simple; its derived group is A6")
         if family == "OmegaOdd" and q.p == 2:
             raise ValueError("Omega(2m+1, q) requires odd q")
     else:
@@ -306,7 +311,8 @@ _ATLAS = "ATLAS of Finite Groups, introduction"
 # is represented by that A_n.  Within the catalog's families and rank floors
 # these are all the isomorphisms; two catalog groups of one order with
 # different representatives, such as PSL(3,4) and A8, or PSp(2m,q) and
-# Omega(2m+1,q) at odd q and m >= 3, are not isomorphic (Artin).
+# Omega(2m+1,q) at odd q and m >= 3, are not isomorphic (Artin).  PSp(4,2^k)
+# has no second name here, as Omega(2m+1,q) is odd q only.
 _ISOMORPHISMS = (  # (label, representative, source)
     ("PSL(2,4)", "A5", _ARTIN),
     ("PSL(2,5)", "A5", _ARTIN),
@@ -442,7 +448,12 @@ def _load_catalog(path: str | Path) -> dict[GroupId, CodegreeSet]:
     table: dict[GroupId, CodegreeSet] = {}
     lineno = 1
     try:
-        with open(path, encoding="utf-8") as fh:
+        # opened without blocking, so a FIFO with no writer is refused at once
+        fd = os.open(path, os.O_RDONLY | getattr(os, "O_NONBLOCK", 0))
+        if not stat.S_ISREG(os.fstat(fd).st_mode):
+            os.close(fd)
+            raise OSError("not a regular file")
+        with open(fd, encoding="utf-8") as fh:
             header = json.loads(_line(fh), object_pairs_hook=_object)
             if (not isinstance(header, dict) or header.get("format") != _DATA_FORMAT
                     or header.get("version") != _DATA_VERSION):

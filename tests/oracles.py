@@ -424,6 +424,12 @@ def psl2_class_number(q: int) -> int:
     return q + 1 if q % 2 == 0 else (q + 5) // 2
 
 
+def sp4_class_number(q: int) -> int:
+    """k(Sp(4,q)) = q^2 + 2q + 3 for even q (Enomoto, Osaka J. Math. 9
+    (1972)); Sp(4,q) = PSp(4,q) there, as its centre is trivial."""
+    return q * q + 2 * q + 3
+
+
 def shipped_records() -> dict[str, dict]:
     """Each degree record of the shipped data file, as the JSON object its
     line holds, by its label and by each of its aliases."""

@@ -49,8 +49,9 @@ from codlab.alt_codegrees import twisted_codegree_set_2a9
 from codlab.cli import main
 from codlab.exactnum import PrimePower, factor, format_factored
 from codlab.search import _walk, check_subset, run_full_verification
-from oracles import (ISOMORPHIC_LABELS, lie_class_bound, lie_order, psl2_class_number,
-                     psl2_degrees, same_group, shipped_records, valuation)
+from oracles import (ISOMORPHIC_LABELS, lie_class_bound, lie_order, partitions,
+                     psl2_class_number, psl2_degrees, same_group, shipped_records,
+                     sp4_class_number, valuation)
 
 KNOWN_ORDERS = {
     "PSL(2,4)": 60,
@@ -288,7 +289,9 @@ def test_label_roundtrip(label):
         lambda: lie("Suzuki", PrimePower(2, 1)),     # 2B2(2) not simple
         lambda: lie("Ree", PrimePower(3, 1)),        # 2G2(3) not simple
         lambda: lie("G2", PrimePower(2, 1)),         # G2(2) not simple
-        lambda: lie("PSp", PrimePower(2, 1), m=2),   # rank below family floor
+        lambda: lie("PSp", PrimePower(2, 1), m=2),   # PSp(4,2) = S6 not simple
+        lambda: lie("PSp", PrimePower(3, 1), m=2),   # odd q: Omega(5,3)
+        lambda: lie("PSp", PrimePower(2, 2), m=1),   # rank below family floor
         lambda: sporadic("XYZ"),
         lambda: alternating(4),
         lambda: GroupId("NoSuchFamily"),
@@ -363,7 +366,7 @@ def test_prime_power_refuses_bases_beyond_proven_range():
 
 @pytest.mark.parametrize(
     "family,q",
-    [("PSL", 4), ("PSU", 3), ("PSp", 2), ("OmegaOdd", 3), ("OPlus", 2), ("OMinus", 2)],
+    [("PSL", 4), ("PSU", 3), ("PSp", 4), ("OmegaOdd", 3), ("OPlus", 2), ("OMinus", 2)],
 )
 def test_rank_floor(family, q):
     # one rank below the floor is refused; at the floor q is the smallest legal field
@@ -374,6 +377,12 @@ def test_rank_floor(family, q):
     for smaller in range(2, q):
         with pytest.raises(ValueError):
             lie(family, prime_power(smaller), m=floor)
+
+
+def odd_q_floor(family):
+    """The smallest rank of a classical family legal at every odd q: PSp(4, q)
+    at odd q is Omega(5, q), so PSp starts at rank 3 there."""
+    return 3 if family == "PSp" else RANK_FLOOR.get(family)
 
 
 def test_class_number_bounds():
@@ -390,14 +399,15 @@ def test_class_number_bounds():
     assert Fraction(*class_number_bound(parse_group_label("Omega(5,3)"))) * 10 == 73 * 9
     # every Lie family against the bounds and orders its sources print, at
     # ranks floor..floor+3 over three fields, the largest 2^61 - 1, or p^61
-    # for a twisted family over odd powers of p
+    # for a twisted family over odd powers of p; the floor of an odd q is
+    # odd_q_floor's
     for family in LIE_FAMILIES:
         p = TWISTED_ODD_POWER.get(family)
         fields = ((p ** 3, p ** 5, p ** 61) if p
                   else (3 if family == "OmegaOdd" else 4, 5, 2 ** 61 - 1))
-        floor = RANK_FLOOR.get(family)
-        for m in range(floor, floor + 4) if floor else [None]:
-            for q in fields:
+        for q in fields:
+            floor = RANK_FLOOR.get(family) if q % 2 == 0 else odd_q_floor(family)
+            for m in range(floor, floor + 4) if floor else [None]:
                 g = lie(family, prime_power(q), m=m)
                 bound = Fraction(*class_number_bound(g))
                 assert bound == lie_class_bound(family, m, q), (family, m, q)
@@ -454,6 +464,17 @@ def test_psl2_class_numbers_within_bound():
     for g in walked:
         assert psl2_class_number(g.q.q) <= Fraction(*class_number_bound(g)), g.q.q
     assert len(walked) == 83 and max(g.q.q for g in walked) == 2**63
+
+
+def test_psp4_bound_dominates_its_class_number():
+    # k(PSp(4,q)) = q^2 + 2q + 3 for even q at each PSp(4, 2^k) point that
+    # the sweep walks, k = 2 to 9; the formula holds at q = 2, where
+    # Sp(4,2) = S6 has a class for each of the 11 partitions of 6
+    assert sp4_class_number(2) == len(list(partitions(6))) == 11
+    walked = [g for g in _walk("PSp") if g.m == 2]
+    for g in walked:
+        assert sp4_class_number(g.q.q) <= Fraction(*class_number_bound(g)), g.q.q
+    assert [(g.q.p, g.q.k) for g in walked] == [(2, k) for k in range(2, 10)]
 
 
 def test_suzuki_bound_is_its_class_number():
@@ -559,7 +580,8 @@ def lie_points(draw, max_bits=200):
         k = draw(st.integers(1, k_max))
     try:
         return lie(family, PrimePower(p, k), m=m)
-    except ValueError:  # PSL(2,2), PSL(2,3), PSU(3,2), G2(2), Omega(2m+1, 2^k)
+    except ValueError:  # PSL(2,2), PSL(2,3), PSU(3,2), PSp(4,2), PSp(4, odd q),
+        # G2(2), Omega(2m+1, 2^k)
         reject()
 
 
@@ -578,9 +600,9 @@ def test_order_class_bits_bound_the_limit(g):
 def test_order_class_bits_at_q_just_below_a_power_of_two(q):
     # q < 2^b by 1 is where q^D nearly fills b*D bits, so a c one smaller
     # than the shape's shows here; the limit comes from group_order and
-    # class_number_bound alone
+    # class_number_bound alone; q is odd, so ranks start at odd_q_floor
     points = [(family, m) for family in RANK_FLOOR
-              for m in range(RANK_FLOOR[family], RANK_FLOOR[family] + 3)]
+              for m in range(odd_q_floor(family), odd_q_floor(family) + 3)]
     points += [(family, None) for family in LIE_FAMILIES
                if family not in RANK_FLOOR and family not in TWISTED_ODD_POWER]
     spare = {}

@@ -177,7 +177,7 @@ TABLE_DIGESTS = [
      "7578e2e9bc00986676fdd7eca7d7c9bb3fc805b76e1c692239e8111d3feeba9e"),
     (("search", "all", "--format", "table"), oracle_digest("search", "all", "--threads", "1")),
     (("search", "all", "--format", "json"),
-     "b54c2131c284f23db877a2404455407203aaeb806b4830be3e6b58fadba3604f"),
+     "c5d1baece54930e5942d0fc3f3d57b4d0f274341ef815bd826801d1e516ae683"),
     (("search", "all", "--format", "csv"),
      "29a49e0d841450d6f2414e0b72ccad757fbb7016ebf4d9fd4708352516e415c0"),
     (("search", "sporadic", "--format", "json"),
@@ -195,7 +195,7 @@ TABLE_DIGESTS = [
     (("search", "psu", "--format", "json"),
      "37e92d5f16c56006f9ef15f3a84910379781da0e9674b55e54dabdea7b7e1d79"),
     (("search", "psp", "--format", "json"),
-     "b5a8c37977eeaa5d1b49d0cdc6dad9ae4106514b3a576d5ed6317fee8fec0c7d"),
+     "4800770280bfd09b8db1e41b5c9c1bd3e6912351b612d048b40a2095cb6f4c10"),
     (("search", "omegaodd", "--format", "json"),
      "69ba23040e42f11043bc75b79f342d3d949ad63ca0596a0697486c1b2ceac5c4"),
     (("search", "oplus", "--format", "json"),
@@ -436,7 +436,7 @@ def test_check_subset_errors(capsys):
 
 
 @pytest.mark.parametrize("label,dimension", [
-    ("PSL(1,7)", 2), ("PSU(2,3)", 3), ("PSp(4,3)", 6), ("Omega(3,3)", 5),
+    ("PSL(1,7)", 2), ("PSU(2,3)", 3), ("PSp(2,3)", 4), ("Omega(3,3)", 5),
     ("O+(6,2)", 8), ("O-(6,2)", 8),
 ])
 def test_a_label_below_its_rank_floor_names_the_smallest_dimension(capsys, label, dimension):
@@ -446,6 +446,19 @@ def test_a_label_below_its_rank_floor_names_the_smallest_dimension(capsys, label
     assert (code, out) == (2, "")
     head = label.split("(")[0]
     assert err == f"error: {head} needs dimension >= {dimension} in {label!r}\n"
+
+
+@pytest.mark.parametrize("label,problem", [
+    ("PSp(4,3)", "PSp(4,3) requires even q; use the label Omega(5,3)"),
+    ("PSp(4,2)", "PSp(4,2) is not simple; its derived group is A6"),
+    ("PSp(4,4)", f"{_PACKAGED_DATA}: no degree data for PSp(4,4)"),
+], ids=["odd-q", "q-2", "no-data"])
+def test_each_psp4_label_is_refused_in_its_own_terms(capsys, label, problem):
+    # PSp(4, q) is a catalog group for even q >= 4 only: at odd q it is
+    # Omega(5, q), and PSp(4,2) = S6 is not simple
+    code, out, err = run_cli(capsys, "check-subset", label, "9")
+    assert (code, out) == (2, "")
+    assert err == f"error: {problem}\n"
 
 
 def test_check_subset_g2_2_names_its_derived_group(capsys):
@@ -821,17 +834,37 @@ def test_bad_data_file_exits_2(tmp_path, monkeypatch, capsys, edit, argv, proble
     assert err.count("\n") == 1
 
 
-def test_an_endless_data_line_exits_2_in_bounded_memory():
-    # /dev/zero is one line that never ends; it is refused once its first
-    # MiB is read, in an address space that could not hold the line whole
+def test_an_endless_data_line_exits_2_in_bounded_memory(tmp_path):
+    # a sparse regular file whose first line is 1 GiB of NUL characters is
+    # refused once its first MiB is read, in an address space that could
+    # not hold the line whole
+    target = tmp_path / "zeros.jsonl"
+    with open(target, "wb") as fh:
+        fh.truncate(1 << 30)
     proc = subprocess.Popen(
         [sys.executable, "-m", "codlab.cli", "check-subset", "J2", "10"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        env={**os.environ, "CODLAB_DATA": "/dev/zero"},
+        env={**os.environ, "CODLAB_DATA": str(target)},
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20)))
     out, err = finished(proc, 30)
     assert (proc.returncode, out) == (2, b"")
-    assert err == b"error: /dev/zero:1: line longer than 1048576 characters\n"
+    assert err == f"error: {target}:1: line longer than 1048576 characters\n".encode()
+
+
+@pytest.mark.parametrize("kind", ["fifo", "directory", "dev-zero"])
+def test_a_data_path_that_is_not_a_regular_file_exits_2_in_bounded_time(
+        tmp_path, monkeypatch, kind):
+    # a FIFO with no writer would block an open for reading; each path is
+    # refused before a line is read
+    target = {"fifo": tmp_path / "data.jsonl", "directory": tmp_path,
+              "dev-zero": "/dev/zero"}[kind]
+    if kind == "fifo":
+        os.mkfifo(target)
+    monkeypatch.setenv("CODLAB_DATA", str(target))
+    proc = codlab("check-subset", "J2", "10")
+    out, err = finished(proc, 10)
+    assert (proc.returncode, out) == (2, b"")
+    assert err == f"error: {target}: not a regular file\n".encode()
 
 
 @pytest.mark.parametrize(

@@ -105,9 +105,9 @@ def all_sweep_points() -> list[GroupId]:
 
 def test_every_sweep_label_round_trips():
     points = all_sweep_points()
-    assert len(points) == 27 + 3508
+    assert len(points) == 27 + 3509
     walked = [g for family in LIE_FAMILIES for g in _walk(family)]
-    assert len(walked) == 217
+    assert len(walked) == 225
     for g in points + walked:
         assert parse_group_label(group_label(g)) == g, g
 

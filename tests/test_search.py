@@ -194,10 +194,10 @@ def test_sieve_matches_full_factorial_oracle():
         examined[family] = len(in_box)
         points.extend(in_box)
     assert examined == {
-        "PSL": 2644, "PSU": 839, "PSp": 4, "OmegaOdd": 1, "OPlus": 1,
+        "PSL": 2644, "PSU": 839, "PSp": 5, "OmegaOdd": 1, "OPlus": 1,
         "OMinus": 12, "G2": 2, "TriD4": 1, "Suzuki": 4,
     }
-    assert len(points) == 27 + 3508
+    assert len(points) == 27 + 3509
     assert max(n_min(g) for g in points) == 21168  # PSL(7,17^63)
     passed = by_bits = 0
     for g in points:
@@ -211,7 +211,7 @@ def test_sieve_matches_full_factorial_oracle():
         assert candidate_n_range(g) == oracle_candidate_n_range(g), g
         passed += oracle
     assert by_bits == 3338
-    assert passed == 126
+    assert passed == 127
 
 
 def lie_sweep_points():
@@ -253,7 +253,7 @@ def check_bit_bound(g):
 
 def test_bit_bound_on_sweep_points():
     points = lie_sweep_points()
-    assert len(points) == 3507
+    assert len(points) == 3508
     reached = sum(check_bit_bound(g) for g in points)
     assert reached > 0  # the bound is attained, not just loose
     assert sum(map(refuted, points)) == 3338
@@ -261,13 +261,13 @@ def test_bit_bound_on_sweep_points():
 
 def test_bit_bound_past_the_boxes():
     points = lie_frame_points()
-    assert len(points) == 4785
+    assert len(points) == 4790
     for g in points:
         check_bit_bound(g)
 
 
 WALKED = {
-    "PSL": 123, "PSU": 41, "PSp": 11, "OmegaOdd": 4, "OPlus": 9, "OMinus": 9,
+    "PSL": 123, "PSU": 41, "PSp": 19, "OmegaOdd": 4, "OPlus": 9, "OMinus": 9,
     "G2": 6, "F4": 1, "E6": 1, "E7": 1, "E8": 0, "TwistedE6": 1, "TriD4": 3,
     "Suzuki": 7, "Ree": 0, "TwistedF4": 0,
 }
@@ -286,18 +286,18 @@ def test_sweeps_build_one_order_per_walked_point(monkeypatch):
     for family in LIE_FAMILIES:
         sweep_family(family)
     monkeypatch.undo()
-    assert len(built) == 217
+    assert len(built) == 225
     assert built == [g for family in LIE_FAMILIES for g in _walk(family)]
     assert not any(g.q is not None and refuted(g) for g in built)
 
 
 def test_sieve_meets_first_n_up_to_78():
-    # _sieve's domain: the 217 walked points, whose first n = max(5, n_min)
+    # _sieve's domain: the 225 walked points, whose first n = max(5, n_min)
     # is at most 78, and the 27 sporadic groups, whose first n is 5.  The
     # first n are checked before any sieving, so a walk that let a point of
     # huge n_min through fails here rather than building its factorial.
     walked = [g for family in LIE_FAMILIES for g in _walk(family)]
-    assert len(walked) == 217
+    assert len(walked) == 225
     first = {g: max(5, n_min(g)) for g in walked}
     assert max(first.values()) == 78
     assert {group_label(g) for g, n in first.items() if n == 78} == {"PSL(13,2)", "PSU(13,2)"}
@@ -305,14 +305,14 @@ def test_sieve_meets_first_n_up_to_78():
     assert len(points) == 27
     assert {max(5, n_min(g)) for g in points} == {5}
     found = [_sieve(g) for g in walked]
-    assert sum(f is None for f in found) == 118
-    assert sum(f is not None for f in found) == 99
+    assert sum(f is None for f in found) == 122
+    assert sum(f is not None for f in found) == 103
 
 
 def test_walk_counts():
     walked = {f: sweep_family(f).points_examined for f in LIE_FAMILIES}
     assert walked == WALKED
-    assert sum(walked.values()) == 217
+    assert sum(walked.values()) == 225
     for family in LIE_FAMILIES:
         points = list(_walk(family))
         assert len(points) == len(set(points)) == WALKED[family]
@@ -324,7 +324,7 @@ def test_walk_covers_the_old_boxes():
     walked = {g for family in LIE_FAMILIES for g in _walk(family)}
     points = [g for family, box in SWEEP_BOXES.items() for g in box_points(family, box)]
     points += lie_frame_points()
-    assert len(points) == 3508 + 4785
+    assert len(points) == 3509 + 4790
     skipped = [g for g in points if g not in walked]
     assert len(skipped) == 8092
     assert all(g.q is not None and refuted(g) for g in skipped)
@@ -455,7 +455,7 @@ def test_candidate_range_infeasible_exceptional():
 EXPECTED_BOUNDS = {
     "PSL": (5, 7, 42),
     "PSU": (5, 3, 8),
-    "PSp": (4, 2, 2),
+    "PSp": (4, 2, 5),
     "OmegaOdd": (2, 3, 1),
     "OPlus": (4, 2, 1),
     "OMinus": (4, 2, 1),
@@ -525,27 +525,6 @@ def test_suzuki_odd_power_bound():
     rep = sweep_family("Suzuki")
     assert rep.m_max == 4  # a <= 4, i.e. q = 2^3 .. 2^9
     assert rep.k_max == 9
-
-
-def test_psp4_over_even_q_passes_no_sieve():
-    # PSp(4, 2^k) is in no swept family: PSp starts at rank 3, and its
-    # twin Omega(5, q) is swept for odd q only.  Exact ints only: no n
-    # gives both |H| | n!/2 and 5 * n!/2 < 76 * q^2 * |H| (bound 76/5 q^m).
-    for k in range(2, 13):
-        q = 2**k
-        order = q**4 * (q**2 - 1) * (q**4 - 1)
-        limit = 76 * q**2 * order
-        n_lo = 4 * k  # e*k*(p-1) with e = m^2 = 4 and p = 2
-        assert q**12 < 2 * q**2 * order < 2 * q**12
-        assert (5 * (math.factorial(n_lo) // 2) < limit) == (k <= 5), k
-        n = 5
-        while 5 * (math.factorial(n) // 2) < limit:
-            assert (math.factorial(n) // 2) % order, (k, n)
-            n += 1
-    # k >= 13 stays infeasible: q^2 * |H| lies in (q^12 / 2, q^12), so each
-    # step in k multiplies it by less than 2^13, while (4k)! gains
-    # (4k+1)(4k+2)(4k+3)(4k+4) >= 25*26*27*28 for k >= 6
-    assert 25 * 26 * 27 * 28 > 2**13
 
 
 def test_sporadic_sweep():
