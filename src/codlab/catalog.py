@@ -14,14 +14,14 @@ one row of _SPORADIC_ATLAS.  Each group the catalog names twice maps to
 one representative in _REPRESENTATIVE, an A_n where it is one: the
 discharge's isomorphic verdict, the loader's checks of a record and of
 its aliases, and the answer for a group with no record of its own all
-read representative().  Only degree data is read from a versioned
-structured-text file shipped with the package (override the path with
-the CODLAB_DATA environment variable); the loader alone checks a record
-against its group, on the record's line, and keeps only the codegree set
-it gives: a loaded file is one table from each group to its cod(H), and
-a file that names a group twice is refused.  Each record is of a simple
-group: cod(2.A9) of the double cover comes from Schur's spin degrees in
-alt_codegrees, not from the file.
+read representative().  Only degree data is read from a file, the
+versioned structured-text file shipped with the package, once per
+process.  The loader alone checks a record against its group, on the
+record's line, and keeps only the codegree set it gives: the loaded file
+is one table from each group to its cod(H), and a file that names a
+group twice is refused.  Each record is of a simple group: cod(2.A9) of
+the double cover comes from Schur's spin degrees in alt_codegrees, not
+from the file.
 
 A note on naming: the classical families are parametrised by the rank m
 used in the search, so the PSL tag with (m, q) is the group PSL(m+1, q),
@@ -35,9 +35,7 @@ sporadic group.
 from __future__ import annotations
 
 import json
-import os
-import stat
-from collections import Counter, namedtuple
+from collections import namedtuple
 from functools import lru_cache
 from math import gcd, prod
 from pathlib import Path
@@ -424,21 +422,20 @@ def order_class_shape(family: str, m: int | None) -> tuple[int, int, int]:
 # ---------------------------------------------------------------------------
 # Embedded degree data.
 
-DATA_ENV_VAR = "CODLAB_DATA"
 _DATA_FORMAT = "codlab-groups"
 _DATA_VERSION = 1
 
 _PACKAGED_DATA = Path(__file__).parent / "data" / "groups_v1.jsonl"
-_PACKAGED_KEY = os.path.abspath(_PACKAGED_DATA)
 
 
 class DataFileError(ValueError):
-    """A degree data file that cannot be read, that holds a line other than
-    a degree record or a record contradicting its group, or that lacks a
-    degree record a run needs.
+    """A line of the shipped degree data file other than a degree record,
+    or a record contradicting its group, or a query for a group with no
+    degree record.
 
-    The message is "<path>:<line>: <problem>" for a problem on one line,
-    as each record is checked on its own line, else "<path>: <problem>".
+    The message is "<path>:<line>: <problem>" for a line of the file, as
+    each record is checked on its own line, else "no degree data for
+    <label>".
     """
 
 
@@ -448,54 +445,21 @@ def _load_catalog(path: str | Path) -> dict[GroupId, CodegreeSet]:
     table: dict[GroupId, CodegreeSet] = {}
     lineno = 1
     try:
-        # opened without blocking, so a FIFO with no writer is refused at once
-        fd = os.open(path, os.O_RDONLY | getattr(os, "O_NONBLOCK", 0))
-        if not stat.S_ISREG(os.fstat(fd).st_mode):
-            os.close(fd)
-            raise OSError("not a regular file")
-        with open(fd, encoding="utf-8") as fh:
-            header = json.loads(_line(fh), object_pairs_hook=_object)
+        with open(path, encoding="utf-8") as fh:
+            header = json.loads(fh.readline())
             if (not isinstance(header, dict) or header.get("format") != _DATA_FORMAT
                     or header.get("version") != _DATA_VERSION):
                 raise ValueError(f"unsupported data file header {header!r}")
-            lineno = 2
-            while line := _line(fh):
+            for lineno, line in enumerate(fh, 2):
                 if line.strip():
-                    _add_record(json.loads(line, object_pairs_hook=_object), table)
-                lineno += 1
-    except OSError as exc:
-        raise DataFileError(f"{path}: {exc.strerror or exc}") from None
-    except UnicodeDecodeError as exc:
-        raise DataFileError(f"{path}: not UTF-8 text: {exc.reason}") from None
+                    _add_record(json.loads(line), table)
     except json.JSONDecodeError as exc:
         raise DataFileError(f"{path}:{lineno}: not JSON: {exc.msg}") from None
-    except RecursionError:
-        raise DataFileError(f"{path}:{lineno}: nested too deeply") from None
     except KeyError as exc:
         raise DataFileError(f"{path}:{lineno}: record has no {exc} field") from None
     except (TypeError, ValueError) as exc:
         raise DataFileError(f"{path}:{lineno}: {exc}") from None
     return table
-
-
-_MAX_LINE = 1 << 20  # characters in a line, its newline aside; the longest shipped has 258
-
-
-def _line(fh) -> str:
-    """The next line of fh, "" at its end; refused past _MAX_LINE characters."""
-    line = fh.readline(_MAX_LINE + 1)
-    if len(line) > _MAX_LINE and not line.endswith("\n"):
-        raise ValueError(f"line longer than {_MAX_LINE} characters")
-    return line
-
-
-def _object(pairs: list[tuple[str, object]]) -> dict:
-    """A JSON object of a data file; a key written twice in it is refused."""
-    fields = dict(pairs)
-    if len(fields) < len(pairs):
-        key = next(k for k, count in Counter(k for k, _ in pairs).items() if count > 1)
-        raise ValueError(f"repeated field {key!r}")
-    return fields
 
 
 # The JSON type of each field of a degree record, and how a refusal names it.
@@ -577,12 +541,6 @@ def _check_against_group(key: str, g: GroupId, order: int, degrees: list[int]
     Raises ValueError if the record contradicts g, whose codegrees are
     cod(A_n) if g is an A_n under another name (its representative), and
     whose one linear character is the trivial one."""
-    bits = order.bit_length()
-    b = g.q.q.bit_length() - 1 if g.q else 0  # a Lie group's q >= 2^b
-    # refuse a too big G before building |G|: |G| >= 2^(b*e), where e >= m at a
-    # classical rank m, tried first: the order formula has m factors
-    if b and (b * (g.m or 0) >= bits or b * order_class_shape(g.family, g.m)[0] >= bits):
-        raise ValueError(f"order {order} is below |{key}|")
     formula = group_order(g)
     if order != formula:
         raise ValueError(f"order {order} disagrees with the order formula {formula}")
@@ -602,31 +560,10 @@ def _check_against_group(key: str, g: GroupId, order: int, degrees: list[int]
     return cod
 
 
-# The codegree sets of the data file at an absolute path, by that path: each
-# file is loaded once, and the last four loaded are kept.
-_degree_records = lru_cache(maxsize=4)(_load_catalog)
-
-
-def _data_file() -> tuple[Path, dict[GroupId, CodegreeSet]]:
-    """The data file, $CODLAB_DATA if set, else the packaged file, as a
-    refusal names it, with its codegree sets.
-
-    This is the one reader of $CODLAB_DATA, which it reads on every call.
-    A file is read once per process, and its codegree sets are kept under
-    its absolute path, resolved on every call: after an os.chdir a
-    relative $CODLAB_DATA names the file in the new directory, and one
-    file reached by two spellings is read once.  A file rewritten at the
-    same path is not read again.  A refusal names the file as
-    $CODLAB_DATA gives it, never by its absolute path.
-    """
-    override = os.environ.get(DATA_ENV_VAR)
-    if not override:
-        return _PACKAGED_DATA, _degree_records(_PACKAGED_KEY)
-    name, key = Path(override), os.path.abspath(override)
-    try:
-        return name, _degree_records(key)
-    except DataFileError as exc:  # each loader message starts with key
-        raise DataFileError(f"{name}{str(exc)[len(key):]}") from None
+@lru_cache(maxsize=1)
+def _table() -> dict[GroupId, CodegreeSet]:
+    """The codegree sets of the shipped data file, loaded once per process."""
+    return _load_catalog(_PACKAGED_DATA)
 
 
 def sporadic_entries() -> list[SporadicEntry]:
@@ -637,23 +574,20 @@ def simple_codegree_set(g: GroupId) -> CodegreeSet:
     """cod(G) for a simple catalog group.
 
     cod(A_n) is walked on every call (alt_codegree_set).  Every other set
-    is built, and its degree record checked, when the data file is loaded,
-    once per file; a query is one lookup in that file's table.  A group
+    is built, and its degree record checked, when the shipped data file is
+    loaded, once per process; a query is one lookup in its table.  A group
     the file has no record of is answered from its representative,
     relabelled: cod(A_n), walked, for a group that is an A_n, else the
-    file's set of the representative.  The file is resolved once per
-    call (_data_file): after an os.chdir a relative $CODLAB_DATA gives
-    the new directory's sets, and a file rewritten at the same path
-    inside one process is not read again.
+    file's set of the representative.
     """
     if g.family == "Alternating":
         return alt_codegree_set(g.n)  # type: ignore[arg-type]
-    name, table = _data_file()
+    table = _table()
     cod = table.get(g)
     if cod is None:
         rep = representative(g)
         cod = alt_codegree_set(rep.n) if rep.family == "Alternating" else table.get(rep)
         if cod is None:
-            raise DataFileError(f"{name}: no degree data for {group_label(g)}")
+            raise DataFileError(f"no degree data for {group_label(g)}")
         cod = cod._replace(group_label=group_label(g))
     return cod

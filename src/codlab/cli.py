@@ -2,17 +2,15 @@
 
 Subcommands: cod, min-cod, search, schur, check-subset.  Exit codes are
 a stable contract: 0 success / verification PASS, 2 usage error or a
-data file that is unreadable, has an over-long line, lacks a record the
-run needs or holds one that contradicts its group (for a group that is
-an A_n under another name, codegrees other than cod(A_n); a count of
-degrees 1 other than one; a label that is not its group's representative
-in the catalog's table, unless that is an A_n; an alias of a group not
-isomorphic to the record's), 3 mathematical verification
-failure.  check-subset answers a group with no record of its own, such
-as PSL(3,2), from the group the catalog's table of exceptional
-isomorphisms maps it to (PSL(2,7)), under its own label.  Exit 1 means stdout was closed
-before all output was written (for example by `| head`), whether stdout
-is buffered or not (python -u, PYTHONUNBUFFERED); see _emit.
+group with no degree record ("no degree data for <label>"; a line of the
+data file shipped with the package, the only one read, that fails the
+loader's checks is refused the same way, by its path and line), 3
+mathematical verification failure.  check-subset answers a group with no
+record of its own, such as PSL(3,2), from the group the catalog's table
+of exceptional isomorphisms maps it to (PSL(2,7)), under its own label.
+Exit 1 means stdout was closed before all output was written (for
+example by `| head`), whether stdout is buffered or not (python -u,
+PYTHONUNBUFFERED); see _emit.
 
 Every result takes one path: a handler hands _answer whether it
 verifies and a function for each format's text, and _answer alone reads
@@ -30,7 +28,7 @@ for those formats.  cod and min-cod load only the A_n layer (partitions,
 alt_codegrees, exactnum), never catalog or search, so a table of A_n
 pays neither for the simple-group catalog nor for the sweeps.  search,
 schur and check-subset load both.  Only search and check-subset read the
-data file, and main alone maps its DataFileError to exit 2; schur's
+data file, and main alone maps a DataFileError to exit 2; schur's
 cod(2.A9) comes from the spin-degree formula in alt_codegrees.
 """
 
@@ -401,7 +399,7 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except ValueError as exc:
-        # a bad data file; catalog is imported here, so a cod run never loads it
+        # a DataFileError; catalog is imported here, so a cod run never loads it
         from .catalog import DataFileError
 
         if not isinstance(exc, DataFileError):

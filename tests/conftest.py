@@ -5,10 +5,18 @@ import pytest
 from codlab import alt_codegrees, catalog
 
 # Every memo of the library: the membership index of each cod(A_n) for the
-# life of the process, each data file with the cod(H) sets built from it, the
-# parsed group labels and the Lie order formulas.
-_CACHES = (alt_codegrees._MEMO.clear, catalog._degree_records.cache_clear,
+# life of the process, the cod(H) sets built from the data file, the parsed
+# group labels and the Lie order formulas.
+_CACHES = (alt_codegrees._MEMO.clear, catalog._table.cache_clear,
            catalog._parse_group_label.cache_clear, catalog._order_formula.cache_clear)
+
+
+def use_data_file(monkeypatch, path):
+    """Make the file at path the catalog's data file, in place of the
+    shipped one, until monkeypatch is undone; the sets loaded so far are
+    dropped."""
+    monkeypatch.setattr(catalog, "_PACKAGED_DATA", path)
+    catalog._table.cache_clear()
 
 
 @pytest.fixture(autouse=True)

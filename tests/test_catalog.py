@@ -8,14 +8,12 @@ prime factorizations, which is how those values are usually quoted.
 import importlib.util
 import io
 import json
-import os
 import sys
 import tempfile
 import threading
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
-from unittest.mock import patch
 
 import pytest
 from hypothesis import given, reject, settings, strategies as st
@@ -49,6 +47,7 @@ from codlab.alt_codegrees import twisted_codegree_set_2a9
 from codlab.cli import main
 from codlab.exactnum import PrimePower, factor, format_factored
 from codlab.search import _walk, check_subset, run_full_verification
+from conftest import use_data_file
 from oracles import (ISOMORPHIC_LABELS, lie_class_bound, lie_order, partitions,
                      psl2_class_number, psl2_degrees, same_group, shipped_records,
                      sp4_class_number, valuation)
@@ -688,7 +687,7 @@ def test_data_file_holds_degree_records_only():
 def test_codegree_sets_trust_the_loaded_records(monkeypatch):
     # the loader checked each record against its group; a query asks no
     # order again
-    catalog._data_file()
+    catalog._table()
     calls = []
     monkeypatch.setattr("codlab.catalog.group_order", lambda g: calls.append(g))
     records = shipped_records()
@@ -699,10 +698,10 @@ def test_codegree_sets_trust_the_loaded_records(monkeypatch):
 
 def test_a_catalog_set_is_the_loaded_files_own():
     # the loaded file is one table by group, and a query reads its set
-    _, table = catalog._data_file()
+    table = catalog._table()
     assert len(table) == len(DATA_LABELS)
     for g in map(parse_group_label, DATA_LABELS):
-        assert simple_codegree_set(g) is table[g] is catalog._data_file()[1][g]
+        assert simple_codegree_set(g) is table[g] is catalog._table()[g]
 
 
 def test_a_record_serves_its_group_under_any_spelling(tmp_path, monkeypatch):
@@ -713,7 +712,7 @@ def test_a_record_serves_its_group_under_any_spelling(tmp_path, monkeypatch):
     assert spelt != text
     target = tmp_path / "spelt.jsonl"
     target.write_text(spelt, encoding="utf-8")
-    monkeypatch.setenv("CODLAB_DATA", str(target))
+    use_data_file(monkeypatch, target)
     cod = simple_codegree_set(parse_group_label("PSL(2,7)"))
     assert (cod.group_label, cod.order, cod.values) == ("PSL(2,7)", 168,
                                                         EXPECTED_SIMPLE_COD["PSL(2,7)"])
@@ -728,23 +727,11 @@ def test_twisted_2a9():
     assert set(cs.values) - set(a9) == {1620, 2268, 3024, 7560, 45360}
 
 
-def test_data_path_override(tmp_path, monkeypatch):
-    copy = tmp_path / "alt.jsonl"
-    copy.write_text(_PACKAGED_DATA.read_text(encoding="utf-8"), encoding="utf-8")
-    monkeypatch.setenv("CODLAB_DATA", str(copy))
-    assert catalog._data_file()[0] == copy
-    assert simple_codegree_set(sporadic("J2")).order == 604800
-    assert catalog._data_file()[1] is catalog._degree_records(str(copy))
-
-
-def test_loading_walks_each_coincidence_once(tmp_path, monkeypatch, walks):
+def test_loading_walks_each_coincidence_once(walks):
     # the loader checks each record of a group whose representative is an
     # A_n, PSL(2,4), PSL(2,5), PSL(2,9) and PSL(4,2), against cod(A5),
     # cod(A6) and cod(A8), and the checks of those pairs reuse them
-    copy = tmp_path / "fresh.jsonl"
-    copy.write_bytes(_PACKAGED_DATA.read_bytes())
-    monkeypatch.setenv("CODLAB_DATA", str(copy))
-    catalog._data_file()
+    catalog._table()
     assert sorted(walks) == [(5, 5), (6, 6), (8, 8)]
     pairs = [(g, rep.n) for g, rep in catalog._REPRESENTATIVE.items()
              if rep.family == "Alternating"]
@@ -798,7 +785,7 @@ def test_catalog_codegree_sets_are_shared_under_threads():
     # eight threads, more than the cores, switching every microsecond, each
     # asking for every catalog set of the loaded file, and for each group of
     # the isomorphism table, from its own start
-    _, table = catalog._data_file()
+    table = catalog._table()
     groups = [*map(parse_group_label, DATA_LABELS),
               *(g for g in catalog._REPRESENTATIVE if g not in table)]
     assert [group_label(g) for g in groups[len(DATA_LABELS):]] == ["PSL(3,2)"]
@@ -833,7 +820,7 @@ def test_full_verification_builds_each_catalog_set_once(monkeypatch):
 
 def test_queries_build_no_catalog_set_after_the_load(monkeypatch):
     # every set was built when the file loaded: a run or a query only reads
-    catalog._data_file()
+    catalog._table()
     built = _builds(monkeypatch)
     run_full_verification()
     for label in DATA_LABELS:
@@ -843,97 +830,15 @@ def test_queries_build_no_catalog_set_after_the_load(monkeypatch):
     assert built == []
 
 
-def _write_alarm_file(path):
-    """Write the shipped data file with PSL(3,4)'s degrees replaced by ones
-    whose codegrees all lie in cod(A8): the alarm."""
-    lines = list(_DATA_LINES)
-    [row] = [r for r, ln in enumerate(lines) if '"label": "PSL(3,4)"' in ln]
-    rec = json.loads(lines[row])
-    rec["degrees"] = [1, 7, 7, 7, 7, 7, 7, 20, 20, 20, 45, 56, 56, 56, 56, 64]
-    lines[row] = json.dumps(rec)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def test_each_data_file_gives_its_own_codegree_sets(tmp_path, monkeypatch):
-    alarm = tmp_path / "alarm.jsonl"
-    _write_alarm_file(alarm)
-    g = parse_group_label("PSL(3,4)")
-    verdicts = []
-    for path in (None, alarm, None):
-        if path is None:
-            monkeypatch.delenv("CODLAB_DATA", raising=False)
-        else:
-            monkeypatch.setenv("CODLAB_DATA", str(path))
-        verdicts.append(check_subset(g, 8).verdict)
-    assert verdicts == ["subset_refuted", "subset_holds", "subset_refuted"]
-
-
-def test_a_relative_data_path_names_the_file_in_the_current_directory(tmp_path, monkeypatch):
-    # CODLAB_DATA=data.jsonl is a/data.jsonl in a/, and the alarm file
-    # b/data.jsonl after a chdir to b/
-    for where in ("a", "b"):
-        (tmp_path / where).mkdir()
-    (tmp_path / "a" / "data.jsonl").write_bytes(_PACKAGED_DATA.read_bytes())
-    _write_alarm_file(tmp_path / "b" / "data.jsonl")
-    monkeypatch.setenv("CODLAB_DATA", "data.jsonl")
-    g = parse_group_label("PSL(3,4)")
-    verdicts = []
-    for where in ("a", "b", "a"):
-        monkeypatch.chdir(tmp_path / where)
-        verdicts.append(check_subset(g, 8).verdict)
-    assert verdicts == ["subset_refuted", "subset_holds", "subset_refuted"]
-
-
-def _data_file_calls(monkeypatch, then=None):
-    """A list that gets one entry per call of catalog._data_file; then(),
-    if given, runs after the first call returns."""
-    calls = []
-    resolve = catalog._data_file
-
-    def recording():
-        got = resolve()
-        calls.append(got)
-        if then is not None and len(calls) == 1:
-            then()
-        return got
-
-    monkeypatch.setattr(catalog, "_data_file", recording)
-    return calls
-
-
-def test_a_set_is_built_from_the_file_it_is_kept_with(tmp_path, monkeypatch):
-    # CODLAB_DATA switches from a copy of the shipped file to the alarm file
-    # right after the query resolves its file: the set is the shipped one's
-    shipped, alarm = tmp_path / "shipped.jsonl", tmp_path / "alarm.jsonl"
-    shipped.write_bytes(_PACKAGED_DATA.read_bytes())
-    _write_alarm_file(alarm)
-    monkeypatch.setenv("CODLAB_DATA", str(shipped))
-    calls = _data_file_calls(monkeypatch,
-                             then=lambda: monkeypatch.setenv("CODLAB_DATA", str(alarm)))
-    assert check_subset(parse_group_label("PSL(3,4)"), 8).verdict == "subset_refuted"
-    assert len(calls) == 1
-
-
 def test_a_cold_catalog_set_resolves_the_data_file_once(monkeypatch):
-    calls = _data_file_calls(monkeypatch)
-    simple_codegree_set(parse_group_label("J2"))
-    assert len(calls) == 1
-
-
-def test_a_data_file_reached_by_three_spellings_is_loaded_once(tmp_path, monkeypatch):
-    target = tmp_path / "data.jsonl"
-    target.write_bytes(_PACKAGED_DATA.read_bytes())
-    monkeypatch.chdir(tmp_path)
-    j2 = parse_group_label("J2")
-    got = []
-    for spelling in ("data.jsonl", "./data.jsonl", str(target)):
-        monkeypatch.setenv("CODLAB_DATA", spelling)
-        got.append((catalog._data_file()[1], simple_codegree_set(j2)))
-    # one load, kept under the absolute path
-    assert catalog._degree_records.cache_info().misses == 1
-    assert catalog._degree_records(str(target)) is got[0][0]
-    assert catalog._degree_records.cache_info().misses == 1
-    assert all(a is b for first, later in zip(got, got[1:]) for a, b in zip(first, later))
+    # the first query loads the shipped file; every later query, of any
+    # group, reads the table it gave
+    loads = []
+    load = catalog._load_catalog
+    monkeypatch.setattr(catalog, "_load_catalog", lambda path: loads.append(path) or load(path))
+    for label in (*DATA_LABELS, "PSL(3,2)", "J2"):
+        simple_codegree_set(parse_group_label(label))
+    assert loads == [_PACKAGED_DATA]
 
 
 def test_a_missing_degree_record_is_refused_on_every_call():
@@ -942,7 +847,7 @@ def test_a_missing_degree_record_is_refused_on_every_call():
         with pytest.raises(DataFileError) as exc:
             simple_codegree_set(sporadic("M11"))
         refusals.append(str(exc.value))
-    assert refusals == [f"{catalog._PACKAGED_DATA}: no degree data for M11"] * 2
+    assert refusals == ["no degree data for M11"] * 2
 
 
 def test_dixon_lists_are_their_derivation():
@@ -981,33 +886,11 @@ def _without_key(line, i):
     return json.dumps(rec)
 
 
-def _repeated_key(line, i):
-    """line with one of its keys written once more, first, with the value 1."""
-    keys = list(json.loads(line))
-    return "{" + json.dumps(keys[i % len(keys)]) + ": 1, " + line[1:]
-
-
-def _nested(opener, depth):
-    """A JSON value nested depth deep: arrays, or objects under the key "a"."""
-    if opener == "[":
-        return "[" * depth + "]" * depth
-    return '{"a": ' * depth + "0" + "}" * depth
-
-
-def _deep_field(line, i, opener, depth):
-    """line with the value of one of its keys nested depth deep."""
-    rec = json.loads(line)
-    keys = list(rec)
-    rec[keys[i % len(keys)]] = "\0"
-    return json.dumps(rec).replace('"\\u0000"', _nested(opener, depth))
-
-
 def _with_aliases(line, aliases):
     """A record line with its aliases replaced by the labels given."""
     return json.dumps({**json.loads(line), "aliases": aliases})
 
 
-_DEPTH = st.integers(1, 3000)  # either side of the recursion limit
 # labels of the isomorphism table, and PSL(3,4), of A8's order but not A8
 _ALIAS_LABELS = sorted({*(label for pair in catalog._ISOMORPHISMS for label in pair[:2]),
                         "PSL(3,4)"})
@@ -1028,12 +911,6 @@ _MANGLED_LINE = st.one_of(
         max_leaves=6,
     ).map(json.dumps),
     st.text(max_size=30).filter(lambda t: "\n" not in t and "\r" not in t),
-    st.tuples(st.sampled_from("[{"), _DEPTH).map(lambda t: _nested(*t)),
-    st.tuples(st.sampled_from(_DATA_LINES), st.integers(0, 9), st.sampled_from("[{"),
-              _DEPTH).map(lambda t: _deep_field(*t)),
-    st.tuples(st.sampled_from(_DATA_LINES), st.integers(0, 9)).map(
-        lambda t: _repeated_key(*t)
-    ),
 )
 
 
@@ -1052,11 +929,6 @@ _ALIASED_FILE = st.tuples(st.lists(st.booleans(), min_size=10, max_size=10),
     lambda t: _aliased_file(*t))
 
 
-def _unique_keys(pairs):
-    assert len({key for key, _ in pairs}) == len(pairs), pairs
-    return dict(pairs)
-
-
 _FUZZ_ARGV = (("check-subset", "J2", "10"), ("check-subset", "PSL(2,9)", "6"),
               ("search", "all", "--format", "json"))
 
@@ -1067,13 +939,13 @@ _FUZZ_ARGV = (("check-subset", "J2", "10"), ("check-subset", "PSL(2,9)", "6"),
 def test_loader_returns_or_raises_data_file_error(lines, keep_header, argv):
     if keep_header:
         lines = [_DATA_LINES[0], *lines]
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         path = Path(tmp) / "fuzz.jsonl"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        use_data_file(mp, path)
         # the command line answers the file or refuses it in one line
         err = io.StringIO()
-        with (patch.dict(os.environ, CODLAB_DATA=str(path)), redirect_stdout(io.StringIO()),
-              redirect_stderr(err)):
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
             code = main(list(argv))
         assert code in (0, 2, 3) and err.getvalue().count("\n") <= 1, (code, err.getvalue())
         try:
@@ -1082,10 +954,10 @@ def test_loader_returns_or_raises_data_file_error(lines, keep_header, argv):
             assert str(exc).startswith(f"{path}:"), exc
         else:  # each record is checked, and filed under its label and under
             # each alias, which names the label's group
-            json.loads(lines[0], object_pairs_hook=_unique_keys)
+            json.loads(lines[0])
             filed = {}
             for line in filter(str.strip, lines[1:]):
-                rec = json.loads(line, object_pairs_hook=_unique_keys)
+                rec = json.loads(line)
                 assert sum(d * d for d in rec["degrees"]) == rec["order"]
                 label = group_label(parse_group_label(rec["label"]))
                 for key in (rec["label"], *rec.get("aliases", ())):
@@ -1185,6 +1057,6 @@ def test_corrupted_data_detected(tmp_path, monkeypatch):
     assert bad != text
     target = tmp_path / "bad.jsonl"
     target.write_text(bad, encoding="utf-8")
-    monkeypatch.setenv("CODLAB_DATA", str(target))
+    use_data_file(monkeypatch, target)
     with pytest.raises(ValueError, match=r":9: degree record PSU\(3,3\): sum of squared"):
         simple_codegree_set(parse_group_label("PSU(3,3)"))

@@ -7,7 +7,6 @@ import io
 import json
 import os
 import re
-import resource
 import select
 import subprocess
 import sys
@@ -23,6 +22,7 @@ from codlab import cli
 from codlab.cli import MAX_N_CEILING, build_parser, cmd_search, main
 from codlab.catalog import _PACKAGED_DATA
 from codlab.search import SEARCH_TARGETS, run_full_verification
+from conftest import use_data_file
 from oracles import shipped_records
 
 
@@ -421,8 +421,11 @@ def test_check_subset_json(capsys):
 def test_check_subset_errors(capsys):
     code, _, err = run_cli(capsys, "check-subset", "NotAGroup(1,2)", "9")
     assert code == 2
-    code, _, err = run_cli(capsys, "check-subset", "M11", "9")
-    assert code == 2 and "no degree data" in err
+    # a group with no degree record is refused by its label, never by the
+    # path of the installed data file
+    for label, n in (("M11", "9"), ("PSL(2,11)", "11")):
+        assert run_cli(capsys, "check-subset", label, n) == (
+            2, "", f"error: no degree data for {label}\n")
     code, _, err = run_cli(capsys, "check-subset", "J2", "3")
     assert code == 2
     for label in ("PSp(5,2)", "Omega(4,3)", "O+(7,2)", "O-(9,3)", "G2(3,3)", "PSL(3)"):
@@ -451,7 +454,7 @@ def test_a_label_below_its_rank_floor_names_the_smallest_dimension(capsys, label
 @pytest.mark.parametrize("label,problem", [
     ("PSp(4,3)", "PSp(4,3) requires even q; use the label Omega(5,3)"),
     ("PSp(4,2)", "PSp(4,2) is not simple; its derived group is A6"),
-    ("PSp(4,4)", f"{_PACKAGED_DATA}: no degree data for PSp(4,4)"),
+    ("PSp(4,4)", "no degree data for PSp(4,4)"),
 ], ids=["odd-q", "q-2", "no-data"])
 def test_each_psp4_label_is_refused_in_its_own_terms(capsys, label, problem):
     # PSp(4, q) is a catalog group for even q >= 4 only: at odd q it is
@@ -544,12 +547,21 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
-def test_data_override_respected(tmp_path, monkeypatch, capsys):
-    copy = tmp_path / "data.jsonl"
-    copy.write_text(_PACKAGED_DATA.read_text("utf-8"), "utf-8")
-    monkeypatch.setenv("CODLAB_DATA", str(copy))
-    code, out, _ = run_cli(capsys, "check-subset", "PSU(3,3)", "9")
-    assert code == 0 and "189" in out
+def test_codlab_data_is_ignored(tmp_path, monkeypatch, capsys):
+    # the shipped file is the only data file read: CODLAB_DATA naming a
+    # missing file, or one whose PSL(3,4) record would raise the alarm,
+    # changes no answer
+    alarm = tmp_path / "alarm.jsonl"
+    data_file(alarm, _degrees_of("PSL(3,4)", degrees=_COD_IN_COD_A8))
+    for named in (tmp_path / "missing.jsonl", alarm):
+        monkeypatch.setenv("CODLAB_DATA", str(named))
+        code, out, err = run_cli(capsys, "check-subset", "PSL(3,4)", "8", "--format", "json")
+        assert (code, err, json.loads(out)["verdict"]) == (0, "", "subset_refuted")
+        for argv in (("check-subset", "J2", "10", "--format", "csv"),
+                     ("check-subset", "J2", "10", "--format", "json")):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, "")
+            assert hashlib.sha256(out.encode()).hexdigest() == dict(TABLE_DIGESTS)[argv]
 
 
 def _drop_label(line):
@@ -563,13 +575,6 @@ def _on_j2(edit):
     def apply(lines):
         assert '"label": "J2"' in lines[10]
         return lines[:10] + [edit(lines[10])] + lines[11:]
-    return apply
-
-
-def _on_header(edit):
-    """Apply edit to line 1, the header."""
-    def apply(lines):
-        return [edit(lines[0])] + lines[1:]
     return apply
 
 
@@ -607,10 +612,9 @@ def _appended(record):
 
 
 def data_file(path, edit):
-    """Write the packaged data file, its lines changed by edit, to path; a
-    character U+DC80..U+DCFF is written as the byte it escapes."""
+    """Write the packaged data file, its lines changed by edit, to path."""
     lines = edit(_PACKAGED_DATA.read_text("utf-8").splitlines())
-    path.write_text("\n".join(lines) + "\n", "utf-8", "surrogateescape")
+    path.write_text("\n".join(lines) + "\n", "utf-8")
 
 
 _SPORADIC_M11 = {"record": "sporadic", "label": "M11", "order": 7920, "class_count": 10,
@@ -638,15 +642,13 @@ _FORMER_2A9 = {"record": "degrees", "label": "2.A9", "order": 362880,
 @pytest.mark.parametrize(
     "edit,argv,problem",
     [
-        (None, ("check-subset", "J2", "10"), ": No such file or directory"),
-        (_on_j2(lambda line: line + "\udcff"), ("check-subset", "J2", "10"),
-         ": not UTF-8 text: invalid start byte"),
         (_on_j2(lambda line: "{not json"), ("check-subset", "J2", "10"), ":11: not JSON: "),
         (_on_j2(_drop_label), ("check-subset", "J2", "10"),
          ":11: record has no 'label' field"),
-        (_without_degrees("J2"), ("search", "all"), ": no degree data for J2"),
-        (_without_degrees("J2"), ("search", "sporadic"), ": no degree data for J2"),
-        (_without_degrees("J2"), ("check-subset", "J2", "10"), ": no degree data for J2"),
+        # a file without a record a run needs: refused by the label alone
+        (_without_degrees("J2"), ("search", "all"), "no degree data for J2"),
+        (_without_degrees("J2"), ("search", "sporadic"), "no degree data for J2"),
+        (_without_degrees("J2"), ("check-subset", "J2", "10"), "no degree data for J2"),
         # records that contradict the group they name, refused on their line
         (_degrees_of("PSL(2,8)", order=26, degrees=[1, 3, 4]), ("check-subset", "PSL(2,8)", "8"),
          ":5: degree record PSL(2,8): order 26 disagrees with the order formula 504"),
@@ -685,12 +687,6 @@ _FORMER_2A9 = {"record": "degrees", "label": "2.A9", "order": 362880,
         # an alias of the record's group is filed once, like a label
         (_degrees_of("PSL(2,4)", aliases=["PSL(2,5)"]), ("check-subset", "J2", "10"),
          ":3: duplicate degree record PSL(2,5)"),
-        # a name too big for the record is refused before its order is built
-        (_degrees_of("PSL(2,4)", label="PSL(20000,2)"), ("check-subset", "J2", "10"),
-         ":2: degree record PSL(20000,2): order 60 is below |PSL(20000,2)|"),
-        # a rank past the record's bits is refused before the order formula is built
-        (_degrees_of("PSL(2,4)", label="PSL(1000000001,2)"), ("check-subset", "J2", "10"),
-         ":2: degree record PSL(1000000001,2): order 60 is below |PSL(1000000001,2)|"),
         # no record is filed under an A_n, whose codegrees come from hook lengths
         (_degrees_of("PSL(2,4)", aliases=["A5"]), ("check-subset", "J2", "10"),
          f":2: degree record A5: {_NO_A_N_RECORD}"),
@@ -783,23 +779,8 @@ _FORMER_2A9 = {"record": "degrees", "label": "2.A9", "order": 362880,
          ":6: degree record PSL(2,9): codegrees are not cod(A6), though PSL(2,9) = A6"),
         (_degrees_of("PSL(4,2)", degrees=_COD_IN_COD_A8), ("check-subset", "PSL(4,2)", "8"),
          ":7: degree record PSL(4,2): codegrees are not cod(A8), though PSL(4,2) = A8"),
-        # a line is read up to a bound, never whole
-        (_degrees_of("J2", provenance="x" * (2 << 20)), ("check-subset", "J2", "10"),
-         ":11: line longer than 1048576 characters"),
-        # a line nested past the recursion limit is refused, not a traceback
-        (_on_j2(lambda line: "[" * 100_000), ("check-subset", "J2", "10"),
-         ":11: nested too deeply"),
-        (_on_header(lambda line: '{"format": ' * 50_000), ("check-subset", "J2", "10"),
-         ":1: nested too deeply"),
-        # a key written twice is refused, never read as its last value
-        (_on_j2(lambda line: line.replace('"order": ', '"order": 1, "order": ')),
-         ("check-subset", "J2", "10"), ":11: repeated field 'order'"),
-        (_on_j2(lambda line: line.replace('"provenance": ', '"provenance": {"a": 1, "a": 2}, "x": ')),
-         ("check-subset", "J2", "10"), ":11: repeated field 'a'"),
-        (_on_header(lambda line: line.replace('"version": 1', '"version": 2, "version": 1')),
-         ("search", "all"), ":1: repeated field 'version'"),
     ],
-    ids=["missing-file", "not-utf8", "non-json-line", "record-without-label",
+    ids=["non-json-line", "record-without-label",
          "no-j2-search-all",
          "no-j2-search-sporadic", "no-j2-check-subset", "psl28-order-26",
          "psl28-degree-5", "j2-order-doubled", "psu33-squares",
@@ -807,7 +788,7 @@ _FORMER_2A9 = {"record": "degrees", "label": "2.A9", "order": 362880,
          "psu33-squares-check-subset-j2", "psu33-squares-search-psl",
          "alias-psl211", "alias-psl20000-2", "alias-psl1000000001-2",
          "alias-a99999999", "alias-psl34-on-psl42", "alias-psl34-on-psl42-check-subset",
-         "alias-psl25-on-psl24", "label-psl20000-2", "label-psl1000000001-2",
+         "alias-psl25-on-psl24",
          "alias-a5-on-psl24", "psl34-label-a8", "label-foo",
          "j2-class-count-22", "psl24-float-degrees", "psl27-degrees-number",
          "psl27-degrees-text", "psl27-degrees-object", "psl28-float-order",
@@ -819,75 +800,18 @@ _FORMER_2A9 = {"record": "degrees", "label": "2.A9", "order": 362880,
          "former-2a9-record", "former-2a9-record-search-all", "psl27-label-number",
          "psl34-provenance-list", "j2-provenance-null", "psl24-label-list",
          "psu33-aliases-text", "psu33-alias-number", "psl29-not-a6",
-         "psl29-not-a6-search-all", "psl42-not-a8", "j2-provenance-2mib",
-         "j2-nested-100000", "header-nested-50000", "j2-repeated-order",
-         "j2-repeated-nested-key", "header-repeated-version"],
+         "psl29-not-a6-search-all", "psl42-not-a8"],
 )
 def test_bad_data_file_exits_2(tmp_path, monkeypatch, capsys, edit, argv, problem):
+    # a problem on a line is refused by the file's path and the line
     target = tmp_path / "data.jsonl"
-    if edit is not None:
-        data_file(target, edit)
-    monkeypatch.setenv("CODLAB_DATA", str(target))
+    data_file(target, edit)
+    use_data_file(monkeypatch, target)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
-    assert err.startswith(f"error: {target}{problem}")
+    assert err.startswith(f"error: {target}{problem}" if problem.startswith(":")
+                          else f"error: {problem}")
     assert err.count("\n") == 1
-
-
-def test_an_endless_data_line_exits_2_in_bounded_memory(tmp_path):
-    # a sparse regular file whose first line is 1 GiB of NUL characters is
-    # refused once its first MiB is read, in an address space that could
-    # not hold the line whole
-    target = tmp_path / "zeros.jsonl"
-    with open(target, "wb") as fh:
-        fh.truncate(1 << 30)
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "codlab.cli", "check-subset", "J2", "10"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        env={**os.environ, "CODLAB_DATA": str(target)},
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20)))
-    out, err = finished(proc, 30)
-    assert (proc.returncode, out) == (2, b"")
-    assert err == f"error: {target}:1: line longer than 1048576 characters\n".encode()
-
-
-@pytest.mark.parametrize("kind", ["fifo", "directory", "dev-zero"])
-def test_a_data_path_that_is_not_a_regular_file_exits_2_in_bounded_time(
-        tmp_path, monkeypatch, kind):
-    # a FIFO with no writer would block an open for reading; each path is
-    # refused before a line is read
-    target = {"fifo": tmp_path / "data.jsonl", "directory": tmp_path,
-              "dev-zero": "/dev/zero"}[kind]
-    if kind == "fifo":
-        os.mkfifo(target)
-    monkeypatch.setenv("CODLAB_DATA", str(target))
-    proc = codlab("check-subset", "J2", "10")
-    out, err = finished(proc, 10)
-    assert (proc.returncode, out) == (2, b"")
-    assert err == f"error: {target}: not a regular file\n".encode()
-
-
-@pytest.mark.parametrize(
-    "spelling,edit,argv,problem",
-    [
-        ("missing.jsonl", None, ("check-subset", "J2", "10"), ": No such file or directory"),
-        ("data.jsonl", _on_j2(_drop_label), ("check-subset", "J2", "10"),
-         ":11: record has no 'label' field"),
-        ("./data.jsonl", _without_degrees("J2"), ("check-subset", "J2", "10"),
-         ": no degree data for J2"),
-    ],
-    ids=["missing-file", "record-without-label", "no-j2"],
-)
-def test_a_relative_data_path_is_refused_by_its_name(tmp_path, monkeypatch, capsys,
-                                                     spelling, edit, argv, problem):
-    # the path as given, without a leading ./, never the absolute path the
-    # catalog keys the file by
-    if edit is not None:
-        data_file(tmp_path / "data.jsonl", edit)
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("CODLAB_DATA", spelling)
-    code, out, err = run_cli(capsys, *argv)
-    assert (code, out, err) == (2, "", f"error: {spelling.removeprefix('./')}{problem}\n")
 
 
 @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
@@ -903,11 +827,11 @@ def test_a_relative_data_path_is_refused_by_its_name(tmp_path, monkeypatch, caps
 )
 def test_schur_reads_no_data_file(tmp_path, monkeypatch, capsys, spelling, edit, fmt):
     # cod(2.A9) comes from Schur's spin-degree formula, so schur answers
-    # with its pinned bytes whatever CODLAB_DATA names
+    # with its pinned bytes whatever the catalog's data file is
     if edit is not None:
         data_file(tmp_path / "data.jsonl", edit)
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("CODLAB_DATA", spelling)
+    use_data_file(monkeypatch, spelling)
     argv = ("schur", "--format", fmt)
     code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")
@@ -918,7 +842,7 @@ def test_a_subset_without_isomorphism_fails_the_run(tmp_path, monkeypatch, capsy
     # the theorem's failure path: a group that is not A_n, all of whose
     # codegrees lie in cod(A_n), is an alarm, never called isomorphic
     data_file(tmp_path / "data.jsonl", _degrees_of("PSL(3,4)", degrees=_COD_IN_COD_A8))
-    monkeypatch.setenv("CODLAB_DATA", str(tmp_path / "data.jsonl"))
+    use_data_file(monkeypatch, tmp_path / "data.jsonl")
     alarm = "PSL(3,4) vs A8: SUBSET HOLDS without isomorphism (alarm)"
     code, out, _ = run_cli(capsys, "search", "all")
     assert code == 3
@@ -972,7 +896,7 @@ def test_an_alarm_fails_each_command_that_meets_it_in_every_format(tmp_path, mon
                                                                    capsys):
     golden = (_PACKAGED_DATA.parent / "golden" / "table_psl.csv").read_text("utf-8")
     data_file(tmp_path / "data.jsonl", _degrees_of("PSL(3,4)", degrees=_COD_IN_COD_A8))
-    monkeypatch.setenv("CODLAB_DATA", str(tmp_path / "data.jsonl"))
+    use_data_file(monkeypatch, tmp_path / "data.jsonl")
     alarm = "PSL(3,4) vs A8: SUBSET HOLDS without isomorphism (alarm)"
     table, doc, rows = failed_answers(capsys, "check-subset", "PSL(3,4)", "8")
     assert table[0] == alarm

@@ -59,6 +59,7 @@ from codlab.search import (
     sweep_family,
     sweep_sporadic,
 )
+from conftest import use_data_file
 from oracles import SWEEP_BOXES, box_points, subset_check_by_bisection
 
 # (m, q, n, ratio) per family, the frozen sweep outcome
@@ -729,7 +730,7 @@ def test_sweeps_read_no_data_file(tmp_path, monkeypatch):
     # the size sieve reads |H| and k(H) from catalog's tables, so a missing
     # data file changes no sweep
     with_file = sweep_sporadic(), [sweep_family(f) for f in LIE_FAMILIES]
-    monkeypatch.setenv("CODLAB_DATA", str(tmp_path / "missing.jsonl"))
+    use_data_file(monkeypatch, tmp_path / "missing.jsonl")
     assert (sweep_sporadic(), [sweep_family(f) for f in LIE_FAMILIES]) == with_file
     assert class_number_bound(sporadic("M")) == (194, 1)
 
@@ -743,6 +744,6 @@ def test_missing_degree_record_is_loud(tmp_path, monkeypatch):
     assert len(pruned) == len(lines) - 1
     target = tmp_path / "noj2.jsonl"
     target.write_text("\n".join(pruned) + "\n", "utf-8")
-    monkeypatch.setenv("CODLAB_DATA", str(target))
-    with pytest.raises(DataFileError, match="no degree data for J2"):
+    use_data_file(monkeypatch, target)
+    with pytest.raises(DataFileError, match="^no degree data for J2$"):
         simple_codegree_set(sporadic("J2"))
