@@ -28,8 +28,9 @@ used in the search, so the PSL tag with (m, q) is the group PSL(m+1, q),
 PSp is PSp(2m, q), OmegaOdd is Omega(2m+1, q), and OPlus/OMinus are the
 simple groups P-Omega+/-(2m, q) (orders here are for the simple group,
 not the full orthogonal group).  G2(2) is not simple; its derived
-subgroup of order 6048 is the distinguished G2Prime2 tag, swept like a
-sporadic group.
+subgroup of order 6048 is the G2Prime2 tag, labelled G2(2)'.  That group
+is PSU(3,3) (_ISOMORPHISMS), so the sweep meets it once, in the PSU row,
+and the tag has an order and a codegree set but no class-number bound.
 """
 
 from __future__ import annotations
@@ -380,18 +381,14 @@ def group_order(g: GroupId) -> int:
 
 
 def class_number_bound(g: GroupId) -> tuple[int, int]:
-    if g.family == "Alternating":
-        raise ValueError("alternating groups are not bounded here")
     if g.family == "Sporadic":
         return _SPORADIC[g.name].class_count, 1  # type: ignore[index]
-    if g.family == "G2Prime2":
-        family, q = "G2", 2  # swept with the G2 bound evaluated at q = 2
-    else:
-        family, q = g.family, g.q.q  # type: ignore[union-attr]
-    bound, den = _order_formula(family, g.m)[4]
+    if g.q is None:
+        raise ValueError(f"{group_label(g)} is not bounded here")
+    bound, den = _order_formula(g.family, g.m)[4]
     value = 0
     for c in bound:
-        value = value * q + c
+        value = value * g.q.q + c
     return value, den
 
 

@@ -204,7 +204,7 @@ def _check_lines(checks: tuple[SubsetCheck, ...]) -> list[str]:
 
 def _sweep_json(rep: FamilySweepReport) -> dict:
     return {"bounds": {"m_max": rep.m_max, "p_max": rep.p_max, "k_max": rep.k_max},
-            "points_examined": rep.points_examined, "notes": list(rep.notes)}
+            "points_examined": rep.points_examined}
 
 
 def cmd_search(args: argparse.Namespace) -> int:
@@ -225,8 +225,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         rows, extra = rep.rows, _sweep_json(rep)
         head = [f"target: {target}",
                 f"derived bounds: m_max={rep.m_max} p_max={rep.p_max} k_max={rep.k_max}",
-                f"points examined: {rep.points_examined}",
-                *(f"note: {note}" for note in rep.notes)]
+                f"points examined: {rep.points_examined}"]
     else:
         return _fail_usage(f"unknown search target {args.target!r}")
     checks = discharge_rows(rows)

@@ -111,13 +111,13 @@ def row_cells(r: ExceptionRow) -> tuple[str, ...]:
 
 
 class FamilySweepReport(namedtuple(
-    "FamilySweepReport", "family m_max p_max k_max points_examined rows notes"
+    "FamilySweepReport", "family m_max p_max k_max points_examined rows"
 )):
     """One Lie family's sweep.  m_max, p_max and k_max are the largest m,
     p and k of a walked point that passes the size sieve (None = no such
     point); for the odd-power families (Suzuki, Ree, TwistedF4) m_max
     holds a, where q = p^(2a+1).  points_examined counts the legal points
-    walked."""
+    walked, each a group of the family itself over a field of q elements."""
 
     __slots__ = ()
 
@@ -142,7 +142,7 @@ class SubsetCheck(namedtuple(
 
 
 def n_min(g: GroupId) -> int:
-    """Legendre lower bound for |H| dividing n!/2; 5 for non-Lie tags."""
+    """Legendre lower bound for |H| dividing n!/2; 5 for a group with no q."""
     if g.q is None:
         return 5
     e = order_class_shape(g.family, g.m)[0]
@@ -244,9 +244,9 @@ def _p_stop(shape: tuple[int, int, int], p: int) -> bool:
 def _walk(family: str) -> Iterator[GroupId]:
     """The legal points of a Lie family in the order m, p, k, each loop
     ended where a step lemma proves that point and every later one refuted
-    by bits.  G2(2) is not simple; its derived group G2(2)' comes first."""
-    if family == "G2":
-        yield GroupId("G2Prime2")
+    by bits.  Each point is a group of the family over a field of q
+    elements; G2(2) is not simple, and its derived group is met as
+    PSU(3,3) in the PSU row."""
     fixed = TWISTED_ODD_POWER.get(family)
     for m in count(RANK_FLOOR[family]) if family in RANK_FLOOR else [None]:
         shape = order_class_shape(family, m)
@@ -276,26 +276,23 @@ def sweep_family(family: str) -> FamilySweepReport:
         raise ValueError(
             f"unknown Lie family {family!r}; expected one of {', '.join(LIE_FAMILIES)}"
         )
-    walked, rows, notes = 0, [], []
+    walked, rows = 0, []
     ms, ps, ks = [], [], []
     for g in _walk(family):
         walked += 1
-        if g.family == "G2Prime2":
-            notes.append("point (p,k)=(2,1) swept as the simple group G2(2)' of order 6048")
         found = _sieve(g)
         if found is None:
             continue
         rows.extend(_row(g, n, ratio) for n, ratio in found)
-        if g.q is not None:
-            m = g.q.k // 2 if family in TWISTED_ODD_POWER else g.m
-            if m is not None:
-                ms.append(m)
-            ps.append(g.q.p)
-            ks.append(g.q.k)
+        m = g.q.k // 2 if family in TWISTED_ODD_POWER else g.m
+        if m is not None:
+            ms.append(m)
+        ps.append(g.q.p)
+        ks.append(g.q.k)
     rows.sort(key=ExceptionRow.sort_key)
     return FamilySweepReport(
         family, max(ms, default=None), max(ps, default=None), max(ks, default=None),
-        walked, tuple(rows), tuple(notes),
+        walked, tuple(rows),
     )
 
 

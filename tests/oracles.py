@@ -320,15 +320,13 @@ SWEEP_BOXES = {
 
 
 def box_points(family: str, box: tuple[int, int, int]) -> Iterator[GroupId]:
-    """Every legal point of family in the box, G2(2) as G2(2)'; the box's m
-    edge is ignored for the exceptional families."""
+    """Every legal point of family in the box, each over a field of q
+    elements (G2(2) is not simple, and G2(2)' is PSU(3,3), a point of the
+    PSU box); the box's m edge is ignored for the exceptional families."""
     m_hi, p_hi, k_hi = box
     for m in range(RANK_FLOOR[family], m_hi + 1) if family in RANK_FLOOR else [None]:
         for p in filter(is_prime, range(2, p_hi + 1)):
             for k in range(1, k_hi + 1):
-                if family == "G2" and (p, k) == (2, 1):
-                    yield GroupId("G2Prime2")
-                    continue
                 try:
                     yield lie(family, PrimePower(p, k), m=m)
                 except ValueError:

@@ -131,7 +131,8 @@ def test_06_exceptional_sweeps():
         assert rep.rows == (), fam
     assert reports["E6"].p_max is None
     g2 = reports["G2"]
-    assert any("G2(2)'" in note and "6048" in note for note in g2.notes)
+    # G2(q) for q >= 3 only: G2(2)' is met as PSU(3,3), in the PSU row
+    assert (g2.points_examined, g2.p_max, g2.k_max) == (5, 2, 2)
     assert reports["Suzuki"].m_max == 4  # odd-power parameter a < 5
     _passed(6, "exceptional sweeps", t0, 60.0)
 

@@ -8,6 +8,7 @@ prime factorizations, which is how those values are usually quoted.
 import importlib.util
 import io
 import json
+import re
 import sys
 import tempfile
 import threading
@@ -177,9 +178,12 @@ def test_catalog_groups_of_one_order_are_one_group_or_artins_pairs():
     # over A5..A27, the sporadic groups and every point the sweeps walk, groups
     # of one order have one representative, save the pairs that are not
     # isomorphic: A8 and PSL(3,4), and PSp(2m,q) and Omega(2m+1,q) at odd q
-    points = [*map(alternating, range(5, 28)), *map(sporadic, SPORADIC_LABELS),
-              *(g for family in LIE_FAMILIES for g in _walk(family))]
-    assert set(catalog._REPRESENTATIVE) <= set(points)
+    walked = [g for family in LIE_FAMILIES for g in _walk(family)]
+    points = [*map(alternating, range(5, 28)), *map(sporadic, SPORADIC_LABELS), *walked]
+    # each group named twice is met through its representative: an A_n, or a
+    # walked point (G2(2)' through PSU(3,3))
+    assert all(rep.family == "Alternating" or rep in walked
+               for rep in catalog._REPRESENTATIVE.values())
     by_order = {}
     for g in points:
         by_order.setdefault(group_order(g), set()).add(representative(g))
@@ -388,10 +392,10 @@ def test_class_number_bounds():
     # sporadic: exact class counts
     assert class_number_bound(sporadic("J2")) == (21, 1)
     assert class_number_bound(sporadic("M")) == (194, 1)
-    # G2(2)' has 17 classes, polynomial value at q=2
-    assert class_number_bound(GroupId("G2Prime2")) == (17, 1)
-    with pytest.raises(ValueError, match=r"^alternating groups are not bounded here$"):
-        class_number_bound(alternating(5))
+    # one refusal, for each group with no field size that is not sporadic
+    for label in ("A5", "G2(2)'"):
+        with pytest.raises(ValueError, match=rf"^{re.escape(label)} is not bounded here$"):
+            class_number_bound(parse_group_label(label))
     # classical bounds are the published constants times q^m
     assert Fraction(*class_number_bound(parse_group_label("PSL(2,4)"))) == 10
     assert Fraction(*class_number_bound(parse_group_label("PSU(3,3)"))) * 50 == 413 * 9
@@ -418,13 +422,13 @@ def test_bounds_dominate_actual_class_counts():
     # length is the true class number and must respect the bound
     for label in ("PSL(2,4)", "PSL(2,5)", "PSL(2,7)", "PSL(2,8)",
                   "PSL(2,9)", "PSL(3,4)", "PSL(4,2)", "PSU(3,3)",
-                  "Omega(5,3)", "G2(2)'"):
+                  "Omega(5,3)"):
         rec = shipped_records()[label]
         bound = Fraction(*class_number_bound(parse_group_label(label)))
         assert len(rec["degrees"]) <= bound
-    # G2(2)' = PSU(3,3): 14 classes against the G2 polynomial at q = 2
-    assert len(shipped_records()["G2(2)'"]["degrees"]) == 14
-    assert Fraction(*class_number_bound(parse_group_label("G2(2)'"))) == 17
+    # PSU(3,3) = G2(2)': 14 classes against 413/50 * 3^2, the PSU row's bound
+    assert len(shipped_records()["PSU(3,3)"]["degrees"]) == 14
+    assert Fraction(*class_number_bound(parse_group_label("PSU(3,3)"))) == Fraction(3717, 50)
 
 
 def test_psl2_records_are_the_series_pattern():

@@ -32,6 +32,7 @@ from codlab.catalog import (
     lie,
     order_class_shape,
     parse_group_label,
+    representative,
     simple_codegree_set,
     sporadic,
     sporadic_entries,
@@ -196,9 +197,9 @@ def test_sieve_matches_full_factorial_oracle():
         points.extend(in_box)
     assert examined == {
         "PSL": 2644, "PSU": 839, "PSp": 5, "OmegaOdd": 1, "OPlus": 1,
-        "OMinus": 12, "G2": 2, "TriD4": 1, "Suzuki": 4,
+        "OMinus": 12, "G2": 1, "TriD4": 1, "Suzuki": 4,
     }
-    assert len(points) == 27 + 3509
+    assert len(points) == 27 + 3508
     assert max(n_min(g) for g in points) == 21168  # PSL(7,17^63)
     passed = by_bits = 0
     for g in points:
@@ -212,15 +213,12 @@ def test_sieve_matches_full_factorial_oracle():
         assert candidate_n_range(g) == oracle_candidate_n_range(g), g
         passed += oracle
     assert by_bits == 3338
-    assert passed == 127
+    assert passed == 126
 
 
 def lie_sweep_points():
-    """Every point of the old sweep boxes that has a q (all but G2(2)')."""
-    return [
-        g for family, box in SWEEP_BOXES.items()
-        for g in box_points(family, box) if g.q is not None
-    ]
+    """Every point of the old sweep boxes."""
+    return [g for family, box in SWEEP_BOXES.items() for g in box_points(family, box)]
 
 
 def lie_frame_points():
@@ -235,7 +233,7 @@ def lie_frame_points():
         m_hi, p_hi, k_hi = box or (0, 0, 0)
         p_next = list(islice(filter(is_prime, count(p_hi + 1)), 3))[-1]
         frame = box_points(family, (m_hi + 2, p_next, k_hi + 5))
-        points.extend(g for g in frame if g not in inner and g.q is not None)
+        points.extend(g for g in frame if g not in inner)
     return points
 
 
@@ -269,7 +267,7 @@ def test_bit_bound_past_the_boxes():
 
 WALKED = {
     "PSL": 123, "PSU": 41, "PSp": 19, "OmegaOdd": 4, "OPlus": 9, "OMinus": 9,
-    "G2": 6, "F4": 1, "E6": 1, "E7": 1, "E8": 0, "TwistedE6": 1, "TriD4": 3,
+    "G2": 5, "F4": 1, "E6": 1, "E7": 1, "E8": 0, "TwistedE6": 1, "TriD4": 3,
     "Suzuki": 7, "Ree": 0, "TwistedF4": 0,
 }
 
@@ -287,18 +285,18 @@ def test_sweeps_build_one_order_per_walked_point(monkeypatch):
     for family in LIE_FAMILIES:
         sweep_family(family)
     monkeypatch.undo()
-    assert len(built) == 225
+    assert len(built) == 224
     assert built == [g for family in LIE_FAMILIES for g in _walk(family)]
-    assert not any(g.q is not None and refuted(g) for g in built)
+    assert not any(map(refuted, built))
 
 
 def test_sieve_meets_first_n_up_to_78():
-    # _sieve's domain: the 225 walked points, whose first n = max(5, n_min)
+    # _sieve's domain: the 224 walked points, whose first n = max(5, n_min)
     # is at most 78, and the 27 sporadic groups, whose first n is 5.  The
     # first n are checked before any sieving, so a walk that let a point of
     # huge n_min through fails here rather than building its factorial.
     walked = [g for family in LIE_FAMILIES for g in _walk(family)]
-    assert len(walked) == 225
+    assert len(walked) == 224
     first = {g: max(5, n_min(g)) for g in walked}
     assert max(first.values()) == 78
     assert {group_label(g) for g, n in first.items() if n == 78} == {"PSL(13,2)", "PSU(13,2)"}
@@ -307,13 +305,13 @@ def test_sieve_meets_first_n_up_to_78():
     assert {max(5, n_min(g)) for g in points} == {5}
     found = [_sieve(g) for g in walked]
     assert sum(f is None for f in found) == 122
-    assert sum(f is not None for f in found) == 103
+    assert sum(f is not None for f in found) == 102
 
 
 def test_walk_counts():
     walked = {f: sweep_family(f).points_examined for f in LIE_FAMILIES}
     assert walked == WALKED
-    assert sum(walked.values()) == 225
+    assert sum(walked.values()) == 224
     for family in LIE_FAMILIES:
         points = list(_walk(family))
         assert len(points) == len(set(points)) == WALKED[family]
@@ -325,7 +323,7 @@ def test_walk_covers_the_old_boxes():
     walked = {g for family in LIE_FAMILIES for g in _walk(family)}
     points = [g for family, box in SWEEP_BOXES.items() for g in box_points(family, box)]
     points += lie_frame_points()
-    assert len(points) == 3509 + 4790
+    assert len(points) == 3508 + 4790
     skipped = [g for g in points if g not in walked]
     assert len(skipped) == 8092
     assert all(g.q is not None and refuted(g) for g in skipped)
@@ -517,9 +515,17 @@ def test_exceptional_sweeps_empty(family):
     assert rep.rows == ()
 
 
-def test_g2_swept_through_derived_subgroup():
-    rep = sweep_family("G2")
-    assert any("G2(2)'" in note and "6048" in note for note in rep.notes)
+def test_each_walked_point_is_a_group_of_its_own_row():
+    # no walked point is a tag: each is a group of its row's family over a
+    # field of q elements, so G2(2)' = PSU(3,3) is met in the PSU row alone
+    for family in LIE_FAMILIES:
+        for g in _walk(family):
+            assert g.family == family and g.q is not None, (family, g)
+    assert representative(parse_group_label("G2(2)'")) in list(_walk("PSU"))
+    # the G2 row starts over q = 4 in the walk's order (m, p, k); G2(2) is not
+    # simple, so G2(3) is its smallest group
+    assert [group_label(g) for g in _walk("G2")] == [
+        "G2(4)", "G2(8)", "G2(16)", "G2(32)", "G2(3)"]
 
 
 def test_suzuki_odd_power_bound():
